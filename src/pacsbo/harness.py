@@ -28,16 +28,17 @@ from .kernel_gp import (
     SampleSet,
     gp_fit,
     gp_predict,
-    info_gain,
     mean_rkhs_norm,
 )
 from .pac_estimator import PacConfig, estimate_upper_bound, hoeffding_width
 from .pacsbo_loop import (
     CHANNELS,
+    PARTITION_ORDER,
     GroundTruth,
     RunConfig,
     RunHistory,
     _initial_state,
+    regions,
     run,
 )
 from .predictor import (
@@ -54,14 +55,13 @@ from .rkhs_function import (
     sample_random_function,
     scale_to_norm,
 )
-from .safeopt_core import beta_scale, confidence_bounds
+from .safeopt_core import select
 from .seeding import derive_rng
 from .subdomain import global_mask, partition_masks
 
 SCHEMA_VERSION = 1
 SCENARIOS = ("fig3_thresholds", "compare_conservative", "compare_optimistic",
              "synthetic2d", "hoeffding_mc")
-PARTITION_LABELS = ("tilde", "hat", "global")
 
 
 def _scenario_defaults(scenario: str) -> dict:
@@ -329,7 +329,7 @@ def record_header(dim: int) -> list:
     cols = ["schema_version", "seed", "algorithm", "iteration"]
     cols += [f"a{k}" for k in range(dim)]
     cols += ["reward", "constraint", "unsafe"]
-    for label in PARTITION_LABELS:
+    for label in PARTITION_ORDER:
         cols += [f"B_{label}", f"q_{label}", f"escalated_{label}",
                  f"S_{label}", f"M_{label}", f"G_{label}"]
     cols.append("best_so_far")
@@ -344,7 +344,7 @@ def history_rows(spec_seed: int, algorithm: str, grid: GridDomain,
         row += [f"{c:.10g}" for c in np.atleast_1d(grid.points[rec.chosen])]
         row += [f"{rec.measured[0]:.10g}", f"{rec.measured[1]:.10g}",
                 int(rec.unsafe)]
-        for label in PARTITION_LABELS:
+        for label in PARTITION_ORDER:
             st = rec.partitions.get(label)
             if st is None:
                 row += ["", "", "", "", "", ""]
@@ -366,16 +366,19 @@ def _predictor_for(params: dict):
         raise ConfigError(f"predictor file not found: {path}")
 
 
-def _pacsbo_config(params: dict, grid, kernel, s0, seed) -> RunConfig:
+def _pac_config(params: dict) -> PacConfig:
     sampler = SamplerConfig(num_centers=int(params["num_centers"]),
                             coeff_bound=float(params["alpha_bar"]))
-    pac = PacConfig(delta=float(params["delta"]),
-                    q_init=int(params["q_init"]),
-                    q_max=int(params["q_max"]), sampler=sampler)
+    return PacConfig(delta=float(params["delta"]),
+                     q_init=int(params["q_init"]),
+                     q_max=int(params["q_max"]), sampler=sampler)
+
+
+def _pacsbo_config(params: dict, grid, kernel, s0, seed) -> RunConfig:
     return RunConfig(grid=grid, kernel=kernel, s0_indices=s0,
                      noise_std=float(params["noise_std"]),
                      delta=float(params["delta"]),
-                     budget=int(params["budget"]), pac=pac,
+                     budget=int(params["budget"]), pac=_pac_config(params),
                      predictor=_predictor_for(params),
                      algorithm="pacsbo", seed=seed)
 
@@ -394,7 +397,7 @@ def _safeopt_config(params: dict, grid, kernel, s0, seed) -> RunConfig:
 
 def snapshot_header(dim: int) -> list:
     cols = [f"x{k}" for k in range(dim)] + ["sampled", "mu"]
-    for label in PARTITION_LABELS:
+    for label in PARTITION_ORDER:
         cols += [f"l_{label}", f"u_{label}"]
     return cols
 
@@ -404,9 +407,9 @@ def replay_snapshots(cfg: RunConfig, truth: GroundTruth,
     """Recompute the reward-channel confidence fields at chosen iterations.
 
     Snapshot ``t`` is the classification state the loop saw while picking
-    its ``t``-th sample: the posterior on the prior measurements and the
-    recorded norm bounds of that iteration. Returns {t: rows} keyed by the
-    one-based iteration number.
+    its ``t``-th sample: :func:`select` rerun on the posterior of the prior
+    measurements with the recorded norm bounds of that iteration. Returns
+    {t: rows} keyed by the one-based iteration number.
     """
     wanted = {int(t) for t in iterations}
     out = {}
@@ -416,30 +419,23 @@ def replay_snapshots(cfg: RunConfig, truth: GroundTruth,
         if t in wanted:
             posts = {i: gp_fit(samples, i, cfg.noise_std, cfg.kernel)
                      for i in CHANNELS}
-            if cfg.algorithm == "pacsbo":
-                tilde, hat, glob = partition_masks(samples, cfg.grid,
-                                                   cfg.enlargement)
-                masks = {"tilde": tilde, "hat": hat, "global": glob}
-            else:
-                masks = {"global": global_mask(cfg.grid)}
             mu = gp_predict(posts[0], cfg.grid.points)[0]
-            fields = {}
-            for label, mask in masks.items():
-                st = rec.partitions[label]
-                betas = {i: beta_scale(st.channel_bounds[k], cfg.noise_std,
-                                       info_gain(posts[i]), cfg.delta)
-                         for k, i in enumerate(CHANNELS)}
-                fields[label] = confidence_bounds(posts, betas, mask)
+            bounds = {label: dict(zip(CHANNELS, st.channel_bounds))
+                      for label, st in rec.partitions.items()}
+            _, _, states = select(posts, bounds, regions(cfg, samples),
+                                  cfg.s0_indices, cfg.noise_std, cfg.delta,
+                                  cfg.exact_expanders)
             sampled = np.zeros(cfg.grid.num_points, dtype=bool)
             sampled[list(samples.indices)] = True
             rows = []
             for j in range(cfg.grid.num_points):
                 row = [f"{c:.10g}" for c in np.atleast_1d(cfg.grid.points[j])]
                 row += [int(sampled[j]), f"{mu[j]:.10g}"]
-                for label in PARTITION_LABELS:
-                    if label in fields:
-                        row += [f"{fields[label].lower[0][j]:.10g}",
-                                f"{fields[label].upper[0][j]:.10g}"]
+                for label in PARTITION_ORDER:
+                    if label in states:
+                        field = states[label].field
+                        row += [f"{field.lower[0][j]:.10g}",
+                                f"{field.upper[0][j]:.10g}"]
                     else:
                         row += ["", ""]
                 rows.append(row)
@@ -471,13 +467,8 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     grid = _grid_for(params)
     kernel = _kernel_for(params)
     counts = [int(m) for m in params["sample_counts"]]
-    sampler = SamplerConfig(num_centers=int(params["num_centers"]),
-                            coeff_bound=float(params["alpha_bar"]))
     noise = float(params["noise_std"])
-    pac = PacConfig(delta=float(params["delta"]),
-                    q_init=int(params["q_init"]),
-                    q_max=int(params["q_max"]),
-                    sampler=sampler)
+    pac = _pac_config(params)
     mask = global_mask(grid)
 
     def one_seed(seed):
@@ -552,34 +543,64 @@ def _iters_to_fraction(history: RunHistory, target: float):
     return None
 
 
-def scenario_compare(spec: ExperimentSpec) -> dict:
-    """Both algorithms on the same truths, one pair of runs per seed."""
+def _run_seeds(spec: ExperimentSpec, algorithms) -> tuple:
+    """Per seed: truth, start triple, one run per algorithm, and its records
+    CSV. Returns the files written and the per-seed
+    ``(seed, truth, {algorithm: (cfg, history)})`` outputs."""
     params = spec.params
     grid = _grid_for(params)
     kernel = _kernel_for(params)
-    out = Path(spec.out_dir)
 
     def one_seed(seed):
         truth = make_truth(params, grid, kernel, seed)
         s0 = seed_triple(truth, grid, placement=params["s0_placement"])
-        results = {}
-        for algorithm in ("pacsbo", "safeopt"):
+        runs = {}
+        for algorithm in algorithms:
             maker = _pacsbo_config if algorithm == "pacsbo" \
                 else _safeopt_config
             cfg = maker(params, grid, kernel, s0, seed)
-            results[algorithm] = (cfg, run(cfg, truth))
-        return seed, truth, results
+            runs[algorithm] = (cfg, run(cfg, truth))
+        return seed, truth, runs
 
     outputs = _map_seeds(one_seed, spec)
-    files, summary_rows = [], []
-    frac = float(params["opt_fraction"])
-    for seed, truth, results in outputs:
-        optimum = _true_safe_optimum(truth, grid)
-        for algorithm, (cfg, history) in results.items():
-            path = out / f"records_{algorithm}_seed{seed}.csv"
+    files = []
+    for seed, _, runs in outputs:
+        for algorithm, (_, history) in runs.items():
+            path = Path(spec.out_dir) / f"records_{algorithm}_seed{seed}.csv"
             write_csv(path, record_header(grid.dim),
                       history_rows(seed, algorithm, grid, history))
             files.append(path)
+    return files, outputs
+
+
+def _summary_row(seed: int, algorithm: str, history: RunHistory) -> list:
+    return [SCHEMA_VERSION, seed, algorithm, f"{history.best_reward:.10g}",
+            int(history.any_unsafe())]
+
+
+def _write_summary(spec: ExperimentSpec, files, extra_columns,
+                   summary_rows) -> dict:
+    """Write summary.csv and the manifest of a loop scenario."""
+    summary_path = Path(spec.out_dir) / "summary.csv"
+    write_csv(summary_path,
+              ["schema_version", "seed", "algorithm", "best_reward",
+               "any_unsafe"] + extra_columns, summary_rows)
+    manifest = write_manifest(spec, files + [summary_path])
+    return {"summary": summary_rows, "csv": summary_path,
+            "manifest": manifest}
+
+
+def scenario_compare(spec: ExperimentSpec) -> dict:
+    """Both algorithms on the same truths, one pair of runs per seed."""
+    params = spec.params
+    out = Path(spec.out_dir)
+    grid = _grid_for(params)
+    files, outputs = _run_seeds(spec, ("pacsbo", "safeopt"))
+    summary_rows = []
+    frac = float(params["opt_fraction"])
+    for seed, truth, runs in outputs:
+        optimum = _true_safe_optimum(truth, grid)
+        for algorithm, (cfg, history) in runs.items():
             snaps = replay_snapshots(cfg, truth, history,
                                      params["snapshot_iterations"])
             for t, rows in snaps.items():
@@ -589,59 +610,26 @@ def scenario_compare(spec: ExperimentSpec) -> dict:
                 files.append(spath)
             reached = _iters_to_fraction(history, frac * optimum)
             summary_rows.append(
-                [SCHEMA_VERSION, seed, algorithm,
-                 f"{history.best_reward:.10g}",
-                 int(history.any_unsafe()),
-                 "" if reached is None else reached,
-                 f"{optimum:.10g}"])
+                _summary_row(seed, algorithm, history)
+                + ["" if reached is None else reached, f"{optimum:.10g}"])
     summary_rows.sort(key=lambda r: (r[2], r[1]))
-    summary_path = out / "summary.csv"
-    write_csv(summary_path,
-              ["schema_version", "seed", "algorithm", "best_reward",
-               "any_unsafe", "iters_to_fraction", "safe_optimum"],
-              summary_rows)
-    files.append(summary_path)
-    manifest = write_manifest(spec, files)
-    return {"summary": summary_rows, "csv": summary_path,
-            "manifest": manifest}
+    return _write_summary(spec, files,
+                          ["iters_to_fraction", "safe_optimum"], summary_rows)
 
 
 def scenario_synthetic2d(spec: ExperimentSpec) -> dict:
     """2-D run with the explored-region dump after the final iteration."""
-    params = spec.params
-    grid = _grid_for(params)
-    kernel = _kernel_for(params)
-    out = Path(spec.out_dir)
-
-    def one_seed(seed):
-        truth = make_truth(params, grid, kernel, seed)
-        s0 = seed_triple(truth, grid, placement=params["s0_placement"])
-        cfg = _pacsbo_config(params, grid, kernel, s0, seed)
-        return seed, truth, cfg, run(cfg, truth)
-
-    outputs = _map_seeds(one_seed, spec)
-    files, summary_rows = [], []
-    for seed, truth, cfg, history in outputs:
-        path = out / f"records_pacsbo_seed{seed}.csv"
-        write_csv(path, record_header(grid.dim),
-                  history_rows(seed, "pacsbo", grid, history))
-        files.append(path)
-        explored = _explored_rows(cfg, truth, history)
-        epath = out / f"explored_seed{seed}.csv"
-        write_csv(epath, ["x0", "x1", "sampled", "tilde", "hat"], explored)
+    files, outputs = _run_seeds(spec, ("pacsbo",))
+    summary_rows = []
+    for seed, truth, runs in outputs:
+        cfg, history = runs["pacsbo"]
+        epath = Path(spec.out_dir) / f"explored_seed{seed}.csv"
+        write_csv(epath, ["x0", "x1", "sampled", "tilde", "hat"],
+                  _explored_rows(cfg, truth, history))
         files.append(epath)
-        summary_rows.append([SCHEMA_VERSION, seed, "pacsbo",
-                             f"{history.best_reward:.10g}",
-                             int(history.any_unsafe()),
-                             len(history.records) + len(cfg.s0_indices)])
-    summary_path = out / "summary.csv"
-    write_csv(summary_path,
-              ["schema_version", "seed", "algorithm", "best_reward",
-               "any_unsafe", "total_samples"], summary_rows)
-    files.append(summary_path)
-    manifest = write_manifest(spec, files)
-    return {"summary": summary_rows, "csv": summary_path,
-            "manifest": manifest}
+        summary_rows.append(_summary_row(seed, "pacsbo", history)
+                            + [len(history.records) + len(cfg.s0_indices)])
+    return _write_summary(spec, files, ["total_samples"], summary_rows)
 
 
 def _explored_rows(cfg, truth, history):

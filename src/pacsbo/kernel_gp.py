@@ -69,15 +69,6 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> np.ndarray
     return matern32(pairwise_dist(x, y), cfg.lengthscale)
 
 
-def kernel_eval(a, b, cfg: KernelConfig) -> float:
-    """Kernel value between two single points."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError("points must share a dimension")
-    return float(matern32(np.sqrt(np.sum((a - b) ** 2)), cfg.lengthscale))
-
-
 @dataclass(frozen=True)
 class GridDomain:
     """Cell-centered uniform lattice on the unit box.
@@ -114,17 +105,6 @@ class GridDomain:
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
-
-    def nearest_index(self, point) -> int:
-        """Flat index of the grid point closest to ``point``."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if point.shape != (self.dim,):
-            raise ValueError("point dimension does not match the grid")
-        multi = []
-        for k, r in enumerate(self.resolution):
-            i = int(np.clip(np.floor(point[k] * r), 0, r - 1))
-            multi.append(i)
-        return int(np.ravel_multi_index(multi, self.resolution))
 
 
 class SampleSet:

@@ -1,11 +1,11 @@
-"""Outer optimization loops.
+"""Outer optimization loop.
 
-Two algorithms share the iteration scaffolding. The main loop estimates a
-kernel-norm bound per region and channel each iteration (three nested
-regions: sample hull, enlarged hull, full domain), runs the safe-exploration
-subroutine per region, and queries the most uncertain candidate across all
-regions. The baseline runs the same subroutine on the full domain with a
-fixed norm bound and no estimation.
+Two algorithms share one iteration, :func:`pacsbo_step`. The main loop
+estimates a kernel-norm bound per region and channel each iteration (three
+nested regions: sample hull, enlarged hull, full domain), runs the
+safe-exploration subroutine per region, and queries the most uncertain
+candidate across all regions. The baseline runs the same subroutine on the
+full domain with a fixed norm bound and no estimation.
 
 Per-channel norm traces are extended at the start of each iteration, from
 the currently measured data, before the estimator reads them; that way the
@@ -26,14 +26,13 @@ from .kernel_gp import (
     KernelConfig,
     SampleSet,
     gp_fit,
-    info_gain,
     mean_rkhs_norm,
     reciprocal_cov_integral,
 )
-from .pac_estimator import PacConfig, estimate_upper_bound
+from .pac_estimator import PacConfig, PacResult, estimate_upper_bound
 from .predictor import MlpPredictor, NormTrace, append_trace, predict_norm
 from .rkhs_function import RkhsFunction, rkhs_norm
-from .safeopt_core import acquire, beta_scale, compute_state
+from .safeopt_core import select
 from .seeding import derive_rng, truncated_normal
 from .subdomain import global_mask, partition_masks
 
@@ -178,73 +177,62 @@ def _best_safe(samples: SampleSet):
     return samples.indices[k], float(rewards[k])
 
 
-def _partition_bounds(cfg: RunConfig, state: LoopState, masks: dict,
-                      posteriors: dict, traces: dict):
-    """Norm bound per (partition, channel) via the estimator, after pushing
-    the current (mean norm, reciprocal covariance) pair onto each trace."""
-    split = cfg.delta / (len(PARTITION_ORDER) * len(CHANNELS))
-    bounds, results, new_traces = {}, {}, {}
-    for p_idx, label in enumerate(PARTITION_ORDER):
-        mask = masks[label]
-        for i in CHANNELS:
-            post = posteriors[i]
-            trace = append_trace(traces[(label, i)], mean_rkhs_norm(post),
-                                 reciprocal_cov_integral(post, mask.member))
-            new_traces[(label, i)] = trace
-            pac_cfg = replace(cfg.pac, delta=split)
-            res = estimate_upper_bound(
-                lambda tr: predict_norm(cfg.predictor, tr), trace,
-                state.samples, i, cfg.noise_std, cfg.kernel, mask, pac_cfg,
-                (cfg.seed, "pac", state.iteration, p_idx, i))
-            bounds[(label, i)] = res.bound
-            results[(label, i)] = res
-    return bounds, results, new_traces
+def regions(cfg: RunConfig, samples: SampleSet) -> dict:
+    """The regions the configured algorithm classifies, in order: the
+    nested (tilde, hat, global) triple for the main loop, the full domain
+    alone for the baseline."""
+    if cfg.algorithm == "safeopt":
+        return {"global": global_mask(cfg.grid)}
+    tilde, hat, glob = partition_masks(samples, cfg.grid, cfg.enlargement)
+    return {"tilde": tilde, "hat": hat, "global": glob}
 
 
 def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
-    """One iteration of the main loop: (state', record)."""
+    """One iteration of either algorithm: (state', record), or (None, None)
+    when no region offers a candidate.
+
+    The main loop pushes the current (mean norm, reciprocal covariance) pair
+    onto each region's trace and estimates a bound per region and channel;
+    the baseline uses its fixed bound everywhere.
+    """
     t0 = time.monotonic()
-    tilde, hat, glob = partition_masks(state.samples, cfg.grid,
-                                       cfg.enlargement)
-    masks = {"tilde": tilde, "hat": hat, "global": glob}
+    masks = regions(cfg, state.samples)
     posteriors = {i: gp_fit(state.samples, i, cfg.noise_std, cfg.kernel)
                   for i in CHANNELS}
-    bounds, results, traces = _partition_bounds(cfg, state, masks,
-                                                posteriors, state.traces)
+    traces = dict(state.traces)
+    pac = replace(cfg.pac, delta=cfg.delta / (len(masks) * len(CHANNELS)))
+    results = {}
+    for p_idx, (label, mask) in enumerate(masks.items()):
+        for i in CHANNELS:
+            if cfg.algorithm == "safeopt":
+                results[label, i] = PacResult(cfg.fixed_bound, 0, 0.0, 0.0,
+                                              False)
+                continue
+            post = posteriors[i]
+            traces[label, i] = append_trace(
+                traces[label, i], mean_rkhs_norm(post),
+                reciprocal_cov_integral(post, mask.member))
+            results[label, i] = estimate_upper_bound(
+                lambda tr: predict_norm(cfg.predictor, tr), traces[label, i],
+                state.samples, i, cfg.noise_std, cfg.kernel, mask, pac,
+                (cfg.seed, "pac", state.iteration, p_idx, i))
 
-    gammas = {i: info_gain(posteriors[i]) for i in CHANNELS}
-    best = None  # (width, partition order, grid index, label, state)
-    stats = {}
-    for p_idx, label in enumerate(PARTITION_ORDER):
-        mask = masks[label]
-        betas = {i: beta_scale(bounds[(label, i)], cfg.noise_std, gammas[i],
-                               cfg.delta)
-                 for i in CHANNELS}
-        st = compute_state(posteriors, betas, mask, cfg.s0_indices,
-                           cfg.exact_expanders)
-        res = [results[(label, i)] for i in CHANNELS]
-        stats[label] = PartitionStats(
-            channel_bounds=tuple(bounds[(label, i)] for i in CHANNELS),
-            q_used=max(r.q_used for r in res),
-            escalated=any(r.escalated for r in res),
-            safe_count=int(st.safe.sum()),
-            maximizer_count=int(st.maximizer_set.sum()),
-            expander_count=int(st.expander_set.sum()),
-        )
-        if not st.seeded:
-            continue  # region misses the seed set: contributes no candidates
-        choice = acquire(st.field, st.candidates())
-        if choice is None:
-            continue
-        width = max(float(st.field.width(i)[choice]) for i in CHANNELS)
-        key = (-width, p_idx, choice)
-        if best is None or key < best[0]:
-            best = (key, choice, label)
-
-    if best is None:
+    bounds = {label: {i: results[label, i].bound for i in CHANNELS}
+              for label in masks}
+    choice, label, states = select(posteriors, bounds, masks,
+                                   cfg.s0_indices, cfg.noise_std, cfg.delta,
+                                   cfg.exact_expanders)
+    if choice is None:
         return None, None  # stalled
+    stats = {lab: PartitionStats(
+        channel_bounds=tuple(bounds[lab][i] for i in CHANNELS),
+        q_used=max(results[lab, i].q_used for i in CHANNELS),
+        escalated=any(results[lab, i].escalated for i in CHANNELS),
+        safe_count=int(st.safe.sum()),
+        maximizer_count=int(st.maximizer_set.sum()),
+        expander_count=int(st.expander_set.sum()))
+        for lab, st in states.items()}
 
-    _, choice, label = best
     rng = derive_rng(cfg.seed, "measure", state.iteration)
     measured = _measure(truth, cfg.grid, choice, cfg.noise_std, rng)
     samples = state.samples.append(choice, measured)
@@ -255,45 +243,13 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     return LoopState(samples, traces, state.iteration + 1), record
 
 
-def safeopt_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
-    """One fixed-bound baseline iteration on the full domain."""
-    t0 = time.monotonic()
-    mask = global_mask(cfg.grid)
-    posteriors = {i: gp_fit(state.samples, i, cfg.noise_std, cfg.kernel)
-                  for i in CHANNELS}
-    betas = {i: beta_scale(cfg.fixed_bound, cfg.noise_std,
-                           info_gain(posteriors[i]), cfg.delta)
-             for i in CHANNELS}
-    st = compute_state(posteriors, betas, mask, cfg.s0_indices,
-                       cfg.exact_expanders)
-    choice = acquire(st.field, st.candidates())
-    if choice is None:
-        return None, None
-    stats = {"global": PartitionStats(
-        channel_bounds=(cfg.fixed_bound,) * len(CHANNELS),
-        q_used=0, escalated=False,
-        safe_count=int(st.safe.sum()),
-        maximizer_count=int(st.maximizer_set.sum()),
-        expander_count=int(st.expander_set.sum()))}
-    rng = derive_rng(cfg.seed, "measure", state.iteration)
-    measured = _measure(truth, cfg.grid, choice, cfg.noise_std, rng)
-    samples = state.samples.append(choice, measured)
-    unsafe = truth.value(cfg.grid, choice, 1) < 0.0
-    _, best_reward = _best_safe(samples)
-    record = IterationRecord(state.iteration, choice, "global", measured,
-                             stats, best_reward, unsafe,
-                             time.monotonic() - t0)
-    return LoopState(samples, state.traces, state.iteration + 1), record
-
-
 def run(cfg: RunConfig, truth: GroundTruth) -> RunHistory:
     """Run the configured algorithm for its iteration budget."""
     state = _initial_state(cfg, truth)
-    step = pacsbo_step if cfg.algorithm == "pacsbo" else safeopt_step
     records = []
     status = "completed"
     for _ in range(cfg.budget):
-        nxt, record = step(cfg, state, truth)
+        nxt, record = pacsbo_step(cfg, state, truth)
         if record is None:
             status = "stalled"
             break

@@ -21,12 +21,11 @@ from .kernel_gp import (
     KernelConfig,
     SampleSet,
     gp_fit,
-    info_gain,
     mean_rkhs_norm,
     reciprocal_cov_integral,
 )
 from .rkhs_function import RkhsFunction, SamplerConfig, rkhs_norm, sample_random_function
-from .safeopt_core import acquire, beta_scale, compute_state
+from .safeopt_core import select
 from .seeding import derive_rng
 from .subdomain import global_mask
 
@@ -145,11 +144,9 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
     for step in range(cfg.rollout_iters):
         posteriors = {i: gp_fit(samples, i, cfg.noise_std, kernel)
                       for i in (0, 1)}
-        betas = {i: beta_scale(bound, cfg.noise_std, info_gain(posteriors[i]),
-                               cfg.delta)
-                 for i in (0, 1)}
-        state = compute_state(posteriors, betas, mask, [seed_idx])
-        choice = acquire(state.field, state.candidates())
+        choice, _, _ = select(posteriors, {"global": {0: bound, 1: bound}},
+                              {"global": mask}, [seed_idx], cfg.noise_std,
+                              cfg.delta)
         if choice is None:
             log.warning("rollout abandoned at step %d: no candidates", step)
             return []
@@ -204,9 +201,6 @@ class MlpPredictor:
         x = (np.atleast_2d(raw) - self.feat_mean) / self.feat_scale
         out = _forward_normalized(self.weights, self.biases, x)[0]
         return out
-
-    def save(self, path) -> None:
-        save_predictor(self, path)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

@@ -18,17 +18,15 @@ sees the same numbers) and evaluates the norms chunk-wise.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
 
 from .errors import NumericError
-from .kernel_gp import GridDomain, KernelConfig, SampleSet, kernel_matrix, pairwise_dist, matern32
+from .kernel_gp import GridDomain, KernelConfig, SampleSet, _chol_with_jitter, kernel_matrix, matern32
 from .seeding import derive_rng, truncated_normal
 
-_SCHEMA_VERSION = 1
 _NORM_DUST = -1e-10
 
 
@@ -77,10 +75,6 @@ def evaluate(f: RkhsFunction, points) -> np.ndarray:
     """Function values at row-stacked points (m, n)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return kernel_matrix(points, f.centers, f.kernel) @ f.coefficients
-
-
-def evaluate_at(f: RkhsFunction, point) -> float:
-    return float(evaluate(f, np.atleast_1d(point).reshape(1, -1))[0])
 
 
 def rkhs_norm(f: RkhsFunction) -> float:
@@ -133,20 +127,6 @@ def _region_indices(grid: GridDomain, region) -> np.ndarray:
     return idx
 
 
-def _interpolation_factor(params: np.ndarray, kernel: KernelConfig):
-    """Cholesky factor of the sample Gram, with one jitter retry."""
-    gram = kernel_matrix(params, params, kernel)
-    try:
-        return sla.cholesky(gram, lower=True), gram
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        jittered = gram + 1e-8 * np.eye(gram.shape[0])
-        return sla.cholesky(jittered, lower=True), gram
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"sample Gram is numerically singular: {exc}") from exc
-
-
 def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
                                   grid: GridDomain, kernel: KernelConfig,
                                   cfg: SamplerConfig, rng: np.random.Generator,
@@ -170,7 +150,7 @@ def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
     tail_coeffs = cfg.coeff_bound * tail_u
     params = samples.params
     tail_points = grid.points[tail_idx]
-    chol, _ = _interpolation_factor(params, kernel)
+    chol = _chol_with_jitter(kernel_matrix(params, params, kernel))
     cross = kernel_matrix(params, tail_points, kernel)
     rhs = samples.targets(i) + eps - cross @ tail_coeffs
     head_coeffs = sla.cho_solve((chol, True), rhs)
@@ -203,7 +183,8 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     num_tail = cfg.num_centers - n
     params = samples.params
     y = samples.targets(i)
-    chol, gram_aa = _interpolation_factor(params, kernel)
+    gram_aa = kernel_matrix(params, params, kernel)
+    chol = _chol_with_jitter(gram_aa)
     ell = kernel.lengthscale
 
     def batched_dist(diff):
@@ -239,33 +220,3 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
         norms[lo:hi] = np.sqrt(np.maximum(sq, 0.0))
     return norms
 
-
-def to_record(f: RkhsFunction) -> dict:
-    """Flat serializable record of the expansion."""
-    return {
-        "schema_version": _SCHEMA_VERSION,
-        "kernel": {"family": f.kernel.family, "lengthscale": f.kernel.lengthscale},
-        "centers": f.centers.tolist(),
-        "coefficients": f.coefficients.tolist(),
-    }
-
-
-def from_record(record: dict) -> RkhsFunction:
-    if record.get("schema_version") != _SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version "
-                         f"{record.get('schema_version')!r}")
-    kernel = KernelConfig(lengthscale=float(record["kernel"]["lengthscale"]),
-                          family=record["kernel"]["family"])
-    return RkhsFunction(kernel, np.asarray(record["centers"], dtype=float),
-                        np.asarray(record["coefficients"], dtype=float))
-
-
-def save_rkhs_function(path, f: RkhsFunction) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_record(f), fh)
-        fh.write("\n")
-
-
-def load_rkhs_function(path) -> RkhsFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_record(json.load(fh))

@@ -3,7 +3,10 @@
 Given per-channel posteriors and a kernel-norm bound B per channel, this
 module builds confidence intervals, classifies grid points into the safe
 set S, the potential maximizers M, and the potential expanders G, and picks
-the next evaluation as the most uncertain point of M | G.
+the next evaluation as the most uncertain point of M | G. :func:`select`
+runs that subroutine over a sequence of regions, each with its own bounds,
+and is the one decision step of the adaptive loop, the fixed-bound
+baseline and the predictor's training rollouts.
 
 All point sets are boolean arrays over the full grid; points outside the
 active mask are never members. Confidence values outside the mask are NaN
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel_gp import GpPosterior, gp_predict, posterior_with_observation
+from .kernel_gp import GpPosterior, gp_predict, info_gain, posterior_with_observation
 from .subdomain import DomainMask
 
 
@@ -205,3 +208,40 @@ def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
     m = maximizers(field, safe)
     g = expanders(posteriors, field, safe, mask, exact=exact_expanders)
     return SafeOptState(mask, field, safe, m, g, seeded)
+
+
+def select(posteriors: dict, bounds: dict, masks: dict, seed_indices,
+           noise_std: float, delta: float, exact_expanders: bool = False):
+    """Most uncertain candidate over a sequence of regions.
+
+    ``masks`` maps region labels to masks, in region order, and ``bounds``
+    maps the same labels to ``{channel: norm bound}``. Each region is
+    classified under its own confidence scaling; a region that misses the
+    seed set contributes no candidates. Ties break toward the earlier
+    region, then the lower grid index.
+
+    Returns ``(choice, label, states)`` with the classification of every
+    region in ``states``; ``choice`` and ``label`` are None when no region
+    has a candidate.
+    """
+    gammas = {i: info_gain(post) for i, post in posteriors.items()}
+    best, states = None, {}
+    for order, (label, mask) in enumerate(masks.items()):
+        betas = {i: beta_scale(bounds[label][i], noise_std, gammas[i], delta)
+                 for i in posteriors}
+        st = compute_state(posteriors, betas, mask, seed_indices,
+                           exact_expanders)
+        states[label] = st
+        if not st.seeded:
+            continue
+        choice = acquire(st.field, st.candidates())
+        if choice is None:
+            continue
+        width = max(float(st.field.width(i)[choice])
+                    for i in st.field.channels)
+        key = (-width, order, choice)
+        if best is None or key < best[0]:
+            best = (key, choice, label)
+    if best is None:
+        return None, None, states
+    return best[1], best[2], states

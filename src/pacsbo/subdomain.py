@@ -56,10 +56,6 @@ class DomainMask:
         """Grid indices of the member points."""
         return np.flatnonzero(self.member)
 
-    def contains(self, other: "DomainMask") -> bool:
-        """True if every member of ``other`` is a member of self."""
-        return bool(np.all(self.member[other.member]))
-
 
 def global_mask(grid: GridDomain) -> DomainMask:
     full = np.ones(grid.num_points, dtype=bool)

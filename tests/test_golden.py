@@ -1,0 +1,109 @@
+"""Golden outputs of tiny seeded runs.
+
+The files under ``tests/data/golden`` hold the CSV outputs of three tiny
+runs: a conservative comparison (both algorithms, two seeds), a 2-D run on
+a 15x15 grid, and a predictor training set. The test reruns the same
+configurations and compares every CSV cell. Discrete columns (chosen
+coordinates, draw counts, escalation flags, set sizes, unsafe flags) must
+match exactly; floating-point columns to a relative 1e-9.
+
+Re-record the files only for a change that is meant to move the outputs:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import math
+import re
+import shutil
+import sys
+from pathlib import Path
+
+from conftest import constant_predictor
+from pacsbo.harness import (
+    ExperimentSpec,
+    _scenario_defaults,
+    read_csv_rows,
+    run_experiment,
+    write_csv,
+)
+from pacsbo.kernel_gp import GridDomain, KernelConfig
+from pacsbo.predictor import (
+    RolloutConfig,
+    generate_training_data,
+    save_predictor,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+TINY_BUDGET = dict(q_init=20, q_max=40)
+EXACT = re.compile(r"(schema_version|seed|algorithm|iteration|[ax]\d+|unsafe"
+                   r"|any_unsafe|iters_to_fraction|total_samples|sampled"
+                   r"|tilde|hat|q_\w+|escalated_\w+|[SMG]_\w+)")
+
+
+def produce(out: Path) -> None:
+    """Run the three tiny configurations, writing CSVs under ``out``."""
+    pred = out / "predictor.json"
+    out.mkdir(parents=True, exist_ok=True)
+    save_predictor(constant_predictor(3.0), pred)
+
+    params = _scenario_defaults("compare_conservative")
+    params.update(budget=4, predictor_path=str(pred), **TINY_BUDGET)
+    run_experiment(ExperimentSpec("compare_conservative",
+                                  str(out / "compare_conservative"),
+                                  (0, 1), params))
+
+    params = _scenario_defaults("synthetic2d")
+    params.update(grid_resolution=[15, 15], budget=3,
+                  predictor_path=str(pred), **TINY_BUDGET)
+    run_experiment(ExperimentSpec("synthetic2d", str(out / "synthetic2d"),
+                                  (0,), params))
+
+    cfg = RolloutConfig(grid=GridDomain.uniform(100),
+                        kernel=KernelConfig(lengthscale=0.1),
+                        q_train=3, rollout_iters=4)
+    data = generate_training_data(cfg, seed=0)
+    width = data.inputs.shape[1]
+    write_csv(out / "training" / "training_set.csv",
+              [f"in{k}" for k in range(width)] + ["label"],
+              [[f"{v:.17g}" for v in row] + [f"{label:.17g}"]
+               for row, label in zip(data.inputs, data.labels)])
+    pred.unlink()
+
+
+def tables(root: Path) -> dict:
+    return {str(p.relative_to(root)): read_csv_rows(p)
+            for p in sorted(root.rglob("*.csv"))}
+
+
+def same_cell(column: str, want: str, got: str) -> bool:
+    if EXACT.fullmatch(column) or want == "" or got == "":
+        return want == got
+    a, b = float(want), float(got)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_tiny_runs_match_golden_outputs(tmp_path):
+    produce(tmp_path)
+    want, got = tables(GOLDEN), tables(tmp_path)
+    assert want, "no golden files recorded"
+    assert sorted(got) == sorted(want)
+    for name, (header, rows) in want.items():
+        got_header, got_rows = got[name]
+        assert got_header == header, name
+        assert len(got_rows) == len(rows), name
+        for k, (w, g) in enumerate(zip(rows, got_rows)):
+            bad = [c for c in header if not same_cell(c, w[c], g[c])]
+            assert not bad, (f"{name} row {k}: " + ", ".join(
+                f"{c} {w[c]} -> {g[c]}" for c in bad))
+
+
+if __name__ == "__main__":
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    produce(GOLDEN)
+    for path in sorted(GOLDEN.rglob("*")):
+        if path.suffix != ".csv" and path.is_file():
+            path.unlink()
+    print(f"recorded {len(tables(GOLDEN))} files under {GOLDEN}",
+          file=sys.stderr)

@@ -11,7 +11,6 @@ from pacsbo.kernel_gp import (
     gp_fit,
     gp_predict,
     info_gain,
-    kernel_eval,
     kernel_matrix,
     mean_rkhs_norm,
     posterior_with_observation,
@@ -48,10 +47,14 @@ def dense_posterior(params, y, noise, cfg, query):
     return mean, var
 
 
+def kernel_value(a, b):
+    return kernel_matrix(np.array([[a]]), np.array([[b]]), CFG)[0, 0]
+
+
 def test_kernel_closed_form_values():
-    assert kernel_eval(0.0, 0.1, CFG) == pytest.approx(K_D01_L01, abs=1e-15)
-    assert kernel_eval(0.5, 0.55, CFG) == pytest.approx(K_D005_L01, abs=1e-15)
-    assert kernel_eval(0.3, 0.3, CFG) == 1.0
+    assert kernel_value(0.0, 0.1) == pytest.approx(K_D01_L01, abs=1e-15)
+    assert kernel_value(0.5, 0.55) == pytest.approx(K_D005_L01, abs=1e-15)
+    assert kernel_value(0.3, 0.3) == 1.0
 
 
 def test_kernel_matrix_symmetric_and_near_psd():
@@ -79,14 +82,6 @@ def test_grid_is_cell_centered_row_major():
     np.testing.assert_allclose(grid.points[1], [0.25, 0.5])
     np.testing.assert_allclose(grid.points[3], [0.75, 1.0 / 6.0])
     assert grid.points.min() > 0.0 and grid.points.max() < 1.0
-
-
-def test_grid_nearest_index_roundtrip():
-    grid = GridDomain.uniform((7, 5))
-    for j in range(grid.num_points):
-        assert grid.nearest_index(grid.points[j]) == j
-    assert grid.nearest_index([0.0, 0.0]) == 0
-    assert grid.nearest_index([1.0, 1.0]) == grid.num_points - 1
 
 
 def test_grid_validation():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import pacsbo.pacsbo_loop as loop_mod
+import pacsbo.safeopt_core as core_mod
 from pacsbo.errors import ConfigError
 from pacsbo.kernel_gp import (
     GridDomain,
@@ -298,7 +298,7 @@ def test_stalled_run(monkeypatch):
     truth, s0 = make_truth(grid, seed=8)
     cfg = RunConfig(grid=grid, kernel=KER, s0_indices=(s0,),
                     algorithm="safeopt", fixed_bound=1.0, budget=5, seed=0)
-    monkeypatch.setattr(loop_mod, "acquire", lambda field, cand: None)
+    monkeypatch.setattr(core_mod, "acquire", lambda field, cand: None)
     hist = run(cfg, truth)
     assert hist.status == "stalled"
     assert len(hist) == 0

@@ -6,27 +6,26 @@ from pacsbo.kernel_gp import (
     KernelConfig,
     SampleSet,
     gp_fit,
-    kernel_eval,
+    kernel_matrix,
     mean_rkhs_norm,
 )
 from pacsbo.rkhs_function import (
     RkhsFunction,
     SamplerConfig,
     evaluate,
-    evaluate_at,
-    from_record,
     interpolating_norms,
-    load_rkhs_function,
     rkhs_norm,
     sample_interpolating_function,
     sample_random_function,
-    save_rkhs_function,
     scale_to_norm,
-    to_record,
 )
 from pacsbo.seeding import derive_rng
 
 CFG = KernelConfig(lengthscale=0.1)
+
+
+def kernel_value(a, b, kernel):
+    return kernel_matrix(np.atleast_2d(a), np.atleast_2d(b), kernel)[0, 0]
 
 
 def naive_norm(f):
@@ -35,12 +34,12 @@ def naive_norm(f):
     for s in range(f.centers.shape[0]):
         for t in range(f.centers.shape[0]):
             total += (f.coefficients[s] * f.coefficients[t]
-                      * kernel_eval(f.centers[s], f.centers[t], f.kernel))
+                      * kernel_value(f.centers[s], f.centers[t], f.kernel))
     return np.sqrt(max(total, 0.0))
 
 
 def naive_eval(f, point):
-    return sum(f.coefficients[s] * kernel_eval(f.centers[s], point, f.kernel)
+    return sum(f.coefficients[s] * kernel_value(f.centers[s], point, f.kernel)
                for s in range(f.centers.shape[0]))
 
 
@@ -52,7 +51,7 @@ def make_samples(grid, indices, values0):
 def test_single_center_norm_is_coefficient_magnitude():
     f = RkhsFunction(CFG, np.array([[0.3]]), np.array([-2.5]))
     assert rkhs_norm(f) == pytest.approx(2.5, abs=1e-14)
-    assert evaluate_at(f, [0.3]) == pytest.approx(-2.5, abs=1e-14)
+    assert f([0.3])[0] == pytest.approx(-2.5, abs=1e-14)
 
 
 def test_coincident_centers_add():
@@ -68,7 +67,7 @@ def test_norm_matches_double_loop_oracle():
         f = RkhsFunction(CFG, rng.uniform(size=(m, dim)), rng.normal(size=m))
         assert rkhs_norm(f) == pytest.approx(naive_norm(f), abs=1e-10)
         pt = rng.uniform(size=dim)
-        assert evaluate_at(f, pt) == pytest.approx(naive_eval(f, pt), abs=1e-10)
+        assert f(pt)[0] == pytest.approx(naive_eval(f, pt), abs=1e-10)
 
 
 def test_scale_to_norm_exact():
@@ -202,27 +201,6 @@ def test_batched_norms_start_index_gives_stable_pooling():
     part2 = interpolating_norms(s, 0, 0.01, grid, CFG, cfg, (7,), count=8,
                                 start_index=12)
     np.testing.assert_array_equal(full, np.concatenate([part1, part2]))
-
-
-def test_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    f = RkhsFunction(CFG, rng.uniform(size=(15, 2)), rng.normal(size=15))
-    path = tmp_path / "func.json"
-    save_rkhs_function(path, f)
-    g = load_rkhs_function(path)
-    np.testing.assert_array_equal(f.centers, g.centers)
-    np.testing.assert_array_equal(f.coefficients, g.coefficients)
-    assert g.kernel == f.kernel
-    pts = rng.uniform(size=(5, 2))
-    np.testing.assert_array_equal(evaluate(f, pts), evaluate(g, pts))
-
-
-def test_record_schema_rejected():
-    f = RkhsFunction(CFG, np.array([[0.5]]), np.array([1.0]))
-    record = to_record(f)
-    record["schema_version"] = 99
-    with pytest.raises(ValueError):
-        from_record(record)
 
 
 def test_gp_mean_norm_equals_weight_expansion_norm():

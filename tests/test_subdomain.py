@@ -21,8 +21,7 @@ def make_samples(grid, indices):
 
 def test_interval_hull_spans_min_to_max():
     grid = GridDomain.uniform(100)
-    i_lo = grid.nearest_index(np.array([0.2]))
-    i_hi = grid.nearest_index(np.array([0.6]))
+    i_lo, i_hi = 20, 60  # the grid points 0.205 and 0.605
     mask = convex_hull_mask(make_samples(grid, [i_hi, i_lo]), grid)
     lo = grid.points[i_lo, 0]
     hi = grid.points[i_hi, 0]
@@ -64,7 +63,7 @@ def test_enlargement_monotone_in_factor():
     prev = hull
     for factor in (1.0, 1.1, 1.5, 2.0, 4.0):
         cur = enlarge_mask(hull, factor, grid)
-        assert cur.contains(prev)
+        assert np.all(cur.member[prev.member])
         prev = cur
 
 
@@ -78,11 +77,8 @@ def test_enlargement_clips_to_domain():
 
 def test_triangle_hull_matches_half_plane_oracle():
     grid = GridDomain.uniform((50, 50))
-    corners = [
-        grid.nearest_index(np.array([0.0, 0.0])),
-        grid.nearest_index(np.array([1.0, 0.0])),
-        grid.nearest_index(np.array([0.0, 1.0])),
-    ]
+    # the grid points nearest (0, 0), (1, 0) and (0, 1)
+    corners = [0, 49 * 50, 49]
     mask = convex_hull_mask(make_samples(grid, corners), grid)
     v = grid.points[corners]
     # oracle: inside each of the three half-planes of the triangle's edges
@@ -136,8 +132,9 @@ def test_collinear_2d_falls_back_to_inflated_box():
 
 def test_three_dim_hull_is_bounding_box():
     grid = GridDomain.uniform((8, 8, 8))
-    idx = [grid.nearest_index(np.array(p)) for p in
-           [(0.1, 0.1, 0.1), (0.8, 0.2, 0.5), (0.3, 0.7, 0.9)]]
+    # the cells holding (0.1, 0.1, 0.1), (0.8, 0.2, 0.5) and (0.3, 0.7, 0.9)
+    idx = list(np.ravel_multi_index(([0, 6, 2], [0, 1, 5], [0, 4, 7]),
+                                    grid.resolution))
     mask = convex_hull_mask(make_samples(grid, idx), grid)
     assert mask.geometry[0] == "box"
     pts = grid.points[idx]
@@ -154,8 +151,8 @@ def test_partition_nesting_random_sample_sets():
             k = int(rng.integers(1, 7))
             idx = rng.choice(grid.num_points, size=k, replace=False)
             tilde, hat, glob = partition_masks(make_samples(grid, idx), grid)
-            assert hat.contains(tilde)
-            assert glob.contains(hat)
+            assert np.all(hat.member[tilde.member])
+            assert np.all(glob.member[hat.member])
             assert tilde.member[idx].all()
             assert tilde.label == "tilde" and hat.label == "hat"
             assert glob.count == grid.num_points

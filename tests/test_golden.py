@@ -1,8 +1,9 @@
 """Golden outputs of tiny seeded runs.
 
-The files under ``tests/data/golden`` hold the CSV outputs of three tiny
+The files under ``tests/data/golden`` hold the CSV outputs of four tiny
 runs: a conservative comparison (both algorithms, two seeds), a 2-D run on
-a 15x15 grid, and a predictor training set. The test reruns the same
+a 15x15 grid, a fixed-bound 2-D run on a 50x50 grid whose safe set grows
+(once per expander candidate set), and a predictor training set. The test reruns the same
 configurations and compares every CSV cell. Discrete columns (chosen
 coordinates, draw counts, escalation flags, set sizes, unsafe flags) must
 match exactly; floating-point columns to a relative 1e-9.
@@ -12,6 +13,7 @@ Re-record the files only for a change that is meant to move the outputs:
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import dataclasses
 import math
 import re
 import shutil
@@ -21,12 +23,20 @@ from pathlib import Path
 from conftest import constant_predictor
 from pacsbo.harness import (
     ExperimentSpec,
+    _grid_for,
+    _kernel_for,
+    _safeopt_config,
     _scenario_defaults,
+    history_rows,
+    make_truth,
     read_csv_rows,
+    record_header,
     run_experiment,
+    seed_triple,
     write_csv,
 )
 from pacsbo.kernel_gp import GridDomain, KernelConfig
+from pacsbo.pacsbo_loop import run
 from pacsbo.predictor import (
     RolloutConfig,
     generate_training_data,
@@ -41,7 +51,7 @@ EXACT = re.compile(r"(schema_version|seed|algorithm|iteration|[ax]\d+|unsafe"
 
 
 def produce(out: Path) -> None:
-    """Run the three tiny configurations, writing CSVs under ``out``."""
+    """Run the four tiny configurations, writing CSVs under ``out``."""
     pred = out / "predictor.json"
     out.mkdir(parents=True, exist_ok=True)
     save_predictor(constant_predictor(3.0), pred)
@@ -57,6 +67,20 @@ def produce(out: Path) -> None:
                   predictor_path=str(pred), **TINY_BUDGET)
     run_experiment(ExperimentSpec("synthetic2d", str(out / "synthetic2d"),
                                   (0,), params))
+
+    # On 20x20 or 30x30 grids no synthetic2d truth leaves its start set in
+    # 12 iterations; on 50x50 truth 0 grows it from 3 to 54 points.
+    params = _scenario_defaults("synthetic2d")
+    params.update(grid_resolution=[50, 50], budget=12, fixed_bound=2.0)
+    grid, kernel = _grid_for(params), _kernel_for(params)
+    truth = make_truth(params, grid, kernel, 0)
+    s0 = seed_triple(truth, grid, placement=params["s0_placement"])
+    cfg = _safeopt_config(params, grid, kernel, s0, 0)
+    for name, exact in (("boundary", False), ("exact", True)):
+        history = run(dataclasses.replace(cfg, exact_expanders=exact), truth)
+        write_csv(out / "safeopt2d" / f"records_safeopt_{name}.csv",
+                  record_header(grid.dim),
+                  history_rows(0, "safeopt", grid, history))
 
     cfg = RolloutConfig(grid=GridDomain.uniform(100),
                         kernel=KernelConfig(lengthscale=0.1),

@@ -217,62 +217,54 @@ def gp_fit(samples: SampleSet, i: int, noise_std: float,
                        params, y, gram, chol, weights)
 
 
+def predictive(post: GpPosterior, query: np.ndarray):
+    """Posterior mean, unclamped variance and ``v = L^-1 k_A(query)``.
+
+    ``v`` has one column per query point; ``k(x, y) - v_x^T v_y`` is the
+    posterior covariance between two query points.
+    """
+    query = np.atleast_2d(np.asarray(query, dtype=float))
+    kq = kernel_matrix(post.params, query, post.kernel)
+    v = sla.solve_triangular(post.chol, kq, lower=True)
+    return kq.T @ post.weights, 1.0 - np.sum(v * v, axis=0), v
+
+
+def _clamped(var: np.ndarray) -> np.ndarray:
+    if np.any(var < _VAR_CLAMP_WARN):
+        log.warning("posterior variance clamped from %.3e", float(var.min()))
+    return np.clip(var, 0.0, 1.0)
+
+
 def gp_predict(post: GpPosterior, query: np.ndarray):
     """Posterior mean and variance at the query points (m, n).
 
     Variances are clamped to ``[0, 1]``; a clamp beyond numerical dust
     (below -1e-9) is logged.
     """
-    query = np.atleast_2d(np.asarray(query, dtype=float))
-    if post.num_samples == 0:
-        return np.zeros(query.shape[0]), np.ones(query.shape[0])
-    kq = kernel_matrix(post.params, query, post.kernel)
-    mean = kq.T @ post.weights
-    v = sla.solve_triangular(post.chol, kq, lower=True)
-    var = 1.0 - np.sum(v * v, axis=0)
-    if np.any(var < _VAR_CLAMP_WARN):
-        log.warning("posterior variance clamped from %.3e", float(var.min()))
-    return mean, np.clip(var, 0.0, 1.0)
+    mean, var, _ = predictive(post, query)
+    return mean, _clamped(var)
 
 
-def posterior_with_observation(post: GpPosterior, index: int,
-                               value: float) -> GpPosterior:
-    """Posterior refit with one extra observation, by rank-one extension.
+def predict_after_observation(post: GpPosterior, points: np.ndarray, values,
+                              query: np.ndarray, at_query):
+    """Mean and variance at ``query`` after one fictitious observation
+    ``values[j]`` at ``points[j]``, for every ``j`` separately.
 
-    The extended Cholesky factor is exact (a block update of the existing
-    factor), so this matches a from-scratch refit up to round-off. Used
-    for the optimistic expander test.
+    With the posterior covariance ``k_n`` and ``s2 = sigma^2(a) + noise^2``,
+    ``mu' = mu + k_n (y(a) - mu(a)) / s2`` and ``sigma'^2 = sigma^2 - k_n^2
+    / s2`` are what a refit with the observation appended gives.
+    ``at_query`` is :func:`predictive` at ``query``. Returns two
+    ``(len(points), len(query))`` arrays, variances clamped as in
+    :func:`gp_predict`.
     """
-    point = post.grid.points[int(index)].reshape(1, -1)
-    if post.num_samples == 0:
-        gram = np.ones((1, 1))
-        chol = np.sqrt(gram + post.noise_std ** 2)
-        y = np.array([float(value)])
-        weights = sla.cho_solve((chol, True), y)
-        return GpPosterior(post.grid, post.kernel, post.noise_std,
-                           post.channel, point, y, gram, chol, weights)
-    kx = kernel_matrix(post.params, point, post.kernel)[:, 0]
-    c = sla.solve_triangular(post.chol, kx, lower=True)
-    d2 = 1.0 + post.noise_std ** 2 - float(c @ c)
-    if d2 <= 0:
-        raise NumericError("rank-one Cholesky update lost positivity")
-    d = math.sqrt(d2)
-    n = post.num_samples
-    chol = np.zeros((n + 1, n + 1))
-    chol[:n, :n] = post.chol
-    chol[n, :n] = c
-    chol[n, n] = d
-    params = np.vstack([post.params, point])
-    y = np.append(post.targets, float(value))
-    gram = np.zeros((n + 1, n + 1))
-    gram[:n, :n] = post.gram
-    gram[n, :n] = kx
-    gram[:n, n] = kx
-    gram[n, n] = 1.0
-    z = sla.solve_triangular(chol, y, lower=True)
-    weights = sla.solve_triangular(chol.T, z, lower=False)
-    return GpPosterior(post.grid, post.kernel, post.noise_std, post.channel,
-                       params, y, gram, chol, weights)
+    mean_q, var_q, v_q = at_query
+    mean_a, var_a, v_a = predictive(post, points)
+    s2 = (var_a + post.noise_std ** 2)[:, None]
+    if np.any(s2 <= 0):
+        raise NumericError("fictitious observation lost positivity")
+    k_n = kernel_matrix(points, query, post.kernel) - v_a.T @ v_q
+    mean = mean_q + k_n * ((np.asarray(values) - mean_a)[:, None] / s2)
+    return mean, _clamped(var_q - k_n * k_n / s2)
 
 
 def mean_rkhs_norm(post: GpPosterior) -> float:

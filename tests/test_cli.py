@@ -1,9 +1,12 @@
-"""Command line behavior: dispatch, overrides, and exit codes."""
+"""Command line behavior: dispatch, overrides, logging, and exit codes."""
+
+import logging
 
 import numpy as np
 import pytest
 import yaml
 
+from pacsbo import cli
 from pacsbo.cli import main
 from pacsbo.harness import read_csv_rows
 from pacsbo.predictor import load_predictor
@@ -83,6 +86,25 @@ class TestRunCommand:
                  seeds=[0]))
         assert main(["hoeffding-mc", "--config", cfg]) == 2
         assert "expects scenario hoeffding_mc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level, shown", [("warning", True),
+                                              ("error", False)])
+    def test_log_level_filters_package_warnings(self, tmp_path, capsys,
+                                                monkeypatch, level, shown):
+        def warn_and_finish(spec):
+            logging.getLogger("pacsbo.harness").warning("probe warning")
+            return {"csv": "summary.csv", "manifest": "manifest.yaml"}
+
+        monkeypatch.setattr(cli, "run_experiment", warn_and_finish)
+        cfg = write_config(tmp_path / "h.yaml", hoeffding_body(tmp_path))
+        log = logging.getLogger("pacsbo")
+        try:
+            assert main(["--log-level", level, "run", "--config", cfg]) == 0
+        finally:
+            log.setLevel(logging.NOTSET)
+        assert ("probe warning" in capsys.readouterr().err) == shown
+        # the stderr handler lives only as long as the command
+        assert all(isinstance(h, logging.NullHandler) for h in log.handlers)
 
     def test_bad_yaml_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

@@ -3,10 +3,11 @@
 The files under ``tests/data/golden`` hold the CSV outputs of four tiny
 runs: a conservative comparison (both algorithms, two seeds), a 2-D run on
 a 15x15 grid, a fixed-bound 2-D run on a 50x50 grid whose safe set grows
-(once per expander candidate set), and a predictor training set. The test reruns the same
-configurations and compares every CSV cell. Discrete columns (chosen
-coordinates, draw counts, escalation flags, set sizes, unsafe flags) must
-match exactly; floating-point columns to a relative 1e-9.
+(once per expander candidate set), and a predictor training set. The test
+reruns the same configurations and compares every CSV cell. Discrete
+columns (chosen coordinates, draw counts, escalation flags, set sizes,
+unsafe flags) must match exactly; floating-point columns to a relative
+1e-9.
 
 Re-record the files only for a change that is meant to move the outputs:
 

@@ -13,7 +13,8 @@ from pacsbo.kernel_gp import (
     info_gain,
     kernel_matrix,
     mean_rkhs_norm,
-    posterior_with_observation,
+    predict_after_observation,
+    predictive,
     reciprocal_cov_integral,
 )
 
@@ -183,20 +184,24 @@ def test_variance_bounds_and_monotonicity():
     assert np.all((var_big >= 0) & (var_big <= 1))
 
 
-def test_rank_one_refit_matches_full_refit():
+def test_observation_update_matches_full_refit():
     rng = np.random.default_rng(3)
     grid = GridDomain.uniform(60)
     idx = list(rng.choice(grid.num_points, size=6, replace=False))
     y = list(rng.normal(size=6))
-    s = make_samples(grid, idx, y)
-    post = gp_fit(s, 0, 0.05, CFG)
-    new_idx = 30
-    updated = posterior_with_observation(post, new_idx, 0.7)
-    refit = gp_fit(s.append(new_idx, {0: 0.7, 1: 0.0}), 0, 0.05, CFG)
-    mean_u, var_u = gp_predict(updated, grid.points)
-    mean_r, var_r = gp_predict(refit, grid.points)
-    np.testing.assert_allclose(mean_u, mean_r, atol=1e-9)
-    np.testing.assert_allclose(var_u, var_r, atol=1e-9)
+    for s in (make_samples(grid, idx, y), make_samples(grid, [], [])):
+        post = gp_fit(s, 0, 0.05, CFG)
+        new_idx = np.array([30, 0, int(idx[0]), 59])
+        values = np.array([0.7, -1.2, 2.0, 0.0])
+        mean, var = predict_after_observation(
+            post, grid.points[new_idx], values, grid.points,
+            predictive(post, grid.points))
+        assert mean.shape == var.shape == (4, grid.num_points)
+        for j, (a, value) in enumerate(zip(new_idx, values)):
+            refit = gp_fit(s.append(a, {0: value, 1: 0.0}), 0, 0.05, CFG)
+            mean_r, var_r = gp_predict(refit, grid.points)
+            np.testing.assert_allclose(mean[j], mean_r, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(var[j], var_r, rtol=0, atol=1e-10)
 
 
 def test_reciprocal_cov_integral_three_point_grid():

@@ -1,4 +1,4 @@
-"""Safe-set machinery: bounds, classification, expander refits, acquisition."""
+"""Safe-set machinery: bounds, classification, expanders, acquisition."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,9 @@ from pacsbo.kernel_gp import (
 )
 from pacsbo.rkhs_function import SamplerConfig, sample_random_function, scale_to_norm
 from pacsbo.safeopt_core import (
+    _BLOCK,
     ConfidenceField,
+    _boundary_candidates,
     acquire,
     beta_scale,
     compute_state,
@@ -204,38 +206,64 @@ def refit_oracle_newly_safe(samples, grid, noise, kernel, field, a, safe, mask):
     if len(outside) == 0:
         return False
     ok = np.ones(len(outside), dtype=bool)
-    for i in (1,):
-        boosted = samples.append(a, {0: field.upper[0][a], 1: field.upper[1][a]})
+    boosted = samples.append(a, {i: field.upper[i][a]
+                                 for i in samples.function_indices})
+    for i in samples.function_indices[1:]:
         post = gp_fit(boosted, i, noise, kernel)
         mean, var = gp_predict(post, grid.points[outside])
         ok &= mean - field.betas[i] * np.sqrt(var) >= 0.0
     return bool(ok.any())
 
 
+# (grid resolution, lengthscale, channels, samples, lowest value); the
+# 20x20 cases have safe sets and boundaries larger than one block
+ORACLE_CASES = [(25, 0.2, (0, 1), (1, 5), -0.3),
+                (60, 0.1, (0, 1, 2), (1, 5), -0.3),
+                ((9, 7), 0.3, (0, 1), (1, 5), -0.3),
+                ((9, 7), 0.3, (0, 1, 2), (1, 5), -0.3),
+                ((20, 20), 0.25, (0, 1), (6, 12), 0.2),
+                ((20, 20), 0.25, (0, 1, 2), (6, 12), 0.2)]
+
+
 def test_expander_set_matches_refit_oracle():
+    """Both candidate modes against per-candidate refits, on 1-D and 2-D
+    grids, with one and two constraint channels, and with more candidates
+    than one closed-form block."""
     rng = np.random.default_rng(11)
-    kernel = KernelConfig(lengthscale=0.2)
     noise = 0.05
-    grid = GridDomain.uniform(25)
-    for trial in range(12):
-        k = int(rng.integers(1, 5))
-        idx = list(rng.choice(grid.num_points, size=k, replace=False))
-        vals = list(rng.uniform(-0.3, 1.0, size=k))
-        samples, posteriors = fit_two_channels(grid, idx, vals, noise,
-                                               kernel.lengthscale)
+    most = {False: 0, True: 0}
+    found = tested = 0
+    for res, lengthscale, channels, sizes, low in ORACLE_CASES:
+        grid = GridDomain.uniform(res)
+        kernel = KernelConfig(lengthscale=lengthscale)
         mask = global_mask(grid)
-        field = confidence_bounds(posteriors, {0: 1.0, 1: 1.0}, mask)
-        safe, _ = safe_set(field, idx[:1], mask)
-        g = expanders(posteriors, field, safe, mask, exact=True)
-        for a in np.flatnonzero(safe):
-            expect = refit_oracle_newly_safe(samples, grid, noise, kernel,
-                                             field, a, safe, mask)
-            assert g[a] == expect, f"trial {trial}, candidate {a}"
+        for trial in range(6):
+            k = int(rng.integers(*sizes))
+            idx = list(rng.choice(grid.num_points, size=k, replace=False))
+            values = {i: list(rng.uniform(low, 1.0, size=k))
+                      for i in channels}
+            samples = SampleSet(grid, idx, values, channels)
+            posteriors = {i: gp_fit(samples, i, noise, kernel)
+                          for i in channels}
+            field = confidence_bounds(posteriors, dict.fromkeys(channels, 1.0),
+                                      mask)
+            safe, _ = safe_set(field, idx[:1], mask)
+            for exact in (False, True):
+                cand = safe if exact else _boundary_candidates(safe, mask)
+                most[exact] = max(most[exact], int(cand.sum()))
+                g = expanders(posteriors, field, safe, mask, exact=exact)
+                assert not (g & ~cand).any()
+                for a in np.flatnonzero(cand):
+                    expect = refit_oracle_newly_safe(
+                        samples, grid, noise, kernel, field, a, safe, mask)
+                    assert g[a] == expect, (res, channels, trial, exact, a)
+                    found += expect
+                    tested += 1
+    assert min(most.values()) > _BLOCK
+    assert 0 < found < tested
 
 
 def test_boundary_candidate_filter_is_exact_on_its_candidates():
-    from pacsbo.safeopt_core import _boundary_candidates
-
     rng = np.random.default_rng(23)
     kernel = KernelConfig(lengthscale=0.15)
     grid = GridDomain.uniform(30)

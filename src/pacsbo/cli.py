@@ -5,7 +5,7 @@ Four subcommands: ``train-predictor`` builds and saves the norm predictor,
 ``hoeffding-mc`` / ``synthetic2d`` are the same runner pinned to their
 scenario. Output directory and thread count can come from the command line
 (highest priority), the environment (PACSBO_OUT, PACSBO_THREADS), or the
-config file. ``--log-level`` sets which package log messages reach stderr.
+config file. Package warnings go to stderr while a command runs.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures.
@@ -32,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pacsbo",
         description="Safe Bayesian optimization experiments with "
                     "data-driven norm bounds")
-    parser.add_argument("--log-level", default="warning",
-                        choices=("debug", "info", "warning", "error"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_out=True):
@@ -107,8 +105,8 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     log, handler = logging.getLogger("pacsbo"), logging.StreamHandler()
+    handler.setLevel(logging.WARNING)
     log.addHandler(handler)
-    log.setLevel(args.log_level.upper())
     try:
         return _dispatch(args)
     except ConfigError as exc:

@@ -187,7 +187,8 @@ def _chol_with_jitter(a: np.ndarray) -> np.ndarray:
     try:
         return sla.cholesky(a, lower=True)
     except np.linalg.LinAlgError:
-        log.warning("Cholesky failed, retrying with jitter %.0e", _JITTER)
+        # routine for the sampler whenever a grid point was measured twice
+        log.debug("Cholesky failed, retrying with jitter %.0e", _JITTER)
     try:
         return sla.cholesky(a + _JITTER * np.eye(a.shape[0]), lower=True)
     except np.linalg.LinAlgError as exc:
@@ -245,26 +246,30 @@ def gp_predict(post: GpPosterior, query: np.ndarray):
     return mean, _clamped(var)
 
 
-def predict_after_observation(post: GpPosterior, points: np.ndarray, values,
-                              query: np.ndarray, at_query):
-    """Mean and variance at ``query`` after one fictitious observation
-    ``values[j]`` at ``points[j]``, for every ``j`` separately.
+def observation_update(post: GpPosterior, query: np.ndarray):
+    """Closed-form refits at ``query`` for one fictitious observation.
 
-    With the posterior covariance ``k_n`` and ``s2 = sigma^2(a) + noise^2``,
-    ``mu' = mu + k_n (y(a) - mu(a)) / s2`` and ``sigma'^2 = sigma^2 - k_n^2
-    / s2`` are what a refit with the observation appended gives.
-    ``at_query`` is :func:`predictive` at ``query``. Returns two
-    ``(len(points), len(query))`` arrays, variances clamped as in
-    :func:`gp_predict`.
+    Returns ``update(points, values)``: the mean and variance at ``query``
+    (whose posterior is computed once, here) after observing ``values[j]``
+    at ``points[j]``, for every ``j`` separately, as two ``(len(points),
+    len(query))`` arrays clamped as in :func:`gp_predict`. With the
+    posterior covariance ``k_n`` and ``s2 = sigma^2(a) + noise^2``, a refit
+    gives ``mu' = mu + k_n (y(a) - mu(a)) / s2``, ``sigma'^2 = sigma^2 -
+    k_n^2 / s2``.
     """
-    mean_q, var_q, v_q = at_query
-    mean_a, var_a, v_a = predictive(post, points)
-    s2 = (var_a + post.noise_std ** 2)[:, None]
-    if np.any(s2 <= 0):
-        raise NumericError("fictitious observation lost positivity")
-    k_n = kernel_matrix(points, query, post.kernel) - v_a.T @ v_q
-    mean = mean_q + k_n * ((np.asarray(values) - mean_a)[:, None] / s2)
-    return mean, _clamped(var_q - k_n * k_n / s2)
+    query = np.atleast_2d(np.asarray(query, dtype=float))
+    mean_q, var_q, v_q = predictive(post, query)
+
+    def update(points: np.ndarray, values):
+        mean_a, var_a, v_a = predictive(post, points)
+        s2 = (var_a + post.noise_std ** 2)[:, None]
+        if np.any(s2 <= 0):
+            raise NumericError("fictitious observation lost positivity")
+        k_n = kernel_matrix(points, query, post.kernel) - v_a.T @ v_q
+        mean = mean_q + k_n * ((np.asarray(values) - mean_a)[:, None] / s2)
+        return mean, _clamped(var_q - k_n * k_n / s2)
+
+    return update
 
 
 def mean_rkhs_norm(post: GpPosterior) -> float:

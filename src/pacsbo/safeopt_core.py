@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .kernel_gp import (gp_predict, info_gain, predict_after_observation,
-                        predictive)
+from .kernel_gp import gp_predict, info_gain, observation_update
 from .subdomain import DomainMask
 
 # candidates per closed-form update in :func:`expanders`
@@ -133,10 +132,10 @@ def expanders(posteriors: dict, field: ConfidenceField, safe: np.ndarray,
 
     For each candidate a, every constraint channel receives a fictitious
     observation at its upper bound u(a, i), in closed form and for a block
-    of candidates at once (:func:`predict_after_observation`); a point
-    outside the safe set that gets nonnegative lower bounds on all channels
-    makes a an expander. With ``exact=True`` all safe points are tested
-    instead of only those near the safe-set boundary.
+    of candidates at once (:func:`observation_update`); a point outside the
+    safe set that gets nonnegative lower bounds on all channels makes a an
+    expander. With ``exact=True`` all safe points are tested instead of
+    only those near the safe-set boundary.
     """
     g = np.zeros_like(safe)
     constraints = [i for i in field.channels if i != 0]
@@ -147,16 +146,15 @@ def expanders(posteriors: dict, field: ConfidenceField, safe: np.ndarray,
         return g
     points = mask.grid.points
     out_pts = points[outside]
-    at_out = {i: predictive(posteriors[i], out_pts) for i in constraints}
+    updates = {i: observation_update(posteriors[i], out_pts)
+               for i in constraints}
     candidates = np.flatnonzero(safe if exact
                                 else _boundary_candidates(safe, mask))
     for start in range(0, len(candidates), _BLOCK):
         block = candidates[start:start + _BLOCK]
         newly_safe = np.ones((len(block), len(out_pts)), dtype=bool)
         for i in constraints:
-            mean, var = predict_after_observation(
-                posteriors[i], points[block], field.upper[i][block], out_pts,
-                at_out[i])
+            mean, var = updates[i](points[block], field.upper[i][block])
             newly_safe &= mean - field.betas[i] * np.sqrt(var) >= 0.0
         g[block] = np.any(newly_safe, axis=1)
     return g

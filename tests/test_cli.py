@@ -5,11 +5,12 @@ import logging
 import numpy as np
 import pytest
 import yaml
+from conftest import constant_predictor
 
 from pacsbo import cli
 from pacsbo.cli import main
 from pacsbo.harness import read_csv_rows
-from pacsbo.predictor import load_predictor
+from pacsbo.predictor import load_predictor, save_predictor
 
 
 def write_config(path, body):
@@ -87,10 +88,8 @@ class TestRunCommand:
         assert main(["hoeffding-mc", "--config", cfg]) == 2
         assert "expects scenario hoeffding_mc" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("level, shown", [("warning", True),
-                                              ("error", False)])
-    def test_log_level_filters_package_warnings(self, tmp_path, capsys,
-                                                monkeypatch, level, shown):
+    def test_package_warnings_reach_stderr_during_command(
+            self, tmp_path, capsys, monkeypatch):
         def warn_and_finish(spec):
             logging.getLogger("pacsbo.harness").warning("probe warning")
             return {"csv": "summary.csv", "manifest": "manifest.yaml"}
@@ -98,13 +97,27 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "run_experiment", warn_and_finish)
         cfg = write_config(tmp_path / "h.yaml", hoeffding_body(tmp_path))
         log = logging.getLogger("pacsbo")
-        try:
-            assert main(["--log-level", level, "run", "--config", cfg]) == 0
-        finally:
-            log.setLevel(logging.NOTSET)
-        assert ("probe warning" in capsys.readouterr().err) == shown
+        level, handlers = log.level, list(log.handlers)
+        assert main(["run", "--config", cfg]) == 0
+        assert "probe warning" in capsys.readouterr().err
         # the stderr handler lives only as long as the command
-        assert all(isinstance(h, logging.NullHandler) for h in log.handlers)
+        assert (log.level, log.handlers) == (level, handlers)
+
+    def test_repeated_grid_point_keeps_stderr_empty(self, tmp_path, capsys,
+                                                    caplog):
+        """A PACSBO run that re-measures its seed points makes the
+        sampler's Gram singular; the jitter retry is logged at debug and
+        the command prints nothing to stderr."""
+        pred = tmp_path / "pred.json"
+        save_predictor(constant_predictor(3.0), pred)
+        cfg = write_config(tmp_path / "c.yaml", dict(
+            scenario="compare_conservative", out_dir=str(tmp_path / "out"),
+            seeds=[0], budget=4, q_init=20, q_max=40,
+            predictor_path=str(pred)))
+        caplog.set_level(logging.DEBUG, logger="pacsbo.kernel_gp")
+        assert main(["run", "--config", cfg]) == 0
+        assert any("jitter" in r.getMessage() for r in caplog.records)
+        assert capsys.readouterr().err == ""
 
     def test_bad_yaml_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

@@ -13,8 +13,7 @@ from pacsbo.kernel_gp import (
     info_gain,
     kernel_matrix,
     mean_rkhs_norm,
-    predict_after_observation,
-    predictive,
+    observation_update,
     reciprocal_cov_integral,
 )
 
@@ -193,9 +192,8 @@ def test_observation_update_matches_full_refit():
         post = gp_fit(s, 0, 0.05, CFG)
         new_idx = np.array([30, 0, int(idx[0]), 59])
         values = np.array([0.7, -1.2, 2.0, 0.0])
-        mean, var = predict_after_observation(
-            post, grid.points[new_idx], values, grid.points,
-            predictive(post, grid.points))
+        mean, var = observation_update(post, grid.points)(
+            grid.points[new_idx], values)
         assert mean.shape == var.shape == (4, grid.num_points)
         for j, (a, value) in enumerate(zip(new_idx, values)):
             refit = gp_fit(s.append(a, {0: value, 1: 0.0}), 0, 0.05, CFG)

@@ -25,7 +25,7 @@ from pacsbo.safeopt_core import (
     safe_set,
 )
 from pacsbo.seeding import derive_rng
-from pacsbo.subdomain import global_mask
+from pacsbo.subdomain import DomainMask, global_mask
 
 BETA_2_01_0_01 = 2.2570052564829775  # 2 + 0.1*sqrt(2*(1 + ln 10))
 
@@ -261,6 +261,45 @@ def test_expander_set_matches_refit_oracle():
                     tested += 1
     assert min(most.values()) > _BLOCK
     assert 0 < found < tested
+
+
+def literal_boundary_candidates(safe, member, shape):
+    """Safe cells with an in-grid axis neighbor in the mask but not safe."""
+    safe, outside = safe.reshape(shape), (member & ~safe).reshape(shape)
+    out = np.zeros(shape, dtype=bool)
+    for cell in np.ndindex(*shape):
+        for axis in range(len(shape)):
+            for step in (-1, 1):
+                nb = list(cell)
+                nb[axis] += step
+                if 0 <= nb[axis] < shape[axis] and outside[tuple(nb)]:
+                    out[cell] |= safe[cell]
+    return out.reshape(-1)
+
+
+def test_boundary_candidates_match_literal_definition():
+    rng = np.random.default_rng(41)
+
+    def check(shape, member, safe):
+        grid = GridDomain.uniform(shape)
+        mask = DomainMask(grid, member, "hat",
+                          ("box", np.zeros(grid.dim), np.ones(grid.dim)))
+        np.testing.assert_array_equal(
+            _boundary_candidates(safe, mask),
+            literal_boundary_candidates(safe, member, shape))
+
+    # only the opposite edge is outside: a wrapping shift would flag cell 0
+    check((5,), np.array([1, 0, 0, 0, 1], bool),
+          np.array([1, 0, 0, 0, 0], bool))
+    check((3, 4), np.ones(12, bool), np.eye(3, 4, dtype=bool)[::-1].ravel()
+          | (np.arange(12) % 4 == 0))
+    for shape in ((7,), (1, 6), (5, 6), (3, 4, 5)):
+        n = int(np.prod(shape))
+        for _ in range(40):
+            member = rng.random(n) < 0.8
+            member[rng.integers(n)] = True
+            safe = member & (rng.random(n) < 0.5)
+            check(shape, member, safe)
 
 
 def test_boundary_candidate_filter_is_exact_on_its_candidates():

@@ -1,8 +1,13 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pacsbo
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
@@ -217,13 +222,27 @@ def test_gp_mean_norm_equals_weight_expansion_norm():
         assert mean_rkhs_norm(post) == pytest.approx(rkhs_norm(expansion), abs=1e-10)
 
 
-def test_sampler_logs_routine_jitter_retry_at_debug(caplog):
-    """A repeated grid point makes the sample Gram singular; the sampler's
-    jitter retry is routine, so it is logged at debug, never as a warning."""
-    grid = GridDomain.uniform(50)
-    s = SampleSet(grid, [10, 10, 30], {0: [0.2, 0.2, -0.1], 1: [0.0] * 3})
+REPEATED_POINT_CALL = """
+from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
+from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
+grid = GridDomain.uniform(50)
+s = SampleSet(grid, [10, 10, 30], {0: [0.2, 0.2, -0.1], 1: [0.0] * 3})
+interpolating_norms(s, 0, 0.01, grid, KernelConfig(0.1), SamplerConfig(20),
+                    (0,), count=4)
+"""
+
+
+def test_routine_jitter_retry_stays_off_stderr(caplog):
+    """A repeated grid point makes the sample Gram singular. The sampler's
+    jitter retry is routine, so it is logged at debug, and a fresh
+    interpreter without logging configured prints nothing to stderr."""
     caplog.set_level(logging.DEBUG, logger="pacsbo.kernel_gp")
-    interpolating_norms(s, 0, 0.01, grid, KernelConfig(0.1), SamplerConfig(20),
-                        (0,), count=4)
+    exec(REPEATED_POINT_CALL, {})
     levels = {r.levelno for r in caplog.records if "jitter" in r.getMessage()}
     assert levels == {logging.DEBUG}
+    env = dict(os.environ, PYTHONPATH=str(Path(pacsbo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", REPEATED_POINT_CALL],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

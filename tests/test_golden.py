@@ -1,13 +1,15 @@
 """Golden outputs of tiny seeded runs.
 
-The files under ``tests/data/golden`` hold the CSV outputs of four tiny
+The files under ``tests/data/golden`` hold the CSV outputs of six tiny
 runs: a conservative comparison (both algorithms, two seeds), a 2-D run on
 a 15x15 grid, a fixed-bound 2-D run on a 50x50 grid whose safe set grows
-(once per expander candidate set), and a predictor training set. The test
-reruns the same configurations and compares every CSV cell. Discrete
-columns (chosen coordinates, draw counts, escalation flags, set sizes,
-unsafe flags) must match exactly; floating-point columns to a relative
-1e-9.
+(once per expander candidate set), a predictor training set, an
+accepted-bound study (two seeds, 5 and 20 samples), and the norms of 64
+interpolating draws per channel on the tilde, hat and global regions of a
+1-D and a 2-D sample set. The test reruns the same configurations and
+compares every CSV cell. Discrete columns (chosen coordinates, draw counts,
+escalation flags, set sizes, unsafe flags, region labels) must match
+exactly; floating-point columns to a relative 1e-9.
 
 Re-record the files only for a change that is meant to move the outputs:
 
@@ -21,7 +23,9 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 from conftest import constant_predictor
+
 from pacsbo.harness import (
     ExperimentSpec,
     _grid_for,
@@ -36,19 +40,26 @@ from pacsbo.harness import (
     seed_triple,
     write_csv,
 )
-from pacsbo.kernel_gp import GridDomain, KernelConfig
+from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
 from pacsbo.pacsbo_loop import run
 from pacsbo.predictor import (
     RolloutConfig,
     generate_training_data,
     save_predictor,
 )
+from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
+from pacsbo.subdomain import partition_masks
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 TINY_BUDGET = dict(q_init=20, q_max=40)
 EXACT = re.compile(r"(schema_version|seed|algorithm|iteration|[ax]\d+|unsafe"
                    r"|any_unsafe|iters_to_fraction|total_samples|sampled"
-                   r"|tilde|hat|q_\w+|escalated_\w+|[SMG]_\w+)")
+                   r"|tilde|hat|q_\w+|escalated(_\w+)?|[SMG]_\w+"
+                   r"|num_samples|dim|region|channel|draw)")
+# sampler pin: (grid resolution, sample indices) per dimension; the 2-D
+# hull is a polygon
+SAMPLER_SETS = {1: (100, [22, 30, 41, 57]),
+                2: ((20, 20), [45, 52, 168, 230, 301])}
 
 
 def produce(out: Path) -> None:
@@ -92,7 +103,37 @@ def produce(out: Path) -> None:
               [f"in{k}" for k in range(width)] + ["label"],
               [[f"{v:.17g}" for v in row] + [f"{label:.17g}"]
                for row, label in zip(data.inputs, data.labels)])
+    params = _scenario_defaults("fig3_thresholds")
+    params.update(sample_counts=[5, 20], q_init=50, q_max=100)
+    run_experiment(ExperimentSpec("fig3_thresholds",
+                                  str(out / "fig3_thresholds"), (0, 1),
+                                  params))
+
+    write_csv(out / "sampler" / "norms.csv",
+              ["dim", "region", "channel", "draw", "norm"], sampler_rows())
     pred.unlink()
+
+
+def sampler_rows() -> list:
+    """Norms of 64 interpolating draws per sample set, region and channel;
+    the two channels carry different measurements."""
+    kernel = KernelConfig(lengthscale=0.1)
+    rows = []
+    for dim, (resolution, idx) in SAMPLER_SETS.items():
+        grid = GridDomain.uniform(resolution)
+        x = grid.points[idx].sum(axis=1)
+        samples = SampleSet(grid, idx, {0: np.sin(6.0 * x),
+                                        1: np.cos(4.0 * x) - 0.3})
+        masks = partition_masks(samples, grid)
+        assert dim == 1 or masks[0].geometry[0] == "polygon"
+        for mask in masks:
+            for i in (0, 1):
+                norms = interpolating_norms(samples, i, 0.01, grid, kernel,
+                                            SamplerConfig(), (7, dim, i), 64,
+                                            region=mask.member)
+                rows += [[dim, mask.label, i, j, f"{v:.17g}"]
+                         for j, v in enumerate(norms)]
+    return rows
 
 
 def tables(root: Path) -> dict:

@@ -50,6 +50,27 @@ def test_interval_enlargement_frozen_example():
     assert hat.geometry[2] == pytest.approx(0.62, abs=1e-15)
 
 
+def test_1d_hulls_and_enlargements_match_literal_rule():
+    """Every hull [x_i, x_j] of the 100-point grid, and its enlargements:
+    a grid point is a member exactly when it lies in the closed interval
+    centre +- factor * half-width. The interval ends are multiples of
+    1/2000, so a 1e-9 tolerance decides membership as exact arithmetic
+    does."""
+    grid = GridDomain.uniform(100)
+    x = grid.points[:, 0]
+    for i in range(100):
+        for j in range(i, 100):
+            hull = convex_hull_mask(make_samples(grid, [i, j]), grid)
+            centre, half = 0.5 * (x[i] + x[j]), 0.5 * (x[j] - x[i])
+            np.testing.assert_array_equal(
+                hull.member, np.abs(x - centre) <= half + 1e-9)
+            for factor in (1.0, 1.1, 2.0):
+                hat = enlarge_mask(hull, factor, grid)
+                np.testing.assert_array_equal(
+                    hat.member, np.abs(x - centre) <= factor * half + 1e-9,
+                    err_msg=f"hull ({i}, {j}), factor {factor}")
+
+
 def test_enlargement_factor_one_is_identity():
     grid = GridDomain.uniform(60)
     mask = convex_hull_mask(make_samples(grid, [5, 40]), grid)

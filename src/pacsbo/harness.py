@@ -60,6 +60,7 @@ from .seeding import derive_rng
 from .subdomain import global_mask, partition_masks
 
 SCHEMA_VERSION = 1
+S0_MARGIN = 0.1  # least true constraint value of a start-set point
 SCENARIOS = ("fig3_thresholds", "compare_conservative", "compare_optimistic",
              "synthetic2d", "hoeffding_mc")
 
@@ -118,6 +119,9 @@ class ExperimentSpec:
             if not self.params.get("predictor_path"):
                 raise ConfigError(
                     f"scenario {self.scenario} requires predictor_path")
+        if not float(self.params["noise_std"]) > 0:
+            raise ConfigError(f"noise_std must be positive, got "
+                              f"{self.params['noise_std']}")
         res = self.params.get("grid_resolution")
         if self.scenario == "synthetic2d":
             if not isinstance(res, (list, tuple)) or len(res) != 2:
@@ -193,10 +197,10 @@ def make_truth(spec_params: dict, grid: GridDomain, kernel: KernelConfig,
     return GroundTruth(f, f_g)
 
 
-def seed_triple(truth: GroundTruth, grid: GridDomain, margin: float = 0.1,
+def seed_triple(truth: GroundTruth, grid: GridDomain,
                 placement: str = "argmax") -> tuple:
     """Three contiguous grid points, each with true constraint value at
-    least ``margin``. Contiguity is along the last grid axis (consecutive
+    least ``S0_MARGIN``. Contiguity is along the last grid axis (consecutive
     flat indices within one row).
 
     ``placement`` picks among the valid windows: "argmax" starts at the
@@ -217,7 +221,7 @@ def seed_triple(truth: GroundTruth, grid: GridDomain, margin: float = 0.1,
             window = slice(start, start + 3)
             if not component[window].all():
                 continue
-            if float(vals[window].min()) < margin:
+            if float(vals[window].min()) < S0_MARGIN:
                 continue
             score = float(np.linalg.norm(
                 np.atleast_1d(grid.points[start + 1])
@@ -235,13 +239,13 @@ def seed_triple(truth: GroundTruth, grid: GridDomain, margin: float = 0.1,
         if window_min > best_min:
             best, best_min = start, window_min
     candidate_min = float(vals[lo:lo + 3].min())
-    if candidate_min < margin:
+    if candidate_min < S0_MARGIN:
         lo = best
         candidate_min = best_min
-    if candidate_min < margin:
+    if candidate_min < S0_MARGIN:
         raise ConfigError(
             f"no three-point start window clears the safety margin "
-            f"{margin} (best {candidate_min:.3f})")
+            f"{S0_MARGIN} (best {candidate_min:.3f})")
     return (lo, lo + 1, lo + 2)
 
 
@@ -472,15 +476,11 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     mask = global_mask(grid)
 
     def one_seed(seed):
-        f = scale_to_norm(
-            sample_random_function(grid, kernel, SamplerConfig(100),
-                                   derive_rng(seed, "truth")),
-            float(params["norm_target"]))
+        f = make_truth(params, grid, kernel, seed).reward
         draw = derive_rng(seed, "draw")
         order = draw.permutation(grid.num_points)[:max(counts)]
         noise_rng = derive_rng(seed, "noise")
-        eps = noise_rng.normal(0.0, noise, size=max(counts)) if noise else \
-            np.zeros(max(counts))
+        eps = noise_rng.normal(0.0, noise, size=max(counts))
         rows = []
         for m in counts:
             samples = SampleSet(grid, (), {0: (), 1: ()})
@@ -636,7 +636,7 @@ def _explored_rows(cfg, truth, history):
     samples = _initial_state(cfg, truth).samples
     for rec in history.records:
         samples = samples.append(rec.chosen, rec.measured)
-    tilde, hat, _ = partition_masks(samples, cfg.grid, cfg.enlargement)
+    tilde, hat, _ = partition_masks(samples)
     sampled = np.zeros(cfg.grid.num_points, dtype=bool)
     sampled[list(samples.indices)] = True
     rows = []
@@ -717,6 +717,9 @@ def load_train_config(path, out_path=None, seed=None) -> dict:
         raise ConfigError(f"{path}: missing required key 'out_path'")
     if not isinstance(cfg["hidden"], (list, tuple)):
         raise ConfigError(f"{path}: 'hidden' must be a list of layer sizes")
+    if not float(cfg["noise_std"]) > 0:
+        raise ConfigError(f"{path}: noise_std must be positive, got "
+                          f"{cfg['noise_std']}")
     return cfg
 
 

@@ -33,29 +33,25 @@ _VAR_CLAMP_WARN = -1e-9
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Stationary kernel choice. Output scale is fixed at one.
-
-    Only the Matern 3/2 family is implemented; ``lengthscale`` is the
+    """Matern 3/2 kernel with unit output scale; ``lengthscale`` is the
     single free hyperparameter.
     """
     lengthscale: float = 0.1
-    family: str = "matern32"
 
     def __post_init__(self):
-        if self.family != "matern32":
-            raise ValueError(f"unknown kernel family {self.family!r}")
         if not self.lengthscale > 0:
             raise ValueError("lengthscale must be positive")
 
 
 def pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between rows of ``x`` (m, n) and ``y`` (p, n)."""
+    """Euclidean distances between the rows of ``x`` (..., m, n) and ``y``
+    (..., p, n), shape (..., m, p); leading axes broadcast."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    diff = x[:, None, :] - y[None, :, :]
-    if x.shape[1] == 1:
-        return np.abs(diff[:, :, 0])
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    diff = x[..., :, None, :] - y[..., None, :, :]
+    if x.shape[-1] == 1:
+        return np.abs(diff[..., 0])
+    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def matern32(dist, lengthscale: float):
@@ -170,9 +166,7 @@ class GpPosterior:
     grid: GridDomain
     kernel: KernelConfig
     noise_std: float
-    channel: int
     params: np.ndarray = field(repr=False)
-    targets: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
@@ -209,13 +203,13 @@ def gp_fit(samples: SampleSet, i: int, noise_std: float,
     n = params.shape[0]
     if n == 0:
         empty = np.zeros((0, 0))
-        return GpPosterior(samples.grid, cfg, float(noise_std), int(i),
-                           params, y, empty, empty, np.zeros(0))
+        return GpPosterior(samples.grid, cfg, float(noise_std), params,
+                           empty, empty, np.zeros(0))
     gram = kernel_matrix(params, params, cfg)
     chol = _chol_with_jitter(gram + noise_std ** 2 * np.eye(n))
     weights = sla.cho_solve((chol, True), y)
-    return GpPosterior(samples.grid, cfg, float(noise_std), int(i),
-                       params, y, gram, chol, weights)
+    return GpPosterior(samples.grid, cfg, float(noise_std), params, gram,
+                       chol, weights)
 
 
 def predictive(post: GpPosterior, query: np.ndarray):
@@ -284,18 +278,14 @@ def mean_rkhs_norm(post: GpPosterior) -> float:
 
 
 def reciprocal_cov_integral(post: GpPosterior, mask) -> float:
-    """Reciprocal of the posterior variance integrated over a grid region.
+    """Reciprocal of the posterior variance integrated over a region.
 
-    The integral is the midpoint Riemann sum of ``sigma2`` over the
-    masked grid points. Large values mean the region is well explored.
+    The integral is the midpoint Riemann sum of ``sigma2`` over the member
+    points of ``mask`` (a :class:`~pacsbo.subdomain.DomainMask`). Large
+    values mean the region is well explored.
     """
-    values = np.asarray(getattr(mask, "values", mask), dtype=bool)
-    if values.shape != (post.grid.num_points,):
-        raise ValueError("mask does not match the grid")
-    if not values.any():
-        raise ValueError("mask selects no grid points")
-    _, var = gp_predict(post, post.grid.points[values])
-    total = float(np.sum(var) * post.grid.cell_volume)
+    _, var = gp_predict(post, mask.grid.points[mask.member])
+    total = float(np.sum(var) * mask.grid.cell_volume)
     if total <= 0:
         raise NumericError("variance integral vanished; cannot invert")
     return 1.0 / total

@@ -4,8 +4,8 @@ The estimator starts from a predicted bound B, draws batches of random
 interpolating functions for the current measurements, and accepts B once it
 dominates the empirical mean of their kernel norms plus a Hoeffding
 confidence width. If the budget of draws runs out before acceptance, B is
-escalated by a safety factor until the test passes and the result is
-flagged as escalated.
+escalated by the safety factor ``F_SAFETY`` until the test passes and the
+result is flagged as escalated.
 
 Draw j of a call is seeded as (seed_path..., j), so pooling more draws
 extends the earlier ones exactly and the outcome does not depend on how
@@ -23,6 +23,8 @@ from .errors import NumericError
 from .kernel_gp import KernelConfig, SampleSet
 from .rkhs_function import SamplerConfig, interpolating_norms
 from .subdomain import DomainMask
+
+F_SAFETY = 1.5  # growth factor of an escalated bound
 
 
 def hoeffding_width(delta: float, q: int, value_range: float) -> float:
@@ -43,7 +45,6 @@ class PacConfig:
     delta: float = 0.1
     q_init: int = 500
     q_max: int = 5000
-    f_safety: float = 1.5
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
@@ -54,9 +55,6 @@ class PacConfig:
         if self.q_init > self.q_max:
             raise ValueError(
                 f"q_init ({self.q_init}) may not exceed q_max ({self.q_max})")
-        if self.f_safety <= 1.0:
-            raise ValueError(
-                f"safety factor must exceed 1, got {self.f_safety}")
 
 
 @dataclass(frozen=True)
@@ -88,15 +86,13 @@ def estimate_upper_bound(eta, trace, samples: SampleSet, i: int,
     if not math.isfinite(start):
         raise NumericError(f"predicted norm bound is not finite: {start}")
     bound = max(start, float(np.finfo(float).tiny))
-    grid = mask.grid
-    region = mask.member
 
     norms = np.empty(0)
     q = 0
     while True:
-        batch = interpolating_norms(samples, i, noise_std, grid, kernel,
+        batch = interpolating_norms(samples, i, noise_std, kernel, mask,
                                     cfg.sampler, seed_path, cfg.q_init,
-                                    start_index=q, region=region)
+                                    start_index=q)
         norms = np.concatenate([norms, batch])
         q += cfg.q_init
         mean = float(np.mean(norms))
@@ -108,5 +104,5 @@ def estimate_upper_bound(eta, trace, samples: SampleSet, i: int,
             break
 
     while bound < mean + width:
-        bound *= cfg.f_safety
+        bound *= F_SAFETY
     return PacResult(bound, q, mean, width, escalated=True)

@@ -71,7 +71,6 @@ class RunConfig:
     predictor: MlpPredictor = None
     algorithm: str = "pacsbo"
     fixed_bound: float = None
-    enlargement: float = 1.1
     exact_expanders: bool = False
     seed: int = 0
 
@@ -89,8 +88,8 @@ class RunConfig:
             raise ConfigError("pacsbo mode needs a trained predictor")
         if not 0 < self.delta < 1:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        if self.noise_std < 0:
-            raise ConfigError("noise level must be nonnegative")
+        if not self.noise_std > 0:
+            raise ConfigError("noise level must be positive")
         for s in self.s0_indices:
             if not 0 <= int(s) < self.grid.num_points:
                 raise ConfigError(f"seed point {s} is off the grid")
@@ -183,7 +182,7 @@ def regions(cfg: RunConfig, samples: SampleSet) -> dict:
     alone for the baseline."""
     if cfg.algorithm == "safeopt":
         return {"global": global_mask(cfg.grid)}
-    tilde, hat, glob = partition_masks(samples, cfg.grid, cfg.enlargement)
+    tilde, hat, glob = partition_masks(samples)
     return {"tilde": tilde, "hat": hat, "global": glob}
 
 
@@ -211,7 +210,7 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
             post = posteriors[i]
             traces[label, i] = append_trace(
                 traces[label, i], mean_rkhs_norm(post),
-                reciprocal_cov_integral(post, mask.member))
+                reciprocal_cov_integral(post, mask))
             results[label, i] = estimate_upper_bound(
                 lambda tr: predict_norm(cfg.predictor, tr), traces[label, i],
                 state.samples, i, cfg.noise_std, cfg.kernel, mask, pac,

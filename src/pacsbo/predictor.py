@@ -156,7 +156,7 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
 
         post = gp_fit(samples, 0, cfg.noise_std, kernel)
         trace = append_trace(trace, mean_rkhs_norm(post),
-                             reciprocal_cov_integral(post, mask.member))
+                             reciprocal_cov_integral(post, mask))
         rows.append((encode_trace(trace, 2 * cfg.t_max),
                      cfg.label_multiplier * bound))
     return rows

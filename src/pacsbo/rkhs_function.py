@@ -14,7 +14,8 @@ A function here is ``f = sum_s alpha_s k(x_s, .)`` with kernel norm
 
 :func:`interpolating_norms` is the batched fast path: it draws each
 function from its own counter-derived stream (so any parallel schedule
-sees the same numbers) and evaluates the norms chunk-wise.
+sees the same numbers) and evaluates the norms chunk-wise. Both samplers
+draw the tail centers from a region mask.
 """
 from __future__ import annotations
 
@@ -24,10 +25,12 @@ import numpy as np
 from scipy import linalg as sla
 
 from .errors import NumericError
-from .kernel_gp import GridDomain, KernelConfig, SampleSet, _chol_with_jitter, kernel_matrix, matern32
+from .kernel_gp import GridDomain, KernelConfig, SampleSet, _chol_with_jitter, kernel_matrix
 from .seeding import derive_rng, truncated_normal
+from .subdomain import DomainMask
 
 _NORM_DUST = -1e-10
+_CHUNK = 256  # draws per batched norm evaluation
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def sample_random_function(grid: GridDomain, kernel: KernelConfig,
     return RkhsFunction(kernel, grid.points[idx], coeffs)
 
 
-def _draw_interpolation_parts(rng, grid, region_idx, noise_std, num_tail, num_samples):
+def _draw_interpolation_parts(rng, region_idx, noise_std, num_tail, num_samples):
     """Random ingredients of one interpolating draw, in a fixed stream order."""
     tail_idx = region_idx[rng.integers(0, region_idx.shape[0], size=num_tail)]
     tail_coeffs_u = rng.uniform(-1.0, 1.0, size=num_tail)
@@ -115,41 +118,39 @@ def _draw_interpolation_parts(rng, grid, region_idx, noise_std, num_tail, num_sa
     return tail_idx, tail_coeffs_u, eps
 
 
-def _region_indices(grid: GridDomain, region) -> np.ndarray:
-    if region is None:
-        return np.arange(grid.num_points)
-    values = np.asarray(getattr(region, "values", region), dtype=bool)
-    if values.shape != (grid.num_points,):
-        raise ValueError("region mask does not match the grid")
-    idx = np.flatnonzero(values)
-    if idx.size == 0:
-        raise ValueError("region mask selects no grid points")
-    return idx
-
-
-def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
-                                  grid: GridDomain, kernel: KernelConfig,
-                                  cfg: SamplerConfig, rng: np.random.Generator,
-                                  region=None) -> RkhsFunction:
-    """Random expansion pinned to the measurements of channel ``i``.
-
-    The first ``N`` centers are the sample locations; their coefficients
-    solve ``K_AA a = (y + eps) - K_At a_tail`` with ``eps`` truncated
-    Gaussian measurement noise. The tail centers are drawn uniformly
-    from ``region`` (default: the whole grid).
-    """
+def _tail_region(samples: SampleSet, cfg: SamplerConfig,
+                 mask: DomainMask) -> np.ndarray:
+    """Grid indices the tail centers are drawn from, after checking that
+    the draw is well posed."""
     n = len(samples)
     if n == 0:
         raise ValueError("interpolation needs at least one sample")
     if cfg.num_centers <= n:
         raise ValueError(f"num_centers ({cfg.num_centers}) must exceed the "
                          f"number of samples ({n})")
-    region_idx = _region_indices(grid, region)
+    if mask.grid != samples.grid:
+        raise ValueError("region mask and samples lie on different grids")
+    return mask.indices()
+
+
+def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
+                                  kernel: KernelConfig, mask: DomainMask,
+                                  cfg: SamplerConfig,
+                                  rng: np.random.Generator) -> RkhsFunction:
+    """Random expansion pinned to the measurements of channel ``i``.
+
+    The first ``N`` centers are the sample locations; their coefficients
+    solve ``K_AA a = (y + eps) - K_At a_tail`` with ``eps`` truncated
+    Gaussian measurement noise. The tail centers are drawn uniformly
+    from the member points of ``mask``.
+    """
+    region_idx = _tail_region(samples, cfg, mask)
+    n = len(samples)
     tail_idx, tail_u, eps = _draw_interpolation_parts(
-        rng, grid, region_idx, noise_std, cfg.num_centers - n, n)
+        rng, region_idx, noise_std, cfg.num_centers - n, n)
     tail_coeffs = cfg.coeff_bound * tail_u
     params = samples.params
-    tail_points = grid.points[tail_idx]
+    tail_points = mask.grid.points[tail_idx]
     chol = _chol_with_jitter(kernel_matrix(params, params, kernel))
     cross = kernel_matrix(params, tail_points, kernel)
     rhs = samples.targets(i) + eps - cross @ tail_coeffs
@@ -160,42 +161,30 @@ def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
 
 
 def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
-                        grid: GridDomain, kernel: KernelConfig,
+                        kernel: KernelConfig, mask: DomainMask,
                         cfg: SamplerConfig, seed_path: tuple, count: int,
-                        start_index: int = 0, region=None,
-                        chunk: int = 256) -> np.ndarray:
-    """Norms of ``count`` interpolating draws, evaluated chunk-wise.
+                        start_index: int = 0) -> np.ndarray:
+    """Norms of ``count`` interpolating draws, evaluated in chunks of
+    ``_CHUNK`` draws.
 
     Draw ``j`` consumes exactly the stream ``derive_rng(*seed_path,
     start_index + j)``, matching :func:`sample_interpolating_function`
     called with that stream, so results do not depend on chunking or on
     how callers schedule the work.
     """
-    n = len(samples)
-    if n == 0:
-        raise ValueError("interpolation needs at least one sample")
-    if cfg.num_centers <= n:
-        raise ValueError(f"num_centers ({cfg.num_centers}) must exceed the "
-                         f"number of samples ({n})")
     if len(seed_path) == 0:
         raise ValueError("seed_path must contain at least the base seed")
-    region_idx = _region_indices(grid, region)
+    region_idx = _tail_region(samples, cfg, mask)
+    n = len(samples)
     num_tail = cfg.num_centers - n
     params = samples.params
     y = samples.targets(i)
     gram_aa = kernel_matrix(params, params, kernel)
     chol = _chol_with_jitter(gram_aa)
-    ell = kernel.lengthscale
-
-    def batched_dist(diff):
-        # matches pairwise_dist: plain abs in one dimension
-        if diff.shape[-1] == 1:
-            return np.abs(diff[..., 0])
-        return np.sqrt(np.sum(diff * diff, axis=-1))
 
     norms = np.empty(count)
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
         c = hi - lo
         tails = np.empty((c, num_tail), dtype=np.int64)
         tail_coeffs = np.empty((c, num_tail))
@@ -203,20 +192,17 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
         for j in range(lo, hi):
             rng = derive_rng(*seed_path, start_index + j)
             t_idx, t_u, e = _draw_interpolation_parts(
-                rng, grid, region_idx, noise_std, num_tail, n)
+                rng, region_idx, noise_std, num_tail, n)
             tails[j - lo] = t_idx
             tail_coeffs[j - lo] = cfg.coeff_bound * t_u
             eps[j - lo] = e
-        tp = grid.points[tails]                      # (c, T, n)
-        # cross Gram against the fixed sample block, (c, N, T)
-        cross = matern32(batched_dist(params[None, :, None, :] - tp[:, None, :, :]), ell)
+        tp = mask.grid.points[tails]                 # (c, T, n)
+        cross = kernel_matrix(params, tp, kernel)    # (c, N, T)
         rhs = (y + eps) - np.einsum("cnt,ct->cn", cross, tail_coeffs)
         head = sla.cho_solve((chol, True), rhs.T).T  # (c, N)
-        # tail-tail Gram, (c, T, T)
-        k_tt = matern32(batched_dist(tp[:, :, None, :] - tp[:, None, :, :]), ell)
+        k_tt = kernel_matrix(tp, tp, kernel)         # (c, T, T)
         sq = (np.einsum("cn,nm,cm->c", head, gram_aa, head)
               + 2.0 * np.einsum("cnt,cn,ct->c", cross, head, tail_coeffs)
               + np.einsum("ctu,ct,cu->c", k_tt, tail_coeffs, tail_coeffs))
         norms[lo:hi] = np.sqrt(np.maximum(sq, 0.0))
     return norms
-

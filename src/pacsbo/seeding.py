@@ -15,6 +15,10 @@ import zlib
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+# truncated_normal keeps draws within two scales of zero: the range of the
+# uniform it maps through the inverse normal CDF
+_U_LO, _U_HI = ndtr(-2.0), ndtr(2.0)
+
 
 def _component(p) -> int:
     if isinstance(p, str):
@@ -32,18 +36,16 @@ def derive_rng(seed: int, *path) -> np.random.Generator:
     return np.random.default_rng(child_seed_sequence(seed, *path))
 
 
-def truncated_normal(rng: np.random.Generator, scale: float, size=None,
-                     bound: float = 2.0) -> np.ndarray:
-    """Draw from a zero-mean Gaussian truncated to ``[-bound*scale, bound*scale]``.
+def truncated_normal(rng: np.random.Generator, scale: float,
+                     size=None) -> np.ndarray:
+    """Draw from a zero-mean Gaussian truncated to ``[-2 scale, 2 scale]``.
 
     Uses the inverse-CDF transform, so a single uniform draw per sample
     keeps the stream consumption predictable. ``scale = 0`` returns zeros.
     """
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    lo = ndtr(-bound)
-    hi = ndtr(bound)
-    u = rng.uniform(lo, hi, size=size)
+    u = rng.uniform(_U_LO, _U_HI, size=size)
     if scale == 0.0:
         return np.zeros_like(np.asarray(u, dtype=float))
     return scale * ndtri(u)

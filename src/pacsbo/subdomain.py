@@ -16,9 +16,9 @@ import numpy as np
 from .kernel_gp import GridDomain, SampleSet
 
 BOUNDARY_TOL = 1e-12
+ENLARGEMENT = 1.1  # homothety ratio of the hat region about the hull
 
 # geometry kinds carried by a mask:
-#   ("interval", lo, hi)            1-D closed interval
 #   ("polygon", vertices)           2-D convex polygon, CCW vertex array (m, 2)
 #   ("box", lows, highs)            axis-aligned box, any dimension
 Geometry = tuple
@@ -61,11 +61,6 @@ def global_mask(grid: GridDomain) -> DomainMask:
     full = np.ones(grid.num_points, dtype=bool)
     box = (np.zeros(grid.dim), np.ones(grid.dim))
     return DomainMask(grid, full, "global", ("box",) + box)
-
-
-def _interval_mask(grid: GridDomain, lo: float, hi: float) -> np.ndarray:
-    x = grid.points[:, 0]
-    return (x >= lo - BOUNDARY_TOL) & (x <= hi + BOUNDARY_TOL)
 
 
 def _box_mask(grid: GridDomain, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -117,27 +112,22 @@ def _polygon_mask(grid: GridDomain, vertices: np.ndarray) -> np.ndarray:
     return inside
 
 
-def convex_hull_mask(samples: SampleSet, grid: GridDomain) -> DomainMask:
+def convex_hull_mask(samples: SampleSet) -> DomainMask:
     """Mask of grid points inside or on the convex hull of the sample locations.
 
-    In one dimension the hull is the closed interval spanned by the samples.
-    In two dimensions an exact hull is built with the monotone chain; if the
-    samples are collinear the hull degenerates, and we fall back to their
-    bounding box inflated by one grid cell per side so the region keeps
-    interior points.  In three or more dimensions the bounding box stands in
-    for the hull.
+    In one dimension the hull is the box (closed interval) spanned by the
+    samples. In two dimensions an exact hull is built with the monotone
+    chain; if the samples are collinear the hull degenerates, and we fall
+    back to their bounding box inflated by one grid cell per side so the
+    region keeps interior points.  In three or more dimensions the bounding
+    box stands in for the hull.
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample to build a hull")
     pts = samples.params
-    n = grid.dim
+    grid = samples.grid
 
-    if n == 1:
-        lo, hi = float(pts[:, 0].min()), float(pts[:, 0].max())
-        return DomainMask(grid, _interval_mask(grid, lo, hi), "tilde",
-                          ("interval", lo, hi))
-
-    if n == 2:
+    if grid.dim == 2:
         verts = _monotone_chain(pts)
         if len(verts) >= 3:
             return DomainMask(grid, _polygon_mask(grid, verts), "tilde",
@@ -156,8 +146,9 @@ def convex_hull_mask(samples: SampleSet, grid: GridDomain) -> DomainMask:
                       ("box", lows, highs))
 
 
-def enlarge_mask(hull: DomainMask, factor: float, grid: GridDomain) -> DomainMask:
-    """Scale a hull about its vertex centroid and re-mask the grid.
+def enlarge_mask(hull: DomainMask, factor: float) -> DomainMask:
+    """Scale a hull about its vertex centroid (a box about its centre) and
+    re-mask the grid.
 
     ``factor`` is the homothety ratio (1.1 gives a ten percent uniform
     enlargement).  The scaled region is clipped to the unit domain.  The
@@ -165,19 +156,9 @@ def enlarge_mask(hull: DomainMask, factor: float, grid: GridDomain) -> DomainMas
     """
     if factor < 1.0:
         raise ValueError(f"enlargement factor must be >= 1, got {factor}")
-    kind = hull.geometry[0]
+    grid = hull.grid
 
-    if kind == "interval":
-        lo, hi = hull.geometry[1], hull.geometry[2]
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * factor
-        new_lo = max(0.0, center - half)
-        new_hi = min(1.0, center + half)
-        member = _interval_mask(grid, new_lo, new_hi)
-        return DomainMask(grid, member | hull.member, "hat",
-                          ("interval", new_lo, new_hi))
-
-    if kind == "polygon":
+    if hull.geometry[0] == "polygon":
         verts = hull.geometry[1]
         centroid = verts.mean(axis=0)
         # the grid only holds points of the unit box, so masking with the
@@ -195,10 +176,7 @@ def enlarge_mask(hull: DomainMask, factor: float, grid: GridDomain) -> DomainMas
                       ("box", new_lows, new_highs))
 
 
-def partition_masks(samples: SampleSet, grid: GridDomain,
-                    enlargement: float = 1.1) -> tuple[DomainMask, DomainMask, DomainMask]:
+def partition_masks(samples: SampleSet) -> tuple[DomainMask, DomainMask, DomainMask]:
     """The nested triple (tilde, hat, global) for the current samples."""
-    tilde = convex_hull_mask(samples, grid)
-    hat = enlarge_mask(tilde, enlargement, grid)
-    glob = global_mask(grid)
-    return tilde, hat, glob
+    tilde = convex_hull_mask(samples)
+    return tilde, enlarge_mask(tilde, ENLARGEMENT), global_mask(samples.grid)

@@ -256,7 +256,7 @@ def test_criterion_8_structural_invariants(trained_predictor, tmp_path):
         grid = GridDomain.uniform((9, 7)) if trial % 2 else \
             GridDomain.uniform(40)
         samples = random_samples(grid, rng, int(rng.integers(1, 7)))
-        tilde, hat, glob = partition_masks(samples, grid)
+        tilde, hat, glob = partition_masks(samples)
         nested &= bool((~tilde.member | hat.member).all())
         nested &= bool((~hat.member | glob.member).all())
     checks["mask nesting"] = nested

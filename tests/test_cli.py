@@ -62,6 +62,14 @@ class TestTrainPredictor:
         assert main(["train-predictor", "--config", cfg]) == 2
         assert "hidden" in capsys.readouterr().err
 
+    def test_zero_noise_exits_2(self, tmp_path, capsys):
+        body = tiny_train_body(tmp_path / "m.json")
+        body["noise_std"] = 0.0
+        cfg = write_config(tmp_path / "t.yaml", body)
+        assert main(["train-predictor", "--config", cfg]) == 2
+        assert "noise_std must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         body = tiny_train_body(tmp_path / "m.json")
         body["step"] = 1e12
@@ -129,6 +137,16 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "h.yaml",
                            hoeffding_body(tmp_path, replicates=0))
         assert main(["run", "--config", cfg]) == 2
+
+    def test_zero_noise_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "f.yaml",
+            dict(scenario="fig3_thresholds", out_dir=str(tmp_path / "o"),
+                 seeds=[0], grid_resolution=30, sample_counts=[3],
+                 q_init=30, q_max=60, num_centers=10, noise_std=0.0))
+        assert main(["run", "--config", cfg]) == 2
+        assert "noise_std must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_fig3_prints_thresholds(self, tmp_path, capsys):
         cfg = write_config(

@@ -124,13 +124,12 @@ def sampler_rows() -> list:
         x = grid.points[idx].sum(axis=1)
         samples = SampleSet(grid, idx, {0: np.sin(6.0 * x),
                                         1: np.cos(4.0 * x) - 0.3})
-        masks = partition_masks(samples, grid)
+        masks = partition_masks(samples)
         assert dim == 1 or masks[0].geometry[0] == "polygon"
         for mask in masks:
             for i in (0, 1):
-                norms = interpolating_norms(samples, i, 0.01, grid, kernel,
-                                            SamplerConfig(), (7, dim, i), 64,
-                                            region=mask.member)
+                norms = interpolating_norms(samples, i, 0.01, kernel, mask,
+                                            SamplerConfig(), (7, dim, i), 64)
                 rows += [[dim, mask.label, i, j, f"{v:.17g}"]
                          for j, v in enumerate(norms)]
     return rows

@@ -16,6 +16,7 @@ from pacsbo.kernel_gp import (
     observation_update,
     reciprocal_cov_integral,
 )
+from pacsbo.subdomain import DomainMask, global_mask
 
 # Hand-derived reference values, frozen. The kernel value is
 # (1 + sqrt(3) d / l) exp(-sqrt(3) d / l); the scalar-GP numbers follow
@@ -69,8 +70,6 @@ def test_kernel_matrix_symmetric_and_near_psd():
 def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(lengthscale=0.0)
-    with pytest.raises(ValueError):
-        KernelConfig(family="rbf")
 
 
 def test_grid_is_cell_centered_row_major():
@@ -130,7 +129,7 @@ def test_prior_posterior():
     mean, var = gp_predict(post, grid.points)
     assert np.all(mean == 0.0) and np.all(var == 1.0)
     assert info_gain(post) == 0.0
-    assert reciprocal_cov_integral(post, np.ones(10, dtype=bool)) == pytest.approx(1.0, abs=1e-12)
+    assert reciprocal_cov_integral(post, global_mask(grid)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         mean_rkhs_norm(post)
 
@@ -206,12 +205,13 @@ def test_reciprocal_cov_integral_three_point_grid():
     grid = GridDomain.uniform(3)
     s = make_samples(grid, [1], [0.0])
     post = gp_fit(s, 0, 0.1, CFG)
-    r = reciprocal_cov_integral(post, np.ones(3, dtype=bool))
+    r = reciprocal_cov_integral(post, global_mask(grid))
     assert r == pytest.approx(THREE_PT_RECIPROCAL, abs=1e-10)
-    with pytest.raises(ValueError):
-        reciprocal_cov_integral(post, np.zeros(3, dtype=bool))
-    with pytest.raises(ValueError):
-        reciprocal_cov_integral(post, np.ones(4, dtype=bool))
+    # an empty region or one of the wrong length is no mask at all
+    with pytest.raises(ValueError, match="empty"):
+        DomainMask(grid, np.zeros(3, dtype=bool), "global", ())
+    with pytest.raises(ValueError, match="does not match"):
+        DomainMask(grid, np.ones(4, dtype=bool), "global", ())
 
 
 def test_reciprocal_cov_integral_grows_with_data():
@@ -219,7 +219,7 @@ def test_reciprocal_cov_integral_grows_with_data():
     grid = GridDomain.uniform(100)
     idx = list(rng.choice(grid.num_points, size=10, replace=False))
     y = list(rng.normal(size=10))
-    mask = np.ones(grid.num_points, dtype=bool)
+    mask = global_mask(grid)
     r_prev = 0.0
     for n in (2, 5, 10):
         post = gp_fit(make_samples(grid, idx[:n], y[:n]), 0, 0.05, CFG)

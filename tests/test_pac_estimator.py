@@ -6,6 +6,7 @@ import pytest
 from pacsbo.errors import NumericError
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
 from pacsbo.pac_estimator import (
+    F_SAFETY,
     PacConfig,
     PacResult,
     estimate_upper_bound,
@@ -45,8 +46,6 @@ def test_pac_config_validation():
     with pytest.raises(ValueError):
         PacConfig(q_init=100, q_max=50)
     with pytest.raises(ValueError):
-        PacConfig(f_safety=1.0)
-    with pytest.raises(ValueError):
         PacConfig(q_init=0)
 
 
@@ -82,7 +81,7 @@ def test_generous_start_accepts_first_batch():
 
 def test_tiny_start_escalates_geometrically():
     grid, kernel, samples = setup_problem()
-    cfg = PacConfig(q_init=50, q_max=100, f_safety=2.0,
+    cfg = PacConfig(q_init=50, q_max=100,
                     sampler=SamplerConfig(num_centers=30))
     start = 0.01
     res = estimate_upper_bound(lambda trace: start, None, samples, 0, 0.01,
@@ -90,9 +89,10 @@ def test_tiny_start_escalates_geometrically():
     assert res.escalated
     level = res.empirical_mean + res.width
     assert res.bound >= level
-    assert res.bound / 2.0 < level  # smallest sufficient power of two
-    k = np.log2(res.bound / start)
+    assert res.bound / F_SAFETY < level  # smallest sufficient power
+    k = np.log(res.bound / start) / np.log(F_SAFETY)
     assert k == pytest.approx(round(k), abs=1e-9)
+    assert round(k) > 1
     assert res.q_used <= cfg.q_max + cfg.q_init
 
 
@@ -115,9 +115,8 @@ def test_pooled_draws_match_direct_batch():
     # estimator's reported mean against the direct pooled computation
     res = estimate_upper_bound(lambda trace: 1e-12, None, samples, 0, 0.01,
                                kernel, global_mask(grid), cfg, (3, 1))
-    direct = interpolating_norms(samples, 0, 0.01, grid, kernel, sampler,
-                                 (3, 1), res.q_used,
-                                 region=global_mask(grid).member)
+    direct = interpolating_norms(samples, 0, 0.01, kernel, global_mask(grid),
+                                 sampler, (3, 1), res.q_used)
     assert res.empirical_mean == pytest.approx(float(direct.mean()), abs=1e-12)
     assert res.width == pytest.approx(
         hoeffding_width(cfg.delta, res.q_used,
@@ -145,8 +144,8 @@ def test_non_finite_start_raises():
 def test_region_restriction_respected():
     grid, kernel, samples = setup_problem(num_samples=2, resolution=50)
     from pacsbo.subdomain import convex_hull_mask, enlarge_mask
-    hull = convex_hull_mask(samples, grid)
-    hat = enlarge_mask(hull, 1.1, grid)
+    hull = convex_hull_mask(samples)
+    hat = enlarge_mask(hull, 1.1)
     cfg = PacConfig(q_init=20, q_max=40, sampler=SamplerConfig(num_centers=20))
     res_hat = estimate_upper_bound(lambda trace: 1e-12, None, samples, 0,
                                    0.01, kernel, hat, cfg, (4, 2))

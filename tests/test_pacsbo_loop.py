@@ -98,6 +98,7 @@ class TestConfigValidation:
         dict(delta=0.0),
         dict(delta=1.0),
         dict(noise_std=-0.1),
+        dict(noise_std=0.0),
         dict(s0_indices=(10,)),
     ])
     def test_rejects(self, kw):
@@ -249,8 +250,7 @@ class TestPacsboRun:
             samples = prefixes[t]
             posts = {i: gp_fit(samples, i, self.cfg.noise_std, KER)
                      for i in CHANNELS}
-            tilde, hat, glob = partition_masks(samples, self.grid,
-                                               self.cfg.enlargement)
+            tilde, hat, glob = partition_masks(samples)
             masks = {"tilde": tilde, "hat": hat, "global": glob}
             picks = {}
             for label, mask in masks.items():

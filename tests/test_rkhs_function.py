@@ -27,6 +27,7 @@ from pacsbo.rkhs_function import (
     scale_to_norm,
 )
 from pacsbo.seeding import derive_rng
+from pacsbo.subdomain import DomainMask, global_mask
 
 CFG = KernelConfig(lengthscale=0.1)
 
@@ -120,7 +121,7 @@ def test_interpolating_function_pins_measurements():
     grid = GridDomain.uniform(200)
     sigma = 0.05
     s = make_samples(grid, [20, 90, 150], [1.2, -0.4, 0.6])
-    f = sample_interpolating_function(s, 0, sigma, grid, CFG,
+    f = sample_interpolating_function(s, 0, sigma, CFG, global_mask(grid),
                                       SamplerConfig(), derive_rng(1))
     vals = evaluate(f, s.params)
     # interpolates the measurements up to the truncated noise draw
@@ -132,7 +133,7 @@ def test_interpolating_function_pins_measurements():
 def test_interpolating_function_zero_tail_is_minimum_norm_interpolant():
     grid = GridDomain.uniform(100)
     s = make_samples(grid, [10, 50, 80], [1.0, 0.5, -0.2])
-    f = sample_interpolating_function(s, 0, 0.0, grid, CFG,
+    f = sample_interpolating_function(s, 0, 0.0, CFG, global_mask(grid),
                                       SamplerConfig(num_centers=30, coeff_bound=0.0),
                                       derive_rng(3))
     vals = evaluate(f, s.params)
@@ -147,12 +148,12 @@ def test_interpolating_function_validation():
     grid = GridDomain.uniform(100)
     s = make_samples(grid, [10, 50, 80], [1.0, 0.5, -0.2])
     with pytest.raises(ValueError):
-        sample_interpolating_function(s, 0, 0.01, grid, CFG,
+        sample_interpolating_function(s, 0, 0.01, CFG, global_mask(grid),
                                       SamplerConfig(num_centers=3),
                                       derive_rng(0))
     empty = SampleSet(grid, (), {0: (), 1: ()})
     with pytest.raises(ValueError):
-        sample_interpolating_function(empty, 0, 0.01, grid, CFG,
+        sample_interpolating_function(empty, 0, 0.01, CFG, global_mask(grid),
                                       SamplerConfig(), derive_rng(0))
 
 
@@ -161,22 +162,29 @@ def test_interpolating_function_region_restriction():
     s = make_samples(grid, [40, 45, 50], [0.5, 0.6, 0.7])
     region = np.zeros(100, dtype=bool)
     region[30:70] = True
-    f = sample_interpolating_function(s, 0, 0.01, grid, CFG, SamplerConfig(),
-                                      derive_rng(4), region=region)
+    mask = DomainMask(grid, region, "hat",
+                      ("box", np.array([0.3]), np.array([0.7])))
+    f = sample_interpolating_function(s, 0, 0.01, CFG, mask, SamplerConfig(),
+                                      derive_rng(4))
     tail = f.centers[3:, 0]
     allowed = grid.points[region, 0]
     assert np.all(np.isin(tail, allowed))
-    with pytest.raises(ValueError):
-        sample_interpolating_function(s, 0, 0.01, grid, CFG, SamplerConfig(),
-                                      derive_rng(4), region=np.zeros(100, dtype=bool))
+    # an empty region is no mask at all
+    with pytest.raises(ValueError, match="empty"):
+        DomainMask(grid, np.zeros(100, dtype=bool), "hat", ())
+    with pytest.raises(ValueError, match="different grids"):
+        sample_interpolating_function(s, 0, 0.01, CFG,
+                                      global_mask(GridDomain.uniform(50)),
+                                      SamplerConfig(), derive_rng(4))
 
 
 def test_same_stream_reproduces_function():
     grid = GridDomain.uniform(100)
     s = make_samples(grid, [10, 50, 80], [1.0, 0.5, -0.2])
-    f1 = sample_interpolating_function(s, 0, 0.01, grid, CFG, SamplerConfig(),
+    mask = global_mask(grid)
+    f1 = sample_interpolating_function(s, 0, 0.01, CFG, mask, SamplerConfig(),
                                        derive_rng(123, 7))
-    f2 = sample_interpolating_function(s, 0, 0.01, grid, CFG, SamplerConfig(),
+    f2 = sample_interpolating_function(s, 0, 0.01, CFG, mask, SamplerConfig(),
                                        derive_rng(123, 7))
     np.testing.assert_array_equal(f1.centers, f2.centers)
     np.testing.assert_array_equal(f1.coefficients, f2.coefficients)
@@ -189,12 +197,14 @@ def test_batched_norms_match_per_function_path():
     s = make_samples(grid, idx, rng.normal(size=6))
     cfg = SamplerConfig(num_centers=40)
     seed_path = (99, 1, 2)
-    batched = interpolating_norms(s, 0, 0.01, grid, CFG, cfg, seed_path,
-                                  count=41, chunk=16)
+    mask = global_mask(grid)
+    # 300 draws span two chunks of _CHUNK = 256
+    batched = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, seed_path,
+                                  count=300)
     singles = np.array([
-        rkhs_norm(sample_interpolating_function(s, 0, 0.01, grid, CFG, cfg,
+        rkhs_norm(sample_interpolating_function(s, 0, 0.01, CFG, mask, cfg,
                                                 derive_rng(*seed_path, j)))
-        for j in range(41)
+        for j in range(300)
     ])
     np.testing.assert_allclose(batched, singles, atol=1e-9, rtol=1e-9)
 
@@ -203,9 +213,10 @@ def test_batched_norms_start_index_gives_stable_pooling():
     grid = GridDomain.uniform(300)
     s = make_samples(grid, [50, 150, 250], [0.3, 0.1, -0.2])
     cfg = SamplerConfig(num_centers=30)
-    full = interpolating_norms(s, 0, 0.01, grid, CFG, cfg, (7,), count=20)
-    part1 = interpolating_norms(s, 0, 0.01, grid, CFG, cfg, (7,), count=12)
-    part2 = interpolating_norms(s, 0, 0.01, grid, CFG, cfg, (7,), count=8,
+    mask = global_mask(grid)
+    full = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,), count=20)
+    part1 = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,), count=12)
+    part2 = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,), count=8,
                                 start_index=12)
     np.testing.assert_array_equal(full, np.concatenate([part1, part2]))
 
@@ -225,10 +236,11 @@ def test_gp_mean_norm_equals_weight_expansion_norm():
 REPEATED_POINT_CALL = """
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
 from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
+from pacsbo.subdomain import global_mask
 grid = GridDomain.uniform(50)
 s = SampleSet(grid, [10, 10, 30], {0: [0.2, 0.2, -0.1], 1: [0.0] * 3})
-interpolating_norms(s, 0, 0.01, grid, KernelConfig(0.1), SamplerConfig(20),
-                    (0,), count=4)
+interpolating_norms(s, 0, 0.01, KernelConfig(0.1), global_mask(grid),
+                    SamplerConfig(20), (0,), count=4)
 """
 
 

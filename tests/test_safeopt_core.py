@@ -122,7 +122,7 @@ def test_safe_set_flags_seed_outside_mask():
     from pacsbo.subdomain import DomainMask
     member = np.zeros(10, dtype=bool)
     member[5:] = True
-    mask = DomainMask(grid, member, "tilde", ("interval", 0.55, 0.95))
+    mask = DomainMask(grid, member, "tilde", ("box", np.array([0.55]), np.array([0.95])))
     lower = np.full(10, np.nan)
     lower[5:] = 1.0
     field = hand_field(grid, {0: lower, 1: lower},

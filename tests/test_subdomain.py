@@ -19,14 +19,14 @@ def make_samples(grid, indices):
     return SampleSet(grid, indices, vals)
 
 
-def test_interval_hull_spans_min_to_max():
+def test_1d_hull_is_the_box_from_min_to_max():
     grid = GridDomain.uniform(100)
     i_lo, i_hi = 20, 60  # the grid points 0.205 and 0.605
-    mask = convex_hull_mask(make_samples(grid, [i_hi, i_lo]), grid)
+    mask = convex_hull_mask(make_samples(grid, [i_hi, i_lo]))
     lo = grid.points[i_lo, 0]
     hi = grid.points[i_hi, 0]
-    assert mask.geometry[0] == "interval"
-    assert mask.geometry[1] == lo and mask.geometry[2] == hi
+    assert mask.geometry[0] == "box"
+    assert mask.geometry[1] == [lo] and mask.geometry[2] == [hi]
     x = grid.points[:, 0]
     expect = (x >= lo) & (x <= hi)
     np.testing.assert_array_equal(mask.member, expect)
@@ -34,20 +34,20 @@ def test_interval_hull_spans_min_to_max():
 
 def test_single_sample_hull_is_singleton():
     grid = GridDomain.uniform(50)
-    mask = convex_hull_mask(make_samples(grid, [17]), grid)
+    mask = convex_hull_mask(make_samples(grid, [17]))
     assert mask.count == 1
     assert mask.indices()[0] == 17
 
 
-def test_interval_enlargement_frozen_example():
+def test_1d_enlargement_frozen_example():
     # hull [0.2, 0.6] scaled by 1.1 about its midpoint 0.4 gives [0.18, 0.62]
     grid = GridDomain.uniform(200)
     x = grid.points[:, 0]
     hull = DomainMask(grid, (x >= 0.2 - BOUNDARY_TOL) & (x <= 0.6 + BOUNDARY_TOL),
-                      "tilde", ("interval", 0.2, 0.6))
-    hat = enlarge_mask(hull, 1.1, grid)
-    assert hat.geometry[1] == pytest.approx(0.18, abs=1e-15)
-    assert hat.geometry[2] == pytest.approx(0.62, abs=1e-15)
+                      "tilde", ("box", np.array([0.2]), np.array([0.6])))
+    hat = enlarge_mask(hull, 1.1)
+    assert hat.geometry[1][0] == pytest.approx(0.18, abs=1e-15)
+    assert hat.geometry[2][0] == pytest.approx(0.62, abs=1e-15)
 
 
 def test_1d_hulls_and_enlargements_match_literal_rule():
@@ -60,12 +60,12 @@ def test_1d_hulls_and_enlargements_match_literal_rule():
     x = grid.points[:, 0]
     for i in range(100):
         for j in range(i, 100):
-            hull = convex_hull_mask(make_samples(grid, [i, j]), grid)
+            hull = convex_hull_mask(make_samples(grid, [i, j]))
             centre, half = 0.5 * (x[i] + x[j]), 0.5 * (x[j] - x[i])
             np.testing.assert_array_equal(
                 hull.member, np.abs(x - centre) <= half + 1e-9)
             for factor in (1.0, 1.1, 2.0):
-                hat = enlarge_mask(hull, factor, grid)
+                hat = enlarge_mask(hull, factor)
                 np.testing.assert_array_equal(
                     hat.member, np.abs(x - centre) <= factor * half + 1e-9,
                     err_msg=f"hull ({i}, {j}), factor {factor}")
@@ -73,26 +73,26 @@ def test_1d_hulls_and_enlargements_match_literal_rule():
 
 def test_enlargement_factor_one_is_identity():
     grid = GridDomain.uniform(60)
-    mask = convex_hull_mask(make_samples(grid, [5, 40]), grid)
-    same = enlarge_mask(mask, 1.0, grid)
+    mask = convex_hull_mask(make_samples(grid, [5, 40]))
+    same = enlarge_mask(mask, 1.0)
     np.testing.assert_array_equal(same.member, mask.member)
 
 
 def test_enlargement_monotone_in_factor():
     grid = GridDomain.uniform(80)
-    hull = convex_hull_mask(make_samples(grid, [20, 55]), grid)
+    hull = convex_hull_mask(make_samples(grid, [20, 55]))
     prev = hull
     for factor in (1.0, 1.1, 1.5, 2.0, 4.0):
-        cur = enlarge_mask(hull, factor, grid)
+        cur = enlarge_mask(hull, factor)
         assert np.all(cur.member[prev.member])
         prev = cur
 
 
 def test_enlargement_clips_to_domain():
     grid = GridDomain.uniform(50)
-    hull = convex_hull_mask(make_samples(grid, [0, 49]), grid)
-    hat = enlarge_mask(hull, 2.0, grid)
-    assert hat.geometry[1] >= 0.0 and hat.geometry[2] <= 1.0
+    hull = convex_hull_mask(make_samples(grid, [0, 49]))
+    hat = enlarge_mask(hull, 2.0)
+    assert hat.geometry[1][0] >= 0.0 and hat.geometry[2][0] <= 1.0
     assert hat.count == grid.num_points
 
 
@@ -100,7 +100,7 @@ def test_triangle_hull_matches_half_plane_oracle():
     grid = GridDomain.uniform((50, 50))
     # the grid points nearest (0, 0), (1, 0) and (0, 1)
     corners = [0, 49 * 50, 49]
-    mask = convex_hull_mask(make_samples(grid, corners), grid)
+    mask = convex_hull_mask(make_samples(grid, corners))
     v = grid.points[corners]
     # oracle: inside each of the three half-planes of the triangle's edges
     expect = np.ones(grid.num_points, dtype=bool)
@@ -117,7 +117,7 @@ def test_random_2d_hulls_match_half_plane_oracle():
     grid = GridDomain.uniform((30, 30))
     for _ in range(10):
         idx = rng.choice(grid.num_points, size=6, replace=False)
-        mask = convex_hull_mask(make_samples(grid, idx), grid)
+        mask = convex_hull_mask(make_samples(grid, idx))
         if mask.geometry[0] != "polygon":
             continue
         verts = mask.geometry[1]
@@ -138,7 +138,7 @@ def test_collinear_2d_falls_back_to_inflated_box():
     # three samples on the same grid row
     row = 11
     idx = [np.ravel_multi_index((i, row), (40, 40)) for i in (4, 15, 30)]
-    mask = convex_hull_mask(make_samples(grid, idx), grid)
+    mask = convex_hull_mask(make_samples(grid, idx))
     assert mask.geometry[0] == "box"
     lows, highs = mask.geometry[1], mask.geometry[2]
     pts = grid.points[idx]
@@ -156,7 +156,7 @@ def test_three_dim_hull_is_bounding_box():
     # the cells holding (0.1, 0.1, 0.1), (0.8, 0.2, 0.5) and (0.3, 0.7, 0.9)
     idx = list(np.ravel_multi_index(([0, 6, 2], [0, 1, 5], [0, 4, 7]),
                                     grid.resolution))
-    mask = convex_hull_mask(make_samples(grid, idx), grid)
+    mask = convex_hull_mask(make_samples(grid, idx))
     assert mask.geometry[0] == "box"
     pts = grid.points[idx]
     inside = np.all((grid.points >= pts.min(axis=0) - BOUNDARY_TOL)
@@ -171,7 +171,7 @@ def test_partition_nesting_random_sample_sets():
         for trial in range(8):
             k = int(rng.integers(1, 7))
             idx = rng.choice(grid.num_points, size=k, replace=False)
-            tilde, hat, glob = partition_masks(make_samples(grid, idx), grid)
+            tilde, hat, glob = partition_masks(make_samples(grid, idx))
             assert np.all(hat.member[tilde.member])
             assert np.all(glob.member[hat.member])
             assert tilde.member[idx].all()
@@ -189,11 +189,11 @@ def test_global_mask_covers_everything():
 def test_empty_samples_rejected():
     grid = GridDomain.uniform(10)
     with pytest.raises(ValueError):
-        convex_hull_mask(SampleSet(grid, (), {0: (), 1: ()}), grid)
+        convex_hull_mask(SampleSet(grid, (), {0: (), 1: ()}))
 
 
 def test_shrinking_factor_rejected():
     grid = GridDomain.uniform(10)
-    hull = convex_hull_mask(make_samples(grid, [2, 7]), grid)
+    hull = convex_hull_mask(make_samples(grid, [2, 7]))
     with pytest.raises(ValueError):
-        enlarge_mask(hull, 0.9, grid)
+        enlarge_mask(hull, 0.9)

@@ -163,7 +163,6 @@ class GpPosterior:
     and ``weights`` solves ``(K + noise^2 I) w = y``, so the posterior
     mean is the kernel expansion with coefficients ``weights``.
     """
-    grid: GridDomain
     kernel: KernelConfig
     noise_std: float
     params: np.ndarray = field(repr=False)
@@ -203,13 +202,12 @@ def gp_fit(samples: SampleSet, i: int, noise_std: float,
     n = params.shape[0]
     if n == 0:
         empty = np.zeros((0, 0))
-        return GpPosterior(samples.grid, cfg, float(noise_std), params,
-                           empty, empty, np.zeros(0))
+        return GpPosterior(cfg, float(noise_std), params, empty, empty,
+                           np.zeros(0))
     gram = kernel_matrix(params, params, cfg)
     chol = _chol_with_jitter(gram + noise_std ** 2 * np.eye(n))
     weights = sla.cho_solve((chol, True), y)
-    return GpPosterior(samples.grid, cfg, float(noise_std), params, gram,
-                       chol, weights)
+    return GpPosterior(cfg, float(noise_std), params, gram, chol, weights)
 
 
 def predictive(post: GpPosterior, query: np.ndarray):

@@ -19,14 +19,14 @@ def make_samples(grid, indices):
     return SampleSet(grid, indices, vals)
 
 
-def test_1d_hull_is_the_box_from_min_to_max():
+def test_interval_hull_spans_min_to_max():
     grid = GridDomain.uniform(100)
     i_lo, i_hi = 20, 60  # the grid points 0.205 and 0.605
     mask = convex_hull_mask(make_samples(grid, [i_hi, i_lo]))
     lo = grid.points[i_lo, 0]
     hi = grid.points[i_hi, 0]
     assert mask.geometry[0] == "box"
-    assert mask.geometry[1] == [lo] and mask.geometry[2] == [hi]
+    assert mask.geometry[1][0] == lo and mask.geometry[2][0] == hi
     x = grid.points[:, 0]
     expect = (x >= lo) & (x <= hi)
     np.testing.assert_array_equal(mask.member, expect)
@@ -39,7 +39,7 @@ def test_single_sample_hull_is_singleton():
     assert mask.indices()[0] == 17
 
 
-def test_1d_enlargement_frozen_example():
+def test_interval_enlargement_frozen_example():
     # hull [0.2, 0.6] scaled by 1.1 about its midpoint 0.4 gives [0.18, 0.62]
     grid = GridDomain.uniform(200)
     x = grid.points[:, 0]

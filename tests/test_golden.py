@@ -6,7 +6,8 @@ a 15x15 grid, a fixed-bound 2-D run on a 50x50 grid whose safe set grows
 (once per expander candidate set), a predictor training set, an
 accepted-bound study (two seeds, 5 and 20 samples), and the norms of 64
 interpolating draws per channel on the tilde, hat and global regions of a
-1-D and a 2-D sample set. The test reruns the same configurations and
+1-D and a 2-D sample set, and on the 6-point tilde and the global region
+of a sample set on a 50x50 grid. The test reruns the same configurations and
 compares every CSV cell. Discrete columns (chosen coordinates, draw counts,
 escalation flags, set sizes, unsafe flags, region labels) must match
 exactly; floating-point columns to a relative 1e-9.
@@ -60,6 +61,10 @@ EXACT = re.compile(r"(schema_version|seed|algorithm|iteration|[ax]\d+|unsafe"
 # hull is a polygon
 SAMPLER_SETS = {1: (100, [22, 30, 41, 57]),
                 2: ((20, 20), [45, 52, 168, 230, 301])}
+# the sampler gathers its kernel blocks from the Gram of a small region but
+# evaluates them directly on a large one: this set's tilde mask holds 6
+# points, its global mask 2500
+SAMPLER_50X50 = ((50, 50), [1020, 1022, 1070, 1072])
 
 
 def produce(out: Path) -> None:
@@ -109,29 +114,35 @@ def produce(out: Path) -> None:
                                   str(out / "fig3_thresholds"), (0, 1),
                                   params))
 
-    write_csv(out / "sampler" / "norms.csv",
-              ["dim", "region", "channel", "draw", "norm"], sampler_rows())
+    header = ["dim", "region", "channel", "draw", "norm"]
+    write_csv(out / "sampler" / "norms.csv", header,
+              [row for dim, (resolution, idx) in SAMPLER_SETS.items()
+               for row in sampler_rows(dim, resolution, idx)])
+    write_csv(out / "sampler" / "norms_50x50.csv", header,
+              sampler_rows(2, *SAMPLER_50X50, labels=("tilde", "global")))
     pred.unlink()
 
 
-def sampler_rows() -> list:
-    """Norms of 64 interpolating draws per sample set, region and channel;
-    the two channels carry different measurements."""
+def sampler_rows(dim, resolution, idx,
+                 labels=("tilde", "hat", "global")) -> list:
+    """Norms of 64 interpolating draws per region and channel of one sample
+    set; the two channels carry different measurements."""
     kernel = KernelConfig(lengthscale=0.1)
+    grid = GridDomain.uniform(resolution)
+    x = grid.points[idx].sum(axis=1)
+    samples = SampleSet(grid, idx, {0: np.sin(6.0 * x),
+                                    1: np.cos(4.0 * x) - 0.3})
+    masks = partition_masks(samples)
+    assert dim == 1 or masks[0].geometry[0] == "polygon"
     rows = []
-    for dim, (resolution, idx) in SAMPLER_SETS.items():
-        grid = GridDomain.uniform(resolution)
-        x = grid.points[idx].sum(axis=1)
-        samples = SampleSet(grid, idx, {0: np.sin(6.0 * x),
-                                        1: np.cos(4.0 * x) - 0.3})
-        masks = partition_masks(samples)
-        assert dim == 1 or masks[0].geometry[0] == "polygon"
-        for mask in masks:
-            for i in (0, 1):
-                norms = interpolating_norms(samples, i, 0.01, kernel, mask,
-                                            SamplerConfig(), (7, dim, i), 64)
-                rows += [[dim, mask.label, i, j, f"{v:.17g}"]
-                         for j, v in enumerate(norms)]
+    for mask in masks:
+        if mask.label not in labels:
+            continue
+        for i in (0, 1):
+            norms = interpolating_norms(samples, i, 0.01, kernel, mask,
+                                        SamplerConfig(), (7, dim, i), 64)
+            rows += [[dim, mask.label, i, j, f"{v:.17g}"]
+                     for j, v in enumerate(norms)]
     return rows
 
 

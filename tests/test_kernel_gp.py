@@ -14,6 +14,7 @@ from pacsbo.kernel_gp import (
     kernel_matrix,
     mean_rkhs_norm,
     observation_update,
+    pairwise_dist,
     reciprocal_cov_integral,
 )
 from pacsbo.subdomain import DomainMask, global_mask
@@ -56,6 +57,24 @@ def test_kernel_closed_form_values():
     assert kernel_value(0.0, 0.1) == pytest.approx(K_D01_L01, abs=1e-15)
     assert kernel_value(0.5, 0.55) == pytest.approx(K_D005_L01, abs=1e-15)
     assert kernel_value(0.3, 0.3) == 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pairwise_dist_bitwise_equals_literal_reduction(dim):
+    # the literal definition: one difference tensor, squared and summed
+    # over its coordinate axis; leading axes broadcast
+    rng = np.random.default_rng(dim)
+    cases = [(rng.uniform(size=(7, dim)), rng.uniform(size=(5, dim))),
+             (rng.uniform(size=(6, dim)), rng.uniform(size=(4, 9, dim))),
+             (rng.uniform(size=(3, 8, dim)), rng.uniform(size=(3, 8, dim))),
+             (rng.uniform(size=(2, 1, 4, dim)),
+              rng.uniform(size=(3, 6, dim)))]
+    for x, y in cases:
+        diff = x[..., :, None, :] - y[..., None, :, :]
+        want = np.sqrt(np.sum(diff * diff, axis=-1))
+        got = pairwise_dist(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_kernel_matrix_symmetric_and_near_psd():

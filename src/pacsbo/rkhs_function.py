@@ -110,12 +110,14 @@ def sample_random_function(grid: GridDomain, kernel: KernelConfig,
     return RkhsFunction(kernel, grid.points[idx], coeffs)
 
 
-def _draw_interpolation_parts(rng, region_idx, noise_std, num_tail, num_samples):
-    """Random ingredients of one interpolating draw, in a fixed stream order."""
-    tail_idx = region_idx[rng.integers(0, region_idx.shape[0], size=num_tail)]
+def _draw_interpolation_parts(rng, num_members, noise_std, num_tail,
+                              num_samples):
+    """Random ingredients of one interpolating draw, in a fixed stream
+    order; the tail centers are positions among the region's members."""
+    tail_pos = rng.integers(0, num_members, size=num_tail)
     tail_coeffs_u = rng.uniform(-1.0, 1.0, size=num_tail)
     eps = truncated_normal(rng, noise_std, size=num_samples)
-    return tail_idx, tail_coeffs_u, eps
+    return tail_pos, tail_coeffs_u, eps
 
 
 def _tail_region(samples: SampleSet, cfg: SamplerConfig,
@@ -146,11 +148,11 @@ def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
     """
     region_idx = _tail_region(samples, cfg, mask)
     n = len(samples)
-    tail_idx, tail_u, eps = _draw_interpolation_parts(
-        rng, region_idx, noise_std, cfg.num_centers - n, n)
+    tail_pos, tail_u, eps = _draw_interpolation_parts(
+        rng, region_idx.shape[0], noise_std, cfg.num_centers - n, n)
     tail_coeffs = cfg.coeff_bound * tail_u
     params = samples.params
-    tail_points = mask.grid.points[tail_idx]
+    tail_points = mask.grid.points[region_idx[tail_pos]]
     chol = _chol_with_jitter(kernel_matrix(params, params, kernel))
     cross = kernel_matrix(params, tail_points, kernel)
     rhs = samples.targets(i) + eps - cross @ tail_coeffs
@@ -158,6 +160,12 @@ def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
     centers = np.vstack([params, tail_points])
     coeffs = np.concatenate([head_coeffs, tail_coeffs])
     return RkhsFunction(kernel, centers, coeffs)
+
+
+def _gathers(num_members: int, chunk: int, num_tail: int) -> bool:
+    """Whether the sampler gathers its kernel blocks from the region Gram:
+    only when that Gram is no larger than one chunk's tail-tail block."""
+    return num_members * num_members <= chunk * num_tail * num_tail
 
 
 def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
@@ -171,6 +179,16 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     start_index + j)``, matching :func:`sample_interpolating_function`
     called with that stream, so results do not depend on chunking or on
     how callers schedule the work.
+
+    Each chunk needs the sample-tail block (c, N, T) and the tail-tail
+    block (c, T, T) of the kernel. When the Gram of the ``m`` member points
+    of ``mask`` is no larger than the tail-tail block of the first (and
+    largest) chunk, ``m * m <= c * T * T``, the kernel is evaluated once
+    over the members and once between samples and members, and both blocks
+    are gathered from those; otherwise they are evaluated per chunk. Both
+    sources give bitwise-equal blocks, and the gathered sample-tail block
+    is made C-contiguous so that the contractions see the same memory
+    layout, which keeps the norms bitwise equal too.
     """
     if len(seed_path) == 0:
         raise ValueError("seed_path must contain at least the base seed")
@@ -181,26 +199,35 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     y = samples.targets(i)
     gram_aa = kernel_matrix(params, params, kernel)
     chol = _chol_with_jitter(gram_aa)
+    members = mask.grid.points[region_idx]
+    gather = _gathers(region_idx.shape[0], min(count, _CHUNK), num_tail)
+    if gather:
+        g_rr = kernel_matrix(members, members, kernel)  # (m, m)
+        g_ar = kernel_matrix(params, members, kernel)   # (N, m)
 
     norms = np.empty(count)
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
         c = hi - lo
-        tails = np.empty((c, num_tail), dtype=np.int64)
+        tails = np.empty((c, num_tail), dtype=np.int64)  # member positions
         tail_coeffs = np.empty((c, num_tail))
         eps = np.empty((c, n))
         for j in range(lo, hi):
             rng = derive_rng(*seed_path, start_index + j)
-            t_idx, t_u, e = _draw_interpolation_parts(
-                rng, region_idx, noise_std, num_tail, n)
-            tails[j - lo] = t_idx
+            t_pos, t_u, e = _draw_interpolation_parts(
+                rng, region_idx.shape[0], noise_std, num_tail, n)
+            tails[j - lo] = t_pos
             tail_coeffs[j - lo] = cfg.coeff_bound * t_u
             eps[j - lo] = e
-        tp = mask.grid.points[tails]                 # (c, T, n)
-        cross = kernel_matrix(params, tp, kernel)    # (c, N, T)
+        if gather:
+            cross = np.ascontiguousarray(np.moveaxis(g_ar[:, tails], 1, 0))
+            k_tt = g_rr[tails[:, :, None], tails[:, None, :]]
+        else:
+            tp = members[tails]                       # (c, T, n)
+            cross = kernel_matrix(params, tp, kernel)  # (c, N, T)
+            k_tt = kernel_matrix(tp, tp, kernel)       # (c, T, T)
         rhs = (y + eps) - np.einsum("cnt,ct->cn", cross, tail_coeffs)
         head = sla.cho_solve((chol, True), rhs.T).T  # (c, N)
-        k_tt = kernel_matrix(tp, tp, kernel)         # (c, T, T)
         sq = (np.einsum("cn,nm,cm->c", head, gram_aa, head)
               + 2.0 * np.einsum("cnt,cn,ct->c", cross, head, tail_coeffs)
               + np.einsum("ctu,ct,cu->c", k_tt, tail_coeffs, tail_coeffs))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pacsbo
+from pacsbo import rkhs_function
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
@@ -27,7 +28,7 @@ from pacsbo.rkhs_function import (
     scale_to_norm,
 )
 from pacsbo.seeding import derive_rng
-from pacsbo.subdomain import DomainMask, global_mask
+from pacsbo.subdomain import DomainMask, global_mask, partition_masks
 
 CFG = KernelConfig(lengthscale=0.1)
 
@@ -219,6 +220,57 @@ def test_batched_norms_start_index_gives_stable_pooling():
     part2 = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,), count=8,
                                 start_index=12)
     np.testing.assert_array_equal(full, np.concatenate([part1, part2]))
+
+
+def block_path_cases():
+    """Sample sets and masks of both sizes: the tilde, hat and global masks
+    of a 1-D set, a 20x20 global mask and the 6-point tilde mask of a
+    50x50 set."""
+    for resolution, idx in ((100, [22, 30, 41, 57]),
+                            ((20, 20), [45, 52, 168, 230, 301]),
+                            ((50, 50), [1020, 1022, 1070, 1072])):
+        grid = GridDomain.uniform(resolution)
+        x = grid.points[idx].sum(axis=1)
+        s = SampleSet(grid, idx, {0: np.sin(6.0 * x), 1: np.cos(4.0 * x)})
+        for mask in partition_masks(s):
+            if mask.count <= 400:
+                yield s, mask
+
+
+@pytest.mark.parametrize("gather", [False, True])
+def test_gathered_and_evaluated_blocks_give_bitwise_equal_norms(
+        monkeypatch, gather):
+    cases = list(block_path_cases())
+    assert sorted({m.count for _, m in cases})[:1] == [6]
+    # 300 draws span two chunks of _CHUNK = 256
+    want = [interpolating_norms(s, 1, 0.01, CFG, mask, SamplerConfig(),
+                                (5, mask.count), 300)
+            for s, mask in cases]
+    monkeypatch.setattr(rkhs_function, "_gathers", lambda *a: gather)
+    for (s, mask), w in zip(cases, want):
+        got = interpolating_norms(s, 1, 0.01, CFG, mask, SamplerConfig(),
+                                  (5, mask.count), 300)
+        assert np.array_equal(got, w), (mask.label, mask.count)
+
+
+@pytest.mark.parametrize("count", [1, 64, 300])
+def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
+    # every kernel array a call builds, gathered Gram included, is at most
+    # one chunk's tail-tail block (c, T, T)
+    sizes = []
+
+    def spy(x, y, kernel):
+        out = kernel_matrix(x, y, kernel)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(rkhs_function, "kernel_matrix", spy)
+    cfg = SamplerConfig()
+    for s, mask in list(block_path_cases()):
+        sizes.clear()
+        interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (3,), count)
+        num_tail = cfg.num_centers - len(s)
+        assert max(sizes) <= min(count, 256) * num_tail * num_tail
 
 
 def test_gp_mean_norm_equals_weight_expansion_norm():

@@ -279,15 +279,6 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_csv_rows(path):
-    """Round-trip reader: returns (header, rows of string dicts)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [dict(zip(header, row, strict=True)) for row in reader]
-    return header, rows
-
-
 def _versions() -> dict:
     try:
         pkg = importlib.metadata.version("artifact")

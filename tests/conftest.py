@@ -1,8 +1,16 @@
 """Shared test helpers."""
 
+import csv
+
 import numpy as np
 
-from pacsbo.predictor import MlpPredictor
+from pacsbo.predictor import (
+    MlpPredictor,
+    _forward_normalized,
+    _init_layers,
+    _loss_and_gradients,
+)
+from pacsbo.seeding import derive_rng
 
 
 def constant_predictor(value, input_len=100):
@@ -18,3 +26,52 @@ def constant_predictor(value, input_len=100):
         feat_scale=np.ones(input_len),
         final_loss=0.0,
     )
+
+
+def read_csv_rows(path):
+    """Round-trip reader: returns (header, rows of string dicts)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [dict(zip(header, row, strict=True)) for row in reader]
+    return header, rows
+
+
+def gradient_check_error(input_len: int, hidden, seed: int,
+                         batch: int = 5, step: float = 1e-5) -> float:
+    """Norm-relative gap between backprop and central finite differences.
+
+    Builds a random network and batch, then compares the analytic gradient
+    of the training loss against the symmetric difference quotient for
+    every weight and bias. The return value is
+    ||g - g_fd|| / max(||g||, ||g_fd||).
+    """
+    rng = derive_rng(seed, "grad-check")
+    sizes = (input_len,) + tuple(hidden) + (1,)
+    weights, biases = _init_layers(sizes, rng)
+    x = rng.normal(size=(batch, input_len))
+    y = rng.uniform(0.5, 3.0, size=batch)
+
+    _, gw, gb = _loss_and_gradients(weights, biases, x, y)
+    analytic = np.concatenate([g.ravel() for g in gw + gb])
+
+    def loss_at(flat):
+        ws, bs, pos = [], [], 0
+        for w in weights:
+            ws.append(flat[pos:pos + w.size].reshape(w.shape))
+            pos += w.size
+        for b in biases:
+            bs.append(flat[pos:pos + b.size])
+            pos += b.size
+        out, _ = _forward_normalized(ws, bs, x)
+        return float(np.mean((out - y) ** 2))
+
+    theta = np.concatenate([w.ravel() for w in weights]
+                           + [b.ravel() for b in biases])
+    numeric = np.empty_like(theta)
+    for k in range(theta.size):
+        bump = np.zeros_like(theta)
+        bump[k] = step
+        numeric[k] = (loss_at(theta + bump) - loss_at(theta - bump)) / (2 * step)
+    denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
+    return float(np.linalg.norm(analytic - numeric) / denom)

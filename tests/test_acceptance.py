@@ -12,12 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import constant_predictor
+from conftest import constant_predictor, gradient_check_error, read_csv_rows
 from pacsbo.harness import (
     TRAIN_DEFAULTS,
     ExperimentSpec,
     _scenario_defaults,
-    read_csv_rows,
     scenario_compare,
     scenario_fig3,
     scenario_hoeffding,
@@ -35,7 +34,6 @@ from pacsbo.kernel_gp import (
 )
 from pacsbo.pac_estimator import PacConfig
 from pacsbo.pacsbo_loop import GroundTruth, RunConfig, run
-from pacsbo.predictor import gradient_check_error
 from pacsbo.rkhs_function import (
     RkhsFunction,
     SamplerConfig,

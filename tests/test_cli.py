@@ -5,11 +5,10 @@ import logging
 import numpy as np
 import pytest
 import yaml
-from conftest import constant_predictor
+from conftest import constant_predictor, read_csv_rows
 
 from pacsbo import cli
 from pacsbo.cli import main
-from pacsbo.harness import read_csv_rows
 from pacsbo.predictor import load_predictor, save_predictor
 
 

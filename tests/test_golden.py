@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from conftest import constant_predictor
+from conftest import constant_predictor, read_csv_rows
 
 from pacsbo.harness import (
     ExperimentSpec,
@@ -35,7 +35,6 @@ from pacsbo.harness import (
     _scenario_defaults,
     history_rows,
     make_truth,
-    read_csv_rows,
     record_header,
     run_experiment,
     seed_triple,

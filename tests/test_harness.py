@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import constant_predictor
+from conftest import constant_predictor, read_csv_rows
 from pacsbo.errors import ConfigError
 from pacsbo.harness import (
     ExperimentSpec,
     config_hash,
     load_spec,
     make_truth,
-    read_csv_rows,
     run_experiment,
     scenario_fig3,
     scenario_hoeffding,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gradient_check_error
 
 from pacsbo.kernel_gp import GridDomain, KernelConfig
 from pacsbo.predictor import (
@@ -15,7 +16,6 @@ from pacsbo.predictor import (
     append_trace,
     encode_trace,
     generate_training_data,
-    gradient_check_error,
     load_predictor,
     predict_norm,
     save_predictor,

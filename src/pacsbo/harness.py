@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.metadata
+import numbers
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -107,11 +108,11 @@ class ExperimentSpec:
                               f"expected one of {', '.join(SCENARIOS)}")
         if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
+        _check_numbers(self.params, _scenario_defaults(self.scenario))
         if self.scenario == "hoeffding_mc":
-            if int(self.params["replicates"]) < 1:
-                raise ConfigError("replicates must be >= 1")
-            if int(self.params["q"]) < 1:
-                raise ConfigError("q must be >= 1")
+            for key in ("replicates", "q"):
+                if self.params[key] < 1:
+                    raise ConfigError(f"{key} must be >= 1")
             if not self.params["deltas"]:
                 raise ConfigError("deltas list must be nonempty")
         if self.scenario in ("compare_conservative", "compare_optimistic",
@@ -126,6 +127,35 @@ class ExperimentSpec:
         if self.scenario == "synthetic2d":
             if not isinstance(res, (list, tuple)) or len(res) != 2:
                 raise ConfigError("synthetic2d needs a 2-D grid_resolution")
+        if self.scenario == "fig3_thresholds":
+            counts = self.params["sample_counts"]
+            most = min(int(np.prod(res)), self.params["num_centers"] - 1)
+            if not counts or min(counts) < 1 or max(counts) > most:
+                raise ConfigError(f"sample_counts must lie in [1, {most}] (below "
+                                  f"num_centers, at most the grid points): {counts}")
+        try:
+            _pac_config(self.params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+
+def _check_numbers(params: dict, defaults: dict) -> None:
+    """Each param whose default is a number (a list of numbers) must be one
+    (a list of them), integral where the default is; grid_resolution may be
+    either."""
+    for key, value in params.items():
+        want, many = defaults.get(key), isinstance(value, (list, tuple))
+        listed = isinstance(want, list) or key == "grid_resolution"
+        if isinstance(want, list) and not many and key != "grid_resolution":
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        want = want[0] if isinstance(want, list) else want
+        if not isinstance(want, (int, float)):
+            continue
+        for v in value if listed and many else [value]:
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or isinstance(want, int) and not float(v).is_integer()):
+                kind = "an integer" if isinstance(want, int) else "a number"
+                raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 def load_spec(path, out_dir=None, seed=None, threads=None) -> ExperimentSpec:

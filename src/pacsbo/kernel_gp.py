@@ -45,26 +45,19 @@ class KernelConfig:
 
 def pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``x`` (..., m, n) and ``y``
-    (..., p, n), shape (..., m, p); leading axes broadcast.
-
-    The squared coordinate differences are added in coordinate order,
-    ``((d_0^2 + d_1^2) + d_2^2) + ...``, into one (..., m, p) array, the
-    order in which a sum over the last axis of the (..., m, p, n)
-    difference tensor adds them, so the distances are bitwise the same
-    without building that tensor. In 1-D the distance is ``|d_0|``.
-    """
+    (..., p, n), shape (..., m, p); leading axes broadcast. The squared
+    coordinate differences are added in coordinate order, as a sum over the
+    last axis of the difference tensor adds them, so the distances equal
+    that sum's bitwise without building the (..., m, p, n) tensor."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[-1] == 1:
         return np.abs(x[..., :, None, 0] - y[..., None, :, 0])
-    total = None
+    total = 0.0
     for k in range(x.shape[-1]):
         d = x[..., :, None, k] - y[..., None, :, k]
         d *= d
-        if total is None:
-            total = d
-        else:
-            total += d
+        total += d
     return np.sqrt(total, out=total)
 
 

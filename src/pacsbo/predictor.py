@@ -199,8 +199,7 @@ class MlpPredictor:
 
     def forward(self, raw: np.ndarray) -> np.ndarray:
         x = (np.atleast_2d(raw) - self.feat_mean) / self.feat_scale
-        out = _forward_normalized(self.weights, self.biases, x)[0]
-        return out
+        return _forward_normalized(self.weights, self.biases, x)[0]
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

@@ -110,10 +110,8 @@ def sample_random_function(grid: GridDomain, kernel: KernelConfig,
     return RkhsFunction(kernel, grid.points[idx], coeffs)
 
 
-def _draw_interpolation_parts(rng, num_members, noise_std, num_tail,
-                              num_samples):
-    """Random ingredients of one interpolating draw, in a fixed stream
-    order; the tail centers are positions among the region's members."""
+def _draw_interpolation_parts(rng, num_members, noise_std, num_tail, num_samples):
+    """Random ingredients of one interpolating draw, in a fixed stream order."""
     tail_pos = rng.integers(0, num_members, size=num_tail)
     tail_coeffs_u = rng.uniform(-1.0, 1.0, size=num_tail)
     eps = truncated_normal(rng, noise_std, size=num_samples)
@@ -163,8 +161,7 @@ def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
 
 
 def _gathers(num_members: int, chunk: int, num_tail: int) -> bool:
-    """Whether the sampler gathers its kernel blocks from the region Gram:
-    only when that Gram is no larger than one chunk's tail-tail block."""
+    """Whether the region Gram is no larger than a tail-tail block."""
     return num_members * num_members <= chunk * num_tail * num_tail
 
 
@@ -180,15 +177,11 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     called with that stream, so results do not depend on chunking or on
     how callers schedule the work.
 
-    Each chunk needs the sample-tail block (c, N, T) and the tail-tail
-    block (c, T, T) of the kernel. When the Gram of the ``m`` member points
-    of ``mask`` is no larger than the tail-tail block of the first (and
-    largest) chunk, ``m * m <= c * T * T``, the kernel is evaluated once
-    over the members and once between samples and members, and both blocks
-    are gathered from those; otherwise they are evaluated per chunk. Both
-    sources give bitwise-equal blocks, and the gathered sample-tail block
-    is made C-contiguous so that the contractions see the same memory
-    layout, which keeps the norms bitwise equal too.
+    A chunk's sample-tail (c, N, T) and tail-tail (c, T, T) kernel blocks
+    are gathered from the Gram of the ``m`` mask members and the
+    sample-member block when ``m * m <= c * T * T`` for the first (largest)
+    chunk, and evaluated per chunk otherwise. Both give bitwise-equal
+    blocks, and so norms, since the gathered cross block is C-contiguous.
     """
     if len(seed_path) == 0:
         raise ValueError("seed_path must contain at least the base seed")
@@ -200,8 +193,7 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     gram_aa = kernel_matrix(params, params, kernel)
     chol = _chol_with_jitter(gram_aa)
     members = mask.grid.points[region_idx]
-    gather = _gathers(region_idx.shape[0], min(count, _CHUNK), num_tail)
-    if gather:
+    if gather := _gathers(region_idx.shape[0], min(count, _CHUNK), num_tail):
         g_rr = kernel_matrix(members, members, kernel)  # (m, m)
         g_ar = kernel_matrix(params, members, kernel)   # (N, m)
 
@@ -214,11 +206,9 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
         eps = np.empty((c, n))
         for j in range(lo, hi):
             rng = derive_rng(*seed_path, start_index + j)
-            t_pos, t_u, e = _draw_interpolation_parts(
+            tails[j - lo], t_u, eps[j - lo] = _draw_interpolation_parts(
                 rng, region_idx.shape[0], noise_std, num_tail, n)
-            tails[j - lo] = t_pos
             tail_coeffs[j - lo] = cfg.coeff_bound * t_u
-            eps[j - lo] = e
         if gather:
             cross = np.ascontiguousarray(np.moveaxis(g_ar[:, tails], 1, 0))
             k_tt = g_rr[tails[:, :, None], tails[:, None, :]]

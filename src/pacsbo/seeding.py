@@ -26,14 +26,10 @@ def _component(p) -> int:
     return int(p)
 
 
-def child_seed_sequence(seed: int, *path) -> np.random.SeedSequence:
-    """Seed sequence for the stream identified by ``(seed, *path)``."""
-    return np.random.SeedSequence((int(seed),) + tuple(_component(p) for p in path))
-
-
 def derive_rng(seed: int, *path) -> np.random.Generator:
     """Independent generator for the stream identified by ``(seed, *path)``."""
-    return np.random.default_rng(child_seed_sequence(seed, *path))
+    return np.random.default_rng(np.random.SeedSequence(
+        (int(seed),) + tuple(_component(p) for p in path)))
 
 
 def truncated_normal(rng: np.random.Generator, scale: float,

@@ -147,6 +147,27 @@ class TestRunCommand:
         assert "noise_std must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(q_init="many"), "q_init must be an integer"),
+        (dict(num_centers=10.5), "num_centers must be an integer"),
+        (dict(delta="small"), "delta must be a number"),
+        (dict(sample_counts=[5, "ten"]), "sample_counts must be an integer"),
+        (dict(sample_counts=5), "sample_counts must be a list"),
+        (dict(sample_counts=[5, 5000]), "sample_counts"),
+        (dict(sample_counts=[5, 100], num_centers=100), "num_centers"),
+        (dict(sample_counts=[5, 40], grid_resolution=30), "grid points"),
+        (dict(delta=1.5), "delta must be in (0, 1)"),
+    ])
+    def test_malformed_fig3_values_exit_2(self, tmp_path, capsys, bad,
+                                          message):
+        body = dict(scenario="fig3_thresholds", out_dir=str(tmp_path / "o"),
+                    seeds=[0], q_init=30, q_max=60)
+        body.update(bad)
+        cfg = write_config(tmp_path / "f.yaml", body)
+        assert main(["run", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_fig3_prints_thresholds(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "f.yaml",

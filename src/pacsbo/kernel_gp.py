@@ -56,8 +56,7 @@ def pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     total = 0.0
     for k in range(x.shape[-1]):
         d = x[..., :, None, k] - y[..., None, :, k]
-        d *= d
-        total += d
+        total += np.square(d, out=d)
     return np.sqrt(total, out=total)
 
 

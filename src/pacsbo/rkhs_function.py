@@ -193,7 +193,8 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     gram_aa = kernel_matrix(params, params, kernel)
     chol = _chol_with_jitter(gram_aa)
     members = mask.grid.points[region_idx]
-    if gather := _gathers(region_idx.shape[0], min(count, _CHUNK), num_tail):
+    m = len(members)
+    if gather := _gathers(m, min(count, _CHUNK), num_tail):
         g_rr = kernel_matrix(members, members, kernel)  # (m, m)
         g_ar = kernel_matrix(params, members, kernel)   # (N, m)
 
@@ -207,11 +208,11 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
         for j in range(lo, hi):
             rng = derive_rng(*seed_path, start_index + j)
             tails[j - lo], t_u, eps[j - lo] = _draw_interpolation_parts(
-                rng, region_idx.shape[0], noise_std, num_tail, n)
+                rng, m, noise_std, num_tail, n)
             tail_coeffs[j - lo] = cfg.coeff_bound * t_u
         if gather:
             cross = np.ascontiguousarray(np.moveaxis(g_ar[:, tails], 1, 0))
-            k_tt = g_rr[tails[:, :, None], tails[:, None, :]]
+            k_tt = g_rr.ravel()[tails[:, :, None] * m + tails[:, None, :]]
         else:
             tp = members[tails]                       # (c, T, n)
             cross = kernel_matrix(params, tp, kernel)  # (c, N, T)

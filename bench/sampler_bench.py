@@ -13,9 +13,10 @@ alternating parent and change, one process at a time. The output holds:
   mask of a 2-D set on the 50x50 grid and that grid's global mask, with 5
   and with 20 samples; the two trees' norms must be bitwise equal;
 * ``end_to_end``: per workload of ``perfbench/run.py`` (``--seconds 10
-  --trace 0``, seeds 0..pairs-1, parent then change per seed), the median
-  and quartiles of ``wall_s``, ``setup_s`` and ``peak_rss_mb`` per tree and
-  the number of pairs in which the change was lower;
+  --trace 0``, seeds 0..pairs-1, parent first on even seeds and change
+  first on odd ones), the median and quartiles of ``wall_s``, ``setup_s``
+  and ``peak_rss_mb`` per tree and the number of pairs in which the change
+  was lower;
 * ``tier1``: wall time and summary line of the Tier-1 suite per tree.
 
 ``--measure-sampler SRC`` is the per-tree worker: it imports ``pacsbo`` from
@@ -127,7 +128,8 @@ def end_to_end_section(trees, pairs):
     for workload in WORKLOADS:
         runs = {label: [] for label in trees}
         for seed in range(pairs):
-            for label, root in trees.items():
+            order = list(trees.items())
+            for label, root in order if seed % 2 == 0 else order[::-1]:
                 line = _run([sys.executable, "perfbench/run.py", "--workload",
                              workload, "--seed", str(seed), "--seconds", "10",
                              "--trace", "0"], root).strip().splitlines()[-1]

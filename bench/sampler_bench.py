@@ -134,15 +134,14 @@ def end_to_end_section(trees, pairs):
                              workload, "--seed", str(seed), "--seconds", "10",
                              "--trace", "0"], root).strip().splitlines()[-1]
                 runs[label].append(json.loads(line))
-                print(f"{workload} seed {seed} {label}: "
-                      f"{runs[label][-1]['metrics']}", file=sys.stderr)
+                print(workload, seed, label, line, file=sys.stderr)
         entry = {"pairs": pairs,
                  "all_correct": all(r["correct"] for rs in runs.values()
                                     for r in rs),
                  "failed": {k: sum(r["failed"] for r in rs)
                             for k, rs in runs.items()}}
         for metric in METRICS:
-            vals = {k: [r["metrics"][metric] for r in rs]
+            vals = {k: [r["metrics"][metric]["value"] for r in rs]
                     for k, rs in runs.items()}
             entry[metric] = {k: _quartiles(v) for k, v in vals.items()}
             entry[metric]["change_lower_in_pairs"] = sum(

@@ -736,8 +736,7 @@ def load_train_config(path, out_path=None, seed=None) -> dict:
         cfg["seed"] = int(seed)
     if not cfg["out_path"]:
         raise ConfigError(f"{path}: missing required key 'out_path'")
-    if not isinstance(cfg["hidden"], (list, tuple)):
-        raise ConfigError(f"{path}: 'hidden' must be a list of layer sizes")
+    _check_numbers(cfg, TRAIN_DEFAULTS)
     if not float(cfg["noise_std"]) > 0:
         raise ConfigError(f"{path}: noise_std must be positive, got "
                           f"{cfg['noise_std']}")

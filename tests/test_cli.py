@@ -69,6 +69,19 @@ class TestTrainPredictor:
         assert "noise_std must be positive" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(epochs="many"), "epochs must be an integer"),
+        (dict(hidden=[6, "wide"]), "hidden must be an integer"),
+        (dict(step="fast"), "step must be a number"),
+    ])
+    def test_malformed_values_exit_2(self, tmp_path, capsys, bad, message):
+        body = tiny_train_body(tmp_path / "m.json")
+        body.update(bad)
+        cfg = write_config(tmp_path / "t.yaml", body)
+        assert main(["train-predictor", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         body = tiny_train_body(tmp_path / "m.json")
         body["step"] = 1e12

@@ -1,23 +1,28 @@
 """Parent-against-change measurement of the interpolating-norm sampler.
 
     python3 bench/sampler_bench.py --parent DIR --change DIR \
-        --out BENCH_sampler.json [--pairs 10] [--skip-end-to-end] [--skip-tier1]
+        --out BENCH_sampler.json
 
 ``DIR`` is a checkout of the repository (its ``src/``, ``perfbench/`` and
 ``tests/``). Every measurement runs in a fresh process with one BLAS thread,
-alternating parent and change, one process at a time. The output holds:
+one process at a time. The output holds:
 
 * ``sampler``: draws per second of one ``interpolating_norms`` call of
-  ``DRAWS`` draws, the median of ``REPEATS`` calls per tree, on the tilde,
-  hat and global masks of a 1-D set on the 100-point grid, the 6-point tilde
-  mask of a 2-D set on the 50x50 grid and that grid's global mask, with 5
-  and with 20 samples; the two trees' norms must be bitwise equal;
+  ``DRAWS`` draws on the tilde, hat and global masks of a 1-D set on the
+  100-point grid, the 6-point tilde mask of a 2-D set on the 50x50 grid and
+  that grid's global mask, with 5 and with 20 samples. Each of ``ROUNDS``
+  rounds runs one worker process per tree, parent first in even rounds and
+  change first in odd ones; a worker times ``REPEATS`` calls per case and
+  keeps their median. Per tree the rows give the median and quartiles over
+  the rounds, and the number of rounds in which the change was faster; the
+  two trees' norms must be bitwise equal in every round;
 * ``end_to_end``: per workload of ``perfbench/run.py`` (``--seconds 10
-  --trace 0``, seeds 0..pairs-1, parent first on even seeds and change
+  --trace 0``, seeds 0..PAIRS-1, parent first on even seeds and change
   first on odd ones), the median and quartiles of ``wall_s``, ``setup_s``
   and ``peak_rss_mb`` per tree and the number of pairs in which the change
   was lower;
-* ``tier1``: wall time and summary line of the Tier-1 suite per tree.
+* ``tier1``: wall time and summary line of one Tier-1 run per tree, parent
+  first.
 
 ``--measure-sampler SRC`` is the per-tree worker: it imports ``pacsbo`` from
 ``SRC`` and prints the sampler results of that tree as one JSON line.
@@ -34,7 +39,9 @@ import time
 from pathlib import Path
 
 DRAWS = 2048
-REPEATS = 5
+REPEATS = 3
+ROUNDS = 6
+PAIRS = 10
 SAMPLE_COUNTS = (5, 20)
 WORKLOADS = ("thresholds1d", "pacsbo2d", "safeopt2d")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
@@ -97,37 +104,50 @@ def _run(cmd, cwd):
                           text=True, check=True).stdout
 
 
-def sampler_section(trees):
-    runs = {}
-    for label, root in trees.items():
-        runs[label] = json.loads(_run(
-            [sys.executable, str(Path(__file__).resolve()),
-             "--measure-sampler", str(Path(root) / "src")], root)
-            .strip().splitlines()[-1])
-    rows = []
-    for p, c in zip(runs["parent"], runs["change"]):
-        assert p["case"] == c["case"] and p["samples"] == c["samples"]
-        if p["norms_sha256"] != c["norms_sha256"]:
-            raise SystemExit(f"norms differ on {p['case']}, {p['samples']}")
-        rows.append(dict(case=p["case"], samples=p["samples"],
-                         mask_points=p["mask_points"], draws=DRAWS,
-                         parent_draws_per_s=round(DRAWS / p["seconds"]),
-                         change_draws_per_s=round(DRAWS / c["seconds"]),
-                         speedup=round(p["seconds"] / c["seconds"], 2),
-                         norms_bitwise_equal=True))
-    return rows
-
-
-def _quartiles(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+def _quartiles(values, digits=None):
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = (v if digits is None else round(v, digits) for v in q)
     return dict(median=med, q1=q1, q3=q3)
 
 
-def end_to_end_section(trees, pairs):
+def sampler_section(trees):
+    rounds = []
+    for r in range(ROUNDS):
+        order = list(trees.items())
+        runs = {}
+        for label, root in order if r % 2 == 0 else order[::-1]:
+            runs[label] = json.loads(_run(
+                [sys.executable, str(Path(__file__).resolve()),
+                 "--measure-sampler", str(Path(root) / "src")], root)
+                .strip().splitlines()[-1])
+        for p, c in zip(runs["parent"], runs["change"]):
+            assert p["case"] == c["case"] and p["samples"] == c["samples"]
+            if p["norms_sha256"] != c["norms_sha256"]:
+                raise SystemExit(f"norms differ on {p['case']}, "
+                                 f"{p['samples']}")
+        rounds.append(runs)
+    rows = []
+    for k, p in enumerate(rounds[0]["parent"]):
+        rate = {label: [DRAWS / runs[label][k]["seconds"] for runs in rounds]
+                for label in trees}
+        row = dict(case=p["case"], samples=p["samples"],
+                   mask_points=p["mask_points"], draws=DRAWS, rounds=ROUNDS)
+        row.update({f"{label}_draws_per_s": _quartiles(v, 0)
+                    for label, v in rate.items()})
+        row["speedup"] = round(row["change_draws_per_s"]["median"]
+                               / row["parent_draws_per_s"]["median"], 2)
+        row["change_faster_in_rounds"] = sum(
+            c > p for p, c in zip(rate["parent"], rate["change"]))
+        row["norms_bitwise_equal"] = True
+        rows.append(row)
+    return rows
+
+
+def end_to_end_section(trees):
     out = {}
     for workload in WORKLOADS:
         runs = {label: [] for label in trees}
-        for seed in range(pairs):
+        for seed in range(PAIRS):
             order = list(trees.items())
             for label, root in order if seed % 2 == 0 else order[::-1]:
                 line = _run([sys.executable, "perfbench/run.py", "--workload",
@@ -135,7 +155,7 @@ def end_to_end_section(trees, pairs):
                              "--trace", "0"], root).strip().splitlines()[-1]
                 runs[label].append(json.loads(line))
                 print(workload, seed, label, line, file=sys.stderr)
-        entry = {"pairs": pairs,
+        entry = {"pairs": PAIRS,
                  "all_correct": all(r["correct"] for rs in runs.values()
                                     for r in rs),
                  "failed": {k: sum(r["failed"] for r in rs)
@@ -185,9 +205,6 @@ def main(argv=None):
     ap.add_argument("--parent")
     ap.add_argument("--change")
     ap.add_argument("--out")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--skip-end-to-end", action="store_true")
-    ap.add_argument("--skip-tier1", action="store_true")
     args = ap.parse_args(argv)
     if args.measure_sampler:
         return measure_sampler(args.measure_sampler)
@@ -201,11 +218,9 @@ def main(argv=None):
                           "python": platform.python_version(),
                           "numpy": numpy.__version__,
                           "scipy": scipy.__version__},
-              "sampler": sampler_section(trees)}
-    if not args.skip_end_to_end:
-        result["end_to_end"] = end_to_end_section(trees, args.pairs)
-    if not args.skip_tier1:
-        result["tier1"] = tier1_section(trees)
+              "sampler": sampler_section(trees),
+              "end_to_end": end_to_end_section(trees),
+              "tier1": tier1_section(trees)}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
 
 

@@ -142,9 +142,10 @@ class ExperimentSpec:
 def _check_numbers(params: dict, defaults: dict) -> None:
     """Each param whose default is a number (a list of numbers) must be one
     (a list of them), integral where the default is; grid_resolution may be
-    either."""
+    either, and f_g a number or null."""
     for key, value in params.items():
-        want, many = defaults.get(key), isinstance(value, (list, tuple))
+        want = 0.0 if key == "f_g" and value is not None else defaults.get(key)
+        many = isinstance(value, (list, tuple))
         listed = isinstance(want, list) or key == "grid_resolution"
         if isinstance(want, list) and not many and key != "grid_resolution":
             raise ConfigError(f"{key} must be a list, got {value!r}")

@@ -46,9 +46,9 @@ class KernelConfig:
 def pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``x`` (..., m, n) and ``y``
     (..., p, n), shape (..., m, p); leading axes broadcast. The squared
-    coordinate differences are added in coordinate order, as a sum over the
-    last axis of the difference tensor adds them, so the distances equal
-    that sum's bitwise without building the (..., m, p, n) tensor."""
+    coordinate differences are added in coordinate order, without the
+    (..., m, p, n) difference tensor; below 8 coordinates (here at most 3)
+    that equals numpy's sum over the tensor's last axis bitwise."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[-1] == 1:

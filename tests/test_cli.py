@@ -139,6 +139,17 @@ class TestRunCommand:
         assert any("jitter" in r.getMessage() for r in caplog.records)
         assert capsys.readouterr().err == ""
 
+    def test_non_numeric_threshold_exits_2(self, tmp_path, capsys):
+        pred = tmp_path / "pred.json"
+        save_predictor(constant_predictor(3.0), pred)
+        cfg = write_config(tmp_path / "c.yaml", dict(
+            scenario="compare_conservative", out_dir=str(tmp_path / "out"),
+            seeds=[0], budget=4, q_init=20, q_max=40, f_g="high",
+            predictor_path=str(pred)))
+        assert main(["run", "--config", cfg]) == 2
+        assert "f_g must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_yaml_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("scenario: [oops\n")

@@ -139,17 +139,6 @@ class TestRunCommand:
         assert any("jitter" in r.getMessage() for r in caplog.records)
         assert capsys.readouterr().err == ""
 
-    def test_non_numeric_threshold_exits_2(self, tmp_path, capsys):
-        pred = tmp_path / "pred.json"
-        save_predictor(constant_predictor(3.0), pred)
-        cfg = write_config(tmp_path / "c.yaml", dict(
-            scenario="compare_conservative", out_dir=str(tmp_path / "out"),
-            seeds=[0], budget=4, q_init=20, q_max=40, f_g="high",
-            predictor_path=str(pred)))
-        assert main(["run", "--config", cfg]) == 2
-        assert "f_g must be a number" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_bad_yaml_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("scenario: [oops\n")
@@ -181,6 +170,7 @@ class TestRunCommand:
         (dict(sample_counts=[5, 100], num_centers=100), "num_centers"),
         (dict(sample_counts=[5, 40], grid_resolution=30), "grid points"),
         (dict(delta=1.5), "delta must be in (0, 1)"),
+        (dict(f_g="high"), "f_g must be a number"),
     ])
     def test_malformed_fig3_values_exit_2(self, tmp_path, capsys, bad,
                                           message):

@@ -1,7 +1,8 @@
 """Golden outputs of tiny seeded runs.
 
 The files under ``tests/data/golden`` hold the CSV outputs of six tiny
-runs: a conservative comparison (both algorithms, two seeds), a 2-D run on
+runs: a conservative comparison (both algorithms, two seeds, GP snapshots
+at iterations 1, 3 and 4), a 2-D run on
 a 15x15 grid, a fixed-bound 2-D run on a 50x50 grid whose safe set grows
 (once per expander candidate set), a predictor training set, an
 accepted-bound study (two seeds, 5 and 20 samples), and the norms of 64
@@ -72,8 +73,10 @@ def produce(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_predictor(constant_predictor(3.0), pred)
 
+    # snapshots at the first, a middle and the last iteration of the budget
     params = _scenario_defaults("compare_conservative")
-    params.update(budget=4, predictor_path=str(pred), **TINY_BUDGET)
+    params.update(budget=4, predictor_path=str(pred),
+                  snapshot_iterations=[1, 3, 4], **TINY_BUDGET)
     run_experiment(ExperimentSpec("compare_conservative",
                                   str(out / "compare_conservative"),
                                   (0, 1), params))

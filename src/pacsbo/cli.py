@@ -77,7 +77,11 @@ def _dispatch(args) -> int:
 
     out = _env_override(args.out, "PACSBO_OUT")
     threads = _env_override(args.threads, "PACSBO_THREADS")
-    threads = int(threads) if threads is not None else None
+    try:
+        threads = int(threads) if threads is not None else None
+    except ValueError:
+        raise ConfigError(f"PACSBO_THREADS must be an integer, got "
+                          f"{threads!r}") from None
     spec = load_spec(args.config, out_dir=out, seed=args.seed,
                      threads=threads)
     expected = {"hoeffding-mc": "hoeffding_mc", "synthetic2d": "synthetic2d"}

@@ -33,13 +33,11 @@ from .kernel_gp import (
 )
 from .pac_estimator import PacConfig, estimate_upper_bound, hoeffding_width
 from .pacsbo_loop import (
-    CHANNELS,
     PARTITION_ORDER,
     GroundTruth,
     RunConfig,
     RunHistory,
-    _initial_state,
-    regions,
+    Snapshot,
     run,
 )
 from .predictor import (
@@ -56,7 +54,6 @@ from .rkhs_function import (
     sample_random_function,
     scale_to_norm,
 )
-from .safeopt_core import select
 from .seeding import derive_rng
 from .subdomain import global_mask, partition_masks
 
@@ -86,7 +83,6 @@ def _scenario_defaults(scenario: str) -> dict:
                                    opt_fraction=0.9,
                                    s0_placement="far"),
         "synthetic2d": dict(grid_resolution=[50, 50], budget=15,
-                            snapshot_iterations=[15],
                             s0_placement="argmax"),
         "hoeffding_mc": dict(replicates=500, q=200, deltas=[0.1, 0.5]),
     }
@@ -428,46 +424,26 @@ def snapshot_header(dim: int) -> list:
     return cols
 
 
-def replay_snapshots(cfg: RunConfig, truth: GroundTruth,
-                     history: RunHistory, iterations) -> dict:
-    """Recompute the reward-channel confidence fields at chosen iterations.
-
-    Snapshot ``t`` is the classification state the loop saw while picking
-    its ``t``-th sample: :func:`select` rerun on the posterior of the prior
-    measurements with the recorded norm bounds of that iteration. Returns
-    {t: rows} keyed by the one-based iteration number.
-    """
-    wanted = {int(t) for t in iterations}
-    out = {}
-    samples = _initial_state(cfg, truth).samples
-    for rec in history.records:
-        t = rec.iteration + 1
-        if t in wanted:
-            posts = {i: gp_fit(samples, i, cfg.noise_std, cfg.kernel)
-                     for i in CHANNELS}
-            mu = gp_predict(posts[0], cfg.grid.points)[0]
-            bounds = {label: dict(zip(CHANNELS, st.channel_bounds))
-                      for label, st in rec.partitions.items()}
-            _, _, states = select(posts, bounds, regions(cfg, samples),
-                                  cfg.s0_indices, cfg.noise_std, cfg.delta,
-                                  cfg.exact_expanders)
-            sampled = np.zeros(cfg.grid.num_points, dtype=bool)
-            sampled[list(samples.indices)] = True
-            rows = []
-            for j in range(cfg.grid.num_points):
-                row = [f"{c:.10g}" for c in np.atleast_1d(cfg.grid.points[j])]
-                row += [int(sampled[j]), f"{mu[j]:.10g}"]
-                for label in PARTITION_ORDER:
-                    if label in states:
-                        field = states[label].field
-                        row += [f"{field.lower[0][j]:.10g}",
-                                f"{field.upper[0][j]:.10g}"]
-                    else:
-                        row += ["", ""]
-                rows.append(row)
-            out[t] = rows
-        samples = samples.append(rec.chosen, rec.measured)
-    return out
+def snapshot_rows(grid: GridDomain, snapshot: Snapshot) -> list:
+    """One row per grid point: whether it was sampled, the reward posterior
+    mean, and each region's reward-channel bounds, as the step that chose
+    the snapshot's sample saw them."""
+    mu = gp_predict(snapshot.reward, grid.points)[0]
+    sampled = np.zeros(grid.num_points, dtype=bool)
+    sampled[list(snapshot.sampled)] = True
+    rows = []
+    for j in range(grid.num_points):
+        row = [f"{c:.10g}" for c in np.atleast_1d(grid.points[j])]
+        row += [int(sampled[j]), f"{mu[j]:.10g}"]
+        for label in PARTITION_ORDER:
+            field = snapshot.fields.get(label)
+            if field is None:
+                row += ["", ""]
+            else:
+                row += [f"{field.lower[0][j]:.10g}",
+                        f"{field.upper[0][j]:.10g}"]
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +541,11 @@ def _iters_to_fraction(history: RunHistory, target: float):
     return None
 
 
-def _run_seeds(spec: ExperimentSpec, algorithms) -> tuple:
+def _run_seeds(spec: ExperimentSpec, algorithms,
+               snapshot_iterations=()) -> tuple:
     """Per seed: truth, start triple, one run per algorithm, and its records
     CSV. Returns the files written and the per-seed
-    ``(seed, truth, {algorithm: (cfg, history)})`` outputs."""
+    ``(seed, truth, {algorithm: history})`` outputs."""
     params = spec.params
     grid = _grid_for(params)
     kernel = _kernel_for(params)
@@ -580,14 +557,14 @@ def _run_seeds(spec: ExperimentSpec, algorithms) -> tuple:
         for algorithm in algorithms:
             maker = _pacsbo_config if algorithm == "pacsbo" \
                 else _safeopt_config
-            cfg = maker(params, grid, kernel, s0, seed)
-            runs[algorithm] = (cfg, run(cfg, truth))
+            runs[algorithm] = run(maker(params, grid, kernel, s0, seed),
+                                  truth, snapshot_iterations)
         return seed, truth, runs
 
     outputs = _map_seeds(one_seed, spec)
     files = []
     for seed, _, runs in outputs:
-        for algorithm, (_, history) in runs.items():
+        for algorithm, history in runs.items():
             path = Path(spec.out_dir) / f"records_{algorithm}_seed{seed}.csv"
             write_csv(path, record_header(grid.dim),
                       history_rows(seed, algorithm, grid, history))
@@ -617,18 +594,18 @@ def scenario_compare(spec: ExperimentSpec) -> dict:
     params = spec.params
     out = Path(spec.out_dir)
     grid = _grid_for(params)
-    files, outputs = _run_seeds(spec, ("pacsbo", "safeopt"))
+    files, outputs = _run_seeds(spec, ("pacsbo", "safeopt"),
+                                params["snapshot_iterations"])
     summary_rows = []
     frac = float(params["opt_fraction"])
     for seed, truth, runs in outputs:
         optimum = _true_safe_optimum(truth, grid)
-        for algorithm, (cfg, history) in runs.items():
-            snaps = replay_snapshots(cfg, truth, history,
-                                     params["snapshot_iterations"])
-            for t, rows in snaps.items():
+        for algorithm, history in runs.items():
+            for t, snapshot in history.snapshots.items():
                 spath = out / "snapshots" / \
                     f"{algorithm}_seed{seed}_iter{t}.csv"
-                write_csv(spath, snapshot_header(grid.dim), rows)
+                write_csv(spath, snapshot_header(grid.dim),
+                          snapshot_rows(grid, snapshot))
                 files.append(spath)
             reached = _iters_to_fraction(history, frac * optimum)
             summary_rows.append(
@@ -643,27 +620,24 @@ def scenario_synthetic2d(spec: ExperimentSpec) -> dict:
     """2-D run with the explored-region dump after the final iteration."""
     files, outputs = _run_seeds(spec, ("pacsbo",))
     summary_rows = []
-    for seed, truth, runs in outputs:
-        cfg, history = runs["pacsbo"]
+    for seed, _, runs in outputs:
+        history = runs["pacsbo"]
         epath = Path(spec.out_dir) / f"explored_seed{seed}.csv"
         write_csv(epath, ["x0", "x1", "sampled", "tilde", "hat"],
-                  _explored_rows(cfg, truth, history))
+                  _explored_rows(history.samples))
         files.append(epath)
         summary_rows.append(_summary_row(seed, "pacsbo", history)
-                            + [len(history.records) + len(cfg.s0_indices)])
+                            + [len(history.samples)])
     return _write_summary(spec, files, ["total_samples"], summary_rows)
 
 
-def _explored_rows(cfg, truth, history):
-    samples = _initial_state(cfg, truth).samples
-    for rec in history.records:
-        samples = samples.append(rec.chosen, rec.measured)
+def _explored_rows(samples: SampleSet) -> list:
     tilde, hat, _ = partition_masks(samples)
-    sampled = np.zeros(cfg.grid.num_points, dtype=bool)
+    sampled = np.zeros(samples.grid.num_points, dtype=bool)
     sampled[list(samples.indices)] = True
     rows = []
-    for j in range(cfg.grid.num_points):
-        x = cfg.grid.points[j]
+    for j in range(samples.grid.num_points):
+        x = samples.grid.points[j]
         rows.append([f"{x[0]:.10g}", f"{x[1]:.10g}", int(sampled[j]),
                      int(tilde.member[j]), int(hat.member[j])])
     return rows

@@ -18,10 +18,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import ConfigError
 from .kernel_gp import (
+    GpPosterior,
     GridDomain,
     KernelConfig,
     SampleSet,
@@ -122,11 +121,24 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
+class Snapshot:
+    """What the step that chose a sample saw, before measuring it: the
+    sampled grid indices, the reward posterior and each region's
+    :class:`~pacsbo.safeopt_core.ConfidenceField` as ``select`` returned
+    it."""
+
+    sampled: tuple
+    reward: GpPosterior
+    fields: dict  # label -> ConfidenceField
+
+
+@dataclass(frozen=True)
 class RunHistory:
     records: tuple
     status: str  # "completed" | "stalled"
-    best_index: int
     best_reward: float
+    samples: SampleSet = field(compare=False)  # the final set
+    snapshots: dict = field(compare=False)  # iteration t -> Snapshot
 
     def __len__(self) -> int:
         return len(self.records)
@@ -163,17 +175,13 @@ def _initial_state(cfg: RunConfig, truth: GroundTruth) -> LoopState:
     return LoopState(samples, traces, 0)
 
 
-def _best_safe(samples: SampleSet):
+def _best_safe(samples: SampleSet) -> float:
     """Best measured reward among parameters whose constraint measurement
-    came back nonnegative; (-1, nan) before any does."""
-    rewards = samples.targets(0)
-    constraints = samples.targets(1)
-    ok = constraints >= 0.0
+    came back nonnegative; nan before any does."""
+    ok = samples.targets(1) >= 0.0
     if not ok.any():
-        return -1, float("nan")
-    rewards = np.where(ok, rewards, -np.inf)
-    k = int(np.argmax(rewards))
-    return samples.indices[k], float(rewards[k])
+        return float("nan")
+    return float(samples.targets(0)[ok].max())
 
 
 def regions(cfg: RunConfig, samples: SampleSet) -> dict:
@@ -187,8 +195,8 @@ def regions(cfg: RunConfig, samples: SampleSet) -> dict:
 
 
 def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
-    """One iteration of either algorithm: (state', record), or (None, None)
-    when no region offers a candidate.
+    """One iteration of either algorithm: (state', record, snapshot), or
+    (None, None, None) when no region offers a candidate.
 
     The main loop pushes the current (mean norm, reciprocal covariance) pair
     onto each region's trace and estimates a bound per region and channel;
@@ -222,7 +230,7 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
                                    cfg.s0_indices, cfg.noise_std, cfg.delta,
                                    cfg.exact_expanders)
     if choice is None:
-        return None, None  # stalled
+        return None, None, None  # stalled
     stats = {lab: PartitionStats(
         channel_bounds=tuple(bounds[lab][i] for i in CHANNELS),
         q_used=max(results[lab, i].q_used for i in CHANNELS),
@@ -236,23 +244,31 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     measured = _measure(truth, cfg.grid, choice, cfg.noise_std, rng)
     samples = state.samples.append(choice, measured)
     unsafe = truth.value(cfg.grid, choice, 1) < 0.0
-    _, best_reward = _best_safe(samples)
     record = IterationRecord(state.iteration, choice, label, measured, stats,
-                             best_reward, unsafe, time.monotonic() - t0)
-    return LoopState(samples, traces, state.iteration + 1), record
+                             _best_safe(samples), unsafe,
+                             time.monotonic() - t0)
+    snapshot = Snapshot(state.samples.indices, posteriors[0],
+                        {lab: st.field for lab, st in states.items()})
+    return LoopState(samples, traces, state.iteration + 1), record, snapshot
 
 
-def run(cfg: RunConfig, truth: GroundTruth) -> RunHistory:
-    """Run the configured algorithm for its iteration budget."""
+def run(cfg: RunConfig, truth: GroundTruth,
+        snapshot_iterations=()) -> RunHistory:
+    """Run the configured algorithm for its iteration budget, keeping the
+    :class:`Snapshot` of each one-based iteration in ``snapshot_iterations``
+    only: on a 50x50 grid every iteration's would cost about 0.25 MB."""
+    wanted = {int(t) for t in snapshot_iterations}
     state = _initial_state(cfg, truth)
-    records = []
+    records, snapshots = [], {}
     status = "completed"
-    for _ in range(cfg.budget):
-        nxt, record = pacsbo_step(cfg, state, truth)
+    for t in range(1, cfg.budget + 1):
+        nxt, record, snapshot = pacsbo_step(cfg, state, truth)
         if record is None:
             status = "stalled"
             break
         state = nxt
         records.append(record)
-    best_index, best_reward = _best_safe(state.samples)
-    return RunHistory(tuple(records), status, best_index, best_reward)
+        if t in wanted:
+            snapshots[t] = snapshot
+    return RunHistory(tuple(records), status, _best_safe(state.samples),
+                      state.samples, snapshots)

@@ -182,6 +182,21 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("snapshot_iterations", [15]),
+        ("fixed_bound", 2.0),
+    ])
+    def test_synthetic2d_rejects_comparison_keys(self, tmp_path, capsys,
+                                                 key, value):
+        cfg = write_config(
+            tmp_path / "s.yaml",
+            {"scenario": "synthetic2d", "out_dir": str(tmp_path / "o"),
+             "grid_resolution": [15, 15], "budget": 1,
+             "predictor_path": str(tmp_path / "absent.json"), key: value})
+        assert main(["synthetic2d", "--config", cfg]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_fig3_prints_thresholds(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "f.yaml",
@@ -231,3 +246,11 @@ class TestOverridePrecedence:
         assert main(["run", "--config", cfg]) == 0
         _, rows = read_csv_rows(tmp_path / "o" / "thresholds.csv")
         assert [r["seed"] for r in rows] == ["0", "1"]
+
+    def test_env_threads_not_an_integer_exits_2(self, tmp_path, monkeypatch,
+                                                capsys):
+        cfg = write_config(tmp_path / "h.yaml", hoeffding_body(tmp_path / "o"))
+        monkeypatch.setenv("PACSBO_THREADS", "abc")
+        assert main(["run", "--config", cfg]) == 2
+        assert "PACSBO_THREADS must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -2,8 +2,8 @@
 
 The files under ``tests/data/golden`` hold the CSV outputs of six tiny
 runs: a conservative comparison (both algorithms, two seeds, GP snapshots
-at iterations 1, 3 and 4), a 2-D run on
-a 15x15 grid, a fixed-bound 2-D run on a 50x50 grid whose safe set grows
+at iterations 1, 3 and 4), a 2-D run on a 15x15 grid, a fixed-bound 2-D
+run on a 50x50 grid whose safe set grows
 (once per expander candidate set), a predictor training set, an
 accepted-bound study (two seeds, 5 and 20 samples), and the norms of 64
 interpolating draws per channel on the tilde, hat and global regions of a

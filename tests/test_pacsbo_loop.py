@@ -201,7 +201,7 @@ class TestPacsboRun:
         cls.grid = GridDomain.uniform(30)
         cls.truth, cls.s0 = make_truth(cls.grid, seed=2)
         cls.cfg = pacsbo_config(cls.grid, cls.s0, budget=3, seed=1)
-        cls.hist = run(cls.cfg, cls.truth)
+        cls.hist = run(cls.cfg, cls.truth, snapshot_iterations=(1, 2, 3))
 
     def test_completes_with_all_partitions(self):
         assert self.hist.status == "completed"
@@ -241,28 +241,32 @@ class TestPacsboRun:
             assert rec.best_safe_reward == pytest.approx(
                 rewards[ok].max(), abs=0)
 
+    def replay_states(self, samples, rec):
+        """Posteriors and per-region states of one iteration, classified
+        again from its recorded bounds."""
+        posts = {i: gp_fit(samples, i, self.cfg.noise_std, KER)
+                 for i in CHANNELS}
+        tilde, hat, glob = partition_masks(samples)
+        states = {}
+        for mask in (tilde, hat, glob):
+            bounds = rec.partitions[mask.label].channel_bounds
+            betas = {i: beta_scale(bounds[k], self.cfg.noise_std,
+                                   info_gain(posts[i]), self.cfg.delta)
+                     for k, i in enumerate(CHANNELS)}
+            states[mask.label] = compute_state(posts, betas, mask,
+                                               self.cfg.s0_indices)
+        return posts, states
+
     def test_chosen_point_was_a_candidate(self):
         """Replaying each iteration's classification from the recorded
         bounds must find the evaluated point among that partition's
         candidates, with the acquisition rule picking exactly it."""
         prefixes = self.replay_samples()
         for t, rec in enumerate(self.hist.records):
-            samples = prefixes[t]
-            posts = {i: gp_fit(samples, i, self.cfg.noise_std, KER)
-                     for i in CHANNELS}
-            tilde, hat, glob = partition_masks(samples)
-            masks = {"tilde": tilde, "hat": hat, "global": glob}
+            _, states = self.replay_states(prefixes[t], rec)
             picks = {}
-            for label, mask in masks.items():
+            for label, st in states.items():
                 st_rec = rec.partitions[label]
-                betas = {
-                    i: beta_scale(st_rec.channel_bounds[k],
-                                  self.cfg.noise_std, info_gain(posts[i]),
-                                  self.cfg.delta)
-                    for k, i in enumerate(CHANNELS)
-                }
-                st = compute_state(posts, betas, mask,
-                                   self.cfg.s0_indices)
                 assert st.safe.sum() == st_rec.safe_count
                 assert st.maximizer_set.sum() == st_rec.maximizer_count
                 assert st.expander_set.sum() == st_rec.expander_count
@@ -275,6 +279,27 @@ class TestPacsboRun:
             assert chosen == rec.chosen
             assert width == max(w for _, w in picks.values())
 
+    def test_snapshots_match_the_replayed_classification(self):
+        """Snapshot t holds the sample set, reward posterior and per-region
+        reward bounds of the step that chose sample t, bit for bit (NaN
+        included) as a replay from the recorded bounds gives them."""
+        prefixes = self.replay_samples()
+        assert sorted(self.hist.snapshots) == [1, 2, 3]
+        for t, snap in self.hist.snapshots.items():
+            samples, rec = prefixes[t - 1], self.hist.records[t - 1]
+            posts, states = self.replay_states(samples, rec)
+            assert snap.sampled == samples.indices
+            assert snap.reward.weights.tobytes() == posts[0].weights.tobytes()
+            assert list(snap.fields) == list(states)
+            for label, st in states.items():
+                got = snap.fields[label]
+                assert got.lower[0].tobytes() == st.field.lower[0].tobytes()
+                assert got.upper[0].tobytes() == st.field.upper[0].tobytes()
+        assert self.hist.samples.indices == prefixes[-1].indices
+        for i in CHANNELS:
+            assert (self.hist.samples.targets(i).tobytes()
+                    == prefixes[-1].targets(i).tobytes())
+
 
 def test_global_trace_r_nondecreasing():
     grid = GridDomain.uniform(25)
@@ -282,7 +307,7 @@ def test_global_trace_r_nondecreasing():
     cfg = pacsbo_config(grid, s0, budget=4, seed=6)
     state = _initial_state(cfg, truth)
     for _ in range(cfg.budget):
-        state, rec = pacsbo_step(cfg, state, truth)
+        state, rec, _ = pacsbo_step(cfg, state, truth)
         assert rec is not None
     for i in CHANNELS:
         trace = state.traces[("global", i)]
@@ -293,18 +318,36 @@ def test_global_trace_r_nondecreasing():
             assert len(state.traces[(label, i)].pairs) == cfg.budget
 
 
-def test_stalled_run(monkeypatch):
+def stalled_run(monkeypatch, picks):
+    """Baseline run whose acquisition finds nothing after ``picks``
+    samples, asking for a snapshot at every iteration of its budget."""
     grid = GridDomain.uniform(20)
     truth, s0 = make_truth(grid, seed=8)
     cfg = RunConfig(grid=grid, kernel=KER, s0_indices=(s0,),
                     algorithm="safeopt", fixed_bound=1.0, budget=5, seed=0)
-    monkeypatch.setattr(core_mod, "acquire", lambda field, cand: None)
-    hist = run(cfg, truth)
+    real, calls = core_mod.acquire, []
+
+    def acquire(field, candidates):
+        calls.append(None)
+        return real(field, candidates) if len(calls) <= picks else None
+
+    monkeypatch.setattr(core_mod, "acquire", acquire)
+    return cfg, truth, run(cfg, truth, snapshot_iterations=range(1, 6))
+
+
+def test_stalled_run(monkeypatch):
+    cfg, truth, hist = stalled_run(monkeypatch, 0)
     assert hist.status == "stalled"
-    assert len(hist) == 0
-    # seeds were still measured, so the best safe value is defined
-    assert np.isfinite(hist.best_reward)
-    assert hist.best_index == s0
+    assert len(hist) == 0 and hist.snapshots == {}
+    # the seed was still measured, so the best safe value is its reward
+    assert hist.best_reward == _initial_state(cfg, truth).samples.targets(0)[0]
+
+
+def test_stalled_run_keeps_no_snapshot_past_its_last_record(monkeypatch):
+    _, _, hist = stalled_run(monkeypatch, 2)
+    assert hist.status == "stalled" and len(hist) == 2
+    assert sorted(hist.snapshots) == [1, 2]
+    assert len(hist.samples) == 3
 
 
 def test_history_helpers():
@@ -317,8 +360,9 @@ def test_history_helpers():
                                                       1, 1, 0)},
                             1.0, False, 99.0)
     assert rec == other  # wall time never affects history comparison
-    hist = RunHistory((rec,), "completed", 3, 1.0)
+    hist = RunHistory((rec,), "completed", 1.0, None, {})
     assert len(hist) == 1 and not hist.any_unsafe()
     unsafe = IterationRecord(1, 4, "tilde", {0: 0.1, 1: -0.2},
                              rec.partitions, 1.0, True, 0.0)
-    assert RunHistory((rec, unsafe), "completed", 3, 1.0).any_unsafe()
+    assert RunHistory((rec, unsafe), "completed", 1.0, None,
+                      {}).any_unsafe()

@@ -4,21 +4,24 @@
 
 ``CHECKOUT`` is a checkout of the repository; its ``src/`` is imported.
 ``OUT`` must not exist yet. The script trains a small predictor and runs
-each loop scenario against it through ``python -m pacsbo.cli``, one
-process at a time with one BLAS thread:
+every scenario, the loop scenarios against that predictor, through
+``python -m pacsbo.cli``, one process at a time with one BLAS thread:
 
 * ``predictor.json`` (and its report): q_train 12, rollout_iters 10,
   epochs 40;
 * ``fig3_thresholds``: seeds 0 and 1;
-* ``compare_conservative``: seeds 0, 1 and 3, budget 8;
-* ``compare_optimistic``: seeds 0 and 1, budget 8;
+* ``compare_conservative``: seeds 0, 1 and 3, budget 8, a snapshot at
+  iteration 3;
+* ``compare_optimistic``: seeds 0 and 1, budget 8, a snapshot at
+  iteration 3;
 * ``synthetic2d``: seed 0 on a 30x30 grid, budget 5;
+* ``hoeffding_mc``: seed 0, 50 replicates of 20 draws;
 
-all with q_init 50 and q_max 200, everything else at its default. The
-commands run inside ``OUT`` with relative paths, so the manifests and
-config hashes do not depend on where ``OUT`` is, and two checkouts that
-produce the same numbers give trees that ``diff -r`` finds equal. The
-config files go to a temporary directory, not into ``OUT``.
+all but ``hoeffding_mc`` with q_init 50 and q_max 200, everything else at
+its default. The commands run inside ``OUT`` with relative paths, so the
+manifests and config hashes do not depend on where ``OUT`` is, and two
+checkouts that produce the same numbers give trees that ``diff -r`` finds
+equal. The config files go to a temporary directory, not into ``OUT``.
 """
 import argparse
 import os
@@ -30,16 +33,17 @@ from pathlib import Path
 import yaml
 
 Q = dict(q_init=50, q_max=200)
+LOOP = dict(budget=8, snapshot_iterations=[3],
+            predictor_path="predictor.json", **Q)
 TRAIN = dict(out_path="predictor.json", q_train=12, rollout_iters=10,
              epochs=40)
 SCENARIOS = {
     "fig3_thresholds": dict(seeds=[0, 1], **Q),
-    "compare_conservative": dict(seeds=[0, 1, 3], budget=8,
-                                 predictor_path="predictor.json", **Q),
-    "compare_optimistic": dict(seeds=[0, 1], budget=8,
-                               predictor_path="predictor.json", **Q),
+    "compare_conservative": dict(seeds=[0, 1, 3], **LOOP),
+    "compare_optimistic": dict(seeds=[0, 1], **LOOP),
     "synthetic2d": dict(seeds=[0], grid_resolution=[30, 30], budget=5,
                         predictor_path="predictor.json", **Q),
+    "hoeffding_mc": dict(seeds=[0], replicates=50, q=20),
 }
 ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                "MKL_NUM_THREADS")}

@@ -41,7 +41,6 @@ from .pacsbo_loop import (
     run,
 )
 from .predictor import (
-    NormTrace,
     RolloutConfig,
     TrainHyper,
     generate_training_data,
@@ -61,9 +60,12 @@ SCHEMA_VERSION = 1
 S0_MARGIN = 0.1  # least true constraint value of a start-set point
 SCENARIOS = ("fig3_thresholds", "compare_conservative", "compare_optimistic",
              "synthetic2d", "hoeffding_mc")
+COMPARISONS = ("compare_conservative", "compare_optimistic")
 
 
 def _scenario_defaults(scenario: str) -> dict:
+    if scenario == "hoeffding_mc":
+        return dict(replicates=500, q=200, deltas=[0.1, 0.5], threads=1)
     common = dict(lengthscale=0.1, noise_std=0.01, delta=0.1,
                   norm_target=2.0, safe_fraction=0.6, f_g=None,
                   num_centers=100, alpha_bar=1.0, q_init=500, q_max=5000,
@@ -84,7 +86,6 @@ def _scenario_defaults(scenario: str) -> dict:
                                    s0_placement="far"),
         "synthetic2d": dict(grid_resolution=[50, 50], budget=15,
                             s0_placement="argmax"),
-        "hoeffding_mc": dict(replicates=500, q=200, deltas=[0.1, 0.5]),
     }
     out = dict(common)
     out.update(per[scenario])
@@ -104,35 +105,57 @@ class ExperimentSpec:
                               f"expected one of {', '.join(SCENARIOS)}")
         if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
-        _check_numbers(self.params, _scenario_defaults(self.scenario))
+        params = self.params
+        _check_numbers(params, _scenario_defaults(self.scenario))
         if self.scenario == "hoeffding_mc":
+            if len(self.seeds) != 1:
+                raise ConfigError(f"hoeffding_mc takes one seed, got "
+                                  f"{list(self.seeds)}")
             for key in ("replicates", "q"):
-                if self.params[key] < 1:
+                if params[key] < 1:
                     raise ConfigError(f"{key} must be >= 1")
-            if not self.params["deltas"]:
-                raise ConfigError("deltas list must be nonempty")
-        if self.scenario in ("compare_conservative", "compare_optimistic",
-                             "synthetic2d"):
-            if not self.params.get("predictor_path"):
+            deltas = params["deltas"]
+            if not deltas or not all(0 < d < 1 for d in deltas):
+                raise ConfigError(f"deltas must be a nonempty list of values "
+                                  f"in (0, 1), got {deltas}")
+            return
+        if self.scenario != "fig3_thresholds":
+            if not params.get("predictor_path"):
                 raise ConfigError(
                     f"scenario {self.scenario} requires predictor_path")
-        if not float(self.params["noise_std"]) > 0:
+        if not float(params["noise_std"]) > 0:
             raise ConfigError(f"noise_std must be positive, got "
-                              f"{self.params['noise_std']}")
-        res = self.params.get("grid_resolution")
+                              f"{params['noise_std']}")
+        if not 0 < params["safe_fraction"] < 1:
+            raise ConfigError(f"safe_fraction must be in (0, 1), got "
+                              f"{params['safe_fraction']}")
         if self.scenario == "synthetic2d":
+            res = params["grid_resolution"]
             if not isinstance(res, (list, tuple)) or len(res) != 2:
                 raise ConfigError("synthetic2d needs a 2-D grid_resolution")
+        try:
+            grid = _grid_for(params)
+            _kernel_for(params)
+            _pac_config(params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.scenario == "fig3_thresholds":
-            counts = self.params["sample_counts"]
-            most = min(int(np.prod(res)), self.params["num_centers"] - 1)
+            counts = params["sample_counts"]
+            most = min(grid.num_points, params["num_centers"] - 1)
             if not counts or min(counts) < 1 or max(counts) > most:
                 raise ConfigError(f"sample_counts must lie in [1, {most}] (below "
                                   f"num_centers, at most the grid points): {counts}")
-        try:
-            _pac_config(self.params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        elif params["s0_placement"] not in ("argmax", "far"):
+            raise ConfigError(f"s0_placement must be argmax or far, got "
+                              f"{params['s0_placement']!r}")
+        if self.scenario in COMPARISONS:
+            if not 0 < params["opt_fraction"] <= 1:
+                raise ConfigError(f"opt_fraction must be in (0, 1], got "
+                                  f"{params['opt_fraction']}")
+            snaps = params["snapshot_iterations"]
+            if not all(1 <= t <= params["budget"] for t in snaps):
+                raise ConfigError(f"snapshot_iterations must lie in [1, "
+                                  f"budget {params['budget']}], got {snaps}")
 
 
 def _check_numbers(params: dict, defaults: dict) -> None:
@@ -487,9 +510,9 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
                 y = v + float(eps[len(samples)])
                 samples = samples.append(int(j), {0: y, 1: y})
             guess = mean_rkhs_norm(gp_fit(samples, 0, noise, kernel))
-            res = estimate_upper_bound(lambda _trace: guess, NormTrace(),
-                                       samples, 0, noise, kernel, mask,
-                                       pac, (seed, "fig3", m))
+            res = estimate_upper_bound(guess, samples, 0, noise, kernel,
+                                       mask, cfg=pac,
+                                       seed_path=(seed, "fig3", m))
             rows.append((seed, m, guess, res))
         return rows
 
@@ -678,7 +701,7 @@ def scenario_hoeffding(spec: ExperimentSpec) -> dict:
 def run_experiment(spec: ExperimentSpec) -> dict:
     if spec.scenario == "fig3_thresholds":
         return scenario_fig3(spec)
-    if spec.scenario in ("compare_conservative", "compare_optimistic"):
+    if spec.scenario in COMPARISONS:
         return scenario_compare(spec)
     if spec.scenario == "synthetic2d":
         return scenario_synthetic2d(spec)

@@ -1,6 +1,6 @@
 """PAC over-estimation of the kernel norm from measured data.
 
-The estimator starts from a predicted bound B, draws batches of random
+The estimator starts from a candidate bound B, draws batches of random
 interpolating functions for the current measurements, and accepts B once it
 dominates the empirical mean of their kernel norms plus a Hoeffding
 confidence width. If the budget of draws runs out before acceptance, B is
@@ -72,17 +72,17 @@ class PacResult:
             raise ValueError("non-escalated bound below the acceptance level")
 
 
-def estimate_upper_bound(eta, trace, samples: SampleSet, i: int,
+def estimate_upper_bound(start: float, samples: SampleSet, i: int,
                          noise_std: float, kernel: KernelConfig,
-                         mask: DomainMask, cfg: PacConfig,
+                         mask: DomainMask, *, cfg: PacConfig,
                          seed_path: tuple) -> PacResult:
     """Run the accept-or-grow loop for channel ``i`` on the masked region.
 
-    ``eta`` maps the norm trace to the starting bound (typically the trained
-    predictor); ``seed_path`` roots the deterministic draw seeds. Tail
-    centers of the drawn functions are restricted to the mask.
+    ``start`` is the candidate bound (the trained predictor's output in the
+    loop); ``seed_path`` roots the deterministic draw seeds. Tail centers
+    of the drawn functions are restricted to the mask.
     """
-    start = float(eta(trace))
+    start = float(start)
     if not math.isfinite(start):
         raise NumericError(f"predicted norm bound is not finite: {start}")
     bound = max(start, float(np.finfo(float).tiny))

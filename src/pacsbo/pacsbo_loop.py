@@ -19,18 +19,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .kernel_gp import (
-    GpPosterior,
-    GridDomain,
-    KernelConfig,
-    SampleSet,
-    gp_fit,
-    mean_rkhs_norm,
-    reciprocal_cov_integral,
-)
+from .kernel_gp import GpPosterior, GridDomain, KernelConfig, SampleSet, gp_fit
 from .pac_estimator import PacConfig, PacResult, estimate_upper_bound
-from .predictor import MlpPredictor, NormTrace, append_trace, predict_norm
-from .rkhs_function import RkhsFunction, rkhs_norm
+from .predictor import MlpPredictor, append_trace, predict_norm
+from .rkhs_function import RkhsFunction
 from .safeopt_core import select
 from .seeding import derive_rng, truncated_normal
 from .subdomain import global_mask, partition_masks
@@ -53,9 +45,6 @@ class GroundTruth:
     def value(self, grid: GridDomain, index: int, channel: int) -> float:
         v = float(self.reward(grid.points[index].reshape(1, -1))[0])
         return v if channel == 0 else v - self.threshold
-
-    def norm(self) -> float:
-        return rkhs_norm(self.reward)
 
 
 @dataclass(frozen=True)
@@ -150,7 +139,7 @@ class RunHistory:
 @dataclass(frozen=True)
 class LoopState:
     samples: SampleSet
-    traces: dict  # (label, channel) -> NormTrace
+    traces: dict  # (label, channel) -> tuple of (norm, r) pairs
     iteration: int
 
 
@@ -170,8 +159,7 @@ def _initial_state(cfg: RunConfig, truth: GroundTruth) -> LoopState:
         samples = samples.append(int(s),
                                  _measure(truth, cfg.grid, int(s),
                                           cfg.noise_std, rng))
-    traces = {(label, i): NormTrace()
-              for label in PARTITION_ORDER for i in CHANNELS}
+    traces = {(label, i): () for label in PARTITION_ORDER for i in CHANNELS}
     return LoopState(samples, traces, 0)
 
 
@@ -215,14 +203,12 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
                 results[label, i] = PacResult(cfg.fixed_bound, 0, 0.0, 0.0,
                                               False)
                 continue
-            post = posteriors[i]
-            traces[label, i] = append_trace(
-                traces[label, i], mean_rkhs_norm(post),
-                reciprocal_cov_integral(post, mask))
+            traces[label, i] = append_trace(traces[label, i],
+                                            posteriors[i], mask)
             results[label, i] = estimate_upper_bound(
-                lambda tr: predict_norm(cfg.predictor, tr), traces[label, i],
-                state.samples, i, cfg.noise_std, cfg.kernel, mask, pac,
-                (cfg.seed, "pac", state.iteration, p_idx, i))
+                predict_norm(cfg.predictor, traces[label, i]), state.samples,
+                i, cfg.noise_std, cfg.kernel, mask, cfg=pac,
+                seed_path=(cfg.seed, "pac", state.iteration, p_idx, i))
 
     bounds = {label: {i: results[label, i].bound for i in CHANNELS}
               for label in masks}

@@ -1,10 +1,11 @@
 """Norm traces and the trace-to-bound predictor.
 
 While the optimizer runs, each iteration contributes a pair (kernel norm of
-the posterior mean, reciprocal covariance integral) to a trace. A small
-fully connected network maps the zero-padded trace to a positive starting
-bound for the norm estimator. Training data comes from safe-exploration
-rollouts on random functions whose kernel norm is known exactly.
+the posterior mean, reciprocal covariance integral) to a trace, a tuple of
+pairs. A small fully connected network maps the newest pairs, as many as
+its input holds, zero-padded, to a positive starting bound for the norm
+estimator. Training data comes from safe-exploration rollouts on random
+functions whose kernel norm is known exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import NumericError
 from .kernel_gp import (
+    GpPosterior,
     GridDomain,
     KernelConfig,
     SampleSet,
@@ -27,57 +29,27 @@ from .kernel_gp import (
 from .rkhs_function import RkhsFunction, SamplerConfig, rkhs_norm, sample_random_function
 from .safeopt_core import select
 from .seeding import derive_rng
-from .subdomain import global_mask
+from .subdomain import DomainMask, global_mask
 
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-DEFAULT_T_MAX = 50
 
 
-@dataclass(frozen=True)
-class NormTrace:
-    """Chronological (mean norm, reciprocal covariance) pairs.
-
-    The trace is capped at ``t_max`` pairs; appending beyond that drops the
-    oldest pair and marks the trace truncated.
-    """
-
-    pairs: tuple = ()
-    t_max: int = DEFAULT_T_MAX
-    truncated: bool = False
-
-    def __post_init__(self):
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if len(self.pairs) > self.t_max:
-            raise ValueError("trace longer than its window")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+def append_trace(trace: tuple, post: GpPosterior, mask: DomainMask) -> tuple:
+    """The trace extended by the pair (kernel norm of the posterior mean,
+    reciprocal covariance integral over the mask)."""
+    return trace + ((mean_rkhs_norm(post),
+                      reciprocal_cov_integral(post, mask)),)
 
 
-def append_trace(trace: NormTrace, norm: float, r: float) -> NormTrace:
-    if norm < 0:
-        raise ValueError(f"mean norm must be nonnegative, got {norm}")
-    if r <= 0:
-        raise ValueError(f"reciprocal covariance must be positive, got {r}")
-    pairs = trace.pairs + ((float(norm), float(r)),)
-    truncated = trace.truncated
-    if len(pairs) > trace.t_max:
-        pairs = pairs[1:]
-        truncated = True
-    return NormTrace(pairs, trace.t_max, truncated)
-
-
-def encode_trace(trace: NormTrace, length: int) -> np.ndarray:
-    """Raw input vector: left zero-padding, then the pairs in order."""
-    if 2 * len(trace) > length:
-        raise ValueError(
-            f"trace with {len(trace)} pairs does not fit length {length}")
+def encode_trace(trace: tuple, length: int) -> np.ndarray:
+    """Raw input vector of the newest ``length // 2`` pairs: left
+    zero-padding, then the pairs in order."""
     flat = np.zeros(length)
-    if trace.pairs:
-        tail = np.asarray(trace.pairs, dtype=float).reshape(-1)
+    window = trace[max(0, len(trace) - length // 2):]
+    if window:
+        tail = np.asarray(window, dtype=float).reshape(-1)
         flat[length - len(tail):] = tail
     return flat
 
@@ -111,7 +83,7 @@ class RolloutConfig:
     delta: float = 0.1
     label_multiplier: float = 1.0
     safe_quantile: float = 0.4
-    t_max: int = DEFAULT_T_MAX
+    t_max: int = 50
 
     def __post_init__(self):
         if self.q_train < 1 or self.rollout_iters < 1:
@@ -139,7 +111,7 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
     noisy = values[seed_idx] + cfg.noise_std * rng.standard_normal()
     samples = samples.append(seed_idx, {0: noisy, 1: noisy - threshold})
 
-    trace = NormTrace(t_max=cfg.t_max)
+    trace = ()
     rows = []
     for step in range(cfg.rollout_iters):
         posteriors = {i: gp_fit(samples, i, cfg.noise_std, kernel)
@@ -154,9 +126,8 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
         g = values[choice] - threshold + cfg.noise_std * rng.standard_normal()
         samples = samples.append(choice, {0: y, 1: g})
 
-        post = gp_fit(samples, 0, cfg.noise_std, kernel)
-        trace = append_trace(trace, mean_rkhs_norm(post),
-                             reciprocal_cov_integral(post, mask))
+        trace = append_trace(trace, gp_fit(samples, 0, cfg.noise_std, kernel),
+                             mask)
         rows.append((encode_trace(trace, 2 * cfg.t_max),
                      cfg.label_multiplier * bound))
     return rows
@@ -310,7 +281,7 @@ def train_mlp(data: TrainingSet, hidden=(64, 64),
                         feat_mean, feat_scale, final)
 
 
-def predict_norm(model: MlpPredictor, trace: NormTrace) -> float:
+def predict_norm(model: MlpPredictor, trace: tuple) -> float:
     """Positive starting bound for the estimator from the current trace."""
     raw = encode_trace(trace, model.input_len)
     return float(model.forward(raw)[0])

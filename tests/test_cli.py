@@ -132,8 +132,8 @@ class TestRunCommand:
         save_predictor(constant_predictor(3.0), pred)
         cfg = write_config(tmp_path / "c.yaml", dict(
             scenario="compare_conservative", out_dir=str(tmp_path / "out"),
-            seeds=[0], budget=4, q_init=20, q_max=40,
-            predictor_path=str(pred)))
+            seeds=[0], budget=4, snapshot_iterations=[3], q_init=20,
+            q_max=40, predictor_path=str(pred)))
         caplog.set_level(logging.DEBUG, logger="pacsbo.kernel_gp")
         assert main(["run", "--config", cfg]) == 0
         assert any("jitter" in r.getMessage() for r in caplog.records)
@@ -171,6 +171,9 @@ class TestRunCommand:
         (dict(sample_counts=[5, 40], grid_resolution=30), "grid points"),
         (dict(delta=1.5), "delta must be in (0, 1)"),
         (dict(f_g="high"), "f_g must be a number"),
+        (dict(lengthscale=-1), "lengthscale must be positive"),
+        (dict(grid_resolution=0), "resolution must be positive"),
+        (dict(safe_fraction=2), "safe_fraction must be in (0, 1)"),
     ])
     def test_malformed_fig3_values_exit_2(self, tmp_path, capsys, bad,
                                           message):
@@ -178,6 +181,29 @@ class TestRunCommand:
                     seeds=[0], q_init=30, q_max=60)
         body.update(bad)
         cfg = write_config(tmp_path / "f.yaml", body)
+        assert main(["run", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(lengthscale=-1), "lengthscale must be positive"),
+        (dict(grid_resolution=0), "resolution must be positive"),
+        (dict(safe_fraction=2), "safe_fraction must be in (0, 1)"),
+        (dict(s0_placement="nowhere"), "s0_placement must be argmax or far"),
+        (dict(opt_fraction=-3), "opt_fraction must be in (0, 1]"),
+        (dict(snapshot_iterations=[0, 2]), "snapshot_iterations must lie"),
+        (dict(snapshot_iterations=[1, 5]), "snapshot_iterations must lie"),
+    ])
+    def test_malformed_comparison_values_exit_2(self, tmp_path, capsys, bad,
+                                                message):
+        pred = tmp_path / "pred.json"
+        save_predictor(constant_predictor(3.0), pred)
+        body = dict(scenario="compare_conservative",
+                    out_dir=str(tmp_path / "o"), seeds=[0], budget=2,
+                    grid_resolution=30, q_init=20, q_max=40, num_centers=10,
+                    snapshot_iterations=[1, 2], predictor_path=str(pred))
+        body.update(bad)
+        cfg = write_config(tmp_path / "c.yaml", body)
         assert main(["run", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -26,7 +26,7 @@ from pacsbo.kernel_gp import (
     mean_rkhs_norm,
 )
 from pacsbo.pac_estimator import PacConfig, estimate_upper_bound
-from pacsbo.predictor import NormTrace, save_predictor
+from pacsbo.predictor import save_predictor
 from pacsbo.rkhs_function import (
     SamplerConfig,
     rkhs_norm,
@@ -97,6 +97,9 @@ class TestSpecLoading:
         (dict(replicates=0), "replicates"),
         (dict(q=0), "q must"),
         (dict(deltas=[]), "deltas"),
+        (dict(deltas=[0.5, 2]), "deltas"),
+        (dict(seeds=[0, 1]), "one seed"),
+        (dict(noise_std=0.01), "unknown key 'noise_std'"),
     ])
     def test_hoeffding_validation(self, tmp_path, kw, msg):
         p = write_config(tmp_path / "c.yaml", hoeffding_body(tmp_path, **kw))
@@ -139,8 +142,8 @@ class TestCsvAndManifest:
         assert config_hash({"a": 1}) != config_hash({"a": 2})
 
     def test_manifest_contents(self, tmp_path):
-        spec = ExperimentSpec("hoeffding_mc", str(tmp_path), (0, 1),
-                              _params("hoeffding_mc"))
+        spec = ExperimentSpec("fig3_thresholds", str(tmp_path), (0, 1),
+                              _params("fig3_thresholds"))
         path = write_manifest(spec, [tmp_path / "z.csv", tmp_path / "a.csv"])
         data = yaml.safe_load(path.read_text())
         assert data["seeds"] == [0, 1]
@@ -265,11 +268,10 @@ class TestFig3Scenario:
             samples = samples.append(int(j), {0: y, 1: y})
         guess = mean_rkhs_norm(gp_fit(samples, 0, 0.001, kernel))
         res = estimate_upper_bound(
-            lambda _t: guess, NormTrace(), samples, 0, 0.001, kernel,
-            global_mask(grid),
-            PacConfig(delta=0.1, q_init=50, q_max=150,
-                      sampler=SamplerConfig(15, 1.0)),
-            (1, "fig3", 6))
+            guess, samples, 0, 0.001, kernel, global_mask(grid),
+            cfg=PacConfig(delta=0.1, q_init=50, q_max=150,
+                          sampler=SamplerConfig(15, 1.0)),
+            seed_path=(1, "fig3", 6))
         assert float(row["accepted_bound"]) == pytest.approx(res.bound,
                                                              rel=1e-9)
         assert int(row["q_used"]) == res.q_used

@@ -71,8 +71,8 @@ def test_generous_start_accepts_first_batch():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=50, q_max=200,
                     sampler=SamplerConfig(num_centers=30))
-    res = estimate_upper_bound(lambda trace: 1e6, None, samples, 0, 0.01,
-                               kernel, global_mask(grid), cfg, (0, 5))
+    res = estimate_upper_bound(1e6, samples, 0, 0.01, kernel,
+                               global_mask(grid), cfg=cfg, seed_path=(0, 5))
     assert res.bound == 1e6
     assert res.q_used == cfg.q_init
     assert not res.escalated
@@ -84,8 +84,8 @@ def test_tiny_start_escalates_geometrically():
     cfg = PacConfig(q_init=50, q_max=100,
                     sampler=SamplerConfig(num_centers=30))
     start = 0.01
-    res = estimate_upper_bound(lambda trace: start, None, samples, 0, 0.01,
-                               kernel, global_mask(grid), cfg, (0, 6))
+    res = estimate_upper_bound(start, samples, 0, 0.01, kernel,
+                               global_mask(grid), cfg=cfg, seed_path=(0, 6))
     assert res.escalated
     level = res.empirical_mean + res.width
     assert res.bound >= level
@@ -100,8 +100,8 @@ def test_escalation_uses_one_overshoot_batch():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=40, q_max=120,
                     sampler=SamplerConfig(num_centers=30))
-    res = estimate_upper_bound(lambda trace: 1e-12, None, samples, 0, 0.01,
-                               kernel, global_mask(grid), cfg, (0, 7))
+    res = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel,
+                               global_mask(grid), cfg=cfg, seed_path=(0, 7))
     assert res.escalated
     assert res.q_used == 160  # 40, 80, 120, then the overshoot batch
 
@@ -113,8 +113,8 @@ def test_pooled_draws_match_direct_batch():
     # a start that forces exactly two batches: above the 60-draw level but
     # below the 30-draw level is hard to hand-tune, so instead compare the
     # estimator's reported mean against the direct pooled computation
-    res = estimate_upper_bound(lambda trace: 1e-12, None, samples, 0, 0.01,
-                               kernel, global_mask(grid), cfg, (3, 1))
+    res = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel,
+                               global_mask(grid), cfg=cfg, seed_path=(3, 1))
     direct = interpolating_norms(samples, 0, 0.01, kernel, global_mask(grid),
                                  sampler, (3, 1), res.q_used)
     assert res.empirical_mean == pytest.approx(float(direct.mean()), abs=1e-12)
@@ -126,10 +126,10 @@ def test_pooled_draws_match_direct_batch():
 def test_determinism_across_calls():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=25, q_max=50, sampler=SamplerConfig(num_centers=25))
-    a = estimate_upper_bound(lambda trace: 2.5, None, samples, 0, 0.01,
-                             kernel, global_mask(grid), cfg, (9, 0))
-    b = estimate_upper_bound(lambda trace: 2.5, None, samples, 0, 0.01,
-                             kernel, global_mask(grid), cfg, (9, 0))
+    a = estimate_upper_bound(2.5, samples, 0, 0.01, kernel,
+                             global_mask(grid), cfg=cfg, seed_path=(9, 0))
+    b = estimate_upper_bound(2.5, samples, 0, 0.01, kernel,
+                             global_mask(grid), cfg=cfg, seed_path=(9, 0))
     assert a == b
 
 
@@ -137,8 +137,8 @@ def test_non_finite_start_raises():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=10, q_max=20, sampler=SamplerConfig(num_centers=20))
     with pytest.raises(NumericError):
-        estimate_upper_bound(lambda trace: float("nan"), None, samples, 0,
-                             0.01, kernel, global_mask(grid), cfg, (1,))
+        estimate_upper_bound(float("nan"), samples, 0, 0.01, kernel,
+                             global_mask(grid), cfg=cfg, seed_path=(1,))
 
 
 def test_region_restriction_respected():
@@ -147,10 +147,10 @@ def test_region_restriction_respected():
     hull = convex_hull_mask(samples)
     hat = enlarge_mask(hull, 1.1)
     cfg = PacConfig(q_init=20, q_max=40, sampler=SamplerConfig(num_centers=20))
-    res_hat = estimate_upper_bound(lambda trace: 1e-12, None, samples, 0,
-                                   0.01, kernel, hat, cfg, (4, 2))
-    res_all = estimate_upper_bound(lambda trace: 1e-12, None, samples, 0,
-                                   0.01, kernel, global_mask(grid), cfg,
-                                   (4, 2))
+    res_hat = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel, hat,
+                                   cfg=cfg, seed_path=(4, 2))
+    res_all = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel,
+                                   global_mask(grid), cfg=cfg,
+                                   seed_path=(4, 2))
     # same seeds, different tail-center regions: distinct distributions
     assert res_hat.empirical_mean != res_all.empirical_mean

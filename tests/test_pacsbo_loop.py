@@ -1,5 +1,7 @@
 """Tests for the outer optimization loops."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,14 +120,13 @@ def test_ground_truth_channels():
         r = truth.value(grid, idx, 0)
         c = truth.value(grid, idx, 1)
         assert c == pytest.approx(r - truth.threshold, abs=1e-14)
-    assert truth.norm() == pytest.approx(rkhs_norm(truth.reward), abs=1e-12)
 
 
 def test_safeopt_run_completes():
     grid = GridDomain.uniform(40)
     truth, s0 = make_truth(grid)
     cfg = RunConfig(grid=grid, kernel=KER, s0_indices=(s0,),
-                    algorithm="safeopt", fixed_bound=truth.norm(),
+                    algorithm="safeopt", fixed_bound=rkhs_norm(truth.reward),
                     budget=6, seed=3)
     hist = run(cfg, truth)
     assert hist.status == "completed"
@@ -137,7 +138,7 @@ def test_safeopt_run_completes():
         assert rec.chosen_partition == "global"
         assert set(rec.partitions) == {"global"}
         st = rec.partitions["global"]
-        assert st.bound == truth.norm()
+        assert st.bound == rkhs_norm(truth.reward)
         assert st.maximizer_count + st.expander_count >= 1
         assert st.safe_count >= st.maximizer_count
         assert st.safe_count >= st.expander_count
@@ -148,7 +149,7 @@ def test_safeopt_matches_single_partition_reference():
     safe-exploration loop run on the full domain with the same seeds."""
     grid = GridDomain.uniform(35)
     truth, s0 = make_truth(grid, seed=11)
-    bound = truth.norm()
+    bound = rkhs_norm(truth.reward)
     cfg = RunConfig(grid=grid, kernel=KER, s0_indices=(s0,),
                     algorithm="safeopt", fixed_bound=bound, budget=5, seed=9)
     hist = run(cfg, truth)
@@ -311,11 +312,24 @@ def test_global_trace_r_nondecreasing():
         assert rec is not None
     for i in CHANNELS:
         trace = state.traces[("global", i)]
-        assert len(trace.pairs) == cfg.budget
-        rs = [r for _, r in trace.pairs]
+        assert len(trace) == cfg.budget
+        rs = [r for _, r in trace]
         assert all(b >= a - 1e-12 for a, b in zip(rs, rs[1:]))
         for label in ("tilde", "hat"):
-            assert len(state.traces[(label, i)].pairs) == cfg.budget
+            assert len(state.traces[(label, i)]) == cfg.budget
+
+
+def test_run_longer_than_the_predictor_window():
+    """A predictor reads the newest input_len // 2 pairs of a longer trace,
+    so a budget past its window completes; a trace-independent predictor
+    gives the same run at any window."""
+    grid = GridDomain.uniform(25)
+    truth, s0 = make_truth(grid, seed=4)
+    cfg = pacsbo_config(grid, s0, budget=4, seed=6)
+    short = run(replace(cfg, predictor=constant_predictor(3.0, input_len=4)),
+                truth)
+    assert short.status == "completed" and len(short) == 4
+    assert short == run(cfg, truth)
 
 
 def stalled_run(monkeypatch, picks):

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 from conftest import gradient_check_error
 
-from pacsbo.kernel_gp import GridDomain, KernelConfig
+from pacsbo.kernel_gp import (
+    GridDomain,
+    KernelConfig,
+    SampleSet,
+    gp_fit,
+    mean_rkhs_norm,
+    reciprocal_cov_integral,
+)
 from pacsbo.predictor import (
     MlpPredictor,
-    NormTrace,
     RolloutConfig,
     TrainHyper,
     TrainingSet,
@@ -22,49 +28,46 @@ from pacsbo.predictor import (
     train_mlp,
 )
 from pacsbo.rkhs_function import SamplerConfig
+from pacsbo.subdomain import global_mask
 
 
 def test_append_preserves_order():
-    t = NormTrace()
-    t = append_trace(t, 0.5, 1.2)
-    t = append_trace(t, 0.7, 1.5)
-    assert len(t) == 2
-    assert t.pairs == ((0.5, 1.2), (0.7, 1.5))
-    assert not t.truncated
+    grid = GridDomain.uniform(20)
+    mask = global_mask(grid)
+    kernel = KernelConfig(lengthscale=0.1)
+    one = gp_fit(SampleSet(grid, [3], {0: [0.5], 1: [0.5]}), 0, 0.01, kernel)
+    two = gp_fit(SampleSet(grid, [3, 12], {0: [0.5, -0.2], 1: [0.5, -0.2]}),
+                 0, 0.01, kernel)
+    t = append_trace(append_trace((), one, mask), two, mask)
+    assert t == ((mean_rkhs_norm(one), reciprocal_cov_integral(one, mask)),
+                 (mean_rkhs_norm(two), reciprocal_cov_integral(two, mask)))
 
 
-def test_window_drops_oldest_and_flags():
-    t = NormTrace(t_max=3)
-    for k in range(4):
-        t = append_trace(t, float(k), 1.0 + k)
-    assert len(t) == 3
-    assert t.pairs == ((1.0, 2.0), (2.0, 3.0), (3.0, 4.0))
-    assert t.truncated
-
-
-def test_append_validates_arguments():
-    with pytest.raises(ValueError):
-        append_trace(NormTrace(), -0.1, 1.0)
-    with pytest.raises(ValueError):
-        append_trace(NormTrace(), 0.1, 0.0)
+def test_encode_keeps_newest_pairs():
+    t = tuple((float(k), 1.0 + k) for k in range(4))
+    np.testing.assert_array_equal(encode_trace(t, 6),
+                                  [1.0, 2.0, 2.0, 3.0, 3.0, 4.0])
+    np.testing.assert_array_equal(encode_trace(t, 7),
+                                  [0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0])
+    np.testing.assert_array_equal(encode_trace(t, 2), [3.0, 4.0])
+    np.testing.assert_array_equal(encode_trace(t, 1), [0.0])
 
 
 def test_encode_left_padding_layout():
-    t = append_trace(NormTrace(), 0.5, 1.25)
+    t = ((0.5, 1.25),)
     np.testing.assert_array_equal(encode_trace(t, 6),
                                   [0, 0, 0, 0, 0.5, 1.25])
-    np.testing.assert_array_equal(encode_trace(NormTrace(), 4), np.zeros(4))
-    t2 = append_trace(t, 0.75, 1.5)
+    np.testing.assert_array_equal(encode_trace((), 4), np.zeros(4))
+    t2 = t + ((0.75, 1.5),)
     np.testing.assert_array_equal(encode_trace(t2, 4),
                                   [0.5, 1.25, 0.75, 1.5])
-    with pytest.raises(ValueError):
-        encode_trace(t2, 2)
+    np.testing.assert_array_equal(encode_trace(t2, 2), [0.75, 1.5])
 
 
 def test_encoding_extension_shifts_padding_left():
-    t = append_trace(NormTrace(), 0.3, 1.1)
+    t = ((0.3, 1.1),)
     before = encode_trace(t, 8)
-    after = encode_trace(append_trace(t, 0.4, 1.2), 8)
+    after = encode_trace(t + ((0.4, 1.2),), 8)
     np.testing.assert_array_equal(after[4:6], before[6:8])
     np.testing.assert_array_equal(after[:4], 0.0)
 
@@ -203,7 +206,7 @@ def test_predict_norm_uses_trace_encoding():
     data = TrainingSet(rng.normal(size=(30, 6)),
                        rng.uniform(1.0, 2.0, size=30))
     model = train_mlp(data, hidden=(7,), hyper=TrainHyper(epochs=20), seed=3)
-    trace = append_trace(NormTrace(t_max=3), 0.4, 1.3)
+    trace = ((0.4, 1.3),)
     direct = model.forward(encode_trace(trace, 6))[0]
     assert predict_norm(model, trace) == pytest.approx(direct, abs=0.0)
     assert predict_norm(model, trace) > 0

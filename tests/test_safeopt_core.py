@@ -1,5 +1,7 @@
 """Safe-set machinery: bounds, classification, expanders, acquisition."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -394,3 +396,92 @@ def test_runs_with_correct_bound_stay_safe():
             samples = samples.append(a, {0: y, 1: y})
         violating_runs += int(unsafe)
     assert violating_runs <= max(3, int(delta * runs))
+
+
+def digest_case(dims):
+    """Two-channel posterior for the digest pins: samples drawn from the
+    lower-left part of the unit box, so the safe set has an unexplored
+    outside. The 1-D case runs on a box mask, so its bounds hold NaN."""
+    if dims == 1:
+        grid, k, lengthscale = GridDomain.uniform(100), 8, 0.1
+        member = grid.points[:, 0] <= 0.8
+        mask = DomainMask(grid, member, "hat",
+                          ("box", np.array([0.0]), np.array([0.8])))
+    else:
+        grid, k, lengthscale = GridDomain.uniform((50, 50)), 40, 0.2
+        mask = global_mask(grid)
+    kernel = KernelConfig(lengthscale=lengthscale)
+    rng = np.random.default_rng(dims)
+    cfg = SamplerConfig(num_centers=40, coeff_bound=1.0)
+    f, c = (scale_to_norm(sample_random_function(grid, kernel, cfg, rng), 1.0)
+            for _ in range(2))
+    inside = np.flatnonzero(np.all(grid.points <= 0.5, axis=1))
+    idx = rng.choice(inside, size=k, replace=False)
+    noise = 0.05
+    values = {0: f(grid.points[idx]) + noise * rng.standard_normal(k),
+              1: c(grid.points[idx]) + 0.6 + noise * rng.standard_normal(k)}
+    samples = SampleSet(grid, idx, values)
+    posteriors = {i: gp_fit(samples, i, noise, kernel) for i in (0, 1)}
+    betas = {i: beta_scale(1.0, noise, info_gain(post), 0.1)
+             for i, post in posteriors.items()}
+    return posteriors, betas, mask, idx[:1]
+
+
+def state_digests(state):
+    arrays = {"lower0": state.field.lower[0], "upper0": state.field.upper[0],
+              "lower1": state.field.lower[1], "upper1": state.field.upper[1],
+              "safe": state.safe, "maximizer_set": state.maximizer_set,
+              "expander_set": state.expander_set}
+    return {name: hashlib.sha256(a.tobytes()).hexdigest()[:16]
+            for name, a in arrays.items()}
+
+
+# SHA-256 prefixes of compute_state's outputs, recorded from the
+# per-channel implementation; any change in the arithmetic shows here
+STATE_DIGESTS = {
+    (1, False): {
+        "lower0": "5be93092c9393ecf",
+        "upper0": "c0235de9193bf013",
+        "lower1": "c1aa622e39597a42",
+        "upper1": "112818f06a66a2b3",
+        "safe": "80f6302e8c9d84ae",
+        "maximizer_set": "b74db80356cf7075",
+        "expander_set": "017b981198462832",
+    },
+    (1, True): {
+        "lower0": "5be93092c9393ecf",
+        "upper0": "c0235de9193bf013",
+        "lower1": "c1aa622e39597a42",
+        "upper1": "112818f06a66a2b3",
+        "safe": "80f6302e8c9d84ae",
+        "maximizer_set": "b74db80356cf7075",
+        "expander_set": "6546d0af8defab66",
+    },
+    (2, False): {
+        "lower0": "cd2dee25a239fb5e",
+        "upper0": "bb7a43ce5177fa01",
+        "lower1": "8fd979d748e744e9",
+        "upper1": "1297aa4096a70999",
+        "safe": "8538214365ac66c8",
+        "maximizer_set": "170f1d89db7d3625",
+        "expander_set": "d6b23afee25312ce",
+    },
+    (2, True): {
+        "lower0": "cd2dee25a239fb5e",
+        "upper0": "bb7a43ce5177fa01",
+        "lower1": "8fd979d748e744e9",
+        "upper1": "1297aa4096a70999",
+        "safe": "8538214365ac66c8",
+        "maximizer_set": "170f1d89db7d3625",
+        "expander_set": "96ca049ffdc7991e",
+    },
+}
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("exact", [False, True])
+def test_compute_state_outputs_pinned_bitwise(dims, exact):
+    posteriors, betas, mask, seed = digest_case(dims)
+    state = compute_state(posteriors, betas, mask, seed, exact)
+    assert 0 < state.expander_set.sum() < state.safe.sum() < mask.count
+    assert state_digests(state) == STATE_DIGESTS[dims, exact]

@@ -216,58 +216,48 @@ def gp_fit(samples: SampleSet, i: int, noise_std: float,
     return GpPosterior(cfg, float(noise_std), params, gram, chol, weights)
 
 
-def predictive(post: GpPosterior, query: np.ndarray):
-    """Posterior mean, unclamped variance and ``v = L^-1 k_A(query)``.
-
-    ``v`` has one column per query point; ``k(x, y) - v_x^T v_y`` is the
-    posterior covariance between two query points.
-    """
+def predictive(posteriors: dict, query: np.ndarray):
+    """Posterior of channels fitted on the same samples, noise and kernel,
+    which share the variance and ``v = L^-1 k_A(query)``: ``(means, var,
+    v)`` with ``means`` keyed by channel, ``var`` unclamped and one column
+    of ``v`` per query point; ``k(x, y) - v_x^T v_y`` is the posterior
+    covariance between two query points."""
+    first, *rest = posteriors.values()
+    if any(p.kernel != first.kernel or p.noise_std != first.noise_std
+           or not np.array_equal(p.params, first.params) for p in rest):
+        raise ValueError("channels must share samples, noise and kernel")
     query = np.atleast_2d(np.asarray(query, dtype=float))
-    kq = kernel_matrix(post.params, query, post.kernel)
-    v = sla.solve_triangular(post.chol, kq, lower=True)
-    return kq.T @ post.weights, 1.0 - np.sum(v * v, axis=0), v
+    kq = kernel_matrix(first.params, query, first.kernel)
+    v = sla.solve_triangular(first.chol, kq, lower=True)
+    means = {i: kq.T @ post.weights for i, post in posteriors.items()}
+    return means, 1.0 - np.sum(v * v, axis=0), v
 
 
-def _clamped(var: np.ndarray) -> np.ndarray:
+def clamp_variance(var: np.ndarray) -> np.ndarray:
+    """Clamp to ``[0, 1]``, logging a clamp below -1e-9 (numerical dust)."""
     if np.any(var < _VAR_CLAMP_WARN):
         log.warning("posterior variance clamped from %.3e", float(var.min()))
     return np.clip(var, 0.0, 1.0)
 
 
 def gp_predict(post: GpPosterior, query: np.ndarray):
-    """Posterior mean and variance at the query points (m, n).
-
-    Variances are clamped to ``[0, 1]``; a clamp beyond numerical dust
-    (below -1e-9) is logged.
-    """
-    mean, var, _ = predictive(post, query)
-    return mean, _clamped(var)
+    """Posterior mean and clamped variance at the query points (m, n)."""
+    means, var, _ = predictive({0: post}, query)
+    return means[0], clamp_variance(var)
 
 
-def observation_update(post: GpPosterior, query: np.ndarray):
-    """Closed-form refits at ``query`` for one fictitious observation.
-
-    Returns ``update(points, values)``: the mean and variance at ``query``
-    (whose posterior is computed once, here) after observing ``values[j]``
-    at ``points[j]``, for every ``j`` separately, as two ``(len(points),
-    len(query))`` arrays clamped as in :func:`gp_predict`. With the
-    posterior covariance ``k_n`` and ``s2 = sigma^2(a) + noise^2``, a refit
-    gives ``mu' = mu + k_n (y(a) - mu(a)) / s2``, ``sigma'^2 = sigma^2 -
-    k_n^2 / s2``.
-    """
-    query = np.atleast_2d(np.asarray(query, dtype=float))
-    mean_q, var_q, v_q = predictive(post, query)
-
-    def update(points: np.ndarray, values):
-        mean_a, var_a, v_a = predictive(post, points)
-        s2 = (var_a + post.noise_std ** 2)[:, None]
-        if np.any(s2 <= 0):
-            raise NumericError("fictitious observation lost positivity")
-        k_n = kernel_matrix(points, query, post.kernel) - v_a.T @ v_q
-        mean = mean_q + k_n * ((np.asarray(values) - mean_a)[:, None] / s2)
-        return mean, _clamped(var_q - k_n * k_n / s2)
-
-    return update
+def observation_update(mean_q, var_q, mean_a, var_a, k_n, values,
+                       noise_std: float):
+    """Mean and clamped variance at the query after one fictitious
+    observation ``values[j]`` at each ``a[j]`` separately (one row each):
+    with ``s2 = sigma_a^2 + noise^2`` and ``k_n`` the posterior covariance
+    of ``a`` and the query, ``mu' = mu_q + k_n (y - mu_a) / s2`` and
+    ``sigma'^2 = sigma_q^2 - k_n^2 / s2``; ``var_a`` is unclamped."""
+    s2 = (var_a + noise_std ** 2)[:, None]
+    if np.any(s2 <= 0):
+        raise NumericError("fictitious observation lost positivity")
+    mean = mean_q + k_n * ((np.asarray(values) - mean_a)[:, None] / s2)
+    return mean, clamp_variance(var_q - k_n * k_n / s2)
 
 
 def mean_rkhs_norm(post: GpPosterior) -> float:

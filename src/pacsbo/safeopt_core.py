@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .kernel_gp import gp_predict, info_gain, observation_update
+from .kernel_gp import (clamp_variance, info_gain, kernel_matrix,
+                        observation_update, predictive)
 from .subdomain import DomainMask
 
 # candidates per closed-form update in :func:`expanders`
@@ -64,21 +65,20 @@ class ConfidenceField:
         return self.upper[i] - self.lower[i]
 
 
-def confidence_bounds(posteriors: dict, betas: dict, mask: DomainMask) -> ConfidenceField:
-    """Evaluate l = mu - sqrt(beta)*sigma and u = mu + sqrt(beta)*sigma on the mask."""
-    if set(posteriors) != set(betas):
+def confidence_bounds(pred, betas: dict, mask: DomainMask) -> ConfidenceField:
+    """l = mu - sqrt(beta)*sigma and u = mu + sqrt(beta)*sigma on the mask,
+    from ``pred``, the ``predictive`` over the mask's points in order."""
+    means, var, _ = pred
+    if set(means) != set(betas):
         raise ValueError("posteriors and betas must cover the same channels")
-    idx = mask.indices()
-    pts = mask.grid.points[idx]
+    sd = np.sqrt(clamp_variance(var))
     lower, upper = {}, {}
-    for i, post in posteriors.items():
-        mean, var = gp_predict(post, pts)
-        half = betas[i] * np.sqrt(var)
-        lo = np.full(mask.grid.num_points, np.nan)
-        hi = np.full(mask.grid.num_points, np.nan)
-        lo[idx] = mean - half
-        hi[idx] = mean + half
-        lower[i], upper[i] = lo, hi
+    for i, mean in means.items():
+        half = betas[i] * sd
+        lower[i] = np.full(mask.grid.num_points, np.nan)
+        upper[i] = np.full(mask.grid.num_points, np.nan)
+        lower[i][mask.member] = mean - half
+        upper[i][mask.member] = mean + half
     return ConfidenceField(mask, dict(betas), lower, upper)
 
 
@@ -125,8 +125,8 @@ def _boundary_candidates(safe: np.ndarray, mask: DomainMask) -> np.ndarray:
     return safe & ndimage.binary_dilation(outside, cross).reshape(-1)
 
 
-def expanders(posteriors: dict, field: ConfidenceField, safe: np.ndarray,
-              mask: DomainMask, exact: bool = False) -> np.ndarray:
+def expanders(posteriors: dict, pred, field: ConfidenceField,
+              safe: np.ndarray, mask: DomainMask, exact: bool = False):
     """Safe points whose optimistic observation would certify a new point
     as safe.
 
@@ -134,28 +134,33 @@ def expanders(posteriors: dict, field: ConfidenceField, safe: np.ndarray,
     observation at its upper bound u(a, i), in closed form and for a block
     of candidates at once (:func:`observation_update`); a point outside the
     safe set that gets nonnegative lower bounds on all channels makes a an
-    expander. With ``exact=True`` all safe points are tested instead of
-    only those near the safe-set boundary.
+    expander. Their posteriors are columns of ``pred`` (see
+    :func:`confidence_bounds`); ``posteriors`` give kernel and noise. With
+    ``exact=True`` all safe points are tested, not only boundary ones.
     """
     g = np.zeros_like(safe)
     constraints = [i for i in field.channels if i != 0]
-    if not constraints:
-        return g
     outside = mask.member & ~safe
-    if not outside.any() or not safe.any():
+    if not constraints or not outside.any() or not safe.any():
         return g
-    points = mask.grid.points
-    out_pts = points[outside]
-    updates = {i: observation_update(posteriors[i], out_pts)
-               for i in constraints}
+    post = next(iter(posteriors.values()))
+    means, var, v = pred
+    idx = mask.indices()
+    out = np.flatnonzero(outside[idx])
+    out_pts, v_q = mask.grid.points[idx[out]], v[:, out]
     candidates = np.flatnonzero(safe if exact
                                 else _boundary_candidates(safe, mask))
     for start in range(0, len(candidates), _BLOCK):
         block = candidates[start:start + _BLOCK]
-        newly_safe = np.ones((len(block), len(out_pts)), dtype=bool)
+        cols = np.searchsorted(idx, block)
+        k_n = (kernel_matrix(mask.grid.points[block], out_pts, post.kernel)
+               - v[:, cols].T @ v_q)
+        newly_safe = np.ones((len(block), len(out)), dtype=bool)
         for i in constraints:
-            mean, var = updates[i](points[block], field.upper[i][block])
-            newly_safe &= mean - field.betas[i] * np.sqrt(var) >= 0.0
+            mean, var_n = observation_update(
+                means[i][out], var[out], means[i][cols], var[cols], k_n,
+                field.upper[i][block], post.noise_std)
+            newly_safe &= mean - field.betas[i] * np.sqrt(var_n) >= 0.0
         g[block] = np.any(newly_safe, axis=1)
     return g
 
@@ -196,11 +201,13 @@ class SafeOptState:
 
 def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
                   seed_indices, exact_expanders: bool = False) -> SafeOptState:
-    """Classify the masked grid for the current posteriors and bounds."""
-    field = confidence_bounds(posteriors, betas, mask)
+    """Classify the masked grid for the current posteriors and bounds; one
+    posterior over the mask serves the bounds and the expander test."""
+    pred = predictive(posteriors, mask.grid.points[mask.indices()])
+    field = confidence_bounds(pred, betas, mask)
     safe, seeded = safe_set(field, seed_indices, mask)
     m = maximizers(field, safe)
-    g = expanders(posteriors, field, safe, mask, exact=exact_expanders)
+    g = expanders(posteriors, pred, field, safe, mask, exact=exact_expanders)
     return SafeOptState(mask, field, safe, m, g, seeded)
 
 

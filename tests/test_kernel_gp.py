@@ -15,6 +15,7 @@ from pacsbo.kernel_gp import (
     mean_rkhs_norm,
     observation_update,
     pairwise_dist,
+    predictive,
     reciprocal_cov_integral,
 )
 from pacsbo.subdomain import DomainMask, global_mask
@@ -210,14 +211,72 @@ def test_observation_update_matches_full_refit():
         post = gp_fit(s, 0, 0.05, CFG)
         new_idx = np.array([30, 0, int(idx[0]), 59])
         values = np.array([0.7, -1.2, 2.0, 0.0])
-        mean, var = observation_update(post, grid.points)(
-            grid.points[new_idx], values)
+        means, var_q, v = predictive({0: post}, grid.points)
+        mean_q = means[0]
+        k_n = (kernel_matrix(grid.points[new_idx], grid.points, CFG)
+               - v[:, new_idx].T @ v)
+        mean, var = observation_update(mean_q, var_q, mean_q[new_idx],
+                                       var_q[new_idx], k_n, values, 0.05)
         assert mean.shape == var.shape == (4, grid.num_points)
         for j, (a, value) in enumerate(zip(new_idx, values)):
             refit = gp_fit(s.append(a, {0: value, 1: 0.0}), 0, 0.05, CFG)
             mean_r, var_r = gp_predict(refit, grid.points)
             np.testing.assert_allclose(mean[j], mean_r, rtol=0, atol=1e-10)
             np.testing.assert_allclose(var[j], var_r, rtol=0, atol=1e-10)
+
+
+def two_channel_posteriors(grid, idx, noise=0.05, cfg=CFG, seed=0):
+    rng = np.random.default_rng(seed)
+    s = make_samples(grid, idx, rng.normal(size=len(idx)),
+                     rng.normal(size=len(idx)))
+    return {i: gp_fit(s, i, noise, cfg) for i in (0, 1)}
+
+
+def test_predictive_columns_of_a_subset():
+    """Reading columns from a mask-wide predictive is predicting over the
+    subset: the solve and the variance are bitwise equal, column by column,
+    for subsets of two or more points. The means agree to rounding only;
+    gemv's rounding of one output depends on its position in the vector."""
+    rng = np.random.default_rng(17)
+    grid = GridDomain.uniform((50, 50))
+    idx = rng.choice(grid.num_points, size=40, replace=False)
+    posteriors = two_channel_posteriors(grid, idx)
+    means, var, v = predictive(posteriors, grid.points)
+    for size in (2, 5, 32, 700):
+        sub = np.sort(rng.choice(grid.num_points, size=size, replace=False))
+        means_s, var_s, v_s = predictive(posteriors, grid.points[sub])
+        np.testing.assert_array_equal(v[:, sub], v_s)
+        np.testing.assert_array_equal(var[sub], var_s)
+        for i in posteriors:
+            np.testing.assert_allclose(means[i][sub], means_s[i], rtol=0,
+                                       atol=1e-12)
+
+
+def test_predictive_means_equal_gp_predict():
+    rng = np.random.default_rng(5)
+    grid = GridDomain.uniform((20, 20))
+    posteriors = two_channel_posteriors(
+        grid, rng.choice(grid.num_points, size=12, replace=False))
+    means, var, _ = predictive(posteriors, grid.points)
+    for i, post in posteriors.items():
+        mean, clamped = gp_predict(post, grid.points)
+        np.testing.assert_array_equal(means[i], mean)
+        np.testing.assert_array_equal(np.clip(var, 0.0, 1.0), clamped)
+
+
+def test_predictive_rejects_channels_fitted_differently():
+    grid = GridDomain.uniform(30)
+    posteriors = two_channel_posteriors(grid, [3, 10, 20])
+    moved = two_channel_posteriors(grid, [3, 10, 21])
+    noisier = two_channel_posteriors(grid, [3, 10, 20], noise=0.1)
+    wider = two_channel_posteriors(grid, [3, 10, 20],
+                                   cfg=KernelConfig(lengthscale=0.2))
+    for other in (moved, noisier, wider):
+        with pytest.raises(ValueError):
+            predictive({0: posteriors[0], 1: other[1]}, grid.points)
+    # equal fits need not be the same objects
+    twin = two_channel_posteriors(grid, [3, 10, 20], seed=1)
+    predictive({0: posteriors[0], 1: twin[1]}, grid.points)
 
 
 def test_reciprocal_cov_integral_three_point_grid():

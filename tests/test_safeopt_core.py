@@ -12,6 +12,7 @@ from pacsbo.kernel_gp import (
     gp_fit,
     gp_predict,
     info_gain,
+    predictive,
 )
 from pacsbo.rkhs_function import SamplerConfig, sample_random_function, scale_to_norm
 from pacsbo.safeopt_core import (
@@ -39,6 +40,10 @@ def fit_two_channels(grid, indices, values, noise=0.01, lengthscale=0.1):
         0: gp_fit(samples, 0, noise, kernel),
         1: gp_fit(samples, 1, noise, kernel),
     }
+
+
+def mask_predictive(posteriors, mask):
+    return predictive(posteriors, mask.grid.points[mask.indices()])
 
 
 def test_beta_scale_frozen_value():
@@ -74,7 +79,8 @@ def test_prior_bounds_are_plus_minus_one():
     kernel = KernelConfig()
     posteriors = {0: gp_fit(samples, 0, 0.01, kernel),
                   1: gp_fit(samples, 1, 0.01, kernel)}
-    field = confidence_bounds(posteriors, {0: 1.0, 1: 1.0}, mask)
+    field = confidence_bounds(mask_predictive(posteriors, mask),
+                              {0: 1.0, 1: 1.0}, mask)
     np.testing.assert_allclose(field.lower[0], -1.0, atol=1e-12)
     np.testing.assert_allclose(field.upper[1], 1.0, atol=1e-12)
 
@@ -83,10 +89,11 @@ def test_bound_width_scales_with_beta():
     grid = GridDomain.uniform(40)
     mask = global_mask(grid)
     _, posteriors = fit_two_channels(grid, [10, 30], [0.5, -0.2])
-    one = confidence_bounds(posteriors, {0: 1.0, 1: 1.0}, mask)
-    two = confidence_bounds(posteriors, {0: 2.0, 1: 2.0}, mask)
+    pred = mask_predictive(posteriors, mask)
+    one = confidence_bounds(pred, {0: 1.0, 1: 1.0}, mask)
+    two = confidence_bounds(pred, {0: 2.0, 1: 2.0}, mask)
     np.testing.assert_allclose(two.width(0), 2.0 * one.width(0), atol=1e-12)
-    zero = confidence_bounds(posteriors, {0: 0.0, 1: 0.0}, mask)
+    zero = confidence_bounds(pred, {0: 0.0, 1: 0.0}, mask)
     np.testing.assert_allclose(zero.width(1), 0.0, atol=1e-15)
     # l = u = mu when beta vanishes
     mean, _ = gp_predict(posteriors[0], grid.points)
@@ -178,15 +185,16 @@ def test_three_point_expander_hand_case():
                                            lengthscale=1.0)
     mask = global_mask(grid)
     betas = {0: 1.0, 1: 1.0}
-    field = confidence_bounds(posteriors, betas, mask)
+    pred = mask_predictive(posteriors, mask)
+    field = confidence_bounds(pred, betas, mask)
     assert field.lower[1][0] == pytest.approx(0.93991, abs=2e-3)
     assert field.lower[1][1] == pytest.approx(0.378, abs=2e-3)
     assert field.lower[1][2] == pytest.approx(-0.088, abs=2e-3)
     safe, _ = safe_set(field, [0], mask)
     np.testing.assert_array_equal(safe, [True, True, False])
-    g_exact = expanders(posteriors, field, safe, mask, exact=True)
+    g_exact = expanders(posteriors, pred, field, safe, mask, exact=True)
     np.testing.assert_array_equal(g_exact, [False, True, False])
-    g_fast = expanders(posteriors, field, safe, mask, exact=False)
+    g_fast = expanders(posteriors, pred, field, safe, mask, exact=False)
     np.testing.assert_array_equal(g_fast, g_exact)
 
 
@@ -194,10 +202,11 @@ def test_expanders_empty_when_everything_safe():
     grid = GridDomain.uniform(6)
     _, posteriors = fit_two_channels(grid, [2], [0.9], lengthscale=1.0)
     mask = global_mask(grid)
-    field = confidence_bounds(posteriors, {0: 0.1, 1: 0.1}, mask)
+    pred = mask_predictive(posteriors, mask)
+    field = confidence_bounds(pred, {0: 0.1, 1: 0.1}, mask)
     safe, _ = safe_set(field, [2], mask)
     assert safe.all()
-    g = expanders(posteriors, field, safe, mask, exact=True)
+    g = expanders(posteriors, pred, field, safe, mask, exact=True)
     assert not g.any()
 
 
@@ -247,13 +256,15 @@ def test_expander_set_matches_refit_oracle():
             samples = SampleSet(grid, idx, values, channels)
             posteriors = {i: gp_fit(samples, i, noise, kernel)
                           for i in channels}
-            field = confidence_bounds(posteriors, dict.fromkeys(channels, 1.0),
+            pred = mask_predictive(posteriors, mask)
+            field = confidence_bounds(pred, dict.fromkeys(channels, 1.0),
                                       mask)
             safe, _ = safe_set(field, idx[:1], mask)
             for exact in (False, True):
                 cand = safe if exact else _boundary_candidates(safe, mask)
                 most[exact] = max(most[exact], int(cand.sum()))
-                g = expanders(posteriors, field, safe, mask, exact=exact)
+                g = expanders(posteriors, pred, field, safe, mask,
+                              exact=exact)
                 assert not (g & ~cand).any()
                 for a in np.flatnonzero(cand):
                     expect = refit_oracle_newly_safe(
@@ -315,10 +326,11 @@ def test_boundary_candidate_filter_is_exact_on_its_candidates():
         _, posteriors = fit_two_channels(grid, idx, vals, 0.05,
                                          kernel.lengthscale)
         mask = global_mask(grid)
-        field = confidence_bounds(posteriors, {0: 1.2, 1: 1.2}, mask)
+        pred = mask_predictive(posteriors, mask)
+        field = confidence_bounds(pred, {0: 1.2, 1: 1.2}, mask)
         safe, _ = safe_set(field, idx[:1], mask)
-        exact = expanders(posteriors, field, safe, mask, exact=True)
-        fast = expanders(posteriors, field, safe, mask, exact=False)
+        exact = expanders(posteriors, pred, field, safe, mask, exact=True)
+        fast = expanders(posteriors, pred, field, safe, mask, exact=False)
         # the filter tests exactly the boundary-adjacent safe points, so it
         # may drop interior expanders but must agree on its own candidates
         assert not (fast & ~exact).any()
@@ -336,10 +348,11 @@ def test_safe_set_never_grows_with_larger_bound():
         samples, posteriors = fit_two_channels(grid, idx, vals)
         mask = global_mask(grid)
         gamma = info_gain(posteriors[1])
+        pred = mask_predictive(posteriors, mask)
         prev = None
         for bound in (0.5, 1.0, 2.0, 5.0):
             beta = beta_scale(bound, 0.01, gamma, 0.1)
-            field = confidence_bounds(posteriors, {0: beta, 1: beta}, mask)
+            field = confidence_bounds(pred, {0: beta, 1: beta}, mask)
             s, _ = safe_set(field, idx[:1], mask)
             if prev is not None:
                 assert not (s & ~prev).any(), "larger B enlarged the safe set"

@@ -67,9 +67,10 @@ def _scenario_defaults(scenario: str) -> dict:
     if scenario == "hoeffding_mc":
         return dict(replicates=500, q=200, deltas=[0.1, 0.5], threads=1)
     common = dict(lengthscale=0.1, noise_std=0.01, delta=0.1,
-                  norm_target=2.0, safe_fraction=0.6, f_g=None,
-                  num_centers=100, alpha_bar=1.0, q_init=500, q_max=5000,
-                  predictor_path=None, threads=1)
+                  norm_target=2.0, num_centers=100, alpha_bar=1.0,
+                  q_init=500, q_max=5000, threads=1)
+    if scenario != "fig3_thresholds":
+        common.update(safe_fraction=0.6, f_g=None, predictor_path=None)
     per = {
         "fig3_thresholds": dict(grid_resolution=100, noise_std=0.001,
                                 norm_target=1.0, sample_counts=[5, 20, 50]),
@@ -123,12 +124,12 @@ class ExperimentSpec:
             if not params.get("predictor_path"):
                 raise ConfigError(
                     f"scenario {self.scenario} requires predictor_path")
+            if not 0 < params["safe_fraction"] < 1:
+                raise ConfigError(f"safe_fraction must be in (0, 1), got "
+                                  f"{params['safe_fraction']}")
         if not float(params["noise_std"]) > 0:
             raise ConfigError(f"noise_std must be positive, got "
                               f"{params['noise_std']}")
-        if not 0 < params["safe_fraction"] < 1:
-            raise ConfigError(f"safe_fraction must be in (0, 1), got "
-                              f"{params['safe_fraction']}")
         if self.scenario == "synthetic2d":
             res = params["grid_resolution"]
             if not isinstance(res, (list, tuple)) or len(res) != 2:
@@ -229,15 +230,19 @@ def _load_yaml(path):
 # ---------------------------------------------------------------------------
 # ground truths and start sets
 
+def _truth_reward(spec_params: dict, grid, kernel, seed: int):
+    """Random function of the seed at the target norm."""
+    f = sample_random_function(grid, kernel, SamplerConfig(num_centers=100),
+                               derive_rng(seed, "truth"))
+    return scale_to_norm(f, float(spec_params["norm_target"]))
+
+
 def make_truth(spec_params: dict, grid: GridDomain, kernel: KernelConfig,
                seed: int) -> GroundTruth:
     """Random ground truth at the target norm; the threshold either comes
     from the config or is placed so the requested fraction of the domain
     is safe."""
-    f = sample_random_function(grid, kernel,
-                               SamplerConfig(num_centers=100),
-                               derive_rng(seed, "truth"))
-    f = scale_to_norm(f, float(spec_params["norm_target"]))
+    f = _truth_reward(spec_params, grid, kernel, seed)
     if spec_params.get("f_g") is not None:
         f_g = float(spec_params["f_g"])
     else:
@@ -402,9 +407,7 @@ def history_rows(spec_seed: int, algorithm: str, grid: GridDomain,
 
 
 def _predictor_for(params: dict):
-    path = params.get("predictor_path")
-    if path is None:
-        return None
+    path = params["predictor_path"]
     try:
         return load_predictor(path)
     except FileNotFoundError:
@@ -497,7 +500,7 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     mask = global_mask(grid)
 
     def one_seed(seed):
-        f = make_truth(params, grid, kernel, seed).reward
+        f = _truth_reward(params, grid, kernel, seed)
         draw = derive_rng(seed, "draw")
         order = draw.permutation(grid.num_points)[:max(counts)]
         noise_rng = derive_rng(seed, "noise")

@@ -170,10 +170,13 @@ class TestRunCommand:
         (dict(sample_counts=[5, 100], num_centers=100), "num_centers"),
         (dict(sample_counts=[5, 40], grid_resolution=30), "grid points"),
         (dict(delta=1.5), "delta must be in (0, 1)"),
-        (dict(f_g="high"), "f_g must be a number"),
+        # the study has no constraint and no predictor
+        (dict(predictor_path="does_not_exist.json"),
+         "unknown key 'predictor_path'"),
         (dict(lengthscale=-1), "lengthscale must be positive"),
         (dict(grid_resolution=0), "resolution must be positive"),
-        (dict(safe_fraction=2), "safe_fraction must be in (0, 1)"),
+        (dict(safe_fraction=0.5), "unknown key 'safe_fraction'"),
+        (dict(f_g=0.0), "unknown key 'f_g'"),
     ])
     def test_malformed_fig3_values_exit_2(self, tmp_path, capsys, bad,
                                           message):
@@ -193,6 +196,7 @@ class TestRunCommand:
         (dict(opt_fraction=-3), "opt_fraction must be in (0, 1]"),
         (dict(snapshot_iterations=[0, 2]), "snapshot_iterations must lie"),
         (dict(snapshot_iterations=[1, 5]), "snapshot_iterations must lie"),
+        (dict(f_g="high"), "f_g must be a number"),
     ])
     def test_malformed_comparison_values_exit_2(self, tmp_path, capsys, bad,
                                                 message):

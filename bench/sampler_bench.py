@@ -199,6 +199,14 @@ def _cpu_model():
     return platform.processor()
 
 
+def machine() -> dict:
+    import numpy
+    import scipy
+    return {"nproc": os.cpu_count(), "cpu": _cpu_model(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--measure-sampler", metavar="SRC")
@@ -211,13 +219,7 @@ def main(argv=None):
     if not (args.parent and args.change and args.out):
         ap.error("--parent, --change and --out are required")
     trees = {"parent": args.parent, "change": args.change}
-    import numpy
-    import scipy
-    result = {"machine": {"nproc": os.cpu_count(),
-                          "cpu": _cpu_model(),
-                          "python": platform.python_version(),
-                          "numpy": numpy.__version__,
-                          "scipy": scipy.__version__},
+    result = {"machine": machine(),
               "sampler": sampler_section(trees),
               "end_to_end": end_to_end_section(trees),
               "tier1": tier1_section(trees)}

@@ -26,7 +26,7 @@ from scipy import linalg as sla
 
 from .errors import NumericError
 from .kernel_gp import GridDomain, KernelConfig, SampleSet, _chol_with_jitter, kernel_matrix
-from .seeding import derive_rng, truncated_normal
+from .seeding import derive_rng, raw_streams, truncated_normal, truncated_normal_from
 from .subdomain import DomainMask
 
 _NORM_DUST = -1e-10
@@ -116,6 +116,40 @@ def _draw_interpolation_parts(rng, num_members, noise_std, num_tail, num_samples
     tail_coeffs_u = rng.uniform(-1.0, 1.0, size=num_tail)
     eps = truncated_normal(rng, noise_std, size=num_samples)
     return tail_pos, tail_coeffs_u, eps
+
+
+def _draw_chunk_parts(seed_path, first, count, num_members, noise_std,
+                      num_tail, num_samples):
+    """:func:`_draw_interpolation_parts` of the streams ``derive_rng(
+    *seed_path, first + r)`` for ``r < count``, stacked row by row and
+    bitwise equal, built from one :func:`raw_streams` pass.
+
+    ``integers(0, m, size=T)`` maps the 32-bit halves of its first
+    ``ceil(T / 2)`` words, low half first, by Lemire's multiply-shift (an
+    odd ``T`` leaves the last high half unused); ``m == 1`` takes no words.
+    Each uniform double is the top 53 bits of one word. A draw whose
+    multiply-shift may be rejected (a 32-bit leftover below ``m``), and
+    every draw when ``m >= 2**32``, is redrawn from its own stream.
+    """
+    m, t = num_members, num_tail
+    k = 0 if m == 1 else (t + 1) // 2
+    raw = raw_streams(seed_path, first, count, k + t + num_samples)
+    unit = (raw[:, k:] >> np.uint64(11)) * 2.0 ** -53
+    tail_u = -1.0 + 2.0 * unit[:, :t]
+    eps = truncated_normal_from(unit[:, t:], noise_std)
+    tails = np.zeros((count, t), dtype=np.int64)
+    redraw = np.full(count, m >= 2 ** 32)
+    if 1 < m < 2 ** 32:
+        halves = np.stack([raw[:, :k] & np.uint64(0xFFFFFFFF),
+                           raw[:, :k] >> np.uint64(32)], axis=2)
+        scaled = halves.reshape(count, 2 * k)[:, :t] * np.uint64(m)
+        tails[:] = scaled >> np.uint64(32)
+        redraw = ((scaled & np.uint64(0xFFFFFFFF)) < m).any(axis=1)
+    for r in np.flatnonzero(redraw):
+        tails[r], tail_u[r], eps[r] = _draw_interpolation_parts(
+            derive_rng(*seed_path, first + int(r)), m, noise_std, t,
+            num_samples)
+    return tails, tail_u, eps
 
 
 def _tail_region(samples: SampleSet, cfg: SamplerConfig,

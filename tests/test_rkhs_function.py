@@ -199,7 +199,8 @@ def test_batched_norms_match_per_function_path():
     cfg = SamplerConfig(num_centers=40)
     seed_path = (99, 1, 2)
     mask = global_mask(grid)
-    # 300 draws span two chunks of _CHUNK = 256
+    # 300 draws span more than one chunk of _CHUNK draws
+    assert 300 > rkhs_function._CHUNK
     batched = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, seed_path,
                                   count=300)
     singles = np.array([
@@ -245,7 +246,7 @@ def test_gathered_and_evaluated_blocks_give_bitwise_equal_norms(monkeypatch):
         for gather in (False, True):
             monkeypatch.setattr(rkhs_function, "_gathers",
                                 lambda *a, g=gather: g)
-            # 300 draws span two chunks of _CHUNK = 256
+            # 300 draws span more than one chunk of _CHUNK draws
             norms.append(interpolating_norms(s, 1, 0.01, CFG, mask,
                                              SamplerConfig(),
                                              (5, mask.count), 300))
@@ -269,7 +270,21 @@ def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
         sizes.clear()
         interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (3,), count)
         num_tail = cfg.num_centers - len(s)
-        assert max(sizes) <= min(count, 256) * num_tail * num_tail
+        assert (max(sizes)
+                <= min(count, rkhs_function._CHUNK) * num_tail * num_tail)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 256])
+def test_norms_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    cases = list(block_path_cases())
+    default = [interpolating_norms(s, 1, 0.01, CFG, mask, SamplerConfig(),
+                                   (6, mask.count), 300)
+               for s, mask in cases]
+    monkeypatch.setattr(rkhs_function, "_CHUNK", chunk)
+    for (s, mask), want in zip(cases, default):
+        got = interpolating_norms(s, 1, 0.01, CFG, mask, SamplerConfig(),
+                                  (6, mask.count), 300)
+        assert np.array_equal(got, want), (mask.label, mask.count)
 
 
 def test_gp_mean_norm_equals_weight_expansion_norm():

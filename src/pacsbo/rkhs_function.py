@@ -14,7 +14,8 @@ A function here is ``f = sum_s alpha_s k(x_s, .)`` with kernel norm
 
 :func:`interpolating_norms` is the batched fast path: it draws each
 function from its own counter-derived stream (so any parallel schedule
-sees the same numbers) and evaluates the norms chunk-wise. Both samplers
+sees the same numbers), rebuilds a whole chunk's streams in one pass and
+evaluates the norms chunk-wise. Both samplers
 draw the tail centers from a region mask.
 """
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .seeding import derive_rng, raw_streams, truncated_normal, truncated_normal
 from .subdomain import DomainMask
 
 _NORM_DUST = -1e-10
-_CHUNK = 256  # draws per batched norm evaluation
+_CHUNK = 64  # draws per batched norm evaluation
 
 
 @dataclass(frozen=True)
@@ -209,13 +210,16 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     Draw ``j`` consumes exactly the stream ``derive_rng(*seed_path,
     start_index + j)``, matching :func:`sample_interpolating_function`
     called with that stream, so results do not depend on chunking or on
-    how callers schedule the work.
+    how callers schedule the work. A chunk's streams are rebuilt in one
+    pass (:func:`_draw_chunk_parts`), bitwise equal to the per-draw ones.
 
     A chunk's sample-tail (c, N, T) and tail-tail (c, T, T) kernel blocks
     are gathered from the Gram of the ``m`` mask members and the
     sample-member block when ``m * m <= c * T * T`` for the first (largest)
     chunk, and evaluated per chunk otherwise. Both give bitwise-equal
     blocks, and so norms, since the gathered cross block is C-contiguous.
+    The gathered tail-tail blocks are taken draw by draw into one buffer
+    that every chunk reuses.
     """
     if len(seed_path) == 0:
         raise ValueError("seed_path must contain at least the base seed")
@@ -231,22 +235,19 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     if gather := _gathers(m, min(count, _CHUNK), num_tail):
         g_rr = kernel_matrix(members, members, kernel)  # (m, m)
         g_ar = kernel_matrix(params, members, kernel)   # (N, m)
+        k_tt_buf = np.empty((min(count, _CHUNK), num_tail, num_tail))
 
     norms = np.empty(count)
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
-        c = hi - lo
-        tails = np.empty((c, num_tail), dtype=np.int64)  # member positions
-        tail_coeffs = np.empty((c, num_tail))
-        eps = np.empty((c, n))
-        for j in range(lo, hi):
-            rng = derive_rng(*seed_path, start_index + j)
-            tails[j - lo], t_u, eps[j - lo] = _draw_interpolation_parts(
-                rng, m, noise_std, num_tail, n)
-            tail_coeffs[j - lo] = cfg.coeff_bound * t_u
+        tails, tail_u, eps = _draw_chunk_parts(  # tails: member positions
+            seed_path, start_index + lo, hi - lo, m, noise_std, num_tail, n)
+        tail_coeffs = cfg.coeff_bound * tail_u
         if gather:
             cross = np.ascontiguousarray(np.moveaxis(g_ar[:, tails], 1, 0))
-            k_tt = g_rr.ravel()[tails[:, :, None] * m + tails[:, None, :]]
+            k_tt = k_tt_buf[:hi - lo]
+            for block, t in zip(k_tt, tails):
+                np.take(np.take(g_rr, t, axis=0), t, axis=1, out=block)
         else:
             tp = members[tails]                       # (c, T, n)
             cross = kernel_matrix(params, tp, kernel)  # (c, N, T)

@@ -19,7 +19,14 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .kernel_gp import GpPosterior, GridDomain, KernelConfig, SampleSet, gp_fit
+from .kernel_gp import (
+    GpPosterior,
+    GridDomain,
+    KernelConfig,
+    SampleSet,
+    gp_fit,
+    reciprocal_cov_integral,
+)
 from .pac_estimator import PacConfig, PacResult, estimate_upper_bound
 from .predictor import MlpPredictor, append_trace, predict_norm
 from .rkhs_function import RkhsFunction
@@ -198,13 +205,14 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     pac = replace(cfg.pac, delta=cfg.delta / (len(masks) * len(CHANNELS)))
     results = {}
     for p_idx, (label, mask) in enumerate(masks.items()):
-        for i in CHANNELS:
-            if cfg.algorithm == "safeopt":
+        if cfg.algorithm == "safeopt":
+            for i in CHANNELS:
                 results[label, i] = PacResult(cfg.fixed_bound, 0, 0.0, 0.0,
                                               False)
-                continue
-            traces[label, i] = append_trace(traces[label, i],
-                                            posteriors[i], mask)
+            continue
+        r = reciprocal_cov_integral(posteriors[0], mask)
+        for i in CHANNELS:
+            traces[label, i] = append_trace(traces[label, i], posteriors[i], r)
             results[label, i] = estimate_upper_bound(
                 predict_norm(cfg.predictor, traces[label, i]), state.samples,
                 i, cfg.noise_std, cfg.kernel, mask, cfg=pac,

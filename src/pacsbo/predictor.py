@@ -29,18 +29,19 @@ from .kernel_gp import (
 from .rkhs_function import RkhsFunction, SamplerConfig, rkhs_norm, sample_random_function
 from .safeopt_core import select
 from .seeding import derive_rng
-from .subdomain import DomainMask, global_mask
+from .subdomain import global_mask
 
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
 
-def append_trace(trace: tuple, post: GpPosterior, mask: DomainMask) -> tuple:
+def append_trace(trace: tuple, post: GpPosterior, r: float) -> tuple:
     """The trace extended by the pair (kernel norm of the posterior mean,
-    reciprocal covariance integral over the mask)."""
-    return trace + ((mean_rkhs_norm(post),
-                      reciprocal_cov_integral(post, mask)),)
+    ``r``), where ``r`` is the reciprocal covariance integral of ``post``
+    over a region. The variance, and so ``r``, is the same for every
+    channel fitted on one sample set."""
+    return trace + ((mean_rkhs_norm(post), r),)
 
 
 def encode_trace(trace: tuple, length: int) -> np.ndarray:
@@ -113,9 +114,9 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
 
     trace = ()
     rows = []
+    reward = gp_fit(samples, 0, cfg.noise_std, kernel)
     for step in range(cfg.rollout_iters):
-        posteriors = {i: gp_fit(samples, i, cfg.noise_std, kernel)
-                      for i in (0, 1)}
+        posteriors = {0: reward, 1: gp_fit(samples, 1, cfg.noise_std, kernel)}
         choice, _, _ = select(posteriors, {"global": {0: bound, 1: bound}},
                               {"global": mask}, [seed_idx], cfg.noise_std,
                               cfg.delta)
@@ -126,8 +127,9 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
         g = values[choice] - threshold + cfg.noise_std * rng.standard_normal()
         samples = samples.append(choice, {0: y, 1: g})
 
-        trace = append_trace(trace, gp_fit(samples, 0, cfg.noise_std, kernel),
-                             mask)
+        reward = gp_fit(samples, 0, cfg.noise_std, kernel)
+        trace = append_trace(trace, reward,
+                             reciprocal_cov_integral(reward, mask))
         rows.append((encode_trace(trace, 2 * cfg.t_max),
                      cfg.label_multiplier * bound))
     return rows

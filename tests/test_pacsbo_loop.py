@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pacsbo.pacsbo_loop as loop_mod
 import pacsbo.safeopt_core as core_mod
 from pacsbo.errors import ConfigError
 from pacsbo.kernel_gp import (
@@ -13,6 +14,7 @@ from pacsbo.kernel_gp import (
     SampleSet,
     gp_fit,
     info_gain,
+    reciprocal_cov_integral,
 )
 from pacsbo.pac_estimator import PacConfig
 from pacsbo.pacsbo_loop import (
@@ -317,6 +319,24 @@ def test_global_trace_r_nondecreasing():
         assert all(b >= a - 1e-12 for a, b in zip(rs, rs[1:]))
         for label in ("tilde", "hat"):
             assert len(state.traces[(label, i)]) == cfg.budget
+
+
+def test_one_covariance_integral_per_region_and_step(monkeypatch):
+    # the posterior variance is the same for every channel, so each region
+    # integrates it once per step and pushes the value onto both traces
+    grid = GridDomain.uniform(25)
+    truth, s0 = make_truth(grid, seed=4)
+    cfg = pacsbo_config(grid, s0, budget=3, seed=6)
+    calls = []
+
+    def counting(post, mask):
+        calls.append(mask.label)
+        return reciprocal_cov_integral(post, mask)
+
+    monkeypatch.setattr(loop_mod, "reciprocal_cov_integral", counting)
+    hist = run(cfg, truth)
+    assert len(hist) == 3
+    assert sorted(calls) == sorted(["tilde", "hat", "global"] * 3)
 
 
 def test_run_longer_than_the_predictor_window():

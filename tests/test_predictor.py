@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import gradient_check_error
 
+import pacsbo.predictor as predictor_mod
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
@@ -38,7 +39,8 @@ def test_append_preserves_order():
     one = gp_fit(SampleSet(grid, [3], {0: [0.5], 1: [0.5]}), 0, 0.01, kernel)
     two = gp_fit(SampleSet(grid, [3, 12], {0: [0.5, -0.2], 1: [0.5, -0.2]}),
                  0, 0.01, kernel)
-    t = append_trace(append_trace((), one, mask), two, mask)
+    t = append_trace(append_trace((), one, reciprocal_cov_integral(one, mask)),
+                     two, reciprocal_cov_integral(two, mask))
     assert t == ((mean_rkhs_norm(one), reciprocal_cov_integral(one, mask)),
                  (mean_rkhs_norm(two), reciprocal_cov_integral(two, mask)))
 
@@ -168,6 +170,22 @@ def test_rollout_determinism():
     b = generate_training_data(small_rollout_config(), seed=11)
     np.testing.assert_array_equal(a.inputs, b.inputs)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def test_rollout_fits_each_sample_set_and_channel_once(monkeypatch):
+    # one fit of each channel on the seed sample, then one per channel and
+    # step: the channel-0 fit made for the trace serves the next step too
+    calls = []
+
+    def counting(samples, i, *args):
+        calls.append((len(samples), i))
+        return gp_fit(samples, i, *args)
+
+    monkeypatch.setattr(predictor_mod, "gp_fit", counting)
+    data = generate_training_data(small_rollout_config(q_train=1, iters=10),
+                                  seed=3)
+    assert data.rows == 10
+    assert len(calls) == 21 and len(set(calls)) == 21
 
 
 def test_reciprocal_covariance_grows_along_rollout_traces():

@@ -15,8 +15,8 @@ A function here is ``f = sum_s alpha_s k(x_s, .)`` with kernel norm
 :func:`interpolating_norms` is the batched fast path: it draws each
 function from its own counter-derived stream (so any parallel schedule
 sees the same numbers), rebuilds a whole chunk's streams in one pass and
-evaluates the norms chunk-wise. Both samplers
-draw the tail centers from a region mask.
+evaluates the norms chunk-wise. Both samplers draw the tail centers from
+a region mask.
 """
 from __future__ import annotations
 

@@ -3,6 +3,7 @@
 ``raw_streams`` and the sampler's chunk parts must equal, bit for bit, what
 ``derive_rng`` and ``_draw_interpolation_parts`` give one draw at a time.
 """
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -135,8 +136,13 @@ def test_threads_running_the_sampler_at_once_match_a_serial_run():
                                    150, start_index=3)
 
     serial = [run(c) for c in calls]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = list(pool.map(run, calls))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(run, calls, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
 

@@ -108,6 +108,8 @@ class ExperimentSpec:
             raise ConfigError("seeds list must be nonempty")
         params = self.params
         _check_numbers(params, _scenario_defaults(self.scenario))
+        if params["threads"] < 1:
+            raise ConfigError(f"threads must be >= 1, got {params['threads']}")
         if self.scenario == "hoeffding_mc":
             if len(self.seeds) != 1:
                 raise ConfigError(f"hoeffding_mc takes one seed, got "

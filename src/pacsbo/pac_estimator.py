@@ -7,9 +7,10 @@ confidence width. If the budget of draws runs out before acceptance, B is
 escalated by the safety factor ``F_SAFETY`` until the test passes and the
 result is flagged as escalated.
 
-Draw j of a call is seeded as (seed_path..., j), so pooling more draws
-extends the earlier ones exactly and the outcome does not depend on how
-batches are scheduled.
+Draw j of a call is the j-th block of raw words of one PCG64 stream seeded
+by ``seed_path`` (layout in :mod:`pacsbo.rkhs_function`), so pooling more
+draws extends the earlier ones exactly and the outcome does not depend on
+how batches are scheduled.
 """
 
 from __future__ import annotations

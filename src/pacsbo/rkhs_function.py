@@ -12,11 +12,17 @@ A function here is ``f = sum_s alpha_s k(x_s, .)`` with kernel norm
   candidates for the unknown ground truth, and the spread of their norms
   is what the PAC estimator concentrates over.
 
-:func:`interpolating_norms` is the batched fast path: it draws each
-function from its own counter-derived stream (so any parallel schedule
-sees the same numbers), rebuilds a whole chunk's streams in one pass and
-evaluates the norms chunk-wise. Both samplers draw the tail centers from
-a region mask.
+:func:`interpolating_norms` is the batched fast path and
+:func:`sample_interpolating_function` the per-draw reference. Both read
+draw ``j`` of a seed path ``p`` as the ``W = 2T + N`` raw words from word
+``j * W`` of one ``PCG64(SeedSequence(p))`` stream: ``T`` tail positions,
+``T`` tail coefficients, then ``N`` noise values. Each word's top 53 bits
+give a uniform ``u`` in ``[0, 1)``, mapped to the position ``floor(u * m)``
+among ``m`` mask members (no rejection; bias at most ``m / 2**53``), the
+coefficient ``-1 + 2u`` or a truncated normal noise value. A draw depends
+only on ``p`` and ``j``, never on chunking or scheduling, and only numpy's
+public ``advance`` and ``random_raw`` are used. Both samplers draw the
+tail centers from a region mask.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from scipy import linalg as sla
 
 from .errors import NumericError
 from .kernel_gp import GridDomain, KernelConfig, SampleSet, _chol_with_jitter, kernel_matrix
-from .seeding import derive_rng, raw_streams, truncated_normal, truncated_normal_from
+from .seeding import _entropy, truncated_normal_from
 from .subdomain import DomainMask
 
 _NORM_DUST = -1e-10
@@ -111,46 +117,24 @@ def sample_random_function(grid: GridDomain, kernel: KernelConfig,
     return RkhsFunction(kernel, grid.points[idx], coeffs)
 
 
-def _draw_interpolation_parts(rng, num_members, noise_std, num_tail, num_samples):
-    """Random ingredients of one interpolating draw, in a fixed stream order."""
-    tail_pos = rng.integers(0, num_members, size=num_tail)
-    tail_coeffs_u = rng.uniform(-1.0, 1.0, size=num_tail)
-    eps = truncated_normal(rng, noise_std, size=num_samples)
-    return tail_pos, tail_coeffs_u, eps
-
-
-def _draw_chunk_parts(seed_path, first, count, num_members, noise_std,
-                      num_tail, num_samples):
-    """:func:`_draw_interpolation_parts` of the streams ``derive_rng(
-    *seed_path, first + r)`` for ``r < count``, stacked row by row and
-    bitwise equal, built from one :func:`raw_streams` pass.
-
-    ``integers(0, m, size=T)`` maps the 32-bit halves of its first
-    ``ceil(T / 2)`` words, low half first, by Lemire's multiply-shift (an
-    odd ``T`` leaves the last high half unused); ``m == 1`` takes no words.
-    Each uniform double is the top 53 bits of one word. A draw whose
-    multiply-shift may be rejected (a 32-bit leftover below ``m``), and
-    every draw when ``m >= 2**32``, is redrawn from its own stream.
-    """
-    m, t = num_members, num_tail
-    k = 0 if m == 1 else (t + 1) // 2
-    raw = raw_streams(seed_path, first, count, k + t + num_samples)
-    unit = (raw[:, k:] >> np.uint64(11)) * 2.0 ** -53
-    tail_u = -1.0 + 2.0 * unit[:, :t]
-    eps = truncated_normal_from(unit[:, t:], noise_std)
-    tails = np.zeros((count, t), dtype=np.int64)
-    redraw = np.full(count, m >= 2 ** 32)
-    if 1 < m < 2 ** 32:
-        halves = np.stack([raw[:, :k] & np.uint64(0xFFFFFFFF),
-                           raw[:, :k] >> np.uint64(32)], axis=2)
-        scaled = halves.reshape(count, 2 * k)[:, :t] * np.uint64(m)
-        tails[:] = scaled >> np.uint64(32)
-        redraw = ((scaled & np.uint64(0xFFFFFFFF)) < m).any(axis=1)
-    for r in np.flatnonzero(redraw):
-        tails[r], tail_u[r], eps[r] = _draw_interpolation_parts(
-            derive_rng(*seed_path, first + int(r)), m, noise_std, t,
-            num_samples)
-    return tails, tail_u, eps
+def _draws(seed_path, first, count, num_members, noise_std, num_tail,
+           num_samples):
+    """Random parts ``(tail positions, tail uniforms in [-1, 1), noise)`` of
+    draws ``first`` to ``first + count - 1`` of ``seed_path``, yielded in
+    chunks of ``_CHUNK`` draws, one row per draw (layout in the module
+    docstring)."""
+    if first < 0:
+        raise ValueError(f"draw index must be nonnegative, got {first}")
+    t, words = num_tail, 2 * num_tail + num_samples
+    stream = np.random.PCG64(np.random.SeedSequence(_entropy(*seed_path)))
+    stream.advance(first * words)
+    for lo in range(0, count, _CHUNK):
+        c = min(_CHUNK, count - lo)
+        raw = stream.random_raw(c * words).reshape(c, words)
+        unit = (raw >> np.uint64(11)) * 2.0 ** -53
+        yield ((unit[:, :t] * num_members).astype(np.int64),
+               -1.0 + 2.0 * unit[:, t:2 * t],
+               truncated_normal_from(unit[:, 2 * t:], noise_std))
 
 
 def _tail_region(samples: SampleSet, cfg: SamplerConfig,
@@ -170,9 +154,11 @@ def _tail_region(samples: SampleSet, cfg: SamplerConfig,
 
 def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
                                   kernel: KernelConfig, mask: DomainMask,
-                                  cfg: SamplerConfig,
-                                  rng: np.random.Generator) -> RkhsFunction:
-    """Random expansion pinned to the measurements of channel ``i``.
+                                  cfg: SamplerConfig, seed_path: tuple,
+                                  j: int) -> RkhsFunction:
+    """Random expansion pinned to the measurements of channel ``i``: draw
+    ``j`` of ``seed_path``, the same draw :func:`interpolating_norms` takes
+    the norm of.
 
     The first ``N`` centers are the sample locations; their coefficients
     solve ``K_AA a = (y + eps) - K_At a_tail`` with ``eps`` truncated
@@ -181,8 +167,9 @@ def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
     """
     region_idx = _tail_region(samples, cfg, mask)
     n = len(samples)
-    tail_pos, tail_u, eps = _draw_interpolation_parts(
-        rng, region_idx.shape[0], noise_std, cfg.num_centers - n, n)
+    tail_pos, tail_u, eps = (part[0] for part in next(_draws(
+        seed_path, j, 1, region_idx.shape[0], noise_std,
+        cfg.num_centers - n, n)))
     tail_coeffs = cfg.coeff_bound * tail_u
     params = samples.params
     tail_points = mask.grid.points[region_idx[tail_pos]]
@@ -207,11 +194,10 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     """Norms of ``count`` interpolating draws, evaluated in chunks of
     ``_CHUNK`` draws.
 
-    Draw ``j`` consumes exactly the stream ``derive_rng(*seed_path,
-    start_index + j)``, matching :func:`sample_interpolating_function`
-    called with that stream, so results do not depend on chunking or on
-    how callers schedule the work. A chunk's streams are rebuilt in one
-    pass (:func:`_draw_chunk_parts`), bitwise equal to the per-draw ones.
+    Draw ``j`` of the result is draw ``start_index + j`` of ``seed_path``
+    (see the module docstring), the function
+    :func:`sample_interpolating_function` builds for that index, so results
+    do not depend on chunking or on how callers schedule the work.
 
     A chunk's sample-tail (c, N, T) and tail-tail (c, T, T) kernel blocks
     are gathered from the Gram of the ``m`` mask members and the
@@ -238,10 +224,9 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
         k_tt_buf = np.empty((min(count, _CHUNK), num_tail, num_tail))
 
     norms = np.empty(count)
-    for lo in range(0, count, _CHUNK):
-        hi = min(lo + _CHUNK, count)
-        tails, tail_u, eps = _draw_chunk_parts(  # tails: member positions
-            seed_path, start_index + lo, hi - lo, m, noise_std, num_tail, n)
+    draws = _draws(seed_path, start_index, count, m, noise_std, num_tail, n)
+    for lo, (tails, tail_u, eps) in zip(range(0, count, _CHUNK), draws):
+        hi = lo + len(tails)  # tails: member positions
         tail_coeffs = cfg.coeff_bound * tail_u
         if gather:
             cross = np.ascontiguousarray(np.moveaxis(g_ar[:, tails], 1, 0))

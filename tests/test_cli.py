@@ -284,3 +284,20 @@ class TestOverridePrecedence:
         assert main(["run", "--config", cfg]) == 2
         assert "PACSBO_THREADS must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag", "env"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_thread_count_below_one_exits_2(self, tmp_path, monkeypatch,
+                                            capsys, source, count):
+        # a count below 1 used to run serially and exit 0
+        extra = {"threads": count} if source == "config" else {}
+        cfg = write_config(tmp_path / "h.yaml",
+                           hoeffding_body(tmp_path / "o", **extra))
+        argv = ["run", "--config", cfg]
+        if source == "flag":
+            argv += ["--threads", str(count)]
+        if source == "env":
+            monkeypatch.setenv("PACSBO_THREADS", str(count))
+        assert main(argv) == 2
+        assert f"threads must be >= 1, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

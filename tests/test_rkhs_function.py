@@ -123,7 +123,7 @@ def test_interpolating_function_pins_measurements():
     sigma = 0.05
     s = make_samples(grid, [20, 90, 150], [1.2, -0.4, 0.6])
     f = sample_interpolating_function(s, 0, sigma, CFG, global_mask(grid),
-                                      SamplerConfig(), derive_rng(1))
+                                      SamplerConfig(), (1,), 0)
     vals = evaluate(f, s.params)
     # interpolates the measurements up to the truncated noise draw
     assert np.all(np.abs(vals - s.targets(0)) <= 2.0 * sigma + 1e-9)
@@ -136,7 +136,7 @@ def test_interpolating_function_zero_tail_is_minimum_norm_interpolant():
     s = make_samples(grid, [10, 50, 80], [1.0, 0.5, -0.2])
     f = sample_interpolating_function(s, 0, 0.0, CFG, global_mask(grid),
                                       SamplerConfig(num_centers=30, coeff_bound=0.0),
-                                      derive_rng(3))
+                                      (3,), 0)
     vals = evaluate(f, s.params)
     np.testing.assert_allclose(vals, s.targets(0), atol=1e-9)
     assert np.all(f.coefficients[3:] == 0.0)
@@ -151,11 +151,11 @@ def test_interpolating_function_validation():
     with pytest.raises(ValueError):
         sample_interpolating_function(s, 0, 0.01, CFG, global_mask(grid),
                                       SamplerConfig(num_centers=3),
-                                      derive_rng(0))
+                                      (0,), 0)
     empty = SampleSet(grid, (), {0: (), 1: ()})
     with pytest.raises(ValueError):
         sample_interpolating_function(empty, 0, 0.01, CFG, global_mask(grid),
-                                      SamplerConfig(), derive_rng(0))
+                                      SamplerConfig(), (0,), 0)
 
 
 def test_interpolating_function_region_restriction():
@@ -166,7 +166,7 @@ def test_interpolating_function_region_restriction():
     mask = DomainMask(grid, region, "hat",
                       ("box", np.array([0.3]), np.array([0.7])))
     f = sample_interpolating_function(s, 0, 0.01, CFG, mask, SamplerConfig(),
-                                      derive_rng(4))
+                                      (4,), 0)
     tail = f.centers[3:, 0]
     allowed = grid.points[region, 0]
     assert np.all(np.isin(tail, allowed))
@@ -176,7 +176,7 @@ def test_interpolating_function_region_restriction():
     with pytest.raises(ValueError, match="different grids"):
         sample_interpolating_function(s, 0, 0.01, CFG,
                                       global_mask(GridDomain.uniform(50)),
-                                      SamplerConfig(), derive_rng(4))
+                                      SamplerConfig(), (4,), 0)
 
 
 def test_same_stream_reproduces_function():
@@ -184,9 +184,9 @@ def test_same_stream_reproduces_function():
     s = make_samples(grid, [10, 50, 80], [1.0, 0.5, -0.2])
     mask = global_mask(grid)
     f1 = sample_interpolating_function(s, 0, 0.01, CFG, mask, SamplerConfig(),
-                                       derive_rng(123, 7))
+                                       (123,), 7)
     f2 = sample_interpolating_function(s, 0, 0.01, CFG, mask, SamplerConfig(),
-                                       derive_rng(123, 7))
+                                       (123,), 7)
     np.testing.assert_array_equal(f1.centers, f2.centers)
     np.testing.assert_array_equal(f1.coefficients, f2.coefficients)
 
@@ -205,7 +205,7 @@ def test_batched_norms_match_per_function_path():
                                   count=300)
     singles = np.array([
         rkhs_norm(sample_interpolating_function(s, 0, 0.01, CFG, mask, cfg,
-                                                derive_rng(*seed_path, j)))
+                                                seed_path, j))
         for j in range(300)
     ])
     np.testing.assert_allclose(batched, singles, atol=1e-9, rtol=1e-9)

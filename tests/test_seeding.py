@@ -1,9 +1,13 @@
-"""The batched stream rebuild against the per-draw streams it replaces.
+"""The sampler's stream layout and the seeded helpers around it.
 
-``raw_streams`` and the sampler's chunk parts must equal, bit for bit, what
-``derive_rng`` and ``_draw_interpolation_parts`` give one draw at a time.
+A call reads one ``PCG64(SeedSequence(seed_path))`` stream, and draw ``j``
+is the block of ``W = 2T + N`` words at position ``j * W``: ``T`` tail
+positions, ``T`` tail coefficients and ``N`` noise values. A chunk of draws
+read in one go must equal the same draws read one at a time, which is what
+``sample_interpolating_function`` does.
 """
 import sys
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,16 +16,18 @@ from scipy.special import ndtri
 
 from pacsbo import rkhs_function
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
-from pacsbo.rkhs_function import (
-    SamplerConfig,
-    _draw_chunk_parts,
-    _draw_interpolation_parts,
-    interpolating_norms,
+from pacsbo.rkhs_function import SamplerConfig, _draws, interpolating_norms
+from pacsbo.seeding import (
+    _U_HI,
+    _U_LO,
+    derive_rng,
+    truncated_normal,
+    truncated_normal_from,
 )
-from pacsbo.seeding import _U_HI, _U_LO, derive_rng, raw_streams, truncated_normal
 from pacsbo.subdomain import global_mask, partition_masks
 
-# seed paths of 1 to 5 components; the draw index makes 2 to 6
+# seed paths of 1 to 5 components, with str components, 0 and values of
+# more than one 32-bit word
 SEED_PATHS = [
     (11,),
     (0, 0),
@@ -32,33 +38,84 @@ SEED_PATHS = [
 ]
 
 
-def reference_streams(seed_path, first, count, words):
-    return np.array([derive_rng(*seed_path, first + r).bit_generator
-                     .random_raw(words) for r in range(count)],
-                    dtype=np.uint64).reshape(count, words)
+def chunk(seed_path, first, count, m, noise_std, t, n):
+    assert count <= rkhs_function._CHUNK
+    return next(_draws(seed_path, first, count, m, noise_std, t, n))
+
+
+def per_draw(seed_path, first, count, m, noise_std, t, n):
+    parts = [chunk(seed_path, first + r, 1, m, noise_std, t, n)
+             for r in range(count)]
+    return [np.concatenate([p[k] for p in parts]) for k in range(3)]
+
+
+def sampler_case(resolution, idx):
+    grid = GridDomain.uniform(resolution)
+    x = grid.points[idx].sum(axis=1)
+    return SampleSet(grid, idx, {0: np.sin(6.0 * x), 1: np.cos(4.0 * x)})
+
+
+def plain_stream(seed_path):
+    entropy = [zlib.crc32(p.encode()) if isinstance(p, str) else p
+               for p in seed_path]
+    return np.random.PCG64(np.random.SeedSequence(entropy))
 
 
 @pytest.mark.parametrize("seed_path", SEED_PATHS)
 @pytest.mark.parametrize("first", [0, 5, 2 ** 32 - 3])
 def test_raw_streams_equal_per_draw_streams(seed_path, first):
-    # from 2**32 - 3 the draw index grows from one 32-bit word to two
-    got = raw_streams(seed_path, first, 6, 11)
-    assert got.dtype == np.uint64 and got.shape == (6, 11)
-    assert np.array_equal(got, reference_streams(seed_path, first, 6, 11))
+    # one read of six draws equals six reads, each advanced to its draw
+    got = chunk(seed_path, first, 6, 100, 0.01, 3, 2)
+    for g, w in zip(got, per_draw(seed_path, first, 6, 100, 0.01, 3, 2)):
+        assert np.array_equal(g, w)
 
 
-def test_raw_streams_of_no_words_and_no_rows():
-    assert raw_streams((1, 2), 0, 3, 0).shape == (3, 0)
-    assert raw_streams((1, 2), 4, 0, 5).shape == (0, 5)
+@pytest.mark.parametrize("seed_path", SEED_PATHS)
+def test_parts_are_the_words_of_one_plain_stream(seed_path):
+    # draws 2..4 of T = 3 tails, N = 2 samples: 8 words each, from word 16
+    m, noise_std, t, n = 2500, 0.01, 3, 2
+    raw = plain_stream(seed_path).random_raw(40)[16:].reshape(3, 8)
+    u = (raw >> np.uint64(11)) * 2.0 ** -53
+    tails, tail_u, eps = chunk(seed_path, 2, 3, m, noise_std, t, n)
+    assert tails.dtype == np.int64
+    assert np.array_equal(tails, np.floor(u[:, :3] * m))
+    assert np.array_equal(tail_u, -1.0 + 2.0 * u[:, 3:6])
+    assert np.array_equal(eps, truncated_normal_from(u[:, 6:], noise_std))
+    # the same stream is derive_rng's, and u is its Generator.random()
+    assert np.array_equal(u.ravel(), derive_rng(*seed_path).random(40)[16:])
+
+
+@pytest.mark.parametrize("m", [1, 2, 2500, 3_000_000_000, 2 ** 32 + 1])
+def test_tail_position_stays_below_m_at_the_largest_uniform(monkeypatch, m):
+    top = np.uint64(2 ** 64 - 1)  # the word that maps to u = 1 - 2**-53
+
+    class TopStream:
+        def __init__(self, seed_seq):
+            pass
+
+        def advance(self, delta):
+            pass
+
+        def random_raw(self, size):
+            return np.full(size, top)
+
+    monkeypatch.setattr(rkhs_function.np.random, "PCG64", TopStream)
+    tails, tail_u, _ = chunk((1,), 0, 2, m, 0.0, 4, 1)
+    assert (tails == m - 1).all()
+    assert (tail_u < 1.0).all()
 
 
 @pytest.mark.parametrize("seed_path, first", [((-1,), 0), ((4, "a", -2), 0),
                                               ((4,), -1)])
 def test_negative_component_raises_like_derive_rng(seed_path, first):
+    if first == 0:
+        with pytest.raises(ValueError):
+            derive_rng(*seed_path)
+    s = sampler_case(100, [22, 30, 41, 57])
     with pytest.raises(ValueError):
-        derive_rng(*seed_path, first)
-    with pytest.raises(ValueError):
-        raw_streams(seed_path, first, 2, 3)
+        interpolating_norms(s, 0, 0.01, KernelConfig(lengthscale=0.1),
+                            global_mask(s.grid), SamplerConfig(), seed_path,
+                            3, start_index=first)
 
 
 def test_truncated_normal_is_the_inverse_cdf_of_a_clipped_uniform():
@@ -72,54 +129,20 @@ def test_truncated_normal_is_the_inverse_cdf_of_a_clipped_uniform():
             assert np.array_equal(got, want)
 
 
-def reference_parts(seed_path, first, count, m, noise_std, t, n):
-    parts = [_draw_interpolation_parts(derive_rng(*seed_path, first + r), m,
-                                       noise_std, t, n)
-             for r in range(count)]
-    return [np.array([p[k] for p in parts]).reshape(count, -1)
-            for k in range(3)]
-
-
 @pytest.mark.parametrize("m", [1, 2, 4, 100, 2500, 3_000_000_000, 2 ** 32])
 @pytest.mark.parametrize("num_tail", [1, 6, 95])
 @pytest.mark.parametrize("noise_std", [0.0, 0.01])
-def test_chunk_parts_equal_per_draw_parts(monkeypatch, m, num_tail,
-                                          noise_std):
-    redraws = []
-
-    def counting_rng(*path):
-        redraws.append(path)
-        return derive_rng(*path)
-
-    monkeypatch.setattr(rkhs_function, "derive_rng", counting_rng)
+def test_chunk_parts_equal_per_draw_parts(m, num_tail, noise_std):
     seed_path, first, count, n = (7, "pac", 2 ** 32 + 5), 13, 9, 4
-    got = _draw_chunk_parts(seed_path, first, count, m, noise_std, num_tail,
-                            n)
-    want = reference_parts(seed_path, first, count, m, noise_std, num_tail, n)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert np.array_equal(g, w)
-    if m >= 3_000_000_000 and num_tail > 1:
-        # a Lemire leftover below m is likely, or (m = 2**32) the 32-bit
-        # rule does not apply: those draws come from their own stream
-        assert len(redraws) > 0
-    if m == 2 ** 32:
-        assert len(redraws) == count
-
-
-def test_chunk_parts_of_one_member_take_no_integer_words():
-    # integers(0, 1) consumes nothing, so the uniforms start at word 0
-    tails, tail_u, eps = _draw_chunk_parts((5,), 0, 3, 1, 0.01, 4, 2)
-    assert not tails.any()
-    raw = raw_streams((5,), 0, 3, 4)
-    assert np.array_equal(tail_u, -1.0 + 2.0 * ((raw >> np.uint64(11))
-                                                 * 2.0 ** -53))
-
-
-def sampler_case(resolution, idx):
-    grid = GridDomain.uniform(resolution)
-    x = grid.points[idx].sum(axis=1)
-    return SampleSet(grid, idx, {0: np.sin(6.0 * x), 1: np.cos(4.0 * x)})
+    got = chunk(seed_path, first, count, m, noise_std, num_tail, n)
+    want = per_draw(seed_path, first, count, m, noise_std, num_tail, n)
+    for g, w, shape in zip(got, want, [num_tail, num_tail, n]):
+        assert g.shape == w.shape == (count, shape)
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    tails, tail_u, eps = got
+    assert tails.min() >= 0 and tails.max() < m
+    assert tail_u.min() >= -1.0 and tail_u.max() < 1.0
+    assert np.abs(eps).max() <= 2.0 * noise_std
 
 
 def test_threads_running_the_sampler_at_once_match_a_serial_run():
@@ -148,7 +171,7 @@ def test_threads_running_the_sampler_at_once_match_a_serial_run():
 
 
 def test_sampler_norms_follow_the_per_draw_streams(monkeypatch):
-    # the norms of the batched parts equal those of the per-draw parts
+    # the norms of the chunked parts equal those of the per-draw parts
     kernel, cfg = KernelConfig(lengthscale=0.1), SamplerConfig(num_centers=40)
     s = sampler_case(100, [22, 30, 41, 57, 80])
     mask = global_mask(s.grid)
@@ -157,7 +180,11 @@ def test_sampler_norms_follow_the_per_draw_streams(monkeypatch):
         return interpolating_norms(s, 0, 0.01, kernel, mask, cfg, (2, "n"),
                                    70, start_index=9)
 
+    def per_draw_chunks(seed_path, first, count, *shape):
+        for lo in range(0, count, rkhs_function._CHUNK):
+            c = min(rkhs_function._CHUNK, count - lo)
+            yield tuple(per_draw(seed_path, first + lo, c, *shape))
+
     got = norms()
-    monkeypatch.setattr(rkhs_function, "_draw_chunk_parts",
-                        lambda *a: tuple(reference_parts(*a)))
+    monkeypatch.setattr(rkhs_function, "_draws", per_draw_chunks)
     assert np.array_equal(got, norms())

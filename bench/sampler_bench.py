@@ -15,7 +15,9 @@ one process at a time. The output holds:
   change first in odd ones; a worker times ``REPEATS`` calls per case and
   keeps their median. Per tree the rows give the median and quartiles over
   the rounds, and the number of rounds in which the change was faster; the
-  two trees' norms must be bitwise equal in every round;
+  two trees' norms must be bitwise equal in every round, so the script
+  only compares changes that keep every norm (measure one that moves norms
+  with ``perfbench/run.py --trace 1`` and its ``rkhs_function.draws_per_s``);
 * ``end_to_end``: per workload of ``perfbench/run.py`` (``--seconds 10
   --trace 0``, seeds 0..PAIRS-1, parent first on even seeds and change
   first on odd ones), the median and quartiles of ``wall_s``, ``setup_s``

@@ -34,23 +34,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "data-driven norm bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_out=True):
+    def add_common(p, threads=True):
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--seed", type=int, default=None,
-                       help="override: run this single seed")
-        if with_out:
-            p.add_argument("--out", default=None,
-                           help="override output directory")
+                       help="override: use this single seed")
+        p.add_argument("--out", default=None,
+                       help="override the output directory or predictor path")
+        if threads:
             p.add_argument("--threads", type=int, default=None,
                            help="seeds to run in parallel")
 
-    tp = sub.add_parser("train-predictor",
-                        help="generate rollout data and fit the predictor")
-    tp.add_argument("--config", required=True, help="YAML config file")
-    tp.add_argument("--seed", type=int, default=None)
-    tp.add_argument("--out", default=None,
-                    help="override the predictor output path")
-
+    add_common(sub.add_parser("train-predictor", help="generate rollout data "
+                              "and fit the predictor"), threads=False)
     add_common(sub.add_parser("run", help="run an experiment scenario"))
     add_common(sub.add_parser("hoeffding-mc",
                               help="Monte Carlo width-coverage check"))
@@ -66,8 +61,8 @@ def _env_override(cli_value, env_name):
 
 
 def _dispatch(args) -> int:
+    out = _env_override(args.out, "PACSBO_OUT")
     if args.command == "train-predictor":
-        out = _env_override(args.out, "PACSBO_OUT")
         cfg = load_train_config(args.config, out_path=out, seed=args.seed)
         result = train_predictor_pipeline(cfg)
         report = result["report"]
@@ -75,7 +70,6 @@ def _dispatch(args) -> int:
               f"final loss {report['final_loss']:.4g})")
         return 0
 
-    out = _env_override(args.out, "PACSBO_OUT")
     threads = _env_override(args.threads, "PACSBO_THREADS")
     try:
         threads = int(threads) if threads is not None else None

@@ -129,9 +129,9 @@ class ExperimentSpec:
             if not 0 < params["safe_fraction"] < 1:
                 raise ConfigError(f"safe_fraction must be in (0, 1), got "
                                   f"{params['safe_fraction']}")
-        if not float(params["noise_std"]) > 0:
-            raise ConfigError(f"noise_std must be positive, got "
-                              f"{params['noise_std']}")
+        for key in ("noise_std", "norm_target"):
+            if not float(params[key]) > 0:
+                raise ConfigError(f"{key} must be positive, got {params[key]}")
         if self.scenario == "synthetic2d":
             res = params["grid_resolution"]
             if not isinstance(res, (list, tuple)) or len(res) != 2:
@@ -211,10 +211,13 @@ def load_spec(path, out_dir=None, seed=None, threads=None) -> ExperimentSpec:
         seeds = [int(seed)]
     if seeds is None:
         seeds = [0]
+    if not isinstance(seeds, list) or any(
+            isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds):
+        raise ConfigError(f"{path}: seeds must be a list of non-negative "
+                          f"integers, got {seeds!r}")
     if threads is not None:
         params["threads"] = int(threads)
-    return ExperimentSpec(scenario, str(out), tuple(int(s) for s in seeds),
-                          params)
+    return ExperimentSpec(scenario, str(out), tuple(seeds), params)
 
 
 def _load_yaml(path):
@@ -417,8 +420,7 @@ def _predictor_for(params: dict):
 
 
 def _pac_config(params: dict) -> PacConfig:
-    sampler = SamplerConfig(num_centers=int(params["num_centers"]),
-                            coeff_bound=float(params["alpha_bar"]))
+    sampler = SamplerConfig(int(params["num_centers"]), float(params["alpha_bar"]))
     return PacConfig(delta=float(params["delta"]),
                      q_init=int(params["q_init"]),
                      q_max=int(params["q_max"]), sampler=sampler)
@@ -534,16 +536,14 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     out = Path(spec.out_dir)
     csv_path = out / "thresholds.csv"
     write_csv(csv_path, header, rows)
-    bound_means = {m: float(np.mean([res.bound
-                                     for seed_rows in per_seed
-                                     for (_, mm, _, res) in seed_rows
-                                     if mm == m]))
-                   for m in counts}
-    threshold_means = {m: float(np.mean([res.empirical_mean + res.width
-                                         for seed_rows in per_seed
-                                         for (_, mm, _, res) in seed_rows
-                                         if mm == m]))
-                       for m in counts}
+
+    def means(value):
+        return {m: float(np.mean([value(res) for seed_rows in per_seed
+                                  for (_, mm, _, res) in seed_rows if mm == m]))
+                for m in counts}
+
+    bound_means = means(lambda res: res.bound)
+    threshold_means = means(lambda res: res.empirical_mean + res.width)
     decreasing = all(
         all(seed_rows[k][3].bound > seed_rows[k + 1][3].bound
             for k in range(len(seed_rows) - 1))
@@ -740,29 +740,31 @@ def load_train_config(path, out_path=None, seed=None) -> dict:
     if not cfg["out_path"]:
         raise ConfigError(f"{path}: missing required key 'out_path'")
     _check_numbers(cfg, TRAIN_DEFAULTS)
-    if not float(cfg["noise_std"]) > 0:
-        raise ConfigError(f"{path}: noise_std must be positive, got "
-                          f"{cfg['noise_std']}")
+    try:
+        _train_parts(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg
+
+
+def _train_parts(cfg: dict):
+    """Rollout settings and training hyperparameters of a train config."""
+    rollout = RolloutConfig(
+        grid=_grid_for(cfg), kernel=_kernel_for(cfg),
+        sampler=SamplerConfig(int(cfg["num_centers"]), float(cfg["alpha_bar"])),
+        q_train=int(cfg["q_train"]), rollout_iters=int(cfg["rollout_iters"]),
+        noise_std=float(cfg["noise_std"]), delta=float(cfg["delta"]),
+        label_multiplier=float(cfg["label_multiplier"]),
+        safe_quantile=float(cfg["safe_quantile"]), t_max=int(cfg["t_max"]))
+    return rollout, TrainHyper(epochs=int(cfg["epochs"]),
+                               batch_size=int(cfg["batch_size"]),
+                               step=float(cfg["step"]))
 
 
 def train_predictor_pipeline(cfg: dict) -> dict:
     """Generate rollout data, fit the network, save model and report."""
-    grid = GridDomain.uniform(cfg["grid_resolution"])
-    kernel = KernelConfig(lengthscale=float(cfg["lengthscale"]))
-    sampler = SamplerConfig(num_centers=int(cfg["num_centers"]),
-                            coeff_bound=float(cfg["alpha_bar"]))
-    rollout = RolloutConfig(
-        grid=grid, kernel=kernel, sampler=sampler,
-        q_train=int(cfg["q_train"]),
-        rollout_iters=int(cfg["rollout_iters"]),
-        noise_std=float(cfg["noise_std"]), delta=float(cfg["delta"]),
-        label_multiplier=float(cfg["label_multiplier"]),
-        safe_quantile=float(cfg["safe_quantile"]), t_max=int(cfg["t_max"]))
+    rollout, hyper = _train_parts(cfg)
     data = generate_training_data(rollout, int(cfg["seed"]))
-    hyper = TrainHyper(epochs=int(cfg["epochs"]),
-                       batch_size=int(cfg["batch_size"]),
-                       step=float(cfg["step"]))
     model = train_mlp(data, tuple(int(h) for h in cfg["hidden"]), hyper,
                       seed=int(cfg["seed"]))
     out_path = Path(cfg["out_path"])

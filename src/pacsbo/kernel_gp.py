@@ -109,6 +109,19 @@ class GridDomain:
         return self.points.shape[0]
 
 
+def lattice_table(grid: GridDomain, cfg: KernelConfig):
+    """``(table, code)`` with ``k(points[a], points[b]) = table[code[a] -
+    code[b] + len(table) // 2]``: the stationary kernel at every lattice
+    offset, ``prod(2 r_k - 1)`` values in row-major order, and each point's
+    index in that shape; exactly symmetric, a few ulps off :func:`kernel_matrix`."""
+    res = np.array(grid.resolution)
+    shape = tuple(2 * res - 1)
+    offsets = (np.indices(shape).reshape(grid.dim, -1).T - (res - 1)) / res
+    table = kernel_matrix(offsets, np.zeros((1, grid.dim)), cfg)[:, 0]
+    points = np.indices(grid.resolution).reshape(grid.dim, -1)
+    return table, np.ravel_multi_index(points, shape)
+
+
 class SampleSet:
     """Measured parameters with aligned per-index measurement channels.
 

@@ -95,6 +95,8 @@ class RolloutConfig:
             raise ValueError("safe quantile must be in (0, 1)")
         if self.rollout_iters > self.t_max:
             raise ValueError("rollout longer than the trace window")
+        if not self.noise_std > 0:
+            raise ValueError("noise_std must be positive")
 
 
 def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:

@@ -32,7 +32,8 @@ import numpy as np
 from scipy import linalg as sla
 
 from .errors import NumericError
-from .kernel_gp import GridDomain, KernelConfig, SampleSet, _chol_with_jitter, kernel_matrix
+from .kernel_gp import (GridDomain, KernelConfig, SampleSet, _chol_with_jitter,
+                        kernel_matrix, lattice_table)
 from .seeding import _entropy, truncated_normal_from
 from .subdomain import DomainMask
 
@@ -182,11 +183,6 @@ def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
     return RkhsFunction(kernel, centers, coeffs)
 
 
-def _gathers(num_members: int, chunk: int, num_tail: int) -> bool:
-    """Whether the region Gram is no larger than a tail-tail block."""
-    return num_members * num_members <= chunk * num_tail * num_tail
-
-
 def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
                         kernel: KernelConfig, mask: DomainMask,
                         cfg: SamplerConfig, seed_path: tuple, count: int,
@@ -199,48 +195,41 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     :func:`sample_interpolating_function` builds for that index, so results
     do not depend on chunking or on how callers schedule the work.
 
-    A chunk's sample-tail (c, N, T) and tail-tail (c, T, T) kernel blocks
-    are gathered from the Gram of the ``m`` mask members and the
-    sample-member block when ``m * m <= c * T * T`` for the first (largest)
-    chunk, and evaluated per chunk otherwise. Both give bitwise-equal
-    blocks, and so norms, since the gathered cross block is C-contiguous.
-    The gathered tail-tail blocks are taken draw by draw into one buffer
-    that every chunk reuses.
+    Every kernel block is read from the grid's :func:`lattice_table`: the
+    sample Gram, a chunk's sample-tail (c, N, T) block and each draw's
+    tail-tail (T, T) block, which is taken into one buffer that every draw
+    reuses.
     """
     if len(seed_path) == 0:
         raise ValueError("seed_path must contain at least the base seed")
     region_idx = _tail_region(samples, cfg, mask)
-    n = len(samples)
-    num_tail = cfg.num_centers - n
-    params = samples.params
+    num_tail = cfg.num_centers - len(samples)
     y = samples.targets(i)
-    gram_aa = kernel_matrix(params, params, kernel)
+    table, code = lattice_table(samples.grid, kernel)
+    centre = len(table) // 2
+    sample_code = code[list(samples.indices)]
+    left = sample_code[:, None] + centre  # (N, 1) row codes, centred
+    gram_aa = table[left - sample_code]
     chol = _chol_with_jitter(gram_aa)
-    members = mask.grid.points[region_idx]
-    m = len(members)
-    if gather := _gathers(m, min(count, _CHUNK), num_tail):
-        g_rr = kernel_matrix(members, members, kernel)  # (m, m)
-        g_ar = kernel_matrix(params, members, kernel)   # (N, m)
-        k_tt_buf = np.empty((min(count, _CHUNK), num_tail, num_tail))
+    member_code = code[region_idx]
+    pair = np.empty((num_tail, num_tail), dtype=code.dtype)
+    k_tt = np.empty((num_tail, num_tail))
 
     norms = np.empty(count)
-    draws = _draws(seed_path, start_index, count, m, noise_std, num_tail, n)
+    draws = _draws(seed_path, start_index, count, len(region_idx), noise_std,
+                   num_tail, len(samples))
     for lo, (tails, tail_u, eps) in zip(range(0, count, _CHUNK), draws):
         hi = lo + len(tails)  # tails: member positions
+        tail_code = member_code[tails]  # (c, T)
         tail_coeffs = cfg.coeff_bound * tail_u
-        if gather:
-            cross = np.ascontiguousarray(np.moveaxis(g_ar[:, tails], 1, 0))
-            k_tt = k_tt_buf[:hi - lo]
-            for block, t in zip(k_tt, tails):
-                np.take(np.take(g_rr, t, axis=0), t, axis=1, out=block)
-        else:
-            tp = members[tails]                       # (c, T, n)
-            cross = kernel_matrix(params, tp, kernel)  # (c, N, T)
-            k_tt = kernel_matrix(tp, tp, kernel)       # (c, T, T)
+        cross = table[left - tail_code[:, None, :]]  # (c, N, T)
         rhs = (y + eps) - np.einsum("cnt,ct->cn", cross, tail_coeffs)
         head = sla.cho_solve((chol, True), rhs.T).T  # (c, N)
         sq = (np.einsum("cn,nm,cm->c", head, gram_aa, head)
-              + 2.0 * np.einsum("cnt,cn,ct->c", cross, head, tail_coeffs)
-              + np.einsum("ctu,ct,cu->c", k_tt, tail_coeffs, tail_coeffs))
+              + 2.0 * np.einsum("cnt,cn,ct->c", cross, head, tail_coeffs))
+        for j, (t, alpha) in enumerate(zip(tail_code, tail_coeffs)):
+            np.subtract(t[:, None] + centre, t, out=pair)
+            np.take(table, pair, out=k_tt, mode="clip")  # all in range; unbuffered
+            sq[j] += alpha @ (k_tt @ alpha)
         norms[lo:hi] = np.sqrt(np.maximum(sq, 0.0))
     return norms

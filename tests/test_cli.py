@@ -73,6 +73,10 @@ class TestTrainPredictor:
         (dict(epochs="many"), "epochs must be an integer"),
         (dict(hidden=[6, "wide"]), "hidden must be an integer"),
         (dict(step="fast"), "step must be a number"),
+        (dict(safe_quantile=1.5), "safe quantile must be in (0, 1)"),
+        (dict(lengthscale=-1), "lengthscale must be positive"),
+        (dict(epochs=0), "bad training hyperparameters"),
+        (dict(rollout_iters=11), "rollout longer than the trace window"),
     ])
     def test_malformed_values_exit_2(self, tmp_path, capsys, bad, message):
         body = tiny_train_body(tmp_path / "m.json")
@@ -177,6 +181,12 @@ class TestRunCommand:
         (dict(grid_resolution=0), "resolution must be positive"),
         (dict(safe_fraction=0.5), "unknown key 'safe_fraction'"),
         (dict(f_g=0.0), "unknown key 'f_g'"),
+        (dict(seeds=3), "seeds must be a list of non-negative integers"),
+        (dict(seeds=["x"]), "seeds must be a list of non-negative integers"),
+        (dict(seeds=[-1]), "seeds must be a list of non-negative integers"),
+        (dict(seeds=[1.5]), "seeds must be a list of non-negative integers"),
+        (dict(norm_target=-1), "norm_target must be positive"),
+        (dict(norm_target=0), "norm_target must be positive"),
     ])
     def test_malformed_fig3_values_exit_2(self, tmp_path, capsys, bad,
                                           message):
@@ -197,6 +207,8 @@ class TestRunCommand:
         (dict(snapshot_iterations=[0, 2]), "snapshot_iterations must lie"),
         (dict(snapshot_iterations=[1, 5]), "snapshot_iterations must lie"),
         (dict(f_g="high"), "f_g must be a number"),
+        (dict(seeds=[0, 1.5]), "seeds must be a list of non-negative integers"),
+        (dict(norm_target=0), "norm_target must be positive"),
     ])
     def test_malformed_comparison_values_exit_2(self, tmp_path, capsys, bad,
                                                 message):

@@ -61,9 +61,8 @@ EXACT = re.compile(r"(schema_version|seed|algorithm|iteration|[ax]\d+|unsafe"
 # hull is a polygon
 SAMPLER_SETS = {1: (100, [22, 30, 41, 57]),
                 2: ((20, 20), [45, 52, 168, 230, 301])}
-# the sampler gathers its kernel blocks from the Gram of a small region but
-# evaluates them directly on a large one: this set's tilde mask holds 6
-# points, its global mask 2500
+# the smallest and the largest mask the sampler reads its lattice-table
+# blocks for: this set's tilde mask holds 6 points, its global mask 2500
 SAMPLER_50X50 = ((50, 50), [1020, 1022, 1070, 1072])
 
 

@@ -12,6 +12,7 @@ from pacsbo.kernel_gp import (
     gp_predict,
     info_gain,
     kernel_matrix,
+    lattice_table,
     mean_rkhs_norm,
     observation_update,
     pairwise_dist,
@@ -85,6 +86,20 @@ def test_kernel_matrix_symmetric_and_near_psd():
     assert np.allclose(k, k.T)
     assert np.linalg.eigvalsh(k).min() > -1e-10
     assert np.allclose(np.diag(k), 1.0)
+
+
+@pytest.mark.parametrize("resolution", [100, (50, 50), (4, 7), (3, 4, 5)])
+def test_lattice_table_gathers_the_kernel_matrix(resolution):
+    grid = GridDomain.uniform(resolution)
+    table, code = lattice_table(grid, CFG)
+    assert len(table) == np.prod([2 * r - 1 for r in grid.resolution])
+    gram = table[code[:, None] - code + len(table) // 2]
+    rows = slice(None, None, 7)  # keeps the 50x50 oracle block small
+    np.testing.assert_allclose(
+        gram[rows], kernel_matrix(grid.points[rows], grid.points, CFG),
+        rtol=1e-13, atol=0)
+    assert np.array_equal(gram, gram.T)
+    assert np.all(np.diag(gram) == 1.0)
 
 
 def test_kernel_config_validation():

@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -223,10 +224,9 @@ def test_batched_norms_start_index_gives_stable_pooling():
     np.testing.assert_array_equal(full, np.concatenate([part1, part2]))
 
 
-def block_path_cases():
-    """Sample sets and masks of both sizes: the tilde, hat and global masks
-    of a 1-D set, a 20x20 global mask and the 6-point tilde mask of a
-    50x50 set."""
+def mask_cases():
+    """The tilde, hat and global masks of a 1-D, a 20x20 and a 50x50 sample
+    set, from 6 points (the 50x50 tilde mask) to 2500 (its global mask)."""
     for resolution, idx in ((100, [22, 30, 41, 57]),
                             ((20, 20), [45, 52, 168, 230, 301]),
                             ((50, 50), [1020, 1022, 1070, 1072])):
@@ -234,49 +234,34 @@ def block_path_cases():
         x = grid.points[idx].sum(axis=1)
         s = SampleSet(grid, idx, {0: np.sin(6.0 * x), 1: np.cos(4.0 * x)})
         for mask in partition_masks(s):
-            if mask.count <= 400:
-                yield s, mask
-
-
-def test_gathered_and_evaluated_blocks_give_bitwise_equal_norms(monkeypatch):
-    cases = list(block_path_cases())
-    assert min(mask.count for _, mask in cases) == 6
-    for s, mask in cases:
-        norms = []
-        for gather in (False, True):
-            monkeypatch.setattr(rkhs_function, "_gathers",
-                                lambda *a, g=gather: g)
-            # 300 draws span more than one chunk of _CHUNK draws
-            norms.append(interpolating_norms(s, 1, 0.01, CFG, mask,
-                                             SamplerConfig(),
-                                             (5, mask.count), 300))
-        assert np.array_equal(*norms), (mask.label, mask.count)
+            yield s, mask
 
 
 @pytest.mark.parametrize("count", [1, 64, 300])
 def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
-    # every kernel array a call builds, gathered Gram included, is at most
-    # one chunk's tail-tail block (c, T, T)
-    sizes = []
+    # every block comes from the lattice table, so the sampler never
+    # evaluates the kernel, and a call on the 50x50 global mask peaks
+    # below one chunk's (64, T, T) tail-tail block
+    def evaluated(*args):
+        raise AssertionError("the sampler evaluated a kernel block")
 
-    def spy(x, y, kernel):
-        out = kernel_matrix(x, y, kernel)
-        sizes.append(out.size)
-        return out
-
-    monkeypatch.setattr(rkhs_function, "kernel_matrix", spy)
+    monkeypatch.setattr(rkhs_function, "kernel_matrix", evaluated)
+    s, mask = list(mask_cases())[-1]
+    assert mask.label == "global" and mask.count == 2500
     cfg = SamplerConfig()
-    for s, mask in block_path_cases():
-        sizes.clear()
+    num_tail = cfg.num_centers - len(s)
+    tracemalloc.start()
+    try:
         interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (3,), count)
-        num_tail = cfg.num_centers - len(s)
-        assert (max(sizes)
-                <= min(count, rkhs_function._CHUNK) * num_tail * num_tail)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * num_tail * num_tail * 8
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 256])
 def test_norms_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
-    cases = list(block_path_cases())
+    cases = list(mask_cases())
     default = [interpolating_norms(s, 1, 0.01, CFG, mask, SamplerConfig(),
                                    (6, mask.count), 300)
                for s, mask in cases]

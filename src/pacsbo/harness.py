@@ -740,6 +740,8 @@ def load_train_config(path, out_path=None, seed=None) -> dict:
     if not cfg["out_path"]:
         raise ConfigError(f"{path}: missing required key 'out_path'")
     _check_numbers(cfg, TRAIN_DEFAULTS)
+    if any(h < 1 for h in cfg["hidden"]):
+        raise ConfigError(f"{path}: hidden widths must be at least 1")
     try:
         _train_parts(cfg)
     except ValueError as exc:

@@ -97,6 +97,8 @@ class RolloutConfig:
             raise ValueError("rollout longer than the trace window")
         if not self.noise_std > 0:
             raise ValueError("noise_std must be positive")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
 
 def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:

@@ -195,15 +195,21 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     :func:`sample_interpolating_function` builds for that index, so results
     do not depend on chunking or on how callers schedule the work.
 
-    Every kernel block is read from the grid's :func:`lattice_table`: the
-    sample Gram, a chunk's sample-tail (c, N, T) block and each draw's
-    tail-tail (T, T) block, which is taken into one buffer that every draw
-    reuses.
+    Every kernel block is read from the grid's :func:`lattice_table`. A
+    chunk's tail enters only as ``cross_alpha`` (c, N), the sample-tail
+    kernel times the tail coefficients, and ``tail_sq``, each draw's
+    ``alpha^T K_tt alpha``. A mask of ``m <= 3 T`` members (``T`` tail
+    centers) sums each draw's coefficients per member into a (c, m)
+    histogram ``H``: ``cross_alpha = H K_mA``, ``tail_sq`` the row sums of
+    ``(H K_mm) * H``. Larger masks take the (c, N, T) sample-tail block and
+    each draw's (T, T) tail-tail block into one reused buffer. Row-wise
+    products are two-operand ``einsum``, not BLAS, so a norm does not
+    depend on the chunk size.
     """
     if len(seed_path) == 0:
         raise ValueError("seed_path must contain at least the base seed")
     region_idx = _tail_region(samples, cfg, mask)
-    num_tail = cfg.num_centers - len(samples)
+    num_tail, m = cfg.num_centers - len(samples), len(region_idx)
     y = samples.targets(i)
     table, code = lattice_table(samples.grid, kernel)
     centre = len(table) // 2
@@ -212,24 +218,37 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     gram_aa = table[left - sample_code]
     chol = _chol_with_jitter(gram_aa)
     member_code = code[region_idx]
+    by_member = m <= 3 * num_tail
+    if by_member:
+        k_ma, k_mm = (table[member_code[:, None] + centre - right]
+                      for right in (sample_code, member_code))
     pair = np.empty((num_tail, num_tail), dtype=code.dtype)
     k_tt = np.empty((num_tail, num_tail))
 
     norms = np.empty(count)
-    draws = _draws(seed_path, start_index, count, len(region_idx), noise_std,
-                   num_tail, len(samples))
+    draws = _draws(seed_path, start_index, count, m, noise_std, num_tail,
+                   len(samples))
     for lo, (tails, tail_u, eps) in zip(range(0, count, _CHUNK), draws):
-        hi = lo + len(tails)  # tails: member positions
-        tail_code = member_code[tails]  # (c, T)
+        c = len(tails)  # tails: (c, T) member positions
         tail_coeffs = cfg.coeff_bound * tail_u
-        cross = table[left - tail_code[:, None, :]]  # (c, N, T)
-        rhs = (y + eps) - np.einsum("cnt,ct->cn", cross, tail_coeffs)
-        head = sla.cho_solve((chol, True), rhs.T).T  # (c, N)
+        if by_member:
+            rows = (np.arange(c)[:, None] * m + tails).ravel()
+            hist = np.bincount(rows, tail_coeffs.ravel(), c * m).reshape(c, m)
+            cross_alpha = np.einsum("cm,mn->cn", hist, k_ma)
+            tail_sq = np.einsum("ck,ck->c",
+                                np.einsum("cm,mk->ck", hist, k_mm), hist)
+        else:
+            tail_code = member_code[tails]
+            cross = table[left - tail_code[:, None, :]]  # (c, N, T)
+            cross_alpha = np.einsum("cnt,ct->cn", cross, tail_coeffs)
+            tail_sq = np.empty(c)
+            for j, (t, alpha) in enumerate(zip(tail_code, tail_coeffs)):
+                np.subtract(t[:, None] + centre, t, out=pair)
+                # all in range; "clip" lets take write into k_tt unbuffered
+                np.take(table, pair, out=k_tt, mode="clip")
+                tail_sq[j] = alpha @ (k_tt @ alpha)
+        head = sla.cho_solve((chol, True), ((y + eps) - cross_alpha).T).T
         sq = (np.einsum("cn,nm,cm->c", head, gram_aa, head)
-              + 2.0 * np.einsum("cnt,cn,ct->c", cross, head, tail_coeffs))
-        for j, (t, alpha) in enumerate(zip(tail_code, tail_coeffs)):
-            np.subtract(t[:, None] + centre, t, out=pair)
-            np.take(table, pair, out=k_tt, mode="clip")  # all in range; unbuffered
-            sq[j] += alpha @ (k_tt @ alpha)
-        norms[lo:hi] = np.sqrt(np.maximum(sq, 0.0))
+              + 2.0 * np.einsum("cn,cn->c", head, cross_alpha) + tail_sq)
+        norms[lo:lo + c] = np.sqrt(np.maximum(sq, 0.0))
     return norms

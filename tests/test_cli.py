@@ -77,6 +77,8 @@ class TestTrainPredictor:
         (dict(lengthscale=-1), "lengthscale must be positive"),
         (dict(epochs=0), "bad training hyperparameters"),
         (dict(rollout_iters=11), "rollout longer than the trace window"),
+        (dict(delta=2.0), "delta must be in (0, 1)"),
+        (dict(hidden=[0]), "hidden widths must be at least 1"),
     ])
     def test_malformed_values_exit_2(self, tmp_path, capsys, bad, message):
         body = tiny_train_body(tmp_path / "m.json")

@@ -220,8 +220,9 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     member_code = code[region_idx]
     by_member = m <= 3 * num_tail
     if by_member:
-        k_ma, k_mm = (table[member_code[:, None] + centre - right]
-                      for right in (sample_code, member_code))
+        member_left = member_code[:, None] + centre  # (m, 1)
+        k_ma = table[member_left - sample_code]  # (m, N)
+        k_mm = table[member_left - member_code]  # (m, m)
     pair = np.empty((num_tail, num_tail), dtype=code.dtype)
     k_tt = np.empty((num_tail, num_tail))
 

@@ -192,47 +192,21 @@ def test_same_stream_reproduces_function():
     np.testing.assert_array_equal(f1.coefficients, f2.coefficients)
 
 
-def mask_cases():
-    """The tilde, hat and global masks of a 1-D, a 20x20 and a 50x50 sample
-    set, from 6 points (the 50x50 tilde mask) to 2500 (its global mask)."""
-    for resolution, idx in ((100, [22, 30, 41, 57]),
-                            ((20, 20), [45, 52, 168, 230, 301]),
-                            ((50, 50), [1020, 1022, 1070, 1072])):
-        grid = GridDomain.uniform(resolution)
-        x = grid.points[idx].sum(axis=1)
-        s = SampleSet(grid, idx, {0: np.sin(6.0 * x), 1: np.cos(4.0 * x)})
-        for mask in partition_masks(s):
-            yield s, mask
-
-
-MASK_CASES = list(mask_cases())
-MASK_IDS = [f"{s.grid.dim}d-{mask.label}-{mask.count}"
-            for s, mask in MASK_CASES]
-
-
-def test_mask_cases_span_both_tail_paths():
-    # interpolating_norms sums tails per member when m <= 3 T (T tail
-    # centers) and gathers per position above; the cases test both
-    num_tail = [SamplerConfig().num_centers - len(s) for s, _ in MASK_CASES]
-    by_member = [mask.count <= 3 * t
-                 for (_, mask), t in zip(MASK_CASES, num_tail)]
-    assert any(by_member) and not all(by_member)
-
-
-@pytest.mark.parametrize("s, mask", MASK_CASES, ids=MASK_IDS)
-def test_batched_norms_match_per_function_path(s, mask):
+def test_batched_norms_match_per_function_path():
     cfg = SamplerConfig()
-    seed_path = (99, 1, mask.count)
     # 300 draws span more than one chunk of _CHUNK draws
     assert 300 > rkhs_function._CHUNK
-    batched = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, seed_path,
-                                  count=300)
-    singles = np.array([
-        rkhs_norm(sample_interpolating_function(s, 0, 0.01, CFG, mask, cfg,
-                                                seed_path, j))
-        for j in range(300)
-    ])
-    np.testing.assert_allclose(batched, singles, atol=1e-9, rtol=1e-9)
+    for s, mask in mask_cases():
+        seed_path = (99, 1, mask.count)
+        batched = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, seed_path,
+                                      count=300)
+        singles = np.array([
+            rkhs_norm(sample_interpolating_function(s, 0, 0.01, CFG, mask,
+                                                    cfg, seed_path, j))
+            for j in range(300)
+        ])
+        np.testing.assert_allclose(batched, singles, atol=1e-9, rtol=1e-9,
+                                   err_msg=f"{mask.label} {mask.count}")
 
 
 def test_batched_norms_start_index_gives_stable_pooling():
@@ -247,6 +221,28 @@ def test_batched_norms_start_index_gives_stable_pooling():
     np.testing.assert_array_equal(full, np.concatenate([part1, part2]))
 
 
+def mask_cases():
+    """The tilde, hat and global masks of a 1-D, a 20x20 and a 50x50 sample
+    set, from 6 points (the 50x50 tilde mask) to 2500 (its global mask)."""
+    for resolution, idx in ((100, [22, 30, 41, 57]),
+                            ((20, 20), [45, 52, 168, 230, 301]),
+                            ((50, 50), [1020, 1022, 1070, 1072])):
+        grid = GridDomain.uniform(resolution)
+        x = grid.points[idx].sum(axis=1)
+        s = SampleSet(grid, idx, {0: np.sin(6.0 * x), 1: np.cos(4.0 * x)})
+        for mask in partition_masks(s):
+            yield s, mask
+
+
+def test_mask_cases_span_both_tail_paths():
+    # interpolating_norms sums tails per member when m <= 3 T (T tail
+    # centers) and gathers per position above; the cases test both
+    num_tail = SamplerConfig().num_centers
+    by_member = [mask.count <= 3 * (num_tail - len(s))
+                 for s, mask in mask_cases()]
+    assert any(by_member) and not all(by_member)
+
+
 @pytest.mark.parametrize("count", [1, 64, 300])
 def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
     # every block comes from the lattice table, so the sampler never
@@ -258,7 +254,8 @@ def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
 
     monkeypatch.setattr(rkhs_function, "kernel_matrix", evaluated)
     cfg = SamplerConfig()
-    for s, mask in (MASK_CASES[2], MASK_CASES[-1]):
+    cases = list(mask_cases())
+    for s, mask in (cases[2], cases[-1]):
         assert mask.label == "global" and mask.count in (100, 2500)
         num_tail = cfg.num_centers - len(s)
         tracemalloc.start()

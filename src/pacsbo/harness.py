@@ -151,6 +151,12 @@ class ExperimentSpec:
         elif params["s0_placement"] not in ("argmax", "far"):
             raise ConfigError(f"s0_placement must be argmax or far, got "
                               f"{params['s0_placement']!r}")
+        # the last step estimates from the three start points and budget - 1
+        # measurements, and the sampler needs more centers than samples
+        elif params["num_centers"] <= params["budget"] + 2:
+            raise ConfigError(f"num_centers must exceed budget + 2, got "
+                              f"{params['num_centers']} with budget "
+                              f"{params['budget']}")
         if self.scenario in COMPARISONS:
             if not 0 < params["opt_fraction"] <= 1:
                 raise ConfigError(f"opt_fraction must be in (0, 1], got "
@@ -417,6 +423,8 @@ def _predictor_for(params: dict):
         return load_predictor(path)
     except FileNotFoundError:
         raise ConfigError(f"predictor file not found: {path}")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a predictor file: {exc}") from None
 
 
 def _pac_config(params: dict) -> PacConfig:

@@ -16,6 +16,7 @@ everywhere and posterior variances live in ``[0, 1]``.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -109,17 +110,22 @@ class GridDomain:
         return self.points.shape[0]
 
 
+@functools.lru_cache(maxsize=32)
 def lattice_table(grid: GridDomain, cfg: KernelConfig):
     """``(table, code)`` with ``k(points[a], points[b]) = table[code[a] -
     code[b] + len(table) // 2]``: the stationary kernel at every lattice
     offset, ``prod(2 r_k - 1)`` values in row-major order, and each point's
-    index in that shape; exactly symmetric, a few ulps off :func:`kernel_matrix`."""
+    index in that shape; exactly symmetric, a few ulps off :func:`kernel_matrix`.
+    Built once per grid and kernel; both arrays are read-only."""
     res = np.array(grid.resolution)
     shape = tuple(2 * res - 1)
     offsets = (np.indices(shape).reshape(grid.dim, -1).T - (res - 1)) / res
     table = kernel_matrix(offsets, np.zeros((1, grid.dim)), cfg)[:, 0]
     points = np.indices(grid.resolution).reshape(grid.dim, -1)
-    return table, np.ravel_multi_index(points, shape)
+    code = np.ravel_multi_index(points, shape)
+    table.setflags(write=False)
+    code.setflags(write=False)
+    return table, code
 
 
 class SampleSet:

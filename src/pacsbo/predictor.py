@@ -314,17 +314,22 @@ def save_predictor(model: MlpPredictor, path) -> None:
 
 
 def load_predictor(path) -> MlpPredictor:
+    """Read a :func:`save_predictor` file; a file that is not JSON, is of
+    another schema or lacks a field raises ``ValueError``."""
     with open(path) as fh:
         record = json.load(fh)
-    if record.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported predictor schema {record.get('schema_version')!r}")
-    return MlpPredictor(
-        int(record["input_len"]),
-        tuple(record["hidden"]),
-        tuple(np.asarray(w) for w in record["weights"]),
-        tuple(np.asarray(b) for b in record["biases"]),
-        np.asarray(record["feat_mean"]),
-        np.asarray(record["feat_scale"]),
-        float(record["final_loss"]),
-    )
+    version = record.get("schema_version") if isinstance(record, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported predictor schema {version!r}")
+    try:
+        return MlpPredictor(
+            int(record["input_len"]),
+            tuple(record["hidden"]),
+            tuple(np.asarray(w) for w in record["weights"]),
+            tuple(np.asarray(b) for b in record["biases"]),
+            np.asarray(record["feat_mean"]),
+            np.asarray(record["feat_scale"]),
+            float(record["final_loss"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed predictor field {exc}") from None

@@ -3,13 +3,12 @@
 The optimizer reasons about three regions at once: the convex hull of the
 points sampled so far (``tilde``), a uniformly enlarged copy of that hull
 (``hat``), and the whole domain (``global``).  Each region is represented as
-a boolean mask over the points of a :class:`~pacsbo.kernel_gp.GridDomain`,
-together with enough geometry to support enlargement.
+a boolean mask over the points of a :class:`~pacsbo.kernel_gp.GridDomain`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,11 +16,6 @@ from .kernel_gp import GridDomain, SampleSet
 
 BOUNDARY_TOL = 1e-12
 ENLARGEMENT = 1.1  # homothety ratio of the hat region about the hull
-
-# geometry kinds carried by a mask:
-#   ("polygon", vertices)           2-D convex polygon, CCW vertex array (m, 2)
-#   ("box", lows, highs)            axis-aligned box, any dimension
-Geometry = tuple
 
 
 @dataclass(frozen=True)
@@ -31,7 +25,6 @@ class DomainMask:
     grid: GridDomain
     member: np.ndarray  # bool, shape (num_points,)
     label: str  # "tilde" | "hat" | "global"
-    geometry: Geometry = field(compare=False)
 
     def __post_init__(self):
         member = np.asarray(self.member, dtype=bool)
@@ -58,17 +51,13 @@ class DomainMask:
 
 
 def global_mask(grid: GridDomain) -> DomainMask:
-    full = np.ones(grid.num_points, dtype=bool)
-    box = (np.zeros(grid.dim), np.ones(grid.dim))
-    return DomainMask(grid, full, "global", ("box",) + box)
+    return DomainMask(grid, np.ones(grid.num_points, dtype=bool), "global")
 
 
-def _box_mask(grid: GridDomain, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    inside = np.ones(grid.num_points, dtype=bool)
-    for d in range(grid.dim):
-        col = grid.points[:, d]
-        inside &= (col >= lows[d] - BOUNDARY_TOL) & (col <= highs[d] + BOUNDARY_TOL)
-    return inside
+def _box_mask(grid: GridDomain, box: np.ndarray) -> np.ndarray:
+    """Points of the grid inside or on the box with rows (lows, highs)."""
+    return np.all((grid.points >= box[0] - BOUNDARY_TOL)
+                  & (grid.points <= box[1] + BOUNDARY_TOL), axis=1)
 
 
 def _monotone_chain(pts: np.ndarray) -> np.ndarray:
@@ -100,83 +89,56 @@ def _monotone_chain(pts: np.ndarray) -> np.ndarray:
 
 def _polygon_mask(grid: GridDomain, vertices: np.ndarray) -> np.ndarray:
     """Points of the grid inside or on a CCW convex polygon."""
-    inside = np.ones(grid.num_points, dtype=bool)
-    m = len(vertices)
-    for k in range(m):
-        a = vertices[k]
-        b = vertices[(k + 1) % m]
-        edge = b - a
-        rel = grid.points - a
-        cross = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
-        inside &= cross >= -BOUNDARY_TOL
-    return inside
+    edge = np.roll(vertices, -1, axis=0) - vertices  # vertex k to k + 1
+    x, y = grid.points[:, 0], grid.points[:, 1]
+    # (m, num_points): each point's side of each edge
+    cross = (edge[:, :1] * (y - vertices[:, 1:])
+             - edge[:, 1:] * (x - vertices[:, :1]))
+    return np.all(cross >= -BOUNDARY_TOL, axis=0)
 
 
-def convex_hull_mask(samples: SampleSet) -> DomainMask:
-    """Mask of grid points inside or on the convex hull of the sample locations.
+def _hull_member(samples: SampleSet, factor: float) -> np.ndarray:
+    """Grid membership of the samples' hull scaled by ``factor``.
 
-    In one dimension the hull is the box (closed interval) spanned by the
-    samples. In two dimensions an exact hull is built with the monotone
-    chain; if the samples are collinear the hull degenerates, and we fall
-    back to their bounding box inflated by one grid cell per side so the
-    region keeps interior points.  In three or more dimensions the bounding
-    box stands in for the hull.
+    The hull is the closed interval spanned by the samples in one
+    dimension. In two dimensions it is the exact polygon of the monotone
+    chain; if the samples are collinear the polygon degenerates, and their
+    bounding box inflated by one grid cell per side (clipped to the domain)
+    stands in so the region keeps interior points. In three or more
+    dimensions the bounding box stands in for the hull.
+
+    ``factor`` is the homothety ratio (1.1 gives a ten percent uniform
+    enlargement) about the polygon's vertex centroid or the box's centre.
+    The grid only holds points of the unit box, so masking with the raw
+    scaled shape intersects it with the domain exactly. At factor 1 the
+    unscaled shape is masked, since ``c + 1.0 * (x - c)`` need not round
+    back to ``x``.
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample to build a hull")
-    pts = samples.params
-    grid = samples.grid
-
-    if grid.dim == 2:
-        verts = _monotone_chain(pts)
-        if len(verts) >= 3:
-            return DomainMask(grid, _polygon_mask(grid, verts), "tilde",
-                              ("polygon", verts))
-        # collinear (or fewer than three distinct points): inflate the
-        # bounding box by one cell per side, clipped to the domain
-        pad = np.asarray(grid.spacing)
-        lows = np.clip(pts.min(axis=0) - pad, 0.0, 1.0)
-        highs = np.clip(pts.max(axis=0) + pad, 0.0, 1.0)
-        return DomainMask(grid, _box_mask(grid, lows, highs), "tilde",
-                          ("box", lows, highs))
-
-    lows = pts.min(axis=0)
-    highs = pts.max(axis=0)
-    return DomainMask(grid, _box_mask(grid, lows, highs), "tilde",
-                      ("box", lows, highs))
-
-
-def enlarge_mask(hull: DomainMask, factor: float) -> DomainMask:
-    """Scale a hull about its vertex centroid (a box about its centre) and
-    re-mask the grid.
-
-    ``factor`` is the homothety ratio (1.1 gives a ten percent uniform
-    enlargement).  The scaled region is clipped to the unit domain.  The
-    result always contains the original mask.
-    """
     if factor < 1.0:
         raise ValueError(f"enlargement factor must be >= 1, got {factor}")
-    grid = hull.grid
-
-    if hull.geometry[0] == "polygon":
-        verts = hull.geometry[1]
-        centroid = verts.mean(axis=0)
-        # the grid only holds points of the unit box, so masking with the
-        # raw scaled polygon intersects it with the domain exactly
-        scaled = centroid + factor * (verts - centroid)
-        member = _polygon_mask(grid, scaled)
-        return DomainMask(grid, member | hull.member, "hat", ("polygon", scaled))
-
-    lows, highs = hull.geometry[1], hull.geometry[2]
-    center = 0.5 * (lows + highs)
-    new_lows = np.clip(center + factor * (lows - center), 0.0, 1.0)
-    new_highs = np.clip(center + factor * (highs - center), 0.0, 1.0)
-    member = _box_mask(grid, new_lows, new_highs)
-    return DomainMask(grid, member | hull.member, "hat",
-                      ("box", new_lows, new_highs))
+    grid, pts = samples.grid, samples.params
+    verts = _monotone_chain(pts) if grid.dim == 2 else ()
+    if len(verts) >= 3:
+        shape, to_member = verts, _polygon_mask
+    else:
+        pad = np.asarray(grid.spacing) if grid.dim == 2 else 0.0
+        shape = np.clip([pts.min(axis=0) - pad, pts.max(axis=0) + pad], 0.0, 1.0)
+        to_member = _box_mask
+    if factor != 1.0:
+        center = shape.mean(axis=0)
+        shape = center + factor * (shape - center)
+    return to_member(grid, shape)
 
 
 def partition_masks(samples: SampleSet) -> tuple[DomainMask, DomainMask, DomainMask]:
-    """The nested triple (tilde, hat, global) for the current samples."""
-    tilde = convex_hull_mask(samples)
-    return tilde, enlarge_mask(tilde, ENLARGEMENT), global_mask(samples.grid)
+    """The nested triple (tilde, hat, global) for the current samples.
+
+    The hat mask always contains the tilde mask.
+    """
+    tilde = _hull_member(samples, 1.0)
+    hat = _hull_member(samples, ENLARGEMENT) | tilde
+    return (DomainMask(samples.grid, tilde, "tilde"),
+            DomainMask(samples.grid, hat, "hat"),
+            global_mask(samples.grid))

@@ -1,5 +1,6 @@
 """Command line behavior: dispatch, overrides, logging, and exit codes."""
 
+import json
 import logging
 
 import numpy as np
@@ -22,6 +23,16 @@ def tiny_train_body(out_path):
     return dict(out_path=str(out_path), grid_resolution=25, q_train=2,
                 rollout_iters=3, num_centers=10, hidden=[6], epochs=15,
                 batch_size=4, step=0.01, t_max=10, seed=0)
+
+
+def comparison_body(tmp_path):
+    """A tiny compare_conservative config whose predictor file exists."""
+    pred = tmp_path / "pred.json"
+    save_predictor(constant_predictor(3.0), pred)
+    return dict(scenario="compare_conservative", out_dir=str(tmp_path / "o"),
+                seeds=[0], budget=2, grid_resolution=30, q_init=20, q_max=40,
+                num_centers=10, snapshot_iterations=[1, 2],
+                predictor_path=str(pred))
 
 
 def hoeffding_body(out_dir, **kw):
@@ -211,19 +222,33 @@ class TestRunCommand:
         (dict(f_g="high"), "f_g must be a number"),
         (dict(seeds=[0, 1.5]), "seeds must be a list of non-negative integers"),
         (dict(norm_target=0), "norm_target must be positive"),
+        # the last step samples 3 start points and budget - 1 measurements
+        (dict(num_centers=6, budget=6), "num_centers must exceed budget + 2"),
+        (dict(num_centers=8, budget=6), "num_centers must exceed budget + 2"),
     ])
     def test_malformed_comparison_values_exit_2(self, tmp_path, capsys, bad,
                                                 message):
-        pred = tmp_path / "pred.json"
-        save_predictor(constant_predictor(3.0), pred)
-        body = dict(scenario="compare_conservative",
-                    out_dir=str(tmp_path / "o"), seeds=[0], budget=2,
-                    grid_resolution=30, q_init=20, q_max=40, num_centers=10,
-                    snapshot_iterations=[1, 2], predictor_path=str(pred))
+        body = comparison_body(tmp_path)
         body.update(bad)
         cfg = write_config(tmp_path / "c.yaml", body)
         assert main(["run", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda record: "not json",
+        lambda record: json.dumps({"schema_version": 7}),
+        lambda record: json.dumps(
+            {k: v for k, v in record.items() if k != "weights"}),
+    ], ids=["not_json", "other_schema", "missing_field"])
+    def test_malformed_predictor_file_exits_2(self, tmp_path, capsys,
+                                              rewrite):
+        body = comparison_body(tmp_path)
+        pred = tmp_path / "pred.json"
+        pred.write_text(rewrite(json.loads(pred.read_text())))
+        cfg = write_config(tmp_path / "c.yaml", body)
+        assert main(["run", "--config", cfg]) == 2
+        assert f"{pred}: not a predictor file" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -133,8 +133,10 @@ def sampler_rows(dim, resolution, idx,
     x = grid.points[idx].sum(axis=1)
     samples = SampleSet(grid, idx, {0: np.sin(6.0 * x),
                                     1: np.cos(4.0 * x) - 0.3})
+    # the 2-D samples are not collinear, so their hull is a polygon
+    pts = grid.points[idx]
+    assert dim == 1 or np.linalg.matrix_rank(pts - pts[0]) == 2
     masks = partition_masks(samples)
-    assert dim == 1 or masks[0].geometry[0] == "polygon"
     rows = []
     for mask in masks:
         if mask.label not in labels:

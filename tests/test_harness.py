@@ -118,6 +118,18 @@ class TestSpecLoading:
         with pytest.raises(ConfigError, match="2-D"):
             ExperimentSpec("synthetic2d", "out", (0,), params)
 
+    def test_num_centers_must_exceed_last_step_samples(self):
+        """The last step samples the three start points and budget - 1
+        measurements, so num_centers must be at least budget + 3."""
+        for scenario in ("compare_conservative", "compare_optimistic",
+                         "synthetic2d"):
+            params = _params(scenario)
+            params.update(budget=14, num_centers=16, predictor_path="p.json")
+            with pytest.raises(ConfigError, match="num_centers must exceed"):
+                ExperimentSpec(scenario, "out", (0,), params)
+            params["num_centers"] = 17
+            ExperimentSpec(scenario, "out", (0,), params)
+
 
 def _params(scenario):
     from pacsbo.harness import _scenario_defaults
@@ -298,6 +310,39 @@ def compare_result(tmp_path_factory):
     spec = ExperimentSpec("compare_conservative", str(tmp / "out"),
                           (0,), params)
     return spec, run_experiment(spec)
+
+
+def test_thread_count_leaves_every_csv_byte_identical(tmp_path):
+    """Threads fan out whole seeds: a comparison at threads 1 and 2 writes
+    the same records, snapshot and summary CSVs, byte for byte. The
+    manifests differ only in the recorded thread count, the config hash
+    that covers it, and the output paths."""
+    pred = tmp_path / "pred.json"
+    save_predictor(constant_predictor(3.0), pred)
+    trees, manifests = {}, {}
+    for threads in (1, 2):
+        params = _params("compare_conservative")
+        params.update(grid_resolution=40, budget=3, q_init=20, q_max=40,
+                      num_centers=12, predictor_path=str(pred),
+                      snapshot_iterations=[1, 3], fixed_bound=2.5,
+                      threads=threads)
+        out = tmp_path / f"threads{threads}"
+        res = run_experiment(ExperimentSpec("compare_conservative", str(out),
+                                            (0, 1, 3), params))
+        trees[threads] = {str(p.relative_to(out)): p.read_bytes()
+                          for p in out.rglob("*.csv")}
+        manifests[threads] = yaml.safe_load(res["manifest"].read_text())
+    # 3 seeds x 2 algorithms: records, snapshots at two iterations; summary
+    assert len(trees[1]) == 6 + 12 + 1
+    assert trees[1] == trees[2]
+    one, two = manifests[1], manifests[2]
+    assert (one["params"].pop("threads"), two["params"].pop("threads")) == (1, 2)
+    assert one["config_hash"] != two["config_hash"]
+    for m, threads in ((one, 1), (two, 2)):
+        del m["config_hash"]
+        out = str(tmp_path / f"threads{threads}")
+        m["files"] = [f.replace(out, "out") for f in m["files"]]
+    assert one == two
 
 
 class TestCompareScenario:

@@ -102,6 +102,15 @@ def test_lattice_table_gathers_the_kernel_matrix(resolution):
     assert np.all(np.diag(gram) == 1.0)
 
 
+def test_lattice_table_built_once_per_grid_and_kernel():
+    table, code = lattice_table(GridDomain.uniform((50, 50)), CFG)
+    again = lattice_table(GridDomain.uniform((50, 50)), KernelConfig(0.1))
+    assert again[0] is table and again[1] is code
+    assert not table.flags.writeable and not code.flags.writeable
+    other, _ = lattice_table(GridDomain.uniform((50, 50)), KernelConfig(0.3))
+    assert not np.array_equal(other, table)
+
+
 def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(lengthscale=0.0)
@@ -302,9 +311,9 @@ def test_reciprocal_cov_integral_three_point_grid():
     assert r == pytest.approx(THREE_PT_RECIPROCAL, abs=1e-10)
     # an empty region or one of the wrong length is no mask at all
     with pytest.raises(ValueError, match="empty"):
-        DomainMask(grid, np.zeros(3, dtype=bool), "global", ())
+        DomainMask(grid, np.zeros(3, dtype=bool), "global")
     with pytest.raises(ValueError, match="does not match"):
-        DomainMask(grid, np.ones(4, dtype=bool), "global", ())
+        DomainMask(grid, np.ones(4, dtype=bool), "global")
 
 
 def test_reciprocal_cov_integral_grows_with_data():

@@ -13,7 +13,7 @@ from pacsbo.pac_estimator import (
     hoeffding_width,
 )
 from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
-from pacsbo.subdomain import global_mask
+from pacsbo.subdomain import global_mask, partition_masks
 
 W_01_5000_UNIT = 0.017308183826022852  # sqrt(ln(20) / 10000)
 
@@ -143,9 +143,7 @@ def test_non_finite_start_raises():
 
 def test_region_restriction_respected():
     grid, kernel, samples = setup_problem(num_samples=2, resolution=50)
-    from pacsbo.subdomain import convex_hull_mask, enlarge_mask
-    hull = convex_hull_mask(samples)
-    hat = enlarge_mask(hull, 1.1)
+    _, hat, _ = partition_masks(samples)
     cfg = PacConfig(q_init=20, q_max=40, sampler=SamplerConfig(num_centers=20))
     res_hat = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel, hat,
                                    cfg=cfg, seed_path=(4, 2))

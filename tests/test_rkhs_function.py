@@ -164,8 +164,7 @@ def test_interpolating_function_region_restriction():
     s = make_samples(grid, [40, 45, 50], [0.5, 0.6, 0.7])
     region = np.zeros(100, dtype=bool)
     region[30:70] = True
-    mask = DomainMask(grid, region, "hat",
-                      ("box", np.array([0.3]), np.array([0.7])))
+    mask = DomainMask(grid, region, "hat")
     f = sample_interpolating_function(s, 0, 0.01, CFG, mask, SamplerConfig(),
                                       (4,), 0)
     tail = f.centers[3:, 0]
@@ -173,7 +172,7 @@ def test_interpolating_function_region_restriction():
     assert np.all(np.isin(tail, allowed))
     # an empty region is no mask at all
     with pytest.raises(ValueError, match="empty"):
-        DomainMask(grid, np.zeros(100, dtype=bool), "hat", ())
+        DomainMask(grid, np.zeros(100, dtype=bool), "hat")
     with pytest.raises(ValueError, match="different grids"):
         sample_interpolating_function(s, 0, 0.01, CFG,
                                       global_mask(GridDomain.uniform(50)),

@@ -128,10 +128,9 @@ def test_safe_set_all_negative_falls_back_to_seed():
 
 def test_safe_set_flags_seed_outside_mask():
     grid = GridDomain.uniform(10)
-    from pacsbo.subdomain import DomainMask
     member = np.zeros(10, dtype=bool)
     member[5:] = True
-    mask = DomainMask(grid, member, "tilde", ("box", np.array([0.55]), np.array([0.95])))
+    mask = DomainMask(grid, member, "tilde")
     lower = np.full(10, np.nan)
     lower[5:] = 1.0
     field = hand_field(grid, {0: lower, 1: lower},
@@ -295,8 +294,7 @@ def test_boundary_candidates_match_literal_definition():
 
     def check(shape, member, safe):
         grid = GridDomain.uniform(shape)
-        mask = DomainMask(grid, member, "hat",
-                          ("box", np.zeros(grid.dim), np.ones(grid.dim)))
+        mask = DomainMask(grid, member, "hat")
         np.testing.assert_array_equal(
             _boundary_candidates(safe, mask),
             literal_boundary_candidates(safe, member, shape))
@@ -418,8 +416,7 @@ def digest_case(dims):
     if dims == 1:
         grid, k, lengthscale = GridDomain.uniform(100), 8, 0.1
         member = grid.points[:, 0] <= 0.8
-        mask = DomainMask(grid, member, "hat",
-                          ("box", np.array([0.0]), np.array([0.8])))
+        mask = DomainMask(grid, member, "hat")
     else:
         grid, k, lengthscale = GridDomain.uniform((50, 50)), 40, 0.2
         mask = global_mask(grid)

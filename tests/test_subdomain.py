@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from pacsbo.kernel_gp import GridDomain, SampleSet
 from pacsbo.subdomain import (
     BOUNDARY_TOL,
-    DomainMask,
-    convex_hull_mask,
-    enlarge_mask,
+    ENLARGEMENT,
+    _hull_member,
     global_mask,
     partition_masks,
 )
@@ -19,35 +19,44 @@ def make_samples(grid, indices):
     return SampleSet(grid, indices, vals)
 
 
+def hull_mask(grid, indices):
+    return partition_masks(make_samples(grid, indices))[0]
+
+
+def half_plane_oracle(grid, verts):
+    """Grid points inside or on every edge of a CCW convex polygon."""
+    expect = np.ones(grid.num_points, dtype=bool)
+    for k in range(len(verts)):
+        a, b = verts[k], verts[(k + 1) % len(verts)]
+        cross = ((b[0] - a[0]) * (grid.points[:, 1] - a[1])
+                 - (b[1] - a[1]) * (grid.points[:, 0] - a[0]))
+        expect &= cross >= -BOUNDARY_TOL
+    return expect
+
+
 def test_interval_hull_spans_min_to_max():
     grid = GridDomain.uniform(100)
     i_lo, i_hi = 20, 60  # the grid points 0.205 and 0.605
-    mask = convex_hull_mask(make_samples(grid, [i_hi, i_lo]))
-    lo = grid.points[i_lo, 0]
-    hi = grid.points[i_hi, 0]
-    assert mask.geometry[0] == "box"
-    assert mask.geometry[1][0] == lo and mask.geometry[2][0] == hi
+    mask = hull_mask(grid, [i_hi, i_lo])
     x = grid.points[:, 0]
-    expect = (x >= lo) & (x <= hi)
+    expect = (x >= x[i_lo]) & (x <= x[i_hi])
     np.testing.assert_array_equal(mask.member, expect)
 
 
 def test_single_sample_hull_is_singleton():
     grid = GridDomain.uniform(50)
-    mask = convex_hull_mask(make_samples(grid, [17]))
+    mask = hull_mask(grid, [17])
     assert mask.count == 1
     assert mask.indices()[0] == 17
 
 
 def test_interval_enlargement_frozen_example():
-    # hull [0.2, 0.6] scaled by 1.1 about its midpoint 0.4 gives [0.18, 0.62]
-    grid = GridDomain.uniform(200)
-    x = grid.points[:, 0]
-    hull = DomainMask(grid, (x >= 0.2 - BOUNDARY_TOL) & (x <= 0.6 + BOUNDARY_TOL),
-                      "tilde", ("box", np.array([0.2]), np.array([0.6])))
-    hat = enlarge_mask(hull, 1.1)
-    assert hat.geometry[1][0] == pytest.approx(0.18, abs=1e-15)
-    assert hat.geometry[2][0] == pytest.approx(0.62, abs=1e-15)
+    # hull [0.205, 0.605] scaled by 1.1 about its midpoint 0.405 gives
+    # [0.185, 0.625]; both ends are grid points, and both are members
+    grid = GridDomain.uniform(100)
+    tilde, hat, _ = partition_masks(make_samples(grid, [20, 60]))
+    np.testing.assert_array_equal(tilde.indices(), np.arange(20, 61))
+    np.testing.assert_array_equal(hat.indices(), np.arange(18, 63))
 
 
 def test_1d_hulls_and_enlargements_match_literal_rule():
@@ -60,77 +69,84 @@ def test_1d_hulls_and_enlargements_match_literal_rule():
     x = grid.points[:, 0]
     for i in range(100):
         for j in range(i, 100):
-            hull = convex_hull_mask(make_samples(grid, [i, j]))
+            samples = make_samples(grid, [i, j])
+            tilde, hat, _ = partition_masks(samples)
             centre, half = 0.5 * (x[i] + x[j]), 0.5 * (x[j] - x[i])
             np.testing.assert_array_equal(
-                hull.member, np.abs(x - centre) <= half + 1e-9)
+                tilde.member, np.abs(x - centre) <= half + 1e-9)
+            np.testing.assert_array_equal(
+                hat.member, np.abs(x - centre) <= ENLARGEMENT * half + 1e-9)
             for factor in (1.0, 1.1, 2.0):
-                hat = enlarge_mask(hull, factor)
                 np.testing.assert_array_equal(
-                    hat.member, np.abs(x - centre) <= factor * half + 1e-9,
+                    _hull_member(samples, factor),
+                    np.abs(x - centre) <= factor * half + 1e-9,
                     err_msg=f"hull ({i}, {j}), factor {factor}")
 
 
 def test_enlargement_factor_one_is_identity():
-    grid = GridDomain.uniform(60)
-    mask = convex_hull_mask(make_samples(grid, [5, 40]))
-    same = enlarge_mask(mask, 1.0)
-    np.testing.assert_array_equal(same.member, mask.member)
+    """Factor 1 gives the tilde mask, and so does the scaled shape just
+    above it: in 1-D, for a 2-D polygon, a collinear 2-D set and in 3-D."""
+    cases = [(60, [5, 40]), ((30, 30), [31, 100, 470, 805]),
+             ((30, 30), [40, 43, 49]), ((8, 8, 8), [0, 100, 300])]
+    for resolution, idx in cases:
+        samples = make_samples(GridDomain.uniform(resolution), idx)
+        tilde = partition_masks(samples)[0]
+        for factor in (1.0, 1.0 + 1e-9):
+            np.testing.assert_array_equal(_hull_member(samples, factor),
+                                          tilde.member)
 
 
 def test_enlargement_monotone_in_factor():
-    grid = GridDomain.uniform(80)
-    hull = convex_hull_mask(make_samples(grid, [20, 55]))
-    prev = hull
-    for factor in (1.0, 1.1, 1.5, 2.0, 4.0):
-        cur = enlarge_mask(hull, factor)
-        assert np.all(cur.member[prev.member])
-        prev = cur
+    for resolution, idx in ((80, [20, 55]), ((30, 30), [95, 130, 520, 610])):
+        samples = make_samples(GridDomain.uniform(resolution), idx)
+        prev = partition_masks(samples)[0].member
+        for factor in (1.0, 1.1, 1.5, 2.0, 4.0):
+            cur = _hull_member(samples, factor)
+            assert np.all(cur[prev])
+            prev = cur
 
 
 def test_enlargement_clips_to_domain():
-    grid = GridDomain.uniform(50)
-    hull = convex_hull_mask(make_samples(grid, [0, 49]))
-    hat = enlarge_mask(hull, 2.0)
-    assert hat.geometry[1][0] >= 0.0 and hat.geometry[2][0] <= 1.0
-    assert hat.count == grid.num_points
+    # shapes scaled past the unit box keep exactly the grid's points
+    for resolution, idx in ((50, [0, 49]), ((20, 20), [0, 19, 380, 399])):
+        grid = GridDomain.uniform(resolution)
+        member = _hull_member(make_samples(grid, idx), 2.0)
+        assert member.shape == (grid.num_points,) and member.all()
 
 
 def test_triangle_hull_matches_half_plane_oracle():
     grid = GridDomain.uniform((50, 50))
     # the grid points nearest (0, 0), (1, 0) and (0, 1)
     corners = [0, 49 * 50, 49]
-    mask = convex_hull_mask(make_samples(grid, corners))
-    v = grid.points[corners]
-    # oracle: inside each of the three half-planes of the triangle's edges
-    expect = np.ones(grid.num_points, dtype=bool)
-    for k in range(3):
-        a, b = v[k], v[(k + 1) % 3]
-        cross = ((b[0] - a[0]) * (grid.points[:, 1] - a[1])
-                 - (b[1] - a[1]) * (grid.points[:, 0] - a[0]))
-        expect &= cross >= -BOUNDARY_TOL
-    np.testing.assert_array_equal(mask.member, expect)
+    mask = hull_mask(grid, corners)
+    np.testing.assert_array_equal(
+        mask.member, half_plane_oracle(grid, grid.points[corners]))
 
 
 def test_random_2d_hulls_match_half_plane_oracle():
+    """The tilde mask is the hull that scipy's Qhull finds, and the hat
+    mask is that hull scaled about its vertex centroid, or the tilde
+    mask."""
     rng = np.random.default_rng(7)
     grid = GridDomain.uniform((30, 30))
+    polygons = 0
     for _ in range(10):
         idx = rng.choice(grid.num_points, size=6, replace=False)
-        mask = convex_hull_mask(make_samples(grid, idx))
-        if mask.geometry[0] != "polygon":
+        pts = grid.points[idx]
+        if np.linalg.matrix_rank(pts - pts[0]) < 2:
             continue
-        verts = mask.geometry[1]
-        m = len(verts)
-        expect = np.ones(grid.num_points, dtype=bool)
-        for k in range(m):
-            a, b = verts[k], verts[(k + 1) % m]
-            cross = ((b[0] - a[0]) * (grid.points[:, 1] - a[1])
-                     - (b[1] - a[1]) * (grid.points[:, 0] - a[0]))
-            expect &= cross >= -BOUNDARY_TOL
-        np.testing.assert_array_equal(mask.member, expect)
+        polygons += 1
+        verts = pts[ConvexHull(pts).vertices]  # CCW in 2-D
+        centroid = verts.mean(axis=0)
+        scaled = centroid + ENLARGEMENT * (verts - centroid)
+        tilde, hat, _ = partition_masks(make_samples(grid, idx))
+        np.testing.assert_array_equal(tilde.member,
+                                      half_plane_oracle(grid, verts))
+        np.testing.assert_array_equal(
+            hat.member, half_plane_oracle(grid, scaled) | tilde.member)
         # every sample must be inside its own hull
-        assert mask.member[idx].all()
+        assert tilde.member[idx].all()
+    assert polygons == 10
 
 
 def test_collinear_2d_falls_back_to_inflated_box():
@@ -138,17 +154,22 @@ def test_collinear_2d_falls_back_to_inflated_box():
     # three samples on the same grid row
     row = 11
     idx = [np.ravel_multi_index((i, row), (40, 40)) for i in (4, 15, 30)]
-    mask = convex_hull_mask(make_samples(grid, idx))
-    assert mask.geometry[0] == "box"
-    lows, highs = mask.geometry[1], mask.geometry[2]
-    pts = grid.points[idx]
-    cell = grid.spacing[0]
-    assert lows[0] == pytest.approx(pts[:, 0].min() - cell)
-    assert highs[1] == pytest.approx(pts[:, 1].max() + cell)
-    # the box has interior points in both directions
-    ii, jj = np.divmod(mask.indices(), 40)
-    assert len(np.unique(ii)) > 1 and len(np.unique(jj)) > 1
-    assert mask.member[idx].all()
+    tilde, hat, _ = partition_masks(make_samples(grid, idx))
+    # the samples' bounding box padded by one cell per side
+    ii, jj = np.divmod(np.arange(grid.num_points), 40)
+    box = (ii >= 3) & (ii <= 31) & (jj >= row - 1) & (jj <= row + 1)
+    np.testing.assert_array_equal(tilde.member, box)
+    # scaled by 1.1 about its centre: 28 cells wide grows by 1.4 cells a
+    # side in x, 2 cells high by 0.1 in y
+    box = (ii >= 2) & (ii <= 32) & (jj >= row - 1) & (jj <= row + 1)
+    np.testing.assert_array_equal(hat.member, box)
+    # at the domain's edge the padded box is clipped before it is scaled:
+    # samples in cells 0 and 18 of row 0 pad to cells [0, 19.5] in x, not
+    # [-0.5, 19.5], so the hat stops at cell 19 instead of reaching 20
+    tilde, hat, _ = partition_masks(make_samples(grid, [0, 18 * 40]))
+    box = (ii <= 19) & (jj <= 1)
+    np.testing.assert_array_equal(tilde.member, box)
+    np.testing.assert_array_equal(hat.member, box)
 
 
 def test_three_dim_hull_is_bounding_box():
@@ -156,8 +177,7 @@ def test_three_dim_hull_is_bounding_box():
     # the cells holding (0.1, 0.1, 0.1), (0.8, 0.2, 0.5) and (0.3, 0.7, 0.9)
     idx = list(np.ravel_multi_index(([0, 6, 2], [0, 1, 5], [0, 4, 7]),
                                     grid.resolution))
-    mask = convex_hull_mask(make_samples(grid, idx))
-    assert mask.geometry[0] == "box"
+    mask = hull_mask(grid, idx)
     pts = grid.points[idx]
     inside = np.all((grid.points >= pts.min(axis=0) - BOUNDARY_TOL)
                     & (grid.points <= pts.max(axis=0) + BOUNDARY_TOL), axis=1)
@@ -189,11 +209,10 @@ def test_global_mask_covers_everything():
 def test_empty_samples_rejected():
     grid = GridDomain.uniform(10)
     with pytest.raises(ValueError):
-        convex_hull_mask(SampleSet(grid, (), {0: (), 1: ()}))
+        partition_masks(SampleSet(grid, (), {0: (), 1: ()}))
 
 
 def test_shrinking_factor_rejected():
     grid = GridDomain.uniform(10)
-    hull = convex_hull_mask(make_samples(grid, [2, 7]))
     with pytest.raises(ValueError):
-        enlarge_mask(hull, 0.9)
+        _hull_member(make_samples(grid, [2, 7]), 0.9)

@@ -29,17 +29,18 @@ one process at a time. The output holds:
 ``--measure-sampler SRC`` is the per-tree worker: it imports ``pacsbo`` from
 ``SRC`` and prints the sampler results of that tree as one JSON line.
 
-``BENCH_sampler.json`` holds a full run. ``BENCH_tailsum.json`` holds only
-the end-to-end and Tier-1 sections, for the change that sums each draw's
-tail coefficients per mask member: that change moves norms in their last
-digits, so the sampler section stops on it. Those two sections were
-written by calling the functions directly::
+``BENCH_sampler.json`` holds a full run. ``BENCH_tailsum.json`` and
+``BENCH_blasdraw.json`` hold only the end-to-end and Tier-1 sections, for
+the change that sums each draw's tail coefficients per mask member and
+the one that makes every per-draw product one BLAS call: both move norms
+in their last digits, so the sampler section stops on them. Those two
+sections were written by calling the functions directly::
 
     python3 -c "import json, sys; sys.path.insert(0, 'bench'); \\
         import sampler_bench as b; t = dict(parent=P, change=C); \\
         print(json.dumps(dict(machine=b.machine(), \\
         end_to_end=b.end_to_end_section(t), tier1=b.tier1_section(t)), \\
-        indent=2))" > BENCH_tailsum.json
+        indent=2))" > BENCH_blasdraw.json
 """
 import argparse
 import hashlib

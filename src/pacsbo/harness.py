@@ -423,7 +423,7 @@ def _predictor_for(params: dict):
         return load_predictor(path)
     except FileNotFoundError:
         raise ConfigError(f"predictor file not found: {path}")
-    except ValueError as exc:
+    except (ValueError, IsADirectoryError) as exc:
         raise ConfigError(f"{path}: not a predictor file: {exc}") from None
 
 

@@ -89,13 +89,11 @@ def estimate_upper_bound(start: float, samples: SampleSet, i: int,
     bound = max(start, float(np.finfo(float).tiny))
 
     norms = np.empty(0)
-    q = 0
     while True:
-        batch = interpolating_norms(samples, i, noise_std, kernel, mask,
-                                    cfg.sampler, seed_path, cfg.q_init,
-                                    start_index=q)
-        norms = np.concatenate([norms, batch])
-        q += cfg.q_init
+        norms = np.concatenate([norms, interpolating_norms(
+            samples, i, noise_std, kernel, mask, cfg.sampler, seed_path,
+            cfg.q_init, start_index=len(norms))])
+        q = len(norms)
         mean = float(np.mean(norms))
         width = hoeffding_width(cfg.delta, q,
                                 float(norms.max() - norms.min()))

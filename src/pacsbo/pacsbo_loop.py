@@ -136,9 +136,6 @@ class RunHistory:
     samples: SampleSet = field(compare=False)  # the final set
     snapshots: dict = field(compare=False)  # iteration t -> Snapshot
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def any_unsafe(self) -> bool:
         return any(rec.unsafe for rec in self.records)
 

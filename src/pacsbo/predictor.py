@@ -315,14 +315,15 @@ def save_predictor(model: MlpPredictor, path) -> None:
 
 def load_predictor(path) -> MlpPredictor:
     """Read a :func:`save_predictor` file; a file that is not JSON, is of
-    another schema or lacks a field raises ``ValueError``."""
+    another schema, lacks a field or holds weights that do not chain
+    ``input_len -> hidden -> 1`` raises ``ValueError``."""
     with open(path) as fh:
         record = json.load(fh)
     version = record.get("schema_version") if isinstance(record, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported predictor schema {version!r}")
     try:
-        return MlpPredictor(
+        model = MlpPredictor(
             int(record["input_len"]),
             tuple(record["hidden"]),
             tuple(np.asarray(w) for w in record["weights"]),
@@ -333,3 +334,9 @@ def load_predictor(path) -> MlpPredictor:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed predictor field {exc}") from None
+    dims = (model.input_len, *model.hidden, 1)
+    shapes = [a.shape for a in (*model.weights, *model.biases,
+                                model.feat_mean, model.feat_scale)]
+    if shapes != [*zip(dims[1:], dims), *zip(dims[1:]), dims[:1], dims[:1]]:
+        raise ValueError(f"weight shapes {shapes} do not chain {dims}")
+    return model

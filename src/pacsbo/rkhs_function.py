@@ -196,60 +196,58 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     do not depend on chunking or on how callers schedule the work.
 
     Every kernel block is read from the grid's :func:`lattice_table`. A
-    chunk's tail enters only as ``cross_alpha`` (c, N), the sample-tail
-    kernel times the tail coefficients, and ``tail_sq``, each draw's
-    ``alpha^T K_tt alpha``. A mask of ``m <= 3 T`` members (``T`` tail
-    centers) sums each draw's coefficients per member into a (c, m)
-    histogram ``H``: ``cross_alpha = H K_mA``, ``tail_sq`` the row sums of
-    ``(H K_mm) * H``. Larger masks take the (c, N, T) sample-tail block and
-    each draw's (T, T) tail-tail block into one reused buffer. Row-wise
-    products are two-operand ``einsum``, not BLAS, so a norm does not
-    depend on the chunk size.
+    draw's tail enters only as ``cross_alpha`` (N,), the sample-tail kernel
+    times the tail coefficients, and ``tail_sq = alpha^T K_tt alpha``. A
+    mask of ``m <= 3 T`` members (``T`` tail centers) sums each draw's
+    coefficients per member into a histogram ``h``; ``h [K_mA | K_mm]``, with
+    that (m, N + m) block read once per call, gives ``cross_alpha`` and
+    ``h K_mm``, whose dot with ``h`` is ``tail_sq``. Larger masks read each
+    draw's (N + T, T) block, sample rows then tail rows, into one reused
+    buffer and multiply it by ``alpha``. Every product is one BLAS call of
+    the same shape per draw, so a norm does not depend on the chunk size.
     """
     if len(seed_path) == 0:
         raise ValueError("seed_path must contain at least the base seed")
     region_idx = _tail_region(samples, cfg, mask)
-    num_tail, m = cfg.num_centers - len(samples), len(region_idx)
-    y = samples.targets(i)
+    n = len(samples)
+    num_tail, m = cfg.num_centers - n, len(region_idx)
     table, code = lattice_table(samples.grid, kernel)
     centre = len(table) // 2
     sample_code = code[list(samples.indices)]
-    left = sample_code[:, None] + centre  # (N, 1) row codes, centred
-    gram_aa = table[left - sample_code]
+    gram_aa = table[sample_code[:, None] + centre - sample_code]
     chol = _chol_with_jitter(gram_aa)
     member_code = code[region_idx]
     by_member = m <= 3 * num_tail
     if by_member:
-        member_left = member_code[:, None] + centre  # (m, 1)
-        k_ma = table[member_left - sample_code]  # (m, N)
-        k_mm = table[member_left - member_code]  # (m, m)
-    pair = np.empty((num_tail, num_tail), dtype=code.dtype)
-    k_tt = np.empty((num_tail, num_tail))
+        k_m = table[member_code[:, None] + centre
+                    - np.concatenate([sample_code, member_code])]  # (m, N + m)
+    else:
+        pair = np.empty((n + num_tail, num_tail), dtype=code.dtype)
+        block = np.empty((n + num_tail, num_tail))
 
     norms = np.empty(count)
-    draws = _draws(seed_path, start_index, count, m, noise_std, num_tail,
-                   len(samples))
+    draws = _draws(seed_path, start_index, count, m, noise_std, num_tail, n)
     for lo, (tails, tail_u, eps) in zip(range(0, count, _CHUNK), draws):
         c = len(tails)  # tails: (c, T) member positions
         tail_coeffs = cfg.coeff_bound * tail_u
         if by_member:
-            rows = (np.arange(c)[:, None] * m + tails).ravel()
-            hist = np.bincount(rows, tail_coeffs.ravel(), c * m).reshape(c, m)
-            cross_alpha = np.einsum("cm,mn->cn", hist, k_ma)
-            tail_sq = np.einsum("ck,ck->c",
-                                np.einsum("cm,mk->ck", hist, k_mm), hist)
+            pos = (np.arange(c)[:, None] * m + tails).ravel()
+            hist = np.bincount(pos, tail_coeffs.ravel(), c * m).reshape(c, m)
+            prod = np.matmul(hist[:, None, :], k_m)[:, 0]  # (c, N + m)
+            cross_alpha = prod[:, :n]
+            tail_sq = np.matmul(prod[:, None, n:], hist[:, :, None])[:, 0, 0]
         else:
-            tail_code = member_code[tails]
-            cross = table[left - tail_code[:, None, :]]  # (c, N, T)
-            cross_alpha = np.einsum("cnt,ct->cn", cross, tail_coeffs)
-            tail_sq = np.empty(c)
-            for j, (t, alpha) in enumerate(zip(tail_code, tail_coeffs)):
-                np.subtract(t[:, None] + centre, t, out=pair)
-                # all in range; "clip" lets take write into k_tt unbuffered
-                np.take(table, pair, out=k_tt, mode="clip")
-                tail_sq[j] = alpha @ (k_tt @ alpha)
-        head = sla.cho_solve((chol, True), ((y + eps) - cross_alpha).T).T
-        sq = (np.einsum("cn,nm,cm->c", head, gram_aa, head)
-              + 2.0 * np.einsum("cn,cn->c", head, cross_alpha) + tail_sq)
-        norms[lo:lo + c] = np.sqrt(np.maximum(sq, 0.0))
+            cross_alpha, tail_sq = np.empty((c, n)), np.empty(c)
+            for j, (t, alpha) in enumerate(zip(member_code[tails], tail_coeffs)):
+                rows = np.concatenate([sample_code, t]) + centre
+                np.subtract(rows[:, None], t, out=pair)
+                # all in range; "clip" lets take write into block unbuffered
+                np.take(table, pair, out=block, mode="clip")
+                prod = block @ alpha
+                cross_alpha[j], tail_sq[j] = prod[:n], alpha @ prod[n:]
+        rhs = (samples.targets(i) + eps) - cross_alpha
+        head = sla.cho_solve((chol, True), rhs.T).T[:, None, :]  # (c, 1, N)
+        sq = (np.matmul(np.matmul(head, gram_aa), head.transpose(0, 2, 1))
+              + 2.0 * np.matmul(head, cross_alpha[:, :, None]))[:, 0, 0]
+        norms[lo:lo + c] = np.sqrt(np.maximum(sq + tail_sq, 0.0))
     return norms

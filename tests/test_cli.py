@@ -240,7 +240,8 @@ class TestRunCommand:
         lambda record: json.dumps({"schema_version": 7}),
         lambda record: json.dumps(
             {k: v for k, v in record.items() if k != "weights"}),
-    ], ids=["not_json", "other_schema", "missing_field"])
+        lambda record: json.dumps(dict(record, weights=[[[1.0, 2.0]]])),
+    ], ids=["not_json", "other_schema", "missing_field", "unchained_weights"])
     def test_malformed_predictor_file_exits_2(self, tmp_path, capsys,
                                               rewrite):
         body = comparison_body(tmp_path)
@@ -249,6 +250,15 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "c.yaml", body)
         assert main(["run", "--config", cfg]) == 2
         assert f"{pred}: not a predictor file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_predictor_path_naming_a_directory_exits_2(self, tmp_path,
+                                                      capsys):
+        body = comparison_body(tmp_path)
+        body["predictor_path"] = str(tmp_path)
+        cfg = write_config(tmp_path / "c.yaml", body)
+        assert main(["run", "--config", cfg]) == 2
+        assert f"{tmp_path}: not a predictor file" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -132,7 +132,7 @@ def test_safeopt_run_completes():
                     budget=6, seed=3)
     hist = run(cfg, truth)
     assert hist.status == "completed"
-    assert len(hist) == 6
+    assert len(hist.records) == 6
     for t, rec in enumerate(hist.records):
         assert rec.iteration == t
         assert 0 <= rec.chosen < grid.num_points
@@ -208,7 +208,7 @@ class TestPacsboRun:
 
     def test_completes_with_all_partitions(self):
         assert self.hist.status == "completed"
-        assert len(self.hist) == 3
+        assert len(self.hist.records) == 3
         for rec in self.hist.records:
             assert set(rec.partitions) == {"tilde", "hat", "global"}
             assert rec.chosen_partition in rec.partitions
@@ -335,7 +335,7 @@ def test_one_covariance_integral_per_region_and_step(monkeypatch):
 
     monkeypatch.setattr(loop_mod, "reciprocal_cov_integral", counting)
     hist = run(cfg, truth)
-    assert len(hist) == 3
+    assert len(hist.records) == 3
     assert sorted(calls) == sorted(["tilde", "hat", "global"] * 3)
 
 
@@ -348,7 +348,7 @@ def test_run_longer_than_the_predictor_window():
     cfg = pacsbo_config(grid, s0, budget=4, seed=6)
     short = run(replace(cfg, predictor=constant_predictor(3.0, input_len=4)),
                 truth)
-    assert short.status == "completed" and len(short) == 4
+    assert short.status == "completed" and len(short.records) == 4
     assert short == run(cfg, truth)
 
 
@@ -372,14 +372,14 @@ def stalled_run(monkeypatch, picks):
 def test_stalled_run(monkeypatch):
     cfg, truth, hist = stalled_run(monkeypatch, 0)
     assert hist.status == "stalled"
-    assert len(hist) == 0 and hist.snapshots == {}
+    assert len(hist.records) == 0 and hist.snapshots == {}
     # the seed was still measured, so the best safe value is its reward
     assert hist.best_reward == _initial_state(cfg, truth).samples.targets(0)[0]
 
 
 def test_stalled_run_keeps_no_snapshot_past_its_last_record(monkeypatch):
     _, _, hist = stalled_run(monkeypatch, 2)
-    assert hist.status == "stalled" and len(hist) == 2
+    assert hist.status == "stalled" and len(hist.records) == 2
     assert sorted(hist.snapshots) == [1, 2]
     assert len(hist.samples) == 3
 
@@ -395,7 +395,7 @@ def test_history_helpers():
                             1.0, False, 99.0)
     assert rec == other  # wall time never affects history comparison
     hist = RunHistory((rec,), "completed", 1.0, None, {})
-    assert len(hist) == 1 and not hist.any_unsafe()
+    assert len(hist.records) == 1 and not hist.any_unsafe()
     unsafe = IterationRecord(1, 4, "tilde", {0: 0.1, 1: -0.2},
                              rec.partitions, 1.0, True, 0.0)
     assert RunHistory((rec, unsafe), "completed", 1.0, None,

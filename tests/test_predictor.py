@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gradient_check_error
+from conftest import constant_predictor, gradient_check_error
 
 import pacsbo.predictor as predictor_mod
 from pacsbo.kernel_gp import (
@@ -216,6 +216,23 @@ def test_load_rejects_schema_mismatch(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(ValueError):
+        load_predictor(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weights", [[[1.0, 2.0]]]),  # fan-in 2, not input_len
+    ("weights", [[[0.0] * 4] * 3, [[0.0] * 3]]),  # one layer too many
+    ("biases", [[0.0, 0.0]]),
+    ("feat_mean", [0.0] * 3),
+    ("feat_scale", [1.0] * 5),
+])
+def test_load_rejects_weights_that_do_not_chain(tmp_path, field, value):
+    import json
+    path = tmp_path / "pred.json"
+    save_predictor(constant_predictor(3.0, input_len=4), path)
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(record, **{field: value})))
+    with pytest.raises(ValueError, match="do not chain"):
         load_predictor(path)
 
 

@@ -209,15 +209,23 @@ def test_batched_norms_match_per_function_path():
 
 
 def test_batched_norms_start_index_gives_stable_pooling():
+    # the 300-point mask with 27 tail centers and the 50x50 global mask
+    # take the position path, the 1-D 100-point global mask the member path
     grid = GridDomain.uniform(300)
-    s = make_samples(grid, [50, 150, 250], [0.3, 0.1, -0.2])
-    cfg = SamplerConfig(num_centers=30)
-    mask = global_mask(grid)
-    full = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,), count=20)
-    part1 = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,), count=12)
-    part2 = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,), count=8,
-                                start_index=12)
-    np.testing.assert_array_equal(full, np.concatenate([part1, part2]))
+    three = make_samples(grid, [50, 150, 250], [0.3, 0.1, -0.2])
+    cases = list(mask_cases())
+    for s, mask, cfg in ((three, global_mask(grid),
+                          SamplerConfig(num_centers=30)),
+                         (*cases[2], SamplerConfig()),
+                         (*cases[-1], SamplerConfig())):
+        assert mask.label == "global"
+        full = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,), count=90)
+        part1 = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,),
+                                    count=70)
+        part2 = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,),
+                                    count=20, start_index=70)
+        np.testing.assert_array_equal(full, np.concatenate([part1, part2]),
+                                      err_msg=str(mask.count))
 
 
 def mask_cases():

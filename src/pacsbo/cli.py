@@ -3,9 +3,9 @@
 Four subcommands: ``train-predictor`` builds and saves the norm predictor,
 ``run`` executes any experiment scenario from a config file, and
 ``hoeffding-mc`` / ``synthetic2d`` are the same runner pinned to their
-scenario. Output directory and thread count can come from the command line
-(highest priority), the environment (PACSBO_OUT, PACSBO_THREADS), or the
-config file. Package warnings go to stderr while a command runs.
+scenario. The output directory can come from the command line (highest
+priority), the environment (PACSBO_OUT), or the config file. Package
+warnings go to stderr while a command runs.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures.
@@ -34,18 +34,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "data-driven norm bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, threads=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override: use this single seed")
         p.add_argument("--out", default=None,
                        help="override the output directory or predictor path")
-        if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="seeds to run in parallel")
 
     add_common(sub.add_parser("train-predictor", help="generate rollout data "
-                              "and fit the predictor"), threads=False)
+                              "and fit the predictor"))
     add_common(sub.add_parser("run", help="run an experiment scenario"))
     add_common(sub.add_parser("hoeffding-mc",
                               help="Monte Carlo width-coverage check"))
@@ -54,14 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_override(cli_value, env_name):
-    if cli_value is not None:
-        return cli_value
-    return os.environ.get(env_name)
-
-
 def _dispatch(args) -> int:
-    out = _env_override(args.out, "PACSBO_OUT")
+    out = args.out if args.out is not None else os.environ.get("PACSBO_OUT")
     if args.command == "train-predictor":
         cfg = load_train_config(args.config, out_path=out, seed=args.seed)
         result = train_predictor_pipeline(cfg)
@@ -70,14 +61,7 @@ def _dispatch(args) -> int:
               f"final loss {report['final_loss']:.4g})")
         return 0
 
-    threads = _env_override(args.threads, "PACSBO_THREADS")
-    try:
-        threads = int(threads) if threads is not None else None
-    except ValueError:
-        raise ConfigError(f"PACSBO_THREADS must be an integer, got "
-                          f"{threads!r}") from None
-    spec = load_spec(args.config, out_dir=out, seed=args.seed,
-                     threads=threads)
+    spec = load_spec(args.config, out_dir=out, seed=args.seed)
     expected = {"hoeffding-mc": "hoeffding_mc", "synthetic2d": "synthetic2d"}
     want = expected.get(args.command)
     if want is not None and spec.scenario != want:

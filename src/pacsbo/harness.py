@@ -1,7 +1,7 @@
-"""Experiment recipes: scenario configs, seed fan-out, CSV and manifest IO.
+"""Experiment recipes: scenario configs, seed loops, CSV and manifest IO.
 
 Each scenario resolves a YAML config into an :class:`ExperimentSpec`, runs
-every seed (optionally on a thread pool), and writes per-seed record files,
+its seeds one after another, and writes per-seed record files,
 a merged summary, and a manifest with the config hash and library versions.
 All outputs are plain CSV or YAML so plots can be drawn with external tools.
 """
@@ -13,7 +13,6 @@ import hashlib
 import importlib.metadata
 import numbers
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,10 +64,10 @@ COMPARISONS = ("compare_conservative", "compare_optimistic")
 
 def _scenario_defaults(scenario: str) -> dict:
     if scenario == "hoeffding_mc":
-        return dict(replicates=500, q=200, deltas=[0.1, 0.5], threads=1)
+        return dict(replicates=500, q=200, deltas=[0.1, 0.5])
     common = dict(lengthscale=0.1, noise_std=0.01, delta=0.1,
                   norm_target=2.0, num_centers=100, alpha_bar=1.0,
-                  q_init=500, q_max=5000, threads=1)
+                  q_init=500, q_max=5000)
     if scenario != "fig3_thresholds":
         common.update(safe_fraction=0.6, f_g=None, predictor_path=None)
     per = {
@@ -108,8 +107,6 @@ class ExperimentSpec:
             raise ConfigError("seeds list must be nonempty")
         params = self.params
         _check_numbers(params, _scenario_defaults(self.scenario))
-        if params["threads"] < 1:
-            raise ConfigError(f"threads must be >= 1, got {params['threads']}")
         if self.scenario == "hoeffding_mc":
             if len(self.seeds) != 1:
                 raise ConfigError(f"hoeffding_mc takes one seed, got "
@@ -187,11 +184,11 @@ def _check_numbers(params: dict, defaults: dict) -> None:
                 raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
-def load_spec(path, out_dir=None, seed=None, threads=None) -> ExperimentSpec:
+def load_spec(path, out_dir=None, seed=None) -> ExperimentSpec:
     """Parse and validate a scenario config file.
 
-    ``out_dir``, ``seed``, and ``threads`` are optional overrides that win
-    over both the file and the environment.
+    ``out_dir`` and ``seed`` are optional overrides that win over both the
+    file and the environment.
     """
     raw = _load_yaml(path)
     if not isinstance(raw, dict):
@@ -221,8 +218,6 @@ def load_spec(path, out_dir=None, seed=None, threads=None) -> ExperimentSpec:
             isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds):
         raise ConfigError(f"{path}: seeds must be a list of non-negative "
                           f"integers, got {seeds!r}")
-    if threads is not None:
-        params["threads"] = int(threads)
     return ExperimentSpec(scenario, str(out), tuple(seeds), params)
 
 
@@ -487,14 +482,6 @@ def snapshot_rows(grid: GridDomain, snapshot: Snapshot) -> list:
 # ---------------------------------------------------------------------------
 # scenarios
 
-def _map_seeds(fn, spec: ExperimentSpec):
-    threads = int(spec.params.get("threads", 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, spec.seeds))
-    return [fn(s) for s in spec.seeds]
-
-
 def scenario_fig3(spec: ExperimentSpec) -> dict:
     """Norm-bound study on a unit-norm truth: run the accept-or-grow
     estimator after 5, 20, and 50 measurements and record the accepted
@@ -511,7 +498,8 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     pac = _pac_config(params)
     mask = global_mask(grid)
 
-    def one_seed(seed):
+    per_seed = []
+    for seed in spec.seeds:
         f = _truth_reward(params, grid, kernel, seed)
         draw = derive_rng(seed, "draw")
         order = draw.permutation(grid.num_points)[:max(counts)]
@@ -529,9 +517,7 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
                                        mask, cfg=pac,
                                        seed_path=(seed, "fig3", m))
             rows.append((seed, m, guess, res))
-        return rows
-
-    per_seed = _map_seeds(one_seed, spec)
+        per_seed.append(rows)
     header = ["schema_version", "seed", "num_samples", "initial_guess",
               "accepted_bound", "q_used", "escalated", "draw_mean",
               "draw_width", "threshold"]
@@ -586,7 +572,8 @@ def _run_seeds(spec: ExperimentSpec, algorithms,
     grid = _grid_for(params)
     kernel = _kernel_for(params)
 
-    def one_seed(seed):
+    outputs = []
+    for seed in spec.seeds:
         truth = make_truth(params, grid, kernel, seed)
         s0 = seed_triple(truth, grid, placement=params["s0_placement"])
         runs = {}
@@ -595,9 +582,7 @@ def _run_seeds(spec: ExperimentSpec, algorithms,
                 else _safeopt_config
             runs[algorithm] = run(maker(params, grid, kernel, s0, seed),
                                   truth, snapshot_iterations)
-        return seed, truth, runs
-
-    outputs = _map_seeds(one_seed, spec)
+        outputs.append((seed, truth, runs))
     files = []
     for seed, _, runs in outputs:
         for algorithm, history in runs.items():
@@ -748,6 +733,9 @@ def load_train_config(path, out_path=None, seed=None) -> dict:
     if not cfg["out_path"]:
         raise ConfigError(f"{path}: missing required key 'out_path'")
     _check_numbers(cfg, TRAIN_DEFAULTS)
+    if cfg["seed"] < 0:
+        raise ConfigError(f"{path}: seed must be a non-negative integer, "
+                          f"got {cfg['seed']!r}")
     if any(h < 1 for h in cfg["hidden"]):
         raise ConfigError(f"{path}: hidden widths must be at least 1")
     try:

@@ -129,25 +129,21 @@ def lattice_table(grid: GridDomain, cfg: KernelConfig):
 
 
 class SampleSet:
-    """Measured parameters with aligned per-index measurement channels.
+    """Measured parameters with aligned reward and constraint channels.
 
     Parameters are stored as flat grid indices, which enforces that every
-    sample lies on the grid. The measurement channels are keyed by the
-    function index ``i`` (0 is the reward, positive indices are
-    constraints). Instances are immutable; :meth:`append` returns a new
-    set with the observation added at the end.
+    sample lies on the grid. The two measurement channels are keyed by the
+    function index ``i``: 0 is the reward, 1 the constraint. Instances are
+    immutable; :meth:`append` returns a new set with the observation added
+    at the end.
     """
 
-    def __init__(self, grid: GridDomain, indices=(), values=None,
-                 function_indices=(0, 1)):
+    def __init__(self, grid: GridDomain, indices=(), values=None):
         self.grid = grid
         self.indices = tuple(int(j) for j in indices)
-        self.function_indices = tuple(sorted(int(i) for i in function_indices))
-        if len(self.function_indices) == 0 or self.function_indices[0] != 0:
-            raise ValueError("function indices must include 0 (the reward)")
         values = {} if values is None else dict(values)
         self._values = {}
-        for i in self.function_indices:
+        for i in (0, 1):
             col = tuple(float(v) for v in values.get(i, ()))
             if len(col) != len(self.indices):
                 raise ValueError(f"channel {i} has {len(col)} values for "
@@ -171,13 +167,12 @@ class SampleSet:
 
     def append(self, index: int, measurements: dict) -> "SampleSet":
         """New sample set with one observation (all channels) appended."""
-        missing = [i for i in self.function_indices if i not in measurements]
+        missing = [i for i in self._values if i not in measurements]
         if missing:
             raise ValueError(f"measurements missing for channels {missing}")
-        values = {i: self._values[i] + (float(measurements[i]),)
-                  for i in self.function_indices}
-        return SampleSet(self.grid, self.indices + (int(index),), values,
-                         self.function_indices)
+        values = {i: col + (float(measurements[i]),)
+                  for i, col in self._values.items()}
+        return SampleSet(self.grid, self.indices + (int(index),), values)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Every source of randomness in the package is a numpy PCG64 stream seeded
 by ``SeedSequence`` from an integer seed plus a path identifying the
 consumer (iteration number, partition index, a module tag, ...). Streams
 derived this way are independent of each other and of execution order,
-so batched work can be scheduled across threads without changing any
+so batched work can be scheduled in any order without changing any
 drawn number. String path components are folded to integers with a fixed
 checksum, so the mapping never varies across runs or platforms.
 

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 import yaml
-from conftest import constant_predictor, read_csv_rows
+from conftest import constant_predictor
 
 from pacsbo import cli
 from pacsbo.cli import main
@@ -97,6 +97,17 @@ class TestTrainPredictor:
         cfg = write_config(tmp_path / "t.yaml", body)
         assert main(["train-predictor", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, source):
+        body = tiny_train_body(tmp_path / "m.json")
+        flags = ["--seed", "-1"] if source == "flag" else []
+        if source == "config":
+            body["seed"] = -3
+        cfg = write_config(tmp_path / "t.yaml", body)
+        assert main(["train-predictor", "--config", cfg] + flags) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     def test_divergence_exits_3(self, tmp_path, capsys):
@@ -315,38 +326,22 @@ class TestOverridePrecedence:
             (tmp_path / "o" / "manifest.yaml").read_text())
         assert manifest["seeds"] == [42]
 
-    def test_env_threads(self, tmp_path, monkeypatch):
-        cfg = write_config(
-            tmp_path / "f.yaml",
-            dict(scenario="fig3_thresholds", out_dir=str(tmp_path / "o"),
-                 seeds=[0, 1], grid_resolution=30, sample_counts=[3],
-                 q_init=30, q_max=60, num_centers=10))
-        monkeypatch.setenv("PACSBO_THREADS", "2")
-        assert main(["run", "--config", cfg]) == 0
-        _, rows = read_csv_rows(tmp_path / "o" / "thresholds.csv")
-        assert [r["seed"] for r in rows] == ["0", "1"]
-
-    def test_env_threads_not_an_integer_exits_2(self, tmp_path, monkeypatch,
-                                                capsys):
-        cfg = write_config(tmp_path / "h.yaml", hoeffding_body(tmp_path / "o"))
-        monkeypatch.setenv("PACSBO_THREADS", "abc")
-        assert main(["run", "--config", cfg]) == 2
-        assert "PACSBO_THREADS must be an integer" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("source", ["config", "flag", "env"])
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_thread_count_below_one_exits_2(self, tmp_path, monkeypatch,
-                                            capsys, source, count):
-        # a count below 1 used to run serially and exit 0
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("count", [0, -1, 2])
+    def test_thread_count_below_one_exits_2(self, tmp_path, capsys, source,
+                                            count):
+        # seeds run in one loop, so no source may set a thread count of
+        # any value, below one or not
         extra = {"threads": count} if source == "config" else {}
         cfg = write_config(tmp_path / "h.yaml",
                            hoeffding_body(tmp_path / "o", **extra))
         argv = ["run", "--config", cfg]
         if source == "flag":
             argv += ["--threads", str(count)]
-        if source == "env":
-            monkeypatch.setenv("PACSBO_THREADS", str(count))
-        assert main(argv) == 2
-        assert f"threads must be >= 1, got {count}" in capsys.readouterr().err
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown flag
+            code = exc.code
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

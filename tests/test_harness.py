@@ -67,10 +67,9 @@ class TestSpecLoading:
     def test_overrides_win(self, tmp_path):
         p = write_config(tmp_path / "c.yaml",
                          hoeffding_body(tmp_path / "a", seeds=[1, 2]))
-        spec = load_spec(p, out_dir=str(tmp_path / "b"), seed=9, threads=4)
+        spec = load_spec(p, out_dir=str(tmp_path / "b"), seed=9)
         assert spec.out_dir == str(tmp_path / "b")
         assert spec.seeds == (9,)
-        assert spec.params["threads"] == 4
 
     def test_missing_scenario(self, tmp_path):
         p = write_config(tmp_path / "c.yaml", dict(out_dir="x"))
@@ -234,10 +233,10 @@ class TestHoeffdingScenario:
 
 
 class TestFig3Scenario:
-    def make_spec(self, tmp_path, threads=1):
+    def make_spec(self, tmp_path):
         params = _params("fig3_thresholds")
         params.update(grid_resolution=40, sample_counts=[3, 6], q_init=50,
-                      q_max=150, num_centers=15, threads=threads)
+                      q_max=150, num_centers=15)
         return ExperimentSpec("fig3_thresholds", str(tmp_path), (0, 1),
                               params)
 
@@ -289,14 +288,6 @@ class TestFig3Scenario:
         assert int(row["q_used"]) == res.q_used
         assert bool(int(row["escalated"])) == res.escalated
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        serial = scenario_fig3(self.make_spec(tmp_path / "s", threads=1))
-        pooled = scenario_fig3(self.make_spec(tmp_path / "p", threads=2))
-        assert serial["bound_means"] == pooled["bound_means"]
-        _, rows_s = read_csv_rows(serial["csv"])
-        _, rows_p = read_csv_rows(pooled["csv"])
-        assert rows_s == rows_p
-
 
 @pytest.fixture(scope="module")
 def compare_result(tmp_path_factory):
@@ -312,37 +303,26 @@ def compare_result(tmp_path_factory):
     return spec, run_experiment(spec)
 
 
-def test_thread_count_leaves_every_csv_byte_identical(tmp_path):
-    """Threads fan out whole seeds: a comparison at threads 1 and 2 writes
-    the same records, snapshot and summary CSVs, byte for byte. The
-    manifests differ only in the recorded thread count, the config hash
-    that covers it, and the output paths."""
+def test_a_seed_writes_the_same_files_alone_as_among_other_seeds(tmp_path):
+    """A seed's output does not depend on the other seeds of its run: seed
+    1's records and snapshot CSVs are byte-equal whether it runs after
+    seed 0 and before seed 3 or alone."""
     pred = tmp_path / "pred.json"
     save_predictor(constant_predictor(3.0), pred)
-    trees, manifests = {}, {}
-    for threads in (1, 2):
+    trees = {}
+    for seeds in ((0, 1, 3), (1,)):
         params = _params("compare_conservative")
         params.update(grid_resolution=40, budget=3, q_init=20, q_max=40,
                       num_centers=12, predictor_path=str(pred),
-                      snapshot_iterations=[1, 3], fixed_bound=2.5,
-                      threads=threads)
-        out = tmp_path / f"threads{threads}"
-        res = run_experiment(ExperimentSpec("compare_conservative", str(out),
-                                            (0, 1, 3), params))
-        trees[threads] = {str(p.relative_to(out)): p.read_bytes()
-                          for p in out.rglob("*.csv")}
-        manifests[threads] = yaml.safe_load(res["manifest"].read_text())
-    # 3 seeds x 2 algorithms: records, snapshots at two iterations; summary
-    assert len(trees[1]) == 6 + 12 + 1
-    assert trees[1] == trees[2]
-    one, two = manifests[1], manifests[2]
-    assert (one["params"].pop("threads"), two["params"].pop("threads")) == (1, 2)
-    assert one["config_hash"] != two["config_hash"]
-    for m, threads in ((one, 1), (two, 2)):
-        del m["config_hash"]
-        out = str(tmp_path / f"threads{threads}")
-        m["files"] = [f.replace(out, "out") for f in m["files"]]
-    assert one == two
+                      snapshot_iterations=[1, 3], fixed_bound=2.5)
+        out = tmp_path / "-".join(map(str, seeds))
+        run_experiment(ExperimentSpec("compare_conservative", str(out),
+                                      seeds, params))
+        trees[seeds] = {str(p.relative_to(out)): p.read_bytes()
+                        for p in out.rglob("*_seed1[._]*csv")}
+    # 2 algorithms: records, snapshots at two iterations
+    assert len(trees[(1,)]) == 2 + 4
+    assert trees[(0, 1, 3)] == trees[(1,)]
 
 
 class TestCompareScenario:

@@ -12,7 +12,13 @@ from pacsbo.pac_estimator import (
     estimate_upper_bound,
     hoeffding_width,
 )
-from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
+from pacsbo.rkhs_function import (
+    SamplerConfig,
+    interpolating_norms,
+    sample_random_function,
+    scale_to_norm,
+)
+from pacsbo.seeding import derive_rng
 from pacsbo.subdomain import global_mask, partition_masks
 
 W_01_5000_UNIT = 0.017308183826022852  # sqrt(ln(20) / 10000)
@@ -152,3 +158,37 @@ def test_region_restriction_respected():
                                    seed_path=(4, 2))
     # same seeds, different tail-center regions: distinct distributions
     assert res_hat.empirical_mean != res_all.empirical_mean
+
+
+@pytest.mark.parametrize("truth_seed", [0, 1])
+def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
+    """The estimator re-tests after every batch with a fixed-q Hoeffding
+    width. On the Fig. 3 truths, with random 5- and 20-sample sets on the
+    tilde and global masks, the final bound still lies below the mean
+    draw norm in at most ``delta`` of the calls, from a start just below
+    that mean and from one far below it. The mean comes from a large
+    pooled draw on a seed path of its own."""
+    grid = GridDomain.uniform(100)
+    kernel = KernelConfig(lengthscale=0.1)
+    sampler = SamplerConfig(num_centers=100, coeff_bound=1.0)
+    cfg = PacConfig(delta=0.1, q_init=20, q_max=400, sampler=sampler)
+    f = scale_to_norm(sample_random_function(
+        grid, kernel, SamplerConfig(100), derive_rng(truth_seed, "truth")),
+        1.0)
+    rng = np.random.default_rng(truth_seed)
+    calls = 40
+    for m in (5, 20):
+        idx = rng.choice(grid.num_points, size=m, replace=False)
+        y = f(grid.points[idx]) + 0.001 * rng.standard_normal(m)
+        samples = SampleSet(grid, idx, {0: y, 1: y})
+        tilde, _, everywhere = partition_masks(samples)
+        for mask in (tilde, everywhere):
+            path = (truth_seed, m, mask.label)
+            mu = float(interpolating_norms(samples, 0, 0.001, kernel, mask,
+                                           sampler, path + ("mean",),
+                                           20000).mean())
+            for start in (0.999 * mu, 0.5 * mu):
+                below = sum(estimate_upper_bound(
+                    start, samples, 0, 0.001, kernel, mask, cfg=cfg,
+                    seed_path=path + (c,)).bound < mu for c in range(calls))
+                assert below <= cfg.delta * calls, (m, mask.label, start / mu)

@@ -209,17 +209,25 @@ def test_expanders_empty_when_everything_safe():
     assert not g.any()
 
 
-def refit_oracle_newly_safe(samples, grid, noise, kernel, field, a, safe, mask):
+def fit_channel(grid, idx, values, noise, kernel):
+    """Posterior of one channel's measurements. A sample set holds one
+    reward and one constraint channel, so each channel is fitted alone."""
+    return gp_fit(SampleSet(grid, idx, {0: values, 1: values}), 0, noise,
+                  kernel)
+
+
+def refit_oracle_newly_safe(idx, values, grid, noise, kernel, field, a, safe,
+                            mask):
     """From-scratch refit check: does an optimistic observation at a make
     any currently unsafe masked point safe on every constraint channel?"""
     outside = np.flatnonzero(mask.member & ~safe)
     if len(outside) == 0:
         return False
     ok = np.ones(len(outside), dtype=bool)
-    boosted = samples.append(a, {i: field.upper[i][a]
-                                 for i in samples.function_indices})
-    for i in samples.function_indices[1:]:
-        post = gp_fit(boosted, i, noise, kernel)
+    for i in sorted(values)[1:]:
+        post = fit_channel(grid, list(idx) + [a],
+                           list(values[i]) + [field.upper[i][a]], noise,
+                           kernel)
         mean, var = gp_predict(post, grid.points[outside])
         ok &= mean - field.betas[i] * np.sqrt(var) >= 0.0
     return bool(ok.any())
@@ -252,8 +260,7 @@ def test_expander_set_matches_refit_oracle():
             idx = list(rng.choice(grid.num_points, size=k, replace=False))
             values = {i: list(rng.uniform(low, 1.0, size=k))
                       for i in channels}
-            samples = SampleSet(grid, idx, values, channels)
-            posteriors = {i: gp_fit(samples, i, noise, kernel)
+            posteriors = {i: fit_channel(grid, idx, values[i], noise, kernel)
                           for i in channels}
             pred = mask_predictive(posteriors, mask)
             field = confidence_bounds(pred, dict.fromkeys(channels, 1.0),
@@ -267,7 +274,8 @@ def test_expander_set_matches_refit_oracle():
                 assert not (g & ~cand).any()
                 for a in np.flatnonzero(cand):
                     expect = refit_oracle_newly_safe(
-                        samples, grid, noise, kernel, field, a, safe, mask)
+                        idx, values, grid, noise, kernel, field, a, safe,
+                        mask)
                     assert g[a] == expect, (res, channels, trial, exact, a)
                     found += expect
                     tested += 1

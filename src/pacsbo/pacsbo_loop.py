@@ -5,7 +5,8 @@ estimates a kernel-norm bound per region and channel each iteration (three
 nested regions: sample hull, enlarged hull, full domain), runs the
 safe-exploration subroutine per region, and queries the most uncertain
 candidate across all regions. The baseline runs the same subroutine on the
-full domain with a fixed norm bound and no estimation.
+full domain with a fixed norm bound and no estimation. The predictor's
+training rollouts are baseline runs too, so every caller runs this loop.
 
 Per-channel norm traces are extended at the start of each iteration, from
 the currently measured data, before the estimator reads them; that way the
@@ -49,9 +50,9 @@ class GroundTruth:
     reward: RkhsFunction
     threshold: float
 
-    def value(self, grid: GridDomain, index: int, channel: int) -> float:
+    def values(self, grid: GridDomain, index: int) -> tuple:
         v = float(self.reward(grid.points[index].reshape(1, -1))[0])
-        return v if channel == 0 else v - self.threshold
+        return v, v - self.threshold
 
 
 @dataclass(frozen=True)
@@ -147,13 +148,10 @@ class LoopState:
     iteration: int
 
 
-def _measure(truth: GroundTruth, grid: GridDomain, index: int,
-             noise_std: float, rng) -> dict:
-    out = {}
-    for i in CHANNELS:
-        eps = float(truncated_normal(rng, noise_std, size=1)[0])
-        out[i] = truth.value(grid, index, i) + eps
-    return out
+def _measure(exact: tuple, noise_std: float, rng) -> dict:
+    """Each channel's true value plus truncated noise, in channel order."""
+    return {i: exact[i] + float(truncated_normal(rng, noise_std, size=1)[0])
+            for i in CHANNELS}
 
 
 def _initial_state(cfg: RunConfig, truth: GroundTruth) -> LoopState:
@@ -161,7 +159,7 @@ def _initial_state(cfg: RunConfig, truth: GroundTruth) -> LoopState:
     for k, s in enumerate(cfg.s0_indices):
         rng = derive_rng(cfg.seed, "seed-measure", k)
         samples = samples.append(int(s),
-                                 _measure(truth, cfg.grid, int(s),
+                                 _measure(truth.values(cfg.grid, int(s)),
                                           cfg.noise_std, rng))
     traces = {(label, i): () for label in PARTITION_ORDER for i in CHANNELS}
     return LoopState(samples, traces, 0)
@@ -232,9 +230,10 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
         for lab, st in states.items()}
 
     rng = derive_rng(cfg.seed, "measure", state.iteration)
-    measured = _measure(truth, cfg.grid, choice, cfg.noise_std, rng)
+    exact = truth.values(cfg.grid, choice)
+    measured = _measure(exact, cfg.noise_std, rng)
     samples = state.samples.append(choice, measured)
-    unsafe = truth.value(cfg.grid, choice, 1) < 0.0
+    unsafe = exact[1] < 0.0
     record = IterationRecord(state.iteration, choice, label, measured, stats,
                              _best_safe(samples), unsafe,
                              time.monotonic() - t0)

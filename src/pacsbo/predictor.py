@@ -4,8 +4,9 @@ While the optimizer runs, each iteration contributes a pair (kernel norm of
 the posterior mean, reciprocal covariance integral) to a trace, a tuple of
 pairs. A small fully connected network maps the newest pairs, as many as
 its input holds, zero-padded, to a positive starting bound for the norm
-estimator. Training data comes from safe-exploration rollouts on random
-functions whose kernel norm is known exactly.
+estimator. Training rollouts are runs of the fixed-bound baseline loop of
+:mod:`pacsbo.pacsbo_loop` on random functions, at their exactly known
+kernel norm.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from .kernel_gp import (
     GpPosterior,
     GridDomain,
     KernelConfig,
-    SampleSet,
     gp_fit,
     mean_rkhs_norm,
     reciprocal_cov_integral,
 )
 from .rkhs_function import RkhsFunction, SamplerConfig, rkhs_norm, sample_random_function
-from .safeopt_core import select
 from .seeding import derive_rng
 from .subdomain import global_mask
 
@@ -102,38 +101,33 @@ class RolloutConfig:
 
 
 def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
-    """One safe-exploration rollout; returns the trace prefix rows."""
-    grid, kernel = cfg.grid, cfg.kernel
+    """One fixed-bound loop run at the function's true norm; returns its
+    trace prefix rows, none if the run stalled."""
+    # pacsbo_loop imports this module, so it is imported at call time
+    from .pacsbo_loop import GroundTruth, RunConfig, run
+
+    grid, steps = cfg.grid, cfg.rollout_iters
     values = rho(grid.points)
     threshold = float(np.quantile(values, cfg.safe_quantile))
     bound = rkhs_norm(rho)
     margin = 0.1 * (values.max() - threshold)
-    safe_enough = np.flatnonzero(values - threshold >= margin)
-    seed_idx = int(rng.choice(safe_enough))
+    seed_idx = int(rng.choice(np.flatnonzero(values - threshold >= margin)))
+    run_cfg = RunConfig(grid, cfg.kernel, (seed_idx,), cfg.noise_std,
+                        cfg.delta, budget=steps, algorithm="safeopt",
+                        fixed_bound=bound, seed=int(rng.integers(2**63)))
+    history = run(run_cfg, GroundTruth(rho, threshold),
+                  snapshot_iterations=range(2, steps + 1))
+    if history.status == "stalled":
+        log.warning("rollout abandoned at step %d: no candidates",
+                    len(history.records))
+        return []
+    # snapshot t holds the reward posterior on the first t samples
+    posteriors = [history.snapshots[t].reward for t in range(2, steps + 1)]
+    posteriors.append(gp_fit(history.samples, 0, cfg.noise_std, cfg.kernel))
     mask = global_mask(grid)
-
-    samples = SampleSet(grid, (), {0: (), 1: ()})
-    noisy = values[seed_idx] + cfg.noise_std * rng.standard_normal()
-    samples = samples.append(seed_idx, {0: noisy, 1: noisy - threshold})
-
-    trace = ()
-    rows = []
-    reward = gp_fit(samples, 0, cfg.noise_std, kernel)
-    for step in range(cfg.rollout_iters):
-        posteriors = {0: reward, 1: gp_fit(samples, 1, cfg.noise_std, kernel)}
-        choice, _, _ = select(posteriors, {"global": {0: bound, 1: bound}},
-                              {"global": mask}, [seed_idx], cfg.noise_std,
-                              cfg.delta)
-        if choice is None:
-            log.warning("rollout abandoned at step %d: no candidates", step)
-            return []
-        y = values[choice] + cfg.noise_std * rng.standard_normal()
-        g = values[choice] - threshold + cfg.noise_std * rng.standard_normal()
-        samples = samples.append(choice, {0: y, 1: g})
-
-        reward = gp_fit(samples, 0, cfg.noise_std, kernel)
-        trace = append_trace(trace, reward,
-                             reciprocal_cov_integral(reward, mask))
+    trace, rows = (), []
+    for post in posteriors:
+        trace = append_trace(trace, post, reciprocal_cov_integral(post, mask))
         rows.append((encode_trace(trace, 2 * cfg.t_max),
                      cfg.label_multiplier * bound))
     return rows

@@ -5,8 +5,9 @@ module builds confidence intervals, classifies grid points into the safe
 set S, the potential maximizers M, and the potential expanders G, and picks
 the next evaluation as the most uncertain point of M | G. :func:`select`
 runs that subroutine over a sequence of regions, each with its own bounds,
-and is the one decision step of the adaptive loop, the fixed-bound
-baseline and the predictor's training rollouts.
+and is the one decision step, called only by the loop's iteration
+:func:`pacsbo.pacsbo_loop.pacsbo_step`, which every caller runs: both
+algorithms and the predictor's training rollouts.
 
 All point sets are boolean arrays over the full grid; points outside the
 active mask are never members. Confidence values outside the mask are NaN

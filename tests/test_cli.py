@@ -8,6 +8,7 @@ import pytest
 import yaml
 from conftest import constant_predictor
 
+import pacsbo.pacsbo_loop as loop_mod
 from pacsbo import cli
 from pacsbo.cli import main
 from pacsbo.predictor import load_predictor, save_predictor
@@ -116,6 +117,18 @@ class TestTrainPredictor:
         cfg = write_config(tmp_path / "t.yaml", body)
         assert main(["train-predictor", "--config", cfg]) == 3
         assert "numeric" in capsys.readouterr().err
+
+    def test_every_rollout_stalled_exits_3(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(loop_mod, "select",
+                            lambda *args: (None, None, None))
+        cfg = write_config(tmp_path / "t.yaml",
+                           tiny_train_body(tmp_path / "m.json"))
+        assert main(["train-predictor", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "every training rollout was abandoned" in err
+        assert err.count("rollout abandoned at step 0") == 2
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestRunCommand:

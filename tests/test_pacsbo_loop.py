@@ -119,8 +119,7 @@ def test_ground_truth_channels():
     grid = GridDomain.uniform(20)
     truth, _ = make_truth(grid)
     for idx in (0, 7, 19):
-        r = truth.value(grid, idx, 0)
-        c = truth.value(grid, idx, 1)
+        r, c = truth.values(grid, idx)
         assert c == pytest.approx(r - truth.threshold, abs=1e-14)
 
 
@@ -161,7 +160,7 @@ def test_safeopt_matches_single_partition_reference():
     meas = {}
     for i in CHANNELS:
         eps = float(truncated_normal(rng, cfg.noise_std, size=1)[0])
-        meas[i] = truth.value(grid, s0, i) + eps
+        meas[i] = truth.values(grid, s0)[i] + eps
     samples = samples.append(s0, meas)
     mask = global_mask(grid)
     expected = []
@@ -176,7 +175,7 @@ def test_safeopt_matches_single_partition_reference():
         meas = {}
         for i in CHANNELS:
             eps = float(truncated_normal(rng, cfg.noise_std, size=1)[0])
-            meas[i] = truth.value(grid, choice, i) + eps
+            meas[i] = truth.values(grid, choice)[i] + eps
         samples = samples.append(choice, meas)
 
     assert [rec.chosen for rec in hist.records] == expected
@@ -222,7 +221,7 @@ class TestPacsboRun:
 
     def test_unsafe_flag_matches_truth(self):
         for rec in self.hist.records:
-            true_constraint = self.truth.value(self.grid, rec.chosen, 1)
+            true_constraint = self.truth.values(self.grid, rec.chosen)[1]
             assert rec.unsafe == (true_constraint < 0.0)
 
     def replay_samples(self):

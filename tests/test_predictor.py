@@ -1,12 +1,15 @@
 """Traces, encoding, rollout data, and the from-scratch network."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 from conftest import constant_predictor, gradient_check_error
 
+import pacsbo.pacsbo_loop as loop_mod
 import pacsbo.predictor as predictor_mod
+from pacsbo.errors import NumericError
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
@@ -173,19 +176,89 @@ def test_rollout_determinism():
 
 
 def test_rollout_fits_each_sample_set_and_channel_once(monkeypatch):
-    # one fit of each channel on the seed sample, then one per channel and
-    # step: the channel-0 fit made for the trace serves the next step too
+    # the loop fits each channel once per step, on the first 1..T samples;
+    # the trace reuses its reward fits and adds one on all T + 1 samples
     calls = []
 
     def counting(samples, i, *args):
         calls.append((len(samples), i))
         return gp_fit(samples, i, *args)
 
+    monkeypatch.setattr(loop_mod, "gp_fit", counting)
     monkeypatch.setattr(predictor_mod, "gp_fit", counting)
     data = generate_training_data(small_rollout_config(q_train=1, iters=10),
                                   seed=3)
     assert data.rows == 10
     assert len(calls) == 21 and len(set(calls)) == 21
+
+
+def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):
+    runs, real = [], loop_mod.run
+
+    def recording(cfg, truth, snapshot_iterations=()):
+        history = real(cfg, truth, snapshot_iterations)
+        runs.append((cfg, truth, history))
+        return history
+
+    monkeypatch.setattr(loop_mod, "run", recording)
+    cfg = small_rollout_config()
+    data = generate_training_data(cfg, seed=3)
+    assert len(runs) == cfg.q_train
+    mask, rows = global_mask(cfg.grid), []
+    for k, (run_cfg, truth, history) in enumerate(runs):
+        assert run_cfg.algorithm == "safeopt"
+        assert len(run_cfg.s0_indices) == 1
+        assert run_cfg.budget == cfg.rollout_iters
+        assert run_cfg.fixed_bound == data.labels[k * cfg.rollout_iters]
+        assert history.status == "completed"
+        samples = history.samples
+        exact = np.array([truth.values(cfg.grid, j) for j in samples.indices])
+        for i in (0, 1):
+            # the loop's truncated noise stays within two scales
+            err = np.abs(samples.targets(i) - exact[:, i])
+            assert (err <= 2 * cfg.noise_std * (1 + 1e-9)).all()
+        trace = ()
+        for t in range(2, len(samples) + 1):
+            first = SampleSet(cfg.grid, samples.indices[:t],
+                              {i: samples.targets(i)[:t] for i in (0, 1)})
+            post = gp_fit(first, 0, cfg.noise_std, cfg.kernel)
+            trace = append_trace(trace, post,
+                                 reciprocal_cov_integral(post, mask))
+            rows.append(encode_trace(trace, 2 * cfg.t_max))
+    np.testing.assert_array_equal(data.inputs, np.stack(rows))
+
+
+def stall_select(monkeypatch, stalls):
+    """Make the loop's decision step find no candidate on the calls whose
+    zero-based numbers are in ``stalls`` (all calls if ``None``)."""
+    real, calls = loop_mod.select, []
+
+    def select(*args):
+        calls.append(None)
+        if stalls is None or len(calls) - 1 in stalls:
+            return None, None, None
+        return real(*args)
+
+    monkeypatch.setattr(loop_mod, "select", select)
+
+
+def test_stalled_rollout_gives_no_rows_and_one_warning(monkeypatch, caplog):
+    cfg = small_rollout_config()
+    full = generate_training_data(cfg, seed=3)
+    stall_select(monkeypatch, {1})  # the first rollout's second step
+    with caplog.at_level(logging.WARNING, logger="pacsbo.predictor"):
+        data = generate_training_data(cfg, seed=3)
+    warnings = [r for r in caplog.records if r.name == "pacsbo.predictor"]
+    assert len(warnings) == 1 and "abandoned" in warnings[0].getMessage()
+    # rollouts are seeded per function, so the second one is unchanged
+    np.testing.assert_array_equal(data.inputs, full.inputs[3:])
+    np.testing.assert_array_equal(data.labels, full.labels[3:])
+
+
+def test_every_rollout_stalled_raises(monkeypatch):
+    stall_select(monkeypatch, None)
+    with pytest.raises(NumericError, match="abandoned"):
+        generate_training_data(small_rollout_config(), seed=3)
 
 
 def test_reciprocal_covariance_grows_along_rollout_traces():

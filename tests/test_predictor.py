@@ -228,24 +228,16 @@ def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):
     np.testing.assert_array_equal(data.inputs, np.stack(rows))
 
 
-def stall_select(monkeypatch, stalls):
-    """Make the loop's decision step find no candidate on the calls whose
-    zero-based numbers are in ``stalls`` (all calls if ``None``)."""
-    real, calls = loop_mod.select, []
-
-    def select(*args):
-        calls.append(None)
-        if stalls is None or len(calls) - 1 in stalls:
-            return None, None, None
-        return real(*args)
-
-    monkeypatch.setattr(loop_mod, "select", select)
-
-
 def test_stalled_rollout_gives_no_rows_and_one_warning(monkeypatch, caplog):
     cfg = small_rollout_config()
     full = generate_training_data(cfg, seed=3)
-    stall_select(monkeypatch, {1})  # the first rollout's second step
+    real, calls = loop_mod.select, []
+
+    def select(*args):  # the first rollout's second step finds nothing
+        calls.append(None)
+        return (None, None, None) if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(loop_mod, "select", select)
     with caplog.at_level(logging.WARNING, logger="pacsbo.predictor"):
         data = generate_training_data(cfg, seed=3)
     warnings = [r for r in caplog.records if r.name == "pacsbo.predictor"]
@@ -256,7 +248,7 @@ def test_stalled_rollout_gives_no_rows_and_one_warning(monkeypatch, caplog):
 
 
 def test_every_rollout_stalled_raises(monkeypatch):
-    stall_select(monkeypatch, None)
+    monkeypatch.setattr(loop_mod, "select", lambda *args: (None, None, None))
     with pytest.raises(NumericError, match="abandoned"):
         generate_training_data(small_rollout_config(), seed=3)
 

@@ -129,6 +129,9 @@ class ExperimentSpec:
         for key in ("noise_std", "norm_target"):
             if not float(params[key]) > 0:
                 raise ConfigError(f"{key} must be positive, got {params[key]}")
+        if not 0 < params["delta"] < 1:
+            raise ConfigError(f"delta must be in (0, 1), got "
+                              f"{params['delta']}")
         if self.scenario == "synthetic2d":
             res = params["grid_resolution"]
             if not isinstance(res, (list, tuple)) or len(res) != 2:
@@ -238,7 +241,7 @@ def _load_yaml(path):
 
 def _truth_reward(spec_params: dict, grid, kernel, seed: int):
     """Random function of the seed at the target norm."""
-    f = sample_random_function(grid, kernel, SamplerConfig(num_centers=100),
+    f = sample_random_function(grid, kernel, SamplerConfig(),
                                derive_rng(seed, "truth"))
     return scale_to_norm(f, float(spec_params["norm_target"]))
 
@@ -424,8 +427,7 @@ def _predictor_for(params: dict):
 
 def _pac_config(params: dict) -> PacConfig:
     sampler = SamplerConfig(int(params["num_centers"]), float(params["alpha_bar"]))
-    return PacConfig(delta=float(params["delta"]),
-                     q_init=int(params["q_init"]),
+    return PacConfig(q_init=int(params["q_init"]),
                      q_max=int(params["q_max"]), sampler=sampler)
 
 
@@ -494,7 +496,7 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     grid = _grid_for(params)
     kernel = _kernel_for(params)
     counts = [int(m) for m in params["sample_counts"]]
-    noise = float(params["noise_std"])
+    noise, delta = float(params["noise_std"]), float(params["delta"])
     pac = _pac_config(params)
     mask = global_mask(grid)
 
@@ -514,7 +516,7 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
                 samples = samples.append(int(j), {0: y, 1: y})
             guess = mean_rkhs_norm(gp_fit(samples, 0, noise, kernel))
             res = estimate_upper_bound(guess, samples, 0, noise, kernel,
-                                       mask, cfg=pac,
+                                       mask, delta=delta, cfg=pac,
                                        seed_path=(seed, "fig3", m))
             rows.append((seed, m, guess, res))
         per_seed.append(rows)
@@ -711,9 +713,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
 TRAIN_DEFAULTS = dict(
     out_path=None, grid_resolution=100, lengthscale=0.1, noise_std=0.01,
-    delta=0.1, q_train=200, rollout_iters=30, label_multiplier=1.0,
-    safe_quantile=0.4, t_max=50, num_centers=100, alpha_bar=1.0,
-    hidden=[64, 64], epochs=400, batch_size=64, step=0.003, seed=0,
+    delta=0.1, q_train=200, rollout_iters=30, t_max=50, hidden=[64, 64],
+    epochs=400, batch_size=64, step=0.003, seed=0,
 )
 
 
@@ -749,11 +750,9 @@ def _train_parts(cfg: dict):
     """Rollout settings and training hyperparameters of a train config."""
     rollout = RolloutConfig(
         grid=_grid_for(cfg), kernel=_kernel_for(cfg),
-        sampler=SamplerConfig(int(cfg["num_centers"]), float(cfg["alpha_bar"])),
         q_train=int(cfg["q_train"]), rollout_iters=int(cfg["rollout_iters"]),
         noise_std=float(cfg["noise_std"]), delta=float(cfg["delta"]),
-        label_multiplier=float(cfg["label_multiplier"]),
-        safe_quantile=float(cfg["safe_quantile"]), t_max=int(cfg["t_max"]))
+        t_max=int(cfg["t_max"]))
     return rollout, TrainHyper(epochs=int(cfg["epochs"]),
                                batch_size=int(cfg["batch_size"]),
                                step=float(cfg["step"]))

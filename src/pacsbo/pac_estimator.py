@@ -41,16 +41,13 @@ def hoeffding_width(delta: float, q: int, value_range: float) -> float:
 
 @dataclass(frozen=True)
 class PacConfig:
-    """Budget and confidence knobs for the norm estimator."""
+    """Draw budget and sampler of the norm estimator."""
 
-    delta: float = 0.1
     q_init: int = 500
     q_max: int = 5000
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.q_init < 1:
             raise ValueError(f"q_init must be positive, got {self.q_init}")
         if self.q_init > self.q_max:
@@ -75,13 +72,15 @@ class PacResult:
 
 def estimate_upper_bound(start: float, samples: SampleSet, i: int,
                          noise_std: float, kernel: KernelConfig,
-                         mask: DomainMask, *, cfg: PacConfig,
+                         mask: DomainMask, *, delta: float, cfg: PacConfig,
                          seed_path: tuple) -> PacResult:
     """Run the accept-or-grow loop for channel ``i`` on the masked region.
 
     ``start`` is the candidate bound (the trained predictor's output in the
-    loop); ``seed_path`` roots the deterministic draw seeds. Tail centers
-    of the drawn functions are restricted to the mask.
+    loop); ``delta`` is the confidence level of this one call (the loop
+    splits its own over regions and channels); ``seed_path`` roots the
+    deterministic draw seeds. Tail centers of the drawn functions are
+    restricted to the mask.
     """
     start = float(start)
     if not math.isfinite(start):
@@ -95,7 +94,7 @@ def estimate_upper_bound(start: float, samples: SampleSet, i: int,
             cfg.q_init, start_index=len(norms))])
         q = len(norms)
         mean = float(np.mean(norms))
-        width = hoeffding_width(cfg.delta, q,
+        width = hoeffding_width(delta, q,
                                 float(norms.max() - norms.min()))
         if bound >= mean + width:
             return PacResult(bound, q, mean, width, escalated=False)

@@ -17,7 +17,7 @@ trained on (training emits one row per completed rollout step).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .kernel_gp import (
@@ -197,7 +197,7 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     posteriors = {i: gp_fit(state.samples, i, cfg.noise_std, cfg.kernel)
                   for i in CHANNELS}
     traces = dict(state.traces)
-    pac = replace(cfg.pac, delta=cfg.delta / (len(masks) * len(CHANNELS)))
+    delta = cfg.delta / (len(masks) * len(CHANNELS))
     results = {}
     for p_idx, (label, mask) in enumerate(masks.items()):
         if cfg.algorithm == "safeopt":
@@ -210,7 +210,7 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
             traces[label, i] = append_trace(traces[label, i], posteriors[i], r)
             results[label, i] = estimate_upper_bound(
                 predict_norm(cfg.predictor, traces[label, i]), state.samples,
-                i, cfg.noise_std, cfg.kernel, mask, cfg=pac,
+                i, cfg.noise_std, cfg.kernel, mask, delta=delta, cfg=cfg.pac,
                 seed_path=(cfg.seed, "pac", state.iteration, p_idx, i))
 
     bounds = {label: {i: results[label, i].bound for i in CHANNELS}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from .subdomain import global_mask
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
+SAFE_QUANTILE = 0.4  # a rollout's threshold is this quantile of its values
+SEED_MARGIN = 0.1  # seed clearance, as a share of the maximum's clearance
+MIN_SCALE = 1e-12  # floor of a feature's scale; a feature at it is constant
 
 
 def append_trace(trace: tuple, post: GpPosterior, r: float) -> tuple:
@@ -76,22 +79,15 @@ class RolloutConfig:
 
     grid: GridDomain
     kernel: KernelConfig
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     q_train: int = 200
     rollout_iters: int = 30
     noise_std: float = 0.01
     delta: float = 0.1
-    label_multiplier: float = 1.0
-    safe_quantile: float = 0.4
     t_max: int = 50
 
     def __post_init__(self):
         if self.q_train < 1 or self.rollout_iters < 1:
             raise ValueError("q_train and rollout_iters must be positive")
-        if self.label_multiplier < 1.0:
-            raise ValueError("label multiplier below 1 would anti-bound")
-        if not 0 < self.safe_quantile < 1:
-            raise ValueError("safe quantile must be in (0, 1)")
         if self.rollout_iters > self.t_max:
             raise ValueError("rollout longer than the trace window")
         if not self.noise_std > 0:
@@ -108,9 +104,9 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
 
     grid, steps = cfg.grid, cfg.rollout_iters
     values = rho(grid.points)
-    threshold = float(np.quantile(values, cfg.safe_quantile))
+    threshold = float(np.quantile(values, SAFE_QUANTILE))
     bound = rkhs_norm(rho)
-    margin = 0.1 * (values.max() - threshold)
+    margin = SEED_MARGIN * (values.max() - threshold)
     seed_idx = int(rng.choice(np.flatnonzero(values - threshold >= margin)))
     run_cfg = RunConfig(grid, cfg.kernel, (seed_idx,), cfg.noise_std,
                         cfg.delta, budget=steps, algorithm="safeopt",
@@ -128,8 +124,7 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
     trace, rows = (), []
     for post in posteriors:
         trace = append_trace(trace, post, reciprocal_cov_integral(post, mask))
-        rows.append((encode_trace(trace, 2 * cfg.t_max),
-                     cfg.label_multiplier * bound))
+        rows.append((encode_trace(trace, 2 * cfg.t_max), bound))
     return rows
 
 
@@ -137,13 +132,16 @@ def generate_training_data(cfg: RolloutConfig, seed: int) -> TrainingSet:
     """Rollout the safe optimizer on random functions of known norm.
 
     Every prefix of every rollout's trace becomes one training row, labeled
-    with the function's (optionally inflated) kernel norm. Rollouts are
-    seeded per function, so the result is independent of evaluation order.
+    with the function's kernel norm. The functions come from the default
+    :class:`SamplerConfig`, the generator of the scenario truths too.
+    Rollouts are seeded per function, so the result is independent of
+    evaluation order.
     """
     all_rows = []
     for j in range(cfg.q_train):
         rng = derive_rng(seed, "rollout", j)
-        rho = sample_random_function(cfg.grid, cfg.kernel, cfg.sampler, rng)
+        rho = sample_random_function(cfg.grid, cfg.kernel, SamplerConfig(),
+                                     rng)
         all_rows.extend(_rollout(cfg, rho, rng))
     if not all_rows:
         raise NumericError("every training rollout was abandoned")
@@ -169,7 +167,10 @@ class MlpPredictor:
     final_loss: float
 
     def forward(self, raw: np.ndarray) -> np.ndarray:
+        """Output per row of ``raw``; a feature constant in training reads
+        0, so a longer trace predicts as its newest rollout-length pairs."""
         x = (np.atleast_2d(raw) - self.feat_mean) / self.feat_scale
+        x[:, self.feat_scale <= MIN_SCALE] = 0.0
         return _forward_normalized(self.weights, self.biases, x)[0]
 
 
@@ -254,7 +255,7 @@ def train_mlp(data: TrainingSet, hidden=(64, 64),
     rng = derive_rng(seed, "mlp-train")
     length = data.inputs.shape[1]
     feat_mean = data.inputs.mean(axis=0)
-    feat_scale = np.maximum(data.inputs.std(axis=0), 1e-12)
+    feat_scale = np.maximum(data.inputs.std(axis=0), MIN_SCALE)
     x_all = (data.inputs - feat_mean) / feat_scale
     y_all = data.labels
 

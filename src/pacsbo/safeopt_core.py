@@ -53,7 +53,6 @@ def beta_scale(bound: float, noise_std: float, gamma: float, delta: float) -> fl
 class ConfidenceField:
     """Lower/upper confidence bounds per function channel on masked points."""
 
-    mask: DomainMask
     betas: dict  # channel -> sqrt(beta)
     lower: dict  # channel -> array over the full grid, NaN outside the mask
     upper: dict
@@ -80,7 +79,7 @@ def confidence_bounds(pred, betas: dict, mask: DomainMask) -> ConfidenceField:
         upper[i] = np.full(mask.grid.num_points, np.nan)
         lower[i][mask.member] = mean - half
         upper[i][mask.member] = mean + half
-    return ConfidenceField(mask, dict(betas), lower, upper)
+    return ConfidenceField(dict(betas), lower, upper)
 
 
 def safe_set(field: ConfidenceField, seed_indices, mask: DomainMask):
@@ -183,7 +182,6 @@ def acquire(field: ConfidenceField, candidates: np.ndarray):
 class SafeOptState:
     """One iteration's classification of the masked grid."""
 
-    mask: DomainMask
     field: ConfidenceField
     safe: np.ndarray
     maximizer_set: np.ndarray
@@ -209,7 +207,7 @@ def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
     safe, seeded = safe_set(field, seed_indices, mask)
     m = maximizers(field, safe)
     g = expanders(posteriors, pred, field, safe, mask, exact=exact_expanders)
-    return SafeOptState(mask, field, safe, m, g, seeded)
+    return SafeOptState(field, safe, m, g, seeded)
 
 
 def select(posteriors: dict, bounds: dict, masks: dict, seed_indices,

@@ -225,11 +225,10 @@ def test_criterion_7_optimistic_fixed_bound_goes_unsafe(trained_predictor,
     assert adaptive_unsafe <= 1
 
 
-def brute_force_expanders(state, samples, betas, noise, kernel):
+def brute_force_expanders(state, mask, samples, betas, noise, kernel):
     """Independent refit oracle: append the fictitious observation to the
     sample set and refit from scratch instead of rank-one updating."""
-    mask, field = state.mask, state.field
-    grid = mask.grid
+    field, grid = state.field, mask.grid
     outside_idx = np.flatnonzero(mask.member & ~state.safe)
     result = np.zeros_like(state.safe)
     if len(outside_idx) == 0:
@@ -279,11 +278,13 @@ def test_criterion_8_structural_invariants(trained_predictor, tmp_path):
             samples = samples.append(int(j), {0: y, 1: y - threshold})
         posteriors = {i: gp_fit(samples, i, noise, kernel) for i in (0, 1)}
         betas = {0: 1.5, 1: 1.5}
-        state = compute_state(posteriors, betas, global_mask(grid),
-                              (int(picks[0]),), exact_expanders=True)
+        mask = global_mask(grid)
+        state = compute_state(posteriors, betas, mask, (int(picks[0]),),
+                              exact_expanders=True)
         contained &= not bool((state.maximizer_set & ~state.safe).any())
         contained &= not bool((state.expander_set & ~state.safe).any())
-        brute = brute_force_expanders(state, samples, betas, noise, kernel)
+        brute = brute_force_expanders(state, mask, samples, betas, noise,
+                                      kernel)
         oracle_match &= bool((brute == state.expander_set).all())
     checks["maximizers and expanders stay safe"] = contained
     checks["expander refit oracle"] = oracle_match

@@ -22,7 +22,7 @@ def write_config(path, body):
 
 def tiny_train_body(out_path):
     return dict(out_path=str(out_path), grid_resolution=25, q_train=2,
-                rollout_iters=3, num_centers=10, hidden=[6], epochs=15,
+                rollout_iters=3, hidden=[6], epochs=15,
                 batch_size=4, step=0.01, t_max=10, seed=0)
 
 
@@ -85,12 +85,16 @@ class TestTrainPredictor:
         (dict(epochs="many"), "epochs must be an integer"),
         (dict(hidden=[6, "wide"]), "hidden must be an integer"),
         (dict(step="fast"), "step must be a number"),
-        (dict(safe_quantile=1.5), "safe quantile must be in (0, 1)"),
+        # training settings that are module constants now
+        (dict(safe_quantile=0.4), "unknown key 'safe_quantile'"),
         (dict(lengthscale=-1), "lengthscale must be positive"),
         (dict(epochs=0), "bad training hyperparameters"),
         (dict(rollout_iters=11), "rollout longer than the trace window"),
         (dict(delta=2.0), "delta must be in (0, 1)"),
         (dict(hidden=[0]), "hidden widths must be at least 1"),
+        (dict(label_multiplier=1.0), "unknown key 'label_multiplier'"),
+        (dict(num_centers=100), "unknown key 'num_centers'"),
+        (dict(alpha_bar=1.0), "unknown key 'alpha_bar'"),
     ])
     def test_malformed_values_exit_2(self, tmp_path, capsys, bad, message):
         body = tiny_train_body(tmp_path / "m.json")
@@ -249,6 +253,7 @@ class TestRunCommand:
         # the last step samples 3 start points and budget - 1 measurements
         (dict(num_centers=6, budget=6), "num_centers must exceed budget + 2"),
         (dict(num_centers=8, budget=6), "num_centers must exceed budget + 2"),
+        (dict(delta=0.0), "delta must be in (0, 1)"),
     ])
     def test_malformed_comparison_values_exit_2(self, tmp_path, capsys, bad,
                                                 message):

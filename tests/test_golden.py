@@ -16,6 +16,10 @@ exactly; floating-point columns to a relative 1e-9.
 Re-record the files only for a change that is meant to move the outputs:
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+A re-record rewrites only the files with a cell that fails the comparison,
+adds new files and deletes the files no configuration writes any more, so
+last-digit noise of another BLAS build stays out of the recorded files.
 """
 
 import dataclasses
@@ -23,6 +27,7 @@ import math
 import re
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -163,26 +168,40 @@ def same_cell(column: str, want: str, got: str) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def mismatch(want, got) -> str:
+    """The first difference of table ``got`` from ``want``, or ''."""
+    (header, rows), (got_header, got_rows) = want, got
+    if got_header != header:
+        return f"header {got_header} for {header}"
+    if len(got_rows) != len(rows):
+        return f"{len(got_rows)} rows for {len(rows)}"
+    for k, (w, g) in enumerate(zip(rows, got_rows)):
+        bad = [c for c in header if not same_cell(c, w[c], g[c])]
+        if bad:
+            return f"row {k}: " + ", ".join(f"{c} {w[c]} -> {g[c]}"
+                                            for c in bad)
+    return ""
+
+
 def test_tiny_runs_match_golden_outputs(tmp_path):
     produce(tmp_path)
     want, got = tables(GOLDEN), tables(tmp_path)
     assert want, "no golden files recorded"
     assert sorted(got) == sorted(want)
-    for name, (header, rows) in want.items():
-        got_header, got_rows = got[name]
-        assert got_header == header, name
-        assert len(got_rows) == len(rows), name
-        for k, (w, g) in enumerate(zip(rows, got_rows)):
-            bad = [c for c in header if not same_cell(c, w[c], g[c])]
-            assert not bad, (f"{name} row {k}: " + ", ".join(
-                f"{c} {w[c]} -> {g[c]}" for c in bad))
+    for name in want:
+        diff = mismatch(want[name], got[name])
+        assert not diff, f"{name} {diff}"
 
 
 if __name__ == "__main__":
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    produce(GOLDEN)
-    for path in sorted(GOLDEN.rglob("*")):
-        if path.suffix != ".csv" and path.is_file():
-            path.unlink()
-    print(f"recorded {len(tables(GOLDEN))} files under {GOLDEN}",
-          file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        produce(Path(tmp))
+        want, got = tables(GOLDEN), tables(Path(tmp))
+        moved = [n for n in got if n not in want or mismatch(want[n], got[n])]
+        for name in moved:
+            (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(Path(tmp) / name, GOLDEN / name)
+        for name in set(want) - set(got):
+            (GOLDEN / name).unlink()
+    print(f"rewrote {len(moved)} and deleted {len(set(want) - set(got))} "
+          f"of the {len(got)} files under {GOLDEN}", file=sys.stderr)

@@ -280,8 +280,8 @@ class TestFig3Scenario:
         guess = mean_rkhs_norm(gp_fit(samples, 0, 0.001, kernel))
         res = estimate_upper_bound(
             guess, samples, 0, 0.001, kernel, global_mask(grid),
-            cfg=PacConfig(delta=0.1, q_init=50, q_max=150,
-                          sampler=SamplerConfig(15, 1.0)),
+            delta=0.1, cfg=PacConfig(q_init=50, q_max=150,
+                                     sampler=SamplerConfig(15, 1.0)),
             seed_path=(1, "fig3", 6))
         assert float(row["accepted_bound"]) == pytest.approx(res.bound,
                                                              rel=1e-9)

@@ -22,6 +22,7 @@ from pacsbo.seeding import derive_rng
 from pacsbo.subdomain import global_mask, partition_masks
 
 W_01_5000_UNIT = 0.017308183826022852  # sqrt(ln(20) / 10000)
+DELTA = 0.1  # confidence level of every estimator call here
 
 
 def test_hoeffding_width_frozen_value():
@@ -47,8 +48,6 @@ def test_hoeffding_width_rejects_bad_arguments(delta, q, rng):
 
 
 def test_pac_config_validation():
-    with pytest.raises(ValueError):
-        PacConfig(delta=1.5)
     with pytest.raises(ValueError):
         PacConfig(q_init=100, q_max=50)
     with pytest.raises(ValueError):
@@ -78,7 +77,8 @@ def test_generous_start_accepts_first_batch():
     cfg = PacConfig(q_init=50, q_max=200,
                     sampler=SamplerConfig(num_centers=30))
     res = estimate_upper_bound(1e6, samples, 0, 0.01, kernel,
-                               global_mask(grid), cfg=cfg, seed_path=(0, 5))
+                               global_mask(grid), delta=DELTA, cfg=cfg,
+                               seed_path=(0, 5))
     assert res.bound == 1e6
     assert res.q_used == cfg.q_init
     assert not res.escalated
@@ -91,7 +91,8 @@ def test_tiny_start_escalates_geometrically():
                     sampler=SamplerConfig(num_centers=30))
     start = 0.01
     res = estimate_upper_bound(start, samples, 0, 0.01, kernel,
-                               global_mask(grid), cfg=cfg, seed_path=(0, 6))
+                               global_mask(grid), delta=DELTA, cfg=cfg,
+                               seed_path=(0, 6))
     assert res.escalated
     level = res.empirical_mean + res.width
     assert res.bound >= level
@@ -107,7 +108,8 @@ def test_escalation_uses_one_overshoot_batch():
     cfg = PacConfig(q_init=40, q_max=120,
                     sampler=SamplerConfig(num_centers=30))
     res = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel,
-                               global_mask(grid), cfg=cfg, seed_path=(0, 7))
+                               global_mask(grid), delta=DELTA, cfg=cfg,
+                               seed_path=(0, 7))
     assert res.escalated
     assert res.q_used == 160  # 40, 80, 120, then the overshoot batch
 
@@ -120,12 +122,13 @@ def test_pooled_draws_match_direct_batch():
     # below the 30-draw level is hard to hand-tune, so instead compare the
     # estimator's reported mean against the direct pooled computation
     res = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel,
-                               global_mask(grid), cfg=cfg, seed_path=(3, 1))
+                               global_mask(grid), delta=DELTA, cfg=cfg,
+                               seed_path=(3, 1))
     direct = interpolating_norms(samples, 0, 0.01, kernel, global_mask(grid),
                                  sampler, (3, 1), res.q_used)
     assert res.empirical_mean == pytest.approx(float(direct.mean()), abs=1e-12)
     assert res.width == pytest.approx(
-        hoeffding_width(cfg.delta, res.q_used,
+        hoeffding_width(DELTA, res.q_used,
                         float(direct.max() - direct.min())), abs=1e-15)
 
 
@@ -133,9 +136,11 @@ def test_determinism_across_calls():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=25, q_max=50, sampler=SamplerConfig(num_centers=25))
     a = estimate_upper_bound(2.5, samples, 0, 0.01, kernel,
-                             global_mask(grid), cfg=cfg, seed_path=(9, 0))
+                             global_mask(grid), delta=DELTA, cfg=cfg,
+                             seed_path=(9, 0))
     b = estimate_upper_bound(2.5, samples, 0, 0.01, kernel,
-                             global_mask(grid), cfg=cfg, seed_path=(9, 0))
+                             global_mask(grid), delta=DELTA, cfg=cfg,
+                             seed_path=(9, 0))
     assert a == b
 
 
@@ -144,7 +149,8 @@ def test_non_finite_start_raises():
     cfg = PacConfig(q_init=10, q_max=20, sampler=SamplerConfig(num_centers=20))
     with pytest.raises(NumericError):
         estimate_upper_bound(float("nan"), samples, 0, 0.01, kernel,
-                             global_mask(grid), cfg=cfg, seed_path=(1,))
+                             global_mask(grid), delta=DELTA, cfg=cfg,
+                             seed_path=(1,))
 
 
 def test_region_restriction_respected():
@@ -152,9 +158,9 @@ def test_region_restriction_respected():
     _, hat, _ = partition_masks(samples)
     cfg = PacConfig(q_init=20, q_max=40, sampler=SamplerConfig(num_centers=20))
     res_hat = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel, hat,
-                                   cfg=cfg, seed_path=(4, 2))
+                                   delta=DELTA, cfg=cfg, seed_path=(4, 2))
     res_all = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel,
-                                   global_mask(grid), cfg=cfg,
+                                   global_mask(grid), delta=DELTA, cfg=cfg,
                                    seed_path=(4, 2))
     # same seeds, different tail-center regions: distinct distributions
     assert res_hat.empirical_mean != res_all.empirical_mean
@@ -171,7 +177,7 @@ def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
     grid = GridDomain.uniform(100)
     kernel = KernelConfig(lengthscale=0.1)
     sampler = SamplerConfig(num_centers=100, coeff_bound=1.0)
-    cfg = PacConfig(delta=0.1, q_init=20, q_max=400, sampler=sampler)
+    cfg = PacConfig(q_init=20, q_max=400, sampler=sampler)
     f = scale_to_norm(sample_random_function(
         grid, kernel, SamplerConfig(100), derive_rng(truth_seed, "truth")),
         1.0)
@@ -189,6 +195,7 @@ def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
                                            20000).mean())
             for start in (0.999 * mu, 0.5 * mu):
                 below = sum(estimate_upper_bound(
-                    start, samples, 0, 0.001, kernel, mask, cfg=cfg,
-                    seed_path=path + (c,)).bound < mu for c in range(calls))
-                assert below <= cfg.delta * calls, (m, mask.label, start / mu)
+                    start, samples, 0, 0.001, kernel, mask, delta=DELTA,
+                    cfg=cfg, seed_path=path + (c,)).bound < mu
+                    for c in range(calls))
+                assert below <= DELTA * calls, (m, mask.label, start / mu)

@@ -19,6 +19,7 @@ from pacsbo.kernel_gp import (
     reciprocal_cov_integral,
 )
 from pacsbo.predictor import (
+    MIN_SCALE,
     MlpPredictor,
     RolloutConfig,
     TrainHyper,
@@ -31,7 +32,6 @@ from pacsbo.predictor import (
     save_predictor,
     train_mlp,
 )
-from pacsbo.rkhs_function import SamplerConfig
 from pacsbo.subdomain import global_mask
 
 
@@ -135,15 +135,13 @@ def test_predictions_always_positive():
     assert total == 1_000_000
 
 
-def small_rollout_config(q_train=2, iters=3, multiplier=1.0):
+def small_rollout_config(q_train=2, iters=3):
     return RolloutConfig(
         grid=GridDomain.uniform(40),
         kernel=KernelConfig(lengthscale=0.2),
-        sampler=SamplerConfig(num_centers=25),
         q_train=q_train,
         rollout_iters=iters,
         noise_std=0.01,
-        label_multiplier=multiplier,
         t_max=10,
     )
 
@@ -158,14 +156,6 @@ def test_rollout_row_count_and_labels():
     first = data.inputs[:3]
     nonzero = [(row != 0).sum() for row in first]
     assert nonzero == [2, 4, 6]
-
-
-def test_label_multiplier_doubles_labels():
-    plain = generate_training_data(small_rollout_config(), seed=3)
-    double = generate_training_data(small_rollout_config(multiplier=2.0),
-                                    seed=3)
-    np.testing.assert_allclose(double.labels, 2.0 * plain.labels, rtol=1e-12)
-    np.testing.assert_array_equal(double.inputs, plain.inputs)
 
 
 def test_rollout_determinism():
@@ -310,3 +300,17 @@ def test_predict_norm_uses_trace_encoding():
     direct = model.forward(encode_trace(trace, 6))[0]
     assert predict_norm(model, trace) == pytest.approx(direct, abs=0.0)
     assert predict_norm(model, trace) > 0
+
+
+def test_trace_longer_than_rollouts_predicts_as_its_newest_pairs():
+    # 3-step rollouts in a 10-pair window: the 14 oldest inputs are zero in
+    # every training row, so their scale sits at its floor
+    cfg = small_rollout_config(iters=3)
+    model = train_mlp(generate_training_data(cfg, seed=3), hidden=(6,),
+                      hyper=TrainHyper(epochs=20), seed=0)
+    assert (model.feat_scale <= MIN_SCALE).sum() == 14
+    rng = np.random.default_rng(4)
+    trace = tuple(map(tuple, rng.uniform(0.5, 3.0, size=(8, 2))))
+    for n in range(4, 9):
+        assert predict_norm(model, trace[:n]) == \
+            predict_norm(model, trace[n - cfg.rollout_iters:n])

@@ -100,17 +100,16 @@ def test_bound_width_scales_with_beta():
     np.testing.assert_allclose(zero.lower[0], mean, atol=1e-12)
 
 
-def hand_field(grid, lower_by_channel, upper_by_channel, mask=None):
-    mask = mask or global_mask(grid)
+def hand_field(lower_by_channel, upper_by_channel):
     lower = {i: np.asarray(v, dtype=float) for i, v in lower_by_channel.items()}
     upper = {i: np.asarray(v, dtype=float) for i, v in upper_by_channel.items()}
-    return ConfidenceField(mask, {i: 1.0 for i in lower}, lower, upper)
+    return ConfidenceField({i: 1.0 for i in lower}, lower, upper)
 
 
 def test_safe_set_enumeration_oracle():
     grid = GridDomain.uniform(5)
     l1 = [-0.5, 0.0, 0.3, -0.1, 0.2]
-    field = hand_field(grid, {0: np.zeros(5), 1: l1}, {0: np.ones(5), 1: np.ones(5)})
+    field = hand_field({0: np.zeros(5), 1: l1}, {0: np.ones(5), 1: np.ones(5)})
     s, seeded = safe_set(field, [0], global_mask(grid))
     assert seeded
     # seed point 0 plus every point with l >= 0
@@ -119,7 +118,7 @@ def test_safe_set_enumeration_oracle():
 
 def test_safe_set_all_negative_falls_back_to_seed():
     grid = GridDomain.uniform(5)
-    field = hand_field(grid, {0: np.zeros(5), 1: -np.ones(5)},
+    field = hand_field({0: np.zeros(5), 1: -np.ones(5)},
                        {0: np.ones(5), 1: np.ones(5)})
     s, seeded = safe_set(field, [2], global_mask(grid))
     np.testing.assert_array_equal(s, [False, False, True, False, False])
@@ -133,18 +132,16 @@ def test_safe_set_flags_seed_outside_mask():
     mask = DomainMask(grid, member, "tilde")
     lower = np.full(10, np.nan)
     lower[5:] = 1.0
-    field = hand_field(grid, {0: lower, 1: lower},
-                       {0: lower + 1, 1: lower + 1}, mask)
+    field = hand_field({0: lower, 1: lower}, {0: lower + 1, 1: lower + 1})
     s, seeded = safe_set(field, [2], mask)
     assert not seeded
     assert s[5:].all() and not s[:5].any()
 
 
 def test_maximizers_enumeration_oracle():
-    grid = GridDomain.uniform(5)
     lower = [0.1, 0.4, 0.2, -0.3, 0.0]
     upper = [0.35, 0.6, 0.5, 0.1, 0.45]
-    field = hand_field(grid, {0: lower, 1: np.zeros(5)},
+    field = hand_field({0: lower, 1: np.zeros(5)},
                        {0: upper, 1: np.ones(5)})
     safe = np.array([True, True, True, False, True])
     m = maximizers(field, safe)
@@ -153,21 +150,19 @@ def test_maximizers_enumeration_oracle():
 
 
 def test_maximizers_singleton_safe_set():
-    grid = GridDomain.uniform(4)
-    field = hand_field(grid, {0: np.zeros(4), 1: np.zeros(4)},
+    field = hand_field({0: np.zeros(4), 1: np.zeros(4)},
                        {0: np.ones(4), 1: np.ones(4)})
     safe = np.array([False, False, True, False])
     np.testing.assert_array_equal(maximizers(field, safe), safe)
 
 
 def test_acquire_hand_case_and_tie_break():
-    grid = GridDomain.uniform(4)
     lower = np.array([0.0, 0.1, 0.2, 0.3])
     upper = np.array([0.5, 0.9, 0.7, 0.8])  # widths 0.5, 0.8, 0.5, 0.5
-    field = hand_field(grid, {0: lower, 1: lower}, {0: upper, 1: upper})
+    field = hand_field({0: lower, 1: lower}, {0: upper, 1: upper})
     cand = np.array([True, True, True, True])
     assert acquire(field, cand) == 1
-    flat = hand_field(grid, {0: np.zeros(4), 1: np.zeros(4)},
+    flat = hand_field({0: np.zeros(4), 1: np.zeros(4)},
                       {0: np.full(4, 0.5), 1: np.full(4, 0.5)})
     assert acquire(flat, cand) == 0  # all widths equal: lowest index wins
     assert acquire(flat, np.array([False, False, True, True])) == 2

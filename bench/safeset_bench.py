@@ -1,7 +1,7 @@
 """Parent-against-change measurement of the safe-set classification.
 
     python3 bench/safeset_bench.py --parent DIR --change DIR \
-        --out BENCH_safeset.json
+        --out BENCH_kernelrows.json
 
 ``DIR`` is a checkout of the repository (its ``src/``, ``perfbench/`` and
 ``tests/``). Every measurement runs in a fresh process with one BLAS thread,
@@ -35,6 +35,7 @@ import sampler_bench
 REPEATS = 5
 ROUNDS = 6
 SAMPLE_COUNTS = (10, 40)
+RUN_ROUNDS = 10
 
 
 def state_cases():
@@ -96,22 +97,68 @@ def measure_state(src: str) -> None:
     print(json.dumps(out))
 
 
-def state_section(trees):
-    rounds = []
-    for r in range(ROUNDS):
+def measure_runs(src: str) -> None:
+    sys.path[:0] = [src, str(Path(src).parent / "perfbench")]
+    from pacsbo import pacsbo_loop
+
+    import workloads
+
+    wl = workloads.Safeopt2d(0, Path(src).parent / "perfbench" / "out")
+    wl.setup()
+    out = []
+    for t in wl.truth_seeds:
+        t0, c0 = time.perf_counter(), time.process_time()
+        history = pacsbo_loop.run(wl.cfgs[t], wl.truths[t])
+        wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+        path = repr([(r.chosen, r.measured) for r in history.records])
+        out.append(dict(truth=t, iterations=len(history.records),
+                        seconds=wall, cpu_seconds=cpu,
+                        path_sha256=hashlib.sha256(path.encode())
+                        .hexdigest()))
+    print(json.dumps(out))
+
+
+def _worker_rounds(trees, flag, rounds):
+    """``rounds`` rounds of one worker per tree, parent first in even
+    rounds; stops when the trees' rows differ in anything but timings."""
+    out = []
+    for r in range(rounds):
         order = list(trees.items())
         runs = {}
         for label, root in order if r % 2 == 0 else order[::-1]:
             runs[label] = json.loads(sampler_bench._run(
-                [sys.executable, str(Path(__file__).resolve()),
-                 "--measure-state", str(Path(root) / "src")], root)
-                .strip().splitlines()[-1])
+                [sys.executable, str(Path(__file__).resolve()), flag,
+                 str(Path(root) / "src")], root).strip().splitlines()[-1])
         for p, c in zip(runs["parent"], runs["change"]):
-            assert p["case"] == c["case"] and p["samples"] == c["samples"]
-            if p["state_sha256"] != c["state_sha256"]:
-                raise SystemExit(f"states differ on {p['case']}, "
-                                 f"{p['samples']}")
-        rounds.append(runs)
+            if any(p[k] != c[k] for k in p if "seconds" not in k):
+                raise SystemExit(f"trees differ in round {r}: {p} {c}")
+        out.append(runs)
+    return out
+
+
+def runs_section(trees):
+    rounds = _worker_rounds(trees, "--measure-runs", RUN_ROUNDS)
+    rows = []
+    cases = [(p["truth"], [k]) for k, p in enumerate(rounds[0]["parent"])]
+    cases.append(("all", list(range(len(rounds[0]["parent"])))))
+    for truth, ks in cases:
+        row = dict(truth=truth, rounds=RUN_ROUNDS)
+        if truth != "all":
+            row["iterations"] = rounds[0]["parent"][ks[0]]["iterations"]
+        for field in ("seconds", "cpu_seconds"):
+            vals = {label: [sum(runs[label][k][field] for k in ks)
+                            for runs in rounds] for label in trees}
+            for label, v in vals.items():
+                row[f"{label}_{field}"] = sampler_bench._quartiles(v, 3)
+            row[f"change_faster_in_rounds_{field}"] = sum(
+                c < p for p, c in zip(vals["parent"], vals["change"]))
+        row["path_bitwise_equal"] = True
+        rows.append(row)
+    return rows
+
+
+def state_section(trees):
+    rounds = _worker_rounds(trees, "--measure-state", ROUNDS)
     rows = []
     for k, p in enumerate(rounds[0]["parent"]):
         ms = {label: [1e3 * runs[label][k]["seconds"] for runs in rounds]
@@ -132,17 +179,21 @@ def state_section(trees):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--measure-state", metavar="SRC")
+    ap.add_argument("--measure-runs", metavar="SRC")
     ap.add_argument("--parent")
     ap.add_argument("--change")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     if args.measure_state:
         return measure_state(args.measure_state)
+    if args.measure_runs:
+        return measure_runs(args.measure_runs)
     if not (args.parent and args.change and args.out):
         ap.error("--parent, --change and --out are required")
     trees = {"parent": args.parent, "change": args.change}
     result = {"machine": sampler_bench.machine(),
               "compute_state": state_section(trees),
+              "whole_runs": runs_section(trees),
               "end_to_end": sampler_bench.end_to_end_section(trees),
               "tier1": sampler_bench.tier1_section(trees)}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")

@@ -463,9 +463,9 @@ def snapshot_rows(grid: GridDomain, snapshot: Snapshot) -> list:
     """One row per grid point: whether it was sampled, the reward posterior
     mean, and each region's reward-channel bounds, as the step that chose
     the snapshot's sample saw them."""
-    mu = gp_predict(snapshot.reward, grid.points)[0]
+    mu = gp_predict(snapshot.reward, np.arange(grid.num_points))[0]
     sampled = np.zeros(grid.num_points, dtype=bool)
-    sampled[list(snapshot.sampled)] = True
+    sampled[list(snapshot.reward.indices)] = True
     rows = []
     for j in range(grid.num_points):
         row = [f"{c:.10g}" for c in np.atleast_1d(grid.points[j])]
@@ -769,7 +769,8 @@ def train_predictor_pipeline(cfg: dict) -> dict:
     save_predictor(model, out_path)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config_hash": config_hash(cfg),
+        "config_hash": config_hash({k: v for k, v in cfg.items()
+                                    if k != "out_path"}),
         "rows": len(data.labels),
         "label_mean": float(np.mean(data.labels)),
         "label_max": float(np.max(data.labels)),

@@ -12,14 +12,15 @@ The Gaussian process is the standard noisy-interpolation posterior
 
 computed through a Cholesky factorization of the regularized Gram matrix.
 The kernel is Matern 3/2 with unit output scale, so prior variance is one
-everywhere and posterior variances live in ``[0, 1]``.
+everywhere and posterior variances live in ``[0, 1]``. Posteriors are
+queried by grid index and read their kernel blocks from :func:`kernel_rows`.
 """
 from __future__ import annotations
 
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg as sla
@@ -30,6 +31,7 @@ log = logging.getLogger(__name__)
 
 _JITTER = 1e-8
 _VAR_CLAMP_WARN = -1e-9
+_ROW_BYTES = 2 << 20  # byte cap of the kernel-row memo
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,35 @@ def lattice_table(grid: GridDomain, cfg: KernelConfig):
     return table, code
 
 
+@functools.lru_cache(maxsize=1)
+def _row_memo(grid: GridDomain, cfg: KernelConfig):
+    """Row buffer of at most ``_ROW_BYTES``, and each point's row (or -1)."""
+    p = grid.num_points
+    return (np.empty((min(p, _ROW_BYTES // (8 * p)), p)),
+            np.full(p, -1, dtype=np.intp))
+
+
+def kernel_rows(grid: GridDomain, cfg: KernelConfig, idx) -> np.ndarray:
+    """``kernel_matrix(grid.points[idx], grid.points, cfg)``, bitwise and
+    C-ordered, from one memo of rows, flushed when full; a request of more
+    distinct rows than it holds is computed directly. Gather columns with
+    ``np.take(..., axis=1)``: an F-ordered copy moves BLAS results an ulp."""
+    rows, slot = _row_memo(grid, cfg)
+    idx = np.asarray(idx, dtype=np.intp)
+    new = np.unique(idx[slot[idx] < 0])
+    if len(new):
+        used = np.count_nonzero(slot >= 0)
+        if used + len(new) > len(rows):
+            new, used = np.unique(idx), 0
+            if len(new) > len(rows):
+                return kernel_matrix(grid.points[idx], grid.points, cfg)
+            slot[:] = -1
+        rows[used:used + len(new)] = kernel_matrix(grid.points[new],
+                                                   grid.points, cfg)
+        slot[new] = np.arange(used, used + len(new))
+    return np.take(rows, slot[idx], axis=0)
+
+
 class SampleSet:
     """Measured parameters with aligned reward and constraint channels.
 
@@ -159,8 +190,7 @@ class SampleSet:
     @property
     def params(self) -> np.ndarray:
         """Sample coordinates, shape (N, n)."""
-        return self.grid.points[list(self.indices)].reshape(len(self.indices),
-                                                            self.grid.dim)
+        return self.grid.points[list(self.indices)]
 
     def targets(self, i: int) -> np.ndarray:
         return np.asarray(self._values[int(i)], dtype=float)
@@ -179,20 +209,21 @@ class SampleSet:
 class GpPosterior:
     """Cholesky-form posterior for one measurement channel.
 
-    ``chol`` is the lower factor of ``K + noise^2 I`` over the samples
-    and ``weights`` solves ``(K + noise^2 I) w = y``, so the posterior
-    mean is the kernel expansion with coefficients ``weights``.
+    ``chol`` is the lower factor of ``K + noise^2 I`` over the samples, the
+    points ``indices`` of ``grid``, and ``weights`` solves ``(K + noise^2 I)
+    w = y``, so the posterior mean is the kernel expansion with ``weights``.
     """
     kernel: KernelConfig
     noise_std: float
-    params: np.ndarray = field(repr=False)
+    grid: GridDomain = field(repr=False)
+    indices: tuple
     gram: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     @property
     def num_samples(self) -> int:
-        return self.params.shape[0]
+        return len(self.indices)
 
 
 def _chol_with_jitter(a: np.ndarray) -> np.ndarray:
@@ -218,30 +249,33 @@ def gp_fit(samples: SampleSet, i: int, noise_std: float,
     if not noise_std > 0:
         raise ValueError("noise_std must be positive")
     params = samples.params
-    y = samples.targets(i)
-    n = params.shape[0]
-    if n == 0:
-        empty = np.zeros((0, 0))
-        return GpPosterior(cfg, float(noise_std), params, empty, empty,
-                           np.zeros(0))
     gram = kernel_matrix(params, params, cfg)
-    chol = _chol_with_jitter(gram + noise_std ** 2 * np.eye(n))
-    weights = sla.cho_solve((chol, True), y)
-    return GpPosterior(cfg, float(noise_std), params, gram, chol, weights)
+    chol = _chol_with_jitter(gram + noise_std ** 2 * np.eye(len(params)))
+    return with_targets(GpPosterior(cfg, float(noise_std), samples.grid,
+                                    samples.indices, gram, chol, None),
+                        samples.targets(i))
 
 
-def predictive(posteriors: dict, query: np.ndarray):
-    """Posterior of channels fitted on the same samples, noise and kernel,
-    which share the variance and ``v = L^-1 k_A(query)``: ``(means, var,
-    v)`` with ``means`` keyed by channel, ``var`` unclamped and one column
-    of ``v`` per query point; ``k(x, y) - v_x^T v_y`` is the posterior
-    covariance between two query points."""
+def with_targets(post: GpPosterior, y) -> GpPosterior:
+    """``post`` refitted to the targets ``y`` on its Gram and factor: equal
+    to :func:`gp_fit` of the channel that measured ``y``, bitwise."""
+    return replace(post, weights=sla.cho_solve((post.chol, True),
+                                               np.asarray(y, dtype=float)))
+
+
+def predictive(posteriors: dict, query):
+    """Posterior at the grid indices ``query`` of channels fitted on the
+    same samples, noise and kernel, which share the variance and ``v = L^-1
+    k_A(query)``: ``(means, var, v)`` with ``means`` keyed by channel,
+    ``var`` unclamped and one column of ``v`` per query point; ``k(x, y) -
+    v_x^T v_y`` is the posterior covariance between two query points."""
     first, *rest = posteriors.values()
     if any(p.kernel != first.kernel or p.noise_std != first.noise_std
-           or not np.array_equal(p.params, first.params) for p in rest):
+           or p.grid != first.grid or p.indices != first.indices
+           for p in rest):
         raise ValueError("channels must share samples, noise and kernel")
-    query = np.atleast_2d(np.asarray(query, dtype=float))
-    kq = kernel_matrix(first.params, query, first.kernel)
+    kq = np.take(kernel_rows(first.grid, first.kernel, first.indices), query,
+                 axis=1)
     v = sla.solve_triangular(first.chol, kq, lower=True)
     means = {i: kq.T @ post.weights for i, post in posteriors.items()}
     return means, 1.0 - np.sum(v * v, axis=0), v
@@ -254,8 +288,8 @@ def clamp_variance(var: np.ndarray) -> np.ndarray:
     return np.clip(var, 0.0, 1.0)
 
 
-def gp_predict(post: GpPosterior, query: np.ndarray):
-    """Posterior mean and clamped variance at the query points (m, n)."""
+def gp_predict(post: GpPosterior, query):
+    """Posterior mean and clamped variance at the grid indices ``query``."""
     means, var, _ = predictive({0: post}, query)
     return means[0], clamp_variance(var)
 
@@ -292,7 +326,7 @@ def reciprocal_cov_integral(post: GpPosterior, mask) -> float:
     points of ``mask`` (a :class:`~pacsbo.subdomain.DomainMask`). Large
     values mean the region is well explored.
     """
-    _, var = gp_predict(post, mask.grid.points[mask.member])
+    _, var = gp_predict(post, mask.indices())
     total = float(np.sum(var) * mask.grid.cell_volume)
     if total <= 0:
         raise NumericError("variance integral vanished; cannot invert")

@@ -27,6 +27,7 @@ from .kernel_gp import (
     SampleSet,
     gp_fit,
     reciprocal_cov_integral,
+    with_targets,
 )
 from .pac_estimator import PacConfig, PacResult, estimate_upper_bound
 from .predictor import MlpPredictor, append_trace, predict_norm
@@ -120,11 +121,10 @@ class IterationRecord:
 @dataclass(frozen=True)
 class Snapshot:
     """What the step that chose a sample saw, before measuring it: the
-    sampled grid indices, the reward posterior and each region's
-    :class:`~pacsbo.safeopt_core.ConfidenceField` as ``select`` returned
-    it."""
+    reward posterior, whose ``indices`` are the sampled grid points, and
+    each region's :class:`~pacsbo.safeopt_core.ConfidenceField` as
+    ``select`` returned it."""
 
-    sampled: tuple
     reward: GpPosterior
     fields: dict  # label -> ConfidenceField
 
@@ -194,8 +194,8 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     """
     t0 = time.monotonic()
     masks = regions(cfg, state.samples)
-    posteriors = {i: gp_fit(state.samples, i, cfg.noise_std, cfg.kernel)
-                  for i in CHANNELS}
+    reward = gp_fit(state.samples, 0, cfg.noise_std, cfg.kernel)
+    posteriors = {0: reward, 1: with_targets(reward, state.samples.targets(1))}
     traces = dict(state.traces)
     delta = cfg.delta / (len(masks) * len(CHANNELS))
     results = {}
@@ -237,8 +237,7 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     record = IterationRecord(state.iteration, choice, label, measured, stats,
                              _best_safe(samples), unsafe,
                              time.monotonic() - t0)
-    snapshot = Snapshot(state.samples.indices, posteriors[0],
-                        {lab: st.field for lab, st in states.items()})
+    snapshot = Snapshot(reward, {lab: st.field for lab, st in states.items()})
     return LoopState(samples, traces, state.iteration + 1), record, snapshot
 
 

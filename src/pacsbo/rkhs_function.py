@@ -1,28 +1,23 @@
 """Finite kernel expansions with computable norm, and samplers over them.
 
 A function here is ``f = sum_s alpha_s k(x_s, .)`` with kernel norm
-``sqrt(alpha^T K alpha)``. Two samplers produce such functions:
+``sqrt(alpha^T K alpha)``. :func:`sample_random_function` places centers
+uniformly on the grid and draws coefficients uniformly from
+``[-coeff_bound, coeff_bound]``. An interpolating draw also pins the
+function to noisy measurements: the first ``N`` centers are the sample
+locations, with coefficients that solve the interpolation system, and the
+``T`` tail centers, drawn from a region mask, stay random. The spread of
+such data-consistent norms is what the PAC estimator concentrates over;
+:func:`interpolating_norms` returns them without building the functions.
 
-* :func:`sample_random_function` places centers uniformly on the grid and
-  draws coefficients uniformly from ``[-coeff_bound, coeff_bound]``.
-* :func:`sample_interpolating_function` additionally pins the function to
-  noisy measurements: the first ``N`` centers are the sample locations and
-  their coefficients solve the interpolation system, while the remaining
-  centers stay random. The resulting functions are data-consistent
-  candidates for the unknown ground truth, and the spread of their norms
-  is what the PAC estimator concentrates over.
-
-:func:`interpolating_norms` is the batched fast path and
-:func:`sample_interpolating_function` the per-draw reference. Both read
-draw ``j`` of a seed path ``p`` as the ``W = 2T + N`` raw words from word
+Draw ``j`` of a seed path ``p`` is the ``W = 2T + N`` raw words from word
 ``j * W`` of one ``PCG64(SeedSequence(p))`` stream: ``T`` tail positions,
 ``T`` tail coefficients, then ``N`` noise values. Each word's top 53 bits
 give a uniform ``u`` in ``[0, 1)``, mapped to the position ``floor(u * m)``
 among ``m`` mask members (no rejection; bias at most ``m / 2**53``), the
 coefficient ``-1 + 2u`` or a truncated normal noise value. A draw depends
 only on ``p`` and ``j``, never on chunking or scheduling, and only numpy's
-public ``advance`` and ``random_raw`` are used. Both samplers draw the
-tail centers from a region mask.
+public ``advance`` and ``random_raw`` are used.
 """
 from __future__ import annotations
 
@@ -153,36 +148,6 @@ def _tail_region(samples: SampleSet, cfg: SamplerConfig,
     return mask.indices()
 
 
-def sample_interpolating_function(samples: SampleSet, i: int, noise_std: float,
-                                  kernel: KernelConfig, mask: DomainMask,
-                                  cfg: SamplerConfig, seed_path: tuple,
-                                  j: int) -> RkhsFunction:
-    """Random expansion pinned to the measurements of channel ``i``: draw
-    ``j`` of ``seed_path``, the same draw :func:`interpolating_norms` takes
-    the norm of.
-
-    The first ``N`` centers are the sample locations; their coefficients
-    solve ``K_AA a = (y + eps) - K_At a_tail`` with ``eps`` truncated
-    Gaussian measurement noise. The tail centers are drawn uniformly
-    from the member points of ``mask``.
-    """
-    region_idx = _tail_region(samples, cfg, mask)
-    n = len(samples)
-    tail_pos, tail_u, eps = (part[0] for part in next(_draws(
-        seed_path, j, 1, region_idx.shape[0], noise_std,
-        cfg.num_centers - n, n)))
-    tail_coeffs = cfg.coeff_bound * tail_u
-    params = samples.params
-    tail_points = mask.grid.points[region_idx[tail_pos]]
-    chol = _chol_with_jitter(kernel_matrix(params, params, kernel))
-    cross = kernel_matrix(params, tail_points, kernel)
-    rhs = samples.targets(i) + eps - cross @ tail_coeffs
-    head_coeffs = sla.cho_solve((chol, True), rhs)
-    centers = np.vstack([params, tail_points])
-    coeffs = np.concatenate([head_coeffs, tail_coeffs])
-    return RkhsFunction(kernel, centers, coeffs)
-
-
 def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
                         kernel: KernelConfig, mask: DomainMask,
                         cfg: SamplerConfig, seed_path: tuple, count: int,
@@ -191,9 +156,8 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
     ``_CHUNK`` draws.
 
     Draw ``j`` of the result is draw ``start_index + j`` of ``seed_path``
-    (see the module docstring), the function
-    :func:`sample_interpolating_function` builds for that index, so results
-    do not depend on chunking or on how callers schedule the work.
+    (see the module docstring), so results do not depend on chunking or on
+    how callers schedule the work.
 
     Every kernel block is read from the grid's :func:`lattice_table`. A
     draw's tail enters only as ``cross_alpha`` (N,), the sample-tail kernel

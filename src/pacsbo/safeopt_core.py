@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .kernel_gp import (clamp_variance, info_gain, kernel_matrix,
+from .kernel_gp import (clamp_variance, info_gain, kernel_rows,
                         observation_update, predictive)
 from .subdomain import DomainMask
 
@@ -147,14 +147,14 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
     means, var, v = pred
     idx = mask.indices()
     out = np.flatnonzero(outside[idx])
-    out_pts, v_q = mask.grid.points[idx[out]], v[:, out]
+    out_idx, v_q = idx[out], v[:, out]
     candidates = np.flatnonzero(safe if exact
                                 else _boundary_candidates(safe, mask))
     for start in range(0, len(candidates), _BLOCK):
         block = candidates[start:start + _BLOCK]
         cols = np.searchsorted(idx, block)
-        k_n = (kernel_matrix(mask.grid.points[block], out_pts, post.kernel)
-               - v[:, cols].T @ v_q)
+        k_n = (np.take(kernel_rows(mask.grid, post.kernel, block), out_idx,
+                       axis=1) - v[:, cols].T @ v_q)
         newly_safe = np.ones((len(block), len(out)), dtype=bool)
         for i in constraints:
             mean, var_n = observation_update(
@@ -202,7 +202,7 @@ def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
                   seed_indices, exact_expanders: bool = False) -> SafeOptState:
     """Classify the masked grid for the current posteriors and bounds; one
     posterior over the mask serves the bounds and the expander test."""
-    pred = predictive(posteriors, mask.grid.points[mask.indices()])
+    pred = predictive(posteriors, mask.indices())
     field = confidence_bounds(pred, betas, mask)
     safe, seeded = safe_set(field, seed_indices, mask)
     m = maximizers(field, safe)

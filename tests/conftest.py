@@ -3,13 +3,16 @@
 import csv
 
 import numpy as np
+from scipy import linalg as sla
 
+from pacsbo.kernel_gp import _chol_with_jitter, kernel_matrix
 from pacsbo.predictor import (
     MlpPredictor,
     _forward_normalized,
     _init_layers,
     _loss_and_gradients,
 )
+from pacsbo.rkhs_function import RkhsFunction, _draws, _tail_region
 from pacsbo.seeding import derive_rng
 
 
@@ -75,3 +78,32 @@ def gradient_check_error(input_len: int, hidden, seed: int,
         numeric[k] = (loss_at(theta + bump) - loss_at(theta - bump)) / (2 * step)
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     return float(np.linalg.norm(analytic - numeric) / denom)
+
+
+def sample_interpolating_function(samples, i, noise_std, kernel, mask, cfg,
+                                  seed_path, j):
+    """Per-draw reference of the interpolating sampler: the random
+    expansion pinned to the measurements of channel ``i`` that is draw
+    ``j`` of ``seed_path``, the draw ``interpolating_norms`` takes the norm
+    of (stream layout in the ``rkhs_function`` module docstring).
+
+    The first ``N`` centers are the sample locations; their coefficients
+    solve ``K_AA a = (y + eps) - K_At a_tail`` with ``eps`` truncated
+    Gaussian measurement noise. The tail centers are drawn uniformly
+    from the member points of ``mask``.
+    """
+    region_idx = _tail_region(samples, cfg, mask)
+    n = len(samples)
+    tail_pos, tail_u, eps = (part[0] for part in next(_draws(
+        seed_path, j, 1, region_idx.shape[0], noise_std,
+        cfg.num_centers - n, n)))
+    tail_coeffs = cfg.coeff_bound * tail_u
+    params = samples.params
+    tail_points = mask.grid.points[region_idx[tail_pos]]
+    chol = _chol_with_jitter(kernel_matrix(params, params, kernel))
+    cross = kernel_matrix(params, tail_points, kernel)
+    rhs = samples.targets(i) + eps - cross @ tail_coeffs
+    head_coeffs = sla.cho_solve((chol, True), rhs)
+    centers = np.vstack([params, tail_points])
+    coeffs = np.concatenate([head_coeffs, tail_coeffs])
+    return RkhsFunction(kernel, centers, coeffs)

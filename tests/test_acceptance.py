@@ -69,7 +69,7 @@ def test_criterion_1_gp_matches_dense_solve_oracle():
         noise = float(rng.uniform(0.01, 0.3))
         samples = random_samples(grid, rng, int(rng.integers(1, 11)))
         mean, var = gp_predict(gp_fit(samples, 0, noise, kernel),
-                               grid.points)
+                               np.arange(grid.num_points))
 
         x = samples.params
         k_xx = kernel_matrix(x, x, kernel)
@@ -102,7 +102,8 @@ def test_criterion_2_posterior_mean_norm_matches_expansion_norm():
         samples = random_samples(grid, rng, int(rng.integers(1, 13)))
         post = gp_fit(samples, 0, noise, kernel)
         direct = mean_rkhs_norm(post)
-        expansion = rkhs_norm(RkhsFunction(kernel, post.params, post.weights))
+        expansion = rkhs_norm(RkhsFunction(kernel, samples.params,
+                                           post.weights))
         worst = max(worst, abs(direct - expansion))
     ok = worst <= 1e-10
     verdict(2, "posterior-mean norm consistency", ok,
@@ -237,7 +238,7 @@ def brute_force_expanders(state, mask, samples, betas, noise, kernel):
         fict = samples.append(int(a), {0: float(field.upper[0][a]),
                                        1: float(field.upper[1][a])})
         refit = gp_fit(fict, 1, noise, kernel)
-        mean, var = gp_predict(refit, grid.points[outside_idx])
+        mean, var = gp_predict(refit, outside_idx)
         if np.any(mean - betas[1] * np.sqrt(var) >= 0.0):
             result[a] = True
     return result
@@ -296,12 +297,13 @@ def test_criterion_8_structural_invariants(trained_predictor, tmp_path):
         kernel = KernelConfig(lengthscale=float(rng.uniform(0.05, 0.3)))
         noise = float(rng.uniform(0.01, 0.2))
         samples = SampleSet(grid, (), {0: (), 1: ()})
-        _, prev = gp_predict(gp_fit(samples, 0, noise, kernel), grid.points)
+        _, prev = gp_predict(gp_fit(samples, 0, noise, kernel),
+                             np.arange(grid.num_points))
         for j in rng.choice(grid.num_points, size=6, replace=False):
             y = float(rng.normal())
             samples = samples.append(int(j), {0: y, 1: y})
             _, var = gp_predict(gp_fit(samples, 0, noise, kernel),
-                                grid.points)
+                                np.arange(grid.num_points))
             monotone &= bool((var <= prev + 1e-9).all())
             prev = var
     checks["variance monotonicity"] = monotone

@@ -66,6 +66,19 @@ class TestTrainPredictor:
                      "--out", str(target)]) == 0
         assert target.exists()
 
+    def test_one_training_written_to_two_paths_has_one_hash(self, tmp_path):
+        # like a scenario's out_dir, the output path is not configuration
+        cfg = write_config(tmp_path / "t.yaml",
+                           tiny_train_body(tmp_path / "a.json"))
+        assert main(["train-predictor", "--config", cfg]) == 0
+        assert main(["train-predictor", "--config", cfg,
+                     "--out", str(tmp_path / "b" / "b.json")]) == 0
+        a, b = (yaml.safe_load(p.read_text()) for p in (
+            tmp_path / "a.report.yaml", tmp_path / "b" / "b.report.yaml"))
+        assert a["config_hash"] == b["config_hash"]
+        assert ((tmp_path / "a.json").read_bytes()
+                == (tmp_path / "b" / "b.json").read_bytes())
+
     def test_missing_architecture_field(self, tmp_path, capsys):
         body = tiny_train_body(tmp_path / "m.json")
         body["hidden"] = 6  # scalar, not a list of layer sizes

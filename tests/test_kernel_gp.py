@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
+from pacsbo import kernel_gp
 from pacsbo.errors import NumericError
 from pacsbo.kernel_gp import (
     GridDomain,
@@ -12,14 +15,17 @@ from pacsbo.kernel_gp import (
     gp_predict,
     info_gain,
     kernel_matrix,
+    kernel_rows,
     lattice_table,
     mean_rkhs_norm,
     observation_update,
     pairwise_dist,
     predictive,
     reciprocal_cov_integral,
+    with_targets,
 )
-from pacsbo.subdomain import DomainMask, global_mask
+from pacsbo.seeding import derive_rng
+from pacsbo.subdomain import DomainMask, global_mask, partition_masks
 
 # Hand-derived reference values, frozen. The kernel value is
 # (1 + sqrt(3) d / l) exp(-sqrt(3) d / l); the scalar-GP numbers follow
@@ -155,11 +161,11 @@ def test_sample_set_validation():
 
 
 def test_scalar_posterior_frozen_values():
-    grid = GridDomain.uniform(10)  # points at 0.05, 0.15, ...
-    s = make_samples(grid, [4], [2.0])  # x = 0.45
+    grid = GridDomain.uniform(20)  # points at 0.025, 0.075, ...
+    s = make_samples(grid, [8], [2.0])  # x = 0.425
     post = gp_fit(s, 0, 0.1, CFG)
     assert post.weights[0] == pytest.approx(SCALAR_WEIGHT, abs=1e-14)
-    mean, var = gp_predict(post, [[0.5]])
+    mean, var = gp_predict(post, [9])  # x = 0.475
     assert mean[0] == pytest.approx(SCALAR_MEAN_AT_005, abs=1e-13)
     assert var[0] == pytest.approx(SCALAR_VAR_AT_005, abs=1e-13)
     assert info_gain(post) == pytest.approx(SCALAR_INFO_GAIN, abs=1e-12)
@@ -170,7 +176,7 @@ def test_prior_posterior():
     grid = GridDomain.uniform(10)
     s = SampleSet(grid, (), {0: (), 1: ()})
     post = gp_fit(s, 0, 0.1, CFG)
-    mean, var = gp_predict(post, grid.points)
+    mean, var = gp_predict(post, np.arange(grid.num_points))
     assert np.all(mean == 0.0) and np.all(var == 1.0)
     assert info_gain(post) == 0.0
     assert reciprocal_cov_integral(post, global_mask(grid)) == pytest.approx(1.0, abs=1e-12)
@@ -188,9 +194,10 @@ def test_posterior_matches_dense_oracle():
         s = make_samples(grid, idx, y)
         noise = float(rng.uniform(0.01, 0.5))
         post = gp_fit(s, 0, noise, CFG)
-        query = grid.points[rng.choice(grid.num_points, size=50)]
+        query = rng.choice(grid.num_points, size=50)
         mean, var = gp_predict(post, query)
-        mean_o, var_o = dense_posterior(s.params, y, noise, CFG, query)
+        mean_o, var_o = dense_posterior(s.params, y, noise, CFG,
+                                        grid.points[query])
         np.testing.assert_allclose(mean, mean_o, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(var, np.clip(var_o, 0, 1), rtol=1e-8, atol=1e-10)
         # factorization residual
@@ -205,7 +212,7 @@ def test_posterior_interpolates_with_small_noise():
     y = [1.0, -0.5, 0.25]
     s = make_samples(grid, idx, y)
     post = gp_fit(s, 0, 1e-4, CFG)
-    mean, var = gp_predict(post, s.params)
+    mean, var = gp_predict(post, s.indices)
     np.testing.assert_allclose(mean, y, atol=1e-6)
     assert np.all(var < 1e-6)
     assert np.all(var >= 0.0)
@@ -220,8 +227,8 @@ def test_variance_bounds_and_monotonicity():
     big = make_samples(grid, idx, y)
     post_small = gp_fit(small, 0, 0.05, CFG)
     post_big = gp_fit(big, 0, 0.05, CFG)
-    _, var_small = gp_predict(post_small, grid.points)
-    _, var_big = gp_predict(post_big, grid.points)
+    _, var_small = gp_predict(post_small, np.arange(grid.num_points))
+    _, var_big = gp_predict(post_big, np.arange(grid.num_points))
     assert np.all(var_big <= var_small + 1e-9)
     assert np.all((var_big >= 0) & (var_big <= 1))
 
@@ -235,7 +242,7 @@ def test_observation_update_matches_full_refit():
         post = gp_fit(s, 0, 0.05, CFG)
         new_idx = np.array([30, 0, int(idx[0]), 59])
         values = np.array([0.7, -1.2, 2.0, 0.0])
-        means, var_q, v = predictive({0: post}, grid.points)
+        means, var_q, v = predictive({0: post}, np.arange(grid.num_points))
         mean_q = means[0]
         k_n = (kernel_matrix(grid.points[new_idx], grid.points, CFG)
                - v[:, new_idx].T @ v)
@@ -244,7 +251,7 @@ def test_observation_update_matches_full_refit():
         assert mean.shape == var.shape == (4, grid.num_points)
         for j, (a, value) in enumerate(zip(new_idx, values)):
             refit = gp_fit(s.append(a, {0: value, 1: 0.0}), 0, 0.05, CFG)
-            mean_r, var_r = gp_predict(refit, grid.points)
+            mean_r, var_r = gp_predict(refit, np.arange(grid.num_points))
             np.testing.assert_allclose(mean[j], mean_r, rtol=0, atol=1e-10)
             np.testing.assert_allclose(var[j], var_r, rtol=0, atol=1e-10)
 
@@ -265,10 +272,10 @@ def test_predictive_columns_of_a_subset():
     grid = GridDomain.uniform((50, 50))
     idx = rng.choice(grid.num_points, size=40, replace=False)
     posteriors = two_channel_posteriors(grid, idx)
-    means, var, v = predictive(posteriors, grid.points)
+    means, var, v = predictive(posteriors, np.arange(grid.num_points))
     for size in (2, 5, 32, 700):
         sub = np.sort(rng.choice(grid.num_points, size=size, replace=False))
-        means_s, var_s, v_s = predictive(posteriors, grid.points[sub])
+        means_s, var_s, v_s = predictive(posteriors, sub)
         np.testing.assert_array_equal(v[:, sub], v_s)
         np.testing.assert_array_equal(var[sub], var_s)
         for i in posteriors:
@@ -281,9 +288,9 @@ def test_predictive_means_equal_gp_predict():
     grid = GridDomain.uniform((20, 20))
     posteriors = two_channel_posteriors(
         grid, rng.choice(grid.num_points, size=12, replace=False))
-    means, var, _ = predictive(posteriors, grid.points)
+    means, var, _ = predictive(posteriors, np.arange(grid.num_points))
     for i, post in posteriors.items():
-        mean, clamped = gp_predict(post, grid.points)
+        mean, clamped = gp_predict(post, np.arange(grid.num_points))
         np.testing.assert_array_equal(means[i], mean)
         np.testing.assert_array_equal(np.clip(var, 0.0, 1.0), clamped)
 
@@ -295,12 +302,13 @@ def test_predictive_rejects_channels_fitted_differently():
     noisier = two_channel_posteriors(grid, [3, 10, 20], noise=0.1)
     wider = two_channel_posteriors(grid, [3, 10, 20],
                                    cfg=KernelConfig(lengthscale=0.2))
+    every = np.arange(grid.num_points)
     for other in (moved, noisier, wider):
         with pytest.raises(ValueError):
-            predictive({0: posteriors[0], 1: other[1]}, grid.points)
+            predictive({0: posteriors[0], 1: other[1]}, every)
     # equal fits need not be the same objects
     twin = two_channel_posteriors(grid, [3, 10, 20], seed=1)
-    predictive({0: posteriors[0], 1: twin[1]}, grid.points)
+    predictive({0: posteriors[0], 1: twin[1]}, every)
 
 
 def test_reciprocal_cov_integral_three_point_grid():
@@ -355,3 +363,127 @@ def test_info_gain_increases_with_samples():
         sub = sub.append(i, {0: s.targets(0)[j], 1: 0.0})
         gains.append(info_gain(gp_fit(sub, 0, 0.1, CFG)))
     assert gains[0] < gains[1] < gains[2]
+
+
+def coordinate_predictive(posteriors, points):
+    """``predictive`` at coordinates, its kernel block from ``kernel_matrix``
+    on the sample and query points."""
+    first = next(iter(posteriors.values()))
+    kq = kernel_matrix(first.grid.points[list(first.indices)], points,
+                       first.kernel)
+    v = sla.solve_triangular(first.chol, kq, lower=True)
+    means = {i: kq.T @ post.weights for i, post in posteriors.items()}
+    return means, 1.0 - np.sum(v * v, axis=0), v
+
+
+def clustered_posteriors(resolution, n, seed=0):
+    """Two channels fitted on ``n`` points drawn from the lower-left
+    quarter of the grid, so tilde and hat are proper subsets of it."""
+    grid = GridDomain.uniform(resolution)
+    box = np.flatnonzero(np.all(grid.points < 0.5, axis=1))
+    idx = derive_rng(seed, "memo").choice(box, size=n, replace=False)
+    return grid, two_channel_posteriors(grid, idx, noise=0.01, seed=seed)
+
+
+@pytest.mark.parametrize("resolution", [100, (50, 50)])
+def test_predictive_equals_the_coordinate_reference_bitwise(resolution):
+    kernel_gp._row_memo.cache_clear()
+    for n in (3, 12, 40):
+        grid, posteriors = clustered_posteriors(resolution, n)
+        first = posteriors[0]
+        samples = SampleSet(grid, first.indices,
+                            {i: np.zeros(n) for i in (0, 1)})
+        masks = partition_masks(samples)
+        assert masks[0].member.sum() < masks[1].member.sum() < grid.num_points
+        for _ in range(2):  # cold, then warm memo
+            for mask in masks:
+                got = predictive(posteriors, mask.indices())
+                want = coordinate_predictive(
+                    posteriors, grid.points[mask.indices()])
+                for i in posteriors:
+                    np.testing.assert_array_equal(got[0][i], want[0][i])
+                np.testing.assert_array_equal(got[1], want[1])
+                np.testing.assert_array_equal(got[2], want[2])
+
+
+def test_one_factorization_serves_both_channels_bitwise():
+    rng = np.random.default_rng(4)
+    grid = GridDomain.uniform((20, 20))
+    idx = rng.choice(grid.num_points, size=9, replace=False)
+    s = make_samples(grid, idx, rng.normal(size=9), rng.normal(size=9))
+    reward = gp_fit(s, 0, 0.01, CFG)
+    derived = with_targets(reward, s.targets(1))
+    refit = gp_fit(s, 1, 0.01, CFG)
+    assert derived.chol is reward.chol and derived.indices == refit.indices
+    np.testing.assert_array_equal(derived.chol, refit.chol)
+    np.testing.assert_array_equal(derived.weights, refit.weights)
+    np.testing.assert_array_equal(reward.weights, gp_fit(s, 0, 0.01,
+                                                         CFG).weights)
+
+
+@pytest.mark.parametrize("resolution", [100, (50, 50)])
+def test_gram_gathered_from_memo_rows_keeps_the_norm(resolution):
+    # a column gather must stay C-contiguous: an F-ordered copy sends the
+    # product w^T K w down another BLAS path and moves it by an ulp
+    for seed in range(20):
+        rng = derive_rng(seed, "gram")
+        grid = GridDomain.uniform(resolution)
+        n = int(rng.integers(2, 30))
+        idx = rng.choice(grid.num_points, size=n, replace=False)
+        post = gp_fit(make_samples(grid, idx, rng.normal(size=n)), 0,
+                      float(rng.uniform(0.01, 0.3)), CFG)
+        gram = np.take(kernel_rows(grid, CFG, idx), idx, axis=1)
+        assert gram.flags.c_contiguous
+        np.testing.assert_array_equal(gram, post.gram)
+        assert mean_rkhs_norm(replace(post, gram=gram)) == mean_rkhs_norm(post)
+
+
+@pytest.mark.parametrize("resolution", [100, (50, 50), (10, 10, 10)])
+def test_kernel_rows_stay_within_the_byte_cap(resolution):
+    kernel_gp._row_memo.cache_clear()
+    grid = GridDomain.uniform(resolution)
+    rows, slot = kernel_gp._row_memo(grid, CFG)
+    assert rows.nbytes <= kernel_gp._ROW_BYTES
+    rng = derive_rng(1, "rows")
+    # requests of repeated, fitting and oversized index sets, in turn
+    for size in (1, 7, 30, 5, len(rows), len(rows) + 3, 2 * len(rows) + 1,
+                 60, 2):
+        idx = rng.integers(0, grid.num_points, size=size)
+        got = kernel_rows(grid, CFG, idx)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(
+            got, kernel_matrix(grid.points[idx], grid.points, CFG))
+        assert kernel_gp._row_memo(grid, CFG)[0] is rows
+        held = np.flatnonzero(slot >= 0)
+        assert len(held) <= len(rows)
+        np.testing.assert_array_equal(
+            rows[slot[held]], kernel_matrix(grid.points[held], grid.points,
+                                            CFG))
+
+
+def test_kernel_rows_flush_when_full(monkeypatch, request):
+    grid = GridDomain.uniform((12, 12))
+    monkeypatch.setattr(kernel_gp, "_ROW_BYTES", 8 * grid.num_points * 10)
+    kernel_gp._row_memo.cache_clear()
+    request.addfinalizer(kernel_gp._row_memo.cache_clear)  # drop the small one
+    rows, slot = kernel_gp._row_memo(grid, CFG)
+    assert len(rows) == 10
+    kernel_rows(grid, CFG, range(9))
+    np.testing.assert_array_equal(slot[:9], range(9))
+    # two new rows do not fit beside nine: the memo starts over with all
+    # three rows of the request
+    got = kernel_rows(grid, CFG, [8, 9, 10])
+    np.testing.assert_array_equal(np.flatnonzero(slot >= 0), [8, 9, 10])
+    np.testing.assert_array_equal(
+        got, kernel_matrix(grid.points[8:11], grid.points, CFG))
+    # more distinct rows than the memo holds are computed directly
+    big = kernel_rows(grid, CFG, np.arange(20))
+    np.testing.assert_array_equal(np.flatnonzero(slot >= 0), [8, 9, 10])
+    np.testing.assert_array_equal(
+        big, kernel_matrix(grid.points[:20], grid.points, CFG))
+    # another kernel or grid starts another memo
+    other = KernelConfig(lengthscale=0.3)
+    np.testing.assert_array_equal(
+        kernel_rows(grid, other, [7]),
+        kernel_matrix(grid.points[[7]], grid.points, other))
+    assert np.flatnonzero(kernel_gp._row_memo(grid, other)[1] >= 0) == [7]

@@ -290,7 +290,7 @@ class TestPacsboRun:
         for t, snap in self.hist.snapshots.items():
             samples, rec = prefixes[t - 1], self.hist.records[t - 1]
             posts, states = self.replay_states(samples, rec)
-            assert snap.sampled == samples.indices
+            assert snap.reward.indices == samples.indices
             assert snap.reward.weights.tobytes() == posts[0].weights.tobytes()
             assert list(snap.fields) == list(states)
             for label, st in states.items():

@@ -17,6 +17,7 @@ from pacsbo.kernel_gp import (
     gp_fit,
     mean_rkhs_norm,
     reciprocal_cov_integral,
+    with_targets,
 )
 from pacsbo.predictor import (
     MIN_SCALE,
@@ -166,20 +167,27 @@ def test_rollout_determinism():
 
 
 def test_rollout_fits_each_sample_set_and_channel_once(monkeypatch):
-    # the loop fits each channel once per step, on the first 1..T samples;
-    # the trace reuses its reward fits and adds one on all T + 1 samples
-    calls = []
+    # the loop factorizes each step's first 1..T samples once, for the
+    # reward, and derives the constraint channel from that factor; the
+    # trace reuses its reward fits and adds one on all T + 1 samples
+    fits, derived = [], []
 
     def counting(samples, i, *args):
-        calls.append((len(samples), i))
+        fits.append((len(samples), i))
         return gp_fit(samples, i, *args)
 
+    def deriving(post, y):
+        derived.append(post.num_samples)
+        return with_targets(post, y)
+
     monkeypatch.setattr(loop_mod, "gp_fit", counting)
+    monkeypatch.setattr(loop_mod, "with_targets", deriving)
     monkeypatch.setattr(predictor_mod, "gp_fit", counting)
     data = generate_training_data(small_rollout_config(q_train=1, iters=10),
                                   seed=3)
     assert data.rows == 10
-    assert len(calls) == 21 and len(set(calls)) == 21
+    assert fits == [(n, 0) for n in range(1, 12)]
+    assert derived == list(range(1, 11))
 
 
 def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):

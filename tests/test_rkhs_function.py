@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import sample_interpolating_function
+
 import pacsbo
 from pacsbo import rkhs_function
 from pacsbo.kernel_gp import (
@@ -24,7 +26,6 @@ from pacsbo.rkhs_function import (
     evaluate,
     interpolating_norms,
     rkhs_norm,
-    sample_interpolating_function,
     sample_random_function,
     scale_to_norm,
 )
@@ -295,7 +296,7 @@ def test_gp_mean_norm_equals_weight_expansion_norm():
         idx = rng.choice(400, size=n, replace=False)
         s = make_samples(grid, idx, rng.normal(size=n))
         post = gp_fit(s, 0, 0.1, CFG)
-        expansion = RkhsFunction(CFG, post.params, post.weights)
+        expansion = RkhsFunction(CFG, s.params, post.weights)
         assert mean_rkhs_norm(post) == pytest.approx(rkhs_norm(expansion), abs=1e-10)
 
 

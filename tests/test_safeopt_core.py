@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from pacsbo import kernel_gp, safeopt_core
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
@@ -12,6 +13,7 @@ from pacsbo.kernel_gp import (
     gp_fit,
     gp_predict,
     info_gain,
+    kernel_matrix,
     predictive,
 )
 from pacsbo.rkhs_function import SamplerConfig, sample_random_function, scale_to_norm
@@ -43,7 +45,7 @@ def fit_two_channels(grid, indices, values, noise=0.01, lengthscale=0.1):
 
 
 def mask_predictive(posteriors, mask):
-    return predictive(posteriors, mask.grid.points[mask.indices()])
+    return predictive(posteriors, mask.indices())
 
 
 def test_beta_scale_frozen_value():
@@ -96,7 +98,7 @@ def test_bound_width_scales_with_beta():
     zero = confidence_bounds(pred, {0: 0.0, 1: 0.0}, mask)
     np.testing.assert_allclose(zero.width(1), 0.0, atol=1e-15)
     # l = u = mu when beta vanishes
-    mean, _ = gp_predict(posteriors[0], grid.points)
+    mean, _ = gp_predict(posteriors[0], np.arange(grid.num_points))
     np.testing.assert_allclose(zero.lower[0], mean, atol=1e-12)
 
 
@@ -223,7 +225,7 @@ def refit_oracle_newly_safe(idx, values, grid, noise, kernel, field, a, safe,
         post = fit_channel(grid, list(idx) + [a],
                            list(values[i]) + [field.upper[i][a]], noise,
                            kernel)
-        mean, var = gp_predict(post, grid.points[outside])
+        mean, var = gp_predict(post, outside)
         ok &= mean - field.betas[i] * np.sqrt(var) >= 0.0
     return bool(ok.any())
 
@@ -498,3 +500,40 @@ def test_compute_state_outputs_pinned_bitwise(dims, exact):
     state = compute_state(posteriors, betas, mask, seed, exact)
     assert 0 < state.expander_set.sum() < state.safe.sum() < mask.count
     assert state_digests(state) == STATE_DIGESTS[dims, exact]
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("exact", [False, True])
+def test_expander_blocks_equal_the_coordinate_reference_bitwise(
+        dims, exact, monkeypatch):
+    """Each candidate block's posterior covariance with the outside points
+    reads its kernel block from memo rows, bitwise equal to the block
+    ``kernel_matrix`` builds on the coordinates."""
+    posteriors, betas, mask, seed = digest_case(dims)
+    pred = mask_predictive(posteriors, mask)
+    field = confidence_bounds(pred, betas, mask)
+    safe, _ = safe_set(field, seed, mask)
+    got, real = [], safeopt_core.observation_update
+
+    def recording(*args):
+        got.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(safeopt_core, "observation_update", recording)
+    kernel_gp._row_memo.cache_clear()
+    expanders(posteriors, pred, field, safe, mask, exact=exact)
+
+    grid, kernel, v = mask.grid, posteriors[0].kernel, pred[2]
+    idx = mask.indices()
+    out = np.flatnonzero((mask.member & ~safe)[idx])
+    candidates = np.flatnonzero(safe if exact
+                                else _boundary_candidates(safe, mask))
+    want = []
+    for start in range(0, len(candidates), _BLOCK):
+        block = candidates[start:start + _BLOCK]
+        cols = np.searchsorted(idx, block)
+        want.append(kernel_matrix(grid.points[block], grid.points[idx[out]],
+                                  kernel) - v[:, cols].T @ v[:, out])
+    assert len(got) == len(want) > 0
+    for k_n, ref in zip(got, want):
+        np.testing.assert_array_equal(k_n, ref)

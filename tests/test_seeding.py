@@ -4,7 +4,7 @@ A call reads one ``PCG64(SeedSequence(seed_path))`` stream, and draw ``j``
 is the block of ``W = 2T + N`` words at position ``j * W``: ``T`` tail
 positions, ``T`` tail coefficients and ``N`` noise values. A chunk of draws
 read in one go must equal the same draws read one at a time, which is what
-``sample_interpolating_function`` does.
+``sample_interpolating_function`` of ``conftest`` does.
 """
 import sys
 import zlib

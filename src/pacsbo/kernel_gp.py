@@ -319,15 +319,15 @@ def mean_rkhs_norm(post: GpPosterior) -> float:
     return math.sqrt(max(float(w @ post.gram @ w), 0.0))
 
 
-def reciprocal_cov_integral(post: GpPosterior, mask) -> float:
+def reciprocal_cov_integral(var: np.ndarray, mask) -> float:
     """Reciprocal of the posterior variance integrated over a region.
 
-    The integral is the midpoint Riemann sum of ``sigma2`` over the member
-    points of ``mask`` (a :class:`~pacsbo.subdomain.DomainMask`). Large
-    values mean the region is well explored.
+    ``var`` is the unclamped :func:`predictive` variance at the member
+    points of ``mask`` (a :class:`~pacsbo.subdomain.DomainMask`), and the
+    integral the midpoint Riemann sum of its clamp. Large values mean the
+    region is well explored.
     """
-    _, var = gp_predict(post, mask.indices())
-    total = float(np.sum(var) * mask.grid.cell_volume)
+    total = float(np.sum(clamp_variance(var)) * mask.grid.cell_volume)
     if total <= 0:
         raise NumericError("variance integral vanished; cannot invert")
     return 1.0 / total

@@ -8,10 +8,10 @@ candidate across all regions. The baseline runs the same subroutine on the
 full domain with a fixed norm bound and no estimation. The predictor's
 training rollouts are baseline runs too, so every caller runs this loop.
 
-Per-channel norm traces are extended at the start of each iteration, from
-the currently measured data, before the estimator reads them; that way the
-trace lengths seen by the predictor online match the prefix lengths it was
-trained on (training emits one row per completed rollout step).
+Both algorithms extend each region's per-channel norm traces at the start
+of each iteration, before the estimator reads them, and the run's history
+hands back the final traces. Training rollouts take one row per step from
+them, so the predictor sees online the trace lengths it was trained on.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .kernel_gp import (
     KernelConfig,
     SampleSet,
     gp_fit,
+    predictive,
     reciprocal_cov_integral,
     with_targets,
 )
@@ -136,6 +137,7 @@ class RunHistory:
     best_reward: float
     samples: SampleSet = field(compare=False)  # the final set
     snapshots: dict = field(compare=False)  # iteration t -> Snapshot
+    traces: dict = field(compare=False)  # the final LoopState.traces
 
     def any_unsafe(self) -> bool:
         return any(rec.unsafe for rec in self.records)
@@ -188,34 +190,31 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     """One iteration of either algorithm: (state', record, snapshot), or
     (None, None, None) when no region offers a candidate.
 
-    The main loop pushes the current (mean norm, reciprocal covariance) pair
-    onto each region's trace and estimates a bound per region and channel;
-    the baseline uses its fixed bound everywhere.
+    Each region's one ``predictive`` feeds its traces and ``select``; the
+    main loop estimates a bound per region and channel, the baseline uses
+    its fixed bound everywhere.
     """
     t0 = time.monotonic()
     masks = regions(cfg, state.samples)
     reward = gp_fit(state.samples, 0, cfg.noise_std, cfg.kernel)
     posteriors = {0: reward, 1: with_targets(reward, state.samples.targets(1))}
-    traces = dict(state.traces)
     delta = cfg.delta / (len(masks) * len(CHANNELS))
-    results = {}
+    fixed = (PacResult(cfg.fixed_bound, 0, 0.0, 0.0, False)
+             if cfg.algorithm == "safeopt" else None)
+    traces, preds, results = dict(state.traces), {}, {}
     for p_idx, (label, mask) in enumerate(masks.items()):
-        if cfg.algorithm == "safeopt":
-            for i in CHANNELS:
-                results[label, i] = PacResult(cfg.fixed_bound, 0, 0.0, 0.0,
-                                              False)
-            continue
-        r = reciprocal_cov_integral(posteriors[0], mask)
+        preds[label] = predictive(posteriors, mask.indices())
+        r = reciprocal_cov_integral(preds[label][1], mask)
         for i in CHANNELS:
             traces[label, i] = append_trace(traces[label, i], posteriors[i], r)
-            results[label, i] = estimate_upper_bound(
+            results[label, i] = fixed or estimate_upper_bound(
                 predict_norm(cfg.predictor, traces[label, i]), state.samples,
                 i, cfg.noise_std, cfg.kernel, mask, delta=delta, cfg=cfg.pac,
                 seed_path=(cfg.seed, "pac", state.iteration, p_idx, i))
 
     bounds = {label: {i: results[label, i].bound for i in CHANNELS}
               for label in masks}
-    choice, label, states = select(posteriors, bounds, masks,
+    choice, label, states = select(posteriors, preds, bounds, masks,
                                    cfg.s0_indices, cfg.noise_std, cfg.delta,
                                    cfg.exact_expanders)
     if choice is None:
@@ -260,4 +259,4 @@ def run(cfg: RunConfig, truth: GroundTruth,
         if t in wanted:
             snapshots[t] = snapshot
     return RunHistory(tuple(records), status, _best_safe(state.samples),
-                      state.samples, snapshots)
+                      state.samples, snapshots, state.traces)

@@ -24,6 +24,7 @@ from .kernel_gp import (
     KernelConfig,
     gp_fit,
     mean_rkhs_norm,
+    predictive,
     reciprocal_cov_integral,
 )
 from .rkhs_function import RkhsFunction, SamplerConfig, rkhs_norm, sample_random_function
@@ -111,21 +112,19 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
     run_cfg = RunConfig(grid, cfg.kernel, (seed_idx,), cfg.noise_std,
                         cfg.delta, budget=steps, algorithm="safeopt",
                         fixed_bound=bound, seed=int(rng.integers(2**63)))
-    history = run(run_cfg, GroundTruth(rho, threshold),
-                  snapshot_iterations=range(2, steps + 1))
+    history = run(run_cfg, GroundTruth(rho, threshold))
     if history.status == "stalled":
         log.warning("rollout abandoned at step %d: no candidates",
                     len(history.records))
         return []
-    # snapshot t holds the reward posterior on the first t samples
-    posteriors = [history.snapshots[t].reward for t in range(2, steps + 1)]
-    posteriors.append(gp_fit(history.samples, 0, cfg.noise_std, cfg.kernel))
+    # run pair t comes from the posterior on t samples; rows take 2..T + 1
     mask = global_mask(grid)
-    trace, rows = (), []
-    for post in posteriors:
-        trace = append_trace(trace, post, reciprocal_cov_integral(post, mask))
-        rows.append((encode_trace(trace, 2 * cfg.t_max), bound))
-    return rows
+    final = gp_fit(history.samples, 0, cfg.noise_std, cfg.kernel)
+    var = predictive({0: final}, mask.indices())[1]
+    trace = append_trace(history.traces["global", 0][1:], final,
+                         reciprocal_cov_integral(var, mask))
+    return [(encode_trace(trace[:k], 2 * cfg.t_max), bound)
+            for k in range(1, len(trace) + 1)]
 
 
 def generate_training_data(cfg: RolloutConfig, seed: int) -> TrainingSet:

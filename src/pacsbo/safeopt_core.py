@@ -199,10 +199,11 @@ class SafeOptState:
 
 
 def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
-                  seed_indices, exact_expanders: bool = False) -> SafeOptState:
+                  seed_indices, exact_expanders: bool = False,
+                  pred=None) -> SafeOptState:
     """Classify the masked grid for the current posteriors and bounds; one
-    posterior over the mask serves the bounds and the expander test."""
-    pred = predictive(posteriors, mask.indices())
+    posterior over the mask (``pred`` if given) feeds bounds and expanders."""
+    pred = predictive(posteriors, mask.indices()) if pred is None else pred
     field = confidence_bounds(pred, betas, mask)
     safe, seeded = safe_set(field, seed_indices, mask)
     m = maximizers(field, safe)
@@ -210,15 +211,16 @@ def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
     return SafeOptState(field, safe, m, g, seeded)
 
 
-def select(posteriors: dict, bounds: dict, masks: dict, seed_indices,
-           noise_std: float, delta: float, exact_expanders: bool = False):
+def select(posteriors: dict, preds: dict, bounds: dict, masks: dict,
+           seed_indices, noise_std: float, delta: float,
+           exact_expanders: bool = False):
     """Most uncertain candidate over a sequence of regions.
 
-    ``masks`` maps region labels to masks, in region order, and ``bounds``
-    maps the same labels to ``{channel: norm bound}``. Each region is
-    classified under its own confidence scaling; a region that misses the
-    seed set contributes no candidates. Ties break toward the earlier
-    region, then the lower grid index.
+    ``masks`` maps region labels to masks, in region order, and ``preds``
+    and ``bounds`` map them to the mask's ``predictive`` and ``{channel:
+    norm bound}``. Each region is classified under its own confidence
+    scaling; a region that misses the seed set contributes no candidates.
+    Ties break toward the earlier region, then the lower grid index.
 
     Returns ``(choice, label, states)`` with the classification of every
     region in ``states``; ``choice`` and ``label`` are None when no region
@@ -230,7 +232,7 @@ def select(posteriors: dict, bounds: dict, masks: dict, seed_indices,
         betas = {i: beta_scale(bounds[label][i], noise_std, gammas[i], delta)
                  for i in posteriors}
         st = compute_state(posteriors, betas, mask, seed_indices,
-                           exact_expanders)
+                           exact_expanders, preds[label])
         states[label] = st
         if not st.seeded:
             continue

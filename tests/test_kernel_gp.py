@@ -179,7 +179,9 @@ def test_prior_posterior():
     mean, var = gp_predict(post, np.arange(grid.num_points))
     assert np.all(mean == 0.0) and np.all(var == 1.0)
     assert info_gain(post) == 0.0
-    assert reciprocal_cov_integral(post, global_mask(grid)) == pytest.approx(1.0, abs=1e-12)
+    mask = global_mask(grid)
+    var = predictive({0: post}, mask.indices())[1]
+    assert reciprocal_cov_integral(var, mask) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         mean_rkhs_norm(post)
 
@@ -315,7 +317,9 @@ def test_reciprocal_cov_integral_three_point_grid():
     grid = GridDomain.uniform(3)
     s = make_samples(grid, [1], [0.0])
     post = gp_fit(s, 0, 0.1, CFG)
-    r = reciprocal_cov_integral(post, global_mask(grid))
+    mask = global_mask(grid)
+    r = reciprocal_cov_integral(predictive({0: post}, mask.indices())[1],
+                                mask)
     assert r == pytest.approx(THREE_PT_RECIPROCAL, abs=1e-10)
     # an empty region or one of the wrong length is no mask at all
     with pytest.raises(ValueError, match="empty"):
@@ -333,7 +337,8 @@ def test_reciprocal_cov_integral_grows_with_data():
     r_prev = 0.0
     for n in (2, 5, 10):
         post = gp_fit(make_samples(grid, idx[:n], y[:n]), 0, 0.05, CFG)
-        r = reciprocal_cov_integral(post, mask)
+        r = reciprocal_cov_integral(predictive({0: post}, mask.indices())[1],
+                                    mask)
         assert r > r_prev
         r_prev = r
 

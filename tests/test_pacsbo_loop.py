@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pacsbo.kernel_gp as kernel_mod
 import pacsbo.pacsbo_loop as loop_mod
 import pacsbo.safeopt_core as core_mod
 from pacsbo.errors import ConfigError
@@ -14,7 +15,7 @@ from pacsbo.kernel_gp import (
     SampleSet,
     gp_fit,
     info_gain,
-    reciprocal_cov_integral,
+    predictive,
 )
 from pacsbo.pac_estimator import PacConfig
 from pacsbo.pacsbo_loop import (
@@ -320,22 +321,30 @@ def test_global_trace_r_nondecreasing():
             assert len(state.traces[(label, i)]) == cfg.budget
 
 
-def test_one_covariance_integral_per_region_and_step(monkeypatch):
-    # the posterior variance is the same for every channel, so each region
-    # integrates it once per step and pushes the value onto both traces
+@pytest.mark.parametrize("algorithm", ["pacsbo", "safeopt"])
+def test_one_predictive_per_region_and_step(monkeypatch, algorithm):
+    # one posterior over each region serves its covariance integral, its
+    # confidence bounds and its expander test
     grid = GridDomain.uniform(25)
     truth, s0 = make_truth(grid, seed=4)
     cfg = pacsbo_config(grid, s0, budget=3, seed=6)
+    if algorithm == "safeopt":
+        cfg = replace(cfg, algorithm="safeopt", fixed_bound=1.0)
     calls = []
 
-    def counting(post, mask):
-        calls.append(mask.label)
-        return reciprocal_cov_integral(post, mask)
+    def counting(posteriors, query):
+        calls.append(len(query))
+        return predictive(posteriors, query)
 
-    monkeypatch.setattr(loop_mod, "reciprocal_cov_integral", counting)
+    for mod in (kernel_mod, loop_mod, core_mod):
+        monkeypatch.setattr(mod, "predictive", counting, raising=False)
     hist = run(cfg, truth)
-    assert len(hist.records) == 3
-    assert sorted(calls) == sorted(["tilde", "hat", "global"] * 3)
+    assert len(hist.records) == cfg.budget
+    samples, expected = _initial_state(cfg, truth).samples, []
+    for rec in hist.records:
+        expected += [m.count for m in loop_mod.regions(cfg, samples).values()]
+        samples = samples.append(rec.chosen, rec.measured)
+    assert calls == expected
 
 
 def test_run_longer_than_the_predictor_window():
@@ -393,9 +402,9 @@ def test_history_helpers():
                                                       1, 1, 0)},
                             1.0, False, 99.0)
     assert rec == other  # wall time never affects history comparison
-    hist = RunHistory((rec,), "completed", 1.0, None, {})
+    hist = RunHistory((rec,), "completed", 1.0, None, {}, {})
     assert len(hist.records) == 1 and not hist.any_unsafe()
     unsafe = IterationRecord(1, 4, "tilde", {0: 0.1, 1: -0.2},
                              rec.partitions, 1.0, True, 0.0)
-    assert RunHistory((rec, unsafe), "completed", 1.0, None,
+    assert RunHistory((rec, unsafe), "completed", 1.0, None, {},
                       {}).any_unsafe()

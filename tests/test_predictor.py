@@ -16,6 +16,7 @@ from pacsbo.kernel_gp import (
     SampleSet,
     gp_fit,
     mean_rkhs_norm,
+    predictive,
     reciprocal_cov_integral,
     with_targets,
 )
@@ -36,6 +37,12 @@ from pacsbo.predictor import (
 from pacsbo.subdomain import global_mask
 
 
+def cov_integral(post, mask):
+    """Reciprocal covariance integral of ``post`` over ``mask``."""
+    var = predictive({0: post}, mask.indices())[1]
+    return reciprocal_cov_integral(var, mask)
+
+
 def test_append_preserves_order():
     grid = GridDomain.uniform(20)
     mask = global_mask(grid)
@@ -43,10 +50,10 @@ def test_append_preserves_order():
     one = gp_fit(SampleSet(grid, [3], {0: [0.5], 1: [0.5]}), 0, 0.01, kernel)
     two = gp_fit(SampleSet(grid, [3, 12], {0: [0.5, -0.2], 1: [0.5, -0.2]}),
                  0, 0.01, kernel)
-    t = append_trace(append_trace((), one, reciprocal_cov_integral(one, mask)),
-                     two, reciprocal_cov_integral(two, mask))
-    assert t == ((mean_rkhs_norm(one), reciprocal_cov_integral(one, mask)),
-                 (mean_rkhs_norm(two), reciprocal_cov_integral(two, mask)))
+    t = append_trace(append_trace((), one, cov_integral(one, mask)),
+                     two, cov_integral(two, mask))
+    assert t == ((mean_rkhs_norm(one), cov_integral(one, mask)),
+                 (mean_rkhs_norm(two), cov_integral(two, mask)))
 
 
 def test_encode_keeps_newest_pairs():
@@ -193,8 +200,9 @@ def test_rollout_fits_each_sample_set_and_channel_once(monkeypatch):
 def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):
     runs, real = [], loop_mod.run
 
-    def recording(cfg, truth, snapshot_iterations=()):
-        history = real(cfg, truth, snapshot_iterations)
+    def recording(cfg, truth, *args, **kwargs):
+        assert not args and not kwargs  # a rollout asks for no snapshots
+        history = real(cfg, truth)
         runs.append((cfg, truth, history))
         return history
 
@@ -208,21 +216,29 @@ def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):
         assert len(run_cfg.s0_indices) == 1
         assert run_cfg.budget == cfg.rollout_iters
         assert run_cfg.fixed_bound == data.labels[k * cfg.rollout_iters]
-        assert history.status == "completed"
+        assert history.status == "completed" and history.snapshots == {}
         samples = history.samples
         exact = np.array([truth.values(cfg.grid, j) for j in samples.indices])
         for i in (0, 1):
             # the loop's truncated noise stays within two scales
             err = np.abs(samples.targets(i) - exact[:, i])
             assert (err <= 2 * cfg.noise_std * (1 + 1e-9)).all()
-        trace = ()
-        for t in range(2, len(samples) + 1):
+        trace, refits = (), []
+        for t in range(1, len(samples) + 1):
             first = SampleSet(cfg.grid, samples.indices[:t],
                               {i: samples.targets(i)[:t] for i in (0, 1)})
             post = gp_fit(first, 0, cfg.noise_std, cfg.kernel)
-            trace = append_trace(trace, post,
-                                 reciprocal_cov_integral(post, mask))
-            rows.append(encode_trace(trace, 2 * cfg.t_max))
+            r = cov_integral(post, mask)
+            refits.append((mean_rkhs_norm(post), r))
+            if t >= 2:
+                trace = append_trace(trace, post, r)
+                rows.append(encode_trace(trace, 2 * cfg.t_max))
+        # the run's own trace holds one pair per step, from the posterior
+        # on the samples measured before it
+        got = history.traces["global", 0]
+        assert len(got) == run_cfg.budget
+        assert (np.array(got).tobytes()
+                == np.array(refits[:run_cfg.budget]).tobytes())
     np.testing.assert_array_equal(data.inputs, np.stack(rows))
 
 

@@ -496,10 +496,14 @@ STATE_DIGESTS = {
 @pytest.mark.parametrize("dims", [1, 2])
 @pytest.mark.parametrize("exact", [False, True])
 def test_compute_state_outputs_pinned_bitwise(dims, exact):
+    # the loop hands in the region's posterior; the five-argument call
+    # (the benchmark's replay) predicts it
     posteriors, betas, mask, seed = digest_case(dims)
-    state = compute_state(posteriors, betas, mask, seed, exact)
-    assert 0 < state.expander_set.sum() < state.safe.sum() < mask.count
-    assert state_digests(state) == STATE_DIGESTS[dims, exact]
+    pred = mask_predictive(posteriors, mask)
+    for state in (compute_state(posteriors, betas, mask, seed, exact),
+                  compute_state(posteriors, betas, mask, seed, exact, pred)):
+        assert 0 < state.expander_set.sum() < state.safe.sum() < mask.count
+        assert state_digests(state) == STATE_DIGESTS[dims, exact]
 
 
 @pytest.mark.parametrize("dims", [1, 2])

@@ -32,6 +32,7 @@ from .kernel_gp import (
 )
 from .pac_estimator import PacConfig, estimate_upper_bound, hoeffding_width
 from .pacsbo_loop import (
+    CHANNELS,
     PARTITION_ORDER,
     GroundTruth,
     RunConfig,
@@ -55,7 +56,7 @@ from .rkhs_function import (
 from .seeding import derive_rng
 from .subdomain import global_mask, partition_masks
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 S0_MARGIN = 0.1  # least true constraint value of a start-set point
 SCENARIOS = ("fig3_thresholds", "compare_conservative", "compare_optimistic",
              "synthetic2d", "hoeffding_mc")
@@ -391,7 +392,8 @@ def record_header(dim: int) -> list:
     for label in PARTITION_ORDER:
         cols += [f"B_{label}", f"q_{label}", f"escalated_{label}",
                  f"S_{label}", f"M_{label}", f"G_{label}"]
-    cols.append("best_so_far")
+    cols += ["best_so_far", "chosen_partition"]
+    cols += [f"B_{label}_{i}" for label in PARTITION_ORDER for i in CHANNELS]
     return cols
 
 
@@ -410,7 +412,11 @@ def history_rows(spec_seed: int, algorithm: str, grid: GridDomain,
             else:
                 row += [f"{st.bound:.10g}", st.q_used, int(st.escalated),
                         st.safe_count, st.maximizer_count, st.expander_count]
-        row.append(f"{rec.best_safe_reward:.10g}")
+        row += [f"{rec.best_safe_reward:.10g}", rec.chosen_partition]
+        for label in PARTITION_ORDER:
+            st = rec.partitions.get(label)
+            row += ([""] * len(CHANNELS) if st is None else
+                    [f"{b:.10g}" for b in st.channel_bounds])
         rows.append(row)
     return rows
 

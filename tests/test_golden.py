@@ -61,7 +61,7 @@ TINY_BUDGET = dict(q_init=20, q_max=40)
 EXACT = re.compile(r"(schema_version|seed|algorithm|iteration|[ax]\d+|unsafe"
                    r"|any_unsafe|iters_to_fraction|total_samples|sampled"
                    r"|tilde|hat|q_\w+|escalated(_\w+)?|[SMG]_\w+"
-                   r"|num_samples|dim|region|channel|draw)")
+                   r"|num_samples|dim|region|channel|draw|chosen_partition)")
 # sampler pin: (grid resolution, sample indices) per dimension; the 2-D
 # hull is a polygon
 SAMPLER_SETS = {1: (100, [22, 30, 41, 57]),

@@ -353,6 +353,24 @@ class TestCompareScenario:
             assert float(r["B_global"]) == 2.5
             assert r["q_global"] == "0"
 
+    def test_decision_columns(self, compare_result):
+        spec, _ = compare_result
+        for algorithm in ("pacsbo", "safeopt"):
+            _, recs = read_csv_rows(
+                f"{spec.out_dir}/records_{algorithm}_seed0.csv")
+            for r in recs:
+                assert r[f"B_{r['chosen_partition']}"] != ""
+                for label in ("tilde", "hat", "global"):
+                    per_channel = [r[f"B_{label}_{i}"] for i in (0, 1)]
+                    if r[f"B_{label}"] == "":
+                        assert per_channel == ["", ""]
+                    else:
+                        assert (max(map(float, per_channel))
+                                == float(r[f"B_{label}"]))
+            if algorithm == "safeopt":
+                assert {r["chosen_partition"] for r in recs} == {"global"}
+                assert {r["B_global_1"] for r in recs} == {"2.5"}
+
     def test_snapshots_written(self, compare_result):
         spec, res = compare_result
         for algorithm in ("pacsbo", "safeopt"):

@@ -27,7 +27,9 @@ one process at a time. The output holds:
   first.
 
 ``--measure-sampler SRC`` is the per-tree worker: it imports ``pacsbo`` from
-``SRC`` and prints the sampler results of that tree as one JSON line.
+``SRC`` and prints the sampler results of that tree as one JSON line. It
+calls ``interpolating_norms`` with a channel tuple, so both trees must take
+one.
 
 ``BENCH_sampler.json`` holds a full run. ``BENCH_tailsum.json`` and
 ``BENCH_blasdraw.json`` hold only the end-to-end and Tier-1 sections, for
@@ -103,8 +105,8 @@ def measure_sampler(src: str) -> None:
         times = []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
-            norms = interpolating_norms(samples, 0, 0.01, kernel, mask, cfg,
-                                        (11, n), DRAWS)
+            norms = interpolating_norms(samples, (0,), 0.01, kernel, mask,
+                                        cfg, (11, n), DRAWS)
             times.append(time.perf_counter() - t0)
         out.append(dict(case=name, samples=n, mask_points=mask.count,
                         seconds=statistics.median(times),

@@ -30,7 +30,8 @@ from .kernel_gp import (
     gp_predict,
     mean_rkhs_norm,
 )
-from .pac_estimator import PacConfig, estimate_upper_bound, hoeffding_width
+from .pac_estimator import (DrawPool, PacConfig, estimate_upper_bound,
+                            hoeffding_width)
 from .pacsbo_loop import (
     CHANNELS,
     PARTITION_ORDER,
@@ -405,16 +406,15 @@ def history_rows(spec_seed: int, algorithm: str, grid: GridDomain,
         row += [f"{c:.10g}" for c in np.atleast_1d(grid.points[rec.chosen])]
         row += [f"{rec.measured[0]:.10g}", f"{rec.measured[1]:.10g}",
                 int(rec.unsafe)]
-        for label in PARTITION_ORDER:
-            st = rec.partitions.get(label)
+        stats = [rec.partitions.get(label) for label in PARTITION_ORDER]
+        for st in stats:
             if st is None:
                 row += ["", "", "", "", "", ""]
             else:
                 row += [f"{st.bound:.10g}", st.q_used, int(st.escalated),
                         st.safe_count, st.maximizer_count, st.expander_count]
         row += [f"{rec.best_safe_reward:.10g}", rec.chosen_partition]
-        for label in PARTITION_ORDER:
-            st = rec.partitions.get(label)
+        for st in stats:
             row += ([""] * len(CHANNELS) if st is None else
                     [f"{b:.10g}" for b in st.channel_bounds])
         rows.append(row)
@@ -521,9 +521,9 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
                 y = v + float(eps[len(samples)])
                 samples = samples.append(int(j), {0: y, 1: y})
             guess = mean_rkhs_norm(gp_fit(samples, 0, noise, kernel))
-            res = estimate_upper_bound(guess, samples, 0, noise, kernel,
-                                       mask, delta=delta, cfg=pac,
-                                       seed_path=(seed, "fig3", m))
+            pool = DrawPool(samples, (0,), noise, kernel, mask, pac.sampler,
+                            (seed, "fig3", m))
+            res = estimate_upper_bound(guess, pool, 0, delta=delta, cfg=pac)
             rows.append((seed, m, guess, res))
         per_seed.append(rows)
     header = ["schema_version", "seed", "num_samples", "initial_guess",

@@ -7,10 +7,10 @@ confidence width. If the budget of draws runs out before acceptance, B is
 escalated by the safety factor ``F_SAFETY`` until the test passes and the
 result is flagged as escalated.
 
-Draw j of a call is the j-th block of raw words of one PCG64 stream seeded
-by ``seed_path`` (layout in :mod:`pacsbo.rkhs_function`), so pooling more
-draws extends the earlier ones exactly and the outcome does not depend on
-how batches are scheduled.
+A :class:`DrawPool` holds one region's draws for all of its channels
+(stream layout in :mod:`pacsbo.rkhs_function`). Growing it extends the
+earlier draws exactly, so no channel's outcome depends on how batches are
+scheduled or on which channels share the pool.
 """
 
 from __future__ import annotations
@@ -70,37 +70,44 @@ class PacResult:
             raise ValueError("non-escalated bound below the acceptance level")
 
 
-def estimate_upper_bound(start: float, samples: SampleSet, i: int,
-                         noise_std: float, kernel: KernelConfig,
-                         mask: DomainMask, *, delta: float, cfg: PacConfig,
-                         seed_path: tuple) -> PacResult:
-    """Run the accept-or-grow loop for channel ``i`` on the masked region.
+class DrawPool:
+    """One region's :func:`interpolating_norms` per channel, drawn on demand."""
+
+    def __init__(self, samples: SampleSet, channels: tuple, noise_std: float,
+                 kernel: KernelConfig, mask: DomainMask, cfg: SamplerConfig,
+                 seed_path: tuple):
+        self._args = samples, channels, noise_std, kernel, mask, cfg, seed_path
+        self._norms = np.empty((len(channels), 0))  # one row per channel
+
+    def norms(self, i: int, count: int) -> np.ndarray:
+        """Norms of the first ``count`` draws fitted to channel ``i``."""
+        have = self._norms.shape[1]
+        if count > have:
+            more = interpolating_norms(*self._args, count - have, have)
+            self._norms = np.concatenate([self._norms, more.T], axis=1)
+        return self._norms[self._args[1].index(i), :count]
+
+
+def estimate_upper_bound(start: float, pool: DrawPool, i: int, *,
+                         delta: float, cfg: PacConfig) -> PacResult:
+    """Run the accept-or-grow loop for channel ``i`` on ``pool``'s region.
 
     ``start`` is the candidate bound (the trained predictor's output in the
     loop); ``delta`` is the confidence level of this one call (the loop
-    splits its own over regions and channels); ``seed_path`` roots the
-    deterministic draw seeds. Tail centers of the drawn functions are
-    restricted to the mask.
+    splits its own over regions and channels). Batches of ``cfg.q_init``
+    draws are read from the pool up to the first ``q`` past ``cfg.q_max``.
     """
     start = float(start)
     if not math.isfinite(start):
         raise NumericError(f"predicted norm bound is not finite: {start}")
     bound = max(start, float(np.finfo(float).tiny))
 
-    norms = np.empty(0)
-    while True:
-        norms = np.concatenate([norms, interpolating_norms(
-            samples, i, noise_std, kernel, mask, cfg.sampler, seed_path,
-            cfg.q_init, start_index=len(norms))])
-        q = len(norms)
+    for q in range(cfg.q_init, cfg.q_max + cfg.q_init + 1, cfg.q_init):
+        norms = pool.norms(i, q)
         mean = float(np.mean(norms))
-        width = hoeffding_width(delta, q,
-                                float(norms.max() - norms.min()))
+        width = hoeffding_width(delta, q, float(norms.max() - norms.min()))
         if bound >= mean + width:
             return PacResult(bound, q, mean, width, escalated=False)
-        if q > cfg.q_max:
-            break
-
     while bound < mean + width:
         bound *= F_SAFETY
     return PacResult(bound, q, mean, width, escalated=True)

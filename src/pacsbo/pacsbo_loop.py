@@ -30,7 +30,7 @@ from .kernel_gp import (
     reciprocal_cov_integral,
     with_targets,
 )
-from .pac_estimator import PacConfig, PacResult, estimate_upper_bound
+from .pac_estimator import DrawPool, PacConfig, PacResult, estimate_upper_bound
 from .predictor import MlpPredictor, append_trace, predict_norm
 from .rkhs_function import RkhsFunction
 from .safeopt_core import select
@@ -191,8 +191,8 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     (None, None, None) when no region offers a candidate.
 
     Each region's one ``predictive`` feeds its traces and ``select``; the
-    main loop estimates a bound per region and channel, the baseline uses
-    its fixed bound everywhere.
+    main loop estimates a bound per region and channel from the region's one
+    :class:`DrawPool`, the baseline uses its fixed bound everywhere.
     """
     t0 = time.monotonic()
     masks = regions(cfg, state.samples)
@@ -205,12 +205,14 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     for p_idx, (label, mask) in enumerate(masks.items()):
         preds[label] = predictive(posteriors, mask.indices())
         r = reciprocal_cov_integral(preds[label][1], mask)
+        pool = DrawPool(state.samples, CHANNELS, cfg.noise_std, cfg.kernel,
+                        mask, cfg.pac.sampler,
+                        (cfg.seed, "pac", state.iteration, p_idx))
         for i in CHANNELS:
             traces[label, i] = append_trace(traces[label, i], posteriors[i], r)
             results[label, i] = fixed or estimate_upper_bound(
-                predict_norm(cfg.predictor, traces[label, i]), state.samples,
-                i, cfg.noise_std, cfg.kernel, mask, delta=delta, cfg=cfg.pac,
-                seed_path=(cfg.seed, "pac", state.iteration, p_idx, i))
+                predict_norm(cfg.predictor, traces[label, i]), pool, i,
+                delta=delta, cfg=cfg.pac)
 
     bounds = {label: {i: results[label, i].bound for i in CHANNELS}
               for label in masks}

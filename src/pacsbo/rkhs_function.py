@@ -148,16 +148,15 @@ def _tail_region(samples: SampleSet, cfg: SamplerConfig,
     return mask.indices()
 
 
-def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
+def interpolating_norms(samples: SampleSet, channels: tuple, noise_std: float,
                         kernel: KernelConfig, mask: DomainMask,
                         cfg: SamplerConfig, seed_path: tuple, count: int,
                         start_index: int = 0) -> np.ndarray:
-    """Norms of ``count`` interpolating draws, evaluated in chunks of
-    ``_CHUNK`` draws.
-
-    Draw ``j`` of the result is draw ``start_index + j`` of ``seed_path``
-    (see the module docstring), so results do not depend on chunking or on
-    how callers schedule the work.
+    """Norms of ``count`` interpolating draws in chunks of ``_CHUNK``: entry
+    ``(j, k)`` is draw ``start_index + j`` of ``seed_path`` (see the module
+    docstring) fitted to channel ``channels[k]``. Channels share each draw's
+    tail and noise, so a column is bitwise a call for its channel alone, and
+    no norm depends on chunking or on how callers schedule the work.
 
     Every kernel block is read from the grid's :func:`lattice_table`. A
     draw's tail enters only as ``cross_alpha`` (N,), the sample-tail kernel
@@ -189,7 +188,7 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
         pair = np.empty((n + num_tail, num_tail), dtype=code.dtype)
         block = np.empty((n + num_tail, num_tail))
 
-    norms = np.empty(count)
+    norms = np.empty((count, len(channels)))
     draws = _draws(seed_path, start_index, count, m, noise_std, num_tail, n)
     for lo, (tails, tail_u, eps) in zip(range(0, count, _CHUNK), draws):
         c = len(tails)  # tails: (c, T) member positions
@@ -209,9 +208,10 @@ def interpolating_norms(samples: SampleSet, i: int, noise_std: float,
                 np.take(table, pair, out=block, mode="clip")
                 prod = block @ alpha
                 cross_alpha[j], tail_sq[j] = prod[:n], alpha @ prod[n:]
-        rhs = (samples.targets(i) + eps) - cross_alpha
-        head = sla.cho_solve((chol, True), rhs.T).T[:, None, :]  # (c, 1, N)
-        sq = (np.matmul(np.matmul(head, gram_aa), head.transpose(0, 2, 1))
-              + 2.0 * np.matmul(head, cross_alpha[:, :, None]))[:, 0, 0]
-        norms[lo:lo + c] = np.sqrt(np.maximum(sq + tail_sq, 0.0))
+        for k, i in enumerate(channels):
+            rhs = (samples.targets(i) + eps) - cross_alpha
+            head = sla.cho_solve((chol, True), rhs.T).T[:, None, :]  # (c,1,N)
+            sq = (np.matmul(np.matmul(head, gram_aa), head.transpose(0, 2, 1))
+                  + 2.0 * np.matmul(head, cross_alpha[:, :, None]))[:, 0, 0]
+            norms[lo:lo + c, k] = np.sqrt(np.maximum(sq + tail_sq, 0.0))
     return norms

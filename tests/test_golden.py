@@ -147,8 +147,8 @@ def sampler_rows(dim, resolution, idx,
         if mask.label not in labels:
             continue
         for i in (0, 1):
-            norms = interpolating_norms(samples, i, 0.01, kernel, mask,
-                                        SamplerConfig(), (7, dim, i), 64)
+            norms = interpolating_norms(samples, (i,), 0.01, kernel, mask,
+                                        SamplerConfig(), (7, dim, i), 64)[:, 0]
             rows += [[dim, mask.label, i, j, f"{v:.17g}"]
                      for j, v in enumerate(norms)]
     return rows

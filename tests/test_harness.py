@@ -25,7 +25,7 @@ from pacsbo.kernel_gp import (
     gp_fit,
     mean_rkhs_norm,
 )
-from pacsbo.pac_estimator import PacConfig, estimate_upper_bound
+from pacsbo.pac_estimator import DrawPool, PacConfig, estimate_upper_bound
 from pacsbo.predictor import save_predictor
 from pacsbo.rkhs_function import (
     SamplerConfig,
@@ -278,11 +278,10 @@ class TestFig3Scenario:
                 float(eps[k])
             samples = samples.append(int(j), {0: y, 1: y})
         guess = mean_rkhs_norm(gp_fit(samples, 0, 0.001, kernel))
-        res = estimate_upper_bound(
-            guess, samples, 0, 0.001, kernel, global_mask(grid),
-            delta=0.1, cfg=PacConfig(q_init=50, q_max=150,
-                                     sampler=SamplerConfig(15, 1.0)),
-            seed_path=(1, "fig3", 6))
+        cfg = PacConfig(q_init=50, q_max=150, sampler=SamplerConfig(15, 1.0))
+        pool = DrawPool(samples, (0,), 0.001, kernel, global_mask(grid),
+                        cfg.sampler, (1, "fig3", 6))
+        res = estimate_upper_bound(guess, pool, 0, delta=0.1, cfg=cfg)
         assert float(row["accepted_bound"]) == pytest.approx(res.bound,
                                                              rel=1e-9)
         assert int(row["q_used"]) == res.q_used

@@ -7,6 +7,7 @@ from pacsbo.errors import NumericError
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
 from pacsbo.pac_estimator import (
     F_SAFETY,
+    DrawPool,
     PacConfig,
     PacResult,
     estimate_upper_bound,
@@ -72,13 +73,18 @@ def setup_problem(num_samples=3, resolution=60):
     return grid, kernel, samples
 
 
+def estimate(start, samples, kernel, mask, cfg, seed_path, noise_std=0.01):
+    """Channel 0's accept-or-grow on a pool of its own."""
+    pool = DrawPool(samples, (0,), noise_std, kernel, mask, cfg.sampler,
+                    seed_path)
+    return estimate_upper_bound(start, pool, 0, delta=DELTA, cfg=cfg)
+
+
 def test_generous_start_accepts_first_batch():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=50, q_max=200,
                     sampler=SamplerConfig(num_centers=30))
-    res = estimate_upper_bound(1e6, samples, 0, 0.01, kernel,
-                               global_mask(grid), delta=DELTA, cfg=cfg,
-                               seed_path=(0, 5))
+    res = estimate(1e6, samples, kernel, global_mask(grid), cfg, (0, 5))
     assert res.bound == 1e6
     assert res.q_used == cfg.q_init
     assert not res.escalated
@@ -90,9 +96,7 @@ def test_tiny_start_escalates_geometrically():
     cfg = PacConfig(q_init=50, q_max=100,
                     sampler=SamplerConfig(num_centers=30))
     start = 0.01
-    res = estimate_upper_bound(start, samples, 0, 0.01, kernel,
-                               global_mask(grid), delta=DELTA, cfg=cfg,
-                               seed_path=(0, 6))
+    res = estimate(start, samples, kernel, global_mask(grid), cfg, (0, 6))
     assert res.escalated
     level = res.empirical_mean + res.width
     assert res.bound >= level
@@ -107,9 +111,7 @@ def test_escalation_uses_one_overshoot_batch():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=40, q_max=120,
                     sampler=SamplerConfig(num_centers=30))
-    res = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel,
-                               global_mask(grid), delta=DELTA, cfg=cfg,
-                               seed_path=(0, 7))
+    res = estimate(1e-12, samples, kernel, global_mask(grid), cfg, (0, 7))
     assert res.escalated
     assert res.q_used == 160  # 40, 80, 120, then the overshoot batch
 
@@ -121,11 +123,10 @@ def test_pooled_draws_match_direct_batch():
     # a start that forces exactly two batches: above the 60-draw level but
     # below the 30-draw level is hard to hand-tune, so instead compare the
     # estimator's reported mean against the direct pooled computation
-    res = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel,
-                               global_mask(grid), delta=DELTA, cfg=cfg,
-                               seed_path=(3, 1))
-    direct = interpolating_norms(samples, 0, 0.01, kernel, global_mask(grid),
-                                 sampler, (3, 1), res.q_used)
+    res = estimate(1e-12, samples, kernel, global_mask(grid), cfg, (3, 1))
+    direct = interpolating_norms(samples, (0,), 0.01, kernel,
+                                 global_mask(grid), sampler, (3, 1),
+                                 res.q_used)
     assert res.empirical_mean == pytest.approx(float(direct.mean()), abs=1e-12)
     assert res.width == pytest.approx(
         hoeffding_width(DELTA, res.q_used,
@@ -135,12 +136,8 @@ def test_pooled_draws_match_direct_batch():
 def test_determinism_across_calls():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=25, q_max=50, sampler=SamplerConfig(num_centers=25))
-    a = estimate_upper_bound(2.5, samples, 0, 0.01, kernel,
-                             global_mask(grid), delta=DELTA, cfg=cfg,
-                             seed_path=(9, 0))
-    b = estimate_upper_bound(2.5, samples, 0, 0.01, kernel,
-                             global_mask(grid), delta=DELTA, cfg=cfg,
-                             seed_path=(9, 0))
+    a = estimate(2.5, samples, kernel, global_mask(grid), cfg, (9, 0))
+    b = estimate(2.5, samples, kernel, global_mask(grid), cfg, (9, 0))
     assert a == b
 
 
@@ -148,20 +145,15 @@ def test_non_finite_start_raises():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=10, q_max=20, sampler=SamplerConfig(num_centers=20))
     with pytest.raises(NumericError):
-        estimate_upper_bound(float("nan"), samples, 0, 0.01, kernel,
-                             global_mask(grid), delta=DELTA, cfg=cfg,
-                             seed_path=(1,))
+        estimate(float("nan"), samples, kernel, global_mask(grid), cfg, (1,))
 
 
 def test_region_restriction_respected():
     grid, kernel, samples = setup_problem(num_samples=2, resolution=50)
     _, hat, _ = partition_masks(samples)
     cfg = PacConfig(q_init=20, q_max=40, sampler=SamplerConfig(num_centers=20))
-    res_hat = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel, hat,
-                                   delta=DELTA, cfg=cfg, seed_path=(4, 2))
-    res_all = estimate_upper_bound(1e-12, samples, 0, 0.01, kernel,
-                                   global_mask(grid), delta=DELTA, cfg=cfg,
-                                   seed_path=(4, 2))
+    res_hat = estimate(1e-12, samples, kernel, hat, cfg, (4, 2))
+    res_all = estimate(1e-12, samples, kernel, global_mask(grid), cfg, (4, 2))
     # same seeds, different tail-center regions: distinct distributions
     assert res_hat.empirical_mean != res_all.empirical_mean
 
@@ -190,12 +182,11 @@ def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
         tilde, _, everywhere = partition_masks(samples)
         for mask in (tilde, everywhere):
             path = (truth_seed, m, mask.label)
-            mu = float(interpolating_norms(samples, 0, 0.001, kernel, mask,
+            mu = float(interpolating_norms(samples, (0,), 0.001, kernel, mask,
                                            sampler, path + ("mean",),
                                            20000).mean())
             for start in (0.999 * mu, 0.5 * mu):
-                below = sum(estimate_upper_bound(
-                    start, samples, 0, 0.001, kernel, mask, delta=DELTA,
-                    cfg=cfg, seed_path=path + (c,)).bound < mu
-                    for c in range(calls))
+                below = sum(estimate(start, samples, kernel, mask, cfg,
+                                     path + (c,), noise_std=0.001).bound < mu
+                            for c in range(calls))
                 assert below <= DELTA * calls, (m, mask.label, start / mu)

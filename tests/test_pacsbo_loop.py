@@ -7,6 +7,7 @@ import pytest
 
 import pacsbo.kernel_gp as kernel_mod
 import pacsbo.pacsbo_loop as loop_mod
+import pacsbo.rkhs_function as rkhs_mod
 import pacsbo.safeopt_core as core_mod
 from pacsbo.errors import ConfigError
 from pacsbo.kernel_gp import (
@@ -17,7 +18,12 @@ from pacsbo.kernel_gp import (
     info_gain,
     predictive,
 )
-from pacsbo.pac_estimator import PacConfig
+from pacsbo.pac_estimator import (
+    F_SAFETY,
+    PacConfig,
+    PacResult,
+    hoeffding_width,
+)
 from pacsbo.pacsbo_loop import (
     CHANNELS,
     GroundTruth,
@@ -32,6 +38,7 @@ from pacsbo.pacsbo_loop import (
 from pacsbo.predictor import MlpPredictor
 from pacsbo.rkhs_function import (
     SamplerConfig,
+    interpolating_norms,
     rkhs_norm,
     sample_random_function,
     scale_to_norm,
@@ -345,6 +352,64 @@ def test_one_predictive_per_region_and_step(monkeypatch, algorithm):
         expected += [m.count for m in loop_mod.regions(cfg, samples).values()]
         samples = samples.append(rec.chosen, rec.measured)
     assert calls == expected
+
+
+def accept_or_grow(start, column, delta, cfg):
+    """Reference accept-or-grow on ``column(q)``, the first q norms."""
+    bound, q = start, 0
+    while True:
+        q += cfg.q_init
+        norms = column(q)
+        mean = float(np.mean(norms))
+        width = hoeffding_width(delta, q, float(norms.max() - norms.min()))
+        if bound >= mean + width:
+            return PacResult(bound, q, mean, width, escalated=False)
+        if q > cfg.q_max:
+            break
+    while bound < mean + width:
+        bound *= F_SAFETY
+    return PacResult(bound, q, mean, width, escalated=True)
+
+
+def test_a_step_draws_one_stream_per_region(monkeypatch):
+    """Both channels of a region read one draw stream, seeded
+    ``(seed, "pac", t, p_idx)``, and each channel's result is the
+    accept-or-grow on its column of that stream. At this start the
+    constraint channel grows each pool past the reward channel's need."""
+    grid = GridDomain.uniform(40)
+    truth, s0 = make_truth(grid)
+    cfg = replace(pacsbo_config(grid, s0, seed=5),
+                  predictor=constant_predictor(0.7))
+    state = pacsbo_step(cfg, _initial_state(cfg, truth), truth)[0]
+    masks = list(loop_mod.regions(cfg, state.samples).values())
+    paths, calls = [], []
+    draws, estimate = rkhs_mod._draws, loop_mod.estimate_upper_bound
+
+    def opening(seed_path, *args):
+        paths.append(seed_path)
+        return draws(seed_path, *args)
+
+    def recording(start, *args, **kw):  # args[1] is the channel
+        calls.append((start, args[1], estimate(start, *args, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(rkhs_mod, "_draws", opening)
+    monkeypatch.setattr(loop_mod, "estimate_upper_bound", recording)
+    pacsbo_step(cfg, state, truth)
+    assert sorted(set(paths)) == [(5, "pac", 1, p) for p in range(3)]
+    assert [i for _, i, _ in calls] == list(CHANNELS) * len(masks)
+    delta = cfg.delta / (len(masks) * len(CHANNELS))
+    monkeypatch.undo()
+    for k, (start, i, res) in enumerate(calls):
+        p_idx = k // len(CHANNELS)
+
+        def column(q):
+            return np.ascontiguousarray(interpolating_norms(
+                state.samples, CHANNELS, cfg.noise_std, KER, masks[p_idx],
+                cfg.pac.sampler, (5, "pac", 1, p_idx), q)[:, i])
+
+        assert res == accept_or_grow(start, column, delta, cfg.pac)
+    assert [res.q_used for _, _, res in calls[:2]] == [25, 75]
 
 
 def test_run_longer_than_the_predictor_window():

@@ -198,8 +198,8 @@ def test_batched_norms_match_per_function_path():
     assert 300 > rkhs_function._CHUNK
     for s, mask in mask_cases():
         seed_path = (99, 1, mask.count)
-        batched = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, seed_path,
-                                      count=300)
+        batched = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg,
+                                      seed_path, count=300)[:, 0]
         singles = np.array([
             rkhs_norm(sample_interpolating_function(s, 0, 0.01, CFG, mask,
                                                     cfg, seed_path, j))
@@ -220,10 +220,11 @@ def test_batched_norms_start_index_gives_stable_pooling():
                          (*cases[2], SamplerConfig()),
                          (*cases[-1], SamplerConfig())):
         assert mask.label == "global"
-        full = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,), count=90)
-        part1 = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,),
+        full = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (7,),
+                                   count=90)
+        part1 = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (7,),
                                     count=70)
-        part2 = interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (7,),
+        part2 = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (7,),
                                     count=20, start_index=70)
         np.testing.assert_array_equal(full, np.concatenate([part1, part2]),
                                       err_msg=str(mask.count))
@@ -268,7 +269,7 @@ def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
         num_tail = cfg.num_centers - len(s)
         tracemalloc.start()
         try:
-            interpolating_norms(s, 0, 0.01, CFG, mask, cfg, (3,), count)
+            interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (3,), count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -278,14 +279,28 @@ def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
 @pytest.mark.parametrize("chunk", [1, 7, 64, 256])
 def test_norms_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     cases = list(mask_cases())
-    default = [interpolating_norms(s, 1, 0.01, CFG, mask, SamplerConfig(),
+    default = [interpolating_norms(s, (1,), 0.01, CFG, mask, SamplerConfig(),
                                    (6, mask.count), 300)
                for s, mask in cases]
     monkeypatch.setattr(rkhs_function, "_CHUNK", chunk)
     for (s, mask), want in zip(cases, default):
-        got = interpolating_norms(s, 1, 0.01, CFG, mask, SamplerConfig(),
+        got = interpolating_norms(s, (1,), 0.01, CFG, mask, SamplerConfig(),
                                   (6, mask.count), 300)
         assert np.array_equal(got, want), (mask.label, mask.count)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_channel_columns_equal_single_channel_calls(monkeypatch, chunk):
+    # both channels read one seed path; each column is bitwise the norms a
+    # call for that channel alone gives, on masks of 6 to 2500 points
+    monkeypatch.setattr(rkhs_function, "_CHUNK", chunk)
+    for s, mask in mask_cases():
+        args = (0.01, CFG, mask, SamplerConfig(), (8, mask.count), 70)
+        shared = interpolating_norms(s, (0, 1), *args, start_index=5)
+        assert shared.shape == (70, 2)
+        for k in (0, 1):
+            alone = interpolating_norms(s, (k,), *args, start_index=5)
+            assert np.array_equal(shared[:, k], alone[:, 0]), mask.count
 
 
 def test_gp_mean_norm_equals_weight_expansion_norm():
@@ -306,7 +321,7 @@ from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
 from pacsbo.subdomain import global_mask
 grid = GridDomain.uniform(50)
 s = SampleSet(grid, [10, 10, 30], {0: [0.2, 0.2, -0.1], 1: [0.0] * 3})
-interpolating_norms(s, 0, 0.01, KernelConfig(0.1), global_mask(grid),
+interpolating_norms(s, (0,), 0.01, KernelConfig(0.1), global_mask(grid),
                     SamplerConfig(20), (0,), count=4)
 """
 

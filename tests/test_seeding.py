@@ -113,7 +113,7 @@ def test_negative_component_raises_like_derive_rng(seed_path, first):
             derive_rng(*seed_path)
     s = sampler_case(100, [22, 30, 41, 57])
     with pytest.raises(ValueError):
-        interpolating_norms(s, 0, 0.01, KernelConfig(lengthscale=0.1),
+        interpolating_norms(s, (0,), 0.01, KernelConfig(lengthscale=0.1),
                             global_mask(s.grid), SamplerConfig(), seed_path,
                             3, start_index=first)
 
@@ -155,7 +155,7 @@ def test_threads_running_the_sampler_at_once_match_a_serial_run():
 
     def run(call):
         s, i, mask, seed_path = call
-        return interpolating_norms(s, i, 0.01, kernel, mask, cfg, seed_path,
+        return interpolating_norms(s, (i,), 0.01, kernel, mask, cfg, seed_path,
                                    150, start_index=3)
 
     serial = [run(c) for c in calls]
@@ -177,7 +177,7 @@ def test_sampler_norms_follow_the_per_draw_streams(monkeypatch):
     mask = global_mask(s.grid)
 
     def norms():
-        return interpolating_norms(s, 0, 0.01, kernel, mask, cfg, (2, "n"),
+        return interpolating_norms(s, (0,), 0.01, kernel, mask, cfg, (2, "n"),
                                    70, start_index=9)
 
     def per_draw_chunks(seed_path, first, count, *shape):

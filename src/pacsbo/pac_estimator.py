@@ -71,7 +71,7 @@ class PacResult:
 
 
 class DrawPool:
-    """One region's :func:`interpolating_norms` per channel, drawn on demand."""
+    """A region's :func:`interpolating_norms` per channel, drawn on demand."""
 
     def __init__(self, samples: SampleSet, channels: tuple, noise_std: float,
                  kernel: KernelConfig, mask: DomainMask, cfg: SamplerConfig,

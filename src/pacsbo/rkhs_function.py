@@ -6,9 +6,9 @@ uniformly on the grid and draws coefficients uniformly from
 ``[-coeff_bound, coeff_bound]``. An interpolating draw also pins the
 function to noisy measurements: the first ``N`` centers are the sample
 locations, with coefficients that solve the interpolation system, and the
-``T`` tail centers, drawn from a region mask, stay random. The spread of
-such data-consistent norms is what the PAC estimator concentrates over;
-:func:`interpolating_norms` returns them without building the functions.
+``T`` tail centers, drawn from a region mask, stay random. Only the first
+``N`` coefficients depend on the measurements, so :func:`interpolating_norms`
+fits each draw to every channel asked for; the PAC estimator reads the norms.
 
 Draw ``j`` of a seed path ``p`` is the ``W = 2T + N`` raw words from word
 ``j * W`` of one ``PCG64(SeedSequence(p))`` stream: ``T`` tail positions,

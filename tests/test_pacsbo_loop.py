@@ -404,9 +404,10 @@ def test_a_step_draws_one_stream_per_region(monkeypatch):
         p_idx = k // len(CHANNELS)
 
         def column(q):
-            return np.ascontiguousarray(interpolating_norms(
+            norms = interpolating_norms(
                 state.samples, CHANNELS, cfg.noise_std, KER, masks[p_idx],
-                cfg.pac.sampler, (5, "pac", 1, p_idx), q)[:, i])
+                cfg.pac.sampler, (5, "pac", 1, p_idx), q)
+            return np.ascontiguousarray(norms[:, CHANNELS.index(i)])
 
         assert res == accept_or_grow(start, column, delta, cfg.pac)
     assert [res.q_used for _, _, res in calls[:2]] == [25, 75]

@@ -29,6 +29,9 @@ from .subdomain import DomainMask
 
 # candidates per closed-form update in :func:`expanders`
 _BLOCK = 32
+# relative width gap within which acquisition candidates tie; mirror-image
+# grid points have equal widths in exact arithmetic and differ by rounding
+TIE_RTOL = 1e-9
 
 
 def beta_scale(bound: float, noise_std: float, gamma: float, delta: float) -> float:
@@ -165,17 +168,24 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
     return g
 
 
-def acquire(field: ConfidenceField, candidates: np.ndarray):
-    """Most uncertain candidate: argmax over max-channel interval width.
+def _widths(field: ConfidenceField, candidates: np.ndarray) -> np.ndarray:
+    """Max-channel interval width at each candidate, zero elsewhere."""
+    w = np.zeros(len(candidates))
+    w[candidates] = np.max([field.width(i)[candidates]
+                            for i in field.channels], axis=0)
+    return w
 
-    Ties break toward the lowest grid index. Returns None when the
-    candidate set is empty.
+
+def acquire(field: ConfidenceField, candidates: np.ndarray):
+    """Most uncertain candidate: the lowest grid index whose max-channel
+    interval width ties with the largest, that is reaches ``1 - TIE_RTOL``
+    times it. Returns None when the candidate set is empty.
     """
-    idx = np.flatnonzero(candidates)
-    if len(idx) == 0:
+    if not candidates.any():
         return None
-    widths = np.max([field.width(i)[idx] for i in field.channels], axis=0)
-    return int(idx[int(np.argmax(widths))])
+    w = _widths(field, candidates)
+    return int(np.flatnonzero(candidates
+                              & (w >= (1.0 - TIE_RTOL) * w.max()))[0])
 
 
 @dataclass(frozen=True)
@@ -220,30 +230,29 @@ def select(posteriors: dict, preds: dict, bounds: dict, masks: dict,
     and ``bounds`` map them to the mask's ``predictive`` and ``{channel:
     norm bound}``. Each region is classified under its own confidence
     scaling; a region that misses the seed set contributes no candidates.
-    Ties break toward the earlier region, then the lower grid index.
+    A candidate ties when its width reaches ``1 - TIE_RTOL`` times the
+    largest over all seeded regions; ties break toward the earlier region,
+    then the lower grid index.
 
     Returns ``(choice, label, states)`` with the classification of every
     region in ``states``; ``choice`` and ``label`` are None when no region
     has a candidate.
     """
     gammas = {i: info_gain(post) for i, post in posteriors.items()}
-    best, states = None, {}
-    for order, (label, mask) in enumerate(masks.items()):
+    states, widths = {}, {}
+    for label, mask in masks.items():
         betas = {i: beta_scale(bounds[label][i], noise_std, gammas[i], delta)
                  for i in posteriors}
         st = compute_state(posteriors, betas, mask, seed_indices,
                            exact_expanders, preds[label])
         states[label] = st
-        if not st.seeded:
-            continue
-        choice = acquire(st.field, st.candidates())
-        if choice is None:
-            continue
-        width = max(float(st.field.width(i)[choice])
-                    for i in st.field.channels)
-        key = (-width, order, choice)
-        if best is None or key < best[0]:
-            best = (key, choice, label)
-    if best is None:
-        return None, None, states
-    return best[1], best[2], states
+        if st.seeded:
+            widths[label] = _widths(st.field, st.candidates())
+    top = max((w.max() for w in widths.values()), default=0.0)
+    for label, w in widths.items():
+        st = states[label]
+        choice = acquire(st.field,
+                         st.candidates() & (w >= (1.0 - TIE_RTOL) * top))
+        if choice is not None:
+            return choice, label, states
+    return None, None, states

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 from conftest import constant_predictor, read_csv_rows
 
+from pacsbo import kernel_gp
 from pacsbo.harness import (
     ExperimentSpec,
     _grid_for,
@@ -62,6 +63,7 @@ EXACT = re.compile(r"(schema_version|seed|algorithm|iteration|[ax]\d+|unsafe"
                    r"|any_unsafe|iters_to_fraction|total_samples|sampled"
                    r"|tilde|hat|q_\w+|escalated(_\w+)?|[SMG]_\w+"
                    r"|num_samples|dim|region|channel|draw|chosen_partition)")
+DECISION = re.compile(r"a\d+|chosen_partition")
 # sampler pin: (grid resolution, sample indices) per dimension; the 2-D
 # hull is a polygon
 SAMPLER_SETS = {1: (100, [22, 30, 41, 57]),
@@ -191,6 +193,28 @@ def test_tiny_runs_match_golden_outputs(tmp_path):
     for name in want:
         diff = mismatch(want[name], got[name])
         assert not diff, f"{name} {diff}"
+
+
+def test_one_ulp_on_the_kernel_moves_no_decision(tmp_path, monkeypatch,
+                                                 request):
+    """Mirror-image grid points have equal widths in exact arithmetic, so
+    rounding must not pick between them: with every kernel value one ulp
+    up, each run chooses the same points in the same regions."""
+    real = kernel_gp.matern32
+    monkeypatch.setattr(kernel_gp, "matern32",
+                        lambda d, ls: np.nextafter(real(d, ls), np.inf))
+    for cache in (kernel_gp.lattice_table, kernel_gp._row_memo):
+        cache.cache_clear()
+        request.addfinalizer(cache.cache_clear)
+    produce(tmp_path)
+    want, got = tables(GOLDEN), tables(tmp_path)
+    records = [name for name in want if "records_" in name]
+    assert len(records) == 7
+    for name in records:
+        (header, rows), (_, got_rows) = want[name], got[name]
+        cols = [c for c in header if DECISION.fullmatch(c)]
+        assert ([[r[c] for c in cols] for r in got_rows]
+                == [[r[c] for c in cols] for r in rows]), name
 
 
 if __name__ == "__main__":

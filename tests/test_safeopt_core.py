@@ -20,6 +20,7 @@ from pacsbo.rkhs_function import SamplerConfig, sample_random_function, scale_to
 from pacsbo.safeopt_core import (
     _BLOCK,
     ConfidenceField,
+    SafeOptState,
     _boundary_candidates,
     acquire,
     beta_scale,
@@ -28,6 +29,7 @@ from pacsbo.safeopt_core import (
     expanders,
     maximizers,
     safe_set,
+    select,
 )
 from pacsbo.seeding import derive_rng
 from pacsbo.subdomain import DomainMask, global_mask
@@ -169,6 +171,41 @@ def test_acquire_hand_case_and_tie_break():
     assert acquire(flat, cand) == 0  # all widths equal: lowest index wins
     assert acquire(flat, np.array([False, False, True, True])) == 2
     assert acquire(field, np.zeros(4, dtype=bool)) is None
+
+
+def test_near_tied_widths_go_to_the_lower_index():
+    # 1e-12 relative apart is a tie; 1e-6 is not
+    upper = np.array([0.5, 0.5 * (1 + 1e-12), 0.5 * (1 - 1e-12), 0.4])
+    field = hand_field({0: np.zeros(4), 1: np.zeros(4)}, {0: upper, 1: upper})
+    assert acquire(field, np.ones(4, dtype=bool)) == 0
+    assert acquire(field, np.array([False, True, True, True])) == 1
+    upper[1] = 0.5 * (1 + 1e-6)
+    assert acquire(field, np.ones(4, dtype=bool)) == 1
+
+
+@pytest.mark.parametrize("gap, want", [(1e-12, (2, "first")),
+                                       (1e-6, (0, "second"))])
+def test_select_ties_go_to_the_earlier_region(gap, want, monkeypatch):
+    """The earlier region's lower tied index wins over a later region whose
+    candidate is wider by less than the tie tolerance."""
+    grid = GridDomain.uniform(4)
+    samples = SampleSet(grid, [0], {0: [0.0], 1: [0.0]})
+    posts = {i: gp_fit(samples, i, 0.1, KernelConfig()) for i in (0, 1)}
+    widths = {"first": [0.0, 0.0, 0.5, 0.5 * (1 + gap / 2)],
+              "second": [0.5 * (1 + gap), 0.4, 0.0, 0.0]}
+    states = {}
+    for label, w in widths.items():
+        cand = np.array(w) > 0
+        field = hand_field({0: np.zeros(4), 1: np.zeros(4)}, {0: w, 1: w})
+        states[label] = SafeOptState(field, cand, cand, cand, True)
+    monkeypatch.setattr(safeopt_core, "compute_state",
+                        lambda posteriors, betas, mask, *rest: states[mask])
+    masks = {label: label for label in widths}
+    bounds = {label: {0: 1.0, 1: 1.0} for label in widths}
+    preds = dict.fromkeys(widths)
+    choice, label, got = select(posts, preds, bounds, masks, [0], 0.1, 0.1)
+    assert (choice, label) == want
+    assert all(got[k] is st for k, st in states.items())
 
 
 def test_three_point_expander_hand_case():

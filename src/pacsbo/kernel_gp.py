@@ -12,8 +12,10 @@ The Gaussian process is the standard noisy-interpolation posterior
 
 computed through a Cholesky factorization of the regularized Gram matrix.
 The kernel is Matern 3/2 with unit output scale, so prior variance is one
-everywhere and posterior variances live in ``[0, 1]``. Posteriors are
-queried by grid index and read their kernel blocks from :func:`kernel_rows`.
+everywhere and posterior variances live in ``[0, 1]``. Every sample and
+query is a grid point, so every kernel block of the Gram, the posterior,
+the expander test and the sampler is gathered by grid index from one table
+of the kernel at each lattice offset (:func:`kernel_block`).
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ log = logging.getLogger(__name__)
 
 _JITTER = 1e-8
 _VAR_CLAMP_WARN = -1e-9
-_ROW_BYTES = 2 << 20  # byte cap of the kernel-row memo
 
 
 @dataclass(frozen=True)
@@ -130,33 +131,14 @@ def lattice_table(grid: GridDomain, cfg: KernelConfig):
     return table, code
 
 
-@functools.lru_cache(maxsize=1)
-def _row_memo(grid: GridDomain, cfg: KernelConfig):
-    """Row buffer of at most ``_ROW_BYTES``, and each point's row (or -1)."""
-    p = grid.num_points
-    return (np.empty((min(p, _ROW_BYTES // (8 * p)), p)),
-            np.full(p, -1, dtype=np.intp))
-
-
-def kernel_rows(grid: GridDomain, cfg: KernelConfig, idx) -> np.ndarray:
-    """``kernel_matrix(grid.points[idx], grid.points, cfg)``, bitwise and
-    C-ordered, from one memo of rows, flushed when full; a request of more
-    distinct rows than it holds is computed directly. Gather columns with
-    ``np.take(..., axis=1)``: an F-ordered copy moves BLAS results an ulp."""
-    rows, slot = _row_memo(grid, cfg)
-    idx = np.asarray(idx, dtype=np.intp)
-    new = np.unique(idx[slot[idx] < 0])
-    if len(new):
-        used = np.count_nonzero(slot >= 0)
-        if used + len(new) > len(rows):
-            new, used = np.unique(idx), 0
-            if len(new) > len(rows):
-                return kernel_matrix(grid.points[idx], grid.points, cfg)
-            slot[:] = -1
-        rows[used:used + len(new)] = kernel_matrix(grid.points[new],
-                                                   grid.points, cfg)
-        slot[new] = np.arange(used, used + len(new))
-    return np.take(rows, slot[idx], axis=0)
+def kernel_block(grid: GridDomain, cfg: KernelConfig, rows, cols) -> np.ndarray:
+    """``k(points[rows[a]], points[cols[b]])`` for the grid indices ``rows``
+    and ``cols``, a C-ordered gather from the grid's :func:`lattice_table`;
+    every kernel value of the GP, the expander test and the sampler is read
+    this way."""
+    table, code = lattice_table(grid, cfg)
+    rows, cols = (np.asarray(i, dtype=np.intp) for i in (rows, cols))
+    return table[(code[rows] + len(table) // 2)[:, None] - code[cols]]
 
 
 class SampleSet:
@@ -248,9 +230,8 @@ def gp_fit(samples: SampleSet, i: int, noise_std: float,
     """
     if not noise_std > 0:
         raise ValueError("noise_std must be positive")
-    params = samples.params
-    gram = kernel_matrix(params, params, cfg)
-    chol = _chol_with_jitter(gram + noise_std ** 2 * np.eye(len(params)))
+    gram = kernel_block(samples.grid, cfg, samples.indices, samples.indices)
+    chol = _chol_with_jitter(gram + noise_std ** 2 * np.eye(len(samples)))
     return with_targets(GpPosterior(cfg, float(noise_std), samples.grid,
                                     samples.indices, gram, chol, None),
                         samples.targets(i))
@@ -274,8 +255,7 @@ def predictive(posteriors: dict, query):
            or p.grid != first.grid or p.indices != first.indices
            for p in rest):
         raise ValueError("channels must share samples, noise and kernel")
-    kq = np.take(kernel_rows(first.grid, first.kernel, first.indices), query,
-                 axis=1)
+    kq = kernel_block(first.grid, first.kernel, first.indices, query)
     v = sla.solve_triangular(first.chol, kq, lower=True)
     means = {i: kq.T @ post.weights for i, post in posteriors.items()}
     return means, 1.0 - np.sum(v * v, axis=0), v

@@ -28,7 +28,7 @@ from scipy import linalg as sla
 
 from .errors import NumericError
 from .kernel_gp import (GridDomain, KernelConfig, SampleSet, _chol_with_jitter,
-                        kernel_matrix, lattice_table)
+                        kernel_block, kernel_matrix, lattice_table)
 from .seeding import _entropy, truncated_normal_from
 from .subdomain import DomainMask
 
@@ -174,17 +174,17 @@ def interpolating_norms(samples: SampleSet, channels: tuple, noise_std: float,
     region_idx = _tail_region(samples, cfg, mask)
     n = len(samples)
     num_tail, m = cfg.num_centers - n, len(region_idx)
-    table, code = lattice_table(samples.grid, kernel)
-    centre = len(table) // 2
-    sample_code = code[list(samples.indices)]
-    gram_aa = table[sample_code[:, None] + centre - sample_code]
+    grid, idx = samples.grid, samples.indices
+    gram_aa = kernel_block(grid, kernel, idx, idx)
     chol = _chol_with_jitter(gram_aa)
-    member_code = code[region_idx]
     by_member = m <= 3 * num_tail
     if by_member:
-        k_m = table[member_code[:, None] + centre
-                    - np.concatenate([sample_code, member_code])]  # (m, N + m)
+        k_m = kernel_block(grid, kernel, region_idx,
+                           np.concatenate([idx, region_idx]))  # (m, N + m)
     else:
+        table, code = lattice_table(grid, kernel)
+        centre, sample_code = len(table) // 2, code[list(idx)]
+        member_code = code[region_idx]
         pair = np.empty((n + num_tail, num_tail), dtype=code.dtype)
         block = np.empty((n + num_tail, num_tail))
 

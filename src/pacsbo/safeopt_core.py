@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .kernel_gp import (clamp_variance, info_gain, kernel_rows,
+from .kernel_gp import (clamp_variance, info_gain, kernel_block,
                         observation_update, predictive)
 from .subdomain import DomainMask
 
@@ -156,8 +156,8 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
     for start in range(0, len(candidates), _BLOCK):
         block = candidates[start:start + _BLOCK]
         cols = np.searchsorted(idx, block)
-        k_n = (np.take(kernel_rows(mask.grid, post.kernel, block), out_idx,
-                       axis=1) - v[:, cols].T @ v_q)
+        k_n = (kernel_block(mask.grid, post.kernel, block, out_idx)
+               - v[:, cols].T @ v_q)
         newly_safe = np.ones((len(block), len(out)), dtype=bool)
         for i in constraints:
             mean, var_n = observation_update(

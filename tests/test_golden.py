@@ -203,9 +203,8 @@ def test_one_ulp_on_the_kernel_moves_no_decision(tmp_path, monkeypatch,
     real = kernel_gp.matern32
     monkeypatch.setattr(kernel_gp, "matern32",
                         lambda d, ls: np.nextafter(real(d, ls), np.inf))
-    for cache in (kernel_gp.lattice_table, kernel_gp._row_memo):
-        cache.cache_clear()
-        request.addfinalizer(cache.cache_clear)
+    kernel_gp.lattice_table.cache_clear()
+    request.addfinalizer(kernel_gp.lattice_table.cache_clear)
     produce(tmp_path)
     want, got = tables(GOLDEN), tables(tmp_path)
     records = [name for name in want if "records_" in name]

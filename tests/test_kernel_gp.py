@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from pacsbo import kernel_gp
 from pacsbo.errors import NumericError
 from pacsbo.kernel_gp import (
     GridDomain,
@@ -15,7 +14,6 @@ from pacsbo.kernel_gp import (
     gp_predict,
     info_gain,
     kernel_matrix,
-    kernel_rows,
     lattice_table,
     mean_rkhs_norm,
     observation_update,
@@ -370,12 +368,16 @@ def test_info_gain_increases_with_samples():
     assert gains[0] < gains[1] < gains[2]
 
 
-def coordinate_predictive(posteriors, points):
-    """``predictive`` at coordinates, its kernel block from ``kernel_matrix``
-    on the sample and query points."""
+def table_block(grid, rows, cols):
+    """Kernel block gathered straight from the lattice table."""
+    table, code = lattice_table(grid, CFG)
+    return table[code[rows][:, None] - code[cols] + len(table) // 2]
+
+
+def block_predictive(posteriors, kq):
+    """``predictive`` from its kernel block ``kq`` of sample rows and query
+    columns."""
     first = next(iter(posteriors.values()))
-    kq = kernel_matrix(first.grid.points[list(first.indices)], points,
-                       first.kernel)
     v = sla.solve_triangular(first.chol, kq, lower=True)
     means = {i: kq.T @ post.weights for i, post in posteriors.items()}
     return means, 1.0 - np.sum(v * v, axis=0), v
@@ -392,23 +394,26 @@ def clustered_posteriors(resolution, n, seed=0):
 
 @pytest.mark.parametrize("resolution", [100, (50, 50)])
 def test_predictive_equals_the_coordinate_reference_bitwise(resolution):
-    kernel_gp._row_memo.cache_clear()
+    """``predictive`` equals the posterior built on a table gather bitwise,
+    and that gather the coordinate kernel block to a few ulps."""
     for n in (3, 12, 40):
         grid, posteriors = clustered_posteriors(resolution, n)
-        first = posteriors[0]
-        samples = SampleSet(grid, first.indices,
-                            {i: np.zeros(n) for i in (0, 1)})
+        rows = list(posteriors[0].indices)
+        samples = SampleSet(grid, rows, {i: np.zeros(n) for i in (0, 1)})
         masks = partition_masks(samples)
         assert masks[0].member.sum() < masks[1].member.sum() < grid.num_points
-        for _ in range(2):  # cold, then warm memo
-            for mask in masks:
-                got = predictive(posteriors, mask.indices())
-                want = coordinate_predictive(
-                    posteriors, grid.points[mask.indices()])
-                for i in posteriors:
-                    np.testing.assert_array_equal(got[0][i], want[0][i])
-                np.testing.assert_array_equal(got[1], want[1])
-                np.testing.assert_array_equal(got[2], want[2])
+        for mask in masks:
+            query = mask.indices()
+            kq = table_block(grid, rows, query)
+            np.testing.assert_allclose(
+                kq, kernel_matrix(grid.points[rows], grid.points[query], CFG),
+                rtol=1e-13, atol=0)
+            got = predictive(posteriors, query)
+            want = block_predictive(posteriors, kq)
+            for i in posteriors:
+                np.testing.assert_array_equal(got[0][i], want[0][i])
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(got[2], want[2])
 
 
 def test_one_factorization_serves_both_channels_bitwise():
@@ -428,8 +433,8 @@ def test_one_factorization_serves_both_channels_bitwise():
 
 @pytest.mark.parametrize("resolution", [100, (50, 50)])
 def test_gram_gathered_from_memo_rows_keeps_the_norm(resolution):
-    # a column gather must stay C-contiguous: an F-ordered copy sends the
-    # product w^T K w down another BLAS path and moves it by an ulp
+    # the fit's Gram is a C-ordered table gather: an F-ordered copy sends
+    # the product w^T K w down another BLAS path and moves it by an ulp
     for seed in range(20):
         rng = derive_rng(seed, "gram")
         grid = GridDomain.uniform(resolution)
@@ -437,58 +442,10 @@ def test_gram_gathered_from_memo_rows_keeps_the_norm(resolution):
         idx = rng.choice(grid.num_points, size=n, replace=False)
         post = gp_fit(make_samples(grid, idx, rng.normal(size=n)), 0,
                       float(rng.uniform(0.01, 0.3)), CFG)
-        gram = np.take(kernel_rows(grid, CFG, idx), idx, axis=1)
-        assert gram.flags.c_contiguous
-        np.testing.assert_array_equal(gram, post.gram)
+        gram = table_block(grid, idx, idx)
+        assert post.gram.flags.c_contiguous
+        np.testing.assert_array_equal(post.gram, gram)
+        np.testing.assert_allclose(
+            gram, kernel_matrix(grid.points[idx], grid.points[idx], CFG),
+            rtol=1e-13, atol=0)
         assert mean_rkhs_norm(replace(post, gram=gram)) == mean_rkhs_norm(post)
-
-
-@pytest.mark.parametrize("resolution", [100, (50, 50), (10, 10, 10)])
-def test_kernel_rows_stay_within_the_byte_cap(resolution):
-    kernel_gp._row_memo.cache_clear()
-    grid = GridDomain.uniform(resolution)
-    rows, slot = kernel_gp._row_memo(grid, CFG)
-    assert rows.nbytes <= kernel_gp._ROW_BYTES
-    rng = derive_rng(1, "rows")
-    # requests of repeated, fitting and oversized index sets, in turn
-    for size in (1, 7, 30, 5, len(rows), len(rows) + 3, 2 * len(rows) + 1,
-                 60, 2):
-        idx = rng.integers(0, grid.num_points, size=size)
-        got = kernel_rows(grid, CFG, idx)
-        assert got.flags.c_contiguous
-        np.testing.assert_array_equal(
-            got, kernel_matrix(grid.points[idx], grid.points, CFG))
-        assert kernel_gp._row_memo(grid, CFG)[0] is rows
-        held = np.flatnonzero(slot >= 0)
-        assert len(held) <= len(rows)
-        np.testing.assert_array_equal(
-            rows[slot[held]], kernel_matrix(grid.points[held], grid.points,
-                                            CFG))
-
-
-def test_kernel_rows_flush_when_full(monkeypatch, request):
-    grid = GridDomain.uniform((12, 12))
-    monkeypatch.setattr(kernel_gp, "_ROW_BYTES", 8 * grid.num_points * 10)
-    kernel_gp._row_memo.cache_clear()
-    request.addfinalizer(kernel_gp._row_memo.cache_clear)  # drop the small one
-    rows, slot = kernel_gp._row_memo(grid, CFG)
-    assert len(rows) == 10
-    kernel_rows(grid, CFG, range(9))
-    np.testing.assert_array_equal(slot[:9], range(9))
-    # two new rows do not fit beside nine: the memo starts over with all
-    # three rows of the request
-    got = kernel_rows(grid, CFG, [8, 9, 10])
-    np.testing.assert_array_equal(np.flatnonzero(slot >= 0), [8, 9, 10])
-    np.testing.assert_array_equal(
-        got, kernel_matrix(grid.points[8:11], grid.points, CFG))
-    # more distinct rows than the memo holds are computed directly
-    big = kernel_rows(grid, CFG, np.arange(20))
-    np.testing.assert_array_equal(np.flatnonzero(slot >= 0), [8, 9, 10])
-    np.testing.assert_array_equal(
-        big, kernel_matrix(grid.points[:20], grid.points, CFG))
-    # another kernel or grid starts another memo
-    other = KernelConfig(lengthscale=0.3)
-    np.testing.assert_array_equal(
-        kernel_rows(grid, other, [7]),
-        kernel_matrix(grid.points[[7]], grid.points, other))
-    assert np.flatnonzero(kernel_gp._row_memo(grid, other)[1] >= 0) == [7]

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pacsbo import kernel_gp, safeopt_core
+from pacsbo import safeopt_core
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
@@ -14,6 +14,7 @@ from pacsbo.kernel_gp import (
     gp_predict,
     info_gain,
     kernel_matrix,
+    lattice_table,
     predictive,
 )
 from pacsbo.rkhs_function import SamplerConfig, sample_random_function, scale_to_norm
@@ -488,41 +489,42 @@ def state_digests(state):
             for name, a in arrays.items()}
 
 
-# SHA-256 prefixes of compute_state's outputs, recorded from the
-# per-channel implementation; any change in the arithmetic shows here
+# SHA-256 prefixes of compute_state's outputs, recorded with every kernel
+# block gathered from the lattice table (the sets are those of the
+# per-channel implementation); any change in the arithmetic shows here
 STATE_DIGESTS = {
     (1, False): {
-        "lower0": "5be93092c9393ecf",
-        "upper0": "c0235de9193bf013",
-        "lower1": "c1aa622e39597a42",
-        "upper1": "112818f06a66a2b3",
+        "lower0": "e158a35f2e77833b",
+        "upper0": "bec3c17bd22d82ca",
+        "lower1": "7919fb92c32941fe",
+        "upper1": "88a121c9647cbe04",
         "safe": "80f6302e8c9d84ae",
         "maximizer_set": "b74db80356cf7075",
         "expander_set": "017b981198462832",
     },
     (1, True): {
-        "lower0": "5be93092c9393ecf",
-        "upper0": "c0235de9193bf013",
-        "lower1": "c1aa622e39597a42",
-        "upper1": "112818f06a66a2b3",
+        "lower0": "e158a35f2e77833b",
+        "upper0": "bec3c17bd22d82ca",
+        "lower1": "7919fb92c32941fe",
+        "upper1": "88a121c9647cbe04",
         "safe": "80f6302e8c9d84ae",
         "maximizer_set": "b74db80356cf7075",
         "expander_set": "6546d0af8defab66",
     },
     (2, False): {
-        "lower0": "cd2dee25a239fb5e",
-        "upper0": "bb7a43ce5177fa01",
-        "lower1": "8fd979d748e744e9",
-        "upper1": "1297aa4096a70999",
+        "lower0": "7fa45f7193c57a04",
+        "upper0": "cced09030dbfdebc",
+        "lower1": "25cfa72df7aaa640",
+        "upper1": "9e86d0cb67834ccd",
         "safe": "8538214365ac66c8",
         "maximizer_set": "170f1d89db7d3625",
         "expander_set": "d6b23afee25312ce",
     },
     (2, True): {
-        "lower0": "cd2dee25a239fb5e",
-        "upper0": "bb7a43ce5177fa01",
-        "lower1": "8fd979d748e744e9",
-        "upper1": "1297aa4096a70999",
+        "lower0": "7fa45f7193c57a04",
+        "upper0": "cced09030dbfdebc",
+        "lower1": "25cfa72df7aaa640",
+        "upper1": "9e86d0cb67834ccd",
         "safe": "8538214365ac66c8",
         "maximizer_set": "170f1d89db7d3625",
         "expander_set": "96ca049ffdc7991e",
@@ -548,8 +550,8 @@ def test_compute_state_outputs_pinned_bitwise(dims, exact):
 def test_expander_blocks_equal_the_coordinate_reference_bitwise(
         dims, exact, monkeypatch):
     """Each candidate block's posterior covariance with the outside points
-    reads its kernel block from memo rows, bitwise equal to the block
-    ``kernel_matrix`` builds on the coordinates."""
+    reads its kernel block from the lattice table, bitwise, and that block
+    is the one ``kernel_matrix`` builds on the coordinates to a few ulps."""
     posteriors, betas, mask, seed = digest_case(dims)
     pred = mask_predictive(posteriors, mask)
     field = confidence_bounds(pred, betas, mask)
@@ -561,10 +563,10 @@ def test_expander_blocks_equal_the_coordinate_reference_bitwise(
         return real(*args)
 
     monkeypatch.setattr(safeopt_core, "observation_update", recording)
-    kernel_gp._row_memo.cache_clear()
     expanders(posteriors, pred, field, safe, mask, exact=exact)
 
     grid, kernel, v = mask.grid, posteriors[0].kernel, pred[2]
+    table, code = lattice_table(grid, kernel)
     idx = mask.indices()
     out = np.flatnonzero((mask.member & ~safe)[idx])
     candidates = np.flatnonzero(safe if exact
@@ -573,8 +575,11 @@ def test_expander_blocks_equal_the_coordinate_reference_bitwise(
     for start in range(0, len(candidates), _BLOCK):
         block = candidates[start:start + _BLOCK]
         cols = np.searchsorted(idx, block)
-        want.append(kernel_matrix(grid.points[block], grid.points[idx[out]],
-                                  kernel) - v[:, cols].T @ v[:, out])
+        k = table[code[block][:, None] - code[idx[out]] + len(table) // 2]
+        np.testing.assert_allclose(
+            k, kernel_matrix(grid.points[block], grid.points[idx[out]],
+                             kernel), rtol=1e-13, atol=0)
+        want.append(k - v[:, cols].T @ v[:, out])
     assert len(got) == len(want) > 0
     for k_n, ref in zip(got, want):
         np.testing.assert_array_equal(k_n, ref)

@@ -133,9 +133,9 @@ def lattice_table(grid: GridDomain, cfg: KernelConfig):
 
 def kernel_block(grid: GridDomain, cfg: KernelConfig, rows, cols) -> np.ndarray:
     """``k(points[rows[a]], points[cols[b]])`` for the grid indices ``rows``
-    and ``cols``, a C-ordered gather from the grid's :func:`lattice_table`;
-    every kernel value of the GP, the expander test and the sampler is read
-    this way."""
+    and ``cols``, a C-ordered gather from the grid's :func:`lattice_table`,
+    the one source of kernel values for the GP, the expander test and the
+    sampler."""
     table, code = lattice_table(grid, cfg)
     rows, cols = (np.asarray(i, dtype=np.intp) for i in (rows, cols))
     return table[(code[rows] + len(table) // 2)[:, None] - code[cols]]

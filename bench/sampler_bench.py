@@ -84,8 +84,9 @@ def sampler_cases():
     for n in SAMPLE_COUNTS:
         order = derive_rng(0, "bench").permutation(100)[:n].tolist()
         samples = sample_set(GridDomain.uniform(100), order)
-        for mask in partition_masks(samples):
-            yield f"1d {mask.label}", n, samples, mask
+        for label, mask in zip(("tilde", "hat", "global"),
+                               partition_masks(samples)):
+            yield f"1d {label}", n, samples, mask
     for n in SAMPLE_COUNTS:
         samples = sample_set(GridDomain.uniform((50, 50)), (BLOCK_2D * n)[:n])
         tilde, _, full = partition_masks(samples)

@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    out = args.out if args.out is not None else os.environ.get("PACSBO_OUT")
+    env = os.environ.get("PACSBO_OUT") or None  # empty counts as unset
+    out = args.out if args.out is not None else env
     if args.command == "train-predictor":
         cfg = load_train_config(args.config, out_path=out, seed=args.seed)
         result = train_predictor_pipeline(cfg)

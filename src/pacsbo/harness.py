@@ -59,6 +59,8 @@ from .subdomain import global_mask, partition_masks
 
 SCHEMA_VERSION = 2
 S0_MARGIN = 0.1  # least true constraint value of a start-set point
+# share of the true safe optimum that counts as reaching it
+OPT_FRACTION = 0.9
 SCENARIOS = ("fig3_thresholds", "compare_conservative", "compare_optimistic",
              "synthetic2d", "hoeffding_mc")
 COMPARISONS = ("compare_conservative", "compare_optimistic")
@@ -68,23 +70,20 @@ def _scenario_defaults(scenario: str) -> dict:
     if scenario == "hoeffding_mc":
         return dict(replicates=500, q=200, deltas=[0.1, 0.5])
     common = dict(lengthscale=0.1, noise_std=0.01, delta=0.1,
-                  norm_target=2.0, num_centers=100, alpha_bar=1.0,
-                  q_init=500, q_max=5000)
+                  norm_target=2.0, alpha_bar=1.0, q_init=500, q_max=5000)
     if scenario != "fig3_thresholds":
-        common.update(safe_fraction=0.6, f_g=None, predictor_path=None)
+        common.update(safe_fraction=0.6, predictor_path=None)
     per = {
         "fig3_thresholds": dict(grid_resolution=100, noise_std=0.001,
                                 norm_target=1.0, sample_counts=[5, 20, 50]),
         "compare_conservative": dict(grid_resolution=100, budget=14,
                                      fixed_bound=10.0,
                                      snapshot_iterations=[3, 14],
-                                     opt_fraction=0.9,
                                      s0_placement="far"),
         "compare_optimistic": dict(grid_resolution=100, budget=14,
                                    alpha_bar=0.04, fixed_bound=0.4,
                                    safe_fraction=0.5,
                                    snapshot_iterations=[3, 14],
-                                   opt_fraction=0.9,
                                    s0_placement="far"),
         "synthetic2d": dict(grid_resolution=[50, 50], budget=15,
                             s0_placement="argmax"),
@@ -144,9 +143,10 @@ class ExperimentSpec:
             _pac_config(params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        centers = SamplerConfig().num_centers
         if self.scenario == "fig3_thresholds":
             counts = params["sample_counts"]
-            most = min(grid.num_points, params["num_centers"] - 1)
+            most = min(grid.num_points, centers - 1)
             if not counts or min(counts) < 1 or max(counts) > most:
                 raise ConfigError(f"sample_counts must lie in [1, {most}] (below "
                                   f"num_centers, at most the grid points): {counts}")
@@ -155,14 +155,11 @@ class ExperimentSpec:
                               f"{params['s0_placement']!r}")
         # the last step estimates from the three start points and budget - 1
         # measurements, and the sampler needs more centers than samples
-        elif params["num_centers"] <= params["budget"] + 2:
-            raise ConfigError(f"num_centers must exceed budget + 2, got "
-                              f"{params['num_centers']} with budget "
-                              f"{params['budget']}")
+        elif centers <= params["budget"] + 2:
+            raise ConfigError(f"num_centers must exceed budget + 2: the "
+                              f"sampler draws with {centers} centers, got "
+                              f"budget {params['budget']}")
         if self.scenario in COMPARISONS:
-            if not 0 < params["opt_fraction"] <= 1:
-                raise ConfigError(f"opt_fraction must be in (0, 1], got "
-                                  f"{params['opt_fraction']}")
             snaps = params["snapshot_iterations"]
             if not all(1 <= t <= params["budget"] for t in snaps):
                 raise ConfigError(f"snapshot_iterations must lie in [1, "
@@ -172,9 +169,9 @@ class ExperimentSpec:
 def _check_numbers(params: dict, defaults: dict) -> None:
     """Each param whose default is a number (a list of numbers) must be one
     (a list of them), integral where the default is; grid_resolution may be
-    either, and f_g a number or null."""
+    either."""
     for key, value in params.items():
-        want = 0.0 if key == "f_g" and value is not None else defaults.get(key)
+        want = defaults.get(key)
         many = isinstance(value, (list, tuple))
         listed = isinstance(want, list) or key == "grid_resolution"
         if isinstance(want, list) and not many and key != "grid_resolution":
@@ -250,17 +247,12 @@ def _truth_reward(spec_params: dict, grid, kernel, seed: int):
 
 def make_truth(spec_params: dict, grid: GridDomain, kernel: KernelConfig,
                seed: int) -> GroundTruth:
-    """Random ground truth at the target norm; the threshold either comes
-    from the config or is placed so the requested fraction of the domain
-    is safe."""
+    """Random ground truth at the target norm, its threshold placed so the
+    requested fraction of the domain is safe."""
     f = _truth_reward(spec_params, grid, kernel, seed)
-    if spec_params.get("f_g") is not None:
-        f_g = float(spec_params["f_g"])
-    else:
-        vals = f(grid.points)
-        f_g = float(np.quantile(vals, 1.0 - float(
-            spec_params["safe_fraction"])))
-    return GroundTruth(f, f_g)
+    safe_fraction = float(spec_params["safe_fraction"])
+    return GroundTruth(f, float(np.quantile(f(grid.points),
+                                            1.0 - safe_fraction)))
 
 
 def seed_triple(truth: GroundTruth, grid: GridDomain,
@@ -359,6 +351,14 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _rounded(value):
+    """``value`` with every float, also inside dicts, at the 10 significant
+    digits of the CSV cells, for the results written to YAML."""
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    return float(f"{value:.10g}") if isinstance(value, float) else value
+
+
 def write_manifest(spec: ExperimentSpec, files, extra=None) -> Path:
     payload = {
         "scenario": spec.scenario,
@@ -375,7 +375,7 @@ def write_manifest(spec: ExperimentSpec, files, extra=None) -> Path:
         "files": sorted(str(f) for f in files),
     }
     if extra:
-        manifest.update(extra)
+        manifest.update(_rounded(extra))
     out = Path(spec.out_dir) / "manifest.yaml"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
@@ -432,7 +432,7 @@ def _predictor_for(params: dict):
 
 
 def _pac_config(params: dict) -> PacConfig:
-    sampler = SamplerConfig(int(params["num_centers"]), float(params["alpha_bar"]))
+    sampler = SamplerConfig(coeff_bound=float(params["alpha_bar"]))
     return PacConfig(q_init=int(params["q_init"]),
                      q_max=int(params["q_max"]), sampler=sampler)
 
@@ -626,7 +626,6 @@ def scenario_compare(spec: ExperimentSpec) -> dict:
     files, outputs = _run_seeds(spec, ("pacsbo", "safeopt"),
                                 params["snapshot_iterations"])
     summary_rows = []
-    frac = float(params["opt_fraction"])
     for seed, truth, runs in outputs:
         optimum = _true_safe_optimum(truth, grid)
         for algorithm, history in runs.items():
@@ -636,7 +635,7 @@ def scenario_compare(spec: ExperimentSpec) -> dict:
                 write_csv(spath, snapshot_header(grid.dim),
                           snapshot_rows(grid, snapshot))
                 files.append(spath)
-            reached = _iters_to_fraction(history, frac * optimum)
+            reached = _iters_to_fraction(history, OPT_FRACTION * optimum)
             summary_rows.append(
                 _summary_row(seed, algorithm, history)
                 + ["" if reached is None else reached, f"{optimum:.10g}"])
@@ -787,6 +786,6 @@ def train_predictor_pipeline(cfg: dict) -> dict:
     }
     report_path = out_path.with_suffix(".report.yaml")
     with open(report_path, "w") as fh:
-        yaml.safe_dump(report, fh, sort_keys=False)
+        yaml.safe_dump(_rounded(report), fh, sort_keys=False)
     return {"model": model, "report": report, "path": out_path,
             "report_path": report_path}

@@ -49,19 +49,11 @@ class KernelConfig:
 
 def pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``x`` (..., m, n) and ``y``
-    (..., p, n), shape (..., m, p); leading axes broadcast. The squared
-    coordinate differences are added in coordinate order, without the
-    (..., m, p, n) difference tensor; below 8 coordinates (here at most 3)
-    that equals numpy's sum over the tensor's last axis bitwise."""
+    (..., p, n), shape (..., m, p); leading axes broadcast."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[-1] == 1:
-        return np.abs(x[..., :, None, 0] - y[..., None, :, 0])
-    total = 0.0
-    for k in range(x.shape[-1]):
-        d = x[..., :, None, k] - y[..., None, :, k]
-        total += np.square(d, out=d)
-    return np.sqrt(total, out=total)
+    return np.sqrt(np.sum(np.square(x[..., :, None, :] - y[..., None, :, :]),
+                          axis=-1))
 
 
 def matern32(dist, lengthscale: float):

@@ -176,18 +176,6 @@ def _widths(field: ConfidenceField, candidates: np.ndarray) -> np.ndarray:
     return w
 
 
-def acquire(field: ConfidenceField, candidates: np.ndarray):
-    """Most uncertain candidate: the lowest grid index whose max-channel
-    interval width ties with the largest, that is reaches ``1 - TIE_RTOL``
-    times it. Returns None when the candidate set is empty.
-    """
-    if not candidates.any():
-        return None
-    w = _widths(field, candidates)
-    return int(np.flatnonzero(candidates
-                              & (w >= (1.0 - TIE_RTOL) * w.max()))[0])
-
-
 @dataclass(frozen=True)
 class SafeOptState:
     """One iteration's classification of the masked grid."""
@@ -250,9 +238,8 @@ def select(posteriors: dict, preds: dict, bounds: dict, masks: dict,
             widths[label] = _widths(st.field, st.candidates())
     top = max((w.max() for w in widths.values()), default=0.0)
     for label, w in widths.items():
-        st = states[label]
-        choice = acquire(st.field,
-                         st.candidates() & (w >= (1.0 - TIE_RTOL) * top))
-        if choice is not None:
-            return choice, label, states
+        tied = np.flatnonzero(states[label].candidates()
+                              & (w >= (1.0 - TIE_RTOL) * top))
+        if len(tied):
+            return int(tied[0]), label, states
     return None, None, states

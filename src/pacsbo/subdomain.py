@@ -24,7 +24,6 @@ class DomainMask:
 
     grid: GridDomain
     member: np.ndarray  # bool, shape (num_points,)
-    label: str  # "tilde" | "hat" | "global"
 
     def __post_init__(self):
         member = np.asarray(self.member, dtype=bool)
@@ -38,8 +37,6 @@ class DomainMask:
         member = member.copy()
         member.setflags(write=False)
         object.__setattr__(self, "member", member)
-        if self.label not in ("tilde", "hat", "global"):
-            raise ValueError(f"unknown mask label {self.label!r}")
 
     @property
     def count(self) -> int:
@@ -51,7 +48,7 @@ class DomainMask:
 
 
 def global_mask(grid: GridDomain) -> DomainMask:
-    return DomainMask(grid, np.ones(grid.num_points, dtype=bool), "global")
+    return DomainMask(grid, np.ones(grid.num_points, dtype=bool))
 
 
 def _box_mask(grid: GridDomain, box: np.ndarray) -> np.ndarray:
@@ -139,6 +136,5 @@ def partition_masks(samples: SampleSet) -> tuple[DomainMask, DomainMask, DomainM
     """
     tilde = _hull_member(samples, 1.0)
     hat = _hull_member(samples, ENLARGEMENT) | tilde
-    return (DomainMask(samples.grid, tilde, "tilde"),
-            DomainMask(samples.grid, hat, "hat"),
+    return (DomainMask(samples.grid, tilde), DomainMask(samples.grid, hat),
             global_mask(samples.grid))

@@ -13,6 +13,7 @@ from pacsbo.predictor import (
     _loss_and_gradients,
 )
 from pacsbo.rkhs_function import RkhsFunction, _draws, _tail_region
+from pacsbo.safeopt_core import TIE_RTOL
 from pacsbo.seeding import derive_rng
 
 
@@ -29,6 +30,16 @@ def constant_predictor(value, input_len=100):
         feat_scale=np.ones(input_len),
         final_loss=0.0,
     )
+
+
+def most_uncertain(field, candidates):
+    """Reference acquisition on one region: the lowest candidate index whose
+    max-channel width ties with the widest candidate's."""
+    idx = np.flatnonzero(candidates)
+    if not len(idx):
+        return None
+    w = np.max([field.width(i)[idx] for i in field.channels], axis=0)
+    return int(idx[w >= (1.0 - TIE_RTOL) * w.max()][0])
 
 
 def read_csv_rows(path):

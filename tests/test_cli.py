@@ -32,7 +32,7 @@ def comparison_body(tmp_path):
     save_predictor(constant_predictor(3.0), pred)
     return dict(scenario="compare_conservative", out_dir=str(tmp_path / "o"),
                 seeds=[0], budget=2, grid_resolution=30, q_init=20, q_max=40,
-                num_centers=10, snapshot_iterations=[1, 2],
+                snapshot_iterations=[1, 2],
                 predictor_path=str(pred))
 
 
@@ -213,19 +213,19 @@ class TestRunCommand:
             tmp_path / "f.yaml",
             dict(scenario="fig3_thresholds", out_dir=str(tmp_path / "o"),
                  seeds=[0], grid_resolution=30, sample_counts=[3],
-                 q_init=30, q_max=60, num_centers=10, noise_std=0.0))
+                 q_init=30, q_max=60, noise_std=0.0))
         assert main(["run", "--config", cfg]) == 2
         assert "noise_std must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("bad, message", [
         (dict(q_init="many"), "q_init must be an integer"),
-        (dict(num_centers=10.5), "num_centers must be an integer"),
+        (dict(num_centers=100), "unknown key 'num_centers'"),
         (dict(delta="small"), "delta must be a number"),
         (dict(sample_counts=[5, "ten"]), "sample_counts must be an integer"),
         (dict(sample_counts=5), "sample_counts must be a list"),
         (dict(sample_counts=[5, 5000]), "sample_counts"),
-        (dict(sample_counts=[5, 100], num_centers=100), "num_centers"),
+        (dict(sample_counts=[5, 100]), "num_centers"),
         (dict(sample_counts=[5, 40], grid_resolution=30), "grid points"),
         (dict(delta=1.5), "delta must be in (0, 1)"),
         # the study has no constraint and no predictor
@@ -257,16 +257,18 @@ class TestRunCommand:
         (dict(grid_resolution=0), "resolution must be positive"),
         (dict(safe_fraction=2), "safe_fraction must be in (0, 1)"),
         (dict(s0_placement="nowhere"), "s0_placement must be argmax or far"),
-        (dict(opt_fraction=-3), "opt_fraction must be in (0, 1]"),
+        (dict(opt_fraction=0.9), "unknown key 'opt_fraction'"),
         (dict(snapshot_iterations=[0, 2]), "snapshot_iterations must lie"),
         (dict(snapshot_iterations=[1, 5]), "snapshot_iterations must lie"),
-        (dict(f_g="high"), "f_g must be a number"),
+        (dict(f_g=0.0), "unknown key 'f_g'"),
         (dict(seeds=[0, 1.5]), "seeds must be a list of non-negative integers"),
         (dict(norm_target=0), "norm_target must be positive"),
-        # the last step samples 3 start points and budget - 1 measurements
-        (dict(num_centers=6, budget=6), "num_centers must exceed budget + 2"),
-        (dict(num_centers=8, budget=6), "num_centers must exceed budget + 2"),
+        # the last step samples 3 start points and budget - 1 measurements,
+        # and the sampler draws with 100 centers
+        (dict(budget=98), "num_centers must exceed budget + 2"),
+        (dict(budget=200), "num_centers must exceed budget + 2"),
         (dict(delta=0.0), "delta must be in (0, 1)"),
+        (dict(num_centers=100), "unknown key 'num_centers'"),
     ])
     def test_malformed_comparison_values_exit_2(self, tmp_path, capsys, bad,
                                                 message):
@@ -323,7 +325,7 @@ class TestRunCommand:
             tmp_path / "f.yaml",
             dict(scenario="fig3_thresholds", out_dir=str(tmp_path / "o"),
                  seeds=[0], grid_resolution=30, sample_counts=[3, 5],
-                 q_init=30, q_max=80, num_centers=10))
+                 q_init=30, q_max=80))
         assert main(["run", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "accepted bound at   3 samples" in out
@@ -339,6 +341,23 @@ class TestOverridePrecedence:
         assert main(["run", "--config", cfg]) == 0
         assert (tmp_path / "from_env" / "coverage.csv").exists()
         assert not (tmp_path / "from_config").exists()
+
+    def test_empty_env_out_dir_counts_as_unset(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "h.yaml",
+                           hoeffding_body(tmp_path / "wanted"))
+        monkeypatch.setenv("PACSBO_OUT", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["hoeffding-mc", "--config", cfg]) == 0
+        assert (tmp_path / "wanted" / "coverage.csv").exists()
+        assert not (tmp_path / "coverage.csv").exists()
+        assert not (tmp_path / "manifest.yaml").exists()
+
+    def test_empty_env_out_path_counts_as_unset(self, tmp_path, monkeypatch):
+        out = tmp_path / "wanted.json"
+        cfg = write_config(tmp_path / "t.yaml", tiny_train_body(out))
+        monkeypatch.setenv("PACSBO_OUT", "")
+        assert main(["train-predictor", "--config", cfg]) == 0
+        assert out.exists()
 
     def test_cli_beats_env(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "h.yaml",

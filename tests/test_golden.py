@@ -143,15 +143,15 @@ def sampler_rows(dim, resolution, idx,
     # the 2-D samples are not collinear, so their hull is a polygon
     pts = grid.points[idx]
     assert dim == 1 or np.linalg.matrix_rank(pts - pts[0]) == 2
-    masks = partition_masks(samples)
     rows = []
-    for mask in masks:
-        if mask.label not in labels:
+    for label, mask in zip(("tilde", "hat", "global"),
+                           partition_masks(samples)):
+        if label not in labels:
             continue
         for i in (0, 1):
             norms = interpolating_norms(samples, (i,), 0.01, kernel, mask,
                                         SamplerConfig(), (7, dim, i), 64)[:, 0]
-            rows += [[dim, mask.label, i, j, f"{v:.17g}"]
+            rows += [[dim, label, i, j, f"{v:.17g}"]
                      for j, v in enumerate(norms)]
     return rows
 

@@ -7,6 +7,8 @@ import yaml
 from conftest import constant_predictor, read_csv_rows
 from pacsbo.errors import ConfigError
 from pacsbo.harness import (
+    SCENARIOS,
+    TRAIN_DEFAULTS,
     ExperimentSpec,
     config_hash,
     load_spec,
@@ -15,6 +17,7 @@ from pacsbo.harness import (
     scenario_fig3,
     scenario_hoeffding,
     seed_triple,
+    train_predictor_pipeline,
     write_csv,
     write_manifest,
 )
@@ -119,20 +122,100 @@ class TestSpecLoading:
 
     def test_num_centers_must_exceed_last_step_samples(self):
         """The last step samples the three start points and budget - 1
-        measurements, so num_centers must be at least budget + 3."""
+        measurements, so the sampler's num_centers must be at least
+        budget + 3."""
+        centers = SamplerConfig().num_centers
         for scenario in ("compare_conservative", "compare_optimistic",
                          "synthetic2d"):
             params = _params(scenario)
-            params.update(budget=14, num_centers=16, predictor_path="p.json")
+            params.update(budget=centers - 2, predictor_path="p.json")
             with pytest.raises(ConfigError, match="num_centers must exceed"):
                 ExperimentSpec(scenario, "out", (0,), params)
-            params["num_centers"] = 17
+            params["budget"] = centers - 3
             ExperimentSpec(scenario, "out", (0,), params)
 
 
 def _params(scenario):
     from pacsbo.harness import _scenario_defaults
     return _scenario_defaults(scenario)
+
+
+class ReadRecorder(dict):
+    """A params dict that records every key read through it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+TINY = {
+    "fig3_thresholds": dict(grid_resolution=30, sample_counts=[3],
+                            q_init=20, q_max=40),
+    "compare_conservative": dict(grid_resolution=30, budget=2, q_init=20,
+                                 q_max=40, snapshot_iterations=[1]),
+    "compare_optimistic": dict(grid_resolution=30, budget=2, q_init=20,
+                               q_max=40, snapshot_iterations=[1]),
+    "synthetic2d": dict(grid_resolution=[12, 12], budget=1, q_init=20,
+                        q_max=40),
+    "hoeffding_mc": dict(replicates=5, q=5),
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_a_run_reads_every_scenario_key(tmp_path, scenario):
+    """Beyond its validation, a run reads every key of its scenario's
+    defaults, so no key can be set that nothing uses."""
+    params = ReadRecorder(_params(scenario))
+    params.update(TINY[scenario])
+    if "predictor_path" in params:
+        params["predictor_path"] = str(tmp_path / "pred.json")
+        save_predictor(constant_predictor(3.0), params["predictor_path"])
+    spec = ExperimentSpec(scenario, str(tmp_path / "out"), (0,), params)
+    params.read.clear()
+    run_experiment(spec)
+    assert set(_params(scenario)) - params.read == set()
+
+
+def test_yaml_floats_carry_the_csv_digits(tmp_path):
+    """The results written to YAML, the fig3 and hoeffding_mc manifests'
+    means and coverage and the train report's label and loss values, are
+    rounded to 10 significant digits like every CSV cell; the returned
+    results are not."""
+    def ten_digits(value):
+        return value == float(f"{value:.10g}")
+
+    fig3 = _params("fig3_thresholds")
+    fig3.update(TINY["fig3_thresholds"])
+    hoeffding = dict(_params("hoeffding_mc"), replicates=60, q=5)
+    for scenario, params, keys in (
+            ("fig3_thresholds", fig3, ("bound_means", "threshold_means")),
+            ("hoeffding_mc", hoeffding, ("coverage",))):
+        spec = ExperimentSpec(scenario, str(tmp_path / scenario), (0,),
+                              params)
+        result = run_experiment(spec)
+        manifest = yaml.safe_load(result["manifest"].read_text())
+        for key in keys:
+            assert len(manifest[key]) == len(result[key])
+            for written, returned in zip(manifest[key].values(),
+                                         result[key].values()):
+                assert ten_digits(written), (key, written)
+                assert written == pytest.approx(returned, rel=1e-9)
+    cfg = dict(TRAIN_DEFAULTS, out_path=str(tmp_path / "p.json"),
+               grid_resolution=25, q_train=2, rollout_iters=3, hidden=[6],
+               epochs=15, batch_size=4, step=0.01, t_max=10)
+    result = train_predictor_pipeline(cfg)
+    report = yaml.safe_load(result["report_path"].read_text())
+    for key in ("label_mean", "label_max", "final_loss"):
+        assert ten_digits(report[key]), (key, report[key])
+        assert report[key] == pytest.approx(result["report"][key], rel=1e-9)
 
 
 class TestCsvAndManifest:
@@ -168,22 +251,15 @@ class TestCsvAndManifest:
 class TestTruthSetup:
     def test_norm_and_quantile_threshold(self):
         grid = GridDomain.uniform(200)
-        params = dict(norm_target=2.0, safe_fraction=0.6, f_g=None)
+        params = dict(norm_target=2.0, safe_fraction=0.6)
         truth = make_truth(params, grid, KER, seed=0)
         assert rkhs_norm(truth.reward) == pytest.approx(2.0, abs=1e-9)
         safe = truth.reward(grid.points) - truth.threshold >= 0
         assert abs(safe.mean() - 0.6) < 0.02
 
-    def test_explicit_threshold(self):
-        grid = GridDomain.uniform(50)
-        truth = make_truth(dict(norm_target=1.0, safe_fraction=0.6,
-                                f_g=-0.25), grid, KER, seed=1)
-        assert truth.threshold == -0.25
-
     def test_seed_triple_1d(self):
         grid = GridDomain.uniform(120)
-        truth = make_truth(dict(norm_target=2.0, safe_fraction=0.6,
-                                f_g=None), grid, KER, seed=3)
+        truth = make_truth(dict(norm_target=2.0, safe_fraction=0.6), grid, KER, seed=3)
         triple = seed_triple(truth, grid)
         assert triple[1] == triple[0] + 1 and triple[2] == triple[1] + 1
         vals = truth.reward(grid.points) - truth.threshold
@@ -192,8 +268,7 @@ class TestTruthSetup:
 
     def test_seed_triple_2d_same_row(self):
         grid = GridDomain.uniform((15, 15))
-        truth = make_truth(dict(norm_target=2.0, safe_fraction=0.6,
-                                f_g=None), grid, KER, seed=5)
+        truth = make_truth(dict(norm_target=2.0, safe_fraction=0.6), grid, KER, seed=5)
         triple = seed_triple(truth, grid)
         rows = {j // 15 for j in triple}
         assert len(rows) == 1
@@ -201,8 +276,7 @@ class TestTruthSetup:
 
     def test_seed_triple_margin_failure(self):
         grid = GridDomain.uniform(30)
-        truth = make_truth(dict(norm_target=0.05, safe_fraction=0.6,
-                                f_g=None), grid, KER, seed=0)
+        truth = make_truth(dict(norm_target=0.05, safe_fraction=0.6), grid, KER, seed=0)
         # norm 0.05 keeps every constraint value far below the 0.1 margin
         with pytest.raises(ConfigError, match="margin"):
             seed_triple(truth, grid)
@@ -236,7 +310,7 @@ class TestFig3Scenario:
     def make_spec(self, tmp_path):
         params = _params("fig3_thresholds")
         params.update(grid_resolution=40, sample_counts=[3, 6], q_init=50,
-                      q_max=150, num_centers=15)
+                      q_max=150)
         return ExperimentSpec("fig3_thresholds", str(tmp_path), (0, 1),
                               params)
 
@@ -278,7 +352,7 @@ class TestFig3Scenario:
                 float(eps[k])
             samples = samples.append(int(j), {0: y, 1: y})
         guess = mean_rkhs_norm(gp_fit(samples, 0, 0.001, kernel))
-        cfg = PacConfig(q_init=50, q_max=150, sampler=SamplerConfig(15, 1.0))
+        cfg = PacConfig(q_init=50, q_max=150, sampler=SamplerConfig())
         pool = DrawPool(samples, (0,), 0.001, kernel, global_mask(grid),
                         cfg.sampler, (1, "fig3", 6))
         res = estimate_upper_bound(guess, pool, 0, delta=0.1, cfg=cfg)
@@ -295,7 +369,7 @@ def compare_result(tmp_path_factory):
     save_predictor(constant_predictor(3.0), pred)
     params = _params("compare_conservative")
     params.update(grid_resolution=40, budget=3, q_init=20, q_max=40,
-                  num_centers=12, predictor_path=str(pred),
+                  predictor_path=str(pred),
                   snapshot_iterations=[1, 3], fixed_bound=2.5)
     spec = ExperimentSpec("compare_conservative", str(tmp / "out"),
                           (0,), params)
@@ -312,7 +386,7 @@ def test_a_seed_writes_the_same_files_alone_as_among_other_seeds(tmp_path):
     for seeds in ((0, 1, 3), (1,)):
         params = _params("compare_conservative")
         params.update(grid_resolution=40, budget=3, q_init=20, q_max=40,
-                      num_centers=12, predictor_path=str(pred),
+                      predictor_path=str(pred),
                       snapshot_iterations=[1, 3], fixed_bound=2.5)
         out = tmp_path / "-".join(map(str, seeds))
         run_experiment(ExperimentSpec("compare_conservative", str(out),
@@ -404,7 +478,7 @@ def test_synthetic2d_smoke(tmp_path):
     save_predictor(constant_predictor(3.0), pred)
     params = _params("synthetic2d")
     params.update(grid_resolution=[12, 12], budget=2, q_init=15, q_max=30,
-                  num_centers=10, predictor_path=str(pred))
+                  predictor_path=str(pred))
     spec = ExperimentSpec("synthetic2d", str(tmp_path / "out"), (0,), params)
     res = run_experiment(spec)
     _, summary = read_csv_rows(res["csv"])

@@ -321,9 +321,9 @@ def test_reciprocal_cov_integral_three_point_grid():
     assert r == pytest.approx(THREE_PT_RECIPROCAL, abs=1e-10)
     # an empty region or one of the wrong length is no mask at all
     with pytest.raises(ValueError, match="empty"):
-        DomainMask(grid, np.zeros(3, dtype=bool), "global")
+        DomainMask(grid, np.zeros(3, dtype=bool))
     with pytest.raises(ValueError, match="does not match"):
-        DomainMask(grid, np.ones(4, dtype=bool), "global")
+        DomainMask(grid, np.ones(4, dtype=bool))
 
 
 def test_reciprocal_cov_integral_grows_with_data():

@@ -180,8 +180,8 @@ def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
         y = f(grid.points[idx]) + 0.001 * rng.standard_normal(m)
         samples = SampleSet(grid, idx, {0: y, 1: y})
         tilde, _, everywhere = partition_masks(samples)
-        for mask in (tilde, everywhere):
-            path = (truth_seed, m, mask.label)
+        for label, mask in (("tilde", tilde), ("global", everywhere)):
+            path = (truth_seed, m, label)
             mu = float(interpolating_norms(samples, (0,), 0.001, kernel, mask,
                                            sampler, path + ("mean",),
                                            20000).mean())
@@ -189,4 +189,4 @@ def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
                 below = sum(estimate(start, samples, kernel, mask, cfg,
                                      path + (c,), noise_std=0.001).bound < mu
                             for c in range(calls))
-                assert below <= DELTA * calls, (m, mask.label, start / mu)
+                assert below <= DELTA * calls, (m, label, start / mu)

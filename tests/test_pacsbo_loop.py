@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import most_uncertain
 
 import pacsbo.kernel_gp as kernel_mod
 import pacsbo.pacsbo_loop as loop_mod
@@ -26,6 +27,7 @@ from pacsbo.pac_estimator import (
 )
 from pacsbo.pacsbo_loop import (
     CHANNELS,
+    PARTITION_ORDER,
     GroundTruth,
     IterationRecord,
     PartitionStats,
@@ -43,7 +45,7 @@ from pacsbo.rkhs_function import (
     sample_random_function,
     scale_to_norm,
 )
-from pacsbo.safeopt_core import acquire, beta_scale, compute_state
+from pacsbo.safeopt_core import beta_scale, compute_state
 from pacsbo.seeding import derive_rng, truncated_normal
 from pacsbo.subdomain import global_mask, partition_masks
 
@@ -177,7 +179,7 @@ def test_safeopt_matches_single_partition_reference():
         betas = {i: beta_scale(bound, cfg.noise_std, info_gain(posts[i]),
                                cfg.delta) for i in CHANNELS}
         st = compute_state(posts, betas, mask, (s0,))
-        choice = acquire(st.field, st.candidates())
+        choice = most_uncertain(st.field, st.candidates())
         expected.append(choice)
         rng = derive_rng(cfg.seed, "measure", t)
         meas = {}
@@ -256,15 +258,14 @@ class TestPacsboRun:
         again from its recorded bounds."""
         posts = {i: gp_fit(samples, i, self.cfg.noise_std, KER)
                  for i in CHANNELS}
-        tilde, hat, glob = partition_masks(samples)
         states = {}
-        for mask in (tilde, hat, glob):
-            bounds = rec.partitions[mask.label].channel_bounds
+        for label, mask in zip(PARTITION_ORDER, partition_masks(samples)):
+            bounds = rec.partitions[label].channel_bounds
             betas = {i: beta_scale(bounds[k], self.cfg.noise_std,
                                    info_gain(posts[i]), self.cfg.delta)
                      for k, i in enumerate(CHANNELS)}
-            states[mask.label] = compute_state(posts, betas, mask,
-                                               self.cfg.s0_indices)
+            states[label] = compute_state(posts, betas, mask,
+                                          self.cfg.s0_indices)
         return posts, states
 
     def test_chosen_point_was_a_candidate(self):
@@ -280,7 +281,7 @@ class TestPacsboRun:
                 assert st.safe.sum() == st_rec.safe_count
                 assert st.maximizer_set.sum() == st_rec.maximizer_count
                 assert st.expander_set.sum() == st_rec.expander_count
-                choice = acquire(st.field, st.candidates())
+                choice = most_uncertain(st.field, st.candidates())
                 if choice is not None:
                     width = max(float(st.field.width(i)[choice])
                                 for i in CHANNELS)
@@ -433,13 +434,13 @@ def stalled_run(monkeypatch, picks):
     truth, s0 = make_truth(grid, seed=8)
     cfg = RunConfig(grid=grid, kernel=KER, s0_indices=(s0,),
                     algorithm="safeopt", fixed_bound=1.0, budget=5, seed=0)
-    real, calls = core_mod.acquire, []
+    real, calls = loop_mod.select, []
 
-    def acquire(field, candidates):
+    def select(*args):
         calls.append(None)
-        return real(field, candidates) if len(calls) <= picks else None
+        return real(*args) if len(calls) <= picks else (None, None, None)
 
-    monkeypatch.setattr(core_mod, "acquire", acquire)
+    monkeypatch.setattr(loop_mod, "select", select)
     return cfg, truth, run(cfg, truth, snapshot_iterations=range(1, 6))
 
 

@@ -165,7 +165,7 @@ def test_interpolating_function_region_restriction():
     s = make_samples(grid, [40, 45, 50], [0.5, 0.6, 0.7])
     region = np.zeros(100, dtype=bool)
     region[30:70] = True
-    mask = DomainMask(grid, region, "hat")
+    mask = DomainMask(grid, region)
     f = sample_interpolating_function(s, 0, 0.01, CFG, mask, SamplerConfig(),
                                       (4,), 0)
     tail = f.centers[3:, 0]
@@ -173,7 +173,7 @@ def test_interpolating_function_region_restriction():
     assert np.all(np.isin(tail, allowed))
     # an empty region is no mask at all
     with pytest.raises(ValueError, match="empty"):
-        DomainMask(grid, np.zeros(100, dtype=bool), "hat")
+        DomainMask(grid, np.zeros(100, dtype=bool))
     with pytest.raises(ValueError, match="different grids"):
         sample_interpolating_function(s, 0, 0.01, CFG,
                                       global_mask(GridDomain.uniform(50)),
@@ -206,7 +206,7 @@ def test_batched_norms_match_per_function_path():
             for j in range(300)
         ])
         np.testing.assert_allclose(batched, singles, atol=1e-9, rtol=1e-9,
-                                   err_msg=f"{mask.label} {mask.count}")
+                                   err_msg=str(mask.count))
 
 
 def test_batched_norms_start_index_gives_stable_pooling():
@@ -219,7 +219,7 @@ def test_batched_norms_start_index_gives_stable_pooling():
                           SamplerConfig(num_centers=30)),
                          (*cases[2], SamplerConfig()),
                          (*cases[-1], SamplerConfig())):
-        assert mask.label == "global"
+        assert mask.member.all()
         full = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (7,),
                                    count=90)
         part1 = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (7,),
@@ -265,7 +265,7 @@ def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
     cfg = SamplerConfig()
     cases = list(mask_cases())
     for s, mask in (cases[2], cases[-1]):
-        assert mask.label == "global" and mask.count in (100, 2500)
+        assert mask.member.all() and mask.count in (100, 2500)
         num_tail = cfg.num_centers - len(s)
         tracemalloc.start()
         try:
@@ -286,7 +286,7 @@ def test_norms_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     for (s, mask), want in zip(cases, default):
         got = interpolating_norms(s, (1,), 0.01, CFG, mask, SamplerConfig(),
                                   (6, mask.count), 300)
-        assert np.array_equal(got, want), (mask.label, mask.count)
+        assert np.array_equal(got, want), mask.count
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import most_uncertain
 
 from pacsbo import safeopt_core
 from pacsbo.kernel_gp import (
@@ -23,7 +24,6 @@ from pacsbo.safeopt_core import (
     ConfidenceField,
     SafeOptState,
     _boundary_candidates,
-    acquire,
     beta_scale,
     compute_state,
     confidence_bounds,
@@ -134,7 +134,7 @@ def test_safe_set_flags_seed_outside_mask():
     grid = GridDomain.uniform(10)
     member = np.zeros(10, dtype=bool)
     member[5:] = True
-    mask = DomainMask(grid, member, "tilde")
+    mask = DomainMask(grid, member)
     lower = np.full(10, np.nan)
     lower[5:] = 1.0
     field = hand_field({0: lower, 1: lower}, {0: lower + 1, 1: lower + 1})
@@ -161,27 +161,53 @@ def test_maximizers_singleton_safe_set():
     np.testing.assert_array_equal(maximizers(field, safe), safe)
 
 
-def test_acquire_hand_case_and_tie_break():
+def hand_select(monkeypatch, regions):
+    """``select`` over hand-made regions: ``regions`` maps each label, in
+    region order, to the ``(field, candidates)`` of a seeded state."""
+    grid = GridDomain.uniform(4)
+    samples = SampleSet(grid, [0], {0: [0.0], 1: [0.0]})
+    posts = {i: gp_fit(samples, i, 0.1, KernelConfig()) for i in (0, 1)}
+    states = {label: SafeOptState(field, cand, cand, cand, True)
+              for label, (field, cand) in regions.items()}
+    monkeypatch.setattr(safeopt_core, "compute_state",
+                        lambda posteriors, betas, mask, *rest: states[mask])
+    masks = {label: label for label in regions}
+    bounds = {label: {0: 1.0, 1: 1.0} for label in regions}
+    choice, label, got = select(posts, dict.fromkeys(regions), bounds, masks,
+                                [0], 0.1, 0.1)
+    assert all(got[k] is st for k, st in states.items())
+    return choice, label
+
+
+def select_one(monkeypatch, field, candidates):
+    """The choice of ``select`` over one seeded region."""
+    return hand_select(monkeypatch, {"global": (field, candidates)})[0]
+
+
+def test_select_hand_case_and_tie_break(monkeypatch):
     lower = np.array([0.0, 0.1, 0.2, 0.3])
     upper = np.array([0.5, 0.9, 0.7, 0.8])  # widths 0.5, 0.8, 0.5, 0.5
     field = hand_field({0: lower, 1: lower}, {0: upper, 1: upper})
     cand = np.array([True, True, True, True])
-    assert acquire(field, cand) == 1
+    assert select_one(monkeypatch, field, cand) == 1
     flat = hand_field({0: np.zeros(4), 1: np.zeros(4)},
                       {0: np.full(4, 0.5), 1: np.full(4, 0.5)})
-    assert acquire(flat, cand) == 0  # all widths equal: lowest index wins
-    assert acquire(flat, np.array([False, False, True, True])) == 2
-    assert acquire(field, np.zeros(4, dtype=bool)) is None
+    # all widths equal: lowest index wins
+    assert select_one(monkeypatch, flat, cand) == 0
+    assert select_one(monkeypatch, flat,
+                      np.array([False, False, True, True])) == 2
+    assert select_one(monkeypatch, field, np.zeros(4, dtype=bool)) is None
 
 
-def test_near_tied_widths_go_to_the_lower_index():
+def test_near_tied_widths_go_to_the_lower_index(monkeypatch):
     # 1e-12 relative apart is a tie; 1e-6 is not
     upper = np.array([0.5, 0.5 * (1 + 1e-12), 0.5 * (1 - 1e-12), 0.4])
     field = hand_field({0: np.zeros(4), 1: np.zeros(4)}, {0: upper, 1: upper})
-    assert acquire(field, np.ones(4, dtype=bool)) == 0
-    assert acquire(field, np.array([False, True, True, True])) == 1
+    assert select_one(monkeypatch, field, np.ones(4, dtype=bool)) == 0
+    assert select_one(monkeypatch, field,
+                      np.array([False, True, True, True])) == 1
     upper[1] = 0.5 * (1 + 1e-6)
-    assert acquire(field, np.ones(4, dtype=bool)) == 1
+    assert select_one(monkeypatch, field, np.ones(4, dtype=bool)) == 1
 
 
 @pytest.mark.parametrize("gap, want", [(1e-12, (2, "first")),
@@ -189,24 +215,12 @@ def test_near_tied_widths_go_to_the_lower_index():
 def test_select_ties_go_to_the_earlier_region(gap, want, monkeypatch):
     """The earlier region's lower tied index wins over a later region whose
     candidate is wider by less than the tie tolerance."""
-    grid = GridDomain.uniform(4)
-    samples = SampleSet(grid, [0], {0: [0.0], 1: [0.0]})
-    posts = {i: gp_fit(samples, i, 0.1, KernelConfig()) for i in (0, 1)}
     widths = {"first": [0.0, 0.0, 0.5, 0.5 * (1 + gap / 2)],
               "second": [0.5 * (1 + gap), 0.4, 0.0, 0.0]}
-    states = {}
-    for label, w in widths.items():
-        cand = np.array(w) > 0
-        field = hand_field({0: np.zeros(4), 1: np.zeros(4)}, {0: w, 1: w})
-        states[label] = SafeOptState(field, cand, cand, cand, True)
-    monkeypatch.setattr(safeopt_core, "compute_state",
-                        lambda posteriors, betas, mask, *rest: states[mask])
-    masks = {label: label for label in widths}
-    bounds = {label: {0: 1.0, 1: 1.0} for label in widths}
-    preds = dict.fromkeys(widths)
-    choice, label, got = select(posts, preds, bounds, masks, [0], 0.1, 0.1)
-    assert (choice, label) == want
-    assert all(got[k] is st for k, st in states.items())
+    regions = {label: (hand_field({0: np.zeros(4), 1: np.zeros(4)},
+                                  {0: w, 1: w}), np.array(w) > 0)
+               for label, w in widths.items()}
+    assert hand_select(monkeypatch, regions) == want
 
 
 def test_three_point_expander_hand_case():
@@ -337,7 +351,7 @@ def test_boundary_candidates_match_literal_definition():
 
     def check(shape, member, safe):
         grid = GridDomain.uniform(shape)
-        mask = DomainMask(grid, member, "hat")
+        mask = DomainMask(grid, member)
         np.testing.assert_array_equal(
             _boundary_candidates(safe, mask),
             literal_boundary_candidates(safe, member, shape))
@@ -410,7 +424,7 @@ def test_compute_state_invariants_and_candidates():
     assert state.seeded
     assert not (state.maximizer_set & ~state.safe).any()
     assert not (state.expander_set & ~state.safe).any()
-    choice = acquire(state.field, state.candidates())
+    choice = most_uncertain(state.field, state.candidates())
     assert choice is None or state.candidates()[choice]
 
 
@@ -440,7 +454,7 @@ def test_runs_with_correct_bound_stay_safe():
             beta = beta_scale(1.0, noise, gamma, delta)
             state = compute_state(posteriors, {0: beta, 1: beta},
                                   global_mask(grid), [seed_idx])
-            a = acquire(state.field, state.candidates())
+            a = most_uncertain(state.field, state.candidates())
             if a is None:
                 break
             if values[a] < 0:
@@ -459,7 +473,7 @@ def digest_case(dims):
     if dims == 1:
         grid, k, lengthscale = GridDomain.uniform(100), 8, 0.1
         member = grid.points[:, 0] <= 0.8
-        mask = DomainMask(grid, member, "hat")
+        mask = DomainMask(grid, member)
     else:
         grid, k, lengthscale = GridDomain.uniform((50, 50)), 40, 0.2
         mask = global_mask(grid)

@@ -149,8 +149,10 @@ def test_threads_running_the_sampler_at_once_match_a_serial_run():
     kernel, cfg = KernelConfig(lengthscale=0.1), SamplerConfig()
     one = sampler_case(100, [22, 30, 41, 57])
     two = sampler_case((20, 20), [45, 52, 168, 230, 301])
-    calls = [(s, i, mask, (4, mask.label, i))
-             for s in (one, two) for mask in partition_masks(s)
+    calls = [(s, i, mask, (4, label, i))
+             for s in (one, two)
+             for label, mask in zip(("tilde", "hat", "global"),
+                                    partition_masks(s))
              for i in (0, 1)]
 
     def run(call):

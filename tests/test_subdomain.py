@@ -195,7 +195,6 @@ def test_partition_nesting_random_sample_sets():
             assert np.all(hat.member[tilde.member])
             assert np.all(glob.member[hat.member])
             assert tilde.member[idx].all()
-            assert tilde.label == "tilde" and hat.label == "hat"
             assert glob.count == grid.num_points
 
 
@@ -203,7 +202,6 @@ def test_global_mask_covers_everything():
     grid = GridDomain.uniform((12, 9))
     mask = global_mask(grid)
     assert mask.count == 12 * 9
-    assert mask.label == "global"
 
 
 def test_empty_samples_rejected():

@@ -52,8 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    env = os.environ.get("PACSBO_OUT") or None  # empty counts as unset
-    out = args.out if args.out is not None else env
+    out = args.out or os.environ.get("PACSBO_OUT") or None  # empty is unset
     if args.command == "train-predictor":
         cfg = load_train_config(args.config, out_path=out, seed=args.seed)
         result = train_predictor_pipeline(cfg)

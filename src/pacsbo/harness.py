@@ -106,6 +106,8 @@ class ExperimentSpec:
                               f"expected one of {', '.join(SCENARIOS)}")
         if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct: {list(self.seeds)}")
         params = self.params
         _check_numbers(params, _scenario_defaults(self.scenario))
         if self.scenario == "hoeffding_mc":
@@ -324,7 +326,9 @@ def _kernel_for(params: dict) -> KernelConfig:
 # CSV and manifest plumbing
 
 def write_csv(path, header, rows) -> None:
-    """Write rows after checking each one matches the header width."""
+    """Write rows after checking each one matches the header width; every
+    float cell, numpy floats included, is written at 10 significant
+    digits."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     for k, row in enumerate(rows):
@@ -334,7 +338,8 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([f"{c:.10g}" if isinstance(c, (float, np.floating))
+                          else c for c in row] for row in rows)
 
 
 def _versions() -> dict:
@@ -403,20 +408,19 @@ def history_rows(spec_seed: int, algorithm: str, grid: GridDomain,
     rows = []
     for rec in history.records:
         row = [SCHEMA_VERSION, spec_seed, algorithm, rec.iteration]
-        row += [f"{c:.10g}" for c in np.atleast_1d(grid.points[rec.chosen])]
-        row += [f"{rec.measured[0]:.10g}", f"{rec.measured[1]:.10g}",
-                int(rec.unsafe)]
+        row += list(np.atleast_1d(grid.points[rec.chosen]))
+        row += [rec.measured[0], rec.measured[1], int(rec.unsafe)]
         stats = [rec.partitions.get(label) for label in PARTITION_ORDER]
         for st in stats:
             if st is None:
                 row += ["", "", "", "", "", ""]
             else:
-                row += [f"{st.bound:.10g}", st.q_used, int(st.escalated),
+                row += [st.bound, st.q_used, int(st.escalated),
                         st.safe_count, st.maximizer_count, st.expander_count]
-        row += [f"{rec.best_safe_reward:.10g}", rec.chosen_partition]
+        row += [rec.best_safe_reward, rec.chosen_partition]
         for st in stats:
             row += ([""] * len(CHANNELS) if st is None else
-                    [f"{b:.10g}" for b in st.channel_bounds])
+                    list(st.channel_bounds))
         rows.append(row)
     return rows
 
@@ -474,15 +478,14 @@ def snapshot_rows(grid: GridDomain, snapshot: Snapshot) -> list:
     sampled[list(snapshot.reward.indices)] = True
     rows = []
     for j in range(grid.num_points):
-        row = [f"{c:.10g}" for c in np.atleast_1d(grid.points[j])]
-        row += [int(sampled[j]), f"{mu[j]:.10g}"]
+        row = list(np.atleast_1d(grid.points[j]))
+        row += [int(sampled[j]), mu[j]]
         for label in PARTITION_ORDER:
             field = snapshot.fields.get(label)
             if field is None:
                 row += ["", ""]
             else:
-                row += [f"{field.lower[0][j]:.10g}",
-                        f"{field.upper[0][j]:.10g}"]
+                row += [field.lower[0][j], field.upper[0][j]]
         rows.append(row)
     return rows
 
@@ -529,10 +532,9 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     header = ["schema_version", "seed", "num_samples", "initial_guess",
               "accepted_bound", "q_used", "escalated", "draw_mean",
               "draw_width", "threshold"]
-    rows = [[SCHEMA_VERSION, s, m, f"{guess:.10g}", f"{res.bound:.10g}",
-             res.q_used, int(res.escalated), f"{res.empirical_mean:.10g}",
-             f"{res.width:.10g}",
-             f"{res.empirical_mean + res.width:.10g}"]
+    rows = [[SCHEMA_VERSION, s, m, guess, res.bound, res.q_used,
+             int(res.escalated), res.empirical_mean, res.width,
+             res.empirical_mean + res.width]
             for seed_rows in per_seed
             for (s, m, guess, res) in seed_rows]
     out = Path(spec.out_dir)
@@ -602,7 +604,7 @@ def _run_seeds(spec: ExperimentSpec, algorithms,
 
 
 def _summary_row(seed: int, algorithm: str, history: RunHistory) -> list:
-    return [SCHEMA_VERSION, seed, algorithm, f"{history.best_reward:.10g}",
+    return [SCHEMA_VERSION, seed, algorithm, history.best_reward,
             int(history.any_unsafe())]
 
 
@@ -638,7 +640,7 @@ def scenario_compare(spec: ExperimentSpec) -> dict:
             reached = _iters_to_fraction(history, OPT_FRACTION * optimum)
             summary_rows.append(
                 _summary_row(seed, algorithm, history)
-                + ["" if reached is None else reached, f"{optimum:.10g}"])
+                + ["" if reached is None else reached, optimum])
     summary_rows.sort(key=lambda r: (r[2], r[1]))
     return _write_summary(spec, files,
                           ["iters_to_fraction", "safe_optimum"], summary_rows)
@@ -666,8 +668,8 @@ def _explored_rows(samples: SampleSet) -> list:
     rows = []
     for j in range(samples.grid.num_points):
         x = samples.grid.points[j]
-        rows.append([f"{x[0]:.10g}", f"{x[1]:.10g}", int(sampled[j]),
-                     int(tilde.member[j]), int(hat.member[j])])
+        rows.append([x[0], x[1], int(sampled[j]), int(tilde.member[j]),
+                     int(hat.member[j])])
     return rows
 
 
@@ -692,14 +694,13 @@ def scenario_hoeffding(spec: ExperimentSpec) -> dict:
             hits += abs(mean - 0.5) <= width
         coverage = hits / replicates
         report[delta] = coverage
-        rows.append([SCHEMA_VERSION, f"{delta:.10g}", replicates, q,
-                     f"{width:.10g}", f"{coverage:.10g}"])
+        rows.append([SCHEMA_VERSION, delta, replicates, q, width, coverage])
     out = Path(spec.out_dir)
     csv_path = out / "coverage.csv"
     write_csv(csv_path, ["schema_version", "delta", "replicates", "q",
                          "width", "coverage"], rows)
     manifest = write_manifest(spec, [csv_path], {"coverage": {
-        f"{d:.10g}": c for d, c in report.items()}})
+        str(_rounded(d)): c for d, c in report.items()}})
     return {"coverage": report, "csv": csv_path, "manifest": manifest}
 
 
@@ -716,11 +717,11 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 # ---------------------------------------------------------------------------
 # predictor training pipeline
 
-TRAIN_DEFAULTS = dict(
-    out_path=None, grid_resolution=100, lengthscale=0.1, noise_std=0.01,
-    delta=0.1, q_train=200, rollout_iters=30, t_max=50, hidden=[64, 64],
-    epochs=400, batch_size=64, step=0.003, seed=0,
-)
+TRAIN_DEFAULTS = dict(out_path=None, q_train=200, rollout_iters=30,
+                      epochs=400, seed=0)
+# points of the 1-D grid the predictor trains on; every other rollout and
+# training setting is the library default
+TRAIN_GRID = 100
 
 
 def load_train_config(path, out_path=None, seed=None) -> dict:
@@ -742,8 +743,6 @@ def load_train_config(path, out_path=None, seed=None) -> dict:
     if cfg["seed"] < 0:
         raise ConfigError(f"{path}: seed must be a non-negative integer, "
                           f"got {cfg['seed']!r}")
-    if any(h < 1 for h in cfg["hidden"]):
-        raise ConfigError(f"{path}: hidden widths must be at least 1")
     try:
         _train_parts(cfg)
     except ValueError as exc:
@@ -754,21 +753,16 @@ def load_train_config(path, out_path=None, seed=None) -> dict:
 def _train_parts(cfg: dict):
     """Rollout settings and training hyperparameters of a train config."""
     rollout = RolloutConfig(
-        grid=_grid_for(cfg), kernel=_kernel_for(cfg),
-        q_train=int(cfg["q_train"]), rollout_iters=int(cfg["rollout_iters"]),
-        noise_std=float(cfg["noise_std"]), delta=float(cfg["delta"]),
-        t_max=int(cfg["t_max"]))
-    return rollout, TrainHyper(epochs=int(cfg["epochs"]),
-                               batch_size=int(cfg["batch_size"]),
-                               step=float(cfg["step"]))
+        grid=GridDomain.uniform(TRAIN_GRID), kernel=KernelConfig(),
+        q_train=int(cfg["q_train"]), rollout_iters=int(cfg["rollout_iters"]))
+    return rollout, TrainHyper(epochs=int(cfg["epochs"]))
 
 
 def train_predictor_pipeline(cfg: dict) -> dict:
     """Generate rollout data, fit the network, save model and report."""
     rollout, hyper = _train_parts(cfg)
     data = generate_training_data(rollout, int(cfg["seed"]))
-    model = train_mlp(data, tuple(int(h) for h in cfg["hidden"]), hyper,
-                      seed=int(cfg["seed"]))
+    model = train_mlp(data, hyper=hyper, seed=int(cfg["seed"]))
     out_path = Path(cfg["out_path"])
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_predictor(model, out_path)
@@ -780,7 +774,7 @@ def train_predictor_pipeline(cfg: dict) -> dict:
         "label_mean": float(np.mean(data.labels)),
         "label_max": float(np.max(data.labels)),
         "final_loss": float(model.final_loss),
-        "hidden": [int(h) for h in cfg["hidden"]],
+        "hidden": list(model.hidden),
         "epochs": int(cfg["epochs"]),
         "versions": _versions(),
     }

@@ -9,9 +9,9 @@ import yaml
 from conftest import constant_predictor
 
 import pacsbo.pacsbo_loop as loop_mod
-from pacsbo import cli
+from pacsbo import cli, harness
 from pacsbo.cli import main
-from pacsbo.predictor import load_predictor, save_predictor
+from pacsbo.predictor import TrainHyper, load_predictor, save_predictor
 
 
 def write_config(path, body):
@@ -21,9 +21,8 @@ def write_config(path, body):
 
 
 def tiny_train_body(out_path):
-    return dict(out_path=str(out_path), grid_resolution=25, q_train=2,
-                rollout_iters=3, hidden=[6], epochs=15,
-                batch_size=4, step=0.01, t_max=10, seed=0)
+    return dict(out_path=str(out_path), q_train=2, rollout_iters=3,
+                epochs=15, seed=0)
 
 
 def comparison_body(tmp_path):
@@ -79,35 +78,25 @@ class TestTrainPredictor:
         assert ((tmp_path / "a.json").read_bytes()
                 == (tmp_path / "b" / "b.json").read_bytes())
 
-    def test_missing_architecture_field(self, tmp_path, capsys):
-        body = tiny_train_body(tmp_path / "m.json")
-        body["hidden"] = 6  # scalar, not a list of layer sizes
-        cfg = write_config(tmp_path / "t.yaml", body)
-        assert main(["train-predictor", "--config", cfg]) == 2
-        assert "hidden" in capsys.readouterr().err
-
-    def test_zero_noise_exits_2(self, tmp_path, capsys):
-        body = tiny_train_body(tmp_path / "m.json")
-        body["noise_std"] = 0.0
-        cfg = write_config(tmp_path / "t.yaml", body)
-        assert main(["train-predictor", "--config", cfg]) == 2
-        assert "noise_std must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "m.json").exists()
-
     @pytest.mark.parametrize("bad, message", [
         (dict(epochs="many"), "epochs must be an integer"),
-        (dict(hidden=[6, "wide"]), "hidden must be an integer"),
-        (dict(step="fast"), "step must be a number"),
-        # training settings that are module constants now
+        # training settings that are constants or library defaults now,
+        # rejected even at their value
+        (dict(hidden=[64, 64]), "unknown key 'hidden'"),
+        (dict(step=0.003), "unknown key 'step'"),
         (dict(safe_quantile=0.4), "unknown key 'safe_quantile'"),
-        (dict(lengthscale=-1), "lengthscale must be positive"),
+        (dict(lengthscale=0.1), "unknown key 'lengthscale'"),
         (dict(epochs=0), "bad training hyperparameters"),
-        (dict(rollout_iters=11), "rollout longer than the trace window"),
-        (dict(delta=2.0), "delta must be in (0, 1)"),
-        (dict(hidden=[0]), "hidden widths must be at least 1"),
+        # the window holds 50 pairs
+        (dict(rollout_iters=51), "rollout longer than the trace window"),
+        (dict(delta=0.1), "unknown key 'delta'"),
+        (dict(batch_size=64), "unknown key 'batch_size'"),
         (dict(label_multiplier=1.0), "unknown key 'label_multiplier'"),
         (dict(num_centers=100), "unknown key 'num_centers'"),
         (dict(alpha_bar=1.0), "unknown key 'alpha_bar'"),
+        (dict(noise_std=0.01), "unknown key 'noise_std'"),
+        (dict(t_max=50), "unknown key 't_max'"),
+        (dict(grid_resolution=100), "unknown key 'grid_resolution'"),
     ])
     def test_malformed_values_exit_2(self, tmp_path, capsys, bad, message):
         body = tiny_train_body(tmp_path / "m.json")
@@ -128,10 +117,13 @@ class TestTrainPredictor:
         assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    def test_divergence_exits_3(self, tmp_path, capsys):
-        body = tiny_train_body(tmp_path / "m.json")
-        body["step"] = 1e12
-        cfg = write_config(tmp_path / "t.yaml", body)
+    def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the (64, 64) network saturates to a finite loss at steps up to
+        # 1e150; this one overflows the loss in the second epoch
+        monkeypatch.setattr(harness, "TrainHyper",
+                            lambda **kw: TrainHyper(step=1e300, **kw))
+        cfg = write_config(tmp_path / "t.yaml",
+                           tiny_train_body(tmp_path / "m.json"))
         assert main(["train-predictor", "--config", cfg]) == 3
         assert "numeric" in capsys.readouterr().err
 
@@ -241,6 +233,7 @@ class TestRunCommand:
         (dict(seeds=[1.5]), "seeds must be a list of non-negative integers"),
         (dict(norm_target=-1), "norm_target must be positive"),
         (dict(norm_target=0), "norm_target must be positive"),
+        (dict(seeds=[0, 0]), "seeds must be distinct"),
     ])
     def test_malformed_fig3_values_exit_2(self, tmp_path, capsys, bad,
                                           message):
@@ -357,6 +350,21 @@ class TestOverridePrecedence:
         cfg = write_config(tmp_path / "t.yaml", tiny_train_body(out))
         monkeypatch.setenv("PACSBO_OUT", "")
         assert main(["train-predictor", "--config", cfg]) == 0
+        assert out.exists()
+
+    def test_empty_out_flag_dir_counts_as_unset(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "h.yaml",
+                           hoeffding_body(tmp_path / "wanted"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["hoeffding-mc", "--config", cfg, "--out", ""]) == 0
+        assert (tmp_path / "wanted" / "coverage.csv").exists()
+        assert not (tmp_path / "coverage.csv").exists()
+        assert not (tmp_path / "manifest.yaml").exists()
+
+    def test_empty_out_flag_path_counts_as_unset(self, tmp_path):
+        out = tmp_path / "wanted.json"
+        cfg = write_config(tmp_path / "t.yaml", tiny_train_body(out))
+        assert main(["train-predictor", "--config", cfg, "--out", ""]) == 0
         assert out.exists()
 
     def test_cli_beats_env(self, tmp_path, monkeypatch):

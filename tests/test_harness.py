@@ -169,10 +169,18 @@ TINY = {
 }
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("scenario", SCENARIOS + ("train",))
 def test_a_run_reads_every_scenario_key(tmp_path, scenario):
     """Beyond its validation, a run reads every key of its scenario's
-    defaults, so no key can be set that nothing uses."""
+    defaults, and training every key of ``TRAIN_DEFAULTS``, so no key can
+    be set that nothing uses."""
+    if scenario == "train":
+        cfg = ReadRecorder(TRAIN_DEFAULTS)
+        cfg.update(out_path=str(tmp_path / "p.json"), q_train=2,
+                   rollout_iters=3, epochs=2)
+        train_predictor_pipeline(cfg)
+        assert set(TRAIN_DEFAULTS) - cfg.read == set()
+        return
     params = ReadRecorder(_params(scenario))
     params.update(TINY[scenario])
     if "predictor_path" in params:
@@ -209,8 +217,7 @@ def test_yaml_floats_carry_the_csv_digits(tmp_path):
                 assert ten_digits(written), (key, written)
                 assert written == pytest.approx(returned, rel=1e-9)
     cfg = dict(TRAIN_DEFAULTS, out_path=str(tmp_path / "p.json"),
-               grid_resolution=25, q_train=2, rollout_iters=3, hidden=[6],
-               epochs=15, batch_size=4, step=0.01, t_max=10)
+               q_train=2, rollout_iters=3, epochs=15)
     result = train_predictor_pipeline(cfg)
     report = yaml.safe_load(result["report_path"].read_text())
     for key in ("label_mean", "label_max", "final_loss"):

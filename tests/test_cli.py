@@ -78,6 +78,22 @@ class TestTrainPredictor:
         assert ((tmp_path / "a.json").read_bytes()
                 == (tmp_path / "b" / "b.json").read_bytes())
 
+    def test_missing_architecture_field(self, tmp_path, capsys):
+        body = tiny_train_body(tmp_path / "m.json")
+        body["hidden"] = 6  # the widths are fixed; no config may set them
+        cfg = write_config(tmp_path / "t.yaml", body)
+        assert main(["train-predictor", "--config", cfg]) == 2
+        assert "unknown key 'hidden'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_zero_noise_exits_2(self, tmp_path, capsys):
+        body = tiny_train_body(tmp_path / "m.json")
+        body["noise_std"] = 0.0
+        cfg = write_config(tmp_path / "t.yaml", body)
+        assert main(["train-predictor", "--config", cfg]) == 2
+        assert "unknown key 'noise_std'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("bad, message", [
         (dict(epochs="many"), "epochs must be an integer"),
         # training settings that are constants or library defaults now,

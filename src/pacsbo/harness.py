@@ -27,8 +27,8 @@ from .kernel_gp import (
     KernelConfig,
     SampleSet,
     gp_fit,
-    gp_predict,
     mean_rkhs_norm,
+    predictive,
 )
 from .pac_estimator import (DrawPool, PacConfig, estimate_upper_bound,
                             hoeffding_width)
@@ -51,6 +51,7 @@ from .predictor import (
 )
 from .rkhs_function import (
     SamplerConfig,
+    evaluate,
     sample_random_function,
     scale_to_norm,
 )
@@ -252,9 +253,7 @@ def make_truth(spec_params: dict, grid: GridDomain, kernel: KernelConfig,
     """Random ground truth at the target norm, its threshold placed so the
     requested fraction of the domain is safe."""
     f = _truth_reward(spec_params, grid, kernel, seed)
-    safe_fraction = float(spec_params["safe_fraction"])
-    return GroundTruth(f, float(np.quantile(f(grid.points),
-                                            1.0 - safe_fraction)))
+    return GroundTruth.at_quantile(f, 1.0 - float(spec_params["safe_fraction"]))
 
 
 def seed_triple(truth: GroundTruth, grid: GridDomain,
@@ -268,7 +267,7 @@ def seed_triple(truth: GroundTruth, grid: GridDomain,
     far from the maximizer as possible while staying inside its safe
     connected component, so a comparison run actually has ground to cover.
     """
-    vals = truth.reward(grid.points) - truth.threshold
+    vals = truth.reward_values - truth.threshold
     row_len = grid.resolution[-1]
     if row_len < 3:
         raise ConfigError("grid too coarse for a three-point start set")
@@ -283,9 +282,8 @@ def seed_triple(truth: GroundTruth, grid: GridDomain,
                 continue
             if float(vals[window].min()) < S0_MARGIN:
                 continue
-            score = float(np.linalg.norm(
-                np.atleast_1d(grid.points[start + 1])
-                - np.atleast_1d(grid.points[j])))
+            score = float(np.linalg.norm(grid.points[start + 1]
+                                         - grid.points[j]))
             if score > best_score + 1e-12:
                 best, best_score = start, score
         if best is not None:
@@ -293,19 +291,14 @@ def seed_triple(truth: GroundTruth, grid: GridDomain,
         # no distant window qualifies: fall through to the argmax rule
     row0 = (j // row_len) * row_len
     lo = int(np.clip(j - 1, row0, row0 + row_len - 3))
-    best, best_min = None, -np.inf
-    for start in range(row0, row0 + row_len - 2):
-        window_min = float(vals[start:start + 3].min())
-        if window_min > best_min:
-            best, best_min = start, window_min
-    candidate_min = float(vals[lo:lo + 3].min())
-    if candidate_min < S0_MARGIN:
-        lo = best
-        candidate_min = best_min
-    if candidate_min < S0_MARGIN:
+    if vals[lo:lo + 3].min() < S0_MARGIN:  # then the row's safest window
+        lo = max(range(row0, row0 + row_len - 2),
+                 key=lambda start: vals[start:start + 3].min())
+    worst = float(vals[lo:lo + 3].min())
+    if worst < S0_MARGIN:
         raise ConfigError(
             f"no three-point start window clears the safety margin "
-            f"{S0_MARGIN} (best {candidate_min:.3f})")
+            f"{S0_MARGIN} (best {worst:.3f})")
     return (lo, lo + 1, lo + 2)
 
 
@@ -473,7 +466,7 @@ def snapshot_rows(grid: GridDomain, snapshot: Snapshot) -> list:
     """One row per grid point: whether it was sampled, the reward posterior
     mean, and each region's reward-channel bounds, as the step that chose
     the snapshot's sample saw them."""
-    mu = gp_predict(snapshot.reward, np.arange(grid.num_points))[0]
+    mu = predictive({0: snapshot.reward}, np.arange(grid.num_points))[0][0]
     sampled = np.zeros(grid.num_points, dtype=bool)
     sampled[list(snapshot.reward.indices)] = True
     rows = []
@@ -511,18 +504,15 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
 
     per_seed = []
     for seed in spec.seeds:
-        f = _truth_reward(params, grid, kernel, seed)
+        values = evaluate(_truth_reward(params, grid, kernel, seed))
         draw = derive_rng(seed, "draw")
         order = draw.permutation(grid.num_points)[:max(counts)]
         noise_rng = derive_rng(seed, "noise")
         eps = noise_rng.normal(0.0, noise, size=max(counts))
         rows = []
         for m in counts:
-            samples = SampleSet(grid, (), {0: (), 1: ()})
-            for j in order[:m]:
-                v = float(f(grid.points[int(j)].reshape(1, -1))[0])
-                y = v + float(eps[len(samples)])
-                samples = samples.append(int(j), {0: y, 1: y})
+            y = values[order[:m]] + eps[:m]
+            samples = SampleSet(grid, order[:m], {0: y, 1: y})
             guess = mean_rkhs_norm(gp_fit(samples, 0, noise, kernel))
             pool = DrawPool(samples, (0,), noise, kernel, mask, pac.sampler,
                             (seed, "fig3", m))
@@ -560,10 +550,9 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
             "decreasing": decreasing, "csv": csv_path, "manifest": manifest}
 
 
-def _true_safe_optimum(truth: GroundTruth, grid: GridDomain) -> float:
-    vals = truth.reward(grid.points)
-    safe = vals - truth.threshold >= 0.0
-    return float(vals[safe].max())
+def _true_safe_optimum(truth: GroundTruth) -> float:
+    vals = truth.reward_values
+    return float(vals[vals - truth.threshold >= 0.0].max())
 
 
 def _iters_to_fraction(history: RunHistory, target: float):
@@ -629,7 +618,7 @@ def scenario_compare(spec: ExperimentSpec) -> dict:
                                 params["snapshot_iterations"])
     summary_rows = []
     for seed, truth, runs in outputs:
-        optimum = _true_safe_optimum(truth, grid)
+        optimum = _true_safe_optimum(truth)
         for algorithm, history in runs.items():
             for t, snapshot in history.snapshots.items():
                 spath = out / "snapshots" / \

@@ -13,9 +13,9 @@ The Gaussian process is the standard noisy-interpolation posterior
 computed through a Cholesky factorization of the regularized Gram matrix.
 The kernel is Matern 3/2 with unit output scale, so prior variance is one
 everywhere and posterior variances live in ``[0, 1]``. Every sample and
-query is a grid point, so every kernel block of the Gram, the posterior,
-the expander test and the sampler is gathered by grid index from one table
-of the kernel at each lattice offset (:func:`kernel_block`).
+query, and every center of a kernel expansion, is a grid point, so every
+kernel block (Gram, posterior, expander test, sampler, expansions) is
+gathered by grid index from one lattice-offset table (:func:`kernel_block`).
 """
 from __future__ import annotations
 
@@ -47,24 +47,10 @@ class KernelConfig:
             raise ValueError("lengthscale must be positive")
 
 
-def pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``x`` (..., m, n) and ``y``
-    (..., p, n), shape (..., m, p); leading axes broadcast."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    return np.sqrt(np.sum(np.square(x[..., :, None, :] - y[..., None, :, :]),
-                          axis=-1))
-
-
 def matern32(dist, lengthscale: float):
     """Matern 3/2 correlation for (arrays of) distances."""
     s = (math.sqrt(3.0) / lengthscale) * np.asarray(dist, dtype=float)
     return (1.0 + s) * np.exp(-s)
-
-
-def kernel_matrix(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Gram block k(x_i, y_j) for row-stacked inputs."""
-    return matern32(pairwise_dist(x, y), cfg.lengthscale)
 
 
 @dataclass(frozen=True)
@@ -110,12 +96,13 @@ def lattice_table(grid: GridDomain, cfg: KernelConfig):
     """``(table, code)`` with ``k(points[a], points[b]) = table[code[a] -
     code[b] + len(table) // 2]``: the stationary kernel at every lattice
     offset, ``prod(2 r_k - 1)`` values in row-major order, and each point's
-    index in that shape; exactly symmetric, a few ulps off :func:`kernel_matrix`.
-    Built once per grid and kernel; both arrays are read-only."""
+    index in that shape; exactly symmetric. Built once per grid and kernel;
+    both arrays are read-only."""
     res = np.array(grid.resolution)
     shape = tuple(2 * res - 1)
     offsets = (np.indices(shape).reshape(grid.dim, -1).T - (res - 1)) / res
-    table = kernel_matrix(offsets, np.zeros((1, grid.dim)), cfg)[:, 0]
+    table = matern32(np.sqrt(np.sum(np.square(offsets), axis=1)),
+                     cfg.lengthscale)
     points = np.indices(grid.resolution).reshape(grid.dim, -1)
     code = np.ravel_multi_index(points, shape)
     table.setflags(write=False)
@@ -126,8 +113,8 @@ def lattice_table(grid: GridDomain, cfg: KernelConfig):
 def kernel_block(grid: GridDomain, cfg: KernelConfig, rows, cols) -> np.ndarray:
     """``k(points[rows[a]], points[cols[b]])`` for the grid indices ``rows``
     and ``cols``, a C-ordered gather from the grid's :func:`lattice_table`,
-    the one source of kernel values for the GP, the expander test and the
-    sampler."""
+    the one source of kernel values for the GP, the expander test, the
+    sampler and the kernel expansions."""
     table, code = lattice_table(grid, cfg)
     rows, cols = (np.asarray(i, dtype=np.intp) for i in (rows, cols))
     return table[(code[rows] + len(table) // 2)[:, None] - code[cols]]
@@ -258,12 +245,6 @@ def clamp_variance(var: np.ndarray) -> np.ndarray:
     if np.any(var < _VAR_CLAMP_WARN):
         log.warning("posterior variance clamped from %.3e", float(var.min()))
     return np.clip(var, 0.0, 1.0)
-
-
-def gp_predict(post: GpPosterior, query):
-    """Posterior mean and clamped variance at the grid indices ``query``."""
-    means, var, _ = predictive({0: post}, query)
-    return means[0], clamp_variance(var)
 
 
 def observation_update(mean_q, var_q, mean_a, var_a, k_n, values,

@@ -19,6 +19,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 from .kernel_gp import (
     GpPosterior,
@@ -32,7 +34,7 @@ from .kernel_gp import (
 )
 from .pac_estimator import DrawPool, PacConfig, PacResult, estimate_upper_bound
 from .predictor import MlpPredictor, append_trace, predict_norm
-from .rkhs_function import RkhsFunction
+from .rkhs_function import RkhsFunction, evaluate
 from .safeopt_core import select
 from .seeding import derive_rng, truncated_normal
 from .subdomain import global_mask, partition_masks
@@ -47,13 +49,26 @@ class GroundTruth:
 
     The reward channel measures the function itself; the constraint channel
     measures the function minus the threshold, so nonnegative means safe.
+    ``reward_values`` holds the reward at every grid point, evaluated once
+    at construction unless given; every true value is read from it.
     """
 
     reward: RkhsFunction
     threshold: float
+    reward_values: np.ndarray = field(default=None, repr=False, compare=False)
 
-    def values(self, grid: GridDomain, index: int) -> tuple:
-        v = float(self.reward(grid.points[index].reshape(1, -1))[0])
+    def __post_init__(self):
+        if self.reward_values is None:
+            object.__setattr__(self, "reward_values", evaluate(self.reward))
+
+    @classmethod
+    def at_quantile(cls, reward: RkhsFunction, q: float) -> "GroundTruth":
+        """Truth thresholded at the ``q`` quantile of its grid values."""
+        values = evaluate(reward)
+        return cls(reward, float(np.quantile(values, q)), values)
+
+    def values(self, index: int) -> tuple:
+        v = float(self.reward_values[index])
         return v, v - self.threshold
 
 
@@ -161,7 +176,7 @@ def _initial_state(cfg: RunConfig, truth: GroundTruth) -> LoopState:
     for k, s in enumerate(cfg.s0_indices):
         rng = derive_rng(cfg.seed, "seed-measure", k)
         samples = samples.append(int(s),
-                                 _measure(truth.values(cfg.grid, int(s)),
+                                 _measure(truth.values(int(s)),
                                           cfg.noise_std, rng))
     traces = {(label, i): () for label in PARTITION_ORDER for i in CHANNELS}
     return LoopState(samples, traces, 0)
@@ -231,7 +246,7 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
         for lab, st in states.items()}
 
     rng = derive_rng(cfg.seed, "measure", state.iteration)
-    exact = truth.values(cfg.grid, choice)
+    exact = truth.values(choice)
     measured = _measure(exact, cfg.noise_std, rng)
     samples = state.samples.append(choice, measured)
     unsafe = exact[1] < 0.0

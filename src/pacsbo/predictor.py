@@ -104,15 +104,15 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
     from .pacsbo_loop import GroundTruth, RunConfig, run
 
     grid, steps = cfg.grid, cfg.rollout_iters
-    values = rho(grid.points)
-    threshold = float(np.quantile(values, SAFE_QUANTILE))
+    truth = GroundTruth.at_quantile(rho, SAFE_QUANTILE)
+    clearance = truth.reward_values - truth.threshold
     bound = rkhs_norm(rho)
-    margin = SEED_MARGIN * (values.max() - threshold)
-    seed_idx = int(rng.choice(np.flatnonzero(values - threshold >= margin)))
+    seed_idx = int(rng.choice(np.flatnonzero(
+        clearance >= SEED_MARGIN * clearance.max())))
     run_cfg = RunConfig(grid, cfg.kernel, (seed_idx,), cfg.noise_std,
                         cfg.delta, budget=steps, algorithm="safeopt",
                         fixed_bound=bound, seed=int(rng.integers(2**63)))
-    history = run(run_cfg, GroundTruth(rho, threshold))
+    history = run(run_cfg, truth)
     if history.status == "stalled":
         log.warning("rollout abandoned at step %d: no candidates",
                     len(history.records))
@@ -247,7 +247,8 @@ def train_mlp(data: TrainingSet, hidden=(64, 64),
     """Mini-batch gradient descent on mean squared error.
 
     Deterministic given the seed: initialization and epoch shuffles come
-    from one derived generator.
+    from one derived generator. A fit whose final full-set loss is not
+    below its initial network's raises ``NumericError``.
     """
     if data.rows < 1:
         raise ValueError("empty training set")
@@ -260,7 +261,7 @@ def train_mlp(data: TrainingSet, hidden=(64, 64),
 
     sizes = (length,) + tuple(hidden) + (1,)
     weights, biases = _init_layers(sizes, rng)
-    loss = float("nan")
+    initial, _, _ = _loss_and_gradients(weights, biases, x_all, y_all)
     for epoch in range(hyper.epochs):
         order = rng.permutation(data.rows)
         for lo in range(0, data.rows, hyper.batch_size):
@@ -275,6 +276,9 @@ def train_mlp(data: TrainingSet, hidden=(64, 64),
                 weights[k] = weights[k] - hyper.step * gw[k]
                 biases[k] = biases[k] - hyper.step * gb[k]
     final, _, _ = _loss_and_gradients(weights, biases, x_all, y_all)
+    if not final < initial:  # the steps overshot: a dead network
+        raise NumericError(f"training did not lower the loss ({initial:.4g} "
+                           f"to {final:.4g}, step={hyper.step})")
     return MlpPredictor(length, tuple(hidden),
                         tuple(w.copy() for w in weights),
                         tuple(b.copy() for b in biases),

@@ -1,14 +1,16 @@
 """Finite kernel expansions with computable norm, and samplers over them.
 
 A function here is ``f = sum_s alpha_s k(x_s, .)`` with kernel norm
-``sqrt(alpha^T K alpha)``. :func:`sample_random_function` places centers
-uniformly on the grid and draws coefficients uniformly from
-``[-coeff_bound, coeff_bound]``. An interpolating draw also pins the
-function to noisy measurements: the first ``N`` centers are the sample
-locations, with coefficients that solve the interpolation system, and the
-``T`` tail centers, drawn from a region mask, stay random. Only the first
-``N`` coefficients depend on the measurements, so :func:`interpolating_norms`
-fits each draw to every channel asked for; the PAC estimator reads the norms.
+``sqrt(alpha^T K alpha)``. Every center is a grid point, held by its grid
+index, so values and norm are gathered from the grid's lattice table.
+:func:`sample_random_function` places centers uniformly on the grid and
+draws coefficients uniformly from ``[-coeff_bound, coeff_bound]``. An
+interpolating draw also pins the function to noisy measurements: the first
+``N`` centers are the sample locations, with coefficients that solve the
+interpolation system, and the ``T`` tail centers, drawn from a region mask,
+stay random. Only the first ``N`` coefficients depend on the measurements,
+so :func:`interpolating_norms` fits each draw to every channel asked for;
+the PAC estimator reads the norms.
 
 Draw ``j`` of a seed path ``p`` is the ``W = 2T + N`` raw words from word
 ``j * W`` of one ``PCG64(SeedSequence(p))`` stream: ``T`` tail positions,
@@ -21,14 +23,14 @@ public ``advance`` and ``random_raw`` are used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg as sla
 
 from .errors import NumericError
 from .kernel_gp import (GridDomain, KernelConfig, SampleSet, _chol_with_jitter,
-                        kernel_block, kernel_matrix, lattice_table)
+                        kernel_block, lattice_table)
 from .seeding import _entropy, truncated_normal_from
 from .subdomain import DomainMask
 
@@ -56,36 +58,44 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class RkhsFunction:
-    """Kernel expansion ``sum_s coefficients[s] * k(centers[s], .)``."""
+    """Kernel expansion ``sum_s coefficients[s] * k(points[index[s]], .)``
+    with its centers at the grid points ``index``."""
+    grid: GridDomain = field(repr=False)
     kernel: KernelConfig
-    centers: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
     coefficients: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        index = np.asarray(self.index, dtype=np.intp).ravel()
         coeffs = np.asarray(self.coefficients, dtype=float).ravel()
-        if centers.shape[0] != coeffs.shape[0]:
+        if index.shape[0] != coeffs.shape[0]:
             raise ValueError("one coefficient per center is required")
-        if centers.shape[0] == 0:
+        if index.shape[0] == 0:
             raise ValueError("an expansion needs at least one center")
-        centers.setflags(write=False)
+        if index.min() < 0 or index.max() >= self.grid.num_points:
+            raise ValueError("every center must be a grid point")
+        index.setflags(write=False)
         coeffs.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "coefficients", coeffs)
 
-    def __call__(self, points):
-        return evaluate(self, points)
+    @property
+    def centers(self) -> np.ndarray:
+        """Center coordinates, ``grid.points[index]``, for coordinate
+        oracles such as the benchmark's (``perfbench/``); the program reads
+        ``index``."""
+        return self.grid.points[self.index]
 
 
-def evaluate(f: RkhsFunction, points) -> np.ndarray:
-    """Function values at row-stacked points (m, n)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return kernel_matrix(points, f.centers, f.kernel) @ f.coefficients
+def evaluate(f: RkhsFunction) -> np.ndarray:
+    """Function values at every grid point, in grid order."""
+    every = np.arange(f.grid.num_points)
+    return kernel_block(f.grid, f.kernel, every, f.index) @ f.coefficients
 
 
 def rkhs_norm(f: RkhsFunction) -> float:
     """Kernel norm ``sqrt(alpha^T K alpha)`` of the expansion."""
-    gram = kernel_matrix(f.centers, f.centers, f.kernel)
+    gram = kernel_block(f.grid, f.kernel, f.index, f.index)
     sq = float(f.coefficients @ gram @ f.coefficients)
     if sq < _NORM_DUST:
         raise NumericError(f"norm squared came out negative: {sq}")
@@ -99,7 +109,7 @@ def scale_to_norm(f: RkhsFunction, target: float) -> RkhsFunction:
     norm = rkhs_norm(f)
     if norm == 0.0:
         raise ValueError("cannot rescale a zero-norm function")
-    return RkhsFunction(f.kernel, f.centers, f.coefficients * (target / norm))
+    return replace(f, coefficients=f.coefficients * (target / norm))
 
 
 def sample_random_function(grid: GridDomain, kernel: KernelConfig,
@@ -110,7 +120,7 @@ def sample_random_function(grid: GridDomain, kernel: KernelConfig,
     """
     idx = rng.integers(0, grid.num_points, size=cfg.num_centers)
     coeffs = rng.uniform(-cfg.coeff_bound, cfg.coeff_bound, size=cfg.num_centers)
-    return RkhsFunction(kernel, grid.points[idx], coeffs)
+    return RkhsFunction(grid, kernel, idx, coeffs)
 
 
 def _draws(seed_path, first, count, num_members, noise_std, num_tail,

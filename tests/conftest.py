@@ -5,7 +5,8 @@ import csv
 import numpy as np
 from scipy import linalg as sla
 
-from pacsbo.kernel_gp import _chol_with_jitter, kernel_matrix
+from pacsbo.kernel_gp import (_chol_with_jitter, clamp_variance, matern32,
+                               predictive)
 from pacsbo.predictor import (
     MlpPredictor,
     _forward_normalized,
@@ -15,6 +16,35 @@ from pacsbo.predictor import (
 from pacsbo.rkhs_function import RkhsFunction, _draws, _tail_region
 from pacsbo.safeopt_core import TIE_RTOL
 from pacsbo.seeding import derive_rng
+
+
+def kernel_matrix(x, y, kernel):
+    """Coordinate reference of the kernel: the Gram block ``k(x_i, y_j)``
+    for row-stacked points, from their Euclidean distances. The library
+    reads every kernel value from its lattice table instead."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    dist = np.sqrt(np.sum(np.square(x[:, None, :] - y[None, :, :]), axis=-1))
+    return matern32(dist, kernel.lengthscale)
+
+
+def reference_values(f, points):
+    """Values of the expansion ``f`` at row-stacked points, on coordinates."""
+    return kernel_matrix(points, f.centers, f.kernel) @ f.coefficients
+
+
+def reference_norm(f):
+    """Kernel norm of the expansion ``f``, on coordinates."""
+    gram = kernel_matrix(f.centers, f.centers, f.kernel)
+    return float(np.sqrt(max(float(f.coefficients @ gram @ f.coefficients),
+                             0.0)))
+
+
+def mean_and_variance(post, query):
+    """One channel's posterior mean and clamped variance at the grid
+    indices ``query``."""
+    means, var, _ = predictive({0: post}, query)
+    return means[0], clamp_variance(var)
 
 
 def constant_predictor(value, input_len=100):
@@ -115,6 +145,6 @@ def sample_interpolating_function(samples, i, noise_std, kernel, mask, cfg,
     cross = kernel_matrix(params, tail_points, kernel)
     rhs = samples.targets(i) + eps - cross @ tail_coeffs
     head_coeffs = sla.cho_solve((chol, True), rhs)
-    centers = np.vstack([params, tail_points])
+    index = np.concatenate([samples.indices, region_idx[tail_pos]])
     coeffs = np.concatenate([head_coeffs, tail_coeffs])
-    return RkhsFunction(kernel, centers, coeffs)
+    return RkhsFunction(samples.grid, kernel, index, coeffs)

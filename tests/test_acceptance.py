@@ -12,7 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import constant_predictor, gradient_check_error, read_csv_rows
+from conftest import (
+    constant_predictor,
+    gradient_check_error,
+    kernel_matrix,
+    mean_and_variance,
+    read_csv_rows,
+    reference_norm,
+)
 from pacsbo.harness import (
     TRAIN_DEFAULTS,
     ExperimentSpec,
@@ -28,8 +35,6 @@ from pacsbo.kernel_gp import (
     KernelConfig,
     SampleSet,
     gp_fit,
-    gp_predict,
-    kernel_matrix,
     mean_rkhs_norm,
 )
 from pacsbo.pac_estimator import PacConfig
@@ -37,7 +42,7 @@ from pacsbo.pacsbo_loop import GroundTruth, RunConfig, run
 from pacsbo.rkhs_function import (
     RkhsFunction,
     SamplerConfig,
-    rkhs_norm,
+    evaluate,
     sample_random_function,
     scale_to_norm,
 )
@@ -68,8 +73,8 @@ def test_criterion_1_gp_matches_dense_solve_oracle():
         kernel = KernelConfig(lengthscale=float(rng.uniform(0.05, 0.5)))
         noise = float(rng.uniform(0.01, 0.3))
         samples = random_samples(grid, rng, int(rng.integers(1, 11)))
-        mean, var = gp_predict(gp_fit(samples, 0, noise, kernel),
-                               np.arange(grid.num_points))
+        mean, var = mean_and_variance(gp_fit(samples, 0, noise, kernel),
+                                      np.arange(grid.num_points))
 
         x = samples.params
         k_xx = kernel_matrix(x, x, kernel)
@@ -102,8 +107,9 @@ def test_criterion_2_posterior_mean_norm_matches_expansion_norm():
         samples = random_samples(grid, rng, int(rng.integers(1, 13)))
         post = gp_fit(samples, 0, noise, kernel)
         direct = mean_rkhs_norm(post)
-        expansion = rkhs_norm(RkhsFunction(kernel, samples.params,
-                                           post.weights))
+        # the expansion's norm on coordinates, independent of the table
+        expansion = reference_norm(RkhsFunction(grid, kernel, samples.indices,
+                                                post.weights))
         worst = max(worst, abs(direct - expansion))
     ok = worst <= 1e-10
     verdict(2, "posterior-mean norm consistency", ok,
@@ -238,7 +244,7 @@ def brute_force_expanders(state, mask, samples, betas, noise, kernel):
         fict = samples.append(int(a), {0: float(field.upper[0][a]),
                                        1: float(field.upper[1][a])})
         refit = gp_fit(fict, 1, noise, kernel)
-        mean, var = gp_predict(refit, outside_idx)
+        mean, var = mean_and_variance(refit, outside_idx)
         if np.any(mean - betas[1] * np.sqrt(var) >= 0.0):
             result[a] = True
     return result
@@ -268,7 +274,7 @@ def test_criterion_8_structural_invariants(trained_predictor, tmp_path):
         f = scale_to_norm(
             sample_random_function(grid, kernel, SamplerConfig(20),
                                    derive_rng(trial, "c8-truth")), 2.0)
-        vals = f(grid.points)
+        vals = evaluate(f)
         threshold = float(np.quantile(vals, 0.4))
         safe_idx = np.flatnonzero(vals - threshold >= 0.0)
         picks = rng.choice(safe_idx, size=min(3, len(safe_idx)),
@@ -297,13 +303,13 @@ def test_criterion_8_structural_invariants(trained_predictor, tmp_path):
         kernel = KernelConfig(lengthscale=float(rng.uniform(0.05, 0.3)))
         noise = float(rng.uniform(0.01, 0.2))
         samples = SampleSet(grid, (), {0: (), 1: ()})
-        _, prev = gp_predict(gp_fit(samples, 0, noise, kernel),
-                             np.arange(grid.num_points))
+        _, prev = mean_and_variance(gp_fit(samples, 0, noise, kernel),
+                                    np.arange(grid.num_points))
         for j in rng.choice(grid.num_points, size=6, replace=False):
             y = float(rng.normal())
             samples = samples.append(int(j), {0: y, 1: y})
-            _, var = gp_predict(gp_fit(samples, 0, noise, kernel),
-                                np.arange(grid.num_points))
+            _, var = mean_and_variance(gp_fit(samples, 0, noise, kernel),
+                                       np.arange(grid.num_points))
             monotone &= bool((var <= prev + 1e-9).all())
             prev = var
     checks["variance monotonicity"] = monotone
@@ -313,8 +319,8 @@ def test_criterion_8_structural_invariants(trained_predictor, tmp_path):
     f = scale_to_norm(
         sample_random_function(grid, kernel, SamplerConfig(30),
                                derive_rng(11, "c8-truth")), 2.0)
-    vals = f(grid.points)
-    truth = GroundTruth(f, float(np.quantile(vals, 0.4)))
+    truth = GroundTruth.at_quantile(f, 0.4)
+    vals = truth.reward_values
     s0 = int(np.argmax(vals))
     cfg = RunConfig(grid=grid, kernel=kernel, s0_indices=(s0,),
                     budget=3, predictor=constant_predictor(3.0),

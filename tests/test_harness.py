@@ -30,8 +30,10 @@ from pacsbo.kernel_gp import (
 )
 from pacsbo.pac_estimator import DrawPool, PacConfig, estimate_upper_bound
 from pacsbo.predictor import save_predictor
+from pacsbo.pacsbo_loop import GroundTruth
 from pacsbo.rkhs_function import (
     SamplerConfig,
+    evaluate,
     rkhs_norm,
     sample_random_function,
     scale_to_norm,
@@ -261,15 +263,30 @@ class TestTruthSetup:
         params = dict(norm_target=2.0, safe_fraction=0.6)
         truth = make_truth(params, grid, KER, seed=0)
         assert rkhs_norm(truth.reward) == pytest.approx(2.0, abs=1e-9)
-        safe = truth.reward(grid.points) - truth.threshold >= 0
+        safe = truth.reward_values - truth.threshold >= 0
         assert abs(safe.mean() - 0.6) < 0.02
+
+    def test_threshold_placed_by_the_one_quantile_rule(self, monkeypatch):
+        made, real = [], GroundTruth.at_quantile
+
+        def at_quantile(reward, q):
+            made.append(q)
+            return real(reward, q)
+
+        monkeypatch.setattr(GroundTruth, "at_quantile", at_quantile)
+        grid = GridDomain.uniform(50)
+        truth = make_truth(dict(norm_target=2.0, safe_fraction=0.6), grid,
+                           KER, seed=1)
+        assert made == [pytest.approx(0.4, abs=1e-15)]
+        assert truth.threshold == float(np.quantile(truth.reward_values,
+                                                    1.0 - 0.6))
 
     def test_seed_triple_1d(self):
         grid = GridDomain.uniform(120)
         truth = make_truth(dict(norm_target=2.0, safe_fraction=0.6), grid, KER, seed=3)
         triple = seed_triple(truth, grid)
         assert triple[1] == triple[0] + 1 and triple[2] == triple[1] + 1
-        vals = truth.reward(grid.points) - truth.threshold
+        vals = truth.reward_values - truth.threshold
         assert all(vals[j] >= 0.1 for j in triple)
         assert int(np.argmax(vals)) in triple
 
@@ -353,11 +370,8 @@ class TestFig3Scenario:
                                    derive_rng(1, "truth")), 1.0)
         order = derive_rng(1, "draw").permutation(grid.num_points)[:6]
         eps = derive_rng(1, "noise").normal(0.0, 0.001, size=6)
-        samples = SampleSet(grid, (), {0: (), 1: ()})
-        for k, j in enumerate(order):
-            y = float(f(grid.points[int(j)].reshape(1, -1))[0]) + \
-                float(eps[k])
-            samples = samples.append(int(j), {0: y, 1: y})
+        y = evaluate(f)[order] + eps
+        samples = SampleSet(grid, order, {0: y, 1: y})
         guess = mean_rkhs_norm(gp_fit(samples, 0, 0.001, kernel))
         cfg = PacConfig(q_init=50, q_max=150, sampler=SamplerConfig())
         pool = DrawPool(samples, (0,), 0.001, kernel, global_mask(grid),

@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
+from conftest import kernel_matrix, mean_and_variance
 from pacsbo.errors import NumericError
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
     SampleSet,
     gp_fit,
-    gp_predict,
     info_gain,
-    kernel_matrix,
     lattice_table,
     mean_rkhs_norm,
     observation_update,
-    pairwise_dist,
     predictive,
     reciprocal_cov_integral,
     with_targets,
@@ -65,24 +63,6 @@ def test_kernel_closed_form_values():
     assert kernel_value(0.3, 0.3) == 1.0
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_pairwise_dist_bitwise_equals_literal_reduction(dim):
-    # the literal definition: one difference tensor, squared and summed
-    # over its coordinate axis; leading axes broadcast
-    rng = np.random.default_rng(dim)
-    cases = [(rng.uniform(size=(7, dim)), rng.uniform(size=(5, dim))),
-             (rng.uniform(size=(6, dim)), rng.uniform(size=(4, 9, dim))),
-             (rng.uniform(size=(3, 8, dim)), rng.uniform(size=(3, 8, dim))),
-             (rng.uniform(size=(2, 1, 4, dim)),
-              rng.uniform(size=(3, 6, dim)))]
-    for x, y in cases:
-        diff = x[..., :, None, :] - y[..., None, :, :]
-        want = np.sqrt(np.sum(diff * diff, axis=-1))
-        got = pairwise_dist(x, y)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-
-
 def test_kernel_matrix_symmetric_and_near_psd():
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(30, 2))
@@ -97,6 +77,13 @@ def test_lattice_table_gathers_the_kernel_matrix(resolution):
     grid = GridDomain.uniform(resolution)
     table, code = lattice_table(grid, CFG)
     assert len(table) == np.prod([2 * r - 1 for r in grid.resolution])
+    # bitwise the Matern 3/2 formula on the norm of each lattice offset
+    res = np.array(grid.resolution)
+    offsets = (np.indices(tuple(2 * res - 1)).reshape(grid.dim, -1).T
+               - (res - 1)) / res
+    s = (math.sqrt(3.0) / CFG.lengthscale) * np.sqrt(
+        np.sum(np.square(offsets), axis=1))
+    assert np.array_equal(table, (1.0 + s) * np.exp(-s))
     gram = table[code[:, None] - code + len(table) // 2]
     rows = slice(None, None, 7)  # keeps the 50x50 oracle block small
     np.testing.assert_allclose(
@@ -163,7 +150,7 @@ def test_scalar_posterior_frozen_values():
     s = make_samples(grid, [8], [2.0])  # x = 0.425
     post = gp_fit(s, 0, 0.1, CFG)
     assert post.weights[0] == pytest.approx(SCALAR_WEIGHT, abs=1e-14)
-    mean, var = gp_predict(post, [9])  # x = 0.475
+    mean, var = mean_and_variance(post, [9])  # x = 0.475
     assert mean[0] == pytest.approx(SCALAR_MEAN_AT_005, abs=1e-13)
     assert var[0] == pytest.approx(SCALAR_VAR_AT_005, abs=1e-13)
     assert info_gain(post) == pytest.approx(SCALAR_INFO_GAIN, abs=1e-12)
@@ -174,7 +161,7 @@ def test_prior_posterior():
     grid = GridDomain.uniform(10)
     s = SampleSet(grid, (), {0: (), 1: ()})
     post = gp_fit(s, 0, 0.1, CFG)
-    mean, var = gp_predict(post, np.arange(grid.num_points))
+    mean, var = mean_and_variance(post, np.arange(grid.num_points))
     assert np.all(mean == 0.0) and np.all(var == 1.0)
     assert info_gain(post) == 0.0
     mask = global_mask(grid)
@@ -195,7 +182,7 @@ def test_posterior_matches_dense_oracle():
         noise = float(rng.uniform(0.01, 0.5))
         post = gp_fit(s, 0, noise, CFG)
         query = rng.choice(grid.num_points, size=50)
-        mean, var = gp_predict(post, query)
+        mean, var = mean_and_variance(post, query)
         mean_o, var_o = dense_posterior(s.params, y, noise, CFG,
                                         grid.points[query])
         np.testing.assert_allclose(mean, mean_o, rtol=1e-8, atol=1e-10)
@@ -212,7 +199,7 @@ def test_posterior_interpolates_with_small_noise():
     y = [1.0, -0.5, 0.25]
     s = make_samples(grid, idx, y)
     post = gp_fit(s, 0, 1e-4, CFG)
-    mean, var = gp_predict(post, s.indices)
+    mean, var = mean_and_variance(post, s.indices)
     np.testing.assert_allclose(mean, y, atol=1e-6)
     assert np.all(var < 1e-6)
     assert np.all(var >= 0.0)
@@ -227,8 +214,8 @@ def test_variance_bounds_and_monotonicity():
     big = make_samples(grid, idx, y)
     post_small = gp_fit(small, 0, 0.05, CFG)
     post_big = gp_fit(big, 0, 0.05, CFG)
-    _, var_small = gp_predict(post_small, np.arange(grid.num_points))
-    _, var_big = gp_predict(post_big, np.arange(grid.num_points))
+    _, var_small = mean_and_variance(post_small, np.arange(grid.num_points))
+    _, var_big = mean_and_variance(post_big, np.arange(grid.num_points))
     assert np.all(var_big <= var_small + 1e-9)
     assert np.all((var_big >= 0) & (var_big <= 1))
 
@@ -251,7 +238,7 @@ def test_observation_update_matches_full_refit():
         assert mean.shape == var.shape == (4, grid.num_points)
         for j, (a, value) in enumerate(zip(new_idx, values)):
             refit = gp_fit(s.append(a, {0: value, 1: 0.0}), 0, 0.05, CFG)
-            mean_r, var_r = gp_predict(refit, np.arange(grid.num_points))
+            mean_r, var_r = mean_and_variance(refit, np.arange(grid.num_points))
             np.testing.assert_allclose(mean[j], mean_r, rtol=0, atol=1e-10)
             np.testing.assert_allclose(var[j], var_r, rtol=0, atol=1e-10)
 
@@ -281,18 +268,6 @@ def test_predictive_columns_of_a_subset():
         for i in posteriors:
             np.testing.assert_allclose(means[i][sub], means_s[i], rtol=0,
                                        atol=1e-12)
-
-
-def test_predictive_means_equal_gp_predict():
-    rng = np.random.default_rng(5)
-    grid = GridDomain.uniform((20, 20))
-    posteriors = two_channel_posteriors(
-        grid, rng.choice(grid.num_points, size=12, replace=False))
-    means, var, _ = predictive(posteriors, np.arange(grid.num_points))
-    for i, post in posteriors.items():
-        mean, clamped = gp_predict(post, np.arange(grid.num_points))
-        np.testing.assert_array_equal(means[i], mean)
-        np.testing.assert_array_equal(np.clip(var, 0.0, 1.0), clamped)
 
 
 def test_predictive_rejects_channels_fitted_differently():

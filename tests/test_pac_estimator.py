@@ -15,6 +15,7 @@ from pacsbo.pac_estimator import (
 )
 from pacsbo.rkhs_function import (
     SamplerConfig,
+    evaluate,
     interpolating_norms,
     sample_random_function,
     scale_to_norm,
@@ -177,7 +178,7 @@ def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
     calls = 40
     for m in (5, 20):
         idx = rng.choice(grid.num_points, size=m, replace=False)
-        y = f(grid.points[idx]) + 0.001 * rng.standard_normal(m)
+        y = evaluate(f)[idx] + 0.001 * rng.standard_normal(m)
         samples = SampleSet(grid, idx, {0: y, 1: y})
         tilde, _, everywhere = partition_masks(samples)
         for label, mask in (("tilde", tilde), ("global", everywhere)):

@@ -40,6 +40,7 @@ from pacsbo.pacsbo_loop import (
 from pacsbo.predictor import MlpPredictor
 from pacsbo.rkhs_function import (
     SamplerConfig,
+    evaluate,
     interpolating_norms,
     rkhs_norm,
     sample_random_function,
@@ -56,11 +57,9 @@ def make_truth(grid, seed=7, quantile=0.4, norm=1.0):
     """Random smooth truth plus threshold; returns (truth, safe seed index)."""
     f = sample_random_function(grid, KER, SamplerConfig(num_centers=25),
                                derive_rng(seed, "truth"))
-    f = scale_to_norm(f, norm)
-    vals = f(grid.points)
-    f_g = float(np.quantile(vals, quantile))
-    seed_idx = int(np.argmax(vals))  # maximal margin, certainly safe
-    return GroundTruth(f, f_g), seed_idx
+    truth = GroundTruth.at_quantile(scale_to_norm(f, norm), quantile)
+    seed_idx = int(np.argmax(truth.reward_values))  # maximal margin, safe
+    return truth, seed_idx
 
 
 def constant_predictor(value, input_len=100):
@@ -129,8 +128,35 @@ def test_ground_truth_channels():
     grid = GridDomain.uniform(20)
     truth, _ = make_truth(grid)
     for idx in (0, 7, 19):
-        r, c = truth.values(grid, idx)
+        r, c = truth.values(idx)
+        assert r == truth.reward_values[idx]
         assert c == pytest.approx(r - truth.threshold, abs=1e-14)
+
+
+def test_ground_truth_evaluates_its_reward_once(monkeypatch):
+    # the truth holds its reward on the grid from construction on, so a
+    # whole run, start set included, reads true values by index only
+    grid = GridDomain.uniform(30)
+    truth, s0 = make_truth(grid, seed=5)
+    np.testing.assert_array_equal(truth.reward_values,
+                                  rkhs_mod.evaluate(truth.reward))
+    assert truth.threshold == float(np.quantile(truth.reward_values, 0.4))
+    assert GroundTruth(truth.reward, truth.threshold).values(s0) == \
+        truth.values(s0)
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return evaluate(f)
+
+    for mod in (rkhs_mod, loop_mod):
+        monkeypatch.setattr(mod, "evaluate", counted)
+    for cfg in (pacsbo_config(grid, s0, budget=3, seed=12),
+                RunConfig(grid=grid, kernel=KER, s0_indices=(s0,),
+                          algorithm="safeopt", budget=3, seed=3,
+                          fixed_bound=rkhs_norm(truth.reward))):
+        assert len(run(cfg, truth).records) == 3
+    assert calls == []
 
 
 def test_safeopt_run_completes():
@@ -170,7 +196,7 @@ def test_safeopt_matches_single_partition_reference():
     meas = {}
     for i in CHANNELS:
         eps = float(truncated_normal(rng, cfg.noise_std, size=1)[0])
-        meas[i] = truth.values(grid, s0)[i] + eps
+        meas[i] = truth.values(s0)[i] + eps
     samples = samples.append(s0, meas)
     mask = global_mask(grid)
     expected = []
@@ -185,7 +211,7 @@ def test_safeopt_matches_single_partition_reference():
         meas = {}
         for i in CHANNELS:
             eps = float(truncated_normal(rng, cfg.noise_std, size=1)[0])
-            meas[i] = truth.values(grid, choice)[i] + eps
+            meas[i] = truth.values(choice)[i] + eps
         samples = samples.append(choice, meas)
 
     assert [rec.chosen for rec in hist.records] == expected
@@ -231,7 +257,7 @@ class TestPacsboRun:
 
     def test_unsafe_flag_matches_truth(self):
         for rec in self.hist.records:
-            true_constraint = self.truth.values(self.grid, rec.chosen)[1]
+            true_constraint = self.truth.values(rec.chosen)[1]
             assert rec.unsafe == (true_constraint < 0.0)
 
     def replay_samples(self):

@@ -118,6 +118,15 @@ def test_overfit_single_row():
     assert model.forward(x)[0] == pytest.approx(2.5, abs=0.1)
 
 
+def test_training_that_raises_the_loss_is_an_error():
+    # a step far too large leaves the final loss above the initial one; a
+    # dead network must not be returned as if it were trained
+    data = generate_training_data(small_rollout_config(), seed=3)
+    with pytest.raises(NumericError, match="did not lower the loss"):
+        train_mlp(data, hyper=TrainHyper(epochs=15, step=1e3))
+    train_mlp(data, hyper=TrainHyper(epochs=15))
+
+
 def test_training_determinism():
     rng = np.random.default_rng(9)
     data = TrainingSet(rng.normal(size=(40, 8)),
@@ -218,7 +227,7 @@ def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):
         assert run_cfg.fixed_bound == data.labels[k * cfg.rollout_iters]
         assert history.status == "completed" and history.snapshots == {}
         samples = history.samples
-        exact = np.array([truth.values(cfg.grid, j) for j in samples.indices])
+        exact = np.array([truth.values(j) for j in samples.indices])
         for i in (0, 1):
             # the loop's truncated noise stays within two scales
             err = np.abs(samples.targets(i) - exact[:, i])
@@ -240,6 +249,32 @@ def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):
         assert (np.array(got).tobytes()
                 == np.array(refits[:run_cfg.budget]).tobytes())
     np.testing.assert_array_equal(data.inputs, np.stack(rows))
+
+
+def test_rollout_thresholds_its_truth_at_the_safe_quantile(monkeypatch):
+    # one threshold rule for every truth: GroundTruth.at_quantile, whose
+    # grid values also give the rollout's seed clearance
+    made, runs = [], []
+    real_at, real_run = loop_mod.GroundTruth.at_quantile, loop_mod.run
+
+    def at_quantile(reward, q):
+        made.append((q, real_at(reward, q)))
+        return made[-1][1]
+
+    def recording(cfg, truth):
+        runs.append((cfg, truth))
+        return real_run(cfg, truth)
+
+    monkeypatch.setattr(loop_mod.GroundTruth, "at_quantile", at_quantile)
+    monkeypatch.setattr(loop_mod, "run", recording)
+    cfg = small_rollout_config()
+    generate_training_data(cfg, seed=3)
+    assert [q for q, _ in made] == [predictor_mod.SAFE_QUANTILE] * cfg.q_train
+    for (_, truth), (run_cfg, ran) in zip(made, runs):
+        assert ran is truth
+        clearance = truth.reward_values - truth.threshold
+        seed_clearance = clearance[run_cfg.s0_indices[0]]
+        assert seed_clearance >= predictor_mod.SEED_MARGIN * clearance.max()
 
 
 def test_stalled_rollout_gives_no_rows_and_one_warning(monkeypatch, caplog):

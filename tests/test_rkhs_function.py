@@ -8,16 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import sample_interpolating_function
+from conftest import (
+    kernel_matrix,
+    reference_norm,
+    reference_values,
+    sample_interpolating_function,
+)
 
 import pacsbo
-from pacsbo import rkhs_function
+from pacsbo import harness, kernel_gp, rkhs_function
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
     SampleSet,
     gp_fit,
-    kernel_matrix,
+    lattice_table,
     mean_rkhs_norm,
 )
 from pacsbo.rkhs_function import (
@@ -60,30 +65,60 @@ def make_samples(grid, indices, values0):
 
 
 def test_single_center_norm_is_coefficient_magnitude():
-    f = RkhsFunction(CFG, np.array([[0.3]]), np.array([-2.5]))
+    grid = GridDomain.uniform(20)
+    f = RkhsFunction(grid, CFG, [6], [-2.5])  # x = 0.325
     assert rkhs_norm(f) == pytest.approx(2.5, abs=1e-14)
-    assert f([0.3])[0] == pytest.approx(-2.5, abs=1e-14)
+    assert evaluate(f)[6] == pytest.approx(-2.5, abs=1e-14)
+    np.testing.assert_array_equal(f.centers, [[0.325]])
 
 
 def test_coincident_centers_add():
-    f = RkhsFunction(CFG, np.array([[0.4], [0.4]]), np.array([1.0, 0.5]))
+    f = RkhsFunction(GridDomain.uniform(10), CFG, [4, 4], [1.0, 0.5])
     assert rkhs_norm(f) == pytest.approx(1.5, abs=1e-12)
+
+
+def test_expansion_validation():
+    grid = GridDomain.uniform(10)
+    for index, coeffs in (([1, 2], [1.0]), ([], []), ([10], [1.0]),
+                          ([-1], [1.0])):
+        with pytest.raises(ValueError):
+            RkhsFunction(grid, CFG, index, coeffs)
 
 
 def test_norm_matches_double_loop_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
         m = int(rng.integers(1, 12))
-        dim = int(rng.integers(1, 3))
-        f = RkhsFunction(CFG, rng.uniform(size=(m, dim)), rng.normal(size=m))
+        grid = GridDomain.uniform((40,) * int(rng.integers(1, 3)))
+        f = RkhsFunction(grid, CFG, rng.integers(0, grid.num_points, size=m),
+                         rng.normal(size=m))
         assert rkhs_norm(f) == pytest.approx(naive_norm(f), abs=1e-10)
-        pt = rng.uniform(size=dim)
-        assert f(pt)[0] == pytest.approx(naive_eval(f, pt), abs=1e-10)
+        j = int(rng.integers(grid.num_points))
+        assert evaluate(f)[j] == pytest.approx(naive_eval(f, grid.points[j]),
+                                               abs=1e-10)
+
+
+@pytest.mark.parametrize("resolution", [100, (50, 50)])
+def test_truth_on_the_lattice_matches_the_coordinate_reference(resolution):
+    # table-gathered values and norms against the kernel on coordinates;
+    # the values get an absolute bound because a truth crosses zero
+    grid = GridDomain.uniform(resolution)
+    params = dict(norm_target=2.0, safe_fraction=0.6)
+    for seed in range(5):
+        truth = harness.make_truth(params, grid, CFG, seed)
+        np.testing.assert_allclose(
+            truth.reward_values, reference_values(truth.reward, grid.points),
+            rtol=0, atol=1e-13)
+        assert rkhs_norm(truth.reward) == pytest.approx(
+            reference_norm(truth.reward), rel=1e-13, abs=0)
+        np.testing.assert_array_equal(truth.reward_values,
+                                      evaluate(truth.reward))
 
 
 def test_scale_to_norm_exact():
     rng = np.random.default_rng(2)
-    f = RkhsFunction(CFG, rng.uniform(size=(20, 1)), rng.normal(size=20))
+    f = RkhsFunction(GridDomain.uniform(50), CFG,
+                     rng.integers(0, 50, size=20), rng.normal(size=20))
     g = scale_to_norm(f, 2.0)
     assert rkhs_norm(g) == pytest.approx(2.0, abs=1e-12)
     # shape preserved up to the scalar factor
@@ -126,7 +161,7 @@ def test_interpolating_function_pins_measurements():
     s = make_samples(grid, [20, 90, 150], [1.2, -0.4, 0.6])
     f = sample_interpolating_function(s, 0, sigma, CFG, global_mask(grid),
                                       SamplerConfig(), (1,), 0)
-    vals = evaluate(f, s.params)
+    vals = evaluate(f)[list(s.indices)]
     # interpolates the measurements up to the truncated noise draw
     assert np.all(np.abs(vals - s.targets(0)) <= 2.0 * sigma + 1e-9)
     assert f.centers.shape == (100, 1)
@@ -139,7 +174,7 @@ def test_interpolating_function_zero_tail_is_minimum_norm_interpolant():
     f = sample_interpolating_function(s, 0, 0.0, CFG, global_mask(grid),
                                       SamplerConfig(num_centers=30, coeff_bound=0.0),
                                       (3,), 0)
-    vals = evaluate(f, s.params)
+    vals = evaluate(f)[list(s.indices)]
     np.testing.assert_allclose(vals, s.targets(0), atol=1e-9)
     assert np.all(f.coefficients[3:] == 0.0)
     # the pinned-only expansion is the GP mean with vanishing noise
@@ -254,16 +289,18 @@ def test_mask_cases_span_both_tail_paths():
 
 @pytest.mark.parametrize("count", [1, 64, 300])
 def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
-    # every block comes from the lattice table, so the sampler never
-    # evaluates the kernel, and a call on the 1-D global mask (member path)
-    # or the 50x50 one (position path) peaks below one chunk's (64, T, T)
-    # tail-tail block
+    # every block comes from the lattice table, so once the table is built
+    # the sampler never evaluates the kernel, and a call on the 1-D global
+    # mask (member path) or the 50x50 one (position path) peaks below one
+    # chunk's (64, T, T) tail-tail block
     def evaluated(*args):
         raise AssertionError("the sampler evaluated a kernel block")
 
-    monkeypatch.setattr(rkhs_function, "kernel_matrix", evaluated)
     cfg = SamplerConfig()
     cases = list(mask_cases())
+    for s, mask in (cases[2], cases[-1]):
+        lattice_table(s.grid, CFG)
+    monkeypatch.setattr(kernel_gp, "matern32", evaluated)
     for s, mask in (cases[2], cases[-1]):
         assert mask.member.all() and mask.count in (100, 2500)
         num_tail = cfg.num_centers - len(s)
@@ -311,7 +348,7 @@ def test_gp_mean_norm_equals_weight_expansion_norm():
         idx = rng.choice(400, size=n, replace=False)
         s = make_samples(grid, idx, rng.normal(size=n))
         post = gp_fit(s, 0, 0.1, CFG)
-        expansion = RkhsFunction(CFG, s.params, post.weights)
+        expansion = RkhsFunction(grid, CFG, s.indices, post.weights)
         assert mean_rkhs_norm(post) == pytest.approx(rkhs_norm(expansion), abs=1e-10)
 
 

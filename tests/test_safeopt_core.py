@@ -1,10 +1,12 @@
 """Safe-set machinery: bounds, classification, expanders, acquisition."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import most_uncertain
+from conftest import (kernel_matrix, mean_and_variance, most_uncertain,
+                      reference_norm, reference_values)
 
 from pacsbo import safeopt_core
 from pacsbo.kernel_gp import (
@@ -12,13 +14,12 @@ from pacsbo.kernel_gp import (
     KernelConfig,
     SampleSet,
     gp_fit,
-    gp_predict,
     info_gain,
-    kernel_matrix,
     lattice_table,
     predictive,
 )
-from pacsbo.rkhs_function import SamplerConfig, sample_random_function, scale_to_norm
+from pacsbo.rkhs_function import (SamplerConfig, evaluate,
+                                  sample_random_function, scale_to_norm)
 from pacsbo.safeopt_core import (
     _BLOCK,
     ConfidenceField,
@@ -101,7 +102,7 @@ def test_bound_width_scales_with_beta():
     zero = confidence_bounds(pred, {0: 0.0, 1: 0.0}, mask)
     np.testing.assert_allclose(zero.width(1), 0.0, atol=1e-15)
     # l = u = mu when beta vanishes
-    mean, _ = gp_predict(posteriors[0], np.arange(grid.num_points))
+    mean, _ = mean_and_variance(posteriors[0], np.arange(grid.num_points))
     np.testing.assert_allclose(zero.lower[0], mean, atol=1e-12)
 
 
@@ -277,7 +278,7 @@ def refit_oracle_newly_safe(idx, values, grid, noise, kernel, field, a, safe,
         post = fit_channel(grid, list(idx) + [a],
                            list(values[i]) + [field.upper[i][a]], noise,
                            kernel)
-        mean, var = gp_predict(post, outside)
+        mean, var = mean_and_variance(post, outside)
         ok &= mean - field.betas[i] * np.sqrt(var) >= 0.0
     return bool(ok.any())
 
@@ -440,7 +441,7 @@ def test_runs_with_correct_bound_stay_safe():
     for seed in range(runs):
         rng = derive_rng(seed, 900)
         f = scale_to_norm(sample_random_function(grid, kernel, cfg, rng), 1.0)
-        values = f(grid.points)
+        values = evaluate(f)
         seed_idx = int(np.argmax(values))
         if values[seed_idx] < 0.05:
             continue
@@ -480,13 +481,18 @@ def digest_case(dims):
     kernel = KernelConfig(lengthscale=lengthscale)
     rng = np.random.default_rng(dims)
     cfg = SamplerConfig(num_centers=40, coeff_bound=1.0)
-    f, c = (scale_to_norm(sample_random_function(grid, kernel, cfg, rng), 1.0)
-            for _ in range(2))
+    # unit norm and values on coordinates, so the pins below move only
+    # with compute_state's own arithmetic
+    f, c = (sample_random_function(grid, kernel, cfg, rng) for _ in range(2))
+    f, c = (replace(g, coefficients=g.coefficients * (1.0 / reference_norm(g)))
+            for g in (f, c))
     inside = np.flatnonzero(np.all(grid.points <= 0.5, axis=1))
     idx = rng.choice(inside, size=k, replace=False)
     noise = 0.05
-    values = {0: f(grid.points[idx]) + noise * rng.standard_normal(k),
-              1: c(grid.points[idx]) + 0.6 + noise * rng.standard_normal(k)}
+    values = {0: reference_values(f, grid.points[idx])
+              + noise * rng.standard_normal(k),
+              1: reference_values(c, grid.points[idx]) + 0.6
+              + noise * rng.standard_normal(k)}
     samples = SampleSet(grid, idx, values)
     posteriors = {i: gp_fit(samples, i, noise, kernel) for i in (0, 1)}
     betas = {i: beta_scale(1.0, noise, info_gain(post), 0.1)

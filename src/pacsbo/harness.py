@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.metadata
+import math
 import numbers
 import platform
 from dataclasses import dataclass
@@ -42,8 +43,7 @@ from .pacsbo_loop import (
     run,
 )
 from .predictor import (
-    RolloutConfig,
-    TrainHyper,
+    WINDOW,
     generate_training_data,
     load_predictor,
     save_predictor,
@@ -110,7 +110,7 @@ class ExperimentSpec:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct: {list(self.seeds)}")
         params = self.params
-        _check_numbers(params, _scenario_defaults(self.scenario))
+        _check_values(params, _scenario_defaults(self.scenario))
         if self.scenario == "hoeffding_mc":
             if len(self.seeds) != 1:
                 raise ConfigError(f"hoeffding_mc takes one seed, got "
@@ -169,12 +169,15 @@ class ExperimentSpec:
                                   f"budget {params['budget']}], got {snaps}")
 
 
-def _check_numbers(params: dict, defaults: dict) -> None:
-    """Each param whose default is a number (a list of numbers) must be one
-    (a list of them), integral where the default is; grid_resolution may be
-    either."""
+def _check_values(params: dict, defaults: dict) -> None:
+    """Each param whose default is a number (a list of numbers) must be a
+    finite one (a list of them), integral where the default is;
+    grid_resolution may be either. A param whose default is None is a path
+    and, once set, must be a nonempty string."""
     for key, value in params.items():
         want = defaults.get(key)
+        if want is None and value is not None and key in defaults:
+            _check_path(key, value)
         many = isinstance(value, (list, tuple))
         listed = isinstance(want, list) or key == "grid_resolution"
         if isinstance(want, list) and not many and key != "grid_resolution":
@@ -183,10 +186,18 @@ def _check_numbers(params: dict, defaults: dict) -> None:
         if not isinstance(want, (int, float)):
             continue
         for v in value if listed and many else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{key} must be a finite number, got "
+                                  f"{value!r}")
             if (isinstance(v, bool) or not isinstance(v, numbers.Real)
                     or isinstance(want, int) and not float(v).is_integer()):
                 kind = "an integer" if isinstance(want, int) else "a number"
                 raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
+def _check_path(key: str, value) -> None:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key} must be a nonempty string, got {value!r}")
 
 
 def load_spec(path, out_dir=None, seed=None) -> ExperimentSpec:
@@ -215,6 +226,7 @@ def load_spec(path, out_dir=None, seed=None) -> ExperimentSpec:
         out = out_dir
     if out is None:
         raise ConfigError(f"{path}: missing required key 'out_dir'")
+    _check_path("out_dir", out)
     if seed is not None:
         seeds = [int(seed)]
     if seeds is None:
@@ -223,7 +235,7 @@ def load_spec(path, out_dir=None, seed=None) -> ExperimentSpec:
             isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds):
         raise ConfigError(f"{path}: seeds must be a list of non-negative "
                           f"integers, got {seeds!r}")
-    return ExperimentSpec(scenario, str(out), tuple(seeds), params)
+    return ExperimentSpec(scenario, out, tuple(seeds), params)
 
 
 def _load_yaml(path):
@@ -706,11 +718,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 # ---------------------------------------------------------------------------
 # predictor training pipeline
 
+# every other training setting is a constant of pacsbo.predictor
 TRAIN_DEFAULTS = dict(out_path=None, q_train=200, rollout_iters=30,
                       epochs=400, seed=0)
-# points of the 1-D grid the predictor trains on; every other rollout and
-# training setting is the library default
-TRAIN_GRID = 100
 
 
 def load_train_config(path, out_path=None, seed=None) -> dict:
@@ -728,30 +738,24 @@ def load_train_config(path, out_path=None, seed=None) -> dict:
         cfg["seed"] = int(seed)
     if not cfg["out_path"]:
         raise ConfigError(f"{path}: missing required key 'out_path'")
-    _check_numbers(cfg, TRAIN_DEFAULTS)
+    _check_values(cfg, TRAIN_DEFAULTS)
     if cfg["seed"] < 0:
         raise ConfigError(f"{path}: seed must be a non-negative integer, "
                           f"got {cfg['seed']!r}")
-    try:
-        _train_parts(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    for key in ("q_train", "rollout_iters", "epochs"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{path}: {key} must be >= 1, got {cfg[key]}")
+    if cfg["rollout_iters"] > WINDOW:
+        raise ConfigError(f"{path}: rollout longer than the trace window "
+                          f"({WINDOW})")
     return cfg
-
-
-def _train_parts(cfg: dict):
-    """Rollout settings and training hyperparameters of a train config."""
-    rollout = RolloutConfig(
-        grid=GridDomain.uniform(TRAIN_GRID), kernel=KernelConfig(),
-        q_train=int(cfg["q_train"]), rollout_iters=int(cfg["rollout_iters"]))
-    return rollout, TrainHyper(epochs=int(cfg["epochs"]))
 
 
 def train_predictor_pipeline(cfg: dict) -> dict:
     """Generate rollout data, fit the network, save model and report."""
-    rollout, hyper = _train_parts(cfg)
-    data = generate_training_data(rollout, int(cfg["seed"]))
-    model = train_mlp(data, hyper=hyper, seed=int(cfg["seed"]))
+    data = generate_training_data(int(cfg["q_train"]),
+                                  int(cfg["rollout_iters"]), int(cfg["seed"]))
+    model = train_mlp(data, int(cfg["epochs"]), seed=int(cfg["seed"]))
     out_path = Path(cfg["out_path"])
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_predictor(model, out_path)

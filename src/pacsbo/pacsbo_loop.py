@@ -1,12 +1,13 @@
 """Outer optimization loop.
 
 Two algorithms share one iteration, :func:`pacsbo_step`. The main loop
-estimates a kernel-norm bound per region and channel each iteration (three
-nested regions: sample hull, enlarged hull, full domain), runs the
-safe-exploration subroutine per region, and queries the most uncertain
-candidate across all regions. The baseline runs the same subroutine on the
-full domain with a fixed norm bound and no estimation. The predictor's
-training rollouts are baseline runs too, so every caller runs this loop.
+makes one pass per region each iteration (three nested regions: sample
+hull, enlarged hull, full domain): it estimates a kernel-norm bound per
+channel and classifies the region under those bounds. It then queries the
+most uncertain candidate across all regions (``select``). The baseline
+runs the same pass on the full domain with a fixed norm bound and no
+estimation. The predictor's training rollouts are baseline runs too, so
+every caller runs this loop.
 
 Both algorithms extend each region's per-channel norm traces at the start
 of each iteration, before the estimator reads them, and the run's history
@@ -28,6 +29,7 @@ from .kernel_gp import (
     KernelConfig,
     SampleSet,
     gp_fit,
+    info_gain,
     predictive,
     reciprocal_cov_integral,
     with_targets,
@@ -35,7 +37,7 @@ from .kernel_gp import (
 from .pac_estimator import DrawPool, PacConfig, PacResult, estimate_upper_bound
 from .predictor import MlpPredictor, append_trace, predict_norm
 from .rkhs_function import RkhsFunction, evaluate
-from .safeopt_core import select
+from .safeopt_core import beta_scale, compute_state, select
 from .seeding import derive_rng, truncated_normal
 from .subdomain import global_mask, partition_masks
 
@@ -139,7 +141,7 @@ class Snapshot:
     """What the step that chose a sample saw, before measuring it: the
     reward posterior, whose ``indices`` are the sampled grid points, and
     each region's :class:`~pacsbo.safeopt_core.ConfidenceField` as
-    ``select`` returned it."""
+    ``compute_state`` classified it."""
 
     reward: GpPosterior
     fields: dict  # label -> ConfidenceField
@@ -205,45 +207,49 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     """One iteration of either algorithm: (state', record, snapshot), or
     (None, None, None) when no region offers a candidate.
 
-    Each region's one ``predictive`` feeds its traces and ``select``; the
-    main loop estimates a bound per region and channel from the region's one
-    :class:`DrawPool`, the baseline uses its fixed bound everywhere.
+    One pass per region: its one ``predictive`` feeds its traces, its
+    bounds and its classification. The main loop estimates a bound per
+    region and channel from the region's one :class:`DrawPool`, the
+    baseline uses its fixed bound everywhere. ``select`` then picks among
+    the classified regions.
     """
     t0 = time.monotonic()
     masks = regions(cfg, state.samples)
     reward = gp_fit(state.samples, 0, cfg.noise_std, cfg.kernel)
     posteriors = {0: reward, 1: with_targets(reward, state.samples.targets(1))}
+    gamma = info_gain(reward)  # the channels share their Cholesky factor
     delta = cfg.delta / (len(masks) * len(CHANNELS))
     fixed = (PacResult(cfg.fixed_bound, 0, 0.0, 0.0, False)
              if cfg.algorithm == "safeopt" else None)
-    traces, preds, results = dict(state.traces), {}, {}
+    traces, states, stats = dict(state.traces), {}, {}
     for p_idx, (label, mask) in enumerate(masks.items()):
-        preds[label] = predictive(posteriors, mask.indices())
-        r = reciprocal_cov_integral(preds[label][1], mask)
+        pred = predictive(posteriors, mask.indices())
+        r = reciprocal_cov_integral(pred[1], mask)
         pool = DrawPool(state.samples, CHANNELS, cfg.noise_std, cfg.kernel,
                         mask, cfg.pac.sampler,
                         (cfg.seed, "pac", state.iteration, p_idx))
+        results = {}
         for i in CHANNELS:
             traces[label, i] = append_trace(traces[label, i], posteriors[i], r)
-            results[label, i] = fixed or estimate_upper_bound(
+            results[i] = fixed or estimate_upper_bound(
                 predict_norm(cfg.predictor, traces[label, i]), pool, i,
                 delta=delta, cfg=cfg.pac)
+        betas = {i: beta_scale(results[i].bound, cfg.noise_std, gamma,
+                               cfg.delta) for i in CHANNELS}
+        st = states[label] = compute_state(posteriors, betas, mask,
+                                           cfg.s0_indices,
+                                           cfg.exact_expanders, pred)
+        stats[label] = PartitionStats(
+            channel_bounds=tuple(results[i].bound for i in CHANNELS),
+            q_used=max(res.q_used for res in results.values()),
+            escalated=any(res.escalated for res in results.values()),
+            safe_count=int(st.safe.sum()),
+            maximizer_count=int(st.maximizer_set.sum()),
+            expander_count=int(st.expander_set.sum()))
 
-    bounds = {label: {i: results[label, i].bound for i in CHANNELS}
-              for label in masks}
-    choice, label, states = select(posteriors, preds, bounds, masks,
-                                   cfg.s0_indices, cfg.noise_std, cfg.delta,
-                                   cfg.exact_expanders)
+    choice, label = select(states)
     if choice is None:
         return None, None, None  # stalled
-    stats = {lab: PartitionStats(
-        channel_bounds=tuple(bounds[lab][i] for i in CHANNELS),
-        q_used=max(results[lab, i].q_used for i in CHANNELS),
-        escalated=any(results[lab, i].escalated for i in CHANNELS),
-        safe_count=int(st.safe.sum()),
-        maximizer_count=int(st.maximizer_set.sum()),
-        expander_count=int(st.expander_set.sum()))
-        for lab, st in states.items()}
 
     rng = derive_rng(cfg.seed, "measure", state.iteration)
     exact = truth.values(choice)

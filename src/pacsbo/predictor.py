@@ -37,6 +37,13 @@ SCHEMA_VERSION = 1
 SAFE_QUANTILE = 0.4  # a rollout's threshold is this quantile of its values
 SEED_MARGIN = 0.1  # seed clearance, as a share of the maximum's clearance
 MIN_SCALE = 1e-12  # floor of a feature's scale; a feature at it is constant
+TRAIN_GRID = 100  # points of the rollouts' 1-D grid; default KernelConfig
+NOISE_STD = 0.01  # rollout measurement noise
+DELTA = 0.1  # rollout confidence level
+WINDOW = 50  # trace pairs the network reads
+HIDDEN = (64, 64)  # hidden layer widths
+BATCH = 64  # rows per gradient step
+STEP = 0.003  # gradient step size
 
 
 def append_trace(trace: tuple, post: GpPosterior, r: float) -> tuple:
@@ -74,43 +81,19 @@ class TrainingSet:
         return int(self.labels.shape[0])
 
 
-@dataclass(frozen=True)
-class RolloutConfig:
-    """Settings for training-data generation."""
-
-    grid: GridDomain
-    kernel: KernelConfig
-    q_train: int = 200
-    rollout_iters: int = 30
-    noise_std: float = 0.01
-    delta: float = 0.1
-    t_max: int = 50
-
-    def __post_init__(self):
-        if self.q_train < 1 or self.rollout_iters < 1:
-            raise ValueError("q_train and rollout_iters must be positive")
-        if self.rollout_iters > self.t_max:
-            raise ValueError("rollout longer than the trace window")
-        if not self.noise_std > 0:
-            raise ValueError("noise_std must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-
-
-def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
-    """One fixed-bound loop run at the function's true norm; returns its
-    trace prefix rows, none if the run stalled."""
+def _rollout(rho: RkhsFunction, steps: int, rng) -> list:
+    """One ``steps``-step fixed-bound loop run at the function's true norm;
+    returns its trace prefix rows, none if the run stalled."""
     # pacsbo_loop imports this module, so it is imported at call time
     from .pacsbo_loop import GroundTruth, RunConfig, run
 
-    grid, steps = cfg.grid, cfg.rollout_iters
     truth = GroundTruth.at_quantile(rho, SAFE_QUANTILE)
     clearance = truth.reward_values - truth.threshold
     bound = rkhs_norm(rho)
     seed_idx = int(rng.choice(np.flatnonzero(
         clearance >= SEED_MARGIN * clearance.max())))
-    run_cfg = RunConfig(grid, cfg.kernel, (seed_idx,), cfg.noise_std,
-                        cfg.delta, budget=steps, algorithm="safeopt",
+    run_cfg = RunConfig(rho.grid, rho.kernel, (seed_idx,), NOISE_STD, DELTA,
+                        budget=steps, algorithm="safeopt",
                         fixed_bound=bound, seed=int(rng.integers(2**63)))
     history = run(run_cfg, truth)
     if history.status == "stalled":
@@ -118,17 +101,19 @@ def _rollout(cfg: RolloutConfig, rho: RkhsFunction, rng) -> list:
                     len(history.records))
         return []
     # run pair t comes from the posterior on t samples; rows take 2..T + 1
-    mask = global_mask(grid)
-    final = gp_fit(history.samples, 0, cfg.noise_std, cfg.kernel)
+    mask = global_mask(rho.grid)
+    final = gp_fit(history.samples, 0, NOISE_STD, rho.kernel)
     var = predictive({0: final}, mask.indices())[1]
     trace = append_trace(history.traces["global", 0][1:], final,
                          reciprocal_cov_integral(var, mask))
-    return [(encode_trace(trace[:k], 2 * cfg.t_max), bound)
+    return [(encode_trace(trace[:k], 2 * WINDOW), bound)
             for k in range(1, len(trace) + 1)]
 
 
-def generate_training_data(cfg: RolloutConfig, seed: int) -> TrainingSet:
-    """Rollout the safe optimizer on random functions of known norm.
+def generate_training_data(q_train: int, rollout_iters: int,
+                           seed: int) -> TrainingSet:
+    """Rollout the safe optimizer on ``q_train`` random functions of known
+    norm, ``rollout_iters`` steps each.
 
     Every prefix of every rollout's trace becomes one training row, labeled
     with the function's kernel norm. The functions come from the default
@@ -136,12 +121,12 @@ def generate_training_data(cfg: RolloutConfig, seed: int) -> TrainingSet:
     Rollouts are seeded per function, so the result is independent of
     evaluation order.
     """
+    grid, kernel = GridDomain.uniform(TRAIN_GRID), KernelConfig()
     all_rows = []
-    for j in range(cfg.q_train):
+    for j in range(q_train):
         rng = derive_rng(seed, "rollout", j)
-        rho = sample_random_function(cfg.grid, cfg.kernel, SamplerConfig(),
-                                     rng)
-        all_rows.extend(_rollout(cfg, rho, rng))
+        rho = sample_random_function(grid, kernel, SamplerConfig(), rng)
+        all_rows.extend(_rollout(rho, rollout_iters, rng))
     if not all_rows:
         raise NumericError("every training rollout was abandoned")
     inputs = np.stack([r[0] for r in all_rows])
@@ -153,9 +138,10 @@ def generate_training_data(cfg: RolloutConfig, seed: int) -> TrainingSet:
 # the network
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpPredictor:
-    """Fully connected trace-to-bound network with softplus output."""
+    """Fully connected trace-to-bound network with softplus output; it
+    holds arrays, so two predictors compare equal only if they are one."""
 
     input_len: int
     hidden: tuple
@@ -231,20 +217,9 @@ def _init_layers(sizes, rng):
     return weights, biases
 
 
-@dataclass(frozen=True)
-class TrainHyper:
-    epochs: int = 400
-    batch_size: int = 64
-    step: float = 0.003
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.step <= 0:
-            raise ValueError("bad training hyperparameters")
-
-
-def train_mlp(data: TrainingSet, hidden=(64, 64),
-              hyper: TrainHyper = TrainHyper(), seed: int = 0) -> MlpPredictor:
-    """Mini-batch gradient descent on mean squared error.
+def train_mlp(data: TrainingSet, epochs: int, seed: int = 0) -> MlpPredictor:
+    """``epochs`` passes of mini-batch gradient descent on mean squared
+    error, through a network of ``HIDDEN`` widths.
 
     Deterministic given the seed: initialization and epoch shuffles come
     from one derived generator. A fit whose final full-set loss is not
@@ -259,29 +234,25 @@ def train_mlp(data: TrainingSet, hidden=(64, 64),
     x_all = (data.inputs - feat_mean) / feat_scale
     y_all = data.labels
 
-    sizes = (length,) + tuple(hidden) + (1,)
-    weights, biases = _init_layers(sizes, rng)
+    weights, biases = _init_layers((length, *HIDDEN, 1), rng)
     initial, _, _ = _loss_and_gradients(weights, biases, x_all, y_all)
-    for epoch in range(hyper.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(data.rows)
-        for lo in range(0, data.rows, hyper.batch_size):
-            sel = order[lo:lo + hyper.batch_size]
+        for lo in range(0, data.rows, BATCH):
+            sel = order[lo:lo + BATCH]
             loss, gw, gb = _loss_and_gradients(weights, biases,
                                                x_all[sel], y_all[sel])
             if not np.isfinite(loss):
-                raise NumericError(
-                    f"training diverged at epoch {epoch} "
-                    f"(step={hyper.step}, batch={hyper.batch_size})")
+                raise NumericError(f"training diverged at epoch {epoch} "
+                                   f"(step={STEP}, batch={BATCH})")
             for k in range(len(weights)):
-                weights[k] = weights[k] - hyper.step * gw[k]
-                biases[k] = biases[k] - hyper.step * gb[k]
+                weights[k] = weights[k] - STEP * gw[k]
+                biases[k] = biases[k] - STEP * gb[k]
     final, _, _ = _loss_and_gradients(weights, biases, x_all, y_all)
     if not final < initial:  # the steps overshot: a dead network
         raise NumericError(f"training did not lower the loss ({initial:.4g} "
-                           f"to {final:.4g}, step={hyper.step})")
-    return MlpPredictor(length, tuple(hidden),
-                        tuple(w.copy() for w in weights),
-                        tuple(b.copy() for b in biases),
+                           f"to {final:.4g}, step={STEP})")
+    return MlpPredictor(length, HIDDEN, tuple(weights), tuple(biases),
                         feat_mean, feat_scale, final)
 
 

@@ -56,10 +56,11 @@ class SamplerConfig:
             raise ValueError("coeff_bound must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RkhsFunction:
     """Kernel expansion ``sum_s coefficients[s] * k(points[index[s]], .)``
-    with its centers at the grid points ``index``."""
+    with its centers at the grid points ``index``; it holds arrays, so two
+    functions compare equal only if they are one."""
     grid: GridDomain = field(repr=False)
     kernel: KernelConfig
     index: np.ndarray = field(repr=False)

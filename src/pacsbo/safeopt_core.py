@@ -3,11 +3,12 @@
 Given per-channel posteriors and a kernel-norm bound B per channel, this
 module builds confidence intervals, classifies grid points into the safe
 set S, the potential maximizers M, and the potential expanders G, and picks
-the next evaluation as the most uncertain point of M | G. :func:`select`
-runs that subroutine over a sequence of regions, each with its own bounds,
-and is the one decision step, called only by the loop's iteration
-:func:`pacsbo.pacsbo_loop.pacsbo_step`, which every caller runs: both
-algorithms and the predictor's training rollouts.
+the next evaluation as the most uncertain point of M | G.
+:func:`compute_state` classifies one region under its own bounds;
+:func:`select` applies the tie rule over the classified regions. Both are
+called by the loop's iteration :func:`pacsbo.pacsbo_loop.pacsbo_step`,
+which every caller runs: both algorithms and the predictor's training
+rollouts.
 
 All point sets are boolean arrays over the full grid; points outside the
 active mask are never members. Confidence values outside the mask are NaN
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .kernel_gp import (clamp_variance, info_gain, kernel_block,
-                        observation_update, predictive)
+from .kernel_gp import (clamp_variance, kernel_block, observation_update,
+                        predictive)
 from .subdomain import DomainMask
 
 # candidates per closed-form update in :func:`expanders`
@@ -168,14 +169,6 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
     return g
 
 
-def _widths(field: ConfidenceField, candidates: np.ndarray) -> np.ndarray:
-    """Max-channel interval width at each candidate, zero elsewhere."""
-    w = np.zeros(len(candidates))
-    w[candidates] = np.max([field.width(i)[candidates]
-                            for i in field.channels], axis=0)
-    return w
-
-
 @dataclass(frozen=True)
 class SafeOptState:
     """One iteration's classification of the masked grid."""
@@ -209,37 +202,23 @@ def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
     return SafeOptState(field, safe, m, g, seeded)
 
 
-def select(posteriors: dict, preds: dict, bounds: dict, masks: dict,
-           seed_indices, noise_std: float, delta: float,
-           exact_expanders: bool = False):
-    """Most uncertain candidate over a sequence of regions.
-
-    ``masks`` maps region labels to masks, in region order, and ``preds``
-    and ``bounds`` map them to the mask's ``predictive`` and ``{channel:
-    norm bound}``. Each region is classified under its own confidence
-    scaling; a region that misses the seed set contributes no candidates.
-    A candidate ties when its width reaches ``1 - TIE_RTOL`` times the
-    largest over all seeded regions; ties break toward the earlier region,
-    then the lower grid index.
-
-    Returns ``(choice, label, states)`` with the classification of every
-    region in ``states``; ``choice`` and ``label`` are None when no region
-    has a candidate.
+def select(states: dict):
+    """Most uncertain candidate over classified regions: ``states`` maps
+    region labels, in region order, to their :class:`SafeOptState`, and a
+    region that misses the seed set contributes no candidates. A candidate
+    ties when its width reaches ``1 - TIE_RTOL`` times the largest over all
+    seeded regions; ties break toward the earlier region, then the lower
+    grid index. Returns ``(choice, label)``, both None without a candidate.
     """
-    gammas = {i: info_gain(post) for i, post in posteriors.items()}
-    states, widths = {}, {}
-    for label, mask in masks.items():
-        betas = {i: beta_scale(bounds[label][i], noise_std, gammas[i], delta)
-                 for i in posteriors}
-        st = compute_state(posteriors, betas, mask, seed_indices,
-                           exact_expanders, preds[label])
-        states[label] = st
+    widths = {}  # max-channel width per seeded region, zero off candidates
+    for label, st in states.items():
         if st.seeded:
-            widths[label] = _widths(st.field, st.candidates())
+            w = np.max([st.field.width(i) for i in st.field.channels], axis=0)
+            widths[label] = np.where(st.candidates(), w, 0.0)
     top = max((w.max() for w in widths.values()), default=0.0)
     for label, w in widths.items():
         tied = np.flatnonzero(states[label].candidates()
                               & (w >= (1.0 - TIE_RTOL) * top))
         if len(tied):
-            return int(tied[0]), label, states
-    return None, None, states
+            return int(tied[0]), label
+    return None, None

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from conftest import constant_predictor
 import pacsbo.pacsbo_loop as loop_mod
 from pacsbo import cli, harness
 from pacsbo.cli import main
-from pacsbo.predictor import TrainHyper, load_predictor, save_predictor
+import pacsbo.predictor as predictor_mod
+from pacsbo.predictor import load_predictor, save_predictor
 
 
 def write_config(path, body):
@@ -102,7 +104,7 @@ class TestTrainPredictor:
         (dict(step=0.003), "unknown key 'step'"),
         (dict(safe_quantile=0.4), "unknown key 'safe_quantile'"),
         (dict(lengthscale=0.1), "unknown key 'lengthscale'"),
-        (dict(epochs=0), "bad training hyperparameters"),
+        (dict(epochs=0), "epochs must be >= 1"),
         # the window holds 50 pairs
         (dict(rollout_iters=51), "rollout longer than the trace window"),
         (dict(delta=0.1), "unknown key 'delta'"),
@@ -113,6 +115,8 @@ class TestTrainPredictor:
         (dict(noise_std=0.01), "unknown key 'noise_std'"),
         (dict(t_max=50), "unknown key 't_max'"),
         (dict(grid_resolution=100), "unknown key 'grid_resolution'"),
+        (dict(q_train=0), "q_train must be >= 1"),
+        (dict(rollout_iters=0), "rollout_iters must be >= 1"),
     ])
     def test_malformed_values_exit_2(self, tmp_path, capsys, bad, message):
         body = tiny_train_body(tmp_path / "m.json")
@@ -120,6 +124,28 @@ class TestTrainPredictor:
         cfg = write_config(tmp_path / "t.yaml", body)
         assert main(["train-predictor", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("value", [7, True, ["a", "b"]])
+    def test_out_path_of_another_type_exits_2_before_any_rollout(
+            self, tmp_path, capsys, monkeypatch, value):
+        rollouts = []
+        monkeypatch.setattr(harness, "generate_training_data",
+                            lambda *args: rollouts.append(args))
+        monkeypatch.chdir(tmp_path)
+        body = dict(tiny_train_body(tmp_path / "m.json"), out_path=value)
+        cfg = write_config(tmp_path / "t.yaml", body)
+        assert main(["train-predictor", "--config", cfg]) == 2
+        assert "out_path must be a nonempty string" in capsys.readouterr().err
+        assert rollouts == []
+        assert [p.name for p in tmp_path.iterdir()] == ["t.yaml"]
+
+    @pytest.mark.parametrize("key", ["q_train", "epochs", "seed"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key):
+        body = dict(tiny_train_body(tmp_path / "m.json"), **{key: math.inf})
+        cfg = write_config(tmp_path / "t.yaml", body)
+        assert main(["train-predictor", "--config", cfg]) == 2
+        assert f"{key} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("source", ["config", "flag"])
@@ -136,8 +162,7 @@ class TestTrainPredictor:
     def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
         # the (64, 64) network saturates to a finite loss at steps up to
         # 1e150; this one overflows the loss in the second epoch
-        monkeypatch.setattr(harness, "TrainHyper",
-                            lambda **kw: TrainHyper(step=1e300, **kw))
+        monkeypatch.setattr(predictor_mod, "STEP", 1e300)
         cfg = write_config(tmp_path / "t.yaml",
                            tiny_train_body(tmp_path / "m.json"))
         assert main(["train-predictor", "--config", cfg]) == 3
@@ -145,8 +170,7 @@ class TestTrainPredictor:
 
     def test_every_rollout_stalled_exits_3(self, tmp_path, capsys,
                                            monkeypatch):
-        monkeypatch.setattr(loop_mod, "select",
-                            lambda *args: (None, None, None))
+        monkeypatch.setattr(loop_mod, "select", lambda states: (None, None))
         cfg = write_config(tmp_path / "t.yaml",
                            tiny_train_body(tmp_path / "m.json"))
         assert main(["train-predictor", "--config", cfg]) == 3
@@ -250,6 +274,14 @@ class TestRunCommand:
         (dict(norm_target=-1), "norm_target must be positive"),
         (dict(norm_target=0), "norm_target must be positive"),
         (dict(seeds=[0, 0]), "seeds must be distinct"),
+        (dict(lengthscale=math.inf), "lengthscale must be a finite number"),
+        (dict(norm_target=math.inf), "norm_target must be a finite number"),
+        (dict(alpha_bar=math.inf), "alpha_bar must be a finite number"),
+        (dict(noise_std=math.inf), "noise_std must be a finite number"),
+        (dict(delta=math.nan), "delta must be a finite number"),
+        (dict(q_max=math.inf), "q_max must be a finite number"),
+        (dict(sample_counts=[5, math.inf]),
+         "sample_counts must be a finite number"),
     ])
     def test_malformed_fig3_values_exit_2(self, tmp_path, capsys, bad,
                                           message):
@@ -286,6 +318,37 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "c.yaml", body)
         assert main(["run", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [5, True, ["p.json"], ""])
+    def test_predictor_path_of_another_type_exits_2(self, tmp_path, capsys,
+                                                    monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        body = dict(comparison_body(tmp_path), predictor_path=value)
+        cfg = write_config(tmp_path / "c.yaml", body)
+        assert main(["run", "--config", cfg]) == 2
+        assert ("predictor_path must be a nonempty string"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml",
+                                                             "pred.json"]
+
+    @pytest.mark.parametrize("value", [["a", "b"], 7, True])
+    def test_out_dir_of_another_type_exits_2(self, tmp_path, capsys,
+                                             monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        body = dict(hoeffding_body(tmp_path), out_dir=value)
+        cfg = write_config(tmp_path / "h.yaml", body)
+        assert main(["run", "--config", cfg]) == 2
+        assert "out_dir must be a nonempty string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["h.yaml"]
+
+    @pytest.mark.parametrize("key", ["fixed_bound", "safe_fraction"])
+    def test_non_finite_comparison_value_exits_2(self, tmp_path, capsys,
+                                                 key):
+        body = dict(comparison_body(tmp_path), **{key: math.inf})
+        cfg = write_config(tmp_path / "c.yaml", body)
+        assert main(["run", "--config", cfg]) == 2
+        assert f"{key} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("rewrite", [

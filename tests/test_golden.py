@@ -49,11 +49,7 @@ from pacsbo.harness import (
 )
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
 from pacsbo.pacsbo_loop import run
-from pacsbo.predictor import (
-    RolloutConfig,
-    generate_training_data,
-    save_predictor,
-)
+from pacsbo.predictor import generate_training_data, save_predictor
 from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
 from pacsbo.subdomain import partition_masks
 
@@ -107,10 +103,7 @@ def produce(out: Path) -> None:
                   record_header(grid.dim),
                   history_rows(0, "safeopt", grid, history))
 
-    cfg = RolloutConfig(grid=GridDomain.uniform(100),
-                        kernel=KernelConfig(lengthscale=0.1),
-                        q_train=3, rollout_iters=4)
-    data = generate_training_data(cfg, seed=0)
+    data = generate_training_data(3, 4, seed=0)
     width = data.inputs.shape[1]
     write_csv(out / "training" / "training_set.csv",
               [f"in{k}" for k in range(width)] + ["label"],

@@ -1,5 +1,7 @@
 """Tests for the experiment harness: specs, file IO, and scenario recipes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -10,6 +12,9 @@ from pacsbo.harness import (
     SCENARIOS,
     TRAIN_DEFAULTS,
     ExperimentSpec,
+    _grid_for,
+    _kernel_for,
+    _pacsbo_config,
     config_hash,
     load_spec,
     make_truth,
@@ -297,6 +302,23 @@ class TestTruthSetup:
         rows = {j // 15 for j in triple}
         assert len(rows) == 1
         assert triple[2] - triple[0] == 2
+
+    def test_truths_and_run_configs_compare_by_identity(self, tmp_path):
+        """Objects holding arrays (truth functions, predictors) compare
+        equal only to themselves, so truths and run configs compare without
+        raising; two loads give two predictors."""
+        pred = tmp_path / "pred.json"
+        save_predictor(constant_predictor(3.0), pred)
+        params = _params("compare_conservative")
+        params.update(grid_resolution=30, predictor_path=str(pred))
+        grid, kernel = _grid_for(params), _kernel_for(params)
+        a, b = (make_truth(params, grid, kernel, 0) for _ in range(2))
+        assert a == replace(a) and a != b and a.reward != b.reward
+        s0 = seed_triple(a, grid)
+        one, two = (_pacsbo_config(params, grid, kernel, s0, 0)
+                    for _ in range(2))
+        assert one == replace(one) and one != two
+        assert one.predictor != two.predictor
 
     def test_seed_triple_margin_failure(self):
         grid = GridDomain.uniform(30)

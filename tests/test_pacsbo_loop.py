@@ -462,9 +462,9 @@ def stalled_run(monkeypatch, picks):
                     algorithm="safeopt", fixed_bound=1.0, budget=5, seed=0)
     real, calls = loop_mod.select, []
 
-    def select(*args):
+    def select(states):
         calls.append(None)
-        return real(*args) if len(calls) <= picks else (None, None, None)
+        return real(states) if len(calls) <= picks else (None, None)
 
     monkeypatch.setattr(loop_mod, "select", select)
     return cfg, truth, run(cfg, truth, snapshot_iterations=range(1, 6))

@@ -23,8 +23,6 @@ from pacsbo.kernel_gp import (
 from pacsbo.predictor import (
     MIN_SCALE,
     MlpPredictor,
-    RolloutConfig,
-    TrainHyper,
     TrainingSet,
     append_trace,
     encode_trace,
@@ -107,42 +105,50 @@ def test_gradient_check_small_networks():
         assert err <= 1e-4, f"hidden={hidden}: {err}"
 
 
-def test_overfit_single_row():
+def train_small(monkeypatch, data, epochs, seed, **constants):
+    """``train_mlp`` with the network constants in ``constants`` (HIDDEN,
+    BATCH, STEP) patched."""
+    for name, value in constants.items():
+        monkeypatch.setattr(predictor_mod, name, value)
+    return train_mlp(data, epochs, seed=seed)
+
+
+def test_overfit_single_row(monkeypatch):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 6))
     data = TrainingSet(np.repeat(x, 8, axis=0), np.full(8, 2.5))
-    model = train_mlp(data, hidden=(16,),
-                      hyper=TrainHyper(epochs=800, batch_size=8, step=0.05),
-                      seed=1)
+    model = train_small(monkeypatch, data, 800, 1, HIDDEN=(16,), BATCH=8,
+                        STEP=0.05)
     assert model.final_loss < 1e-3
     assert model.forward(x)[0] == pytest.approx(2.5, abs=0.1)
 
 
-def test_training_that_raises_the_loss_is_an_error():
+def test_training_that_raises_the_loss_is_an_error(monkeypatch):
     # a step far too large leaves the final loss above the initial one; a
     # dead network must not be returned as if it were trained
-    data = generate_training_data(small_rollout_config(), seed=3)
+    data = generate_training_data(2, 3, seed=3)
     with pytest.raises(NumericError, match="did not lower the loss"):
-        train_mlp(data, hyper=TrainHyper(epochs=15, step=1e3))
-    train_mlp(data, hyper=TrainHyper(epochs=15))
+        train_small(monkeypatch, data, 15, 0, STEP=1e3)
+    monkeypatch.undo()
+    train_mlp(data, 15)
 
 
-def test_training_determinism():
+def test_training_determinism(monkeypatch):
     rng = np.random.default_rng(9)
     data = TrainingSet(rng.normal(size=(40, 8)),
                        rng.uniform(1.0, 3.0, size=40))
-    a = train_mlp(data, hidden=(10,), hyper=TrainHyper(epochs=30), seed=5)
-    b = train_mlp(data, hidden=(10,), hyper=TrainHyper(epochs=30), seed=5)
+    a = train_small(monkeypatch, data, 30, 5, HIDDEN=(10,))
+    b = train_mlp(data, 30, seed=5)
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
     assert a.final_loss == b.final_loss
 
 
-def test_predictions_always_positive():
+def test_predictions_always_positive(monkeypatch):
     rng = np.random.default_rng(2)
     data = TrainingSet(rng.normal(size=(60, 10)),
                        rng.uniform(0.5, 4.0, size=60))
-    model = train_mlp(data, hidden=(12,), hyper=TrainHyper(epochs=50), seed=0)
+    model = train_small(monkeypatch, data, 50, 0, HIDDEN=(12,))
     total = 0
     for _ in range(20):
         batch = rng.normal(scale=50.0, size=(50_000, 10))
@@ -152,21 +158,16 @@ def test_predictions_always_positive():
     assert total == 1_000_000
 
 
-def small_rollout_config(q_train=2, iters=3):
-    return RolloutConfig(
-        grid=GridDomain.uniform(40),
-        kernel=KernelConfig(lengthscale=0.2),
-        q_train=q_train,
-        rollout_iters=iters,
-        noise_std=0.01,
-        t_max=10,
-    )
+# the rollouts' grid, kernel and noise
+TRAIN_GRID = GridDomain.uniform(predictor_mod.TRAIN_GRID)
+TRAIN_KERNEL = KernelConfig()
+NOISE = predictor_mod.NOISE_STD
 
 
 def test_rollout_row_count_and_labels():
-    data = generate_training_data(small_rollout_config(), seed=3)
+    data = generate_training_data(2, 3, seed=3)
     assert data.rows == 6  # every prefix of each rollout becomes a row
-    assert data.inputs.shape == (6, 20)
+    assert data.inputs.shape == (6, 2 * predictor_mod.WINDOW)
     # per rollout the label is constant (the function's norm)
     assert len(np.unique(data.labels)) == 2
     # prefixes grow: row k of a rollout has 2k nonzero tail entries
@@ -176,8 +177,8 @@ def test_rollout_row_count_and_labels():
 
 
 def test_rollout_determinism():
-    a = generate_training_data(small_rollout_config(), seed=11)
-    b = generate_training_data(small_rollout_config(), seed=11)
+    a = generate_training_data(2, 3, seed=11)
+    b = generate_training_data(2, 3, seed=11)
     np.testing.assert_array_equal(a.inputs, b.inputs)
     np.testing.assert_array_equal(a.labels, b.labels)
 
@@ -199,8 +200,7 @@ def test_rollout_fits_each_sample_set_and_channel_once(monkeypatch):
     monkeypatch.setattr(loop_mod, "gp_fit", counting)
     monkeypatch.setattr(loop_mod, "with_targets", deriving)
     monkeypatch.setattr(predictor_mod, "gp_fit", counting)
-    data = generate_training_data(small_rollout_config(q_train=1, iters=10),
-                                  seed=3)
+    data = generate_training_data(1, 10, seed=3)
     assert data.rows == 10
     assert fits == [(n, 0) for n in range(1, 12)]
     assert derived == list(range(1, 11))
@@ -216,32 +216,35 @@ def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):
         return history
 
     monkeypatch.setattr(loop_mod, "run", recording)
-    cfg = small_rollout_config()
-    data = generate_training_data(cfg, seed=3)
-    assert len(runs) == cfg.q_train
-    mask, rows = global_mask(cfg.grid), []
+    q_train, steps = 2, 3
+    data = generate_training_data(q_train, steps, seed=3)
+    assert len(runs) == q_train
+    mask, rows = global_mask(TRAIN_GRID), []
     for k, (run_cfg, truth, history) in enumerate(runs):
         assert run_cfg.algorithm == "safeopt"
         assert len(run_cfg.s0_indices) == 1
-        assert run_cfg.budget == cfg.rollout_iters
-        assert run_cfg.fixed_bound == data.labels[k * cfg.rollout_iters]
+        assert (run_cfg.grid, run_cfg.kernel) == (TRAIN_GRID, TRAIN_KERNEL)
+        assert (run_cfg.noise_std, run_cfg.delta) == (NOISE,
+                                                      predictor_mod.DELTA)
+        assert run_cfg.budget == steps
+        assert run_cfg.fixed_bound == data.labels[k * steps]
         assert history.status == "completed" and history.snapshots == {}
         samples = history.samples
         exact = np.array([truth.values(j) for j in samples.indices])
         for i in (0, 1):
             # the loop's truncated noise stays within two scales
             err = np.abs(samples.targets(i) - exact[:, i])
-            assert (err <= 2 * cfg.noise_std * (1 + 1e-9)).all()
+            assert (err <= 2 * NOISE * (1 + 1e-9)).all()
         trace, refits = (), []
         for t in range(1, len(samples) + 1):
-            first = SampleSet(cfg.grid, samples.indices[:t],
+            first = SampleSet(TRAIN_GRID, samples.indices[:t],
                               {i: samples.targets(i)[:t] for i in (0, 1)})
-            post = gp_fit(first, 0, cfg.noise_std, cfg.kernel)
+            post = gp_fit(first, 0, NOISE, TRAIN_KERNEL)
             r = cov_integral(post, mask)
             refits.append((mean_rkhs_norm(post), r))
             if t >= 2:
                 trace = append_trace(trace, post, r)
-                rows.append(encode_trace(trace, 2 * cfg.t_max))
+                rows.append(encode_trace(trace, 2 * predictor_mod.WINDOW))
         # the run's own trace holds one pair per step, from the posterior
         # on the samples measured before it
         got = history.traces["global", 0]
@@ -267,9 +270,8 @@ def test_rollout_thresholds_its_truth_at_the_safe_quantile(monkeypatch):
 
     monkeypatch.setattr(loop_mod.GroundTruth, "at_quantile", at_quantile)
     monkeypatch.setattr(loop_mod, "run", recording)
-    cfg = small_rollout_config()
-    generate_training_data(cfg, seed=3)
-    assert [q for q, _ in made] == [predictor_mod.SAFE_QUANTILE] * cfg.q_train
+    generate_training_data(2, 3, seed=3)
+    assert [q for q, _ in made] == [predictor_mod.SAFE_QUANTILE] * 2
     for (_, truth), (run_cfg, ran) in zip(made, runs):
         assert ran is truth
         clearance = truth.reward_values - truth.threshold
@@ -278,17 +280,16 @@ def test_rollout_thresholds_its_truth_at_the_safe_quantile(monkeypatch):
 
 
 def test_stalled_rollout_gives_no_rows_and_one_warning(monkeypatch, caplog):
-    cfg = small_rollout_config()
-    full = generate_training_data(cfg, seed=3)
+    full = generate_training_data(2, 3, seed=3)
     real, calls = loop_mod.select, []
 
-    def select(*args):  # the first rollout's second step finds nothing
+    def select(states):  # the first rollout's second step finds nothing
         calls.append(None)
-        return (None, None, None) if len(calls) == 2 else real(*args)
+        return (None, None) if len(calls) == 2 else real(states)
 
     monkeypatch.setattr(loop_mod, "select", select)
     with caplog.at_level(logging.WARNING, logger="pacsbo.predictor"):
-        data = generate_training_data(cfg, seed=3)
+        data = generate_training_data(2, 3, seed=3)
     warnings = [r for r in caplog.records if r.name == "pacsbo.predictor"]
     assert len(warnings) == 1 and "abandoned" in warnings[0].getMessage()
     # rollouts are seeded per function, so the second one is unchanged
@@ -297,14 +298,13 @@ def test_stalled_rollout_gives_no_rows_and_one_warning(monkeypatch, caplog):
 
 
 def test_every_rollout_stalled_raises(monkeypatch):
-    monkeypatch.setattr(loop_mod, "select", lambda *args: (None, None, None))
+    monkeypatch.setattr(loop_mod, "select", lambda states: (None, None))
     with pytest.raises(NumericError, match="abandoned"):
-        generate_training_data(small_rollout_config(), seed=3)
+        generate_training_data(2, 3, seed=3)
 
 
 def test_reciprocal_covariance_grows_along_rollout_traces():
-    data = generate_training_data(small_rollout_config(q_train=1, iters=4),
-                                  seed=7)
+    data = generate_training_data(1, 4, seed=7)
     # the r component sits at odd offsets from the right: last row is the
     # longest prefix, holding all four pairs
     row = data.inputs[-1]
@@ -312,11 +312,11 @@ def test_reciprocal_covariance_grows_along_rollout_traces():
     assert (np.diff(rs) > 0).all()
 
 
-def test_predictor_roundtrip(tmp_path):
+def test_predictor_roundtrip(tmp_path, monkeypatch):
     rng = np.random.default_rng(6)
     data = TrainingSet(rng.normal(size=(30, 8)),
                        rng.uniform(1.0, 2.0, size=30))
-    model = train_mlp(data, hidden=(9,), hyper=TrainHyper(epochs=20), seed=2)
+    model = train_small(monkeypatch, data, 20, 2, HIDDEN=(9,))
     path = tmp_path / "predictor.json"
     save_predictor(model, path)
     clone = load_predictor(path)
@@ -350,26 +350,27 @@ def test_load_rejects_weights_that_do_not_chain(tmp_path, field, value):
         load_predictor(path)
 
 
-def test_predict_norm_uses_trace_encoding():
+def test_predict_norm_uses_trace_encoding(monkeypatch):
     rng = np.random.default_rng(8)
     data = TrainingSet(rng.normal(size=(30, 6)),
                        rng.uniform(1.0, 2.0, size=30))
-    model = train_mlp(data, hidden=(7,), hyper=TrainHyper(epochs=20), seed=3)
+    model = train_small(monkeypatch, data, 20, 3, HIDDEN=(7,))
     trace = ((0.4, 1.3),)
     direct = model.forward(encode_trace(trace, 6))[0]
     assert predict_norm(model, trace) == pytest.approx(direct, abs=0.0)
     assert predict_norm(model, trace) > 0
 
 
-def test_trace_longer_than_rollouts_predicts_as_its_newest_pairs():
-    # 3-step rollouts in a 10-pair window: the 14 oldest inputs are zero in
+def test_trace_longer_than_rollouts_predicts_as_its_newest_pairs(
+        monkeypatch):
+    # 3-step rollouts in a 50-pair window: the 94 oldest inputs are zero in
     # every training row, so their scale sits at its floor
-    cfg = small_rollout_config(iters=3)
-    model = train_mlp(generate_training_data(cfg, seed=3), hidden=(6,),
-                      hyper=TrainHyper(epochs=20), seed=0)
-    assert (model.feat_scale <= MIN_SCALE).sum() == 14
+    steps = 3
+    model = train_small(monkeypatch, generate_training_data(2, steps, seed=3),
+                        20, 0, HIDDEN=(6,))
+    assert (model.feat_scale <= MIN_SCALE).sum() == 94
     rng = np.random.default_rng(4)
     trace = tuple(map(tuple, rng.uniform(0.5, 3.0, size=(8, 2))))
     for n in range(4, 9):
         assert predict_norm(model, trace[:n]) == \
-            predict_norm(model, trace[n - cfg.rollout_iters:n])
+            predict_norm(model, trace[n - steps:n])

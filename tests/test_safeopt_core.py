@@ -162,58 +162,47 @@ def test_maximizers_singleton_safe_set():
     np.testing.assert_array_equal(maximizers(field, safe), safe)
 
 
-def hand_select(monkeypatch, regions):
+def hand_select(regions):
     """``select`` over hand-made regions: ``regions`` maps each label, in
     region order, to the ``(field, candidates)`` of a seeded state."""
-    grid = GridDomain.uniform(4)
-    samples = SampleSet(grid, [0], {0: [0.0], 1: [0.0]})
-    posts = {i: gp_fit(samples, i, 0.1, KernelConfig()) for i in (0, 1)}
-    states = {label: SafeOptState(field, cand, cand, cand, True)
-              for label, (field, cand) in regions.items()}
-    monkeypatch.setattr(safeopt_core, "compute_state",
-                        lambda posteriors, betas, mask, *rest: states[mask])
-    masks = {label: label for label in regions}
-    bounds = {label: {0: 1.0, 1: 1.0} for label in regions}
-    choice, label, got = select(posts, dict.fromkeys(regions), bounds, masks,
-                                [0], 0.1, 0.1)
-    assert all(got[k] is st for k, st in states.items())
-    return choice, label
+    return select({label: SafeOptState(field, cand, cand, cand, True)
+                   for label, (field, cand) in regions.items()})
 
 
-def select_one(monkeypatch, field, candidates):
+def select_one(field, candidates):
     """The choice of ``select`` over one seeded region."""
-    return hand_select(monkeypatch, {"global": (field, candidates)})[0]
+    return hand_select({"global": (field, candidates)})[0]
 
 
-def test_select_hand_case_and_tie_break(monkeypatch):
+def test_select_hand_case_and_tie_break():
     lower = np.array([0.0, 0.1, 0.2, 0.3])
     upper = np.array([0.5, 0.9, 0.7, 0.8])  # widths 0.5, 0.8, 0.5, 0.5
     field = hand_field({0: lower, 1: lower}, {0: upper, 1: upper})
     cand = np.array([True, True, True, True])
-    assert select_one(monkeypatch, field, cand) == 1
+    assert select_one(field, cand) == 1
     flat = hand_field({0: np.zeros(4), 1: np.zeros(4)},
                       {0: np.full(4, 0.5), 1: np.full(4, 0.5)})
     # all widths equal: lowest index wins
-    assert select_one(monkeypatch, flat, cand) == 0
-    assert select_one(monkeypatch, flat,
+    assert select_one(flat, cand) == 0
+    assert select_one(flat,
                       np.array([False, False, True, True])) == 2
-    assert select_one(monkeypatch, field, np.zeros(4, dtype=bool)) is None
+    assert select_one(field, np.zeros(4, dtype=bool)) is None
 
 
-def test_near_tied_widths_go_to_the_lower_index(monkeypatch):
+def test_near_tied_widths_go_to_the_lower_index():
     # 1e-12 relative apart is a tie; 1e-6 is not
     upper = np.array([0.5, 0.5 * (1 + 1e-12), 0.5 * (1 - 1e-12), 0.4])
     field = hand_field({0: np.zeros(4), 1: np.zeros(4)}, {0: upper, 1: upper})
-    assert select_one(monkeypatch, field, np.ones(4, dtype=bool)) == 0
-    assert select_one(monkeypatch, field,
+    assert select_one(field, np.ones(4, dtype=bool)) == 0
+    assert select_one(field,
                       np.array([False, True, True, True])) == 1
     upper[1] = 0.5 * (1 + 1e-6)
-    assert select_one(monkeypatch, field, np.ones(4, dtype=bool)) == 1
+    assert select_one(field, np.ones(4, dtype=bool)) == 1
 
 
 @pytest.mark.parametrize("gap, want", [(1e-12, (2, "first")),
                                        (1e-6, (0, "second"))])
-def test_select_ties_go_to_the_earlier_region(gap, want, monkeypatch):
+def test_select_ties_go_to_the_earlier_region(gap, want):
     """The earlier region's lower tied index wins over a later region whose
     candidate is wider by less than the tie tolerance."""
     widths = {"first": [0.0, 0.0, 0.5, 0.5 * (1 + gap / 2)],
@@ -221,7 +210,19 @@ def test_select_ties_go_to_the_earlier_region(gap, want, monkeypatch):
     regions = {label: (hand_field({0: np.zeros(4), 1: np.zeros(4)},
                                   {0: w, 1: w}), np.array(w) > 0)
                for label, w in widths.items()}
-    assert hand_select(monkeypatch, regions) == want
+    assert hand_select(regions) == want
+
+
+def test_select_skips_regions_that_miss_the_seed_set():
+    wide, narrow = np.array([0.0, 0.9]), np.array([0.3, 0.0])
+    field = {label: hand_field({0: np.zeros(2), 1: np.zeros(2)}, {0: w, 1: w})
+             for label, w in (("tilde", wide), ("hat", narrow))}
+    cand = np.ones(2, dtype=bool)
+    states = {"tilde": SafeOptState(field["tilde"], cand, cand, cand, False),
+              "hat": SafeOptState(field["hat"], cand, cand, cand, True)}
+    assert select(states) == (0, "hat")
+    assert select({"tilde": states["tilde"]}) == (None, None)
+    assert select({}) == (None, None)
 
 
 def test_three_point_expander_hand_case():

@@ -5,7 +5,10 @@
 ``CHECKOUT`` is a checkout of the repository; its ``src/`` is imported.
 ``OUT`` must not exist yet. The script trains a small predictor and runs
 every scenario, the loop scenarios against that predictor, through
-``python -m pacsbo.cli``, one process at a time with one BLAS thread.
+``python -m pacsbo.cli``, one command at a time with one BLAS thread. Each
+command's process then runs one OS thread, so ``fig3_thresholds`` and the
+multi-seed comparisons take the harness's worker pool on a machine with
+two or more CPUs.
 ``hoeffding_mc`` and ``synthetic2d`` run through their own subcommands,
 the other scenarios through ``run``, so all four commands are covered:
 

@@ -1,9 +1,11 @@
 """Experiment recipes: scenario configs, seed loops, CSV and manifest IO.
 
 Each scenario resolves a YAML config into an :class:`ExperimentSpec`, runs
-its seeds one after another, and writes per-seed record files,
-a merged summary, and a manifest with the config hash and library versions.
-All outputs are plain CSV or YAML so plots can be drawn with external tools.
+its independent seeds (and fig3's estimator calls) on forked worker
+processes when the process runs one OS thread (:func:`_in_order`), and
+writes per-seed record files, a merged summary, and a manifest with the
+config hash and library versions. All outputs are plain CSV or YAML so
+plots can be drawn with external tools.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import importlib.metadata
 import math
 import numbers
+import os
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +23,6 @@ from pathlib import Path
 import numpy as np
 import scipy
 import yaml
-from scipy import ndimage
 
 from .errors import ConfigError
 from .kernel_gp import (
@@ -56,7 +58,7 @@ from .rkhs_function import (
     scale_to_norm,
 )
 from .seeding import derive_rng
-from .subdomain import global_mask, partition_masks
+from .subdomain import cross_dilation, global_mask, partition_masks
 
 SCHEMA_VERSION = 2
 S0_MARGIN = 0.1  # least true constraint value of a start-set point
@@ -185,14 +187,23 @@ def _check_values(params: dict, defaults: dict) -> None:
         want = want[0] if isinstance(want, list) else want
         if not isinstance(want, (int, float)):
             continue
+        kind = "an integer" if isinstance(want, int) else "a number"
         for v in value if listed and many else [value]:
-            if isinstance(v, float) and not math.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigError(f"{key} must be {kind}, got {value!r}")
+            if not _finite(v):
                 raise ConfigError(f"{key} must be a finite number, got "
                                   f"{value!r}")
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or isinstance(want, int) and not float(v).is_integer()):
-                kind = "an integer" if isinstance(want, int) else "a number"
+            if isinstance(want, int) and not float(v).is_integer():
                 raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
+def _finite(v) -> bool:
+    """Whether ``v`` is a finite float or an integer a float can hold."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _check_path(key: str, value) -> None:
@@ -285,8 +296,7 @@ def seed_triple(truth: GroundTruth, grid: GridDomain,
         raise ConfigError("grid too coarse for a three-point start set")
     j = int(np.argmax(vals))
     if placement == "far":
-        labels, _ = ndimage.label((vals >= 0.0).reshape(grid.resolution))
-        component = labels.reshape(-1) == labels.reshape(-1)[j]
+        component = _component((vals >= 0.0).reshape(grid.resolution), j)
         best, best_score = None, -np.inf
         for start in _row_windows(grid, row_len):
             window = slice(start, start + 3)
@@ -312,6 +322,19 @@ def seed_triple(truth: GroundTruth, grid: GridDomain,
             f"no three-point start window clears the safety margin "
             f"{S0_MARGIN} (best {worst:.3f})")
     return (lo, lo + 1, lo + 2)
+
+
+def _component(member: np.ndarray, j: int) -> np.ndarray:
+    """Flat membership of the axis-connected component of ``member`` (a
+    mask shaped like the grid) that holds flat index ``j``; empty if ``j``
+    is not a member."""
+    component = np.zeros_like(member)
+    component.flat[j] = member.flat[j]
+    while True:
+        grown = cross_dilation(component) & member
+        if np.array_equal(grown, component):
+            return component.reshape(-1)
+        component = grown
 
 
 def _row_windows(grid: GridDomain, row_len: int):
@@ -498,6 +521,38 @@ def snapshot_rows(grid: GridDomain, snapshot: Snapshot) -> list:
 # ---------------------------------------------------------------------------
 # scenarios
 
+def _in_order(fn, tasks: list) -> list:
+    """``[fn(t) for t in tasks]``, on forked workers when there are at
+    least two tasks and usable CPUs and this process runs one OS thread.
+
+    Tasks are seeded by their own paths, so where they run changes no
+    result. ``fork``, not ``spawn``: a spawned worker re-imports numpy and
+    scipy (about 0.4 s). Forking is safe only with no other thread alive,
+    which needs BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``)."""
+    try:
+        one_thread = len(os.listdir("/proc/self/task")) == 1
+        workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    except (OSError, AttributeError):  # no /proc or no affinity call
+        one_thread = False
+    if not one_thread or workers < 2:
+        return [fn(t) for t in tasks]
+    import multiprocessing  # here, so single-task callers skip the import
+    from concurrent.futures import ProcessPoolExecutor
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _fig3_bound(task) -> tuple:
+    """``(initial guess, estimator result)`` for one seed's first ``m``
+    noisy samples."""
+    samples, noise, kernel, pac, delta, seed, m = task
+    guess = mean_rkhs_norm(gp_fit(samples, 0, noise, kernel))
+    pool = DrawPool(samples, (0,), noise, kernel, global_mask(samples.grid),
+                    pac.sampler, (seed, "fig3", m))
+    return guess, estimate_upper_bound(guess, pool, 0, delta=delta, cfg=pac)
+
+
 def scenario_fig3(spec: ExperimentSpec) -> dict:
     """Norm-bound study on a unit-norm truth: run the accept-or-grow
     estimator after 5, 20, and 50 measurements and record the accepted
@@ -512,25 +567,21 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     counts = [int(m) for m in params["sample_counts"]]
     noise, delta = float(params["noise_std"]), float(params["delta"])
     pac = _pac_config(params)
-    mask = global_mask(grid)
 
-    per_seed = []
+    tasks = []
     for seed in spec.seeds:
         values = evaluate(_truth_reward(params, grid, kernel, seed))
         draw = derive_rng(seed, "draw")
         order = draw.permutation(grid.num_points)[:max(counts)]
         noise_rng = derive_rng(seed, "noise")
         eps = noise_rng.normal(0.0, noise, size=max(counts))
-        rows = []
         for m in counts:
             y = values[order[:m]] + eps[:m]
             samples = SampleSet(grid, order[:m], {0: y, 1: y})
-            guess = mean_rkhs_norm(gp_fit(samples, 0, noise, kernel))
-            pool = DrawPool(samples, (0,), noise, kernel, mask, pac.sampler,
-                            (seed, "fig3", m))
-            res = estimate_upper_bound(guess, pool, 0, delta=delta, cfg=pac)
-            rows.append((seed, m, guess, res))
-        per_seed.append(rows)
+            tasks.append((samples, noise, kernel, pac, delta, seed, m))
+    results = iter(_in_order(_fig3_bound, tasks))
+    per_seed = [[(seed, m, *next(results)) for m in counts]
+                for seed in spec.seeds]
     header = ["schema_version", "seed", "num_samples", "initial_guess",
               "accepted_bound", "q_used", "escalated", "draw_mean",
               "draw_width", "threshold"]
@@ -583,17 +634,19 @@ def _run_seeds(spec: ExperimentSpec, algorithms,
     grid = _grid_for(params)
     kernel = _kernel_for(params)
 
-    outputs = []
+    tasks = []
     for seed in spec.seeds:
         truth = make_truth(params, grid, kernel, seed)
         s0 = seed_triple(truth, grid, placement=params["s0_placement"])
-        runs = {}
+        configs = {}
         for algorithm in algorithms:
             maker = _pacsbo_config if algorithm == "pacsbo" \
                 else _safeopt_config
-            runs[algorithm] = run(maker(params, grid, kernel, s0, seed),
-                                  truth, snapshot_iterations)
-        outputs.append((seed, truth, runs))
+            configs[algorithm] = maker(params, grid, kernel, s0, seed)
+        tasks.append((configs, truth, snapshot_iterations))
+    histories = _in_order(_seed_runs, tasks)
+    outputs = [(seed, truth, runs) for seed, (_, truth, _), runs
+               in zip(spec.seeds, tasks, histories)]
     files = []
     for seed, _, runs in outputs:
         for algorithm, history in runs.items():
@@ -602,6 +655,13 @@ def _run_seeds(spec: ExperimentSpec, algorithms,
                       history_rows(seed, algorithm, grid, history))
             files.append(path)
     return files, outputs
+
+
+def _seed_runs(task) -> dict:
+    """One seed's ``{algorithm: history}``, from its configs and truth."""
+    configs, truth, snapshot_iterations = task
+    return {algorithm: run(cfg, truth, snapshot_iterations)
+            for algorithm, cfg in configs.items()}
 
 
 def _summary_row(seed: int, algorithm: str, history: RunHistory) -> list:

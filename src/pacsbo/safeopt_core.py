@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .kernel_gp import (clamp_variance, kernel_block, observation_update,
                         predictive)
-from .subdomain import DomainMask
+from .subdomain import DomainMask, cross_dilation
 
 # candidates per closed-form update in :func:`expanders`
 _BLOCK = 32
@@ -123,10 +122,8 @@ def _boundary_candidates(safe: np.ndarray, mask: DomainMask) -> np.ndarray:
     fewer points than the SafeOpt definition asks for and can miss interior
     expanders; ``exact=True`` in :func:`expanders` tests every safe point.
     """
-    shape = mask.grid.resolution
-    outside = (mask.member & ~safe).reshape(shape)
-    cross = ndimage.generate_binary_structure(len(shape), 1)
-    return safe & ndimage.binary_dilation(outside, cross).reshape(-1)
+    outside = (mask.member & ~safe).reshape(mask.grid.resolution)
+    return safe & cross_dilation(outside).reshape(-1)
 
 
 def expanders(posteriors: dict, pred, field: ConfidenceField,

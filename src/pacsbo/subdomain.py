@@ -47,6 +47,18 @@ class DomainMask:
         return np.flatnonzero(self.member)
 
 
+def cross_dilation(member: np.ndarray) -> np.ndarray:
+    """``member``, a boolean array shaped like the grid, grown by one cell
+    along each axis; cells past the border count as outside."""
+    out = member.copy()
+    for axis in range(member.ndim):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        out[head] |= member[tail]
+        out[tail] |= member[head]
+    return out
+
+
 def global_mask(grid: GridDomain) -> DomainMask:
     return DomainMask(grid, np.ones(grid.num_points, dtype=bool))
 

@@ -117,6 +117,7 @@ class TestTrainPredictor:
         (dict(grid_resolution=100), "unknown key 'grid_resolution'"),
         (dict(q_train=0), "q_train must be >= 1"),
         (dict(rollout_iters=0), "rollout_iters must be >= 1"),
+        (dict(epochs=10 ** 400), "epochs must be a finite number"),
     ])
     def test_malformed_values_exit_2(self, tmp_path, capsys, bad, message):
         body = tiny_train_body(tmp_path / "m.json")
@@ -282,6 +283,9 @@ class TestRunCommand:
         (dict(q_max=math.inf), "q_max must be a finite number"),
         (dict(sample_counts=[5, math.inf]),
          "sample_counts must be a finite number"),
+        # integers too large for a float
+        (dict(q_init=10 ** 400), "q_init must be a finite number"),
+        (dict(lengthscale=10 ** 400), "lengthscale must be a finite number"),
     ])
     def test_malformed_fig3_values_exit_2(self, tmp_path, capsys, bad,
                                           message):

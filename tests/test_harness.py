@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from scipy import ndimage
 
 from conftest import constant_predictor, read_csv_rows
 from pacsbo.errors import ConfigError
@@ -12,6 +13,7 @@ from pacsbo.harness import (
     SCENARIOS,
     TRAIN_DEFAULTS,
     ExperimentSpec,
+    _component,
     _grid_for,
     _kernel_for,
     _pacsbo_config,
@@ -285,6 +287,20 @@ class TestTruthSetup:
         assert made == [pytest.approx(0.4, abs=1e-15)]
         assert truth.threshold == float(np.quantile(truth.reward_values,
                                                     1.0 - 0.6))
+
+    @pytest.mark.parametrize("shape", [(30,), (1, 8), (12, 9), (4, 5, 6)])
+    def test_component_matches_ndimage_label(self, shape):
+        """The far placement's flood fill finds the component that scipy's
+        labelling (axis connectivity) gives the start point, and nothing
+        for a start outside the mask."""
+        rng = np.random.default_rng(sum(shape))
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(15):
+                member = rng.random(shape) < density
+                labels = ndimage.label(member)[0].reshape(-1)
+                for j in rng.integers(member.size, size=3):
+                    want = (labels == labels[j]) & (labels[j] > 0)
+                    np.testing.assert_array_equal(_component(member, j), want)
 
     def test_seed_triple_1d(self):
         grid = GridDomain.uniform(120)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.spatial import ConvexHull
 
 from pacsbo.kernel_gp import GridDomain, SampleSet
@@ -9,6 +10,7 @@ from pacsbo.subdomain import (
     BOUNDARY_TOL,
     ENLARGEMENT,
     _hull_member,
+    cross_dilation,
     global_mask,
     partition_masks,
 )
@@ -214,3 +216,18 @@ def test_shrinking_factor_rejected():
     grid = GridDomain.uniform(10)
     with pytest.raises(ValueError):
         _hull_member(make_samples(grid, [2, 7]), 0.9)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (40,), (1, 5), (9, 13),
+                                   (4, 5, 6)])
+def test_cross_dilation_matches_ndimage(shape):
+    """One-cell growth along each axis, with cells past the border
+    counted as outside, is scipy's binary dilation with the cross."""
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    cross = ndimage.generate_binary_structure(len(shape), 1)
+    for density in (0.0, 0.05, 0.3, 0.7, 1.0):
+        for _ in range(20):
+            member = rng.random(shape) < density
+            np.testing.assert_array_equal(
+                cross_dilation(member),
+                ndimage.binary_dilation(member, cross))

@@ -70,6 +70,9 @@ COMPARISONS = ("compare_conservative", "compare_optimistic")
 
 
 def _scenario_defaults(scenario: str) -> dict:
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; "
+                          f"expected one of {', '.join(SCENARIOS)}")
     if scenario == "hoeffding_mc":
         return dict(replicates=500, q=200, deltas=[0.1, 0.5])
     common = dict(lengthscale=0.1, noise_std=0.01, delta=0.1,
@@ -104,15 +107,13 @@ class ExperimentSpec:
     params: dict
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; "
-                              f"expected one of {', '.join(SCENARIOS)}")
+        defaults = _scenario_defaults(self.scenario)
         if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct: {list(self.seeds)}")
         params = self.params
-        _check_values(params, _scenario_defaults(self.scenario))
+        _check_values(params, defaults)
         if self.scenario == "hoeffding_mc":
             if len(self.seeds) != 1:
                 raise ConfigError(f"hoeffding_mc takes one seed, got "
@@ -124,6 +125,8 @@ class ExperimentSpec:
             if not deltas or not all(0 < d < 1 for d in deltas):
                 raise ConfigError(f"deltas must be a nonempty list of values "
                                   f"in (0, 1), got {deltas}")
+            if len(set(deltas)) != len(deltas):
+                raise ConfigError(f"deltas must be distinct, got {deltas}")
             return
         if self.scenario != "fig3_thresholds":
             if not params.get("predictor_path"):
@@ -155,6 +158,9 @@ class ExperimentSpec:
             if not counts or min(counts) < 1 or max(counts) > most:
                 raise ConfigError(f"sample_counts must lie in [1, {most}] (below "
                                   f"num_centers, at most the grid points): {counts}")
+            if any(a >= b for a, b in zip(counts, counts[1:])):
+                raise ConfigError(f"sample_counts must be strictly increasing, "
+                                  f"got {counts}")
         elif params["s0_placement"] not in ("argmax", "far"):
             raise ConfigError(f"s0_placement must be argmax or far, got "
                               f"{params['s0_placement']!r}")
@@ -218,13 +224,9 @@ def load_spec(path, out_dir=None, seed=None) -> ExperimentSpec:
     file and the environment.
     """
     raw = _load_yaml(path)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
     scenario = raw.pop("scenario", None)
     if scenario is None:
         raise ConfigError(f"{path}: missing required key 'scenario'")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"{path}: unknown scenario {scenario!r}")
     out = raw.pop("out_dir", None)
     seeds = raw.pop("seeds", None)
     params = _scenario_defaults(scenario)
@@ -249,16 +251,20 @@ def load_spec(path, out_dir=None, seed=None) -> ExperimentSpec:
     return ExperimentSpec(scenario, out, tuple(seeds), params)
 
 
-def _load_yaml(path):
+def _load_yaml(path) -> dict:
+    """The mapping a config file holds."""
     try:
         with open(path) as fh:
-            return yaml.safe_load(fh)
+            raw = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
         raise ConfigError(f"{where}: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a mapping")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +407,7 @@ def write_manifest(spec: ExperimentSpec, files, extra=None) -> Path:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config_hash(payload),
-        "scenario": spec.scenario,
-        "seeds": list(spec.seeds),
-        "params": payload["params"],
+        **payload,
         "versions": _versions(),
         "files": sorted(str(f) for f in files),
     }
@@ -579,32 +583,27 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
             y = values[order[:m]] + eps[:m]
             samples = SampleSet(grid, order[:m], {0: y, 1: y})
             tasks.append((samples, noise, kernel, pac, delta, seed, m))
-    results = iter(_in_order(_fig3_bound, tasks))
-    per_seed = [[(seed, m, *next(results)) for m in counts]
-                for seed in spec.seeds]
     header = ["schema_version", "seed", "num_samples", "initial_guess",
               "accepted_bound", "q_used", "escalated", "draw_mean",
               "draw_width", "threshold"]
-    rows = [[SCHEMA_VERSION, s, m, guess, res.bound, res.q_used,
+    rows = [[SCHEMA_VERSION, seed, m, guess, res.bound, res.q_used,
              int(res.escalated), res.empirical_mean, res.width,
              res.empirical_mean + res.width]
-            for seed_rows in per_seed
-            for (s, m, guess, res) in seed_rows]
+            for (*_, seed, m), (guess, res)
+            in zip(tasks, _in_order(_fig3_bound, tasks))]
     out = Path(spec.out_dir)
     csv_path = out / "thresholds.csv"
     write_csv(csv_path, header, rows)
 
-    def means(value):
-        return {m: float(np.mean([value(res) for seed_rows in per_seed
-                                  for (_, mm, _, res) in seed_rows if mm == m]))
+    # columns 1 seed, 2 sample count, 4 accepted bound, 9 threshold; one
+    # seed's rows are consecutive and in increasing sample count
+    def means(col):  # over the seeds, in their order
+        return {m: float(np.mean([r[col] for r in rows if r[2] == m]))
                 for m in counts}
 
-    bound_means = means(lambda res: res.bound)
-    threshold_means = means(lambda res: res.empirical_mean + res.width)
-    decreasing = all(
-        all(seed_rows[k][3].bound > seed_rows[k + 1][3].bound
-            for k in range(len(seed_rows) - 1))
-        for seed_rows in per_seed)
+    bound_means, threshold_means = means(4), means(9)
+    decreasing = all(a[4] > b[4] for a, b in zip(rows, rows[1:])
+                     if a[1] == b[1])
     manifest = write_manifest(spec, [csv_path],
                               {"bound_means": bound_means,
                                "threshold_means": threshold_means,
@@ -785,8 +784,6 @@ TRAIN_DEFAULTS = dict(out_path=None, q_train=200, rollout_iters=30,
 
 def load_train_config(path, out_path=None, seed=None) -> dict:
     raw = _load_yaml(path)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
     cfg = dict(TRAIN_DEFAULTS)
     for key, value in raw.items():
         if key not in cfg:

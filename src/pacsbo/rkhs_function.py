@@ -213,6 +213,10 @@ def interpolating_norms(samples: SampleSet, channels: tuple, noise_std: float,
         else:
             cross_alpha, tail_sq = np.empty((c, n)), np.empty(c)
             for j, (t, alpha) in enumerate(zip(member_code[tails], tail_coeffs)):
+                # kernel_block would give bitwise the same norms, but its
+                # fresh index and value arrays cost about 13% per draw: 31-32
+                # against 27-30 us, best of 15 calls of 200 draws on the
+                # 50x50 global mask (2-core Xeon, one BLAS thread)
                 rows = np.concatenate([sample_code, t]) + centre
                 np.subtract(rows[:, None], t, out=pair)
                 # all in range; "clip" lets take write into block unbuffered

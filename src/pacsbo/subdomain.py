@@ -106,8 +106,9 @@ def _polygon_mask(grid: GridDomain, vertices: np.ndarray) -> np.ndarray:
     return np.all(cross >= -BOUNDARY_TOL, axis=0)
 
 
-def _hull_member(samples: SampleSet, factor: float) -> np.ndarray:
-    """Grid membership of the samples' hull scaled by ``factor``.
+def _hull(samples: SampleSet):
+    """The samples' hull as ``(shape, to_member)``, where
+    ``to_member(grid, shape)`` is its grid membership.
 
     The hull is the closed interval spanned by the samples in one
     dimension. In two dimensions it is the exact polygon of the monotone
@@ -115,38 +116,30 @@ def _hull_member(samples: SampleSet, factor: float) -> np.ndarray:
     bounding box inflated by one grid cell per side (clipped to the domain)
     stands in so the region keeps interior points. In three or more
     dimensions the bounding box stands in for the hull.
-
-    ``factor`` is the homothety ratio (1.1 gives a ten percent uniform
-    enlargement) about the polygon's vertex centroid or the box's centre.
-    The grid only holds points of the unit box, so masking with the raw
-    scaled shape intersects it with the domain exactly. At factor 1 the
-    unscaled shape is masked, since ``c + 1.0 * (x - c)`` need not round
-    back to ``x``.
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample to build a hull")
-    if factor < 1.0:
-        raise ValueError(f"enlargement factor must be >= 1, got {factor}")
     grid, pts = samples.grid, samples.params
     verts = _monotone_chain(pts) if grid.dim == 2 else ()
     if len(verts) >= 3:
-        shape, to_member = verts, _polygon_mask
-    else:
-        pad = np.asarray(grid.spacing) if grid.dim == 2 else 0.0
-        shape = np.clip([pts.min(axis=0) - pad, pts.max(axis=0) + pad], 0.0, 1.0)
-        to_member = _box_mask
-    if factor != 1.0:
-        center = shape.mean(axis=0)
-        shape = center + factor * (shape - center)
-    return to_member(grid, shape)
+        return verts, _polygon_mask
+    pad = np.asarray(grid.spacing) if grid.dim == 2 else 0.0
+    return (np.clip([pts.min(axis=0) - pad, pts.max(axis=0) + pad], 0.0, 1.0),
+            _box_mask)
 
 
 def partition_masks(samples: SampleSet) -> tuple[DomainMask, DomainMask, DomainMask]:
     """The nested triple (tilde, hat, global) for the current samples.
 
-    The hat mask always contains the tilde mask.
+    Tilde masks the samples' hull as is; hat masks it scaled by
+    ``ENLARGEMENT`` about the polygon's vertex centroid or the box's
+    centre, joined with tilde so it always contains it. The grid only
+    holds points of the unit box, so masking the raw scaled shape
+    intersects it with the domain exactly.
     """
-    tilde = _hull_member(samples, 1.0)
-    hat = _hull_member(samples, ENLARGEMENT) | tilde
-    return (DomainMask(samples.grid, tilde), DomainMask(samples.grid, hat),
-            global_mask(samples.grid))
+    grid = samples.grid
+    shape, to_member = _hull(samples)
+    centre = shape.mean(axis=0)
+    tilde = to_member(grid, shape)
+    hat = to_member(grid, centre + ENLARGEMENT * (shape - centre)) | tilde
+    return DomainMask(grid, tilde), DomainMask(grid, hat), global_mask(grid)

@@ -127,6 +127,11 @@ class TestTrainPredictor:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_config_of_a_list_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "t.yaml", ["out_path", "m.json"])
+        assert main(["train-predictor", "--config", cfg]) == 2
+        assert "config must be a mapping" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [7, True, ["a", "b"]])
     def test_out_path_of_another_type_exits_2_before_any_rollout(
             self, tmp_path, capsys, monkeypatch, value):
@@ -236,6 +241,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_of_a_list_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "f.yaml", ["scenario", "fig3_thresholds"])
+        assert main(["run", "--config", cfg]) == 2
+        assert "config must be a mapping" in capsys.readouterr().err
+
+    def test_unknown_scenario_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "n.yaml",
+                           dict(scenario="nope", out_dir=str(tmp_path / "o")))
+        assert main(["run", "--config", cfg]) == 2
+        assert "unknown scenario 'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_deltas_exit_2(self, tmp_path, capsys):
+        # coverage.csv would hold two rows for one delta
+        cfg = write_config(tmp_path / "h.yaml", hoeffding_body(
+            tmp_path / "o", deltas=[0.5, 0.5]))
+        assert main(["run", "--config", cfg]) == 2
+        assert "deltas must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_replicates_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "h.yaml",
                            hoeffding_body(tmp_path, replicates=0))
@@ -286,6 +311,10 @@ class TestRunCommand:
         # integers too large for a float
         (dict(q_init=10 ** 400), "q_init must be a finite number"),
         (dict(lengthscale=10 ** 400), "lengthscale must be a finite number"),
+        # per_seed_decreasing compares bounds in list order, and a
+        # repeated count runs one estimator call twice
+        (dict(sample_counts=[12, 3]), "sample_counts must be strictly increasing"),
+        (dict(sample_counts=[3, 3]), "sample_counts must be strictly increasing"),
     ])
     def test_malformed_fig3_values_exit_2(self, tmp_path, capsys, bad,
                                           message):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import most_uncertain
+from conftest import constant_predictor, most_uncertain
 
 import pacsbo.kernel_gp as kernel_mod
 import pacsbo.pacsbo_loop as loop_mod
@@ -37,7 +37,6 @@ from pacsbo.pacsbo_loop import (
     pacsbo_step,
     run,
 )
-from pacsbo.predictor import MlpPredictor
 from pacsbo.rkhs_function import (
     SamplerConfig,
     evaluate,
@@ -60,21 +59,6 @@ def make_truth(grid, seed=7, quantile=0.4, norm=1.0):
     truth = GroundTruth.at_quantile(scale_to_norm(f, norm), quantile)
     seed_idx = int(np.argmax(truth.reward_values))  # maximal margin, safe
     return truth, seed_idx
-
-
-def constant_predictor(value, input_len=100):
-    """Hand-built network with no hidden layers that always outputs
-    softplus(b) == value regardless of the trace."""
-    b = float(np.log(np.expm1(value)))
-    return MlpPredictor(
-        input_len=input_len,
-        hidden=(),
-        weights=(np.zeros((1, input_len)),),
-        biases=(np.array([b]),),
-        feat_mean=np.zeros(input_len),
-        feat_scale=np.ones(input_len),
-        final_loss=0.0,
-    )
 
 
 def fast_pac():

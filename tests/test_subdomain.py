@@ -5,11 +5,11 @@ import pytest
 from scipy import ndimage
 from scipy.spatial import ConvexHull
 
+import pacsbo.subdomain as subdomain_mod
 from pacsbo.kernel_gp import GridDomain, SampleSet
 from pacsbo.subdomain import (
     BOUNDARY_TOL,
     ENLARGEMENT,
-    _hull_member,
     cross_dilation,
     global_mask,
     partition_masks,
@@ -62,58 +62,45 @@ def test_interval_enlargement_frozen_example():
 
 
 def test_1d_hulls_and_enlargements_match_literal_rule():
-    """Every hull [x_i, x_j] of the 100-point grid, and its enlargements:
+    """Every hull [x_i, x_j] of the 100-point grid, and its enlargement:
     a grid point is a member exactly when it lies in the closed interval
-    centre +- factor * half-width. The interval ends are multiples of
-    1/2000, so a 1e-9 tolerance decides membership as exact arithmetic
-    does."""
+    centre +- half-width (times ``ENLARGEMENT`` for the hat). The interval
+    ends are multiples of 1/2000, so a 1e-9 tolerance decides membership
+    as exact arithmetic does."""
     grid = GridDomain.uniform(100)
     x = grid.points[:, 0]
     for i in range(100):
         for j in range(i, 100):
-            samples = make_samples(grid, [i, j])
-            tilde, hat, _ = partition_masks(samples)
+            tilde, hat, _ = partition_masks(make_samples(grid, [i, j]))
             centre, half = 0.5 * (x[i] + x[j]), 0.5 * (x[j] - x[i])
             np.testing.assert_array_equal(
                 tilde.member, np.abs(x - centre) <= half + 1e-9)
             np.testing.assert_array_equal(
                 hat.member, np.abs(x - centre) <= ENLARGEMENT * half + 1e-9)
-            for factor in (1.0, 1.1, 2.0):
-                np.testing.assert_array_equal(
-                    _hull_member(samples, factor),
-                    np.abs(x - centre) <= factor * half + 1e-9,
-                    err_msg=f"hull ({i}, {j}), factor {factor}")
-
-
-def test_enlargement_factor_one_is_identity():
-    """Factor 1 gives the tilde mask, and so does the scaled shape just
-    above it: in 1-D, for a 2-D polygon, a collinear 2-D set and in 3-D."""
-    cases = [(60, [5, 40]), ((30, 30), [31, 100, 470, 805]),
-             ((30, 30), [40, 43, 49]), ((8, 8, 8), [0, 100, 300])]
-    for resolution, idx in cases:
-        samples = make_samples(GridDomain.uniform(resolution), idx)
-        tilde = partition_masks(samples)[0]
-        for factor in (1.0, 1.0 + 1e-9):
-            np.testing.assert_array_equal(_hull_member(samples, factor),
-                                          tilde.member)
-
-
-def test_enlargement_monotone_in_factor():
-    for resolution, idx in ((80, [20, 55]), ((30, 30), [95, 130, 520, 610])):
-        samples = make_samples(GridDomain.uniform(resolution), idx)
-        prev = partition_masks(samples)[0].member
-        for factor in (1.0, 1.1, 1.5, 2.0, 4.0):
-            cur = _hull_member(samples, factor)
-            assert np.all(cur[prev])
-            prev = cur
 
 
 def test_enlargement_clips_to_domain():
-    # shapes scaled past the unit box keep exactly the grid's points
-    for resolution, idx in ((50, [0, 49]), ((20, 20), [0, 19, 380, 399])):
+    # hulls whose enlargement reaches past the unit box: the hat holds
+    # exactly the grid's points, the border ones the tilde leaves out too
+    for resolution, corners in ((50, [(1,), (49,)]),
+                                ((50, 50), [(1, 1), (1, 49), (49, 1), (49, 49)])):
         grid = GridDomain.uniform(resolution)
-        member = _hull_member(make_samples(grid, idx), 2.0)
-        assert member.shape == (grid.num_points,) and member.all()
+        idx = [np.ravel_multi_index(c, grid.resolution) for c in corners]
+        tilde, hat, _ = partition_masks(make_samples(grid, idx))
+        assert not tilde.member[0]
+        assert hat.member.shape == (grid.num_points,) and hat.member.all()
+
+
+def test_one_hull_per_partition(monkeypatch):
+    """The tilde and hat masks come from one monotone chain."""
+    calls = []
+    chain = subdomain_mod._monotone_chain
+    monkeypatch.setattr(subdomain_mod, "_monotone_chain",
+                        lambda pts: calls.append(1) or chain(pts))
+    grid = GridDomain.uniform((30, 30))
+    tilde, hat, _ = partition_masks(make_samples(grid, [31, 100, 470, 805]))
+    assert len(calls) == 1
+    assert hat.count > tilde.count
 
 
 def test_triangle_hull_matches_half_plane_oracle():
@@ -210,12 +197,6 @@ def test_empty_samples_rejected():
     grid = GridDomain.uniform(10)
     with pytest.raises(ValueError):
         partition_masks(SampleSet(grid, (), {0: (), 1: ()}))
-
-
-def test_shrinking_factor_rejected():
-    grid = GridDomain.uniform(10)
-    with pytest.raises(ValueError):
-        _hull_member(make_samples(grid, [2, 7]), 0.9)
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (40,), (1, 5), (9, 13),

@@ -7,8 +7,8 @@
 ``tests/``). Every measurement runs in a fresh process with one BLAS thread,
 one process at a time. The output holds:
 
-* ``sampler``: draws per second of one ``interpolating_norms`` call of
-  ``DRAWS`` draws on the tilde, hat and global masks of a 1-D set on the
+* ``sampler``: draws per second of one pool of ``DRAWS`` draws, set-up
+  included, on the tilde, hat and global masks of a 1-D set on the
   100-point grid, the 6-point tilde mask of a 2-D set on the 50x50 grid and
   that grid's global mask, with 5 and with 20 samples. Each of ``ROUNDS``
   rounds runs one worker process per tree, parent first in even rounds and
@@ -28,8 +28,10 @@ one process at a time. The output holds:
 
 ``--measure-sampler SRC`` is the per-tree worker: it imports ``pacsbo`` from
 ``SRC`` and prints the sampler results of that tree as one JSON line. It
-calls ``interpolating_norms`` with a channel tuple, so both trees must take
-one.
+draws through ``DrawPool(...).norms``, whose constructor and ``norms`` are
+the same in trees that define the pool in ``pacsbo.rkhs_function`` and in
+older ones that define it in ``pacsbo.pac_estimator``, so both trees must
+have a pool.
 
 ``BENCH_sampler.json`` holds a full run. ``BENCH_tailsum.json`` and
 ``BENCH_blasdraw.json`` hold only the end-to-end and Tier-1 sections, for
@@ -98,7 +100,11 @@ def sampler_cases():
 def measure_sampler(src: str) -> None:
     sys.path.insert(0, src)
     from pacsbo.kernel_gp import KernelConfig
-    from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
+    from pacsbo.rkhs_function import SamplerConfig
+    try:
+        from pacsbo.rkhs_function import DrawPool
+    except ImportError:  # a tree that keeps the pool in the estimator
+        from pacsbo.pac_estimator import DrawPool
 
     kernel, cfg = KernelConfig(lengthscale=0.1), SamplerConfig()
     out = []
@@ -106,8 +112,8 @@ def measure_sampler(src: str) -> None:
         times = []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
-            norms = interpolating_norms(samples, (0,), 0.01, kernel, mask,
-                                        cfg, (11, n), DRAWS)
+            norms = DrawPool(samples, (0,), 0.01, kernel, mask, cfg,
+                             (11, n)).norms(0, DRAWS)
             times.append(time.perf_counter() - t0)
         out.append(dict(case=name, samples=n, mask_points=mask.count,
                         seconds=statistics.median(times),

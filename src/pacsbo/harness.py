@@ -17,6 +17,7 @@ import math
 import numbers
 import os
 import platform
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,10 +32,8 @@ from .kernel_gp import (
     SampleSet,
     gp_fit,
     mean_rkhs_norm,
-    predictive,
 )
-from .pac_estimator import (DrawPool, PacConfig, estimate_upper_bound,
-                            hoeffding_width)
+from .pac_estimator import PacConfig, estimate_upper_bound, hoeffding_width
 from .pacsbo_loop import (
     CHANNELS,
     PARTITION_ORDER,
@@ -52,6 +51,7 @@ from .predictor import (
     train_mlp,
 )
 from .rkhs_function import (
+    DrawPool,
     SamplerConfig,
     evaluate,
     sample_random_function,
@@ -505,13 +505,11 @@ def snapshot_rows(grid: GridDomain, snapshot: Snapshot) -> list:
     """One row per grid point: whether it was sampled, the reward posterior
     mean, and each region's reward-channel bounds, as the step that chose
     the snapshot's sample saw them."""
-    mu = predictive({0: snapshot.reward}, np.arange(grid.num_points))[0][0]
-    sampled = np.zeros(grid.num_points, dtype=bool)
-    sampled[list(snapshot.reward.indices)] = True
+    sampled = np.isin(np.arange(grid.num_points), snapshot.sampled)
     rows = []
     for j in range(grid.num_points):
         row = list(np.atleast_1d(grid.points[j]))
-        row += [int(sampled[j]), mu[j]]
+        row += [int(sampled[j]), snapshot.reward_mean[j]]
         for label in PARTITION_ORDER:
             field = snapshot.fields.get(label)
             if field is None:
@@ -544,7 +542,13 @@ def _in_order(fn, tasks: list) -> list:
     from concurrent.futures import ProcessPoolExecutor
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        return list(pool.map(fn, tasks))
+        results = list(pool.map(fn, tasks))
+    # the joined pool thread lingers a moment; a next call then forks again
+    deadline = time.monotonic() + 0.1
+    while (len(os.listdir("/proc/self/task")) > 1
+           and time.monotonic() < deadline):
+        time.sleep(0.001)
+    return results
 
 
 def _fig3_bound(task) -> tuple:

@@ -7,10 +7,9 @@ confidence width. If the budget of draws runs out before acceptance, B is
 escalated by the safety factor ``F_SAFETY`` until the test passes and the
 result is flagged as escalated.
 
-A :class:`DrawPool` holds one region's draws for all of its channels
-(stream layout in :mod:`pacsbo.rkhs_function`). Growing it extends the
-earlier draws exactly, so no channel's outcome depends on how batches are
-scheduled or on which channels share the pool.
+The draws come from one region's :class:`~pacsbo.rkhs_function.DrawPool`,
+which extends its earlier draws exactly, so no channel's outcome depends on
+how batches are scheduled or on which channels share the pool.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .kernel_gp import KernelConfig, SampleSet
-from .rkhs_function import SamplerConfig, interpolating_norms
-from .subdomain import DomainMask
+from .rkhs_function import DrawPool, SamplerConfig
 
 F_SAFETY = 1.5  # growth factor of an escalated bound
 
@@ -68,24 +65,6 @@ class PacResult:
     def __post_init__(self):
         if not self.escalated and self.bound < self.empirical_mean + self.width:
             raise ValueError("non-escalated bound below the acceptance level")
-
-
-class DrawPool:
-    """A region's :func:`interpolating_norms` per channel, drawn on demand."""
-
-    def __init__(self, samples: SampleSet, channels: tuple, noise_std: float,
-                 kernel: KernelConfig, mask: DomainMask, cfg: SamplerConfig,
-                 seed_path: tuple):
-        self._args = samples, channels, noise_std, kernel, mask, cfg, seed_path
-        self._norms = np.empty((len(channels), 0))  # one row per channel
-
-    def norms(self, i: int, count: int) -> np.ndarray:
-        """Norms of the first ``count`` draws fitted to channel ``i``."""
-        have = self._norms.shape[1]
-        if count > have:
-            more = interpolating_norms(*self._args, count - have, have)
-            self._norms = np.concatenate([self._norms, more.T], axis=1)
-        return self._norms[self._args[1].index(i), :count]
 
 
 def estimate_upper_bound(start: float, pool: DrawPool, i: int, *,

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernel_gp import (
-    GpPosterior,
     GridDomain,
     KernelConfig,
     SampleSet,
@@ -34,9 +33,9 @@ from .kernel_gp import (
     reciprocal_cov_integral,
     with_targets,
 )
-from .pac_estimator import DrawPool, PacConfig, PacResult, estimate_upper_bound
+from .pac_estimator import PacConfig, PacResult, estimate_upper_bound
 from .predictor import MlpPredictor, append_trace, predict_norm
-from .rkhs_function import RkhsFunction, evaluate
+from .rkhs_function import DrawPool, RkhsFunction, evaluate
 from .safeopt_core import beta_scale, compute_state, select
 from .seeding import derive_rng, truncated_normal
 from .subdomain import global_mask, partition_masks
@@ -139,11 +138,12 @@ class IterationRecord:
 @dataclass(frozen=True)
 class Snapshot:
     """What the step that chose a sample saw, before measuring it: the
-    reward posterior, whose ``indices`` are the sampled grid points, and
-    each region's :class:`~pacsbo.safeopt_core.ConfidenceField` as
+    reward posterior mean at every grid point, the sampled grid points,
+    and each region's :class:`~pacsbo.safeopt_core.ConfidenceField` as
     ``compute_state`` classified it."""
 
-    reward: GpPosterior
+    reward_mean: np.ndarray = field(repr=False)  # in grid order
+    sampled: tuple  # grid indices
     fields: dict  # label -> ConfidenceField
 
 
@@ -209,9 +209,9 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
 
     One pass per region: its one ``predictive`` feeds its traces, its
     bounds and its classification. The main loop estimates a bound per
-    region and channel from the region's one :class:`DrawPool`, the
-    baseline uses its fixed bound everywhere. ``select`` then picks among
-    the classified regions.
+    region and channel from the region's one :class:`DrawPool`; the
+    baseline builds no pool and uses its fixed bound everywhere. ``select``
+    then picks among the classified regions.
     """
     t0 = time.monotonic()
     masks = regions(cfg, state.samples)
@@ -225,9 +225,9 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     for p_idx, (label, mask) in enumerate(masks.items()):
         pred = predictive(posteriors, mask.indices())
         r = reciprocal_cov_integral(pred[1], mask)
-        pool = DrawPool(state.samples, CHANNELS, cfg.noise_std, cfg.kernel,
-                        mask, cfg.pac.sampler,
-                        (cfg.seed, "pac", state.iteration, p_idx))
+        pool = None if fixed else DrawPool(
+            state.samples, CHANNELS, cfg.noise_std, cfg.kernel, mask,
+            cfg.pac.sampler, (cfg.seed, "pac", state.iteration, p_idx))
         results = {}
         for i in CHANNELS:
             traces[label, i] = append_trace(traces[label, i], posteriors[i], r)
@@ -259,7 +259,9 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     record = IterationRecord(state.iteration, choice, label, measured, stats,
                              _best_safe(samples), unsafe,
                              time.monotonic() - t0)
-    snapshot = Snapshot(reward, {lab: st.field for lab, st in states.items()})
+    # the last region, global in both modes, covers the grid in order
+    snapshot = Snapshot(pred[0][0], state.samples.indices,
+                        {lab: st.field for lab, st in states.items()})
     return LoopState(samples, traces, state.iteration + 1), record, snapshot
 
 

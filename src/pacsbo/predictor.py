@@ -177,6 +177,13 @@ def _forward_normalized(weights, biases, x):
     return acts[-1][:, 0], (acts, pre)
 
 
+def _loss(weights, biases, x, y):
+    """Mean squared error of the network on one normalized batch."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, _ = _forward_normalized(weights, biases, x)
+        return float(np.mean((out - y) ** 2))
+
+
 def _loss_and_gradients(weights, biases, x, y):
     """Mean squared error and its gradients for one normalized batch.
 
@@ -235,7 +242,7 @@ def train_mlp(data: TrainingSet, epochs: int, seed: int = 0) -> MlpPredictor:
     y_all = data.labels
 
     weights, biases = _init_layers((length, *HIDDEN, 1), rng)
-    initial, _, _ = _loss_and_gradients(weights, biases, x_all, y_all)
+    initial = _loss(weights, biases, x_all, y_all)
     for epoch in range(epochs):
         order = rng.permutation(data.rows)
         for lo in range(0, data.rows, BATCH):
@@ -248,7 +255,7 @@ def train_mlp(data: TrainingSet, epochs: int, seed: int = 0) -> MlpPredictor:
             for k in range(len(weights)):
                 weights[k] = weights[k] - STEP * gw[k]
                 biases[k] = biases[k] - STEP * gb[k]
-    final, _, _ = _loss_and_gradients(weights, biases, x_all, y_all)
+    final = _loss(weights, biases, x_all, y_all)
     if not final < initial:  # the steps overshot: a dead network
         raise NumericError(f"training did not lower the loss ({initial:.4g} "
                            f"to {final:.4g}, step={STEP})")

@@ -9,17 +9,18 @@ interpolating draw also pins the function to noisy measurements: the first
 ``N`` centers are the sample locations, with coefficients that solve the
 interpolation system, and the ``T`` tail centers, drawn from a region mask,
 stay random. Only the first ``N`` coefficients depend on the measurements,
-so :func:`interpolating_norms` fits each draw to every channel asked for;
-the PAC estimator reads the norms.
+so a :class:`DrawPool` fits each draw to every channel it holds; the PAC
+estimator reads the norms.
 
 Draw ``j`` of a seed path ``p`` is the ``W = 2T + N`` raw words from word
 ``j * W`` of one ``PCG64(SeedSequence(p))`` stream: ``T`` tail positions,
 ``T`` tail coefficients, then ``N`` noise values. Each word's top 53 bits
 give a uniform ``u`` in ``[0, 1)``, mapped to the position ``floor(u * m)``
 among ``m`` mask members (no rejection; bias at most ``m / 2**53``), the
-coefficient ``-1 + 2u`` or a truncated normal noise value. A draw depends
-only on ``p`` and ``j``, never on chunking or scheduling, and only numpy's
-public ``advance`` and ``random_raw`` are used.
+coefficient ``-1 + 2u`` or a truncated normal noise value. A pool opens
+the stream once and every growth reads it forward, so a draw depends only
+on ``p`` and ``j``, never on chunking or on how the pool is grown, and
+only numpy's public ``random_raw`` is used.
 """
 from __future__ import annotations
 
@@ -124,17 +125,11 @@ def sample_random_function(grid: GridDomain, kernel: KernelConfig,
     return RkhsFunction(grid, kernel, idx, coeffs)
 
 
-def _draws(seed_path, first, count, num_members, noise_std, num_tail,
-           num_samples):
+def _draws(stream, count, num_members, noise_std, num_tail, num_samples):
     """Random parts ``(tail positions, tail uniforms in [-1, 1), noise)`` of
-    draws ``first`` to ``first + count - 1`` of ``seed_path``, yielded in
-    chunks of ``_CHUNK`` draws, one row per draw (layout in the module
-    docstring)."""
-    if first < 0:
-        raise ValueError(f"draw index must be nonnegative, got {first}")
+    the next ``count`` draws of ``stream``, yielded in chunks of ``_CHUNK``
+    draws, one row per draw (layout in the module docstring)."""
     t, words = num_tail, 2 * num_tail + num_samples
-    stream = np.random.PCG64(np.random.SeedSequence(_entropy(*seed_path)))
-    stream.advance(first * words)
     for lo in range(0, count, _CHUNK):
         c = min(_CHUNK, count - lo)
         raw = stream.random_raw(c * words).reshape(c, words)
@@ -144,89 +139,102 @@ def _draws(seed_path, first, count, num_members, noise_std, num_tail,
                truncated_normal_from(unit[:, 2 * t:], noise_std))
 
 
-def _tail_region(samples: SampleSet, cfg: SamplerConfig,
-                 mask: DomainMask) -> np.ndarray:
-    """Grid indices the tail centers are drawn from, after checking that
-    the draw is well posed."""
-    n = len(samples)
-    if n == 0:
-        raise ValueError("interpolation needs at least one sample")
-    if cfg.num_centers <= n:
-        raise ValueError(f"num_centers ({cfg.num_centers}) must exceed the "
-                         f"number of samples ({n})")
-    if mask.grid != samples.grid:
-        raise ValueError("region mask and samples lie on different grids")
-    return mask.indices()
+class DrawPool:
+    """One region's interpolating draws on ``seed_path``, fitted to each of
+    ``channels``. Its sampler set-up (the checks, the samples' Gram and its
+    factor, the region's kernel block or the position path's codes and
+    buffers, the stream) is made once; growths read the stream forward."""
+
+    def __init__(self, samples: SampleSet, channels: tuple, noise_std: float,
+                 kernel: KernelConfig, mask: DomainMask, cfg: SamplerConfig,
+                 seed_path: tuple):
+        n, grid, idx = len(samples), samples.grid, samples.indices
+        if n == 0:
+            raise ValueError("interpolation needs at least one sample")
+        if cfg.num_centers <= n:
+            raise ValueError(f"num_centers ({cfg.num_centers}) must exceed "
+                             f"the number of samples ({n})")
+        if mask.grid != grid:
+            raise ValueError("region mask and samples lie on different grids")
+        if len(seed_path) == 0:
+            raise ValueError("seed_path must contain at least the base seed")
+        region, t = mask.indices(), cfg.num_centers - n
+        self.m, self.t, self.noise_std = len(region), t, noise_std
+        self.samples, self.channels, self.cfg = samples, channels, cfg
+        self.gram = kernel_block(grid, kernel, idx, idx)
+        self.chol = _chol_with_jitter(self.gram)
+        self.k_m = None  # the member path's (m, N + m) block, if it takes it
+        if self.m <= 3 * t:
+            self.k_m = kernel_block(grid, kernel, region,
+                                    np.concatenate([idx, region]))
+        else:
+            self.table, code = lattice_table(grid, kernel)
+            self.sample_code, self.member_code = code[list(idx)], code[region]
+            self.pair = np.empty((n + t, t), dtype=code.dtype)
+            self.block = np.empty((n + t, t))
+        self.stream = np.random.PCG64(
+            np.random.SeedSequence(_entropy(*seed_path)))
+        self.drawn = np.empty((len(channels), 0))  # one row per channel
+
+    def norms(self, i: int, count: int) -> np.ndarray:
+        """Norms of the first ``count`` draws fitted to channel ``i``."""
+        if count > self.drawn.shape[1]:
+            interpolating_norms(self, count - self.drawn.shape[1])
+        return self.drawn[self.channels.index(i), :count]
 
 
-def interpolating_norms(samples: SampleSet, channels: tuple, noise_std: float,
-                        kernel: KernelConfig, mask: DomainMask,
-                        cfg: SamplerConfig, seed_path: tuple, count: int,
-                        start_index: int = 0) -> np.ndarray:
-    """Norms of ``count`` interpolating draws in chunks of ``_CHUNK``: entry
-    ``(j, k)`` is draw ``start_index + j`` of ``seed_path`` (see the module
-    docstring) fitted to channel ``channels[k]``. Channels share each draw's
-    tail and noise, so a column is bitwise a call for its channel alone, and
-    no norm depends on chunking or on how callers schedule the work.
+def interpolating_norms(pool: DrawPool, count: int) -> np.ndarray:
+    """Norms of ``pool``'s next ``count`` draws in chunks of ``_CHUNK``,
+    also appended to ``pool.drawn``: entry ``(j, k)`` is the ``j``-th of
+    them fitted to channel ``pool.channels[k]``. Channels share each draw's
+    tail and noise, so a column is bitwise a single-channel pool's.
 
     Every kernel block is read from the grid's :func:`lattice_table`. A
     draw's tail enters only as ``cross_alpha`` (N,), the sample-tail kernel
     times the tail coefficients, and ``tail_sq = alpha^T K_tt alpha``. A
     mask of ``m <= 3 T`` members (``T`` tail centers) sums each draw's
     coefficients per member into a histogram ``h``; ``h [K_mA | K_mm]``, with
-    that (m, N + m) block read once per call, gives ``cross_alpha`` and
+    that (m, N + m) block read once per pool, gives ``cross_alpha`` and
     ``h K_mm``, whose dot with ``h`` is ``tail_sq``. Larger masks read each
     draw's (N + T, T) block, sample rows then tail rows, into one reused
     buffer and multiply it by ``alpha``. Every product is one BLAS call of
     the same shape per draw, so a norm does not depend on the chunk size.
     """
-    if len(seed_path) == 0:
-        raise ValueError("seed_path must contain at least the base seed")
-    region_idx = _tail_region(samples, cfg, mask)
-    n = len(samples)
-    num_tail, m = cfg.num_centers - n, len(region_idx)
-    grid, idx = samples.grid, samples.indices
-    gram_aa = kernel_block(grid, kernel, idx, idx)
-    chol = _chol_with_jitter(gram_aa)
-    by_member = m <= 3 * num_tail
-    if by_member:
-        k_m = kernel_block(grid, kernel, region_idx,
-                           np.concatenate([idx, region_idx]))  # (m, N + m)
-    else:
-        table, code = lattice_table(grid, kernel)
-        centre, sample_code = len(table) // 2, code[list(idx)]
-        member_code = code[region_idx]
-        pair = np.empty((n + num_tail, num_tail), dtype=code.dtype)
-        block = np.empty((n + num_tail, num_tail))
-
-    norms = np.empty((count, len(channels)))
-    draws = _draws(seed_path, start_index, count, m, noise_std, num_tail, n)
+    if count < 0:
+        raise ValueError(f"draw count must be nonnegative, got {count}")
+    samples, m, n = pool.samples, pool.m, len(pool.samples)
+    norms = np.empty((count, len(pool.channels)))
+    draws = _draws(pool.stream, count, m, pool.noise_std, pool.t, n)
     for lo, (tails, tail_u, eps) in zip(range(0, count, _CHUNK), draws):
         c = len(tails)  # tails: (c, T) member positions
-        tail_coeffs = cfg.coeff_bound * tail_u
-        if by_member:
+        tail_coeffs = pool.cfg.coeff_bound * tail_u
+        if pool.k_m is not None:
             pos = (np.arange(c)[:, None] * m + tails).ravel()
             hist = np.bincount(pos, tail_coeffs.ravel(), c * m).reshape(c, m)
-            prod = np.matmul(hist[:, None, :], k_m)[:, 0]  # (c, N + m)
+            prod = np.matmul(hist[:, None, :], pool.k_m)[:, 0]  # (c, N + m)
             cross_alpha = prod[:, :n]
             tail_sq = np.matmul(prod[:, None, n:], hist[:, :, None])[:, 0, 0]
         else:
             cross_alpha, tail_sq = np.empty((c, n)), np.empty(c)
-            for j, (t, alpha) in enumerate(zip(member_code[tails], tail_coeffs)):
+            pair, block, centre = pool.pair, pool.block, len(pool.table) // 2
+            for j, (t, alpha) in enumerate(zip(pool.member_code[tails],
+                                               tail_coeffs)):
                 # kernel_block would give bitwise the same norms, but its
                 # fresh index and value arrays cost about 13% per draw: 31-32
                 # against 27-30 us, best of 15 calls of 200 draws on the
                 # 50x50 global mask (2-core Xeon, one BLAS thread)
-                rows = np.concatenate([sample_code, t]) + centre
+                rows = np.concatenate([pool.sample_code, t]) + centre
                 np.subtract(rows[:, None], t, out=pair)
                 # all in range; "clip" lets take write into block unbuffered
-                np.take(table, pair, out=block, mode="clip")
+                np.take(pool.table, pair, out=block, mode="clip")
                 prod = block @ alpha
                 cross_alpha[j], tail_sq[j] = prod[:n], alpha @ prod[n:]
-        for k, i in enumerate(channels):
+        for k, i in enumerate(pool.channels):
             rhs = (samples.targets(i) + eps) - cross_alpha
-            head = sla.cho_solve((chol, True), rhs.T).T[:, None, :]  # (c,1,N)
-            sq = (np.matmul(np.matmul(head, gram_aa), head.transpose(0, 2, 1))
+            head = sla.cho_solve((pool.chol, True), rhs.T).T[:, None, :]
+            sq = (np.matmul(np.matmul(head, pool.gram),
+                            head.transpose(0, 2, 1))
                   + 2.0 * np.matmul(head, cross_alpha[:, :, None]))[:, 0, 0]
             norms[lo:lo + c, k] = np.sqrt(np.maximum(sq + tail_sq, 0.0))
+    pool.drawn = np.concatenate([pool.drawn, norms.T], axis=1)
     return norms

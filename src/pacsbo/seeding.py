@@ -9,11 +9,10 @@ drawn number. String path components are folded to integers with a fixed
 checksum, so the mapping never varies across runs or platforms.
 
 Most consumers take a ``Generator`` from :func:`derive_rng`. The
-interpolating sampler reads such a stream through numpy's public
-``PCG64.advance`` and ``random_raw``: draw ``j`` is the block of
-``W = 2T + N`` words from word ``j * W`` (the layout, and the
-``m / 2**53`` bias bound of its tail positions, are in
-:mod:`pacsbo.rkhs_function`).
+interpolating sampler reads such a stream forward through numpy's public
+``PCG64.random_raw``: draw ``j`` is the block of ``W = 2T + N`` words from
+word ``j * W`` (the layout, and the ``m / 2**53`` bias bound of its tail
+positions, are in :mod:`pacsbo.rkhs_function`).
 """
 from __future__ import annotations
 

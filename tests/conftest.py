@@ -13,9 +13,14 @@ from pacsbo.predictor import (
     _init_layers,
     _loss_and_gradients,
 )
-from pacsbo.rkhs_function import RkhsFunction, _draws, _tail_region
+from pacsbo.rkhs_function import (
+    DrawPool,
+    RkhsFunction,
+    _draws,
+    interpolating_norms,
+)
 from pacsbo.safeopt_core import TIE_RTOL
-from pacsbo.seeding import derive_rng
+from pacsbo.seeding import _entropy, derive_rng
 
 
 def kernel_matrix(x, y, kernel):
@@ -121,23 +126,33 @@ def gradient_check_error(input_len: int, hidden, seed: int,
     return float(np.linalg.norm(analytic - numeric) / denom)
 
 
+def first_norms(samples, channels, noise_std, kernel, mask, cfg, seed_path,
+                count):
+    """Norms of the first ``count`` draws of a fresh ``DrawPool``, one
+    column per channel."""
+    pool = DrawPool(samples, channels, noise_std, kernel, mask, cfg, seed_path)
+    return interpolating_norms(pool, count)
+
+
 def sample_interpolating_function(samples, i, noise_std, kernel, mask, cfg,
                                   seed_path, j):
     """Per-draw reference of the interpolating sampler: the random
     expansion pinned to the measurements of channel ``i`` that is draw
-    ``j`` of ``seed_path``, the draw ``interpolating_norms`` takes the norm
-    of (stream layout in the ``rkhs_function`` module docstring).
+    ``j`` of ``seed_path``, the draw a ``DrawPool`` on that path takes the
+    norm of as its ``j``-th (stream layout in the ``rkhs_function`` module
+    docstring). It opens a stream of its own and advances it to the draw.
 
     The first ``N`` centers are the sample locations; their coefficients
     solve ``K_AA a = (y + eps) - K_At a_tail`` with ``eps`` truncated
     Gaussian measurement noise. The tail centers are drawn uniformly
     from the member points of ``mask``.
     """
-    region_idx = _tail_region(samples, cfg, mask)
-    n = len(samples)
+    region_idx = mask.indices()
+    n, num_tail = len(samples), cfg.num_centers - len(samples)
+    stream = np.random.PCG64(np.random.SeedSequence(_entropy(*seed_path)))
+    stream.advance(j * (2 * num_tail + n))
     tail_pos, tail_u, eps = (part[0] for part in next(_draws(
-        seed_path, j, 1, region_idx.shape[0], noise_std,
-        cfg.num_centers - n, n)))
+        stream, 1, region_idx.shape[0], noise_std, num_tail, n)))
     tail_coeffs = cfg.coeff_bound * tail_u
     params = samples.params
     tail_points = mask.grid.points[region_idx[tail_pos]]

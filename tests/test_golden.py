@@ -31,7 +31,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from conftest import constant_predictor, read_csv_rows
+from conftest import constant_predictor, first_norms, read_csv_rows
 
 from pacsbo import kernel_gp
 from pacsbo.harness import (
@@ -50,7 +50,7 @@ from pacsbo.harness import (
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
 from pacsbo.pacsbo_loop import run
 from pacsbo.predictor import generate_training_data, save_predictor
-from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
+from pacsbo.rkhs_function import SamplerConfig
 from pacsbo.subdomain import partition_masks
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -142,8 +142,8 @@ def sampler_rows(dim, resolution, idx,
         if label not in labels:
             continue
         for i in (0, 1):
-            norms = interpolating_norms(samples, (i,), 0.01, kernel, mask,
-                                        SamplerConfig(), (7, dim, i), 64)[:, 0]
+            norms = first_norms(samples, (i,), 0.01, kernel, mask,
+                                SamplerConfig(), (7, dim, i), 64)[:, 0]
             rows += [[dim, label, i, j, f"{v:.17g}"]
                      for j, v in enumerate(norms)]
     return rows

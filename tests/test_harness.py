@@ -35,10 +35,11 @@ from pacsbo.kernel_gp import (
     gp_fit,
     mean_rkhs_norm,
 )
-from pacsbo.pac_estimator import DrawPool, PacConfig, estimate_upper_bound
+from pacsbo.pac_estimator import PacConfig, estimate_upper_bound
 from pacsbo.predictor import save_predictor
 from pacsbo.pacsbo_loop import GroundTruth
 from pacsbo.rkhs_function import (
+    DrawPool,
     SamplerConfig,
     evaluate,
     rkhs_norm,

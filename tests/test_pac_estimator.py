@@ -2,21 +2,21 @@
 
 import numpy as np
 import pytest
+from conftest import first_norms
 
 from pacsbo.errors import NumericError
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
 from pacsbo.pac_estimator import (
     F_SAFETY,
-    DrawPool,
     PacConfig,
     PacResult,
     estimate_upper_bound,
     hoeffding_width,
 )
 from pacsbo.rkhs_function import (
+    DrawPool,
     SamplerConfig,
     evaluate,
-    interpolating_norms,
     sample_random_function,
     scale_to_norm,
 )
@@ -125,9 +125,8 @@ def test_pooled_draws_match_direct_batch():
     # below the 30-draw level is hard to hand-tune, so instead compare the
     # estimator's reported mean against the direct pooled computation
     res = estimate(1e-12, samples, kernel, global_mask(grid), cfg, (3, 1))
-    direct = interpolating_norms(samples, (0,), 0.01, kernel,
-                                 global_mask(grid), sampler, (3, 1),
-                                 res.q_used)
+    direct = first_norms(samples, (0,), 0.01, kernel, global_mask(grid),
+                         sampler, (3, 1), res.q_used)
     assert res.empirical_mean == pytest.approx(float(direct.mean()), abs=1e-12)
     assert res.width == pytest.approx(
         hoeffding_width(DELTA, res.q_used,
@@ -183,9 +182,8 @@ def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
         tilde, _, everywhere = partition_masks(samples)
         for label, mask in (("tilde", tilde), ("global", everywhere)):
             path = (truth_seed, m, label)
-            mu = float(interpolating_norms(samples, (0,), 0.001, kernel, mask,
-                                           sampler, path + ("mean",),
-                                           20000).mean())
+            mu = float(first_norms(samples, (0,), 0.001, kernel, mask,
+                                   sampler, path + ("mean",), 20000).mean())
             for start in (0.999 * mu, 0.5 * mu):
                 below = sum(estimate(start, samples, kernel, mask, cfg,
                                      path + (c,), noise_std=0.001).bound < mu

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import constant_predictor, most_uncertain
+from conftest import constant_predictor, first_norms, most_uncertain
 
 import pacsbo.kernel_gp as kernel_mod
 import pacsbo.pacsbo_loop as loop_mod
@@ -40,7 +40,6 @@ from pacsbo.pacsbo_loop import (
 from pacsbo.rkhs_function import (
     SamplerConfig,
     evaluate,
-    interpolating_norms,
     rkhs_norm,
     sample_random_function,
     scale_to_norm,
@@ -163,6 +162,19 @@ def test_safeopt_run_completes():
         assert st.maximizer_count + st.expander_count >= 1
         assert st.safe_count >= st.maximizer_count
         assert st.safe_count >= st.expander_count
+
+
+def test_the_baseline_builds_no_pool(monkeypatch):
+    # a fixed bound needs no draws, so no region sets up a sampler
+    def no_pool(*args):
+        raise AssertionError("the baseline built a draw pool")
+
+    monkeypatch.setattr(loop_mod, "DrawPool", no_pool)
+    grid = GridDomain.uniform(40)
+    truth, s0 = make_truth(grid)
+    cfg = RunConfig(grid=grid, kernel=KER, s0_indices=(s0,),
+                    algorithm="safeopt", fixed_bound=1.0, budget=3, seed=3)
+    assert len(run(cfg, truth).records) == 3
 
 
 def test_safeopt_matches_single_partition_reference():
@@ -301,16 +313,19 @@ class TestPacsboRun:
             assert width == max(w for _, w in picks.values())
 
     def test_snapshots_match_the_replayed_classification(self):
-        """Snapshot t holds the sample set, reward posterior and per-region
-        reward bounds of the step that chose sample t, bit for bit (NaN
-        included) as a replay from the recorded bounds gives them."""
+        """Snapshot t holds the sampled points, the reward mean over the
+        grid and the per-region reward bounds of the step that chose sample
+        t, bit for bit (NaN included) as a replay from the recorded bounds
+        gives them."""
         prefixes = self.replay_samples()
         assert sorted(self.hist.snapshots) == [1, 2, 3]
+        every = np.arange(self.grid.num_points)
         for t, snap in self.hist.snapshots.items():
             samples, rec = prefixes[t - 1], self.hist.records[t - 1]
             posts, states = self.replay_states(samples, rec)
-            assert snap.reward.indices == samples.indices
-            assert snap.reward.weights.tobytes() == posts[0].weights.tobytes()
+            assert snap.sampled == samples.indices
+            mean = predictive({0: posts[0]}, every)[0][0]
+            assert snap.reward_mean.tobytes() == mean.tobytes()
             assert list(snap.fields) == list(states)
             for label, st in states.items():
                 got = snap.fields[label]
@@ -394,20 +409,21 @@ def test_a_step_draws_one_stream_per_region(monkeypatch):
     state = pacsbo_step(cfg, _initial_state(cfg, truth), truth)[0]
     masks = list(loop_mod.regions(cfg, state.samples).values())
     paths, calls = [], []
-    draws, estimate = rkhs_mod._draws, loop_mod.estimate_upper_bound
+    estimate = loop_mod.estimate_upper_bound
 
-    def opening(seed_path, *args):
-        paths.append(seed_path)
-        return draws(seed_path, *args)
+    class Opening(rkhs_mod.DrawPool):
+        def __init__(self, *args):
+            paths.append(args[-1])
+            super().__init__(*args)
 
     def recording(start, *args, **kw):  # args[1] is the channel
         calls.append((start, args[1], estimate(start, *args, **kw)))
         return calls[-1][2]
 
-    monkeypatch.setattr(rkhs_mod, "_draws", opening)
+    monkeypatch.setattr(loop_mod, "DrawPool", Opening)
     monkeypatch.setattr(loop_mod, "estimate_upper_bound", recording)
     pacsbo_step(cfg, state, truth)
-    assert sorted(set(paths)) == [(5, "pac", 1, p) for p in range(3)]
+    assert paths == [(5, "pac", 1, p) for p in range(3)]
     assert [i for _, i, _ in calls] == list(CHANNELS) * len(masks)
     delta = cfg.delta / (len(masks) * len(CHANNELS))
     monkeypatch.undo()
@@ -415,7 +431,7 @@ def test_a_step_draws_one_stream_per_region(monkeypatch):
         p_idx = k // len(CHANNELS)
 
         def column(q):
-            norms = interpolating_norms(
+            norms = first_norms(
                 state.samples, CHANNELS, cfg.noise_std, KER, masks[p_idx],
                 cfg.pac.sampler, (5, "pac", 1, p_idx), q)
             return np.ascontiguousarray(norms[:, CHANNELS.index(i)])

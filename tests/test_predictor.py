@@ -144,6 +144,26 @@ def test_training_determinism(monkeypatch):
     assert a.final_loss == b.final_loss
 
 
+def test_training_takes_one_gradient_per_batch(monkeypatch):
+    # the initial and final full-set losses are forward passes alone: 40
+    # rows in batches of 16 make 3 gradient steps per epoch and no more
+    rng = np.random.default_rng(9)
+    data = TrainingSet(rng.normal(size=(40, 8)),
+                       rng.uniform(1.0, 3.0, size=40))
+    rows, grads = [], predictor_mod._loss_and_gradients
+
+    def counting(weights, biases, x, y):
+        rows.append(len(x))
+        return grads(weights, biases, x, y)
+
+    monkeypatch.setattr(predictor_mod, "_loss_and_gradients", counting)
+    model = train_small(monkeypatch, data, 30, 5, HIDDEN=(10,), BATCH=16)
+    assert rows == [16, 16, 8] * 30
+    err = model.forward(data.inputs) - data.labels
+    assert model.final_loss == pytest.approx(float(np.mean(err ** 2)),
+                                             rel=1e-12)
+
+
 def test_predictions_always_positive(monkeypatch):
     rng = np.random.default_rng(2)
     data = TrainingSet(rng.normal(size=(60, 10)),

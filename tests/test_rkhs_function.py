@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    first_norms,
     kernel_matrix,
     reference_norm,
     reference_values,
@@ -26,6 +27,7 @@ from pacsbo.kernel_gp import (
     mean_rkhs_norm,
 )
 from pacsbo.rkhs_function import (
+    DrawPool,
     RkhsFunction,
     SamplerConfig,
     evaluate,
@@ -183,16 +185,24 @@ def test_interpolating_function_zero_tail_is_minimum_norm_interpolant():
 
 
 def test_interpolating_function_validation():
+    # a pool checks that its draws are well posed before it sets up
     grid = GridDomain.uniform(100)
     s = make_samples(grid, [10, 50, 80], [1.0, 0.5, -0.2])
-    with pytest.raises(ValueError):
-        sample_interpolating_function(s, 0, 0.01, CFG, global_mask(grid),
-                                      SamplerConfig(num_centers=3),
-                                      (0,), 0)
     empty = SampleSet(grid, (), {0: (), 1: ()})
-    with pytest.raises(ValueError):
-        sample_interpolating_function(empty, 0, 0.01, CFG, global_mask(grid),
-                                      SamplerConfig(), (0,), 0)
+    for samples, mask, cfg, seed_path, match in (
+            (s, global_mask(grid), SamplerConfig(num_centers=3), (0,),
+             "must exceed"),
+            (empty, global_mask(grid), SamplerConfig(), (0,), "one sample"),
+            (s, global_mask(GridDomain.uniform(50)), SamplerConfig(), (0,),
+             "different grids"),
+            (s, global_mask(grid), SamplerConfig(), (), "base seed")):
+        with pytest.raises(ValueError, match=match):
+            DrawPool(samples, (0,), 0.01, CFG, mask, cfg, seed_path)
+    pool = DrawPool(s, (0,), 0.01, CFG, global_mask(grid), SamplerConfig(),
+                    (0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        interpolating_norms(pool, -1)
+    assert interpolating_norms(pool, 0).shape == (0, 1)
 
 
 def test_interpolating_function_region_restriction():
@@ -209,10 +219,6 @@ def test_interpolating_function_region_restriction():
     # an empty region is no mask at all
     with pytest.raises(ValueError, match="empty"):
         DomainMask(grid, np.zeros(100, dtype=bool))
-    with pytest.raises(ValueError, match="different grids"):
-        sample_interpolating_function(s, 0, 0.01, CFG,
-                                      global_mask(GridDomain.uniform(50)),
-                                      SamplerConfig(), (4,), 0)
 
 
 def test_same_stream_reproduces_function():
@@ -233,8 +239,8 @@ def test_batched_norms_match_per_function_path():
     assert 300 > rkhs_function._CHUNK
     for s, mask in mask_cases():
         seed_path = (99, 1, mask.count)
-        batched = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg,
-                                      seed_path, count=300)[:, 0]
+        batched = first_norms(s, (0,), 0.01, CFG, mask, cfg, seed_path,
+                              count=300)[:, 0]
         singles = np.array([
             rkhs_norm(sample_interpolating_function(s, 0, 0.01, CFG, mask,
                                                     cfg, seed_path, j))
@@ -255,14 +261,35 @@ def test_batched_norms_start_index_gives_stable_pooling():
                          (*cases[2], SamplerConfig()),
                          (*cases[-1], SamplerConfig())):
         assert mask.member.all()
-        full = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (7,),
-                                   count=90)
-        part1 = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (7,),
-                                    count=70)
-        part2 = interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (7,),
-                                    count=20, start_index=70)
-        np.testing.assert_array_equal(full, np.concatenate([part1, part2]),
+        full = first_norms(s, (0,), 0.01, CFG, mask, cfg, (7,), count=90)
+        pool = DrawPool(s, (0,), 0.01, CFG, mask, cfg, (7,))
+        parts = [interpolating_norms(pool, c) for c in (30, 0, 40, 20)]
+        np.testing.assert_array_equal(full, np.concatenate(parts),
                                       err_msg=str(mask.count))
+        # the estimator's view: each channel's column, grown on demand
+        assert np.array_equal(pool.norms(0, 90), full[:, 0])
+        assert np.array_equal(pool.norms(0, 50), full[:50, 0])
+
+
+@pytest.mark.parametrize("path", ["member", "position"])
+def test_a_pool_sets_up_once(monkeypatch, path):
+    # a pool factors the sample Gram and reads its kernel blocks once, in
+    # its constructor; its growths only draw
+    s, mask = list(mask_cases())[2 if path == "member" else -1]
+    chols, blocks = [], []
+
+    def counting(record, fn):
+        return lambda *args: record.append(1) or fn(*args)
+
+    monkeypatch.setattr(rkhs_function, "_chol_with_jitter",
+                        counting(chols, rkhs_function._chol_with_jitter))
+    monkeypatch.setattr(rkhs_function, "kernel_block",
+                        counting(blocks, rkhs_function.kernel_block))
+    pool = DrawPool(s, (0, 1), 0.01, CFG, mask, SamplerConfig(), (2,))
+    for q in (20, 40, 60, 80, 100):  # five growths, read by both channels
+        assert len(pool.norms(0, q)) == len(pool.norms(1, q)) == q
+    assert len(chols) == 1
+    assert len(blocks) == (2 if path == "member" else 1)
 
 
 def mask_cases():
@@ -306,7 +333,7 @@ def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
         num_tail = cfg.num_centers - len(s)
         tracemalloc.start()
         try:
-            interpolating_norms(s, (0,), 0.01, CFG, mask, cfg, (3,), count)
+            first_norms(s, (0,), 0.01, CFG, mask, cfg, (3,), count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,28 +343,33 @@ def test_sampler_builds_no_kernel_block_above_one_chunk(monkeypatch, count):
 @pytest.mark.parametrize("chunk", [1, 7, 64, 256])
 def test_norms_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     cases = list(mask_cases())
-    default = [interpolating_norms(s, (1,), 0.01, CFG, mask, SamplerConfig(),
-                                   (6, mask.count), 300)
+    default = [first_norms(s, (1,), 0.01, CFG, mask, SamplerConfig(),
+                           (6, mask.count), 300)
                for s, mask in cases]
     monkeypatch.setattr(rkhs_function, "_CHUNK", chunk)
     for (s, mask), want in zip(cases, default):
-        got = interpolating_norms(s, (1,), 0.01, CFG, mask, SamplerConfig(),
-                                  (6, mask.count), 300)
+        got = first_norms(s, (1,), 0.01, CFG, mask, SamplerConfig(),
+                          (6, mask.count), 300)
         assert np.array_equal(got, want), mask.count
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_channel_columns_equal_single_channel_calls(monkeypatch, chunk):
-    # both channels read one seed path; each column is bitwise the norms a
-    # call for that channel alone gives, on masks of 6 to 2500 points
+    # both channels read one seed path; each column of a pool's second
+    # growth is bitwise a single-channel pool's, on masks of 6 to 2500
+    # points
     monkeypatch.setattr(rkhs_function, "_CHUNK", chunk)
     for s, mask in mask_cases():
-        args = (0.01, CFG, mask, SamplerConfig(), (8, mask.count), 70)
-        shared = interpolating_norms(s, (0, 1), *args, start_index=5)
+        def grown(channels):
+            pool = DrawPool(s, channels, 0.01, CFG, mask, SamplerConfig(),
+                            (8, mask.count))
+            interpolating_norms(pool, 5)
+            return interpolating_norms(pool, 70)
+
+        shared = grown((0, 1))
         assert shared.shape == (70, 2)
         for k in (0, 1):
-            alone = interpolating_norms(s, (k,), *args, start_index=5)
-            assert np.array_equal(shared[:, k], alone[:, 0]), mask.count
+            assert np.array_equal(shared[:, k], grown((k,))[:, 0]), mask.count
 
 
 def test_gp_mean_norm_equals_weight_expansion_norm():
@@ -354,12 +386,12 @@ def test_gp_mean_norm_equals_weight_expansion_norm():
 
 REPEATED_POINT_CALL = """
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
-from pacsbo.rkhs_function import SamplerConfig, interpolating_norms
+from pacsbo.rkhs_function import DrawPool, SamplerConfig
 from pacsbo.subdomain import global_mask
 grid = GridDomain.uniform(50)
 s = SampleSet(grid, [10, 10, 30], {0: [0.2, 0.2, -0.1], 1: [0.0] * 3})
-interpolating_norms(s, (0,), 0.01, KernelConfig(0.1), global_mask(grid),
-                    SamplerConfig(20), (0,), count=4)
+DrawPool(s, (0,), 0.01, KernelConfig(0.1), global_mask(grid),
+         SamplerConfig(20), (0,)).norms(0, 4)
 """
 
 

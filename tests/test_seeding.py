@@ -1,9 +1,10 @@
 """The sampler's stream layout and the seeded helpers around it.
 
-A call reads one ``PCG64(SeedSequence(seed_path))`` stream, and draw ``j``
+A pool reads one ``PCG64(SeedSequence(seed_path))`` stream, and draw ``j``
 is the block of ``W = 2T + N`` words at position ``j * W``: ``T`` tail
 positions, ``T`` tail coefficients and ``N`` noise values. A chunk of draws
-read in one go must equal the same draws read one at a time, which is what
+read in one go must equal the same draws read one at a time, each from a
+stream advanced to its position, which is what
 ``sample_interpolating_function`` of ``conftest`` does.
 """
 import sys
@@ -14,12 +15,20 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from conftest import first_norms
+
 from pacsbo import rkhs_function
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
-from pacsbo.rkhs_function import SamplerConfig, _draws, interpolating_norms
+from pacsbo.rkhs_function import (
+    DrawPool,
+    SamplerConfig,
+    _draws,
+    interpolating_norms,
+)
 from pacsbo.seeding import (
     _U_HI,
     _U_LO,
+    _entropy,
     derive_rng,
     truncated_normal,
     truncated_normal_from,
@@ -38,9 +47,17 @@ SEED_PATHS = [
 ]
 
 
+def stream_at(seed_path, first, t, n):
+    """The stream of ``seed_path``, advanced to draw ``first``."""
+    stream = np.random.PCG64(np.random.SeedSequence(_entropy(*seed_path)))
+    stream.advance(first * (2 * t + n))
+    return stream
+
+
 def chunk(seed_path, first, count, m, noise_std, t, n):
     assert count <= rkhs_function._CHUNK
-    return next(_draws(seed_path, first, count, m, noise_std, t, n))
+    return next(_draws(stream_at(seed_path, first, t, n), count, m,
+                       noise_std, t, n))
 
 
 def per_draw(seed_path, first, count, m, noise_std, t, n):
@@ -86,36 +103,29 @@ def test_parts_are_the_words_of_one_plain_stream(seed_path):
 
 
 @pytest.mark.parametrize("m", [1, 2, 2500, 3_000_000_000, 2 ** 32 + 1])
-def test_tail_position_stays_below_m_at_the_largest_uniform(monkeypatch, m):
+def test_tail_position_stays_below_m_at_the_largest_uniform(m):
     top = np.uint64(2 ** 64 - 1)  # the word that maps to u = 1 - 2**-53
 
     class TopStream:
-        def __init__(self, seed_seq):
-            pass
-
-        def advance(self, delta):
-            pass
-
         def random_raw(self, size):
             return np.full(size, top)
 
-    monkeypatch.setattr(rkhs_function.np.random, "PCG64", TopStream)
-    tails, tail_u, _ = chunk((1,), 0, 2, m, 0.0, 4, 1)
+    tails, tail_u, _ = next(_draws(TopStream(), 2, m, 0.0, 4, 1))
     assert (tails == m - 1).all()
     assert (tail_u < 1.0).all()
 
 
-@pytest.mark.parametrize("seed_path, first", [((-1,), 0), ((4, "a", -2), 0),
+@pytest.mark.parametrize("seed_path, count", [((-1,), 0), ((4, "a", -2), 0),
                                               ((4,), -1)])
-def test_negative_component_raises_like_derive_rng(seed_path, first):
-    if first == 0:
+def test_negative_component_raises_like_derive_rng(seed_path, count):
+    # a negative seed component fails the pool, a negative count its read
+    if count == 0:
         with pytest.raises(ValueError):
             derive_rng(*seed_path)
     s = sampler_case(100, [22, 30, 41, 57])
     with pytest.raises(ValueError):
-        interpolating_norms(s, (0,), 0.01, KernelConfig(lengthscale=0.1),
-                            global_mask(s.grid), SamplerConfig(), seed_path,
-                            3, start_index=first)
+        first_norms(s, (0,), 0.01, KernelConfig(lengthscale=0.1),
+                    global_mask(s.grid), SamplerConfig(), seed_path, count)
 
 
 def test_truncated_normal_is_the_inverse_cdf_of_a_clipped_uniform():
@@ -157,8 +167,9 @@ def test_threads_running_the_sampler_at_once_match_a_serial_run():
 
     def run(call):
         s, i, mask, seed_path = call
-        return interpolating_norms(s, (i,), 0.01, kernel, mask, cfg, seed_path,
-                                   150, start_index=3)
+        pool = DrawPool(s, (i,), 0.01, kernel, mask, cfg, seed_path)
+        interpolating_norms(pool, 3)
+        return interpolating_norms(pool, 150)
 
     serial = [run(c) for c in calls]
     interval = sys.getswitchinterval()
@@ -179,13 +190,19 @@ def test_sampler_norms_follow_the_per_draw_streams(monkeypatch):
     mask = global_mask(s.grid)
 
     def norms():
-        return interpolating_norms(s, (0,), 0.01, kernel, mask, cfg, (2, "n"),
-                                   70, start_index=9)
+        pool = DrawPool(s, (0,), 0.01, kernel, mask, cfg, (2, "n"))
+        interpolating_norms(pool, 9)
+        return interpolating_norms(pool, 70)
 
-    def per_draw_chunks(seed_path, first, count, *shape):
+    draws = rkhs_function._draws
+
+    def per_draw_chunks(stream, count, *shape):
+        # the same stream, read one draw at a time
         for lo in range(0, count, rkhs_function._CHUNK):
-            c = min(rkhs_function._CHUNK, count - lo)
-            yield tuple(per_draw(seed_path, first + lo, c, *shape))
+            parts = [next(draws(stream, 1, *shape))
+                     for _ in range(min(rkhs_function._CHUNK, count - lo))]
+            yield tuple(np.concatenate([p[k] for p in parts])
+                        for k in range(3))
 
     got = norms()
     monkeypatch.setattr(rkhs_function, "_draws", per_draw_chunks)

@@ -112,6 +112,18 @@ print(json.dumps({"pid": os.getpid(), "during": during, "after": after,
                   "alive": len(multiprocessing.active_children())}))
 """
 
+BACK_TO_BACK = PRELUDE + """
+
+
+def pid(_):
+    return os.getpid()
+
+
+calls = [harness._in_order(pid, [0, 1, 2]) for _ in range(5)]
+print(json.dumps({"pid": os.getpid(), "calls": calls,
+                  "alive": len(multiprocessing.active_children())}))
+"""
+
 
 def run_script(script, *args):
     """Run ``script`` in a fresh interpreter with one BLAS thread, a fork
@@ -179,4 +191,15 @@ def test_second_thread_keeps_the_tasks_in_process():
     assert out["during"] == [out["pid"]] * 3
     assert out["during_cpu"] == 0
     assert out["pid"] not in out["after"]
+    assert out["alive"] == 0
+
+
+def test_back_to_back_calls_each_run_on_workers():
+    """A pooled call returns once its pool's thread has left the process,
+    so each of five calls in a row runs on workers again."""
+    proc, out = run_script(BACK_TO_BACK)
+    assert proc.returncode == 0, proc.stderr
+    assert len(out["calls"]) == 5
+    for pids in out["calls"]:
+        assert out["pid"] not in pids, out["calls"]
     assert out["alive"] == 0

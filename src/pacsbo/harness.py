@@ -668,7 +668,8 @@ def _seed_runs(task) -> dict:
 
 
 def _summary_row(seed: int, algorithm: str, history: RunHistory) -> list:
-    return [SCHEMA_VERSION, seed, algorithm, history.best_reward,
+    return [SCHEMA_VERSION, seed, algorithm,
+            history.records[-1].best_safe_reward,
             int(history.any_unsafe())]
 
 

@@ -12,7 +12,6 @@ kernel norm.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ from .kernel_gp import (
 from .rkhs_function import RkhsFunction, SamplerConfig, rkhs_norm, sample_random_function
 from .seeding import derive_rng
 from .subdomain import global_mask
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 SAFE_QUANTILE = 0.4  # a rollout's threshold is this quantile of its values
@@ -83,7 +80,7 @@ class TrainingSet:
 
 def _rollout(rho: RkhsFunction, steps: int, rng) -> list:
     """One ``steps``-step fixed-bound loop run at the function's true norm;
-    returns its trace prefix rows, none if the run stalled."""
+    returns its trace prefix rows."""
     # pacsbo_loop imports this module, so it is imported at call time
     from .pacsbo_loop import GroundTruth, RunConfig, run
 
@@ -96,10 +93,6 @@ def _rollout(rho: RkhsFunction, steps: int, rng) -> list:
                         budget=steps, algorithm="safeopt",
                         fixed_bound=bound, seed=int(rng.integers(2**63)))
     history = run(run_cfg, truth)
-    if history.status == "stalled":
-        log.warning("rollout abandoned at step %d: no candidates",
-                    len(history.records))
-        return []
     # run pair t comes from the posterior on t samples; rows take 2..T + 1
     mask = global_mask(rho.grid)
     final = gp_fit(history.samples, 0, NOISE_STD, rho.kernel)
@@ -127,8 +120,6 @@ def generate_training_data(q_train: int, rollout_iters: int,
         rng = derive_rng(seed, "rollout", j)
         rho = sample_random_function(grid, kernel, SamplerConfig(), rng)
         all_rows.extend(_rollout(rho, rollout_iters, rng))
-    if not all_rows:
-        raise NumericError("every training rollout was abandoned")
     inputs = np.stack([r[0] for r in all_rows])
     labels = np.array([r[1] for r in all_rows])
     return TrainingSet(inputs, labels)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .kernel_gp import (clamp_variance, kernel_block, observation_update,
                         predictive)
 from .subdomain import DomainMask, cross_dilation
@@ -86,13 +87,8 @@ def confidence_bounds(pred, betas: dict, mask: DomainMask) -> ConfidenceField:
 
 
 def safe_set(field: ConfidenceField, seed_indices, mask: DomainMask):
-    """Safe points: the seed set plus every point whose constraint lower
-    bounds are all nonnegative.
-
-    Returns ``(S, seeded)`` where ``seeded`` is False when no seed point
-    lies inside the mask; the caller is expected to fall back to a wider
-    partition in that case.
-    """
+    """Safe points: the seed points inside the mask plus every point whose
+    constraint lower bounds are all nonnegative."""
     seed = np.zeros(mask.grid.num_points, dtype=bool)
     seed[np.asarray(list(seed_indices), dtype=int)] = True
     seed &= mask.member
@@ -101,14 +97,13 @@ def safe_set(field: ConfidenceField, seed_indices, mask: DomainMask):
     for i in constraints:
         with np.errstate(invalid="ignore"):
             certified &= field.lower[i] >= 0.0
-    return seed | certified, bool(seed.any())
+    return seed | certified
 
 
 def maximizers(field: ConfidenceField, safe: np.ndarray) -> np.ndarray:
-    """Safe points whose reward upper bound reaches the best safe lower bound."""
+    """Safe points whose reward upper bound reaches the best safe lower
+    bound; ``safe`` is nonempty, as it holds the seed set."""
     m = np.zeros_like(safe)
-    if not safe.any():
-        return m
     best_lower = field.lower[0][safe].max()
     with np.errstate(invalid="ignore"):
         m[safe] = field.upper[0][safe] >= best_lower
@@ -142,7 +137,7 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
     g = np.zeros_like(safe)
     constraints = [i for i in field.channels if i != 0]
     outside = mask.member & ~safe
-    if not constraints or not outside.any() or not safe.any():
+    if not constraints or not outside.any():
         return g
     post = next(iter(posteriors.values()))
     means, var, v = pred
@@ -174,7 +169,6 @@ class SafeOptState:
     safe: np.ndarray
     maximizer_set: np.ndarray
     expander_set: np.ndarray
-    seeded: bool
 
     def __post_init__(self):
         if (self.maximizer_set & ~self.safe).any():
@@ -193,29 +187,29 @@ def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
     posterior over the mask (``pred`` if given) feeds bounds and expanders."""
     pred = predictive(posteriors, mask.indices()) if pred is None else pred
     field = confidence_bounds(pred, betas, mask)
-    safe, seeded = safe_set(field, seed_indices, mask)
+    safe = safe_set(field, seed_indices, mask)
     m = maximizers(field, safe)
     g = expanders(posteriors, pred, field, safe, mask, exact=exact_expanders)
-    return SafeOptState(field, safe, m, g, seeded)
+    return SafeOptState(field, safe, m, g)
 
 
 def select(states: dict):
     """Most uncertain candidate over classified regions: ``states`` maps
-    region labels, in region order, to their :class:`SafeOptState`, and a
-    region that misses the seed set contributes no candidates. A candidate
-    ties when its width reaches ``1 - TIE_RTOL`` times the largest over all
-    seeded regions; ties break toward the earlier region, then the lower
-    grid index. Returns ``(choice, label)``, both None without a candidate.
+    region labels, in region order, to their :class:`SafeOptState`. A
+    candidate ties when its width reaches ``1 - TIE_RTOL`` times the largest
+    over all regions; ties break toward the earlier region, then the lower
+    grid index. Returns ``(choice, label)``. Every region holds the seed
+    set, so each has a maximizer; a NaN width, which leaves no candidate
+    tied, raises :class:`~pacsbo.errors.NumericError`.
     """
-    widths = {}  # max-channel width per seeded region, zero off candidates
+    widths = {}  # max-channel width per region, zero off candidates
     for label, st in states.items():
-        if st.seeded:
-            w = np.max([st.field.width(i) for i in st.field.channels], axis=0)
-            widths[label] = np.where(st.candidates(), w, 0.0)
-    top = max((w.max() for w in widths.values()), default=0.0)
+        w = np.max([st.field.width(i) for i in st.field.channels], axis=0)
+        widths[label] = np.where(st.candidates(), w, 0.0)
+    top = max(w.max() for w in widths.values())
     for label, w in widths.items():
         tied = np.flatnonzero(states[label].candidates()
                               & (w >= (1.0 - TIE_RTOL) * top))
         if len(tied):
             return int(tied[0]), label
-    return None, None
+    raise NumericError(f"no acquisition candidate; largest width {top}")

@@ -203,7 +203,7 @@ def test_criterion_6_outruns_conservative_fixed_bound(trained_predictor,
     strict = sum(per_seed[s]["pacsbo"][0] > per_seed[s]["safeopt"][0]
                  for s in per_seed)
     # seeds whose adaptive-loop safe set never grew past the 3-point start
-    stalled = sum(
+    stuck = sum(
         max(int(r["S_global"]) for r in read_csv_rows(
             tmp_path / "cons" / f"records_pacsbo_seed{s}.csv")[1]) <= 3
         for s in per_seed)
@@ -212,7 +212,7 @@ def test_criterion_6_outruns_conservative_fixed_bound(trained_predictor,
     verdict(6, "conservative comparison", ok,
             f"best safe reward at least matched in {wins}/10 seeds "
             f"({strict} strict wins, {wins - strict} ties); adaptive safe "
-            f"set stuck at the start set in {stalled}/10 seeds; "
+            f"set stuck at the start set in {stuck}/10 seeds; "
             f"{total:.0f}s including training")
     assert wins >= 7
     assert total < 600.0

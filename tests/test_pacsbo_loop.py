@@ -11,6 +11,7 @@ import pacsbo.pacsbo_loop as loop_mod
 import pacsbo.rkhs_function as rkhs_mod
 import pacsbo.safeopt_core as core_mod
 from pacsbo.errors import ConfigError
+from pacsbo.harness import seed_triple
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
@@ -149,7 +150,6 @@ def test_safeopt_run_completes():
                     algorithm="safeopt", fixed_bound=rkhs_norm(truth.reward),
                     budget=6, seed=3)
     hist = run(cfg, truth)
-    assert hist.status == "completed"
     assert len(hist.records) == 6
     for t, rec in enumerate(hist.records):
         assert rec.iteration == t
@@ -238,7 +238,6 @@ class TestPacsboRun:
         cls.hist = run(cls.cfg, cls.truth, snapshot_iterations=(1, 2, 3))
 
     def test_completes_with_all_partitions(self):
-        assert self.hist.status == "completed"
         assert len(self.hist.records) == 3
         for rec in self.hist.records:
             assert set(rec.partitions) == {"tilde", "hat", "global"}
@@ -380,6 +379,36 @@ def test_one_predictive_per_region_and_step(monkeypatch, algorithm):
     assert calls == expected
 
 
+@pytest.mark.parametrize("res, algorithm", [(30, "pacsbo"),
+                                            ((12, 12), "pacsbo"),
+                                            (30, "safeopt")])
+def test_every_classified_region_holds_the_start_set(monkeypatch, res,
+                                                     algorithm):
+    """Each region the loop classifies holds the start set, one grid row's
+    triple as the scenarios place it, so each has a maximizer."""
+    grid = GridDomain.uniform(res)
+    truth, _ = make_truth(grid, seed=9)
+    s0 = seed_triple(truth, grid)
+    cfg = replace(pacsbo_config(grid, s0[0], budget=4, seed=2),
+                  s0_indices=s0)
+    if algorithm == "safeopt":
+        cfg = replace(cfg, algorithm="safeopt", fixed_bound=1.0)
+    classified = []
+
+    def recording(posteriors, betas, mask, seed_indices, *args):
+        st = compute_state(posteriors, betas, mask, seed_indices, *args)
+        classified.append((mask, seed_indices, st))
+        return st
+
+    monkeypatch.setattr(loop_mod, "compute_state", recording)
+    assert len(run(cfg, truth).records) == cfg.budget
+    assert len(classified) == cfg.budget * (3 if algorithm == "pacsbo" else 1)
+    for mask, seed_indices, st in classified:
+        assert seed_indices == s0
+        assert mask.member[list(s0)].all() and st.safe[list(s0)].all()
+        assert st.maximizer_set.any()
+
+
 def accept_or_grow(start, column, delta, cfg):
     """Reference accept-or-grow on ``column(q)``, the first q norms."""
     bound, q = start, 0
@@ -449,40 +478,8 @@ def test_run_longer_than_the_predictor_window():
     cfg = pacsbo_config(grid, s0, budget=4, seed=6)
     short = run(replace(cfg, predictor=constant_predictor(3.0, input_len=4)),
                 truth)
-    assert short.status == "completed" and len(short.records) == 4
+    assert len(short.records) == 4
     assert short == run(cfg, truth)
-
-
-def stalled_run(monkeypatch, picks):
-    """Baseline run whose acquisition finds nothing after ``picks``
-    samples, asking for a snapshot at every iteration of its budget."""
-    grid = GridDomain.uniform(20)
-    truth, s0 = make_truth(grid, seed=8)
-    cfg = RunConfig(grid=grid, kernel=KER, s0_indices=(s0,),
-                    algorithm="safeopt", fixed_bound=1.0, budget=5, seed=0)
-    real, calls = loop_mod.select, []
-
-    def select(states):
-        calls.append(None)
-        return real(states) if len(calls) <= picks else (None, None)
-
-    monkeypatch.setattr(loop_mod, "select", select)
-    return cfg, truth, run(cfg, truth, snapshot_iterations=range(1, 6))
-
-
-def test_stalled_run(monkeypatch):
-    cfg, truth, hist = stalled_run(monkeypatch, 0)
-    assert hist.status == "stalled"
-    assert len(hist.records) == 0 and hist.snapshots == {}
-    # the seed was still measured, so the best safe value is its reward
-    assert hist.best_reward == _initial_state(cfg, truth).samples.targets(0)[0]
-
-
-def test_stalled_run_keeps_no_snapshot_past_its_last_record(monkeypatch):
-    _, _, hist = stalled_run(monkeypatch, 2)
-    assert hist.status == "stalled" and len(hist.records) == 2
-    assert sorted(hist.snapshots) == [1, 2]
-    assert len(hist.samples) == 3
 
 
 def test_history_helpers():
@@ -495,9 +492,9 @@ def test_history_helpers():
                                                       1, 1, 0)},
                             1.0, False, 99.0)
     assert rec == other  # wall time never affects history comparison
-    hist = RunHistory((rec,), "completed", 1.0, None, {}, {})
+    hist = RunHistory((rec,), None, {}, {})
     assert len(hist.records) == 1 and not hist.any_unsafe()
+    assert hist.status == "completed"  # every run spends its budget
     unsafe = IterationRecord(1, 4, "tilde", {0: 0.1, 1: -0.2},
                              rec.partitions, 1.0, True, 0.0)
-    assert RunHistory((rec, unsafe), "completed", 1.0, None, {},
-                      {}).any_unsafe()
+    assert RunHistory((rec, unsafe), None, {}, {}).any_unsafe()

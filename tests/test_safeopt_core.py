@@ -9,6 +9,7 @@ from conftest import (kernel_matrix, mean_and_variance, most_uncertain,
                       reference_norm, reference_values)
 
 from pacsbo import safeopt_core
+from pacsbo.errors import NumericError
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
@@ -116,8 +117,7 @@ def test_safe_set_enumeration_oracle():
     grid = GridDomain.uniform(5)
     l1 = [-0.5, 0.0, 0.3, -0.1, 0.2]
     field = hand_field({0: np.zeros(5), 1: l1}, {0: np.ones(5), 1: np.ones(5)})
-    s, seeded = safe_set(field, [0], global_mask(grid))
-    assert seeded
+    s = safe_set(field, [0], global_mask(grid))
     # seed point 0 plus every point with l >= 0
     np.testing.assert_array_equal(s, [True, True, True, False, True])
 
@@ -126,9 +126,8 @@ def test_safe_set_all_negative_falls_back_to_seed():
     grid = GridDomain.uniform(5)
     field = hand_field({0: np.zeros(5), 1: -np.ones(5)},
                        {0: np.ones(5), 1: np.ones(5)})
-    s, seeded = safe_set(field, [2], global_mask(grid))
+    s = safe_set(field, [2], global_mask(grid))
     np.testing.assert_array_equal(s, [False, False, True, False, False])
-    assert seeded
 
 
 def test_safe_set_flags_seed_outside_mask():
@@ -139,8 +138,7 @@ def test_safe_set_flags_seed_outside_mask():
     lower = np.full(10, np.nan)
     lower[5:] = 1.0
     field = hand_field({0: lower, 1: lower}, {0: lower + 1, 1: lower + 1})
-    s, seeded = safe_set(field, [2], mask)
-    assert not seeded
+    s = safe_set(field, [2], mask)
     assert s[5:].all() and not s[:5].any()
 
 
@@ -164,13 +162,13 @@ def test_maximizers_singleton_safe_set():
 
 def hand_select(regions):
     """``select`` over hand-made regions: ``regions`` maps each label, in
-    region order, to the ``(field, candidates)`` of a seeded state."""
-    return select({label: SafeOptState(field, cand, cand, cand, True)
+    region order, to the ``(field, candidates)`` of a state."""
+    return select({label: SafeOptState(field, cand, cand, cand)
                    for label, (field, cand) in regions.items()})
 
 
 def select_one(field, candidates):
-    """The choice of ``select`` over one seeded region."""
+    """The choice of ``select`` over one region."""
     return hand_select({"global": (field, candidates)})[0]
 
 
@@ -186,7 +184,18 @@ def test_select_hand_case_and_tie_break():
     assert select_one(flat, cand) == 0
     assert select_one(flat,
                       np.array([False, False, True, True])) == 2
-    assert select_one(field, np.zeros(4, dtype=bool)) is None
+    with pytest.raises(NumericError, match="no acquisition candidate"):
+        select_one(field, np.zeros(4, dtype=bool))
+
+
+def test_select_raises_on_a_nan_width():
+    """A NaN candidate width ties with nothing, so no candidate is chosen;
+    that is a numeric failure, not a quiet end of the run."""
+    lower = np.zeros(4)
+    upper = np.array([0.5, np.nan, 0.7, 0.8])
+    field = hand_field({0: lower, 1: lower}, {0: upper, 1: upper})
+    with pytest.raises(NumericError, match="largest width nan"):
+        select_one(field, np.ones(4, dtype=bool))
 
 
 def test_near_tied_widths_go_to_the_lower_index():
@@ -213,18 +222,6 @@ def test_select_ties_go_to_the_earlier_region(gap, want):
     assert hand_select(regions) == want
 
 
-def test_select_skips_regions_that_miss_the_seed_set():
-    wide, narrow = np.array([0.0, 0.9]), np.array([0.3, 0.0])
-    field = {label: hand_field({0: np.zeros(2), 1: np.zeros(2)}, {0: w, 1: w})
-             for label, w in (("tilde", wide), ("hat", narrow))}
-    cand = np.ones(2, dtype=bool)
-    states = {"tilde": SafeOptState(field["tilde"], cand, cand, cand, False),
-              "hat": SafeOptState(field["hat"], cand, cand, cand, True)}
-    assert select(states) == (0, "hat")
-    assert select({"tilde": states["tilde"]}) == (None, None)
-    assert select({}) == (None, None)
-
-
 def test_three_point_expander_hand_case():
     # One sample pins the left point; the middle is safe with a wide upper
     # bound, the right point is just shy of safe. An optimistic observation
@@ -240,7 +237,7 @@ def test_three_point_expander_hand_case():
     assert field.lower[1][0] == pytest.approx(0.93991, abs=2e-3)
     assert field.lower[1][1] == pytest.approx(0.378, abs=2e-3)
     assert field.lower[1][2] == pytest.approx(-0.088, abs=2e-3)
-    safe, _ = safe_set(field, [0], mask)
+    safe = safe_set(field, [0], mask)
     np.testing.assert_array_equal(safe, [True, True, False])
     g_exact = expanders(posteriors, pred, field, safe, mask, exact=True)
     np.testing.assert_array_equal(g_exact, [False, True, False])
@@ -254,7 +251,7 @@ def test_expanders_empty_when_everything_safe():
     mask = global_mask(grid)
     pred = mask_predictive(posteriors, mask)
     field = confidence_bounds(pred, {0: 0.1, 1: 0.1}, mask)
-    safe, _ = safe_set(field, [2], mask)
+    safe = safe_set(field, [2], mask)
     assert safe.all()
     g = expanders(posteriors, pred, field, safe, mask, exact=True)
     assert not g.any()
@@ -316,7 +313,7 @@ def test_expander_set_matches_refit_oracle():
             pred = mask_predictive(posteriors, mask)
             field = confidence_bounds(pred, dict.fromkeys(channels, 1.0),
                                       mask)
-            safe, _ = safe_set(field, idx[:1], mask)
+            safe = safe_set(field, idx[:1], mask)
             for exact in (False, True):
                 cand = safe if exact else _boundary_candidates(safe, mask)
                 most[exact] = max(most[exact], int(cand.sum()))
@@ -385,7 +382,7 @@ def test_boundary_candidate_filter_is_exact_on_its_candidates():
         mask = global_mask(grid)
         pred = mask_predictive(posteriors, mask)
         field = confidence_bounds(pred, {0: 1.2, 1: 1.2}, mask)
-        safe, _ = safe_set(field, idx[:1], mask)
+        safe = safe_set(field, idx[:1], mask)
         exact = expanders(posteriors, pred, field, safe, mask, exact=True)
         fast = expanders(posteriors, pred, field, safe, mask, exact=False)
         # the filter tests exactly the boundary-adjacent safe points, so it
@@ -410,7 +407,7 @@ def test_safe_set_never_grows_with_larger_bound():
         for bound in (0.5, 1.0, 2.0, 5.0):
             beta = beta_scale(bound, 0.01, gamma, 0.1)
             field = confidence_bounds(pred, {0: beta, 1: beta}, mask)
-            s, _ = safe_set(field, idx[:1], mask)
+            s = safe_set(field, idx[:1], mask)
             if prev is not None:
                 assert not (s & ~prev).any(), "larger B enlarged the safe set"
             prev = s
@@ -423,7 +420,6 @@ def test_compute_state_invariants_and_candidates():
     gamma = info_gain(posteriors[1])
     beta = beta_scale(1.0, 0.01, gamma, 0.1)
     state = compute_state(posteriors, {0: beta, 1: beta}, mask, [10])
-    assert state.seeded
     assert not (state.maximizer_set & ~state.safe).any()
     assert not (state.expander_set & ~state.safe).any()
     choice = most_uncertain(state.field, state.candidates())
@@ -576,7 +572,7 @@ def test_expander_blocks_equal_the_coordinate_reference_bitwise(
     posteriors, betas, mask, seed = digest_case(dims)
     pred = mask_predictive(posteriors, mask)
     field = confidence_bounds(pred, betas, mask)
-    safe, _ = safe_set(field, seed, mask)
+    safe = safe_set(field, seed, mask)
     got, real = [], safeopt_core.observation_update
 
     def recording(*args):

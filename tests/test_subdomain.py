@@ -174,12 +174,29 @@ def test_three_dim_hull_is_bounding_box():
 
 
 def test_partition_nesting_random_sample_sets():
+    """The regions nest and tilde holds every sample, so every region holds
+    the loop's start set: distinct points, re-measured points, and a start
+    triple of one grid row, which in 2-D is collinear and takes the padded
+    box path."""
     rng = np.random.default_rng(3)
     for res in (50, (20, 20)):
         grid = GridDomain.uniform(res)
+        sets = []
         for trial in range(8):
             k = int(rng.integers(1, 7))
-            idx = rng.choice(grid.num_points, size=k, replace=False)
+            sets.append(rng.choice(grid.num_points, size=k, replace=False))
+        for trial in range(8):  # with replacement, as the loop re-measures
+            sets.append(rng.choice(grid.num_points,
+                                   size=int(rng.integers(2, 9))))
+        row = grid.resolution[-1]
+        rows = rng.integers(0, grid.num_points // row, size=4)
+        for start in rows * row + rng.integers(0, row - 2, size=4):
+            triple = [start, start + 1, start + 2]
+            if grid.dim == 2:
+                shape_of = subdomain_mod._hull(make_samples(grid, triple))[1]
+                assert shape_of is subdomain_mod._box_mask
+            sets += [triple, triple + [start + 1, start]]
+        for idx in sets:
             tilde, hat, glob = partition_masks(make_samples(grid, idx))
             assert np.all(hat.member[tilde.member])
             assert np.all(glob.member[hat.member])

@@ -447,12 +447,14 @@ def history_rows(spec_seed: int, algorithm: str, grid: GridDomain,
             if st is None:
                 row += ["", "", "", "", "", ""]
             else:
-                row += [st.bound, st.q_used, int(st.escalated),
+                res = st.results.values()
+                row += [max(r.bound for r in res), max(r.q_used for r in res),
+                        int(any(r.escalated for r in res)),
                         st.safe_count, st.maximizer_count, st.expander_count]
         row += [rec.best_safe_reward, rec.chosen_partition]
         for st in stats:
             row += ([""] * len(CHANNELS) if st is None else
-                    list(st.channel_bounds))
+                    [st.results[i].bound for i in CHANNELS])
         rows.append(row)
     return rows
 
@@ -506,18 +508,13 @@ def snapshot_rows(grid: GridDomain, snapshot: Snapshot) -> list:
     mean, and each region's reward-channel bounds, as the step that chose
     the snapshot's sample saw them."""
     sampled = np.isin(np.arange(grid.num_points), snapshot.sampled)
-    rows = []
-    for j in range(grid.num_points):
-        row = list(np.atleast_1d(grid.points[j]))
-        row += [int(sampled[j]), snapshot.reward_mean[j]]
-        for label in PARTITION_ORDER:
-            field = snapshot.fields.get(label)
-            if field is None:
-                row += ["", ""]
-            else:
-                row += [field.lower[0][j], field.upper[0][j]]
-        rows.append(row)
-    return rows
+    blank = [""] * grid.num_points
+    cols = [sampled.astype(int).tolist(), snapshot.reward_mean]
+    for label in PARTITION_ORDER:
+        field = snapshot.fields.get(label)
+        cols += ([blank, blank] if field is None
+                 else [field.lower[0], field.upper[0]])
+    return [[*x, *rest] for x, *rest in zip(grid.points, *cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -728,14 +725,10 @@ def scenario_synthetic2d(spec: ExperimentSpec) -> dict:
 
 def _explored_rows(samples: SampleSet) -> list:
     tilde, hat, _ = partition_masks(samples)
-    sampled = np.zeros(samples.grid.num_points, dtype=bool)
-    sampled[list(samples.indices)] = True
-    rows = []
-    for j in range(samples.grid.num_points):
-        x = samples.grid.points[j]
-        rows.append([x[0], x[1], int(sampled[j]), int(tilde.member[j]),
-                     int(hat.member[j])])
-    return rows
+    points = samples.grid.points
+    sampled = np.isin(np.arange(len(points)), samples.indices)
+    flags = np.column_stack([sampled, tilde.member, hat.member])
+    return [[*x, *f] for x, f in zip(points, flags.astype(int).tolist())]
 
 
 def scenario_hoeffding(spec: ExperimentSpec) -> dict:

@@ -111,16 +111,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class PartitionStats:
-    channel_bounds: tuple  # norm bound per channel, in CHANNELS order
-    q_used: int
-    escalated: bool
+    results: dict  # channel -> PacResult
     safe_count: int
     maximizer_count: int
     expander_count: int
-
-    @property
-    def bound(self) -> float:
-        return max(self.channel_bounds)
 
 
 @dataclass(frozen=True)
@@ -240,13 +234,9 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
         st = states[label] = compute_state(posteriors, betas, mask,
                                            cfg.s0_indices,
                                            cfg.exact_expanders, pred)
-        stats[label] = PartitionStats(
-            channel_bounds=tuple(results[i].bound for i in CHANNELS),
-            q_used=max(res.q_used for res in results.values()),
-            escalated=any(res.escalated for res in results.values()),
-            safe_count=int(st.safe.sum()),
-            maximizer_count=int(st.maximizer_set.sum()),
-            expander_count=int(st.expander_set.sum()))
+        stats[label] = PartitionStats(results, int(st.safe.sum()),
+                                      int(st.maximizer_set.sum()),
+                                      int(st.expander_set.sum()))
 
     choice, label = select(states)
     rng = derive_rng(cfg.seed, "measure", state.iteration)

@@ -5,6 +5,12 @@ import pytest
 from conftest import first_norms
 
 from pacsbo.errors import NumericError
+from pacsbo.harness import (
+    _grid_for,
+    _kernel_for,
+    _scenario_defaults,
+    _truth_reward,
+)
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
 from pacsbo.pac_estimator import (
     F_SAFETY,
@@ -189,3 +195,33 @@ def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
                                      path + (c,), noise_std=0.001).bound < mu
                             for c in range(calls))
                 assert below <= DELTA * calls, (m, label, start / mu)
+
+
+def test_retesting_accepts_below_the_draw_mean_in_at_most_delta():
+    """Optional stopping: the estimator re-tests after every batch with a
+    fixed-q Hoeffding width, 11 looks at ``q_init`` 100 and ``q_max``
+    1000. On fig3's set-up (seed 0's unit-norm truth, its first 5 noisy
+    samples, the global mask, the default sampler) a start just below the
+    mean draw norm ``mu`` is accepted in at most ``delta`` of 200 fresh
+    pools. ``mu`` comes from 100,000 draws on a seed path of its own. The
+    check targets the draws' mean, which Hoeffding bounds, not the truth's
+    norm."""
+    params = _scenario_defaults("fig3_thresholds")
+    grid, kernel = _grid_for(params), _kernel_for(params)
+    noise, m = float(params["noise_std"]), 5
+    values = evaluate(_truth_reward(params, grid, kernel, 0))
+    order = derive_rng(0, "draw").permutation(grid.num_points)[:m]
+    eps = derive_rng(0, "noise").normal(
+        0.0, noise, size=max(params["sample_counts"]))[:m]
+    y = values[order] + eps
+    samples = SampleSet(grid, order, {0: y, 1: y})
+    mask, sampler = global_mask(grid), SamplerConfig()
+    cfg = PacConfig(q_init=100, q_max=1000, sampler=sampler)
+    path = (0, "optional-stopping")
+    mu = float(first_norms(samples, (0,), noise, kernel, mask, sampler,
+                           path + ("mean",), 100_000).mean())
+    calls = 200
+    accepted = sum(not estimate(0.99 * mu, samples, kernel, mask, cfg,
+                                path + (c,), noise_std=noise).escalated
+                   for c in range(calls))
+    assert accepted <= DELTA * calls

@@ -11,7 +11,7 @@ import pacsbo.pacsbo_loop as loop_mod
 import pacsbo.rkhs_function as rkhs_mod
 import pacsbo.safeopt_core as core_mod
 from pacsbo.errors import ConfigError
-from pacsbo.harness import seed_triple
+from pacsbo.harness import history_rows, record_header, seed_triple
 from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
@@ -158,7 +158,9 @@ def test_safeopt_run_completes():
         assert rec.chosen_partition == "global"
         assert set(rec.partitions) == {"global"}
         st = rec.partitions["global"]
-        assert st.bound == rkhs_norm(truth.reward)
+        assert set(st.results) == set(CHANNELS)
+        assert all(res.bound == rkhs_norm(truth.reward)
+                   for res in st.results.values())
         assert st.maximizer_count + st.expander_count >= 1
         assert st.safe_count >= st.maximizer_count
         assert st.safe_count >= st.expander_count
@@ -243,9 +245,9 @@ class TestPacsboRun:
             assert set(rec.partitions) == {"tilde", "hat", "global"}
             assert rec.chosen_partition in rec.partitions
             for st in rec.partitions.values():
-                assert st.q_used >= self.cfg.pac.q_init
-                assert len(st.channel_bounds) == len(CHANNELS)
-                assert st.bound == max(st.channel_bounds)
+                assert set(st.results) == set(CHANNELS)
+                assert all(res.q_used >= self.cfg.pac.q_init
+                           for res in st.results.values())
                 assert st.safe_count >= 1
                 assert st.maximizer_count <= st.safe_count
                 assert st.expander_count <= st.safe_count
@@ -281,10 +283,10 @@ class TestPacsboRun:
                  for i in CHANNELS}
         states = {}
         for label, mask in zip(PARTITION_ORDER, partition_masks(samples)):
-            bounds = rec.partitions[label].channel_bounds
-            betas = {i: beta_scale(bounds[k], self.cfg.noise_std,
+            results = rec.partitions[label].results
+            betas = {i: beta_scale(results[i].bound, self.cfg.noise_std,
                                    info_gain(posts[i]), self.cfg.delta)
-                     for k, i in enumerate(CHANNELS)}
+                     for i in CHANNELS}
             states[label] = compute_state(posts, betas, mask,
                                           self.cfg.s0_indices)
         return posts, states
@@ -483,13 +485,12 @@ def test_run_longer_than_the_predictor_window():
 
 
 def test_history_helpers():
+    fixed = {i: PacResult(1.0, 0, 0.0, 0.0, False) for i in CHANNELS}
     rec = IterationRecord(0, 3, "global", {0: 1.0, 1: 0.5},
-                          {"global": PartitionStats((1.0, 1.0), 0, False,
-                                                    1, 1, 0)},
+                          {"global": PartitionStats(fixed, 1, 1, 0)},
                           1.0, False, 0.123)
     other = IterationRecord(0, 3, "global", {0: 1.0, 1: 0.5},
-                            {"global": PartitionStats((1.0, 1.0), 0, False,
-                                                      1, 1, 0)},
+                            {"global": PartitionStats(dict(fixed), 1, 1, 0)},
                             1.0, False, 99.0)
     assert rec == other  # wall time never affects history comparison
     hist = RunHistory((rec,), None, {}, {})
@@ -498,3 +499,32 @@ def test_history_helpers():
     unsafe = IterationRecord(1, 4, "tilde", {0: 0.1, 1: -0.2},
                              rec.partitions, 1.0, True, 0.0)
     assert RunHistory((rec, unsafe), None, {}, {}).any_unsafe()
+
+
+def test_history_rows_condense_each_regions_results():
+    """A record keeps every channel's estimator result; the records CSV
+    writes a region's largest bound and draw count, whether any channel
+    escalated, and each channel's bound."""
+    grid = GridDomain.uniform(30)
+    truth, s0 = make_truth(grid, seed=2)
+    # a low start: the constraint channel escalates past the reward's bound
+    cfg = replace(pacsbo_config(grid, s0, budget=3, seed=1),
+                  predictor=constant_predictor(1.0))
+    hist = run(cfg, truth)
+    header = record_header(grid.dim)
+    rows = history_rows(cfg.seed, "pacsbo", grid, hist)
+    assert len(rows) == len(hist.records)
+    mixed = 0
+    for rec, row in zip(hist.records, rows):
+        cell = dict(zip(header, row))
+        for label in PARTITION_ORDER:
+            res = rec.partitions[label].results
+            bounds = [res[i].bound for i in CHANNELS]
+            assert cell[f"B_{label}"] == max(bounds)
+            assert cell[f"q_{label}"] == max(r.q_used for r in res.values())
+            assert cell[f"escalated_{label}"] == int(
+                any(r.escalated for r in res.values()))
+            for i in CHANNELS:
+                assert cell[f"B_{label}_{i}"] == res[i].bound
+            mixed += len(set(bounds)) > 1
+    assert mixed >= 1  # the maximum is taken over distinct bounds

@@ -107,40 +107,32 @@ class ExperimentSpec:
     params: dict
 
     def __post_init__(self):
-        defaults = _scenario_defaults(self.scenario)
-        if not self.seeds:
-            raise ConfigError("seeds list must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be distinct: {list(self.seeds)}")
+        seeds = self.seeds
+        if not isinstance(seeds, (list, tuple)) or any(
+                isinstance(s, bool) or not isinstance(s, int) or s < 0
+                for s in seeds):
+            raise ConfigError(f"seeds must be a list of non-negative "
+                              f"integers, got {seeds!r}")
+        if not seeds or len(set(seeds)) != len(seeds):
+            raise ConfigError(f"seeds must be distinct and nonempty, got "
+                              f"{list(seeds)}")
+        object.__setattr__(self, "seeds", tuple(seeds))
         params = self.params
-        _check_values(params, defaults)
+        _check_values(params, _scenario_defaults(self.scenario))
         if self.scenario == "hoeffding_mc":
-            if len(self.seeds) != 1:
+            if len(seeds) != 1:
                 raise ConfigError(f"hoeffding_mc takes one seed, got "
-                                  f"{list(self.seeds)}")
-            for key in ("replicates", "q"):
-                if params[key] < 1:
-                    raise ConfigError(f"{key} must be >= 1")
+                                  f"{list(seeds)}")
             deltas = params["deltas"]
-            if not deltas or not all(0 < d < 1 for d in deltas):
-                raise ConfigError(f"deltas must be a nonempty list of values "
-                                  f"in (0, 1), got {deltas}")
-            if len(set(deltas)) != len(deltas):
-                raise ConfigError(f"deltas must be distinct, got {deltas}")
+            if not deltas or len(set(deltas)) != len(deltas):
+                raise ConfigError(f"deltas must be distinct and nonempty, "
+                                  f"got {deltas}")
             return
         if self.scenario != "fig3_thresholds":
-            if not params.get("predictor_path"):
+            if params["predictor_path"] is None:
                 raise ConfigError(
                     f"scenario {self.scenario} requires predictor_path")
-            if not 0 < params["safe_fraction"] < 1:
-                raise ConfigError(f"safe_fraction must be in (0, 1), got "
-                                  f"{params['safe_fraction']}")
-        for key in ("noise_std", "norm_target"):
-            if not float(params[key]) > 0:
-                raise ConfigError(f"{key} must be positive, got {params[key]}")
-        if not 0 < params["delta"] < 1:
-            raise ConfigError(f"delta must be in (0, 1), got "
-                              f"{params['delta']}")
+            _check_path("predictor_path", params["predictor_path"])
         if self.scenario == "synthetic2d":
             res = params["grid_resolution"]
             if not isinstance(res, (list, tuple)) or len(res) != 2:
@@ -177,15 +169,23 @@ class ExperimentSpec:
                                   f"budget {params['budget']}], got {snaps}")
 
 
+# (test, wording) of each key's own range, applied to each list element
+_RANGES = {
+    **dict.fromkeys(("replicates", "q", "q_train", "rollout_iters",
+                     "epochs"), (lambda v: v >= 1, ">= 1")),
+    **dict.fromkeys(("noise_std", "norm_target"),
+                    (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("delta", "deltas", "safe_fraction"),
+                    (lambda v: 0 < v < 1, "in (0, 1)")),
+    "seed": (lambda v: v >= 0, "a non-negative integer")}
+
+
 def _check_values(params: dict, defaults: dict) -> None:
     """Each param whose default is a number (a list of numbers) must be a
-    finite one (a list of them), integral where the default is;
-    grid_resolution may be either. A param whose default is None is a path
-    and, once set, must be a nonempty string."""
+    finite one (a list of them), integral where the default is, and in its
+    ``_RANGES`` range; grid_resolution may be either."""
     for key, value in params.items():
         want = defaults.get(key)
-        if want is None and value is not None and key in defaults:
-            _check_path(key, value)
         many = isinstance(value, (list, tuple))
         listed = isinstance(want, list) or key == "grid_resolution"
         if isinstance(want, list) and not many and key != "grid_resolution":
@@ -202,6 +202,9 @@ def _check_values(params: dict, defaults: dict) -> None:
                                   f"{value!r}")
             if isinstance(want, int) and not float(v).is_integer():
                 raise ConfigError(f"{key} must be {kind}, got {value!r}")
+            if key in _RANGES and not _RANGES[key][0](v):
+                raise ConfigError(f"{key} must be {_RANGES[key][1]}, got "
+                                  f"{value!r}")
 
 
 def _finite(v) -> bool:
@@ -227,28 +230,28 @@ def load_spec(path, out_dir=None, seed=None) -> ExperimentSpec:
     scenario = raw.pop("scenario", None)
     if scenario is None:
         raise ConfigError(f"{path}: missing required key 'scenario'")
-    out = raw.pop("out_dir", None)
-    seeds = raw.pop("seeds", None)
-    params = _scenario_defaults(scenario)
+    defaults = dict(out_dir=None, seeds=[0], **_scenario_defaults(scenario))
+    params = _read(path, raw, defaults, out_dir=out_dir,
+                   seeds=None if seed is None else [int(seed)])
+    return ExperimentSpec(scenario, params.pop("out_dir"),
+                          params.pop("seeds"), params)
+
+
+def _read(path, raw: dict, defaults: dict, **overrides) -> dict:
+    """``defaults`` with the file's keys, then each override that is set.
+    The first override names the output path, which must end up set to a
+    nonempty string."""
+    cfg = dict(defaults)
     for key, value in raw.items():
-        if key not in params:
-            raise ConfigError(f"{path}: unknown key {key!r} for scenario "
-                              f"{scenario}")
-        params[key] = value
-    if out_dir is not None:
-        out = out_dir
-    if out is None:
-        raise ConfigError(f"{path}: missing required key 'out_dir'")
-    _check_path("out_dir", out)
-    if seed is not None:
-        seeds = [int(seed)]
-    if seeds is None:
-        seeds = [0]
-    if not isinstance(seeds, list) or any(
-            isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds):
-        raise ConfigError(f"{path}: seeds must be a list of non-negative "
-                          f"integers, got {seeds!r}")
-    return ExperimentSpec(scenario, out, tuple(seeds), params)
+        if key not in cfg:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+        cfg[key] = value
+    cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    out = next(iter(overrides))
+    if cfg[out] is None:
+        raise ConfigError(f"{path}: missing required key {out!r}")
+    _check_path(out, cfg[out])
+    return cfg
 
 
 def _load_yaml(path) -> dict:
@@ -558,6 +561,21 @@ def _fig3_bound(task) -> tuple:
     return guess, estimate_upper_bound(guess, pool, 0, delta=delta, cfg=pac)
 
 
+def fig3_samples(params: dict, grid: GridDomain, kernel: KernelConfig,
+                 seed: int):
+    """``(m, SampleSet)`` per sample count ``m`` of ``fig3_thresholds``: the
+    seed's truth at the first ``m`` points of its ``"draw"`` permutation plus
+    the first ``m`` of its ``"noise"`` values, drawn for the largest count."""
+    counts = [int(m) for m in params["sample_counts"]]
+    values = evaluate(_truth_reward(params, grid, kernel, seed))
+    order = derive_rng(seed, "draw").permutation(grid.num_points)
+    eps = derive_rng(seed, "noise").normal(0.0, float(params["noise_std"]),
+                                           size=max(counts))
+    for m in counts:
+        y = values[order[:m]] + eps[:m]
+        yield m, SampleSet(grid, order[:m], {0: y, 1: y})
+
+
 def scenario_fig3(spec: ExperimentSpec) -> dict:
     """Norm-bound study on a unit-norm truth: run the accept-or-grow
     estimator after 5, 20, and 50 measurements and record the accepted
@@ -573,17 +591,9 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     noise, delta = float(params["noise_std"]), float(params["delta"])
     pac = _pac_config(params)
 
-    tasks = []
-    for seed in spec.seeds:
-        values = evaluate(_truth_reward(params, grid, kernel, seed))
-        draw = derive_rng(seed, "draw")
-        order = draw.permutation(grid.num_points)[:max(counts)]
-        noise_rng = derive_rng(seed, "noise")
-        eps = noise_rng.normal(0.0, noise, size=max(counts))
-        for m in counts:
-            y = values[order[:m]] + eps[:m]
-            samples = SampleSet(grid, order[:m], {0: y, 1: y})
-            tasks.append((samples, noise, kernel, pac, delta, seed, m))
+    tasks = [(samples, noise, kernel, pac, delta, seed, m)
+             for seed in spec.seeds
+             for m, samples in fig3_samples(params, grid, kernel, seed)]
     header = ["schema_version", "seed", "num_samples", "initial_guess",
               "accepted_bound", "q_used", "escalated", "draw_mean",
               "draw_width", "threshold"]
@@ -781,25 +791,9 @@ TRAIN_DEFAULTS = dict(out_path=None, q_train=200, rollout_iters=30,
 
 
 def load_train_config(path, out_path=None, seed=None) -> dict:
-    raw = _load_yaml(path)
-    cfg = dict(TRAIN_DEFAULTS)
-    for key, value in raw.items():
-        if key not in cfg:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-        cfg[key] = value
-    if out_path is not None:
-        cfg["out_path"] = out_path
-    if seed is not None:
-        cfg["seed"] = int(seed)
-    if not cfg["out_path"]:
-        raise ConfigError(f"{path}: missing required key 'out_path'")
+    cfg = _read(path, _load_yaml(path), TRAIN_DEFAULTS, out_path=out_path,
+                seed=None if seed is None else int(seed))
     _check_values(cfg, TRAIN_DEFAULTS)
-    if cfg["seed"] < 0:
-        raise ConfigError(f"{path}: seed must be a non-negative integer, "
-                          f"got {cfg['seed']!r}")
-    for key in ("q_train", "rollout_iters", "epochs"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{path}: {key} must be >= 1, got {cfg[key]}")
     if cfg["rollout_iters"] > WINDOW:
         raise ConfigError(f"{path}: rollout longer than the trace window "
                           f"({WINDOW})")

@@ -51,16 +51,12 @@ class GroundTruth:
     The reward channel measures the function itself; the constraint channel
     measures the function minus the threshold, so nonnegative means safe.
     ``reward_values`` holds the reward at every grid point, evaluated once
-    at construction unless given; every true value is read from it.
+    by :meth:`at_quantile`; every true value is read from it.
     """
 
     reward: RkhsFunction
     threshold: float
-    reward_values: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.reward_values is None:
-            object.__setattr__(self, "reward_values", evaluate(self.reward))
+    reward_values: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def at_quantile(cls, reward: RkhsFunction, q: float) -> "GroundTruth":

@@ -9,7 +9,7 @@ from pacsbo.harness import (
     _grid_for,
     _kernel_for,
     _scenario_defaults,
-    _truth_reward,
+    fig3_samples,
 )
 from pacsbo.kernel_gp import GridDomain, KernelConfig, SampleSet
 from pacsbo.pac_estimator import (
@@ -208,13 +208,8 @@ def test_retesting_accepts_below_the_draw_mean_in_at_most_delta():
     norm."""
     params = _scenario_defaults("fig3_thresholds")
     grid, kernel = _grid_for(params), _kernel_for(params)
-    noise, m = float(params["noise_std"]), 5
-    values = evaluate(_truth_reward(params, grid, kernel, 0))
-    order = derive_rng(0, "draw").permutation(grid.num_points)[:m]
-    eps = derive_rng(0, "noise").normal(
-        0.0, noise, size=max(params["sample_counts"]))[:m]
-    y = values[order] + eps
-    samples = SampleSet(grid, order, {0: y, 1: y})
+    noise = float(params["noise_std"])
+    samples = dict(fig3_samples(params, grid, kernel, 0))[5]
     mask, sampler = global_mask(grid), SamplerConfig()
     cfg = PacConfig(q_init=100, q_max=1000, sampler=sampler)
     path = (0, "optional-stopping")

@@ -125,8 +125,6 @@ def test_ground_truth_evaluates_its_reward_once(monkeypatch):
     np.testing.assert_array_equal(truth.reward_values,
                                   rkhs_mod.evaluate(truth.reward))
     assert truth.threshold == float(np.quantile(truth.reward_values, 0.4))
-    assert GroundTruth(truth.reward, truth.threshold).values(s0) == \
-        truth.values(s0)
     calls = []
 
     def counted(f):

@@ -12,6 +12,10 @@ process with one BLAS thread, one process at a time. The output holds:
 * ``compute_state``: one call on the 50x50 grid's global mask with 10 and
   40 samples, with boundary and with exact expander candidates;
 * ``whole_runs``: one ``pacsbo_loop.run`` per ``safeopt2d`` truth;
+* ``draws``: per tree and per ``DRAW_WORKLOADS`` workload, one seed-0
+  round run in one process with ``harness._in_order`` serial, so every
+  estimator call is seen: its ``calls``, ``escalated`` calls, sampler
+  ``draws`` and largest ``q_used`` against ``q_max``;
 * ``end_to_end``: per ``perfbench/run.py`` workload, each metric's median
   and quartiles per tree and the number of rounds the change was lower;
 * ``tier1``: wall time and summary line of one Tier-1 run per tree;
@@ -47,6 +51,7 @@ PAIRS = 10
 SAMPLER_COUNTS = (5, 20)
 STATE_COUNTS = (10, 40)
 WORKLOADS = ("thresholds1d", "pacsbo2d", "safeopt2d")
+DRAW_WORKLOADS = {"thresholds1d": "Thresholds1d", "pacsbo2d": "Pacsbo2d"}
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 # 2-D set: the four corners of a 2x3 block of the 50x50 grid and one edge
 # point, so its tilde mask holds 6 points; 20 samples re-measure them
@@ -164,6 +169,46 @@ def measure(layer: str, src: str) -> None:
     print(json.dumps(out))
 
 
+def count_draws(src: str) -> None:
+    """One seed-0 round of each ``DRAW_WORKLOADS`` workload, counted by
+    wrapping ``estimate_upper_bound`` where the harness and the loop call
+    it and ``interpolating_norms`` where the pool calls it."""
+    sys.path[:0] = [src, str(Path(src).parent / "perfbench")]
+    from pacsbo import harness, pacsbo_loop, rkhs_function
+
+    import workloads
+
+    calls, draws = [], []
+    estimate, norms = harness.estimate_upper_bound, \
+        rkhs_function.interpolating_norms
+
+    def counted_estimate(*args, **kwargs):
+        calls.append((estimate(*args, **kwargs), kwargs["cfg"].q_max))
+        return calls[-1][0]
+
+    def counted_norms(pool, count):
+        draws.append(count)
+        return norms(pool, count)
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cls in DRAW_WORKLOADS.items():
+            wl = getattr(workloads, cls)(0, Path(tmp) / name)
+            wl.setup()
+            calls.clear()
+            draws.clear()
+            harness._in_order = lambda fn, tasks: [fn(t) for t in tasks]
+            harness.estimate_upper_bound = counted_estimate
+            pacsbo_loop.estimate_upper_bound = counted_estimate
+            rkhs_function.interpolating_norms = counted_norms
+            wl.run_round()
+            out[name] = dict(
+                calls=len(calls), escalated=sum(r.escalated for r, _ in calls),
+                draws=sum(draws), max_q_used=max(r.q_used for r, _ in calls),
+                q_max=max(q for _, q in calls))
+    print(json.dumps(out))
+
+
 def _run(cmd, cwd):
     env = dict(os.environ, **ONE_THREAD)
     return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
@@ -249,6 +294,12 @@ def end_to_end_section(trees):
     return out
 
 
+def draws_section(trees):
+    return {label: json.loads(_run(
+        [sys.executable, str(SCRIPT), "--draws", str(Path(root) / "src")],
+        root).strip().splitlines()[-1]) for label, root in trees.items()}
+
+
 def tier1_section(trees):
     out = {}
     for label, root in trees.items():
@@ -282,15 +333,19 @@ def main(argv=None):
     ap.add_argument("--change")
     ap.add_argument("--out")
     ap.add_argument("--measure", nargs=2, metavar=("LAYER", "SRC"))
+    ap.add_argument("--draws", metavar="SRC")
     args = ap.parse_args(argv)
     if args.measure:
         return measure(*args.measure)
+    if args.draws:
+        return count_draws(args.draws)
     if not (args.parent and args.change and args.out):
         ap.error("--parent, --change and --out are required")
     trees = {"parent": str(Path(args.parent).resolve()),
              "change": str(Path(args.change).resolve())}
     result = {"outputs": outputs_section(trees)}
     result.update({layer: layer_section(trees, layer) for layer in LAYERS})
+    result["draws"] = draws_section(trees)
     result.update(end_to_end=end_to_end_section(trees),
                   tier1=tier1_section(trees), machine=machine())
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")

@@ -183,8 +183,10 @@ _RANGES = {
 def _check_values(params: dict, defaults: dict) -> None:
     """Each param whose default is a number (a list of numbers) must be a
     finite one (a list of them), integral where the default is, and in its
-    ``_RANGES`` range; grid_resolution may be either."""
-    for key, value in params.items():
+    ``_RANGES`` range; grid_resolution may be either. Integral values are
+    stored back as ``int`` where the default is one, so ``50.0`` and ``50``
+    make one config hash."""
+    for key, value in list(params.items()):
         want = defaults.get(key)
         many = isinstance(value, (list, tuple))
         listed = isinstance(want, list) or key == "grid_resolution"
@@ -205,6 +207,9 @@ def _check_values(params: dict, defaults: dict) -> None:
             if key in _RANGES and not _RANGES[key][0](v):
                 raise ConfigError(f"{key} must be {_RANGES[key][1]}, got "
                                   f"{value!r}")
+        if isinstance(want, int):
+            params[key] = (type(value)(int(v) for v in value)
+                           if listed and many else int(value))
 
 
 def _finite(v) -> bool:

@@ -228,7 +228,9 @@ def predictive(posteriors: dict, query):
     same samples, noise and kernel, which share the variance and ``v = L^-1
     k_A(query)``: ``(means, var, v)`` with ``means`` keyed by channel,
     ``var`` unclamped and one column of ``v`` per query point; ``k(x, y) -
-    v_x^T v_y`` is the posterior covariance between two query points."""
+    v_x^T v_y`` is the posterior covariance between two query points. A
+    negative ``var`` is logged here, once for all the readers that clamp
+    it (the covariance integral and the confidence bounds)."""
     first, *rest = posteriors.values()
     if any(p.kernel != first.kernel or p.noise_std != first.noise_std
            or p.grid != first.grid or p.indices != first.indices
@@ -237,13 +239,19 @@ def predictive(posteriors: dict, query):
     kq = kernel_block(first.grid, first.kernel, first.indices, query)
     v = sla.solve_triangular(first.chol, kq, lower=True)
     means = {i: kq.T @ post.weights for i, post in posteriors.items()}
-    return means, 1.0 - np.sum(v * v, axis=0), v
+    return means, _warn_negative(1.0 - np.sum(v * v, axis=0)), v
+
+
+def _warn_negative(var: np.ndarray) -> np.ndarray:
+    """``var``, logging once if it holds a value below -1e-9 (beyond
+    numerical dust), which its readers clamp."""
+    if np.any(var < _VAR_CLAMP_WARN):
+        log.warning("posterior variance clamped from %.3e", float(var.min()))
+    return var
 
 
 def clamp_variance(var: np.ndarray) -> np.ndarray:
-    """Clamp to ``[0, 1]``, logging a clamp below -1e-9 (numerical dust)."""
-    if np.any(var < _VAR_CLAMP_WARN):
-        log.warning("posterior variance clamped from %.3e", float(var.min()))
+    """Clamp to ``[0, 1]``; the variance's producer logged a large clamp."""
     return np.clip(var, 0.0, 1.0)
 
 
@@ -258,7 +266,7 @@ def observation_update(mean_q, var_q, mean_a, var_a, k_n, values,
     if np.any(s2 <= 0):
         raise NumericError("fictitious observation lost positivity")
     mean = mean_q + k_n * ((np.asarray(values) - mean_a)[:, None] / s2)
-    return mean, clamp_variance(var_q - k_n * k_n / s2)
+    return mean, clamp_variance(_warn_negative(var_q - k_n * k_n / s2))
 
 
 def mean_rkhs_norm(post: GpPosterior) -> float:

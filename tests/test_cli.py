@@ -249,6 +249,18 @@ class TestRunCommand:
         assert "deltas must be distinct" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_an_integral_float_makes_the_same_manifest(self, tmp_path):
+        """``replicates: 50.0`` runs what ``50`` runs, so it records the
+        same params and config hash."""
+        manifests = []
+        for replicates in (50, 50.0):
+            cfg = write_config(tmp_path / "h.yaml", hoeffding_body(
+                tmp_path / "out", replicates=replicates))
+            assert main(["run", "--config", cfg]) == 0
+            manifests.append((tmp_path / "out" / "manifest.yaml").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert b"replicates: 50\n" in manifests[0]
+
     def test_zero_replicates_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "h.yaml",
                            hoeffding_body(tmp_path, replicates=0))

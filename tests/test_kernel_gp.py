@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from pacsbo.kernel_gp import (
     reciprocal_cov_integral,
     with_targets,
 )
+from pacsbo.safeopt_core import confidence_bounds
 from pacsbo.seeding import derive_rng
 from pacsbo.subdomain import DomainMask, global_mask, partition_masks
 
@@ -248,6 +250,24 @@ def two_channel_posteriors(grid, idx, noise=0.05, cfg=CFG, seed=0):
     s = make_samples(grid, idx, rng.normal(size=len(idx)),
                      rng.normal(size=len(idx)))
     return {i: gp_fit(s, i, noise, cfg) for i in (0, 1)}
+
+
+def test_a_negative_variance_logs_once_for_both_clamps(caplog):
+    """A region's one ``predictive`` variance is clamped twice, by the
+    covariance integral and by the confidence bounds; a value below the
+    dust level logs one warning, not one per clamp."""
+    grid = GridDomain.uniform(30)
+    post = gp_fit(make_samples(grid, (4, 12, 20), [0.1, 0.3, -0.2]), 0,
+                  0.01, CFG)
+    broken = replace(post, chol=0.5 * post.chol)  # var = 1 - 4 |v|^2
+    mask = global_mask(grid)
+    caplog.set_level(logging.WARNING, logger="pacsbo.kernel_gp")
+    pred = predictive({0: broken}, mask.indices())
+    assert pred[1].min() < -1.0
+    reciprocal_cov_integral(pred[1], mask)
+    confidence_bounds(pred, {0: 2.0}, mask)
+    clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
+    assert len(clamps) == 1
 
 
 def test_predictive_columns_of_a_subset():

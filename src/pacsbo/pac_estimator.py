@@ -3,8 +3,9 @@
 The estimator starts from a candidate bound B, draws batches of random
 interpolating functions for the current measurements, and accepts B once it
 dominates the empirical mean of their kernel norms plus a Hoeffding
-confidence width. If the budget of draws runs out before acceptance, B is
-escalated by the safety factor ``F_SAFETY`` until the test passes and the
+confidence width. The looks are at ``q_init``, ``2 q_init``, ... and last at
+``q_max``, so no call reads more than ``q_max`` draws. If the budget of
+draws runs out before acceptance, B is escalated by the safety factor ``F_SAFETY`` until the test passes and the
 result is flagged as escalated.
 
 The draws come from one region's :class:`~pacsbo.rkhs_function.DrawPool`,
@@ -74,14 +75,14 @@ def estimate_upper_bound(start: float, pool: DrawPool, i: int, *,
     ``start`` is the candidate bound (the trained predictor's output in the
     loop); ``delta`` is the confidence level of this one call (the loop
     splits its own over regions and channels). Batches of ``cfg.q_init``
-    draws are read from the pool up to the first ``q`` past ``cfg.q_max``.
+    draws are read from the pool, the last one cut to end at ``cfg.q_max``.
     """
     start = float(start)
     if not math.isfinite(start):
         raise NumericError(f"predicted norm bound is not finite: {start}")
     bound = max(start, float(np.finfo(float).tiny))
 
-    for q in range(cfg.q_init, cfg.q_max + cfg.q_init + 1, cfg.q_init):
+    for q in (*range(cfg.q_init, cfg.q_max, cfg.q_init), cfg.q_max):
         norms = pool.norms(i, q)
         mean = float(np.mean(norms))
         width = hoeffding_width(delta, q, float(norms.max() - norms.min()))

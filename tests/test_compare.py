@@ -111,3 +111,22 @@ def test_compute_state_worker_gives_its_four_cases():
         # heuristic's expanders
         assert 0 < c["expanders"] <= c["safe"]
     assert cases[1]["expanders"] >= cases[0]["expanders"]
+
+
+def test_draws_worker_counts_every_estimator_call():
+    """The draws worker runs each workload's round in one process, so it
+    sees fig3's calls too: 3 seeds x 3 sample counts, and 15 iterations x
+    3 regions x 2 channels; no call reads past its budget."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "compare.py"), "--draws",
+         str(ROOT / "src")], cwd=ROOT, env=env, capture_output=True,
+        text=True, check=True, timeout=120).stdout
+    counts = json.loads(out.strip().splitlines()[-1])
+    assert {k: v["calls"] for k, v in counts.items()} == {
+        "thresholds1d": 9, "pacsbo2d": 90}
+    for c in counts.values():
+        assert 0 <= c["escalated"] <= c["calls"]
+        assert 0 < c["max_q_used"] <= c["q_max"]
+        assert c["draws"] >= c["max_q_used"]

@@ -111,16 +111,32 @@ def test_tiny_start_escalates_geometrically():
     k = np.log(res.bound / start) / np.log(F_SAFETY)
     assert k == pytest.approx(round(k), abs=1e-9)
     assert round(k) > 1
-    assert res.q_used <= cfg.q_max + cfg.q_init
+    assert res.q_used <= cfg.q_max
 
 
-def test_escalation_uses_one_overshoot_batch():
+def test_escalation_reads_exactly_the_budget():
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=40, q_max=120,
                     sampler=SamplerConfig(num_centers=30))
     res = estimate(1e-12, samples, kernel, global_mask(grid), cfg, (0, 7))
     assert res.escalated
-    assert res.q_used == 160  # 40, 80, 120, then the overshoot batch
+    assert res.q_used == 120  # looks at 40, 80 and 120
+
+
+@pytest.mark.parametrize("q_init,q_max", [(40, 120), (30, 100), (50, 50)])
+def test_no_call_reads_past_the_budget(q_init, q_max):
+    """Across starts from far below to far above the draw mean, every call
+    reads at most ``q_max`` draws, also when ``q_init`` does not divide
+    it (the last look is cut to end at ``q_max``)."""
+    grid, kernel, samples = setup_problem()
+    cfg = PacConfig(q_init=q_init, q_max=q_max,
+                    sampler=SamplerConfig(num_centers=30))
+    results = [estimate(start, samples, kernel, global_mask(grid), cfg,
+                        (2, k)) for k, start in
+               enumerate(np.geomspace(1e-6, 1e3, 19))]
+    assert max(r.q_used for r in results) <= q_max
+    assert any(r.escalated for r in results)
+    assert any(not r.escalated for r in results)
 
 
 def test_pooled_draws_match_direct_batch():

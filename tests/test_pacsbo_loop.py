@@ -413,13 +413,13 @@ def accept_or_grow(start, column, delta, cfg):
     """Reference accept-or-grow on ``column(q)``, the first q norms."""
     bound, q = start, 0
     while True:
-        q += cfg.q_init
+        q = min(q + cfg.q_init, cfg.q_max)
         norms = column(q)
         mean = float(np.mean(norms))
         width = hoeffding_width(delta, q, float(norms.max() - norms.min()))
         if bound >= mean + width:
             return PacResult(bound, q, mean, width, escalated=False)
-        if q > cfg.q_max:
+        if q == cfg.q_max:
             break
     while bound < mean + width:
         bound *= F_SAFETY
@@ -466,7 +466,7 @@ def test_a_step_draws_one_stream_per_region(monkeypatch):
             return np.ascontiguousarray(norms[:, CHANNELS.index(i)])
 
         assert res == accept_or_grow(start, column, delta, cfg.pac)
-    assert [res.q_used for _, _, res in calls[:2]] == [25, 75]
+    assert [res.q_used for _, _, res in calls[:2]] == [25, 50]
 
 
 def test_run_longer_than_the_predictor_window():

@@ -4,9 +4,10 @@ The estimator starts from a candidate bound B, draws batches of random
 interpolating functions for the current measurements, and accepts B once it
 dominates the empirical mean of their kernel norms plus a Hoeffding
 confidence width. The looks are at ``q_init``, ``2 q_init``, ... and last at
-``q_max``, so no call reads more than ``q_max`` draws. If the budget of
-draws runs out before acceptance, B is escalated by the safety factor ``F_SAFETY`` until the test passes and the
-result is flagged as escalated.
+``q_max``, so no call reads more than ``q_max`` draws. Once a look puts B
+below the mean minus the width, or the budget runs out before acceptance,
+B is escalated by the safety factor ``F_SAFETY`` until the test passes and
+the result is flagged as escalated.
 
 The draws come from one region's :class:`~pacsbo.rkhs_function.DrawPool`,
 which extends its earlier draws exactly, so no channel's outcome depends on
@@ -76,6 +77,8 @@ def estimate_upper_bound(start: float, pool: DrawPool, i: int, *,
     loop); ``delta`` is the confidence level of this one call (the loop
     splits its own over regions and channels). Batches of ``cfg.q_init``
     draws are read from the pool, the last one cut to end at ``cfg.q_max``.
+    After each, ``start`` is accepted if it reaches ``mean + width``, and
+    escalated on the draws read so far if it lies below ``mean - width``.
     """
     start = float(start)
     if not math.isfinite(start):
@@ -88,6 +91,8 @@ def estimate_upper_bound(start: float, pool: DrawPool, i: int, *,
         width = hoeffding_width(delta, q, float(norms.max() - norms.min()))
         if bound >= mean + width:
             return PacResult(bound, q, mean, width, escalated=False)
+        if bound < mean - width:
+            break
     while bound < mean + width:
         bound *= F_SAFETY
     return PacResult(bound, q, mean, width, escalated=True)

@@ -115,12 +115,37 @@ def test_tiny_start_escalates_geometrically():
 
 
 def test_escalation_reads_exactly_the_budget():
+    """A start that no look accepts or rejects (it lies within the width of
+    the draw mean at 40, 80 and 120 draws: 2.43 +- 0.72, 2.31 +- 0.51,
+    2.30 +- 0.43) escalates on the whole budget."""
     grid, kernel, samples = setup_problem()
     cfg = PacConfig(q_init=40, q_max=120,
                     sampler=SamplerConfig(num_centers=30))
-    res = estimate(1e-12, samples, kernel, global_mask(grid), cfg, (0, 7))
+    res = estimate(2.0, samples, kernel, global_mask(grid), cfg, (0, 7))
     assert res.escalated
     assert res.q_used == 120  # looks at 40, 80 and 120
+    assert res.bound == 2.0 * F_SAFETY
+
+
+def test_a_start_the_first_batch_rejects_escalates_at_once():
+    """A start below the first batch's mean minus width escalates on that
+    batch alone, to the smallest power of ``F_SAFETY`` that reaches its
+    mean plus width."""
+    grid, kernel, samples = setup_problem()
+    sampler = SamplerConfig(num_centers=30)
+    cfg = PacConfig(q_init=40, q_max=120, sampler=sampler)
+    first = first_norms(samples, (0,), 0.01, kernel, global_mask(grid),
+                        sampler, (0, 7), cfg.q_init)
+    mean = float(first.mean())
+    width = hoeffding_width(DELTA, cfg.q_init,
+                            float(first.max() - first.min()))
+    assert mean - width > 0
+    start = 0.5 * (mean - width)
+    res = estimate(start, samples, kernel, global_mask(grid), cfg, (0, 7))
+    assert res.escalated and res.q_used == cfg.q_init
+    assert res.empirical_mean == pytest.approx(mean, abs=1e-12)
+    assert res.bound >= res.empirical_mean + res.width
+    assert res.bound / F_SAFETY < res.empirical_mean + res.width
 
 
 @pytest.mark.parametrize("q_init,q_max", [(40, 120), (30, 100), (50, 50)])

@@ -419,7 +419,7 @@ def accept_or_grow(start, column, delta, cfg):
         width = hoeffding_width(delta, q, float(norms.max() - norms.min()))
         if bound >= mean + width:
             return PacResult(bound, q, mean, width, escalated=False)
-        if q == cfg.q_max:
+        if bound < mean - width or q == cfg.q_max:
             break
     while bound < mean + width:
         bound *= F_SAFETY
@@ -430,7 +430,8 @@ def test_a_step_draws_one_stream_per_region(monkeypatch):
     """Both channels of a region read one draw stream, seeded
     ``(seed, "pac", t, p_idx)``, and each channel's result is the
     accept-or-grow on its column of that stream. At this start the
-    constraint channel grows each pool past the reward channel's need."""
+    constraint channel escalates at its first batch in every region, and
+    the reward channel grows the global pool past the constraint's need."""
     grid = GridDomain.uniform(40)
     truth, s0 = make_truth(grid)
     cfg = replace(pacsbo_config(grid, s0, seed=5),
@@ -466,7 +467,7 @@ def test_a_step_draws_one_stream_per_region(monkeypatch):
             return np.ascontiguousarray(norms[:, CHANNELS.index(i)])
 
         assert res == accept_or_grow(start, column, delta, cfg.pac)
-    assert [res.q_used for _, _, res in calls[:2]] == [25, 50]
+    assert [res.q_used for _, _, res in calls] == [25, 25, 25, 25, 50, 25]
 
 
 def test_run_longer_than_the_predictor_window():

@@ -68,8 +68,9 @@ def _row(name, outputs, fixed):
     explored = sum(
         max(rec.partitions["global"].safe_count for rec in h.records) > 3
         for _, _, h in outputs)
+    unsafe = sum(h.any_unsafe() for _, _, h in outputs)
     grouped = ", ".join(f"{k} in {n}" for k, n in sorted(distinct.items()))
-    return [name, grouped, f"{ratio:.3f}", str(sum(h.any_unsafe() for _, _, h in outputs)),
+    return [name, grouped, f"{ratio:.3f}", str(unsafe),
             f"{draws:,}" if draws else "–", str(wins), str(explored)]
 
 

@@ -190,6 +190,10 @@ def count_draws(src: str) -> None:
         draws.append(count)
         return norms(pool, count)
 
+    harness._in_order = lambda fn, tasks: [fn(t) for t in tasks]
+    harness.estimate_upper_bound = counted_estimate
+    pacsbo_loop.estimate_upper_bound = counted_estimate
+    rkhs_function.interpolating_norms = counted_norms
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cls in DRAW_WORKLOADS.items():
@@ -197,10 +201,6 @@ def count_draws(src: str) -> None:
             wl.setup()
             calls.clear()
             draws.clear()
-            harness._in_order = lambda fn, tasks: [fn(t) for t in tasks]
-            harness.estimate_upper_bound = counted_estimate
-            pacsbo_loop.estimate_upper_bound = counted_estimate
-            rkhs_function.interpolating_norms = counted_norms
             wl.run_round()
             out[name] = dict(
                 calls=len(calls), escalated=sum(r.escalated for r, _ in calls),

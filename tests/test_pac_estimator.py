@@ -240,7 +240,7 @@ def test_final_bound_covers_the_draw_mean_despite_retesting(truth_seed):
 
 def test_retesting_accepts_below_the_draw_mean_in_at_most_delta():
     """Optional stopping: the estimator re-tests after every batch with a
-    fixed-q Hoeffding width, 11 looks at ``q_init`` 100 and ``q_max``
+    fixed-q Hoeffding width, 10 looks at ``q_init`` 100 and ``q_max``
     1000. On fig3's set-up (seed 0's unit-norm truth, its first 5 noisy
     samples, the global mask, the default sampler) a start just below the
     mean draw norm ``mu`` is accepted in at most ``delta`` of 200 fresh

@@ -1,11 +1,11 @@
 """Experiment recipes: scenario configs, seed loops, CSV and manifest IO.
 
 Each scenario resolves a YAML config into an :class:`ExperimentSpec`, runs
-its independent seeds (and fig3's estimator calls) on forked worker
-processes when the process runs one OS thread (:func:`_in_order`), and
-writes per-seed record files, a merged summary, and a manifest with the
-config hash and library versions. All outputs are plain CSV or YAML so
-plots can be drawn with external tools.
+the loop scenarios' independent seeds on forked worker processes when the
+process runs one OS thread (:func:`_in_order`), and writes per-seed
+record files, a merged summary, and a manifest with the config hash and
+library versions. All outputs are plain CSV or YAML so plots can be drawn
+with external tools.
 """
 
 from __future__ import annotations
@@ -533,8 +533,10 @@ def _in_order(fn, tasks: list) -> list:
     least two tasks and usable CPUs and this process runs one OS thread.
 
     Tasks are seeded by their own paths, so where they run changes no
-    result. ``fork``, not ``spawn``: a spawned worker re-imports numpy and
-    scipy (about 0.4 s). Forking is safe only with no other thread alive,
+    result. Only tasks that outweigh a fork and a join belong here: a
+    loop scenario's seeds do, fig3's estimator calls of a few hundred
+    draws each do not. ``fork``, not ``spawn``: a spawned worker
+    re-imports numpy and scipy (about 0.4 s). Forking is safe only with no other thread alive,
     which needs BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``)."""
     try:
         one_thread = len(os.listdir("/proc/self/task")) == 1
@@ -554,16 +556,6 @@ def _in_order(fn, tasks: list) -> list:
            and time.monotonic() < deadline):
         time.sleep(0.001)
     return results
-
-
-def _fig3_bound(task) -> tuple:
-    """``(initial guess, estimator result)`` for one seed's first ``m``
-    noisy samples."""
-    samples, noise, kernel, pac, delta, seed, m = task
-    guess = mean_rkhs_norm(gp_fit(samples, 0, noise, kernel))
-    pool = DrawPool(samples, (0,), noise, kernel, global_mask(samples.grid),
-                    pac.sampler, (seed, "fig3", m))
-    return guess, estimate_upper_bound(guess, pool, 0, delta=delta, cfg=pac)
 
 
 def fig3_samples(params: dict, grid: GridDomain, kernel: KernelConfig,
@@ -596,17 +588,19 @@ def scenario_fig3(spec: ExperimentSpec) -> dict:
     noise, delta = float(params["noise_std"]), float(params["delta"])
     pac = _pac_config(params)
 
-    tasks = [(samples, noise, kernel, pac, delta, seed, m)
-             for seed in spec.seeds
-             for m, samples in fig3_samples(params, grid, kernel, seed)]
     header = ["schema_version", "seed", "num_samples", "initial_guess",
               "accepted_bound", "q_used", "escalated", "draw_mean",
               "draw_width", "threshold"]
-    rows = [[SCHEMA_VERSION, seed, m, guess, res.bound, res.q_used,
-             int(res.escalated), res.empirical_mean, res.width,
-             res.empirical_mean + res.width]
-            for (*_, seed, m), (guess, res)
-            in zip(tasks, _in_order(_fig3_bound, tasks))]
+    rows = []
+    for seed in spec.seeds:
+        for m, samples in fig3_samples(params, grid, kernel, seed):
+            guess = mean_rkhs_norm(gp_fit(samples, 0, noise, kernel))
+            pool = DrawPool(samples, (0,), noise, kernel, global_mask(grid),
+                            pac.sampler, (seed, "fig3", m))
+            res = estimate_upper_bound(guess, pool, 0, delta=delta, cfg=pac)
+            rows.append([SCHEMA_VERSION, seed, m, guess, res.bound,
+                         res.q_used, int(res.escalated), res.empirical_mean,
+                         res.width, res.empirical_mean + res.width])
     out = Path(spec.out_dir)
     csv_path = out / "thresholds.csv"
     write_csv(csv_path, header, rows)

@@ -26,23 +26,33 @@ import tracer as tracing
 
 tracer = tracing.Tracer()
 tracer.install(tracing.package_modules())
+metrics = {}
 for name in run.WORKLOAD_NAMES:
+    tracer.spans.clear()  # in place: the wrappers hold this list
     tracer.phase = "setup"
     wl = workloads.WORKLOADS[name](0, Path(sys.argv[1]) / name, tiny=True)
     wl.setup()
     tracer.phase = 0
     wl.run_round()
-metrics, _ = tracing.layer_metrics(tracer.spans, 1)
+    metrics[name], _ = tracing.layer_metrics(tracer.spans, 1)
 print(json.dumps(metrics))
 """
 
 
 def test_traced_tiny_rounds_count_every_layer(tmp_path):
+    """Each workload's counts come from its own round: ``thresholds1d``'s
+    two estimator calls (one seed, two sample counts) run in the traced
+    process."""
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_ROUNDS, str(tmp_path)],
         cwd=ROOT / "perfbench", capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    fig3, loop, safeopt = (metrics[name] for name in
+                           ("thresholds1d", "pacsbo2d", "safeopt2d"))
+    assert fig3["pac_estimator.calls"] == 2
+    assert fig3["rkhs_function.draws"] > 0
     for name in ("pac_estimator.calls", "rkhs_function.draws",
                  "pacsbo_loop.steps"):
-        assert metrics[name] > 0, name
+        assert loop[name] > 0, name
+    assert safeopt["pacsbo_loop.steps"] > 0

@@ -43,6 +43,20 @@ def children_cpu():
     return usage.ru_utime + usage.ru_stime
 """
 
+# runs ``scenarios`` once with one usable CPU, where ``_in_order`` keeps
+# every task in-process, and once with the CPUs the test has
+TWICE = """
+affinity = os.sched_getaffinity
+os.sched_getaffinity = lambda pid: {0}
+scenarios(out / "one_cpu")
+serial_cpu = children_cpu()
+os.sched_getaffinity = affinity
+scenarios(out / "two_cpu")
+print(json.dumps({"serial_cpu": serial_cpu, "cpu": children_cpu(),
+                  "threads": len(os.listdir("/proc/self/task")),
+                  "alive": len(multiprocessing.active_children())}))
+"""
+
 TREES = PRELUDE + """
 out, predictor = Path(sys.argv[1]), sys.argv[2]
 
@@ -50,29 +64,32 @@ out, predictor = Path(sys.argv[1]), sys.argv[2]
 def scenarios(root):
     root.mkdir()
     os.chdir(root)  # relative out_dirs keep the manifests comparable
+    loop = dict(budget=4, q_init=20, q_max=40, predictor_path=predictor)
+    synthetic = dict(harness._scenario_defaults("synthetic2d"),
+                     grid_resolution=[20, 20], **loop)
+    harness.run_experiment(harness.ExperimentSpec(
+        "synthetic2d", "synthetic", (0, 1, 2), synthetic))
+    compare = dict(harness._scenario_defaults("compare_conservative"),
+                   snapshot_iterations=[3], **loop)
+    harness.run_experiment(harness.ExperimentSpec(
+        "compare_conservative", "compare", (0, 1, 3), compare))
+""" + TWICE
+
+FIG3 = PRELUDE + """
+out = Path(sys.argv[1])
+
+
+def scenarios(root):
+    root.mkdir()
+    os.chdir(root)
     fig3 = dict(harness._scenario_defaults("fig3_thresholds"), q_init=30,
                 q_max=60, sample_counts=[5, 20])
     harness.run_experiment(harness.ExperimentSpec(
         "fig3_thresholds", "fig3", (0, 1, 2), fig3))
-    compare = dict(harness._scenario_defaults("compare_conservative"),
-                   budget=4, snapshot_iterations=[3], q_init=20, q_max=40,
-                   predictor_path=predictor)
-    harness.run_experiment(harness.ExperimentSpec(
-        "compare_conservative", "compare", (0, 1, 3), compare))
-
-
-affinity = os.sched_getaffinity
-os.sched_getaffinity = lambda pid: {0}
-scenarios(out / "one_cpu")
-serial_cpu = children_cpu()
-os.sched_getaffinity = affinity
-scenarios(out / "pooled")
-print(json.dumps({"serial_cpu": serial_cpu, "pooled_cpu": children_cpu(),
-                  "alive": len(multiprocessing.active_children())}))
-"""
+""" + TWICE
 
 FAILURE = PRELUDE + """
-from pacsbo import cli
+from pacsbo import cli, pacsbo_loop
 from pacsbo.errors import NumericError
 
 
@@ -80,7 +97,7 @@ def broken(*args, **kwargs):
     raise NumericError(f"probe failure in pid {os.getpid()}")
 
 
-harness.estimate_upper_bound = broken
+pacsbo_loop.estimate_upper_bound = broken
 code = cli.main(["run", "--config", sys.argv[1]])
 print(json.dumps({"code": code, "pid": os.getpid(),
                   "alive": len(multiprocessing.active_children())}))
@@ -146,7 +163,7 @@ def tree(root: Path) -> dict:
 
 
 def test_pooled_scenarios_write_the_one_cpu_bytes(tmp_path):
-    """fig3 (3 seeds x 2 counts) and compare_conservative (3 seeds) write
+    """synthetic2d and compare_conservative (3 seeds each) write
     byte-identical trees on the pool and with one usable CPU, where the
     helper runs every task in-process."""
     predictor = tmp_path / "pred.json"
@@ -154,24 +171,42 @@ def test_pooled_scenarios_write_the_one_cpu_bytes(tmp_path):
     proc, out = run_script(TREES, tmp_path, predictor)
     assert proc.returncode == 0, proc.stderr
     assert out["serial_cpu"] == 0  # no child ran at one CPU
-    assert out["pooled_cpu"] > 0  # the workers did the pooled run's work
+    assert out["cpu"] > 0  # the workers did the pooled run's work
     assert out["alive"] == 0
-    serial, pooled = tree(tmp_path / "one_cpu"), tree(tmp_path / "pooled")
-    # fig3: thresholds and manifest; compare: summary, manifest, and per
-    # seed and algorithm a records file and a snapshot
-    assert len(serial) == 2 + 2 + 6 + 6
+    serial, pooled = tree(tmp_path / "one_cpu"), tree(tmp_path / "two_cpu")
+    # synthetic2d: summary, manifest, and per seed a records file and an
+    # explored dump; compare: summary, manifest, and per seed and
+    # algorithm a records file and a snapshot
+    assert len(serial) == (2 + 3 + 3) + (2 + 6 + 6)
     assert pooled.keys() == serial.keys()
     for name in serial:
         assert pooled[name] == serial[name], name
 
 
+def test_fig3_runs_its_calls_in_process(tmp_path):
+    """fig3's estimator calls (3 seeds x 2 counts) start no child even
+    where the pool would fork: one OS thread and two usable CPUs. The tree
+    is the one-CPU run's."""
+    proc, out = run_script(FIG3, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert out["threads"] == 1  # so ``_in_order`` would have forked
+    assert out["cpu"] == 0  # no child ran in either run
+    assert out["alive"] == 0
+    serial, two_cpu = tree(tmp_path / "one_cpu"), tree(tmp_path / "two_cpu")
+    assert len(serial) == 2  # thresholds and manifest
+    assert two_cpu == serial
+
+
 def test_worker_numeric_error_reaches_the_cli(tmp_path):
     """A NumericError raised in a worker is raised in the parent with its
     type, so the CLI exits 3, and no worker outlives the command."""
-    cfg = tmp_path / "f.yaml"
+    predictor = tmp_path / "pred.json"
+    save_predictor(constant_predictor(3.0), predictor)
+    cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump(dict(
-        scenario="fig3_thresholds", out_dir=str(tmp_path / "o"),
-        seeds=[0, 1], q_init=30, q_max=60, sample_counts=[5, 20])))
+        scenario="compare_conservative", out_dir=str(tmp_path / "o"),
+        seeds=[0, 1], budget=4, snapshot_iterations=[3], q_init=20,
+        q_max=40, predictor_path=str(predictor))))
     proc, out = run_script(FAILURE, cfg)
     assert out["code"] == 3, proc.stderr
     raised_in = re.search(r"numeric failure: probe failure in pid (\d+)",

@@ -10,7 +10,8 @@ The Gaussian process is the standard noisy-interpolation posterior
     mu(a)     = k_A(a)^T (K_A + noise^2 I)^-1 y
     sigma2(a) = k(a, a) - k_A(a)^T (K_A + noise^2 I)^-1 k_A(a)
 
-computed through a Cholesky factorization of the regularized Gram matrix.
+computed through a Cholesky factorization of the regularized Gram matrix,
+solved over the whole grid once (:func:`gp_fit`) and then extended per sample.
 The kernel is Matern 3/2 with unit output scale, so prior variance is one
 everywhere and posterior variances live in ``[0, 1]``. Every sample and
 query, and every center of a kernel expansion, is a grid point, so every
@@ -170,17 +171,20 @@ class SampleSet:
 class GpPosterior:
     """Cholesky-form posterior for one measurement channel.
 
-    ``chol`` is the lower factor of ``K + noise^2 I`` over the samples, the
-    points ``indices`` of ``grid``, and ``weights`` solves ``(K + noise^2 I)
-    w = y``, so the posterior mean is the kernel expansion with ``weights``.
-    """
+    ``chol`` is the lower factor ``L`` of ``K + noise^2 I`` over the
+    samples, the points ``indices`` of ``grid``, and ``weights`` solves ``(K
+    + noise^2 I) w = y``, so the posterior mean is the kernel expansion with
+    ``weights``. ``v = L^-1 K(samples, grid)`` and the unclamped variance
+    ``1 - sum(v^2)``, shared by channels on one sample set, cover the grid."""
     kernel: KernelConfig
     noise_std: float
     grid: GridDomain = field(repr=False)
     indices: tuple
     gram: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    var: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False, default=None)
 
     @property
     def num_samples(self) -> int:
@@ -203,17 +207,35 @@ def _chol_with_jitter(a: np.ndarray) -> np.ndarray:
 
 def gp_fit(samples: SampleSet, i: int, noise_std: float,
            cfg: KernelConfig) -> GpPosterior:
-    """Fit the posterior of channel ``i`` to the current samples.
-
-    An empty sample set yields the prior (zero mean, unit variance).
-    """
+    """Fit the posterior of channel ``i`` to the current samples, with one
+    solve over the grid; no samples yield the prior (zero mean, unit
+    variance)."""
     if not noise_std > 0:
         raise ValueError("noise_std must be positive")
-    gram = kernel_block(samples.grid, cfg, samples.indices, samples.indices)
+    grid, idx = samples.grid, samples.indices
+    gram = kernel_block(grid, cfg, idx, idx)
     chol = _chol_with_jitter(gram + noise_std ** 2 * np.eye(len(samples)))
-    return with_targets(GpPosterior(cfg, float(noise_std), samples.grid,
-                                    samples.indices, gram, chol, None),
+    kq = kernel_block(grid, cfg, idx, np.arange(grid.num_points))
+    v = sla.solve_triangular(chol, kq, lower=True)
+    return with_targets(GpPosterior(cfg, float(noise_std), grid, idx, gram,
+                                    chol, v, 1.0 - np.sum(v * v, axis=0)),
                         samples.targets(i))
+
+
+def extend(post: GpPosterior, j: int) -> GpPosterior:
+    """``post`` with grid point ``j`` appended to its samples in O(N P), to
+    rounding :func:`gp_fit`'s: with ``l = v[:, j] = L^-1 k_A(j)`` and ``d =
+    sqrt(var_j + noise^2)``, ``L`` gains the row ``[l, d]`` and ``v`` the row
+    ``(k(j, .) - l^T v) / d``; the weights are unset (:func:`with_targets`)."""
+    j, n, grid, l = int(j), post.num_samples, post.grid, post.v[:, j]
+    d = math.sqrt(max(float(post.var[j]), 0.0) + post.noise_std ** 2)
+    chol = np.zeros((n + 1, n + 1))
+    chol[:n, :n], chol[n, :n], chol[n, n] = post.chol, l, d
+    k_j = kernel_block(grid, post.kernel, [j], np.arange(grid.num_points))[0]
+    row, idx = (k_j - l @ post.v) / d, post.indices + (j,)
+    return replace(post, indices=idx, chol=chol, weights=None,
+                   gram=kernel_block(grid, post.kernel, idx, idx),
+                   v=np.vstack([post.v, row]), var=post.var - row * row)
 
 
 def with_targets(post: GpPosterior, y) -> GpPosterior:
@@ -223,23 +245,21 @@ def with_targets(post: GpPosterior, y) -> GpPosterior:
                                                np.asarray(y, dtype=float)))
 
 
-def predictive(posteriors: dict, query):
-    """Posterior at the grid indices ``query`` of channels fitted on the
-    same samples, noise and kernel, which share the variance and ``v = L^-1
-    k_A(query)``: ``(means, var, v)`` with ``means`` keyed by channel,
-    ``var`` unclamped and one column of ``v`` per query point; ``k(x, y) -
-    v_x^T v_y`` is the posterior covariance between two query points. A
-    negative ``var`` is logged here, once for all the readers that clamp
+def predictive(posteriors: dict):
+    """Posterior at every grid point of channels fitted on the same samples,
+    noise and kernel: ``(means, var, v)``, means ``v^T L^T w`` keyed by
+    channel, read off the shared ``v`` with no solve, and ``var`` unclamped;
+    ``k(x, y) - v_x^T v_y`` is the posterior covariance of two grid points.
+    A negative ``var`` is logged here, once for all the readers that clamp
     it (the covariance integral and the confidence bounds)."""
     first, *rest = posteriors.values()
     if any(p.kernel != first.kernel or p.noise_std != first.noise_std
            or p.grid != first.grid or p.indices != first.indices
            for p in rest):
         raise ValueError("channels must share samples, noise and kernel")
-    kq = kernel_block(first.grid, first.kernel, first.indices, query)
-    v = sla.solve_triangular(first.chol, kq, lower=True)
-    means = {i: kq.T @ post.weights for i, post in posteriors.items()}
-    return means, _warn_negative(1.0 - np.sum(v * v, axis=0)), v
+    means = {i: (post.chol.T @ post.weights) @ post.v
+             for i, post in posteriors.items()}
+    return means, _warn_negative(first.var), first.v
 
 
 def _warn_negative(var: np.ndarray) -> np.ndarray:
@@ -283,12 +303,13 @@ def mean_rkhs_norm(post: GpPosterior) -> float:
 def reciprocal_cov_integral(var: np.ndarray, mask) -> float:
     """Reciprocal of the posterior variance integrated over a region.
 
-    ``var`` is the unclamped :func:`predictive` variance at the member
-    points of ``mask`` (a :class:`~pacsbo.subdomain.DomainMask`), and the
-    integral the midpoint Riemann sum of its clamp. Large values mean the
-    region is well explored.
+    ``var`` is the unclamped :func:`predictive` variance at every grid
+    point, and the integral the midpoint Riemann sum of its clamp over the
+    member points of ``mask`` (a :class:`~pacsbo.subdomain.DomainMask`).
+    Large values mean the region is well explored.
     """
-    total = float(np.sum(clamp_variance(var)) * mask.grid.cell_volume)
+    total = float(np.sum(clamp_variance(var[mask.member]))
+                  * mask.grid.cell_volume)
     if total <= 0:
         raise NumericError("variance integral vanished; cannot invert")
     return 1.0 / total

@@ -10,23 +10,26 @@ estimation. The predictor's training rollouts are baseline runs too, so
 every caller runs this loop.
 
 Both algorithms extend each region's per-channel norm traces at the start
-of each iteration, before the estimator reads them, and the run's history
-hands back the final traces. Training rollouts take one row per step from
-them, so the predictor sees online the trace lengths it was trained on.
+of each iteration, before the estimator reads them, and extend the start
+set's posterior by each sample. The run's history hands back the final
+traces and posterior; training rollouts take one row per step from them,
+so the predictor sees online the trace lengths it was trained on.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .kernel_gp import (
+    GpPosterior,
     GridDomain,
     KernelConfig,
     SampleSet,
+    extend,
     gp_fit,
     info_gain,
     predictive,
@@ -143,6 +146,7 @@ class RunHistory:
     samples: SampleSet = field(compare=False)  # the final set
     snapshots: dict = field(compare=False)  # iteration t -> Snapshot
     traces: dict = field(compare=False)  # the final LoopState.traces
+    posterior: GpPosterior = field(compare=False)  # the final, v dropped
 
     # every step has a candidate, so every run spends its budget; the
     # benchmark's safeopt2d workload still reads this constant
@@ -155,6 +159,7 @@ class RunHistory:
 @dataclass(frozen=True)
 class LoopState:
     samples: SampleSet
+    posterior: GpPosterior  # the reward channel's, on samples
     traces: dict  # (label, channel) -> tuple of (norm, r) pairs
     iteration: int
 
@@ -173,7 +178,8 @@ def _initial_state(cfg: RunConfig, truth: GroundTruth) -> LoopState:
                                  _measure(truth.values(int(s)),
                                           cfg.noise_std, rng))
     traces = {(label, i): () for label in PARTITION_ORDER for i in CHANNELS}
-    return LoopState(samples, traces, 0)
+    return LoopState(samples, gp_fit(samples, 0, cfg.noise_std, cfg.kernel),
+                     traces, 0)
 
 
 def _best_safe(samples: SampleSet) -> float:
@@ -198,23 +204,23 @@ def regions(cfg: RunConfig, samples: SampleSet) -> dict:
 def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     """One iteration of either algorithm: (state', record, snapshot).
 
-    One pass per region: its one ``predictive`` feeds its traces, its
-    bounds and its classification. The main loop estimates a bound per
-    region and channel from the region's one :class:`DrawPool`; the
-    baseline builds no pool and uses its fixed bound everywhere. ``select``
-    then picks among the classified regions.
+    One grid-wide ``predictive``, then one pass per region over its members
+    for its traces, bounds and classification. The main loop estimates a
+    bound per region and channel from the region's one :class:`DrawPool`;
+    the baseline builds no pool and uses its fixed bound everywhere.
+    ``select`` picks among the regions, and ``extend`` appends the choice.
     """
     t0 = time.monotonic()
     masks = regions(cfg, state.samples)
-    reward = gp_fit(state.samples, 0, cfg.noise_std, cfg.kernel)
-    posteriors = {0: reward, 1: with_targets(reward, state.samples.targets(1))}
-    gamma = info_gain(reward)  # the channels share their Cholesky factor
+    posteriors = {i: with_targets(state.posterior, state.samples.targets(i))
+                  for i in CHANNELS}
+    pred = predictive(posteriors)
+    gamma = info_gain(state.posterior)  # the channels share their factor
     delta = cfg.delta / (len(masks) * len(CHANNELS))
     fixed = (PacResult(cfg.fixed_bound, 0, 0.0, 0.0, False)
              if cfg.algorithm == "safeopt" else None)
     traces, states, stats = dict(state.traces), {}, {}
     for p_idx, (label, mask) in enumerate(masks.items()):
-        pred = predictive(posteriors, mask.indices())
         r = reciprocal_cov_integral(pred[1], mask)
         pool = None if fixed else DrawPool(
             state.samples, CHANNELS, cfg.noise_std, cfg.kernel, mask,
@@ -243,10 +249,10 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     record = IterationRecord(state.iteration, choice, label, measured, stats,
                              _best_safe(samples), unsafe,
                              time.monotonic() - t0)
-    # the last region, global in both modes, covers the grid in order
     snapshot = Snapshot(pred[0][0], state.samples.indices,
                         {lab: st.field for lab, st in states.items()})
-    return LoopState(samples, traces, state.iteration + 1), record, snapshot
+    return (LoopState(samples, extend(posteriors[0], choice), traces,
+                      state.iteration + 1), record, snapshot)
 
 
 def run(cfg: RunConfig, truth: GroundTruth,
@@ -262,4 +268,5 @@ def run(cfg: RunConfig, truth: GroundTruth,
         records.append(record)
         if t in wanted:
             snapshots[t] = snapshot
-    return RunHistory(tuple(records), state.samples, snapshots, state.traces)
+    return RunHistory(tuple(records), state.samples, snapshots, state.traces,
+                      replace(state.posterior, v=None))

@@ -71,18 +71,13 @@ class ConfidenceField:
 
 def confidence_bounds(pred, betas: dict, mask: DomainMask) -> ConfidenceField:
     """l = mu - sqrt(beta)*sigma and u = mu + sqrt(beta)*sigma on the mask,
-    from ``pred``, the ``predictive`` over the mask's points in order."""
+    from ``pred``, the grid-wide ``predictive``."""
     means, var, _ = pred
     if set(means) != set(betas):
         raise ValueError("posteriors and betas must cover the same channels")
     sd = np.sqrt(clamp_variance(var))
-    lower, upper = {}, {}
-    for i, mean in means.items():
-        half = betas[i] * sd
-        lower[i] = np.full(mask.grid.num_points, np.nan)
-        upper[i] = np.full(mask.grid.num_points, np.nan)
-        lower[i][mask.member] = mean - half
-        upper[i][mask.member] = mean + half
+    lower, upper = ({i: np.where(mask.member, mean + s * betas[i] * sd, np.nan)
+                     for i, mean in means.items()} for s in (-1.0, 1.0))
     return ConfidenceField(dict(betas), lower, upper)
 
 
@@ -130,7 +125,7 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
     observation at its upper bound u(a, i), in closed form and for a block
     of candidates at once (:func:`observation_update`); a point outside the
     safe set that gets nonnegative lower bounds on all channels makes a an
-    expander. Their posteriors are columns of ``pred`` (see
+    expander. Their posteriors are the grid-index columns of ``pred`` (see
     :func:`confidence_bounds`); ``posteriors`` give kernel and noise. With
     ``exact=True`` all safe points are tested, not only boundary ones.
     """
@@ -141,20 +136,19 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
         return g
     post = next(iter(posteriors.values()))
     means, var, v = pred
-    idx = mask.indices()
-    out = np.flatnonzero(outside[idx])
-    out_idx, v_q = idx[out], v[:, out]
+    out = np.flatnonzero(outside)
+    v_q, var_q = v[:, out], var[out]
+    mean_q = {i: means[i][out] for i in constraints}
     candidates = np.flatnonzero(safe if exact
                                 else _boundary_candidates(safe, mask))
     for start in range(0, len(candidates), _BLOCK):
         block = candidates[start:start + _BLOCK]
-        cols = np.searchsorted(idx, block)
-        k_n = (kernel_block(mask.grid, post.kernel, block, out_idx)
-               - v[:, cols].T @ v_q)
+        k_n = (kernel_block(mask.grid, post.kernel, block, out)
+               - v[:, block].T @ v_q)
         newly_safe = np.ones((len(block), len(out)), dtype=bool)
         for i in constraints:
             mean, var_n = observation_update(
-                means[i][out], var[out], means[i][cols], var[cols], k_n,
+                mean_q[i], var_q, means[i][block], var[block], k_n,
                 field.upper[i][block], post.noise_std)
             newly_safe &= mean - field.betas[i] * np.sqrt(var_n) >= 0.0
         g[block] = np.any(newly_safe, axis=1)
@@ -184,8 +178,8 @@ def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
                   seed_indices, exact_expanders: bool = False,
                   pred=None) -> SafeOptState:
     """Classify the masked grid for the current posteriors and bounds; one
-    posterior over the mask (``pred`` if given) feeds bounds and expanders."""
-    pred = predictive(posteriors, mask.indices()) if pred is None else pred
+    grid-wide posterior (``pred`` if given) feeds bounds and expanders."""
+    pred = predictive(posteriors) if pred is None else pred
     field = confidence_bounds(pred, betas, mask)
     safe = safe_set(field, seed_indices, mask)
     m = maximizers(field, safe)

@@ -48,8 +48,9 @@ def reference_norm(f):
 def mean_and_variance(post, query):
     """One channel's posterior mean and clamped variance at the grid
     indices ``query``."""
-    means, var, _ = predictive({0: post}, query)
-    return means[0], clamp_variance(var)
+    query = np.asarray(query, dtype=np.intp)
+    means, var, _ = predictive({0: post})
+    return means[0][query], clamp_variance(var[query])
 
 
 def constant_predictor(value, input_len=100):

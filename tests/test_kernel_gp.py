@@ -12,6 +12,7 @@ from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
     SampleSet,
+    extend,
     gp_fit,
     info_gain,
     lattice_table,
@@ -167,7 +168,7 @@ def test_prior_posterior():
     assert np.all(mean == 0.0) and np.all(var == 1.0)
     assert info_gain(post) == 0.0
     mask = global_mask(grid)
-    var = predictive({0: post}, mask.indices())[1]
+    var = predictive({0: post})[1]
     assert reciprocal_cov_integral(var, mask) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         mean_rkhs_norm(post)
@@ -231,7 +232,7 @@ def test_observation_update_matches_full_refit():
         post = gp_fit(s, 0, 0.05, CFG)
         new_idx = np.array([30, 0, int(idx[0]), 59])
         values = np.array([0.7, -1.2, 2.0, 0.0])
-        means, var_q, v = predictive({0: post}, np.arange(grid.num_points))
+        means, var_q, v = predictive({0: post})
         mean_q = means[0]
         k_n = (kernel_matrix(grid.points[new_idx], grid.points, CFG)
                - v[:, new_idx].T @ v)
@@ -253,16 +254,16 @@ def two_channel_posteriors(grid, idx, noise=0.05, cfg=CFG, seed=0):
 
 
 def test_a_negative_variance_logs_once_for_both_clamps(caplog):
-    """A region's one ``predictive`` variance is clamped twice, by the
+    """A step's one ``predictive`` variance is clamped twice, by the
     covariance integral and by the confidence bounds; a value below the
     dust level logs one warning, not one per clamp."""
     grid = GridDomain.uniform(30)
     post = gp_fit(make_samples(grid, (4, 12, 20), [0.1, 0.3, -0.2]), 0,
                   0.01, CFG)
-    broken = replace(post, chol=0.5 * post.chol)  # var = 1 - 4 |v|^2
+    broken = replace(post, var=1.0 - 4.0 * (1.0 - post.var))  # 1 - 4 |v|^2
     mask = global_mask(grid)
     caplog.set_level(logging.WARNING, logger="pacsbo.kernel_gp")
-    pred = predictive({0: broken}, mask.indices())
+    pred = predictive({0: broken})
     assert pred[1].min() < -1.0
     reciprocal_cov_integral(pred[1], mask)
     confidence_bounds(pred, {0: 2.0}, mask)
@@ -271,18 +272,20 @@ def test_a_negative_variance_logs_once_for_both_clamps(caplog):
 
 
 def test_predictive_columns_of_a_subset():
-    """Reading columns from a mask-wide predictive is predicting over the
-    subset: the solve and the variance are bitwise equal, column by column,
-    for subsets of two or more points. The means agree to rounding only;
-    gemv's rounding of one output depends on its position in the vector."""
+    """Reading columns from the grid-wide predictive is predicting over the
+    subset alone: the solve and the variance are bitwise equal, column by
+    column, for subsets of two or more points. The means agree to rounding
+    only; gemv's rounding of one output depends on its position in the
+    vector."""
     rng = np.random.default_rng(17)
     grid = GridDomain.uniform((50, 50))
     idx = rng.choice(grid.num_points, size=40, replace=False)
     posteriors = two_channel_posteriors(grid, idx)
-    means, var, v = predictive(posteriors, np.arange(grid.num_points))
+    means, var, v = predictive(posteriors)
     for size in (2, 5, 32, 700):
         sub = np.sort(rng.choice(grid.num_points, size=size, replace=False))
-        means_s, var_s, v_s = predictive(posteriors, sub)
+        means_s, var_s, v_s = block_predictive(posteriors,
+                                               table_block(grid, idx, sub))
         np.testing.assert_array_equal(v[:, sub], v_s)
         np.testing.assert_array_equal(var[sub], var_s)
         for i in posteriors:
@@ -297,13 +300,12 @@ def test_predictive_rejects_channels_fitted_differently():
     noisier = two_channel_posteriors(grid, [3, 10, 20], noise=0.1)
     wider = two_channel_posteriors(grid, [3, 10, 20],
                                    cfg=KernelConfig(lengthscale=0.2))
-    every = np.arange(grid.num_points)
     for other in (moved, noisier, wider):
         with pytest.raises(ValueError):
-            predictive({0: posteriors[0], 1: other[1]}, every)
+            predictive({0: posteriors[0], 1: other[1]})
     # equal fits need not be the same objects
     twin = two_channel_posteriors(grid, [3, 10, 20], seed=1)
-    predictive({0: posteriors[0], 1: twin[1]}, every)
+    predictive({0: posteriors[0], 1: twin[1]})
 
 
 def test_reciprocal_cov_integral_three_point_grid():
@@ -311,8 +313,7 @@ def test_reciprocal_cov_integral_three_point_grid():
     s = make_samples(grid, [1], [0.0])
     post = gp_fit(s, 0, 0.1, CFG)
     mask = global_mask(grid)
-    r = reciprocal_cov_integral(predictive({0: post}, mask.indices())[1],
-                                mask)
+    r = reciprocal_cov_integral(predictive({0: post})[1], mask)
     assert r == pytest.approx(THREE_PT_RECIPROCAL, abs=1e-10)
     # an empty region or one of the wrong length is no mask at all
     with pytest.raises(ValueError, match="empty"):
@@ -330,8 +331,7 @@ def test_reciprocal_cov_integral_grows_with_data():
     r_prev = 0.0
     for n in (2, 5, 10):
         post = gp_fit(make_samples(grid, idx[:n], y[:n]), 0, 0.05, CFG)
-        r = reciprocal_cov_integral(predictive({0: post}, mask.indices())[1],
-                                    mask)
+        r = reciprocal_cov_integral(predictive({0: post})[1], mask)
         assert r > r_prev
         r_prev = r
 
@@ -370,11 +370,12 @@ def table_block(grid, rows, cols):
 
 
 def block_predictive(posteriors, kq):
-    """``predictive`` from its kernel block ``kq`` of sample rows and query
-    columns."""
+    """``predictive`` from the kernel block ``kq`` of sample rows and query
+    columns: ``v`` solved on it, the means ``v^T L^T w``."""
     first = next(iter(posteriors.values()))
     v = sla.solve_triangular(first.chol, kq, lower=True)
-    means = {i: kq.T @ post.weights for i, post in posteriors.items()}
+    means = {i: (post.chol.T @ post.weights) @ v
+             for i, post in posteriors.items()}
     return means, 1.0 - np.sum(v * v, axis=0), v
 
 
@@ -389,26 +390,33 @@ def clustered_posteriors(resolution, n, seed=0):
 
 @pytest.mark.parametrize("resolution", [100, (50, 50)])
 def test_predictive_equals_the_coordinate_reference_bitwise(resolution):
-    """``predictive`` equals the posterior built on a table gather bitwise,
-    and that gather the coordinate kernel block to a few ulps."""
+    """``predictive`` of a fit equals the posterior built on a table gather
+    over the grid bitwise, and that gather the coordinate kernel block to a
+    few ulps; each region reads its members from it."""
     for n in (3, 12, 40):
         grid, posteriors = clustered_posteriors(resolution, n)
         rows = list(posteriors[0].indices)
+        every = np.arange(grid.num_points)
+        kq = table_block(grid, rows, every)
+        np.testing.assert_allclose(
+            kq, kernel_matrix(grid.points[rows], grid.points, CFG),
+            rtol=1e-13, atol=0)
+        got = predictive(posteriors)
+        want = block_predictive(posteriors, kq)
+        for i in posteriors:
+            np.testing.assert_array_equal(got[0][i], want[0][i])
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
         samples = SampleSet(grid, rows, {i: np.zeros(n) for i in (0, 1)})
         masks = partition_masks(samples)
         assert masks[0].member.sum() < masks[1].member.sum() < grid.num_points
+        pred = predictive(posteriors)
         for mask in masks:
-            query = mask.indices()
-            kq = table_block(grid, rows, query)
-            np.testing.assert_allclose(
-                kq, kernel_matrix(grid.points[rows], grid.points[query], CFG),
-                rtol=1e-13, atol=0)
-            got = predictive(posteriors, query)
-            want = block_predictive(posteriors, kq)
-            for i in posteriors:
-                np.testing.assert_array_equal(got[0][i], want[0][i])
-            np.testing.assert_array_equal(got[1], want[1])
-            np.testing.assert_array_equal(got[2], want[2])
+            field = confidence_bounds(pred, {0: 2.0, 1: 2.0}, mask)
+            sd = np.sqrt(np.clip(want[1], 0.0, 1.0))[mask.member]
+            np.testing.assert_array_equal(field.lower[0][mask.member],
+                                          want[0][0][mask.member] - 2.0 * sd)
+            assert np.isnan(field.lower[0][~mask.member]).all()
 
 
 def test_one_factorization_serves_both_channels_bitwise():
@@ -444,3 +452,54 @@ def test_gram_gathered_from_memo_rows_keeps_the_norm(resolution):
             gram, kernel_matrix(grid.points[idx], grid.points[idx], CFG),
             rtol=1e-13, atol=0)
         assert mean_rkhs_norm(replace(post, gram=gram)) == mean_rkhs_norm(post)
+
+
+def test_extend_agrees_with_gp_fit_and_the_dense_oracle():
+    """A 3-point start set extended 40 times, every tenth time by a point it
+    already holds, as the loop does: after each step the factor, ``v``,
+    means and variance agree with :func:`gp_fit` on the same samples to
+    1e-12 relative, and with the dense-solve oracle of criterion 1 to 1e-8.
+    The weights solve a system of condition up to N / noise^2, so they
+    agree to that condition times the unit roundoff, the forward-error
+    bound of any backward-stable solve, and the norm read from them to
+    1e-12."""
+    grid, noise = GridDomain.uniform((50, 50)), 0.01
+    rng = np.random.default_rng(0)
+    truth = np.sin(6.0 * grid.points[:, 0]) * np.cos(4.0 * grid.points[:, 1])
+
+    def measure(s, j):
+        eps = noise * rng.normal(size=2)
+        return s.append(j, {0: truth[j] + eps[0], 1: truth[j] - 0.2 + eps[1]})
+
+    s = SampleSet(grid, (), {0: (), 1: ()})
+    for j in rng.choice(grid.num_points, size=3, replace=False):
+        s = measure(s, int(j))
+    post = gp_fit(s, 0, noise, CFG)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    repeats = 0
+    for k in range(40):
+        j = (s.indices[k % len(s)] if k % 10 == 9
+             else int(rng.integers(grid.num_points)))
+        repeats += j in s.indices
+        post, s = extend(post, j), measure(s, j)
+        assert post.indices == s.indices and post.weights is None
+        got, ref = with_targets(post, s.targets(0)), gp_fit(s, 0, noise, CFG)
+        (means, var, v), (means_r, var_r, v_r) = (predictive({0: got}),
+                                                  predictive({0: ref}))
+        assert rel(got.chol, ref.chol) <= 1e-12
+        assert rel(v, v_r) <= 1e-12
+        assert rel(means[0], means_r[0]) <= 1e-12
+        assert rel(var, var_r) <= 1e-12
+        np.testing.assert_array_equal(got.gram, ref.gram)
+        cond = np.linalg.cond(ref.gram + noise ** 2 * np.eye(len(s)))
+        assert rel(got.weights, ref.weights) <= cond * np.finfo(float).eps
+        assert mean_rkhs_norm(got) == pytest.approx(mean_rkhs_norm(ref),
+                                                    rel=1e-12)
+        oracle = dense_posterior(s.params, s.targets(0), noise, CFG,
+                                 grid.points)
+        for mine, dense in zip((means[0], var), oracle):
+            assert np.max(np.abs(mine - dense) / (1.0 + np.abs(dense))) <= 1e-8
+    assert repeats == 4

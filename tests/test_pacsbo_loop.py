@@ -16,9 +16,11 @@ from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
     SampleSet,
+    extend,
     gp_fit,
     info_gain,
     predictive,
+    with_targets,
 )
 from pacsbo.pac_estimator import (
     F_SAFETY,
@@ -274,11 +276,20 @@ class TestPacsboRun:
             assert rec.best_safe_reward == pytest.approx(
                 rewards[ok].max(), abs=0)
 
-    def replay_states(self, samples, rec):
+    def replay_posteriors(self):
+        """Reward posteriors as the loop carries them into each iteration:
+        the start set fitted once, then extended by each chosen point."""
+        post = gp_fit(self.replay_samples()[0], 0, self.cfg.noise_std, KER)
+        out = [post]
+        for rec in self.hist.records:
+            post = extend(post, rec.chosen)
+            out.append(post)
+        return out
+
+    def replay_states(self, samples, post, rec):
         """Posteriors and per-region states of one iteration, classified
-        again from its recorded bounds."""
-        posts = {i: gp_fit(samples, i, self.cfg.noise_std, KER)
-                 for i in CHANNELS}
+        again from the carried reward posterior and the recorded bounds."""
+        posts = {i: with_targets(post, samples.targets(i)) for i in CHANNELS}
         states = {}
         for label, mask in zip(PARTITION_ORDER, partition_masks(samples)):
             results = rec.partitions[label].results
@@ -293,9 +304,9 @@ class TestPacsboRun:
         """Replaying each iteration's classification from the recorded
         bounds must find the evaluated point among that partition's
         candidates, with the acquisition rule picking exactly it."""
-        prefixes = self.replay_samples()
+        prefixes, carried = self.replay_samples(), self.replay_posteriors()
         for t, rec in enumerate(self.hist.records):
-            _, states = self.replay_states(prefixes[t], rec)
+            _, states = self.replay_states(prefixes[t], carried[t], rec)
             picks = {}
             for label, st in states.items():
                 st_rec = rec.partitions[label]
@@ -316,14 +327,13 @@ class TestPacsboRun:
         grid and the per-region reward bounds of the step that chose sample
         t, bit for bit (NaN included) as a replay from the recorded bounds
         gives them."""
-        prefixes = self.replay_samples()
+        prefixes, carried = self.replay_samples(), self.replay_posteriors()
         assert sorted(self.hist.snapshots) == [1, 2, 3]
-        every = np.arange(self.grid.num_points)
         for t, snap in self.hist.snapshots.items():
             samples, rec = prefixes[t - 1], self.hist.records[t - 1]
-            posts, states = self.replay_states(samples, rec)
+            posts, states = self.replay_states(samples, carried[t - 1], rec)
             assert snap.sampled == samples.indices
-            mean = predictive({0: posts[0]}, every)[0][0]
+            mean = predictive({0: posts[0]})[0][0]
             assert snap.reward_mean.tobytes() == mean.tobytes()
             assert list(snap.fields) == list(states)
             for label, st in states.items():
@@ -331,6 +341,10 @@ class TestPacsboRun:
                 assert got.lower[0].tobytes() == st.field.lower[0].tobytes()
                 assert got.upper[0].tobytes() == st.field.upper[0].tobytes()
         assert self.hist.samples.indices == prefixes[-1].indices
+        final = self.hist.posterior
+        assert final.indices == prefixes[-1].indices and final.v is None
+        assert final.chol.tobytes() == carried[-1].chol.tobytes()
+        assert final.var.tobytes() == carried[-1].var.tobytes()
         for i in CHANNELS:
             assert (self.hist.samples.targets(i).tobytes()
                     == prefixes[-1].targets(i).tobytes())
@@ -354,9 +368,9 @@ def test_global_trace_r_nondecreasing():
 
 
 @pytest.mark.parametrize("algorithm", ["pacsbo", "safeopt"])
-def test_one_predictive_per_region_and_step(monkeypatch, algorithm):
-    # one posterior over each region serves its covariance integral, its
-    # confidence bounds and its expander test
+def test_one_predictive_per_step(monkeypatch, algorithm):
+    # one grid-wide posterior per step serves every region's covariance
+    # integral, confidence bounds and expander test
     grid = GridDomain.uniform(25)
     truth, s0 = make_truth(grid, seed=4)
     cfg = pacsbo_config(grid, s0, budget=3, seed=6)
@@ -364,19 +378,15 @@ def test_one_predictive_per_region_and_step(monkeypatch, algorithm):
         cfg = replace(cfg, algorithm="safeopt", fixed_bound=1.0)
     calls = []
 
-    def counting(posteriors, query):
-        calls.append(len(query))
-        return predictive(posteriors, query)
+    def counting(posteriors):
+        calls.append(tuple(posteriors))
+        return predictive(posteriors)
 
     for mod in (kernel_mod, loop_mod, core_mod):
         monkeypatch.setattr(mod, "predictive", counting, raising=False)
     hist = run(cfg, truth)
     assert len(hist.records) == cfg.budget
-    samples, expected = _initial_state(cfg, truth).samples, []
-    for rec in hist.records:
-        expected += [m.count for m in loop_mod.regions(cfg, samples).values()]
-        samples = samples.append(rec.chosen, rec.measured)
-    assert calls == expected
+    assert calls == [CHANNELS] * cfg.budget
 
 
 @pytest.mark.parametrize("res, algorithm", [(30, "pacsbo"),
@@ -492,12 +502,12 @@ def test_history_helpers():
                             {"global": PartitionStats(dict(fixed), 1, 1, 0)},
                             1.0, False, 99.0)
     assert rec == other  # wall time never affects history comparison
-    hist = RunHistory((rec,), None, {}, {})
+    hist = RunHistory((rec,), None, {}, {}, None)
     assert len(hist.records) == 1 and not hist.any_unsafe()
     assert hist.status == "completed"  # every run spends its budget
     unsafe = IterationRecord(1, 4, "tilde", {0: 0.1, 1: -0.2},
                              rec.partitions, 1.0, True, 0.0)
-    assert RunHistory((rec, unsafe), None, {}, {}).any_unsafe()
+    assert RunHistory((rec, unsafe), None, {}, {}, None).any_unsafe()
 
 
 def test_history_rows_condense_each_regions_results():

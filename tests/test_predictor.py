@@ -13,6 +13,7 @@ from pacsbo.kernel_gp import (
     GridDomain,
     KernelConfig,
     SampleSet,
+    extend,
     gp_fit,
     mean_rkhs_norm,
     predictive,
@@ -36,8 +37,7 @@ from pacsbo.subdomain import global_mask
 
 def cov_integral(post, mask):
     """Reciprocal covariance integral of ``post`` over ``mask``."""
-    var = predictive({0: post}, mask.indices())[1]
-    return reciprocal_cov_integral(var, mask)
+    return reciprocal_cov_integral(predictive({0: post})[1], mask)
 
 
 def test_append_preserves_order():
@@ -203,10 +203,11 @@ def test_rollout_determinism():
 
 
 def test_rollout_fits_each_sample_set_and_channel_once(monkeypatch):
-    # the loop factorizes each step's first 1..T samples once, for the
-    # reward, and derives the constraint channel from that factor; the
-    # trace reuses its reward fits and adds one on all T + 1 samples
-    fits, derived = [], []
+    # the loop factorizes its start set once, for the reward, and extends
+    # that factor by each step's sample; every step derives both channels
+    # from it, and the trace's closing pair derives the reward from the
+    # run's final posterior on all T + 1 samples
+    fits, derived, extended = [], [], []
 
     def counting(samples, i, *args):
         fits.append((len(samples), i))
@@ -216,13 +217,19 @@ def test_rollout_fits_each_sample_set_and_channel_once(monkeypatch):
         derived.append(post.num_samples)
         return with_targets(post, y)
 
+    def extending(post, j):
+        extended.append(post.num_samples)
+        return extend(post, j)
+
     monkeypatch.setattr(loop_mod, "gp_fit", counting)
     monkeypatch.setattr(loop_mod, "with_targets", deriving)
-    monkeypatch.setattr(predictor_mod, "gp_fit", counting)
+    monkeypatch.setattr(loop_mod, "extend", extending)
+    monkeypatch.setattr(predictor_mod, "with_targets", deriving)
     data = generate_training_data(1, 10, seed=3)
     assert data.rows == 10
-    assert fits == [(n, 0) for n in range(1, 12)]
-    assert derived == list(range(1, 11))
+    assert fits == [(1, 0)]
+    assert extended == list(range(1, 11))
+    assert derived == [n for n in range(1, 11) for _ in (0, 1)] + [11]
 
 
 def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):
@@ -254,11 +261,15 @@ def test_rollouts_are_fixed_bound_loop_runs(monkeypatch):
             # the loop's truncated noise stays within two scales
             err = np.abs(samples.targets(i) - exact[:, i])
             assert (err <= 2 * NOISE * (1 + 1e-9)).all()
+        # the loop's posteriors: the seed fitted, then extended per sample
         trace, refits = (), []
+        start = SampleSet(TRAIN_GRID, samples.indices[:1],
+                          {i: samples.targets(i)[:1] for i in (0, 1)})
+        post = gp_fit(start, 0, NOISE, TRAIN_KERNEL)
         for t in range(1, len(samples) + 1):
-            first = SampleSet(TRAIN_GRID, samples.indices[:t],
-                              {i: samples.targets(i)[:t] for i in (0, 1)})
-            post = gp_fit(first, 0, NOISE, TRAIN_KERNEL)
+            if t > 1:
+                post = extend(post, samples.indices[t - 1])
+            post = with_targets(post, samples.targets(0)[:t])
             r = cov_integral(post, mask)
             refits.append((mean_rkhs_norm(post), r))
             if t >= 2:

@@ -49,10 +49,6 @@ def fit_two_channels(grid, indices, values, noise=0.01, lengthscale=0.1):
     }
 
 
-def mask_predictive(posteriors, mask):
-    return predictive(posteriors, mask.indices())
-
-
 def test_beta_scale_frozen_value():
     assert beta_scale(2.0, 0.1, 0.0, 0.1) == pytest.approx(BETA_2_01_0_01, abs=1e-15)
 
@@ -86,8 +82,7 @@ def test_prior_bounds_are_plus_minus_one():
     kernel = KernelConfig()
     posteriors = {0: gp_fit(samples, 0, 0.01, kernel),
                   1: gp_fit(samples, 1, 0.01, kernel)}
-    field = confidence_bounds(mask_predictive(posteriors, mask),
-                              {0: 1.0, 1: 1.0}, mask)
+    field = confidence_bounds(predictive(posteriors), {0: 1.0, 1: 1.0}, mask)
     np.testing.assert_allclose(field.lower[0], -1.0, atol=1e-12)
     np.testing.assert_allclose(field.upper[1], 1.0, atol=1e-12)
 
@@ -96,7 +91,7 @@ def test_bound_width_scales_with_beta():
     grid = GridDomain.uniform(40)
     mask = global_mask(grid)
     _, posteriors = fit_two_channels(grid, [10, 30], [0.5, -0.2])
-    pred = mask_predictive(posteriors, mask)
+    pred = predictive(posteriors)
     one = confidence_bounds(pred, {0: 1.0, 1: 1.0}, mask)
     two = confidence_bounds(pred, {0: 2.0, 1: 2.0}, mask)
     np.testing.assert_allclose(two.width(0), 2.0 * one.width(0), atol=1e-12)
@@ -232,7 +227,7 @@ def test_three_point_expander_hand_case():
                                            lengthscale=1.0)
     mask = global_mask(grid)
     betas = {0: 1.0, 1: 1.0}
-    pred = mask_predictive(posteriors, mask)
+    pred = predictive(posteriors)
     field = confidence_bounds(pred, betas, mask)
     assert field.lower[1][0] == pytest.approx(0.93991, abs=2e-3)
     assert field.lower[1][1] == pytest.approx(0.378, abs=2e-3)
@@ -249,7 +244,7 @@ def test_expanders_empty_when_everything_safe():
     grid = GridDomain.uniform(6)
     _, posteriors = fit_two_channels(grid, [2], [0.9], lengthscale=1.0)
     mask = global_mask(grid)
-    pred = mask_predictive(posteriors, mask)
+    pred = predictive(posteriors)
     field = confidence_bounds(pred, {0: 0.1, 1: 0.1}, mask)
     safe = safe_set(field, [2], mask)
     assert safe.all()
@@ -310,7 +305,7 @@ def test_expander_set_matches_refit_oracle():
                       for i in channels}
             posteriors = {i: fit_channel(grid, idx, values[i], noise, kernel)
                           for i in channels}
-            pred = mask_predictive(posteriors, mask)
+            pred = predictive(posteriors)
             field = confidence_bounds(pred, dict.fromkeys(channels, 1.0),
                                       mask)
             safe = safe_set(field, idx[:1], mask)
@@ -380,7 +375,7 @@ def test_boundary_candidate_filter_is_exact_on_its_candidates():
         _, posteriors = fit_two_channels(grid, idx, vals, 0.05,
                                          kernel.lengthscale)
         mask = global_mask(grid)
-        pred = mask_predictive(posteriors, mask)
+        pred = predictive(posteriors)
         field = confidence_bounds(pred, {0: 1.2, 1: 1.2}, mask)
         safe = safe_set(field, idx[:1], mask)
         exact = expanders(posteriors, pred, field, safe, mask, exact=True)
@@ -402,7 +397,7 @@ def test_safe_set_never_grows_with_larger_bound():
         samples, posteriors = fit_two_channels(grid, idx, vals)
         mask = global_mask(grid)
         gamma = info_gain(posteriors[1])
-        pred = mask_predictive(posteriors, mask)
+        pred = predictive(posteriors)
         prev = None
         for bound in (0.5, 1.0, 2.0, 5.0):
             beta = beta_scale(bound, 0.01, gamma, 0.1)
@@ -507,41 +502,42 @@ def state_digests(state):
 
 
 # SHA-256 prefixes of compute_state's outputs, recorded with every kernel
-# block gathered from the lattice table (the sets are those of the
-# per-channel implementation); any change in the arithmetic shows here
+# block gathered from the lattice table and the means read off the grid-wide
+# v as v^T L^T w (the sets are those of the per-channel implementation); any
+# change in the arithmetic shows here
 STATE_DIGESTS = {
     (1, False): {
-        "lower0": "e158a35f2e77833b",
-        "upper0": "bec3c17bd22d82ca",
-        "lower1": "7919fb92c32941fe",
-        "upper1": "88a121c9647cbe04",
+        "lower0": "b83a752a16b8de2a",
+        "upper0": "7f1077e25d4c8b08",
+        "lower1": "67403261f6c106ed",
+        "upper1": "87789299d2d68394",
         "safe": "80f6302e8c9d84ae",
         "maximizer_set": "b74db80356cf7075",
         "expander_set": "017b981198462832",
     },
     (1, True): {
-        "lower0": "e158a35f2e77833b",
-        "upper0": "bec3c17bd22d82ca",
-        "lower1": "7919fb92c32941fe",
-        "upper1": "88a121c9647cbe04",
+        "lower0": "b83a752a16b8de2a",
+        "upper0": "7f1077e25d4c8b08",
+        "lower1": "67403261f6c106ed",
+        "upper1": "87789299d2d68394",
         "safe": "80f6302e8c9d84ae",
         "maximizer_set": "b74db80356cf7075",
         "expander_set": "6546d0af8defab66",
     },
     (2, False): {
-        "lower0": "7fa45f7193c57a04",
-        "upper0": "cced09030dbfdebc",
-        "lower1": "25cfa72df7aaa640",
-        "upper1": "9e86d0cb67834ccd",
+        "lower0": "154f38e3a6859bf3",
+        "upper0": "5c49f2b63ae33cb0",
+        "lower1": "f3517c687a49558a",
+        "upper1": "d1546c895f24f069",
         "safe": "8538214365ac66c8",
         "maximizer_set": "170f1d89db7d3625",
         "expander_set": "d6b23afee25312ce",
     },
     (2, True): {
-        "lower0": "7fa45f7193c57a04",
-        "upper0": "cced09030dbfdebc",
-        "lower1": "25cfa72df7aaa640",
-        "upper1": "9e86d0cb67834ccd",
+        "lower0": "154f38e3a6859bf3",
+        "upper0": "5c49f2b63ae33cb0",
+        "lower1": "f3517c687a49558a",
+        "upper1": "d1546c895f24f069",
         "safe": "8538214365ac66c8",
         "maximizer_set": "170f1d89db7d3625",
         "expander_set": "96ca049ffdc7991e",
@@ -552,10 +548,10 @@ STATE_DIGESTS = {
 @pytest.mark.parametrize("dims", [1, 2])
 @pytest.mark.parametrize("exact", [False, True])
 def test_compute_state_outputs_pinned_bitwise(dims, exact):
-    # the loop hands in the region's posterior; the five-argument call
-    # (the benchmark's replay) predicts it
+    # the loop hands in the step's grid-wide posterior; the five-argument
+    # call (the benchmark's replay) predicts it
     posteriors, betas, mask, seed = digest_case(dims)
-    pred = mask_predictive(posteriors, mask)
+    pred = predictive(posteriors)
     for state in (compute_state(posteriors, betas, mask, seed, exact),
                   compute_state(posteriors, betas, mask, seed, exact, pred)):
         assert 0 < state.expander_set.sum() < state.safe.sum() < mask.count
@@ -570,7 +566,7 @@ def test_expander_blocks_equal_the_coordinate_reference_bitwise(
     reads its kernel block from the lattice table, bitwise, and that block
     is the one ``kernel_matrix`` builds on the coordinates to a few ulps."""
     posteriors, betas, mask, seed = digest_case(dims)
-    pred = mask_predictive(posteriors, mask)
+    pred = predictive(posteriors)
     field = confidence_bounds(pred, betas, mask)
     safe = safe_set(field, seed, mask)
     got, real = [], safeopt_core.observation_update
@@ -584,19 +580,17 @@ def test_expander_blocks_equal_the_coordinate_reference_bitwise(
 
     grid, kernel, v = mask.grid, posteriors[0].kernel, pred[2]
     table, code = lattice_table(grid, kernel)
-    idx = mask.indices()
-    out = np.flatnonzero((mask.member & ~safe)[idx])
+    out = np.flatnonzero(mask.member & ~safe)
     candidates = np.flatnonzero(safe if exact
                                 else _boundary_candidates(safe, mask))
     want = []
     for start in range(0, len(candidates), _BLOCK):
         block = candidates[start:start + _BLOCK]
-        cols = np.searchsorted(idx, block)
-        k = table[code[block][:, None] - code[idx[out]] + len(table) // 2]
+        k = table[code[block][:, None] - code[out] + len(table) // 2]
         np.testing.assert_allclose(
-            k, kernel_matrix(grid.points[block], grid.points[idx[out]],
-                             kernel), rtol=1e-13, atol=0)
-        want.append(k - v[:, cols].T @ v[:, out])
+            k, kernel_matrix(grid.points[block], grid.points[out], kernel),
+            rtol=1e-13, atol=0)
+        want.append(k - v[:, block].T @ v[:, out])
     assert len(got) == len(want) > 0
     for k_n, ref in zip(got, want):
         np.testing.assert_array_equal(k_n, ref)

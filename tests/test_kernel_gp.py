@@ -410,9 +410,8 @@ def test_predictive_equals_the_coordinate_reference_bitwise(resolution):
         samples = SampleSet(grid, rows, {i: np.zeros(n) for i in (0, 1)})
         masks = partition_masks(samples)
         assert masks[0].member.sum() < masks[1].member.sum() < grid.num_points
-        pred = predictive(posteriors)
         for mask in masks:
-            field = confidence_bounds(pred, {0: 2.0, 1: 2.0}, mask)
+            field = confidence_bounds(got, {0: 2.0, 1: 2.0}, mask)
             sd = np.sqrt(np.clip(want[1], 0.0, 1.0))[mask.member]
             np.testing.assert_array_equal(field.lower[0][mask.member],
                                           want[0][0][mask.member] - 2.0 * sd)

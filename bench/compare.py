@@ -9,7 +9,8 @@ process with one BLAS thread, one process at a time. The output holds:
   ``identical``, and the ``moved`` lines ``tree_diff.compare`` reports;
 * ``sampler``: one pool of ``DRAWS`` draws (set-up included) per mask of
   a 1-D and a 2-D set with 5 and 20 samples; draws/s is ``DRAWS / seconds``;
-* ``compute_state``: one call on the 50x50 grid's global mask with 10 and
+* ``compute_state``: the two channels' ``gp_fit`` (where the grid-wide
+  means are made) and one call on the 50x50 grid's global mask with 10 and
   40 samples, with boundary and with exact expander candidates;
 * ``whole_runs``: one ``pacsbo_loop.run`` per ``safeopt2d`` truth;
 * ``draws``: per tree and per ``DRAW_WORKLOADS`` workload, one seed-0
@@ -122,14 +123,14 @@ def state_cases():
         x = grid.points[idx].sum(axis=1)
         samples = SampleSet(grid, idx, {0: np.sin(6.0 * x),
                                         1: 1.0 + 0.3 * np.cos(4.0 * x)})
-        posteriors = {i: gp_fit(samples, i, noise, kernel) for i in (0, 1)}
-        betas = {i: beta_scale(1.0, noise, info_gain(post), 0.1)
-                 for i, post in posteriors.items()}
+        gamma = info_gain(gp_fit(samples, 0, noise, kernel))
+        betas = dict.fromkeys((0, 1), beta_scale(1.0, noise, gamma, 0.1))
         for exact in (False, True):
             yield (dict(case=f"2d global {'exact' if exact else 'boundary'}",
                         samples=n),
-                   lambda: compute_state(posteriors, betas, mask, idx[:1],
-                                         exact), read)
+                   lambda: compute_state(
+                       {i: gp_fit(samples, i, noise, kernel) for i in (0, 1)},
+                       betas, mask, idx[:1], exact), read)
 
 
 def run_cases():

@@ -174,8 +174,10 @@ class GpPosterior:
     ``chol`` is the lower factor ``L`` of ``K + noise^2 I`` over the
     samples, the points ``indices`` of ``grid``, and ``weights`` solves ``(K
     + noise^2 I) w = y``, so the posterior mean is the kernel expansion with
-    ``weights``. ``v = L^-1 K(samples, grid)`` and the unclamped variance
-    ``1 - sum(v^2)``, shared by channels on one sample set, cover the grid."""
+    ``weights``. ``v = L^-1 K(samples, grid)``, the unclamped variance ``1 -
+    sum(v^2)`` and ``mean = v^T L^T w`` cover the grid; ``k(x, y) - v_x^T
+    v_y`` is the posterior covariance of two grid points. Channels on one
+    sample set share all but ``weights`` and ``mean``."""
     kernel: KernelConfig
     noise_std: float
     grid: GridDomain = field(repr=False)
@@ -185,6 +187,7 @@ class GpPosterior:
     v: np.ndarray = field(repr=False)
     var: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False, default=None)
+    mean: np.ndarray = field(repr=False, default=None)
 
     @property
     def num_samples(self) -> int:
@@ -209,7 +212,8 @@ def gp_fit(samples: SampleSet, i: int, noise_std: float,
            cfg: KernelConfig) -> GpPosterior:
     """Fit the posterior of channel ``i`` to the current samples, with one
     solve over the grid; no samples yield the prior (zero mean, unit
-    variance)."""
+    variance). A negative variance is logged here, once for all the readers
+    that clamp it (the covariance integral and the confidence bounds)."""
     if not noise_std > 0:
         raise ValueError("noise_std must be positive")
     grid, idx = samples.grid, samples.indices
@@ -217,49 +221,36 @@ def gp_fit(samples: SampleSet, i: int, noise_std: float,
     chol = _chol_with_jitter(gram + noise_std ** 2 * np.eye(len(samples)))
     kq = kernel_block(grid, cfg, idx, np.arange(grid.num_points))
     v = sla.solve_triangular(chol, kq, lower=True)
+    var = _warn_negative(1.0 - np.sum(v * v, axis=0))
     return with_targets(GpPosterior(cfg, float(noise_std), grid, idx, gram,
-                                    chol, v, 1.0 - np.sum(v * v, axis=0)),
-                        samples.targets(i))
+                                    chol, v, var), samples.targets(i))
 
 
 def extend(post: GpPosterior, j: int) -> GpPosterior:
     """``post`` with grid point ``j`` appended to its samples in O(N P), to
     rounding :func:`gp_fit`'s: with ``l = v[:, j] = L^-1 k_A(j)`` and ``d =
     sqrt(var_j + noise^2)``, ``L`` gains the row ``[l, d]`` and ``v`` the row
-    ``(k(j, .) - l^T v) / d``; the weights are unset (:func:`with_targets`)."""
+    ``(k(j, .) - l^T v) / d``; weights and mean are unset
+    (:func:`with_targets`), and a negative variance is logged as in
+    :func:`gp_fit`."""
     j, n, grid, l = int(j), post.num_samples, post.grid, post.v[:, j]
     d = math.sqrt(max(float(post.var[j]), 0.0) + post.noise_std ** 2)
     chol = np.zeros((n + 1, n + 1))
     chol[:n, :n], chol[n, :n], chol[n, n] = post.chol, l, d
     k_j = kernel_block(grid, post.kernel, [j], np.arange(grid.num_points))[0]
     row, idx = (k_j - l @ post.v) / d, post.indices + (j,)
-    return replace(post, indices=idx, chol=chol, weights=None,
+    return replace(post, indices=idx, chol=chol, weights=None, mean=None,
                    gram=kernel_block(grid, post.kernel, idx, idx),
-                   v=np.vstack([post.v, row]), var=post.var - row * row)
+                   v=np.vstack([post.v, row]),
+                   var=_warn_negative(post.var - row * row))
 
 
 def with_targets(post: GpPosterior, y) -> GpPosterior:
-    """``post`` refitted to the targets ``y`` on its Gram and factor: equal
-    to :func:`gp_fit` of the channel that measured ``y``, bitwise."""
-    return replace(post, weights=sla.cho_solve((post.chol, True),
-                                               np.asarray(y, dtype=float)))
-
-
-def predictive(posteriors: dict):
-    """Posterior at every grid point of channels fitted on the same samples,
-    noise and kernel: ``(means, var, v)``, means ``v^T L^T w`` keyed by
-    channel, read off the shared ``v`` with no solve, and ``var`` unclamped;
-    ``k(x, y) - v_x^T v_y`` is the posterior covariance of two grid points.
-    A negative ``var`` is logged here, once for all the readers that clamp
-    it (the covariance integral and the confidence bounds)."""
-    first, *rest = posteriors.values()
-    if any(p.kernel != first.kernel or p.noise_std != first.noise_std
-           or p.grid != first.grid or p.indices != first.indices
-           for p in rest):
-        raise ValueError("channels must share samples, noise and kernel")
-    means = {i: (post.chol.T @ post.weights) @ post.v
-             for i, post in posteriors.items()}
-    return means, _warn_negative(first.var), first.v
+    """``post`` refitted to the targets ``y`` on its Gram and factor, with
+    its grid-wide mean ``v^T L^T w`` read off ``v`` with no solve: equal to
+    :func:`gp_fit` of the channel that measured ``y``, bitwise."""
+    w = sla.cho_solve((post.chol, True), np.asarray(y, dtype=float))
+    return replace(post, weights=w, mean=(post.chol.T @ w) @ post.v)
 
 
 def _warn_negative(var: np.ndarray) -> np.ndarray:
@@ -303,9 +294,9 @@ def mean_rkhs_norm(post: GpPosterior) -> float:
 def reciprocal_cov_integral(var: np.ndarray, mask) -> float:
     """Reciprocal of the posterior variance integrated over a region.
 
-    ``var`` is the unclamped :func:`predictive` variance at every grid
-    point, and the integral the midpoint Riemann sum of its clamp over the
-    member points of ``mask`` (a :class:`~pacsbo.subdomain.DomainMask`).
+    ``var`` is a posterior's unclamped variance at every grid point, and
+    the integral the midpoint Riemann sum of its clamp over the member
+    points of ``mask`` (a :class:`~pacsbo.subdomain.DomainMask`).
     Large values mean the region is well explored.
     """
     total = float(np.sum(clamp_variance(var[mask.member]))
@@ -317,7 +308,5 @@ def reciprocal_cov_integral(var: np.ndarray, mask) -> float:
 
 def info_gain(post: GpPosterior) -> float:
     """Mutual-information surrogate ``0.5 log det(I + K / noise^2)``."""
-    n = post.num_samples
-    if n == 0:
-        return 0.0
-    return float(np.sum(np.log(np.diag(post.chol))) - n * math.log(post.noise_std))
+    return float(np.sum(np.log(np.diag(post.chol)))
+                 - post.num_samples * math.log(post.noise_std))

@@ -32,7 +32,6 @@ from .kernel_gp import (
     extend,
     gp_fit,
     info_gain,
-    predictive,
     reciprocal_cov_integral,
     with_targets,
 )
@@ -146,7 +145,7 @@ class RunHistory:
     samples: SampleSet = field(compare=False)  # the final set
     snapshots: dict = field(compare=False)  # iteration t -> Snapshot
     traces: dict = field(compare=False)  # the final LoopState.traces
-    posterior: GpPosterior = field(compare=False)  # the final, v dropped
+    posterior: GpPosterior = field(compare=False)  # final reward fit, no v
 
     # every step has a candidate, so every run spends its budget; the
     # benchmark's safeopt2d workload still reads this constant
@@ -204,7 +203,8 @@ def regions(cfg: RunConfig, samples: SampleSet) -> dict:
 def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     """One iteration of either algorithm: (state', record, snapshot).
 
-    One grid-wide ``predictive``, then one pass per region over its members
+    Both channels are refitted on the carried posterior, and every region
+    reads their grid-wide means and variance in one pass over its members
     for its traces, bounds and classification. The main loop estimates a
     bound per region and channel from the region's one :class:`DrawPool`;
     the baseline builds no pool and uses its fixed bound everywhere.
@@ -214,14 +214,13 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     masks = regions(cfg, state.samples)
     posteriors = {i: with_targets(state.posterior, state.samples.targets(i))
                   for i in CHANNELS}
-    pred = predictive(posteriors)
     gamma = info_gain(state.posterior)  # the channels share their factor
     delta = cfg.delta / (len(masks) * len(CHANNELS))
     fixed = (PacResult(cfg.fixed_bound, 0, 0.0, 0.0, False)
              if cfg.algorithm == "safeopt" else None)
     traces, states, stats = dict(state.traces), {}, {}
     for p_idx, (label, mask) in enumerate(masks.items()):
-        r = reciprocal_cov_integral(pred[1], mask)
+        r = reciprocal_cov_integral(state.posterior.var, mask)
         pool = None if fixed else DrawPool(
             state.samples, CHANNELS, cfg.noise_std, cfg.kernel, mask,
             cfg.pac.sampler, (cfg.seed, "pac", state.iteration, p_idx))
@@ -234,8 +233,7 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
         betas = {i: beta_scale(results[i].bound, cfg.noise_std, gamma,
                                cfg.delta) for i in CHANNELS}
         st = states[label] = compute_state(posteriors, betas, mask,
-                                           cfg.s0_indices,
-                                           cfg.exact_expanders, pred)
+                                           cfg.s0_indices, cfg.exact_expanders)
         stats[label] = PartitionStats(results, int(st.safe.sum()),
                                       int(st.maximizer_set.sum()),
                                       int(st.expander_set.sum()))
@@ -249,7 +247,7 @@ def pacsbo_step(cfg: RunConfig, state: LoopState, truth: GroundTruth):
     record = IterationRecord(state.iteration, choice, label, measured, stats,
                              _best_safe(samples), unsafe,
                              time.monotonic() - t0)
-    snapshot = Snapshot(pred[0][0], state.samples.indices,
+    snapshot = Snapshot(posteriors[0].mean, state.samples.indices,
                         {lab: st.field for lab, st in states.items()})
     return (LoopState(samples, extend(posteriors[0], choice), traces,
                       state.iteration + 1), record, snapshot)
@@ -268,5 +266,6 @@ def run(cfg: RunConfig, truth: GroundTruth,
         records.append(record)
         if t in wanted:
             snapshots[t] = snapshot
+    final = with_targets(state.posterior, state.samples.targets(0))
     return RunHistory(tuple(records), state.samples, snapshots, state.traces,
-                      replace(state.posterior, v=None))
+                      replace(final, v=None))

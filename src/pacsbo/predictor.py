@@ -23,7 +23,6 @@ from .kernel_gp import (
     KernelConfig,
     mean_rkhs_norm,
     reciprocal_cov_integral,
-    with_targets,
 )
 from .rkhs_function import RkhsFunction, SamplerConfig, rkhs_norm, sample_random_function
 from .seeding import derive_rng
@@ -93,10 +92,9 @@ def _rollout(rho: RkhsFunction, steps: int, rng) -> list:
                         fixed_bound=bound, seed=int(rng.integers(2**63)))
     history = run(run_cfg, truth)
     # run pair t comes from the posterior on t samples; rows take 2..T + 1
-    final = with_targets(history.posterior, history.samples.targets(0))
+    final, mask = history.posterior, global_mask(rho.grid)
     trace = append_trace(history.traces["global", 0][1:], final,
-                         reciprocal_cov_integral(final.var,
-                                                 global_mask(rho.grid)))
+                         reciprocal_cov_integral(final.var, mask))
     return [(encode_trace(trace[:k], 2 * WINDOW), bound)
             for k in range(1, len(trace) + 1)]
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .kernel_gp import (clamp_variance, kernel_block, observation_update,
-                        predictive)
+from .kernel_gp import clamp_variance, kernel_block, observation_update
 from .subdomain import DomainMask, cross_dilation
 
 # candidates per closed-form update in :func:`expanders`
@@ -69,15 +68,22 @@ class ConfidenceField:
         return self.upper[i] - self.lower[i]
 
 
-def confidence_bounds(pred, betas: dict, mask: DomainMask) -> ConfidenceField:
+def confidence_bounds(posteriors: dict, betas: dict,
+                      mask: DomainMask) -> ConfidenceField:
     """l = mu - sqrt(beta)*sigma and u = mu + sqrt(beta)*sigma on the mask,
-    from ``pred``, the grid-wide ``predictive``."""
-    means, var, _ = pred
-    if set(means) != set(betas):
+    from the grid-wide means of ``posteriors``, channels fitted on the same
+    samples, noise and kernel, and their shared variance."""
+    first, *rest = posteriors.values()
+    if any(p.kernel != first.kernel or p.noise_std != first.noise_std
+           or p.grid != first.grid or p.indices != first.indices
+           for p in rest):
+        raise ValueError("channels must share samples, noise and kernel")
+    if set(posteriors) != set(betas):
         raise ValueError("posteriors and betas must cover the same channels")
-    sd = np.sqrt(clamp_variance(var))
-    lower, upper = ({i: np.where(mask.member, mean + s * betas[i] * sd, np.nan)
-                     for i, mean in means.items()} for s in (-1.0, 1.0))
+    sd = np.sqrt(clamp_variance(first.var))
+    lower, upper = ({i: np.where(mask.member, post.mean + s * betas[i] * sd,
+                                 np.nan)
+                     for i, post in posteriors.items()} for s in (-1.0, 1.0))
     return ConfidenceField(dict(betas), lower, upper)
 
 
@@ -116,8 +122,8 @@ def _boundary_candidates(safe: np.ndarray, mask: DomainMask) -> np.ndarray:
     return safe & cross_dilation(outside).reshape(-1)
 
 
-def expanders(posteriors: dict, pred, field: ConfidenceField,
-              safe: np.ndarray, mask: DomainMask, exact: bool = False):
+def expanders(posteriors: dict, field: ConfidenceField, safe: np.ndarray,
+              mask: DomainMask, exact: bool = False):
     """Safe points whose optimistic observation would certify a new point
     as safe.
 
@@ -125,9 +131,9 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
     observation at its upper bound u(a, i), in closed form and for a block
     of candidates at once (:func:`observation_update`); a point outside the
     safe set that gets nonnegative lower bounds on all channels makes a an
-    expander. Their posteriors are the grid-index columns of ``pred`` (see
-    :func:`confidence_bounds`); ``posteriors`` give kernel and noise. With
-    ``exact=True`` all safe points are tested, not only boundary ones.
+    expander. Their posteriors are the grid-index columns of the means,
+    variance and ``v`` of ``posteriors`` (see :func:`confidence_bounds`).
+    With ``exact=True`` all safe points are tested, not only boundary ones.
     """
     g = np.zeros_like(safe)
     constraints = [i for i in field.channels if i != 0]
@@ -135,10 +141,10 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
     if not constraints or not outside.any():
         return g
     post = next(iter(posteriors.values()))
-    means, var, v = pred
+    v, var = post.v, post.var
     out = np.flatnonzero(outside)
     v_q, var_q = v[:, out], var[out]
-    mean_q = {i: means[i][out] for i in constraints}
+    mean_q = {i: posteriors[i].mean[out] for i in constraints}
     candidates = np.flatnonzero(safe if exact
                                 else _boundary_candidates(safe, mask))
     for start in range(0, len(candidates), _BLOCK):
@@ -148,7 +154,7 @@ def expanders(posteriors: dict, pred, field: ConfidenceField,
         newly_safe = np.ones((len(block), len(out)), dtype=bool)
         for i in constraints:
             mean, var_n = observation_update(
-                mean_q[i], var_q, means[i][block], var[block], k_n,
+                mean_q[i], var_q, posteriors[i].mean[block], var[block], k_n,
                 field.upper[i][block], post.noise_std)
             newly_safe &= mean - field.betas[i] * np.sqrt(var_n) >= 0.0
         g[block] = np.any(newly_safe, axis=1)
@@ -175,15 +181,13 @@ class SafeOptState:
 
 
 def compute_state(posteriors: dict, betas: dict, mask: DomainMask,
-                  seed_indices, exact_expanders: bool = False,
-                  pred=None) -> SafeOptState:
-    """Classify the masked grid for the current posteriors and bounds; one
-    grid-wide posterior (``pred`` if given) feeds bounds and expanders."""
-    pred = predictive(posteriors) if pred is None else pred
-    field = confidence_bounds(pred, betas, mask)
+                  seed_indices, exact_expanders: bool = False) -> SafeOptState:
+    """Classify the masked grid for the current posteriors and bounds; the
+    posteriors' grid-wide means and variance feed bounds and expanders."""
+    field = confidence_bounds(posteriors, betas, mask)
     safe = safe_set(field, seed_indices, mask)
     m = maximizers(field, safe)
-    g = expanders(posteriors, pred, field, safe, mask, exact=exact_expanders)
+    g = expanders(posteriors, field, safe, mask, exact=exact_expanders)
     return SafeOptState(field, safe, m, g)
 
 

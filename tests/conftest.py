@@ -5,8 +5,7 @@ import csv
 import numpy as np
 from scipy import linalg as sla
 
-from pacsbo.kernel_gp import (_chol_with_jitter, clamp_variance, matern32,
-                               predictive)
+from pacsbo.kernel_gp import _chol_with_jitter, clamp_variance, matern32
 from pacsbo.predictor import (
     MlpPredictor,
     _forward_normalized,
@@ -49,8 +48,7 @@ def mean_and_variance(post, query):
     """One channel's posterior mean and clamped variance at the grid
     indices ``query``."""
     query = np.asarray(query, dtype=np.intp)
-    means, var, _ = predictive({0: post})
-    return means[0][query], clamp_variance(var[query])
+    return post.mean[query], clamp_variance(post.var[query])
 
 
 def constant_predictor(value, input_len=100):

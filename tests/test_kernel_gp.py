@@ -18,7 +18,6 @@ from pacsbo.kernel_gp import (
     lattice_table,
     mean_rkhs_norm,
     observation_update,
-    predictive,
     reciprocal_cov_integral,
     with_targets,
 )
@@ -168,8 +167,8 @@ def test_prior_posterior():
     assert np.all(mean == 0.0) and np.all(var == 1.0)
     assert info_gain(post) == 0.0
     mask = global_mask(grid)
-    var = predictive({0: post})[1]
-    assert reciprocal_cov_integral(var, mask) == pytest.approx(1.0, abs=1e-12)
+    assert reciprocal_cov_integral(post.var, mask) == pytest.approx(1.0,
+                                                                    abs=1e-12)
     with pytest.raises(ValueError):
         mean_rkhs_norm(post)
 
@@ -232,8 +231,7 @@ def test_observation_update_matches_full_refit():
         post = gp_fit(s, 0, 0.05, CFG)
         new_idx = np.array([30, 0, int(idx[0]), 59])
         values = np.array([0.7, -1.2, 2.0, 0.0])
-        means, var_q, v = predictive({0: post})
-        mean_q = means[0]
+        mean_q, var_q, v = post.mean, post.var, post.v
         k_n = (kernel_matrix(grid.points[new_idx], grid.points, CFG)
                - v[:, new_idx].T @ v)
         mean, var = observation_update(mean_q, var_q, mean_q[new_idx],
@@ -254,25 +252,25 @@ def two_channel_posteriors(grid, idx, noise=0.05, cfg=CFG, seed=0):
 
 
 def test_a_negative_variance_logs_once_for_both_clamps(caplog):
-    """A step's one ``predictive`` variance is clamped twice, by the
-    covariance integral and by the confidence bounds; a value below the
-    dust level logs one warning, not one per clamp."""
+    """A step's variance is made once, by ``extend``, and clamped twice, by
+    the covariance integral and by the confidence bounds; a value below the
+    dust level logs one warning where it is made, not one per clamp."""
     grid = GridDomain.uniform(30)
-    post = gp_fit(make_samples(grid, (4, 12, 20), [0.1, 0.3, -0.2]), 0,
-                  0.01, CFG)
+    s = make_samples(grid, (4, 12, 20), [0.1, 0.3, -0.2])
+    post = gp_fit(s, 0, 0.01, CFG)
     broken = replace(post, var=1.0 - 4.0 * (1.0 - post.var))  # 1 - 4 |v|^2
     mask = global_mask(grid)
     caplog.set_level(logging.WARNING, logger="pacsbo.kernel_gp")
-    pred = predictive({0: broken})
-    assert pred[1].min() < -1.0
-    reciprocal_cov_integral(pred[1], mask)
-    confidence_bounds(pred, {0: 2.0}, mask)
+    grown = with_targets(extend(broken, 25), [0.1, 0.3, -0.2, 0.0])
+    assert grown.var.min() < -1.0
+    reciprocal_cov_integral(grown.var, mask)
+    confidence_bounds({0: grown}, {0: 2.0}, mask)
     clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
     assert len(clamps) == 1
 
 
 def test_predictive_columns_of_a_subset():
-    """Reading columns from the grid-wide predictive is predicting over the
+    """Reading columns from the grid-wide posterior is predicting over the
     subset alone: the solve and the variance are bitwise equal, column by
     column, for subsets of two or more points. The means agree to rounding
     only; gemv's rounding of one output depends on its position in the
@@ -281,7 +279,7 @@ def test_predictive_columns_of_a_subset():
     grid = GridDomain.uniform((50, 50))
     idx = rng.choice(grid.num_points, size=40, replace=False)
     posteriors = two_channel_posteriors(grid, idx)
-    means, var, v = predictive(posteriors)
+    var, v = posteriors[0].var, posteriors[0].v
     for size in (2, 5, 32, 700):
         sub = np.sort(rng.choice(grid.num_points, size=size, replace=False))
         means_s, var_s, v_s = block_predictive(posteriors,
@@ -289,8 +287,8 @@ def test_predictive_columns_of_a_subset():
         np.testing.assert_array_equal(v[:, sub], v_s)
         np.testing.assert_array_equal(var[sub], var_s)
         for i in posteriors:
-            np.testing.assert_allclose(means[i][sub], means_s[i], rtol=0,
-                                       atol=1e-12)
+            np.testing.assert_allclose(posteriors[i].mean[sub], means_s[i],
+                                       rtol=0, atol=1e-12)
 
 
 def test_predictive_rejects_channels_fitted_differently():
@@ -300,12 +298,13 @@ def test_predictive_rejects_channels_fitted_differently():
     noisier = two_channel_posteriors(grid, [3, 10, 20], noise=0.1)
     wider = two_channel_posteriors(grid, [3, 10, 20],
                                    cfg=KernelConfig(lengthscale=0.2))
+    betas, mask = {0: 1.0, 1: 1.0}, global_mask(grid)
     for other in (moved, noisier, wider):
-        with pytest.raises(ValueError):
-            predictive({0: posteriors[0], 1: other[1]})
+        with pytest.raises(ValueError, match="must share"):
+            confidence_bounds({0: posteriors[0], 1: other[1]}, betas, mask)
     # equal fits need not be the same objects
     twin = two_channel_posteriors(grid, [3, 10, 20], seed=1)
-    predictive({0: posteriors[0], 1: twin[1]})
+    confidence_bounds({0: posteriors[0], 1: twin[1]}, betas, mask)
 
 
 def test_reciprocal_cov_integral_three_point_grid():
@@ -313,7 +312,7 @@ def test_reciprocal_cov_integral_three_point_grid():
     s = make_samples(grid, [1], [0.0])
     post = gp_fit(s, 0, 0.1, CFG)
     mask = global_mask(grid)
-    r = reciprocal_cov_integral(predictive({0: post})[1], mask)
+    r = reciprocal_cov_integral(post.var, mask)
     assert r == pytest.approx(THREE_PT_RECIPROCAL, abs=1e-10)
     # an empty region or one of the wrong length is no mask at all
     with pytest.raises(ValueError, match="empty"):
@@ -331,7 +330,7 @@ def test_reciprocal_cov_integral_grows_with_data():
     r_prev = 0.0
     for n in (2, 5, 10):
         post = gp_fit(make_samples(grid, idx[:n], y[:n]), 0, 0.05, CFG)
-        r = reciprocal_cov_integral(predictive({0: post})[1], mask)
+        r = reciprocal_cov_integral(post.var, mask)
         assert r > r_prev
         r_prev = r
 
@@ -370,8 +369,8 @@ def table_block(grid, rows, cols):
 
 
 def block_predictive(posteriors, kq):
-    """``predictive`` from the kernel block ``kq`` of sample rows and query
-    columns: ``v`` solved on it, the means ``v^T L^T w``."""
+    """``(means, var, v)`` from the kernel block ``kq`` of sample rows and
+    query columns: ``v`` solved on it, the means ``v^T L^T w``."""
     first = next(iter(posteriors.values()))
     v = sla.solve_triangular(first.chol, kq, lower=True)
     means = {i: (post.chol.T @ post.weights) @ v
@@ -390,9 +389,10 @@ def clustered_posteriors(resolution, n, seed=0):
 
 @pytest.mark.parametrize("resolution", [100, (50, 50)])
 def test_predictive_equals_the_coordinate_reference_bitwise(resolution):
-    """``predictive`` of a fit equals the posterior built on a table gather
-    over the grid bitwise, and that gather the coordinate kernel block to a
-    few ulps; each region reads its members from it."""
+    """A fit's grid-wide means (made by ``with_targets``), variance and
+    ``v`` equal the posterior built on a table gather over the grid
+    bitwise, and that gather the coordinate kernel block to a few ulps;
+    each region reads its members from them."""
     for n in (3, 12, 40):
         grid, posteriors = clustered_posteriors(resolution, n)
         rows = list(posteriors[0].indices)
@@ -401,17 +401,16 @@ def test_predictive_equals_the_coordinate_reference_bitwise(resolution):
         np.testing.assert_allclose(
             kq, kernel_matrix(grid.points[rows], grid.points, CFG),
             rtol=1e-13, atol=0)
-        got = predictive(posteriors)
         want = block_predictive(posteriors, kq)
-        for i in posteriors:
-            np.testing.assert_array_equal(got[0][i], want[0][i])
-        np.testing.assert_array_equal(got[1], want[1])
-        np.testing.assert_array_equal(got[2], want[2])
+        for i, post in posteriors.items():
+            np.testing.assert_array_equal(post.mean, want[0][i])
+            np.testing.assert_array_equal(post.var, want[1])
+            np.testing.assert_array_equal(post.v, want[2])
         samples = SampleSet(grid, rows, {i: np.zeros(n) for i in (0, 1)})
         masks = partition_masks(samples)
         assert masks[0].member.sum() < masks[1].member.sum() < grid.num_points
         for mask in masks:
-            field = confidence_bounds(got, {0: 2.0, 1: 2.0}, mask)
+            field = confidence_bounds(posteriors, {0: 2.0, 1: 2.0}, mask)
             sd = np.sqrt(np.clip(want[1], 0.0, 1.0))[mask.member]
             np.testing.assert_array_equal(field.lower[0][mask.member],
                                           want[0][0][mask.member] - 2.0 * sd)
@@ -484,14 +483,13 @@ def test_extend_agrees_with_gp_fit_and_the_dense_oracle():
              else int(rng.integers(grid.num_points)))
         repeats += j in s.indices
         post, s = extend(post, j), measure(s, j)
-        assert post.indices == s.indices and post.weights is None
+        assert post.indices == s.indices
+        assert post.weights is None and post.mean is None
         got, ref = with_targets(post, s.targets(0)), gp_fit(s, 0, noise, CFG)
-        (means, var, v), (means_r, var_r, v_r) = (predictive({0: got}),
-                                                  predictive({0: ref}))
         assert rel(got.chol, ref.chol) <= 1e-12
-        assert rel(v, v_r) <= 1e-12
-        assert rel(means[0], means_r[0]) <= 1e-12
-        assert rel(var, var_r) <= 1e-12
+        assert rel(got.v, ref.v) <= 1e-12
+        assert rel(got.mean, ref.mean) <= 1e-12
+        assert rel(got.var, ref.var) <= 1e-12
         np.testing.assert_array_equal(got.gram, ref.gram)
         cond = np.linalg.cond(ref.gram + noise ** 2 * np.eye(len(s)))
         assert rel(got.weights, ref.weights) <= cond * np.finfo(float).eps
@@ -499,6 +497,6 @@ def test_extend_agrees_with_gp_fit_and_the_dense_oracle():
                                                     rel=1e-12)
         oracle = dense_posterior(s.params, s.targets(0), noise, CFG,
                                  grid.points)
-        for mine, dense in zip((means[0], var), oracle):
+        for mine, dense in zip((got.mean, got.var), oracle):
             assert np.max(np.abs(mine - dense) / (1.0 + np.abs(dense))) <= 1e-8
     assert repeats == 4

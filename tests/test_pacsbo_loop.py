@@ -9,7 +9,6 @@ from conftest import constant_predictor, first_norms, most_uncertain
 import pacsbo.kernel_gp as kernel_mod
 import pacsbo.pacsbo_loop as loop_mod
 import pacsbo.rkhs_function as rkhs_mod
-import pacsbo.safeopt_core as core_mod
 from pacsbo.errors import ConfigError
 from pacsbo.harness import history_rows, record_header, seed_triple
 from pacsbo.kernel_gp import (
@@ -19,7 +18,6 @@ from pacsbo.kernel_gp import (
     extend,
     gp_fit,
     info_gain,
-    predictive,
     with_targets,
 )
 from pacsbo.pac_estimator import (
@@ -333,8 +331,7 @@ class TestPacsboRun:
             samples, rec = prefixes[t - 1], self.hist.records[t - 1]
             posts, states = self.replay_states(samples, carried[t - 1], rec)
             assert snap.sampled == samples.indices
-            mean = predictive({0: posts[0]})[0][0]
-            assert snap.reward_mean.tobytes() == mean.tobytes()
+            assert snap.reward_mean.tobytes() == posts[0].mean.tobytes()
             assert list(snap.fields) == list(states)
             for label, st in states.items():
                 got = snap.fields[label]
@@ -345,6 +342,9 @@ class TestPacsboRun:
         assert final.indices == prefixes[-1].indices and final.v is None
         assert final.chol.tobytes() == carried[-1].chol.tobytes()
         assert final.var.tobytes() == carried[-1].var.tobytes()
+        fitted = with_targets(carried[-1], prefixes[-1].targets(0))
+        assert final.weights.tobytes() == fitted.weights.tobytes()
+        assert final.mean.tobytes() == fitted.mean.tobytes()
         for i in CHANNELS:
             assert (self.hist.samples.targets(i).tobytes()
                     == prefixes[-1].targets(i).tobytes())
@@ -368,25 +368,28 @@ def test_global_trace_r_nondecreasing():
 
 
 @pytest.mark.parametrize("algorithm", ["pacsbo", "safeopt"])
-def test_one_predictive_per_step(monkeypatch, algorithm):
-    # one grid-wide posterior per step serves every region's covariance
-    # integral, confidence bounds and expander test
+def test_one_grid_mean_per_channel_and_step(monkeypatch, algorithm):
+    # each channel's grid-wide mean is made once per step, by with_targets,
+    # and serves every region's confidence bounds and expander test; the
+    # start set's fit makes one more and the run's final reward fit one
     grid = GridDomain.uniform(25)
     truth, s0 = make_truth(grid, seed=4)
     cfg = pacsbo_config(grid, s0, budget=3, seed=6)
     if algorithm == "safeopt":
         cfg = replace(cfg, algorithm="safeopt", fixed_bound=1.0)
-    calls = []
+    calls, real = [], kernel_mod.with_targets
 
-    def counting(posteriors):
-        calls.append(tuple(posteriors))
-        return predictive(posteriors)
+    def counting(post, y):
+        calls.append(post.num_samples)
+        return real(post, y)
 
-    for mod in (kernel_mod, loop_mod, core_mod):
-        monkeypatch.setattr(mod, "predictive", counting, raising=False)
+    for mod in (kernel_mod, loop_mod):
+        monkeypatch.setattr(mod, "with_targets", counting)
     hist = run(cfg, truth)
     assert len(hist.records) == cfg.budget
-    assert calls == [CHANNELS] * cfg.budget
+    n = len(cfg.s0_indices)
+    assert calls == ([n] + [n + t for t in range(cfg.budget)
+                            for _ in CHANNELS] + [n + cfg.budget])
 
 
 @pytest.mark.parametrize("res, algorithm", [(30, "pacsbo"),

@@ -16,7 +16,6 @@ from pacsbo.kernel_gp import (
     extend,
     gp_fit,
     mean_rkhs_norm,
-    predictive,
     reciprocal_cov_integral,
     with_targets,
 )
@@ -37,7 +36,7 @@ from pacsbo.subdomain import global_mask
 
 def cov_integral(post, mask):
     """Reciprocal covariance integral of ``post`` over ``mask``."""
-    return reciprocal_cov_integral(predictive({0: post})[1], mask)
+    return reciprocal_cov_integral(post.var, mask)
 
 
 def test_append_preserves_order():
@@ -205,8 +204,8 @@ def test_rollout_determinism():
 def test_rollout_fits_each_sample_set_and_channel_once(monkeypatch):
     # the loop factorizes its start set once, for the reward, and extends
     # that factor by each step's sample; every step derives both channels
-    # from it, and the trace's closing pair derives the reward from the
-    # run's final posterior on all T + 1 samples
+    # from it, and the run fits its final posterior on all T + 1 samples
+    # to the reward once, for the trace's closing pair
     fits, derived, extended = [], [], []
 
     def counting(samples, i, *args):
@@ -224,7 +223,6 @@ def test_rollout_fits_each_sample_set_and_channel_once(monkeypatch):
     monkeypatch.setattr(loop_mod, "gp_fit", counting)
     monkeypatch.setattr(loop_mod, "with_targets", deriving)
     monkeypatch.setattr(loop_mod, "extend", extending)
-    monkeypatch.setattr(predictor_mod, "with_targets", deriving)
     data = generate_training_data(1, 10, seed=3)
     assert data.rows == 10
     assert fits == [(1, 0)]

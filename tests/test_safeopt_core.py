@@ -17,7 +17,6 @@ from pacsbo.kernel_gp import (
     gp_fit,
     info_gain,
     lattice_table,
-    predictive,
 )
 from pacsbo.rkhs_function import (SamplerConfig, evaluate,
                                   sample_random_function, scale_to_norm)
@@ -82,7 +81,7 @@ def test_prior_bounds_are_plus_minus_one():
     kernel = KernelConfig()
     posteriors = {0: gp_fit(samples, 0, 0.01, kernel),
                   1: gp_fit(samples, 1, 0.01, kernel)}
-    field = confidence_bounds(predictive(posteriors), {0: 1.0, 1: 1.0}, mask)
+    field = confidence_bounds(posteriors, {0: 1.0, 1: 1.0}, mask)
     np.testing.assert_allclose(field.lower[0], -1.0, atol=1e-12)
     np.testing.assert_allclose(field.upper[1], 1.0, atol=1e-12)
 
@@ -91,11 +90,10 @@ def test_bound_width_scales_with_beta():
     grid = GridDomain.uniform(40)
     mask = global_mask(grid)
     _, posteriors = fit_two_channels(grid, [10, 30], [0.5, -0.2])
-    pred = predictive(posteriors)
-    one = confidence_bounds(pred, {0: 1.0, 1: 1.0}, mask)
-    two = confidence_bounds(pred, {0: 2.0, 1: 2.0}, mask)
+    one = confidence_bounds(posteriors, {0: 1.0, 1: 1.0}, mask)
+    two = confidence_bounds(posteriors, {0: 2.0, 1: 2.0}, mask)
     np.testing.assert_allclose(two.width(0), 2.0 * one.width(0), atol=1e-12)
-    zero = confidence_bounds(pred, {0: 0.0, 1: 0.0}, mask)
+    zero = confidence_bounds(posteriors, {0: 0.0, 1: 0.0}, mask)
     np.testing.assert_allclose(zero.width(1), 0.0, atol=1e-15)
     # l = u = mu when beta vanishes
     mean, _ = mean_and_variance(posteriors[0], np.arange(grid.num_points))
@@ -227,16 +225,15 @@ def test_three_point_expander_hand_case():
                                            lengthscale=1.0)
     mask = global_mask(grid)
     betas = {0: 1.0, 1: 1.0}
-    pred = predictive(posteriors)
-    field = confidence_bounds(pred, betas, mask)
+    field = confidence_bounds(posteriors, betas, mask)
     assert field.lower[1][0] == pytest.approx(0.93991, abs=2e-3)
     assert field.lower[1][1] == pytest.approx(0.378, abs=2e-3)
     assert field.lower[1][2] == pytest.approx(-0.088, abs=2e-3)
     safe = safe_set(field, [0], mask)
     np.testing.assert_array_equal(safe, [True, True, False])
-    g_exact = expanders(posteriors, pred, field, safe, mask, exact=True)
+    g_exact = expanders(posteriors, field, safe, mask, exact=True)
     np.testing.assert_array_equal(g_exact, [False, True, False])
-    g_fast = expanders(posteriors, pred, field, safe, mask, exact=False)
+    g_fast = expanders(posteriors, field, safe, mask, exact=False)
     np.testing.assert_array_equal(g_fast, g_exact)
 
 
@@ -244,11 +241,10 @@ def test_expanders_empty_when_everything_safe():
     grid = GridDomain.uniform(6)
     _, posteriors = fit_two_channels(grid, [2], [0.9], lengthscale=1.0)
     mask = global_mask(grid)
-    pred = predictive(posteriors)
-    field = confidence_bounds(pred, {0: 0.1, 1: 0.1}, mask)
+    field = confidence_bounds(posteriors, {0: 0.1, 1: 0.1}, mask)
     safe = safe_set(field, [2], mask)
     assert safe.all()
-    g = expanders(posteriors, pred, field, safe, mask, exact=True)
+    g = expanders(posteriors, field, safe, mask, exact=True)
     assert not g.any()
 
 
@@ -305,15 +301,13 @@ def test_expander_set_matches_refit_oracle():
                       for i in channels}
             posteriors = {i: fit_channel(grid, idx, values[i], noise, kernel)
                           for i in channels}
-            pred = predictive(posteriors)
-            field = confidence_bounds(pred, dict.fromkeys(channels, 1.0),
-                                      mask)
+            field = confidence_bounds(posteriors,
+                                      dict.fromkeys(channels, 1.0), mask)
             safe = safe_set(field, idx[:1], mask)
             for exact in (False, True):
                 cand = safe if exact else _boundary_candidates(safe, mask)
                 most[exact] = max(most[exact], int(cand.sum()))
-                g = expanders(posteriors, pred, field, safe, mask,
-                              exact=exact)
+                g = expanders(posteriors, field, safe, mask, exact=exact)
                 assert not (g & ~cand).any()
                 for a in np.flatnonzero(cand):
                     expect = refit_oracle_newly_safe(
@@ -375,11 +369,10 @@ def test_boundary_candidate_filter_is_exact_on_its_candidates():
         _, posteriors = fit_two_channels(grid, idx, vals, 0.05,
                                          kernel.lengthscale)
         mask = global_mask(grid)
-        pred = predictive(posteriors)
-        field = confidence_bounds(pred, {0: 1.2, 1: 1.2}, mask)
+        field = confidence_bounds(posteriors, {0: 1.2, 1: 1.2}, mask)
         safe = safe_set(field, idx[:1], mask)
-        exact = expanders(posteriors, pred, field, safe, mask, exact=True)
-        fast = expanders(posteriors, pred, field, safe, mask, exact=False)
+        exact = expanders(posteriors, field, safe, mask, exact=True)
+        fast = expanders(posteriors, field, safe, mask, exact=False)
         # the filter tests exactly the boundary-adjacent safe points, so it
         # may drop interior expanders but must agree on its own candidates
         assert not (fast & ~exact).any()
@@ -397,11 +390,10 @@ def test_safe_set_never_grows_with_larger_bound():
         samples, posteriors = fit_two_channels(grid, idx, vals)
         mask = global_mask(grid)
         gamma = info_gain(posteriors[1])
-        pred = predictive(posteriors)
         prev = None
         for bound in (0.5, 1.0, 2.0, 5.0):
             beta = beta_scale(bound, 0.01, gamma, 0.1)
-            field = confidence_bounds(pred, {0: beta, 1: beta}, mask)
+            field = confidence_bounds(posteriors, {0: beta, 1: beta}, mask)
             s = safe_set(field, idx[:1], mask)
             if prev is not None:
                 assert not (s & ~prev).any(), "larger B enlarged the safe set"
@@ -548,14 +540,11 @@ STATE_DIGESTS = {
 @pytest.mark.parametrize("dims", [1, 2])
 @pytest.mark.parametrize("exact", [False, True])
 def test_compute_state_outputs_pinned_bitwise(dims, exact):
-    # the loop hands in the step's grid-wide posterior; the five-argument
-    # call (the benchmark's replay) predicts it
+    # the five-argument call, as the loop and the benchmark's replay make it
     posteriors, betas, mask, seed = digest_case(dims)
-    pred = predictive(posteriors)
-    for state in (compute_state(posteriors, betas, mask, seed, exact),
-                  compute_state(posteriors, betas, mask, seed, exact, pred)):
-        assert 0 < state.expander_set.sum() < state.safe.sum() < mask.count
-        assert state_digests(state) == STATE_DIGESTS[dims, exact]
+    state = compute_state(posteriors, betas, mask, seed, exact)
+    assert 0 < state.expander_set.sum() < state.safe.sum() < mask.count
+    assert state_digests(state) == STATE_DIGESTS[dims, exact]
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -566,8 +555,7 @@ def test_expander_blocks_equal_the_coordinate_reference_bitwise(
     reads its kernel block from the lattice table, bitwise, and that block
     is the one ``kernel_matrix`` builds on the coordinates to a few ulps."""
     posteriors, betas, mask, seed = digest_case(dims)
-    pred = predictive(posteriors)
-    field = confidence_bounds(pred, betas, mask)
+    field = confidence_bounds(posteriors, betas, mask)
     safe = safe_set(field, seed, mask)
     got, real = [], safeopt_core.observation_update
 
@@ -576,9 +564,9 @@ def test_expander_blocks_equal_the_coordinate_reference_bitwise(
         return real(*args)
 
     monkeypatch.setattr(safeopt_core, "observation_update", recording)
-    expanders(posteriors, pred, field, safe, mask, exact=exact)
+    expanders(posteriors, field, safe, mask, exact=exact)
 
-    grid, kernel, v = mask.grid, posteriors[0].kernel, pred[2]
+    grid, kernel, v = mask.grid, posteriors[0].kernel, posteriors[0].v
     table, code = lattice_table(grid, kernel)
     out = np.flatnonzero(mask.member & ~safe)
     candidates = np.flatnonzero(safe if exact
